@@ -28,6 +28,7 @@ from .quadrature import (
     integrate_tail,
 )
 from .kernel import (
+    FarField,
     HTail,
     KernelPair,
     compute_h,
@@ -92,7 +93,7 @@ __all__ = [
     "IntegralResult", "TailModel", "cumulative_integral",
     "cumulative_simpson_doubled", "integrate_finite", "integrate_tail",
     # kernel
-    "HTail", "KernelPair", "compute_h", "compute_kernel", "compute_z",
+    "FarField", "HTail", "KernelPair", "compute_h", "compute_kernel", "compute_z",
     "ode_residual", "z_ode_oracle",
     # lemma_check
     "ConclusionsResult", "HypothesesResult", "LemmaReport", "RemarkResult",

@@ -36,15 +36,18 @@ from .coeff_dsl import CoefficientExpr, DomainError, ParseError, Num, Var, Neg, 
 from .example_builder import (
     BandParams,
     OscillationParams,
+    OscillationSpec,
     PairParams,
+    PairResult,
     build_oscillation,
     build_pair,
     check_integral_features,
     verify_pair,
 )
-from .kernel import compute_kernel, ode_residual
-from .lemma_check import verify_lemma
+from .kernel import FarField, compute_kernel, ode_residual
+from .lemma_check import LemmaReport, verify_lemma
 from .pde_bridge import (
+    BarrierPair,
     RadialProblem,
     beta_map,
     lift_coefficients,
@@ -449,6 +452,13 @@ def load_config(raw: dict) -> RunConfig:
     if boundary not in ("upper", "lower"):
         raise ValueError(f"solver.boundary must be 'upper' or 'lower', got {boundary!r}")
 
+    steps = {}
+    for key in ("step", "extend_step"):
+        steps[key] = _const_expr(kern[key], f"kernel.{key}")
+        if not (math.isfinite(steps[key]) and steps[key] > 0.0):
+            raise ValueError(f"kernel.{key} must be a positive finite number, "
+                             f"got {steps[key]!r}")
+
     q_override = top["q_override"]
     if q_override is not None:
         q_override = _take(q_override, {"expr": None, "m_max": 10}, "q_override")
@@ -466,10 +476,10 @@ def load_config(raw: dict) -> RunConfig:
         g_tail=g_tail,
         blend="tanh",
         varsigma=varsigma,
-        kernel_step=_const_expr(kern["step"], "kernel.step"),
+        kernel_step=steps["step"],
         kernel_span=_const_expr(kern["span"], "kernel.span"),
         extend_to=_const_expr(kern["extend_to"], "kernel.extend_to"),
-        extend_step=_const_expr(kern["extend_step"], "kernel.extend_step"),
+        extend_step=steps["extend_step"],
         residual_step=_const_expr(kern["residual_step"], "kernel.residual_step"),
         solver_N=int(solv["N"]),
         solver_K=None if solv["K"] is None else _const_expr(solv["K"], "solver.K"),
@@ -524,7 +534,7 @@ class _Runner:
 
     # -- stages -------------------------------------------------------------
 
-    def construct_example(self) -> dict:
+    def construct_example(self) -> OscillationSpec:
         cfg = self.cfg
         spec = build_oscillation(cfg.oscillation)
         features = check_integral_features(
@@ -570,23 +580,20 @@ class _Runner:
                       [("q", s, spec.q_callable(s))],
                       title="oscillating coefficient family",
                       xlabel="s", ylabel="q(s)")
-        self._spec = spec
-        return payload
+        return spec
 
-    def verify_lemma_stage(self) -> dict:
+    def verify_lemma_stage(self, spec: Optional[OscillationSpec] = None
+                           ) -> tuple[LemmaReport, Optional[FarField]]:
+        """The lemma report, and the family kernel's continuation summary when it checked one."""
         cfg = self.cfg
         if cfg.q_override is not None:
-            q = CoefficientExpr.parse(cfg.q_override["expr"])
             m_max = cfg.q_override["m_max"]
             family = None
-            q_call = q
+            q_call = CoefficientExpr.parse(cfg.q_override["expr"])
         else:
-            spec = getattr(self, "_spec", None) or build_oscillation(cfg.oscillation)
-            self._spec = spec
-            q = spec.q
+            family = spec or build_oscillation(cfg.oscillation)
             m_max = cfg.oscillation.m_max
-            family = spec
-            q_call = spec.q_callable
+            q_call = family.q_callable
         nodes = PI * np.arange(2, 2 * m_max + 3)
         grid = _uniform_grid(cfg.oscillation.s0, cfg.kernel_span, cfg.kernel_step)
         kern = compute_kernel(
@@ -613,28 +620,27 @@ class _Runner:
         }
         if self.want("json"):
             write_json(self.path("lemma_report.json"), payload)
-        self._lemma = report
-        self._kernel = kern
-        return payload
+        return report, (kern.far if family is not None else None)
 
-    def compute_kernel_stage(self) -> dict:
+    def compute_kernel_stage(self, spec: Optional[OscillationSpec] = None,
+                             lemma: Optional[LemmaReport] = None,
+                             far: Optional[FarField] = None) -> None:
+        """Kernels of the family; ``far`` is its continuation summary from the lemma stage."""
         cfg = self.cfg
-        spec = getattr(self, "_spec", None) or build_oscillation(cfg.oscillation)
-        self._spec = spec
-        lemma = getattr(self, "_lemma", None)
+        spec = spec or build_oscillation(cfg.oscillation)
         bound = lemma.hypotheses.proof_bound() if lemma is not None else None
 
         grid = _uniform_grid(cfg.oscillation.s0, cfg.kernel_span, cfg.kernel_step)
         kern = compute_kernel(
             cfg.oscillation.p, spec.q_callable, grid,
             p_tail=cfg.oscillation.p_tail, z_sup_bound=bound,
-            extend_to=cfg.extend_to, extend_step=cfg.extend_step,
+            extend_to=cfg.extend_to, extend_step=cfg.extend_step, far=far,
         )
         res_grid = _uniform_grid(cfg.oscillation.s0, cfg.kernel_span, cfg.residual_step)
         res_kern = compute_kernel(
             cfg.oscillation.p, spec.q_callable, res_grid,
             p_tail=cfg.oscillation.p_tail, z_sup_bound=bound,
-            extend_to=cfg.extend_to, extend_step=cfg.extend_step,
+            extend_to=cfg.extend_to, extend_step=cfg.extend_step, far=kern.far,
         )
         resid = ode_residual(res_kern.h_values, cfg.oscillation.p, spec.q_callable,
                              res_grid, z_values=res_kern.z_values)
@@ -670,10 +676,8 @@ class _Runner:
                        ("h", kern.grid, kern.h_values),
                        ("h/s", kern.grid, kern.h_over_s())],
                       title="comparison kernels", xlabel="s", ylabel="value")
-        self._kernel = kern
-        return payload
 
-    def build_pair_stage(self) -> dict:
+    def build_pair_stage(self) -> PairResult:
         cfg = self.cfg
         pair = build_pair(cfg.pair)
         grid = _uniform_grid(cfg.pair.s0, 2 * PI * min(cfg.pair.m_max, 25), PI / 100.0)
@@ -698,13 +702,12 @@ class _Runner:
                       [("q1", s, pair.q1.q_callable(s)),
                        ("q2", s, pair.q2.q_callable(s))],
                       title="ordered coefficient pair", xlabel="s", ylabel="q(s)")
-        self._pair = pair
-        return payload
+        return pair
 
-    def bridge_stage(self) -> dict:
+    def bridge_stage(self, pair: Optional[PairResult] = None
+                     ) -> tuple[RadialProblem, BarrierPair]:
         cfg = self.cfg
-        pair = getattr(self, "_pair", None) or build_pair(cfg.pair)
-        self._pair = pair
+        pair = pair or build_pair(cfg.pair)
         problem = self.problem(pair)
         n = cfg.problem_n
 
@@ -753,20 +756,23 @@ class _Runner:
         }
         if self.want("json"):
             write_json(self.path("bridge_report.json"), payload)
-        self._bridge_barrier = barrier
-        self._problem = problem
-        return payload
+        return problem, barrier
 
-    def solve_bvp_stage(self) -> dict:
+    def solve_bvp_stage(self, pair: Optional[PairResult] = None,
+                        problem: Optional[RadialProblem] = None,
+                        bridge_barrier: Optional[BarrierPair] = None) -> None:
+        """Solve between the barriers; ``bridge_barrier`` lends its continuation summaries."""
         cfg = self.cfg
-        pair = getattr(self, "_pair", None) or build_pair(cfg.pair)
-        self._pair = pair
-        problem = getattr(self, "_problem", None) or self.problem(pair)
+        pair = pair or build_pair(cfg.pair)
+        problem = problem or self.problem(pair)
 
         grid = np.linspace(cfg.oscillation.s0, cfg.oscillation.s0 + cfg.kernel_span,
                            cfg.solver_N)
+        far = None if bridge_barrier is None else (
+            bridge_barrier.kernel1.far, bridge_barrier.kernel2.far)
         barrier = make_barriers(pair, grid, extend_to=cfg.extend_to,
-                                extend_step=cfg.extend_step, parallel=cfg.parallel)
+                                extend_step=cfg.extend_step, far=far,
+                                parallel=cfg.parallel)
         solution = solve_radial(
             problem, barrier, K=cfg.solver_K, tol=cfg.solver_tol,
             boundary=cfg.solver_boundary, max_iter=cfg.solver_max_iter,
@@ -820,15 +826,14 @@ class _Runner:
                       [("u", r, u), ("v1", r, v1), ("v2", r, v2)],
                       title="solution between barriers",
                       xlabel="r", ylabel="u", logx=True, logy=True)
-        return payload
 
-    def full_pipeline(self) -> dict:
-        self.construct_example()
-        self.verify_lemma_stage()
-        self.compute_kernel_stage()
-        self.build_pair_stage()
-        self.bridge_stage()
-        return self.solve_bvp_stage()
+    def full_pipeline(self) -> None:
+        spec = self.construct_example()
+        lemma, far = self.verify_lemma_stage(spec)
+        self.compute_kernel_stage(spec, lemma, far)
+        pair = self.build_pair_stage()
+        problem, barrier = self.bridge_stage(pair)
+        self.solve_bvp_stage(pair, problem, barrier)
 
 
 def run(mode: str, cfg: RunConfig) -> int:

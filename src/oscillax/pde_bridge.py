@@ -36,7 +36,7 @@ import numpy as np
 
 from .coeff_dsl import CoefficientExpr, as_callable
 from .example_builder import PairResult
-from .kernel import KernelPair, compute_kernel
+from .kernel import FarField, KernelPair, compute_kernel
 from .quadrature import TailModel, integrate_finite
 
 __all__ = [
@@ -213,24 +213,27 @@ def make_barriers(
     z_sup_bounds: Optional[tuple[float, float]] = None,
     extend_to: float = 2e4,
     extend_step: float = math.pi / 80.0,
+    far: Optional[tuple[Optional[FarField], Optional[FarField]]] = None,
     parallel: bool = False,
 ) -> BarrierPair:
     """Compute both kernels of an ordered pair on a shared grid.
 
     The ordering q1 <= q2 forces z1 >= z2 and hence h1 <= h2; both are
     verified on the grid and a violation raises, since barriers that cross
-    cannot sandwich anything.
+    cannot sandwich anything.  ``far`` passes one continuation summary per
+    member, e.g. those of a barrier pair on another grid with the same end.
     """
     p = pair.q1.params.p
     p_tail = pair.q1.params.p_tail
     bounds = z_sup_bounds if z_sup_bounds is not None else (None, None)
+    fars = far if far is not None else (None, None)
 
     def one(which: int) -> KernelPair:
         spec = pair.q1 if which == 0 else pair.q2
         return compute_kernel(
             p, spec.q_callable, grid, p_tail=p_tail,
             z_sup_bound=bounds[which],
-            extend_to=extend_to, extend_step=extend_step,
+            extend_to=extend_to, extend_step=extend_step, far=fars[which],
         )
 
     if parallel:

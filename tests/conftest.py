@@ -6,11 +6,13 @@ uses a fixed seed so CI runs are deterministic.
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import oscillax
 from oscillax import (
     build_oscillation,
     build_pair,
@@ -27,6 +29,15 @@ SEED = int(os.environ.get("OSCILLAX_SEED", "20260819"))
 
 settings.register_profile("oscillax", deadline=None, derandomize="OSCILLAX_SEED" not in os.environ)
 settings.load_profile("oscillax")
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment for child interpreters that import this checkout's oscillax from any cwd."""
+    env = dict(os.environ)
+    src = str(Path(oscillax.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -225,7 +225,7 @@ def test_criterion_09_decay_exponent_is_recovered(problem, solution, solver_barr
           f"synthetic power law recovered to {abs(exact.exponent + 1.0):.2e}")
 
 
-def test_criterion_10_pipeline_is_deterministic_and_fast(tmp_path):
+def test_criterion_10_pipeline_is_deterministic_and_fast(tmp_path, package_env):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(default_config()), encoding="utf-8")
     runs = []
@@ -235,7 +235,7 @@ def test_criterion_10_pipeline_is_deterministic_and_fast(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "oscillax", "full-pipeline",
              "--config", str(cfg), "--out", str(out)],
-            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            capture_output=True, text=True, cwd=tmp_path, timeout=120, env=package_env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})

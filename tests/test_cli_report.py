@@ -192,6 +192,20 @@ def test_constraint_violation_exits_2_and_names_the_bound(tmp_path, capsys):
     assert "6 <= gamma" in err
 
 
+@pytest.mark.parametrize("key", ["step", "extend_step"])
+@pytest.mark.parametrize("value", [-0.001, 0, "-pi/200", 1e309])
+def test_nonpositive_or_infinite_kernel_step_exits_2_before_writing(tmp_path, capsys,
+                                                                     key, value):
+    cfg = _write_config(tmp_path, {f"kernel.{key}": value})
+    out = tmp_path / "out"
+    rc = main(["full-pipeline", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"kernel.{key} must be a positive finite number" in err
+    assert "Number of samples" not in err
+    assert not out.exists()
+
+
 def test_unknown_format_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     rc = main(["construct-example", "--config", str(cfg),

@@ -174,6 +174,19 @@ def test_parallel_barriers_match_serial(pair):
     assert np.array_equal(serial.h2, threaded.h2)
 
 
+def test_parallel_barriers_with_summaries_match_serial(pair, solver_barrier):
+    grid = np.linspace(solver_barrier.grid[0], solver_barrier.grid[-1], 8001)
+    far = (solver_barrier.kernel1.far, solver_barrier.kernel2.far)
+    serial = make_barriers(pair, grid, far=far)
+    threaded = make_barriers(pair, grid, far=far, parallel=True)
+    assert serial.kernel1.far is far[0] and serial.kernel2.far is far[1]
+    assert threaded.kernel1.far is far[0] and threaded.kernel2.far is far[1]
+    for name in ("h1", "h2", "z1", "z2"):
+        assert np.array_equal(getattr(serial, name), getattr(threaded, name))
+    assert serial.kernel1.h_tail == threaded.kernel1.h_tail
+    assert serial.kernel2.z_sup_observed == threaded.kernel2.z_sup_observed
+
+
 # ---------------------------------------------------------------------------
 # residual signs
 
