@@ -51,7 +51,9 @@ class BvpSolution:
     ``u_values`` holds the arc-side profile H (the radial solution is
     u(r) = H(s)/s at r = beta(s)); ``iteration_sup_deltas`` the sup norm of
     successive differences, strictly decreasing after the first entry when
-    the shift is adequate.
+    the shift is adequate.  ``residual`` is the discrete residual of the
+    converged iterate on the grid, zero at the two Dirichlet nodes; its sup
+    is ``residual_sup``.
     """
 
     grid: np.ndarray
@@ -63,6 +65,7 @@ class BvpSolution:
     K_used: float
     residual_sup: float
     boundary: str
+    residual: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class DecayFit:
 def _estimate_shift(
     problem: RadialProblem,
     barrier: BarrierPair,
-    fn: Callable,
+    f: Optional[Callable],
     *,
     levels: int = 9,
     safety: float = 1.5,
@@ -92,6 +95,7 @@ def _estimate_shift(
     si = g[1:-1:max(1, len(g) // 512)]
     r_i = beta_map(n, R, si)
     B = _beta_betaprime(n, si) / (n - 2)
+    fn = resolve_nonlinearity(problem, barrier, r_i, f)
     v1 = np.interp(si, g, barrier.h1) / si
     v2 = np.interp(si, g, barrier.h2) / si
     width = v2 - v1
@@ -99,8 +103,8 @@ def _estimate_shift(
     for t in np.linspace(0.05, 0.95, levels):
         u = v1 + t * width
         du = 1e-4 * width
-        slope = (np.asarray(fn(r_i, u + du), dtype=float)
-                 - np.asarray(fn(r_i, u - du), dtype=float)) / (2.0 * du)
+        slope = (np.asarray(fn(u + du), dtype=float)
+                 - np.asarray(fn(u - du), dtype=float)) / (2.0 * du)
         worst = min(worst, float(np.min(B * slope / si)))
     return safety * max(0.0, -worst)
 
@@ -145,9 +149,8 @@ def solve_radial(
         raise ValueError("grid too coarse for the five-figure bookkeeping")
 
     problem.validate()
-    fn = f if f is not None else resolve_nonlinearity(problem, barrier)
     n, R = problem.n, problem.R
-    K_used = float(K) if K is not None else _estimate_shift(problem, barrier, fn)
+    K_used = float(K) if K is not None else _estimate_shift(problem, barrier, f)
     if K_used < 0:
         raise ValueError("the shift K must be nonnegative")
 
@@ -156,6 +159,7 @@ def solve_radial(
     p_i = np.asarray(p_lift(si), dtype=float)
     r_i = beta_map(n, R, si)
     B = _beta_betaprime(n, si) / (n - 2)
+    fn = resolve_nonlinearity(problem, barrier, r_i, f)
 
     sub = 1.0 / step**2 - p_i / (2.0 * step)
     sup = 1.0 / step**2 + p_i / (2.0 * step)
@@ -172,7 +176,7 @@ def solve_radial(
 
     deltas: list[float] = []
     for sweep in range(max_iter):
-        load = B * np.asarray(fn(r_i, H[1:-1] / si), dtype=float)
+        load = B * np.asarray(fn(H[1:-1] / si), dtype=float)
         rhs = -load - K_used * H[1:-1]
         rhs[0] -= sub[0] * H_left
         rhs[-1] -= sup[-1] * H_right
@@ -202,37 +206,25 @@ def solve_radial(
             f"(tolerance {tol:.3e})"
         )
 
-    load = B * np.asarray(fn(r_i, H[1:-1] / si), dtype=float)
+    load = B * np.asarray(fn(H[1:-1] / si), dtype=float)
     d2 = (H[:-2] - 2.0 * H[1:-1] + H[2:]) / step**2
     d1 = (H[2:] - H[:-2]) / (2.0 * step)
-    residual = float(np.max(np.abs(d2 + p_i * (d1 - H[1:-1] / si) + load)))
+    interior = d2 + p_i * (d1 - H[1:-1] / si) + load
 
-    margins = (
-        float(np.min((H - barrier.h1) / g)),
-        float(np.min((barrier.h2 - H) / g)),
-    )
-    solution = BvpSolution(
+    return BvpSolution(
         grid=g,
         u_values=H,
         iterations=len(deltas),
         iteration_sup_deltas=tuple(deltas),
-        sandwich_margins=margins,
-        decay_exponent=None,
+        sandwich_margins=(
+            float(np.min((H - barrier.h1) / g)),
+            float(np.min((barrier.h2 - H) / g)),
+        ),
+        decay_exponent=_fit_decay(g, H, problem).exponent,
         K_used=K_used,
-        residual_sup=residual,
+        residual_sup=float(np.max(np.abs(interior))),
         boundary=boundary,
-    )
-    fit = decay_fit(solution, problem)
-    return BvpSolution(
-        grid=g,
-        u_values=H,
-        iterations=solution.iterations,
-        iteration_sup_deltas=solution.iteration_sup_deltas,
-        sandwich_margins=margins,
-        decay_exponent=fit.exponent,
-        K_used=K_used,
-        residual_sup=residual,
-        boundary=boundary,
+        residual=np.concatenate(([0.0], interior, [0.0])),
     )
 
 
@@ -265,10 +257,20 @@ def decay_fit(
     condition does not contaminate the fit.  For the exterior problem the
     expected exponent is 2 - n.
     """
+    return _fit_decay(solution.grid, solution.u_values, problem, window, exclude)
+
+
+def _fit_decay(
+    g: np.ndarray,
+    H: np.ndarray,
+    problem: RadialProblem,
+    window: float = 0.30,
+    exclude: float = 0.05,
+) -> DecayFit:
+    """:func:`decay_fit` on the grid ``g`` and the arc-side profile ``H``."""
     if not (0.0 < window < 1.0 and 0.0 <= exclude < 1.0 and window + exclude < 1.0):
         raise ValueError("window and exclude must be fractions with window + exclude < 1")
-    g = solution.grid
-    u = solution.u_values / g
+    u = H / g
     N = len(g)
     j1 = int(round(N * (1.0 - exclude)))
     j0 = int(round(N * (1.0 - exclude - window)))

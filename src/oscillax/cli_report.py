@@ -118,12 +118,17 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    cols = [np.asarray(c) for c in columns]
+    cols = [np.asarray(c, dtype=float) for c in columns]
     if len({len(c) for c in cols}) != 1:
         raise ValueError("CSV columns must share a length")
+    finite = np.logical_and.reduce([np.isfinite(c) for c in cols])
+    if not finite.all():
+        i = int(np.argmin(finite))  # first row holding a non-finite value
+        bad = next(float(c[i]) for c in cols if not math.isfinite(c[i]))
+        raise ValueError(f"non-finite value {bad!r} cannot enter a report")
+    row = ",".join(["%.17g"] * len(cols))
     lines = [",".join(header)]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt_float(float(v)) for v in row))
+    lines.extend(row % values for values in zip(*(c.tolist() for c in cols)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -308,6 +313,14 @@ def _const_expr(value, what: str) -> float:
     raise ValueError(f"{what} must be a number or a constant expression string")
 
 
+def _positive(value, what: str) -> float:
+    """A positive finite number, or a constant expression for one."""
+    x = _const_expr(value, what)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{what} must be a positive finite number, got {x!r}")
+    return x
+
+
 def _mentions_var(node) -> bool:
     if isinstance(node, Var):
         return True
@@ -452,12 +465,13 @@ def load_config(raw: dict) -> RunConfig:
     if boundary not in ("upper", "lower"):
         raise ValueError(f"solver.boundary must be 'upper' or 'lower', got {boundary!r}")
 
-    steps = {}
-    for key in ("step", "extend_step"):
-        steps[key] = _const_expr(kern[key], f"kernel.{key}")
-        if not (math.isfinite(steps[key]) and steps[key] > 0.0):
-            raise ValueError(f"kernel.{key} must be a positive finite number, "
-                             f"got {steps[key]!r}")
+    solver_N = int(solv["N"])
+    if solver_N < 9 or solver_N % 2 == 0:
+        raise ValueError(f"solver.N must be an odd number of grid points, at least 9 "
+                         f"(the solver grid needs an even number of cells), got {solver_N}")
+    solver_max_iter = int(solv["max_iter"])
+    if solver_max_iter < 1:
+        raise ValueError(f"solver.max_iter must be at least 1, got {solver_max_iter}")
 
     q_override = top["q_override"]
     if q_override is not None:
@@ -476,15 +490,15 @@ def load_config(raw: dict) -> RunConfig:
         g_tail=g_tail,
         blend="tanh",
         varsigma=varsigma,
-        kernel_step=steps["step"],
+        kernel_step=_positive(kern["step"], "kernel.step"),
         kernel_span=_const_expr(kern["span"], "kernel.span"),
         extend_to=_const_expr(kern["extend_to"], "kernel.extend_to"),
-        extend_step=steps["extend_step"],
-        residual_step=_const_expr(kern["residual_step"], "kernel.residual_step"),
-        solver_N=int(solv["N"]),
+        extend_step=_positive(kern["extend_step"], "kernel.extend_step"),
+        residual_step=_positive(kern["residual_step"], "kernel.residual_step"),
+        solver_N=solver_N,
         solver_K=None if solv["K"] is None else _const_expr(solv["K"], "solver.K"),
-        solver_tol=_const_expr(solv["tol"], "solver.tol"),
-        solver_max_iter=int(solv["max_iter"]),
+        solver_tol=_positive(solv["tol"], "solver.tol"),
+        solver_max_iter=solver_max_iter,
         solver_boundary=boundary,
         features_varsigma=_const_expr(feat["varsigma"], "features.varsigma"),
         features_M=int(feat["M"]),
@@ -791,18 +805,6 @@ class _Runner:
         u = solution.u_values / grid
         v1 = barrier.h1 / grid
         v2 = barrier.h2 / grid
-        step = grid[1] - grid[0]
-        p_lift, _, _ = lift_coefficients(problem)
-        from .pde_bridge import _beta_betaprime, resolve_nonlinearity
-        si = grid[1:-1]
-        fn = resolve_nonlinearity(problem, barrier)
-        H = solution.u_values
-        load = _beta_betaprime(problem.n, si) / (problem.n - 2) \
-            * np.asarray(fn(beta_map(problem.n, problem.R, si), H[1:-1] / si), dtype=float)
-        resid_interior = ((H[:-2] - 2 * H[1:-1] + H[2:]) / step**2
-                          + np.asarray(p_lift(si), dtype=float)
-                          * ((H[2:] - H[:-2]) / (2 * step) - H[1:-1] / si) + load)
-        resid = np.concatenate(([0.0], resid_interior, [0.0]))
 
         payload = {
             "iterations": solution.iterations,
@@ -820,7 +822,7 @@ class _Runner:
         if self.want("csv"):
             write_csv(self.path("bvp.csv"),
                       ["s", "r", "u", "v1", "v2", "residual"],
-                      [grid, r, u, v1, v2, resid])
+                      [grid, r, u, v1, v2, solution.residual])
         if self.want("svg"):
             emit_plot(self.path("bvp.svg"),
                       [("u", r, u), ("v1", r, v1), ("v2", r, v2)],

@@ -252,8 +252,8 @@ def make_barriers(
     )
 
 
-def make_blend(problem: RadialProblem, barrier: BarrierPair) -> Callable:
-    """The stock nonlinearity: a tanh ramp from a1 to a2 across the ribbon.
+def make_blend(problem: RadialProblem, barrier: BarrierPair, r) -> Callable:
+    """The stock nonlinearity bound to the radii ``r``: a tanh ramp across the ribbon.
 
         f(r, u) = (a1 + a2)/2 + ((a2 - a1)/2) tanh((u - u_mid) / w),
 
@@ -261,35 +261,45 @@ def make_blend(problem: RadialProblem, barrier: BarrierPair) -> Callable:
     gap.  f is nondecreasing in u and stays strictly inside [a1, a2], so the
     barriers bound it by construction and the monotone iteration needs no
     shift.
+
+    Everything that depends on r alone (the barrier traces, the gap and its
+    check, a1, a2 and the midpoint) is computed here, once; the returned
+    ``blend(u)`` evaluates f(r, u) with only the tanh left to do, so a
+    monotone sweep over a fixed grid pays for nothing else.
     """
     problem.validate()
     if problem.a1 is None or problem.a2 is None:
         raise ValueError("the blend nonlinearity needs both ribbon edges a1 and a2")
-    a1e, a2e = as_callable(problem.a1), as_callable(problem.a2)
-    n, R = problem.n, problem.R
-    grid, h1, h2 = barrier.grid, barrier.h1, barrier.h2
+    r_arr = np.asarray(r, dtype=float)
+    s = beta_inverse(problem.n, problem.R, r_arr)
+    v1 = np.interp(s, barrier.grid, barrier.h1) / s
+    v2 = np.interp(s, barrier.grid, barrier.h2) / s
+    gap = v2 - v1
+    if np.any(gap <= 0):
+        raise ValueError("degenerate ribbon: the barriers touch at some radius")
+    lo = np.asarray(as_callable(problem.a1)(r_arr), dtype=float)
+    hi = np.asarray(as_callable(problem.a2)(r_arr), dtype=float)
+    mid = 0.5 * (v1 + v2)
+    base = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
 
-    def f(r, u):
-        r_arr = np.asarray(r, dtype=float)
-        u_arr = np.asarray(u, dtype=float)
-        s = beta_inverse(n, R, r_arr)
-        v1 = np.interp(s, grid, h1) / s
-        v2 = np.interp(s, grid, h2) / s
-        gap = v2 - v1
-        if np.any(gap <= 0):
-            raise ValueError("degenerate ribbon: the barriers touch at some radius")
-        lo = np.asarray(a1e(r_arr), dtype=float)
-        hi = np.asarray(a2e(r_arr), dtype=float)
-        mid = 0.5 * (v1 + v2)
-        return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.tanh(4.0 * (u_arr - mid) / gap)
+    def blend(u):
+        return base + half * np.tanh(4.0 * (np.asarray(u, dtype=float) - mid) / gap)
 
-    return f
+    return blend
 
 
-def resolve_nonlinearity(problem: RadialProblem, barrier: BarrierPair) -> Callable:
-    if callable(problem.f_blend):
-        return problem.f_blend
-    return make_blend(problem, barrier)
+def resolve_nonlinearity(problem: RadialProblem, barrier: BarrierPair, r,
+                         f: Optional[Callable] = None) -> Callable:
+    """The nonlinearity bound to the radii ``r``, as a callable of u alone.
+
+    An explicit ``f(r, u)`` wins over ``problem.f_blend``; either is bound as
+    ``u -> f(r, u)``.  The stock "tanh" descriptor gives :func:`make_blend`.
+    """
+    fn = f if f is not None else problem.f_blend
+    if callable(fn):
+        return lambda u: fn(r, u)
+    return make_blend(problem, barrier, r)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +337,6 @@ def subsuper_residual(
     width) is a hard error because the sandwich argument breaks there.
     """
     problem.validate()
-    fn = f if f is not None else resolve_nonlinearity(problem, barrier)
     n, R = problem.n, problem.R
     g = barrier.grid
     step = g[1] - g[0]
@@ -339,6 +348,7 @@ def subsuper_residual(
     p_i = np.asarray(p_lift(si), dtype=float)
     bb = _beta_betaprime(n, si)
     r_i = beta_map(n, R, si)
+    fn = resolve_nonlinearity(problem, barrier, r_i, f)
     a1e, a2e = as_callable(problem.a1), as_callable(problem.a2)
     lo = np.asarray(a1e(r_i), dtype=float)
     hi = np.asarray(a2e(r_i), dtype=float)
@@ -350,7 +360,7 @@ def subsuper_residual(
         d2 = (h[:-2] - 2.0 * h[1:-1] + h[2:]) / step**2
         d1 = (h[2:] - h[:-2]) / (2.0 * step)
         u = h[1:-1] / si
-        fv = np.asarray(fn(r_i, u), dtype=float)
+        fv = np.asarray(fn(u), dtype=float)
         over = float(np.max(np.maximum(fv - hi, lo - fv)))
         excursion = max(excursion, over)
         if over > ribbon_tol * max(width, 1.0):

@@ -5,11 +5,15 @@ import pytest
 
 from oscillax import (
     BvpSolution,
+    beta_map,
     check_sandwich,
     decay_fit,
+    lift_coefficients,
     make_barriers,
+    make_blend,
     solve_radial,
 )
+from oscillax.pde_bridge import _beta_betaprime
 
 PI = math.pi
 
@@ -60,6 +64,27 @@ def test_boundary_choice_brackets_the_same_profile(problem, solver_barrier):
     assert np.all(bot.u_values <= top.u_values + 1e-12)
     mid = len(top.grid) // 2
     assert abs(top.u_values[mid] - bot.u_values[mid]) < solver_barrier.gap_max
+
+
+def test_returned_residual_matches_a_recomputation(problem, solver_barrier, solution):
+    g, H = solution.grid, solution.u_values
+    n, R = problem.n, problem.R
+    step = g[1] - g[0]
+    si = g[1:-1]
+    p_lift, _, _ = lift_coefficients(problem)
+    blend = make_blend(problem, solver_barrier, beta_map(n, R, si))
+    load = _beta_betaprime(n, si) / (n - 2) * blend(H[1:-1] / si)
+    d2 = (H[:-2] - 2.0 * H[1:-1] + H[2:]) / step**2
+    d1 = (H[2:] - H[:-2]) / (2.0 * step)
+    interior = d2 + np.asarray(p_lift(si), dtype=float) * (d1 - H[1:-1] / si) + load
+    assert solution.residual.shape == g.shape
+    assert solution.residual[0] == 0.0 and solution.residual[-1] == 0.0
+    assert np.array_equal(solution.residual[1:-1], interior)
+    assert float(np.max(np.abs(solution.residual))) == solution.residual_sup
+
+
+def test_decay_exponent_is_the_public_fit(problem, solution):
+    assert solution.decay_exponent == decay_fit(solution, problem).exponent
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,25 @@ def test_write_csv_layout(tmp_path):
     assert len(lines) == 3
 
 
+def test_write_csv_formats_each_value_like_a_single_float(tmp_path):
+    path = tmp_path / "t.csv"
+    cols = [np.array([-0.0, 5e-324, 1.0 / 3.0, 2.0**60]),
+            np.array([1, -7, 3, 12345678901], dtype=np.int64),
+            np.array([0.1, 3e38, -2.5e-17, 7.0], dtype=np.float32)]
+    write_csv(path, ["a", "b", "c"], cols)
+    rows = ["a,b,c"] + [",".join("%.17g" % float(v) for v in row) for row in zip(*cols)]
+    assert path.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_csv_names_the_first_non_finite_value(tmp_path, bad):
+    a = np.array([1.0, 2.0, 3.0])
+    b = np.array([1.0, bad, -np.inf])
+    with pytest.raises(ValueError, match=f"non-finite value {float(bad)!r} cannot enter"):
+        write_csv(tmp_path / "bad.csv", ["a", "b"], [a, b])
+    assert not (tmp_path / "bad.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # SVG plots
 
@@ -203,6 +222,27 @@ def test_nonpositive_or_infinite_kernel_step_exits_2_before_writing(tmp_path, ca
     err = capsys.readouterr().err
     assert f"kernel.{key} must be a positive finite number" in err
     assert "Number of samples" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("solver.N", 16000), ("solver.N", 7), ("solver.N", -1),
+    ("solver.tol", 0), ("solver.tol", -1e-10), ("solver.tol", 1e309),
+    ("solver.tol", float("nan")),
+    ("solver.max_iter", 0), ("solver.max_iter", -3),
+    ("kernel.residual_step", 0), ("kernel.residual_step", -1e-3),
+    ("kernel.residual_step", "-pi/200"), ("kernel.residual_step", 1e309),
+    ("kernel.residual_step", float("nan")),
+])
+def test_bad_solver_or_residual_settings_exit_2_before_writing(tmp_path, capsys,
+                                                               key, value):
+    cfg = _write_config(tmp_path, {key: value})
+    out = tmp_path / "out"
+    rc = main(["full-pipeline", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert key in err
     assert not out.exists()
 
 

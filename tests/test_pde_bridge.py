@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from oscillax import (
     make_blend,
     parse,
     push_a_from_q,
+    resolve_nonlinearity,
     subsuper_residual,
 )
 from oscillax.example_builder import PairResult
@@ -201,20 +203,69 @@ def test_barrier_residual_signs_on_fine_grid(problem, fine_barrier):
 
 
 def test_blend_stays_inside_the_ribbon(problem, fine_barrier):
-    f = make_blend(problem, fine_barrier)
     s = np.linspace(fine_barrier.grid[0], fine_barrier.grid[-1], 2001)
     r = s
+    f = make_blend(problem, fine_barrier, r)
     for u in (fine_barrier.v1(s), fine_barrier.v2(s),
               0.5 * (fine_barrier.v1(s) + fine_barrier.v2(s))):
-        vals = f(r, u)
+        vals = f(u)
         lo = problem.a1(r) if callable(problem.a1) else problem.a1(r)
         hi = problem.a2(r)
         assert np.all(vals >= lo - 1e-12)
         assert np.all(vals <= hi + 1e-12)
     # nondecreasing in u across the ribbon
-    low = f(r, fine_barrier.v1(s))
-    high = f(r, fine_barrier.v2(s))
+    low = f(fine_barrier.v1(s))
+    high = f(fine_barrier.v2(s))
     assert np.all(high >= low)
+
+
+def _reference_blend(problem, barrier, r, u):
+    """f(r, u) of the tanh blend, written out in one piece."""
+    s = beta_inverse(problem.n, problem.R, r)
+    v1 = np.interp(s, barrier.grid, barrier.h1) / s
+    v2 = np.interp(s, barrier.grid, barrier.h2) / s
+    lo = np.asarray(problem.a1(r), dtype=float)
+    hi = np.asarray(problem.a2(r), dtype=float)
+    mid = 0.5 * (v1 + v2)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.tanh(4.0 * (u - mid) / (v2 - v1))
+
+
+def test_bound_blend_equals_the_reference_formula_bitwise(problem, fine_barrier):
+    s = np.linspace(fine_barrier.grid[1], fine_barrier.grid[-2], 3001)
+    r = beta_map(problem.n, problem.R, s)
+    blend = make_blend(problem, fine_barrier, r)
+    v1, v2 = fine_barrier.v1(s), fine_barrier.v2(s)
+    gap = v2 - v1
+    # inside the ribbon, on its edges, and a full gap outside either edge
+    for u in (v1, v2, v1 + 0.3 * gap, v1 - gap, v2 + gap, np.zeros_like(s)):
+        assert np.array_equal(blend(u), _reference_blend(problem, fine_barrier, r, u))
+
+
+def test_degenerate_ribbon_is_raised_when_binding(problem, fine_barrier):
+    touching = dataclasses.replace(fine_barrier, h2=fine_barrier.h1)
+    with pytest.raises(ValueError, match="degenerate ribbon"):
+        make_blend(problem, touching, fine_barrier.grid[1:-1])
+
+
+def test_user_nonlinearity_flows_through_resolve(problem, fine_barrier):
+    r = fine_barrier.grid[1:-1:97]
+    u = fine_barrier.v1(r)
+    seen = []
+
+    def f(r_arg, u_arg):
+        seen.append(r_arg)
+        return np.asarray(problem.a1(r_arg), dtype=float) + 0.0 * u_arg
+
+    expected = f(r, u)
+    seen.clear()
+    assert np.array_equal(resolve_nonlinearity(problem, fine_barrier, r, f)(u), expected)
+    own = dataclasses.replace(problem, f_blend=f)
+    assert np.array_equal(resolve_nonlinearity(own, fine_barrier, r)(u), expected)
+    assert len(seen) == 2 and all(x is r for x in seen)
+    # an explicit f wins over the problem's own, and the stock one is make_blend's
+    assert resolve_nonlinearity(own, fine_barrier, r, lambda r_arg, u_arg: u_arg)(u) is u
+    assert np.array_equal(resolve_nonlinearity(problem, fine_barrier, r)(u),
+                          make_blend(problem, fine_barrier, r)(u))
 
 
 def test_ribbon_escape_is_a_hard_error(problem, fine_barrier):
