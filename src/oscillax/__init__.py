@@ -25,7 +25,9 @@ from .quadrature import (
     cumulative_integral,
     cumulative_simpson_doubled,
     integrate_finite,
+    integrate_finite_many,
     integrate_tail,
+    integrate_tail_many,
 )
 from .kernel import (
     FarField,
@@ -91,7 +93,8 @@ __all__ = [
     "eval_grid", "evaluate", "parse", "to_source",
     # quadrature
     "IntegralResult", "TailModel", "cumulative_integral",
-    "cumulative_simpson_doubled", "integrate_finite", "integrate_tail",
+    "cumulative_simpson_doubled", "integrate_finite", "integrate_finite_many",
+    "integrate_tail", "integrate_tail_many",
     # kernel
     "FarField", "HTail", "KernelPair", "compute_h", "compute_kernel", "compute_z",
     "ode_residual", "z_ode_oracle",

@@ -321,6 +321,20 @@ def _positive(value, what: str) -> float:
     return x
 
 
+def _count(value, what: str) -> int:
+    """A whole number given as an int or as a float with no fractional part."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _grid_cells(span: float, step: float) -> int:
+    """Cells of the uniform grid over ``span``: span/step rounded, then made even."""
+    n_cells = int(round(span / step))
+    return n_cells + n_cells % 2
+
+
 def _mentions_var(node) -> bool:
     if isinstance(node, Var):
         return True
@@ -421,7 +435,7 @@ def load_config(raw: dict) -> RunConfig:
         eta=_const_expr(osc_block["eta"], "oscillation.eta"),
         theta=_const_expr(osc_block["theta"], "oscillation.theta"),
         s0=s0, p=p_expr, p_tail=p_tail,
-        m_max=int(osc_block["m_max"]),
+        m_max=_count(osc_block["m_max"], "oscillation.m_max"),
     )
     osc.validate()
 
@@ -450,7 +464,7 @@ def load_config(raw: dict) -> RunConfig:
 
     prob = _take(top["problem"], default_config()["problem"], "problem")
     g_expr, g_tail = _coefficient(prob["g"], "problem.g")
-    n = int(prob["n"])
+    n = _count(prob["n"], "problem.n")
     R = _const_expr(prob["R"], "problem.R")
     blend = prob["blend"]
     if not (isinstance(blend, str) and blend == "tanh"):
@@ -465,11 +479,11 @@ def load_config(raw: dict) -> RunConfig:
     if boundary not in ("upper", "lower"):
         raise ValueError(f"solver.boundary must be 'upper' or 'lower', got {boundary!r}")
 
-    solver_N = int(solv["N"])
+    solver_N = _count(solv["N"], "solver.N")
     if solver_N < 9 or solver_N % 2 == 0:
         raise ValueError(f"solver.N must be an odd number of grid points, at least 9 "
                          f"(the solver grid needs an even number of cells), got {solver_N}")
-    solver_max_iter = int(solv["max_iter"])
+    solver_max_iter = _count(solv["max_iter"], "solver.max_iter")
     if solver_max_iter < 1:
         raise ValueError(f"solver.max_iter must be at least 1, got {solver_max_iter}")
 
@@ -479,7 +493,16 @@ def load_config(raw: dict) -> RunConfig:
         if not isinstance(q_override["expr"], str):
             raise ValueError("q_override.expr must be an expression string")
         CoefficientExpr.parse(q_override["expr"])  # fail fast on bad source
-        q_override = {"expr": q_override["expr"], "m_max": int(q_override["m_max"])}
+        q_override = {"expr": q_override["expr"],
+                      "m_max": _count(q_override["m_max"], "q_override.m_max")}
+
+    span = _positive(kern["span"], "kernel.span")
+    steps = {key: _positive(kern[key], f"kernel.{key}")
+             for key in ("step", "extend_step", "residual_step")}
+    for key in ("step", "residual_step"):
+        if _grid_cells(span, steps[key]) < 2:
+            raise ValueError(f"kernel.{key} = {steps[key]!r} leaves no grid cell over "
+                             f"kernel.span = {span!r}; it must be below twice the span")
 
     return RunConfig(
         oscillation=osc,
@@ -490,18 +513,18 @@ def load_config(raw: dict) -> RunConfig:
         g_tail=g_tail,
         blend="tanh",
         varsigma=varsigma,
-        kernel_step=_positive(kern["step"], "kernel.step"),
-        kernel_span=_const_expr(kern["span"], "kernel.span"),
+        kernel_step=steps["step"],
+        kernel_span=span,
         extend_to=_const_expr(kern["extend_to"], "kernel.extend_to"),
-        extend_step=_positive(kern["extend_step"], "kernel.extend_step"),
-        residual_step=_positive(kern["residual_step"], "kernel.residual_step"),
+        extend_step=steps["extend_step"],
+        residual_step=steps["residual_step"],
         solver_N=solver_N,
         solver_K=None if solv["K"] is None else _const_expr(solv["K"], "solver.K"),
         solver_tol=_positive(solv["tol"], "solver.tol"),
         solver_max_iter=solver_max_iter,
         solver_boundary=boundary,
         features_varsigma=_const_expr(feat["varsigma"], "features.varsigma"),
-        features_M=int(feat["M"]),
+        features_M=_count(feat["M"], "features.M"),
         q_override=q_override,
     )
 
@@ -511,9 +534,7 @@ def load_config(raw: dict) -> RunConfig:
 
 
 def _uniform_grid(s0: float, span: float, step: float) -> np.ndarray:
-    n_cells = int(round(span / step))
-    n_cells += n_cells % 2
-    return np.linspace(s0, s0 + span, n_cells + 1)
+    return np.linspace(s0, s0 + span, _grid_cells(span, step) + 1)
 
 
 class _Runner:

@@ -33,7 +33,14 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .coeff_dsl import CoefficientExpr, as_callable
-from .quadrature import IntegralResult, TailModel, cumulative_integral, integrate_finite, integrate_tail
+from .quadrature import (
+    TailModel,
+    cumulative_integral,
+    integrate_finite,
+    integrate_finite_many,
+    integrate_tail,
+    integrate_tail_many,
+)
 
 __all__ = [
     "OscillationParams",
@@ -207,8 +214,8 @@ class OscillationSpec:
             return None
         pe = as_callable(self.params.p)
         T = 2.0 * (M + 2) * PI
-        I_next = integrate_tail(pe, 2.0 * (M + 1) * PI, _recut(tail), tol=1e-12)
-        I_after = integrate_tail(pe, T, _recut(tail), tol=1e-12)
+        I_next = integrate_tail(pe, 2.0 * (M + 1) * PI, tail.without_cutoff(), tol=1e-12)
+        I_after = integrate_tail(pe, T, tail.without_cutoff(), tol=1e-12)
         if tail.kind == "power":
             moment_model = TailModel(kind="power", rate=tail.rate - 1.0, coef=tail.coef)
         else:
@@ -235,12 +242,6 @@ class OscillationSpec:
         return 0.5 * PI * float(c[M])
 
 
-def _recut(model: TailModel) -> TailModel:
-    """Same envelope with the cutoff left to the integrator."""
-    return TailModel(kind=model.kind, rate=model.rate, coef=model.coef,
-                     bound_fn=model.bound_fn)
-
-
 def default_params(m_max: int = 25) -> OscillationParams:
     """The stock family: p = 1/s^3 and the documented band constants."""
     return OscillationParams(
@@ -251,13 +252,10 @@ def default_params(m_max: int = 25) -> OscillationParams:
 
 
 def _certified_tail_integrals(params: OscillationParams) -> tuple[np.ndarray, np.ndarray]:
-    model = _recut(params.p_tail)
-    values = np.empty(params.m_max)
-    errors = np.empty(params.m_max)
-    for m in range(1, params.m_max + 1):
-        res = integrate_tail(params.p, 2.0 * m * PI, model, tol=1e-12)
-        values[m - 1] = res.value
-        errors[m - 1] = res.abs_error_estimate
+    los = [2.0 * m * PI for m in range(1, params.m_max + 1)]
+    results = integrate_tail_many(params.p, los, params.p_tail.without_cutoff(), tol=1e-12)
+    values = np.array([res.value for res in results])
+    errors = np.array([res.abs_error_estimate for res in results])
     return values, errors
 
 
@@ -272,7 +270,7 @@ def _piecewise_expr(nodes: np.ndarray, c: np.ndarray, d: np.ndarray) -> Coeffici
 def _assemble(params: OscillationParams, rule: _AmplitudeRule) -> OscillationSpec:
     params.validate()
 
-    lam_res = integrate_tail(params.p, params.s0, _recut(params.p_tail), tol=1e-10)
+    lam_res = integrate_tail(params.p, params.s0, params.p_tail.without_cutoff(), tol=1e-10)
     lam = lam_res.value
     if not lam < 1.0:
         raise ValueError(
@@ -475,7 +473,7 @@ def build_pair(params: Optional[PairParams] = None, m_max: Optional[int] = None)
         pp = PairParams(**{**pp.__dict__, **updates})
     pp.validate()
 
-    lam = integrate_tail(pp.p, pp.s0, _recut(pp.p_tail), tol=1e-10).value
+    lam = integrate_tail(pp.p, pp.s0, pp.p_tail.without_cutoff(), tol=1e-10).value
     smallness = pp.q_plus - (
         pp.q_minus + 0.5 * pp.alpha_gap * pp.q_plus * lam + 0.5 * pp.beta_gap
     )
@@ -606,14 +604,11 @@ def check_integral_features(
     d = spec._bulk_amplitudes(M)[1]
 
     fn = spec.q_callable
-    sums = np.empty(M)
-    total = 0.0
-    for m in range(1, M + 1):
-        lo, mid, hi = 2 * m * PI, (2 * m + 1) * PI, 2 * (m + 1) * PI
-        part = integrate_finite(lambda s: np.abs(fn(s)) / s, lo, hi,
-                                tol=1e-10, seeds=[mid])
-        total += part.value
-        sums[m - 1] = total
+    periods = [(2 * m * PI, 2 * (m + 1) * PI) for m in range(1, M + 1)]
+    mids = [(2 * m + 1) * PI for m in range(1, M + 1)]
+    parts = integrate_finite_many(lambda s: np.abs(fn(s)) / s, periods,
+                                  tol=1e-10, seeds=mids)
+    sums = np.cumsum([part.value for part in parts])
     m_arr = np.arange(1, M + 1, dtype=float)
     lower = np.cumsum(d[:M] / (8.0 * (m_arr + 1.0)))
     dominates = bool(np.all(sums >= lower - 1e-12))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .coeff_dsl import CoefficientExpr, as_callable
 from .kernel import KernelPair
-from .quadrature import TailModel, integrate_finite, integrate_tail
+from .quadrature import TailModel, integrate_finite_many, integrate_tail, integrate_tail_many
 
 __all__ = [
     "HypothesesResult",
@@ -287,15 +287,17 @@ def check_hypotheses(
     M = _lobe_bounds(nodes)
     pe, qe = as_callable(p), as_callable(q)
 
-    lam_res = integrate_tail(pe, float(nodes[0]), _fresh_cutoff(p_tail), tol=1e-10)
+    lam_res = integrate_tail(pe, float(nodes[0]), p_tail.without_cutoff(), tol=1e-10)
     lam = lam_res.value
     lam_ok = bool(lam + lam_res.abs_error_estimate < 1.0)
 
+    # lobes [a_{2m}, a_{2m+1}] and [a_{2m+1}, a_{2m+2}] alternate in one batch
+    lobes = integrate_finite_many(qe, list(zip(nodes[:-1], nodes[1:])), quad_tol)
+    pos, neg = lobes[0::2], lobes[1::2]
+    tails = integrate_tail_many(pe, nodes[0:-1:2], p_tail.without_cutoff(), tol=1e-12)
+
     def one_period(m: int):
         a, b, c = nodes[2 * m - 2], nodes[2 * m - 1], nodes[2 * m]
-        pos = integrate_finite(qe, a, b, quad_tol)
-        neg = integrate_finite(qe, b, c, quad_tol)
-        tail = integrate_tail(pe, a, _fresh_cutoff(p_tail), tol=1e-12)
         tpos = a + (b - a) * (np.arange(1, sign_samples + 1) / (sign_samples + 1.0))
         tneg = b + (c - b) * (np.arange(1, sign_samples + 1) / (sign_samples + 1.0))
         qpos = np.asarray(qe(tpos), dtype=float)
@@ -303,7 +305,7 @@ def check_hypotheses(
         clearance = min(float(np.min(qpos)), float(np.min(-qneg)))
         ok = clearance > STRICT
         inconclusive = int(np.sum(np.abs(qpos) <= STRICT) + np.sum(np.abs(qneg) <= STRICT))
-        return pos, neg, tail, ok, clearance, inconclusive
+        return ok, clearance, inconclusive
 
     indices = range(1, M + 1)
     if parallel:
@@ -312,14 +314,14 @@ def check_hypotheses(
     else:
         rows = [one_period(m) for m in indices]
 
-    Ipos = np.array([r[0].value for r in rows])
-    Ineg = np.array([-r[1].value for r in rows])
-    quad_err = np.array([r[0].abs_error_estimate + r[1].abs_error_estimate for r in rows])
-    I = np.array([r[2].value for r in rows])
-    I_err = np.array([r[2].abs_error_estimate for r in rows])
-    sign_ok = np.array([r[3] for r in rows], dtype=bool)
-    sign_margin = float(min(r[4] for r in rows) - STRICT)
-    inconclusive = int(sum(r[5] for r in rows))
+    Ipos = np.array([r.value for r in pos])
+    Ineg = np.array([-r.value for r in neg])
+    quad_err = np.array([a.abs_error_estimate + b.abs_error_estimate for a, b in zip(pos, neg)])
+    I = np.array([r.value for r in tails])
+    I_err = np.array([r.abs_error_estimate for r in tails])
+    sign_ok = np.array([r[0] for r in rows], dtype=bool)
+    sign_margin = float(min(r[1] for r in rows) - STRICT)
+    inconclusive = int(sum(r[2] for r in rows))
 
     hyp1 = Ipos - (1.0 + 3.0 * I) * Ineg
 
@@ -361,11 +363,6 @@ def check_hypotheses(
         delta_range=delta_range, delta_tail=delta_tail, delta_total=delta_total,
         deduced_damping_ok=deduced,
     )
-
-
-def _fresh_cutoff(model: TailModel) -> TailModel:
-    return TailModel(kind=model.kind, rate=model.rate, coef=model.coef,
-                     bound_fn=model.bound_fn)
 
 
 def check_conclusions(
@@ -464,11 +461,9 @@ def check_remark(
     spacing = float(np.min(np.diff(even)))
 
     if I_values is None:
-        model = _fresh_cutoff(p_tail)
-        I_values = np.array([
-            integrate_tail(pe, float(even[m]), model, tol=1e-12).value
-            for m in range(1, M)
-        ])
+        tails = integrate_tail_many(pe, [float(a) for a in even[1:M]],
+                                    p_tail.without_cutoff(), tol=1e-12)
+        I_values = np.array([res.value for res in tails])
     else:
         I_values = np.asarray(I_values, dtype=float)[1:M]
     sum_I = float(np.sum(I_values))

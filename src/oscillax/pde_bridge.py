@@ -37,7 +37,7 @@ import numpy as np
 from .coeff_dsl import CoefficientExpr, as_callable
 from .example_builder import PairResult
 from .kernel import FarField, KernelPair, compute_kernel
-from .quadrature import TailModel, integrate_finite
+from .quadrature import TailModel, integrate_finite, integrate_finite_many
 
 __all__ = [
     "RadialProblem",
@@ -456,12 +456,11 @@ def integral_conditions(
             # a(r) = (n-2)^2 r^-2 q(s(r))
             return np.power(r_arr, power) * (n - 2) ** 2 / r_arr**2 * lifted
 
-        growth = []
         lo = beta_map(n, R, problem.s0)
-        for t_k in (T, 2.0 * T, 4.0 * T):
-            part = integrate_finite(lambda r: r_weighted(r, 1.0), lo, t_k,
-                                    tol=1e-9, seeds=seeds, limit=20000)
-            growth.append(part.value)
+        parts = integrate_finite_many(lambda r: r_weighted(r, 1.0),
+                                      [(lo, T), (lo, 2.0 * T), (lo, 4.0 * T)],
+                                      tol=1e-9, seeds=seeds, limit=20000)
+        growth = [part.value for part in parts]
         slope = ((growth[2] - growth[0]) / math.log(4.0))
 
         heavy_T = integrate_finite(lambda r: r_weighted(r, 1.0 - vs * (n - 2)),

@@ -7,6 +7,14 @@ supplied by a :class:`TailModel`; the model is spot-checked against samples
 of the integrand beyond the cutoff, so a wrong decay claim fails loudly
 rather than silently biasing the result.
 
+Integrals of one integrand over many intervals (or from many lower ends)
+run in lockstep: every interval keeps its own adaptive loop, but each
+refinement round makes a single integrand call on the nodes of all panels
+that round creates, so a batch of a few hundred small integrals costs tens
+of calls instead of thousands.  The one-interval functions are the batch
+functions on a batch of one, and a batched result is bit for bit the one
+the interval gets alone.
+
 Every result carries the value, an a-posteriori error estimate, the tail
 bound that was added to that estimate, and the evaluation count.
 """
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -26,7 +34,9 @@ __all__ = [
     "IntegralResult",
     "TailModel",
     "integrate_finite",
+    "integrate_finite_many",
     "integrate_tail",
+    "integrate_tail_many",
     "cumulative_integral",
     "cumulative_simpson_doubled",
 ]
@@ -91,6 +101,10 @@ class TailModel:
             return self.coef * np.exp(-self.rate * s)
         raise ValueError("user tail model has no pointwise envelope")
 
+    def without_cutoff(self) -> "TailModel":
+        """The same envelope with the cutoff left to the integrator."""
+        return replace(self, cutoff=None)
+
     def tail_bound(self, cutoff: float) -> float:
         """Bound on the integral of |f| over [cutoff, infinity)."""
         if cutoff <= 0 and self.kind == "power":
@@ -152,18 +166,140 @@ _WG = np.array([
 _GAUSS_SLICE = slice(1, 15, 2)
 
 
-def _panel(f: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """(Kronrod value, error estimate) for one panel."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid + half * _XK
-    y = np.asarray(f(x), dtype=float)
+_TAIL_SPOTS = np.array([1.0, 1.5, 2.0, 4.0, 8.0])  # envelope samples, in cutoffs
+
+
+def _panels(f: Callable, panels: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """(Kronrod value, error estimate) of every panel, from one call of f.
+
+    Each panel's sums are 1-D dots on its own row of samples, so a panel
+    gets the same bits whatever other panels share the call.
+    """
+    ends = np.array(panels, dtype=float)
+    half = 0.5 * (ends[:, 1] - ends[:, 0])
+    mid = 0.5 * (ends[:, 1] + ends[:, 0])
+    x = (mid[:, None] + half[:, None] * _XK).reshape(-1)
+    y = np.asarray(f(x), dtype=float).reshape(len(panels), len(_XK))
     if not np.all(np.isfinite(y)):
-        i = int(np.argmax(~np.isfinite(y)))
+        i = int(np.argmax(~np.isfinite(y.reshape(-1))))
         raise ValueError(f"integrand is not finite at s = {x[i]!r}")
-    k = half * float(_WK @ y)
-    g = half * float(_WG @ y[_GAUSS_SLICE])
-    return k, abs(k - g)
+    out = []
+    for h, row in zip(half.tolist(), y):
+        k = h * float(_WK @ row)
+        g = h * float(_WG @ row[_GAUSS_SLICE])
+        out.append((k, abs(k - g)))
+    return out
+
+
+class _Adaptive:
+    """The adaptive loop of one interval, advanced one refinement round at a time."""
+
+    def __init__(self, tol: float, limit: int, flipped: bool):
+        self.tol = tol
+        self.limit = limit
+        self.flipped = flipped
+        self.evaluations = 0
+        self.total_err = 0.0
+        self.heap: list[tuple[float, float, float, float]] = []  # (-err, lo, hi, value)
+
+    def add(self, panels, sums, *, refined: bool) -> None:
+        for (c, d), (val, err) in zip(panels, sums):
+            self.evaluations += 15
+            self.total_err += err
+            heapq.heappush(self.heap, (-err, c, d, val))
+        # re-sum occasionally so accumulated rounding cannot mask convergence
+        if refined and len(self.heap) % 64 == 0:
+            self.total_err = -math.fsum(item[0] for item in self.heap)
+
+    def split_worst(self) -> Optional[list[tuple[float, float]]]:
+        """Pop the panel with the largest error and return its halves; None once converged."""
+        if not self.total_err > self.tol:
+            return None
+        if len(self.heap) >= self.limit:
+            raise RuntimeError(
+                f"subdivision limit {self.limit} reached with error estimate "
+                f"{self.total_err:.3e} > tol {self.tol:.3e}"
+            )
+        neg_err, a, b, _ = heapq.heappop(self.heap)
+        self.total_err += neg_err
+        m = 0.5 * (a + b)
+        if m <= a or m >= b:
+            raise RuntimeError(
+                f"panel [{a!r}, {b!r}] cannot be split further at tol {self.tol:.3e}"
+            )
+        return [(a, m), (m, b)]
+
+    def result(self) -> IntegralResult:
+        value = math.fsum(item[3] for item in self.heap)
+        error = math.fsum(-item[0] for item in self.heap)
+        return IntegralResult(-value if self.flipped else value, error, 0.0, self.evaluations)
+
+
+def integrate_finite_many(
+    f: Integrand,
+    intervals: Sequence[tuple[float, float]],
+    tol: float = 1e-10,
+    *,
+    seeds: Optional[Sequence[float]] = None,
+    limit: int = 4000,
+) -> list[IntegralResult]:
+    """Adaptive integrals of one integrand over many intervals, run in lockstep.
+
+    Each interval keeps its own heap, pop-worst/bisect order, re-sum and
+    stopping test.  A round calls f once, on the nodes of every panel made
+    in that round: the seeded panels of all intervals, then the two halves
+    of the worst panel of each interval still above ``tol``.  So each result
+    is bit for bit the one-interval result, for far fewer integrand calls.
+
+    ``seeds`` lists abscissae where panels must break from the start, e.g.
+    breakpoints of a piecewise integrand or sign-change nodes of an
+    oscillatory one; each interval takes the seeds strictly inside it, and
+    adaptivity then refines within each seeded panel.  A reversed interval
+    gives the negated integral over [hi, lo]; a zero-width one gives zero
+    without evaluating f.
+    """
+    for lo, hi in intervals:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("integrate_finite needs finite endpoints")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    ordered = sorted(seeds) if seeds is not None else []
+
+    results = [IntegralResult(0.0, 0.0, 0.0, 0)] * len(intervals)
+    loops: list[tuple[int, _Adaptive]] = []
+    work: list[tuple[_Adaptive, list[tuple[float, float]]]] = []
+    for i, (lo, hi) in enumerate(intervals):
+        flipped = hi < lo
+        if flipped:
+            lo, hi = hi, lo
+        if hi == lo:
+            continue
+        cuts = [lo]
+        cuts.extend(float(a) for a in ordered if lo < a < hi)
+        cuts.append(hi)
+        # drop degenerate panels from coincident seeds
+        edges = [cuts[0]]
+        for a in cuts[1:]:
+            if a > edges[-1]:
+                edges.append(a)
+        loop = _Adaptive(tol, limit, flipped)
+        loops.append((i, loop))
+        work.append((loop, list(zip(edges, edges[1:]))))
+
+    fn = as_callable(f) if work else None
+    refined = False
+    while work:
+        sums = _panels(fn, [panel for _, new in work for panel in new])
+        at = 0
+        for loop, new in work:
+            loop.add(new, sums[at:at + len(new)], refined=refined)
+            at += len(new)
+        refined = True
+        work = [(loop, halves) for _, loop in loops
+                if (halves := loop.split_worst()) is not None]
+    for i, loop in loops:
+        results[i] = loop.result()
+    return results
 
 
 def integrate_finite(
@@ -175,94 +311,43 @@ def integrate_finite(
     seeds: Optional[Sequence[float]] = None,
     limit: int = 4000,
 ) -> IntegralResult:
-    """Adaptive integral of f over [lo, hi].
-
-    ``seeds`` lists abscissae where panels must break from the start, e.g.
-    breakpoints of a piecewise integrand or sign-change nodes of an
-    oscillatory one; adaptivity then refines within each seeded panel.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("integrate_finite needs finite endpoints")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if hi < lo:
-        res = integrate_finite(f, hi, lo, tol, seeds=seeds, limit=limit)
-        return IntegralResult(-res.value, res.abs_error_estimate, 0.0, res.evaluations)
-    if hi == lo:
-        return IntegralResult(0.0, 0.0, 0.0, 0)
-
-    fn = as_callable(f)
-    cuts = [lo]
-    if seeds is not None:
-        cuts.extend(float(a) for a in sorted(seeds) if lo < a < hi)
-    cuts.append(hi)
-    # drop degenerate panels from coincident seeds
-    edges = [cuts[0]]
-    for a in cuts[1:]:
-        if a > edges[-1]:
-            edges.append(a)
-
-    evaluations = 0
-    total_err = 0.0
-    heap: list[tuple[float, float, float, float]] = []  # (-err, lo, hi, value)
-    for a, b in zip(edges, edges[1:]):
-        val, err = _panel(fn, a, b)
-        evaluations += 15
-        total_err += err
-        heapq.heappush(heap, (-err, a, b, val))
-
-    while total_err > tol:
-        if len(heap) >= limit:
-            raise RuntimeError(
-                f"subdivision limit {limit} reached with error estimate "
-                f"{total_err:.3e} > tol {tol:.3e}"
-            )
-        neg_err, a, b, _ = heapq.heappop(heap)
-        total_err += neg_err
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            raise RuntimeError(
-                f"panel [{a!r}, {b!r}] cannot be split further at tol {tol:.3e}"
-            )
-        for c, d in ((a, m), (m, b)):
-            val, err = _panel(fn, c, d)
-            evaluations += 15
-            total_err += err
-            heapq.heappush(heap, (-err, c, d, val))
-        # re-sum occasionally so accumulated rounding cannot mask convergence
-        if len(heap) % 64 == 0:
-            total_err = -math.fsum(item[0] for item in heap)
-
-    value = math.fsum(item[3] for item in heap)
-    error = math.fsum(-item[0] for item in heap)
-    return IntegralResult(value, error, 0.0, evaluations)
+    """Adaptive integral of f over [lo, hi]: :func:`integrate_finite_many` on one interval."""
+    return integrate_finite_many(f, [(lo, hi)], tol, seeds=seeds, limit=limit)[0]
 
 
-def integrate_tail(
+def integrate_tail_many(
     f: Integrand,
-    lo: float,
+    los: Sequence[float],
     model: TailModel,
     tol: float = 1e-8,
     *,
     seeds: Optional[Sequence[float]] = None,
     limit: int = 4000,
-) -> IntegralResult:
-    """Integral of f over [lo, infinity) = finite part + certified tail.
+) -> list[IntegralResult]:
+    """Integrals of f over [lo, infinity) for every lo, each a finite part + certified tail.
 
-    The cutoff comes from the model (or is derived so the tail bound is at
-    most tol/2).  For power and exp models the integrand is sampled beyond
-    the cutoff and must stay within the claimed envelope.
+    Each cutoff comes from the model (or is derived per lo so the tail bound
+    is at most tol/2).  For power and exp models the integrand is sampled
+    beyond every distinct cutoff, in one call, and must stay within the
+    claimed envelope.  The finite parts run in lockstep through
+    :func:`integrate_finite_many`.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    cutoff = model.cutoff if model.cutoff is not None else model.cutoff_for(0.5 * tol, lo)
-    if cutoff < lo:
-        raise ValueError(f"cutoff {cutoff!r} lies below the lower endpoint {lo!r}")
-    bound = model.tail_bound(cutoff)
+    cutoffs, bounds = [], []
+    for lo in los:
+        cutoff = model.cutoff if model.cutoff is not None else model.cutoff_for(0.5 * tol, lo)
+        if cutoff < lo:
+            raise ValueError(f"cutoff {cutoff!r} lies below the lower endpoint {lo!r}")
+        cutoffs.append(cutoff)
+        bounds.append(model.tail_bound(cutoff))
 
     fn = as_callable(f)
-    if model.kind != "user":
-        sample = cutoff * np.array([1.0, 1.5, 2.0, 4.0, 8.0])
+    spot_evals = 0
+    if model.kind != "user" and cutoffs:
+        spot_evals = len(_TAIL_SPOTS)
+        distinct = np.array(list(dict.fromkeys(cutoffs)), dtype=float)
+        sample = (distinct[:, None] * _TAIL_SPOTS).reshape(-1)
         observed = np.abs(np.asarray(fn(sample), dtype=float))
         allowed = model.envelope(sample) * (1.0 + 1e-9) + 1e-300
         if not np.all(np.isfinite(observed)):
@@ -274,13 +359,29 @@ def integrate_tail(
                 f"exceeds the claimed envelope {allowed[i]!r}"
             )
 
-    finite = integrate_finite(fn, lo, cutoff, tol, seeds=seeds, limit=limit)
-    return IntegralResult(
-        value=finite.value,
-        abs_error_estimate=finite.abs_error_estimate + bound,
-        tail_bound=bound,
-        evaluations=finite.evaluations + (0 if model.kind == "user" else 5),
-    )
+    finite = integrate_finite_many(fn, list(zip(los, cutoffs)), tol, seeds=seeds, limit=limit)
+    return [
+        IntegralResult(
+            value=part.value,
+            abs_error_estimate=part.abs_error_estimate + bound,
+            tail_bound=bound,
+            evaluations=part.evaluations + spot_evals,
+        )
+        for part, bound in zip(finite, bounds)
+    ]
+
+
+def integrate_tail(
+    f: Integrand,
+    lo: float,
+    model: TailModel,
+    tol: float = 1e-8,
+    *,
+    seeds: Optional[Sequence[float]] = None,
+    limit: int = 4000,
+) -> IntegralResult:
+    """Integral of f over [lo, infinity): :func:`integrate_tail_many` on one lower end."""
+    return integrate_tail_many(f, [lo], model, tol, seeds=seeds, limit=limit)[0]
 
 
 def cumulative_integral(f: Integrand, grid: np.ndarray) -> np.ndarray:

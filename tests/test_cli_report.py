@@ -246,6 +246,63 @@ def test_bad_solver_or_residual_settings_exit_2_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("kernel.span", 0), ("kernel.span", -1.0), ("kernel.span", "-pi"), ("kernel.span", 1e309),
+    # a step of twice the span or more rounds to a grid with no cell
+    ("kernel.residual_step", 1000), ("kernel.residual_step", "80*pi"), ("kernel.step", 1e4),
+])
+def test_span_or_step_leaving_no_grid_cell_exits_2_before_writing(tmp_path, capsys,
+                                                                   key, value):
+    cfg = _write_config(tmp_path, {key: value})
+    out = tmp_path / "out"
+    rc = main(["bridge", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert key in err
+    assert "one-dimensional" not in err
+    assert not out.exists()
+
+
+def test_smallest_step_keeping_a_cell_is_accepted():
+    cfg = load_config({"kernel": {"span": 1.0, "step": 1.9, "residual_step": 1.0}})
+    assert (cfg.kernel_span, cfg.kernel_step, cfg.residual_step) == (1.0, 1.9, 1.0)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("solver.N", 16001.7, "solver.N"), ("solver.N", True, "solver.N"),
+    ("solver.N", "16001", "solver.N"), ("solver.N", float("nan"), "solver.N"),
+    ("solver.max_iter", 200.5, "solver.max_iter"), ("solver.max_iter", "200", "solver.max_iter"),
+    ("oscillation.m_max", 25.5, "oscillation.m_max"),
+    ("oscillation.m_max", False, "oscillation.m_max"),
+    ("features.M", 50.25, "features.M"), ("features.M", 1e309, "features.M"),
+    ("problem.n", 3.5, "problem.n"), ("problem.n", "3", "problem.n"),
+    ("q_override", {"expr": "sin(s)", "m_max": 10.5}, "q_override.m_max"),
+    ("q_override", {"expr": "sin(s)", "m_max": None}, "q_override.m_max"),
+])
+def test_fractional_bool_or_text_counts_exit_2_before_writing(tmp_path, capsys,
+                                                              key, value, named):
+    cfg = _write_config(tmp_path, {key: value})
+    out = tmp_path / "out"
+    rc = main(["full-pipeline", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert f"{named} must be a whole number" in err
+    assert not out.exists()
+
+
+def test_whole_float_counts_are_accepted_as_ints():
+    cfg = load_config({"solver": {"N": 16001.0, "max_iter": 200.0},
+                       "oscillation": {"m_max": 8.0}, "features": {"M": 50.0},
+                       "problem": {"n": 3.0},
+                       "q_override": {"expr": "sin(s)", "m_max": 10.0}})
+    counts = (cfg.solver_N, cfg.solver_max_iter, cfg.oscillation.m_max,
+              cfg.features_M, cfg.problem_n, cfg.q_override["m_max"])
+    assert counts == (16001, 200, 8, 50, 3, 10)
+    assert all(type(c) is int for c in counts)
+
+
 def test_unknown_format_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     rc = main(["construct-example", "--config", str(cfg),

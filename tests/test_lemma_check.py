@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oscillax import (
+    build_oscillation,
     check_conclusions,
     check_hypotheses,
     check_remark,
@@ -90,6 +91,24 @@ def test_z_period_maxima_are_diagnostic(report):
 
 # ---------------------------------------------------------------------------
 # the inequality the damped-domination step leans on
+
+
+def test_parallel_hypotheses_equal_serial_on_200_periods():
+    params = default_params(m_max=200)
+    wide = build_oscillation(params)
+    nodes = PI * np.arange(2, 2 * 200 + 3)
+    serial, parallel = (
+        check_hypotheses(params.p, wide.q_callable, nodes, p_tail=params.p_tail,
+                         family=wide, parallel=flag)
+        for flag in (False, True)
+    )
+    assert serial.m_checked == 200
+    for name, value in vars(serial).items():
+        other = getattr(parallel, name)
+        if isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype and value.tobytes() == other.tobytes(), name
+        else:
+            assert value == other, name
 
 
 def test_exponential_within_linear_envelope_on_unit_range():

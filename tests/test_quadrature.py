@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oscillax import (
+    IntegralResult,
     TailModel,
     cumulative_integral,
     cumulative_simpson_doubled,
     integrate_finite,
+    integrate_finite_many,
     integrate_tail,
+    integrate_tail_many,
     parse,
 )
 
@@ -120,6 +123,175 @@ def test_user_model_uses_the_supplied_bound():
                       bound_fn=lambda c: 1.0 / c**2)
     res = integrate_tail(parse("1/s^3"), 2 * PI, model, tol=1e-10)
     assert res.tail_bound == pytest.approx(1.0 / 2500.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches
+
+
+def _bits(res):
+    return (res.value, res.abs_error_estimate, res.tail_bound, res.evaluations)
+
+
+def _wiggle(s):
+    s = np.asarray(s, dtype=float)
+    return np.sin(3.0 * s) ** 2 / (1.0 + s * s) + np.abs(np.cos(s))
+
+
+def _sequential(f, lo, hi, tol, seeds=None, limit=4000):
+    """Reference: one panel per integrand call, the classic adaptive GK15 loop."""
+    import heapq
+    from oscillax.quadrature import _GAUSS_SLICE, _WG, _WK, _XK
+
+    if hi < lo:
+        res = _sequential(f, hi, lo, tol, seeds, limit)
+        return IntegralResult(-res.value, res.abs_error_estimate, 0.0, res.evaluations)
+    if hi == lo:
+        return IntegralResult(0.0, 0.0, 0.0, 0)
+
+    def panel(a, b):
+        half, mid = 0.5 * (b - a), 0.5 * (b + a)
+        y = np.asarray(f(mid + half * _XK), dtype=float)
+        k = half * float(_WK @ y)
+        return k, abs(k - half * float(_WG @ y[_GAUSS_SLICE]))
+
+    edges = [lo]
+    for a in [float(a) for a in sorted(seeds or []) if lo < a < hi] + [hi]:
+        if a > edges[-1]:
+            edges.append(a)
+    heap, total, evals = [], 0.0, 0
+    for a, b in zip(edges, edges[1:]):
+        val, err = panel(a, b)
+        evals, total = evals + 15, total + err
+        heapq.heappush(heap, (-err, a, b, val))
+    while total > tol:
+        assert len(heap) < limit
+        neg, a, b, _ = heapq.heappop(heap)
+        total += neg
+        m = 0.5 * (a + b)
+        for c, d in ((a, m), (m, b)):
+            val, err = panel(c, d)
+            evals, total = evals + 15, total + err
+            heapq.heappush(heap, (-err, c, d, val))
+        if len(heap) % 64 == 0:
+            total = -math.fsum(item[0] for item in heap)
+    return IntegralResult(math.fsum(item[3] for item in heap),
+                          math.fsum(-item[0] for item in heap), 0.0, evals)
+
+
+_endpoint = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
+
+
+@given(
+    st.lists(st.tuples(_endpoint, _endpoint, st.booleans()), min_size=1, max_size=6),
+    st.one_of(st.none(), st.lists(_endpoint, max_size=5)),
+    st.sampled_from([1e-6, 1e-10, 1e-12]),
+)
+def test_batch_equals_one_interval_calls_bit_for_bit(raw, seeds, tol):
+    # the flag collapses an interval to zero width; hypothesis also draws
+    # reversed intervals and seeds outside, on or between the endpoints
+    intervals = [(a, a if flat else b) for a, b, flat in raw]
+    if seeds:
+        seeds = seeds + seeds[:1]  # a coincident seed must not make a panel
+    batch = integrate_finite_many(_wiggle, intervals, tol, seeds=seeds)
+    alone = [integrate_finite(_wiggle, a, b, tol, seeds=seeds) for a, b in intervals]
+    reference = [_sequential(_wiggle, a, b, tol, seeds) for a, b in intervals]
+    assert [_bits(r) for r in batch] == [_bits(r) for r in alone]
+    assert [_bits(r) for r in alone] == [_bits(r) for r in reference]
+
+
+def _counting(f):
+    calls = []
+
+    def counted(s):
+        calls.append(np.size(s))
+        return f(s)
+    return counted, calls
+
+
+def test_batch_calls_the_integrand_once_per_round():
+    f, calls = _counting(_wiggle)
+    integrate_finite_many(f, [(0.0, 1.0), (2.0, 2.0), (3.0, 1.0)], 1e-12)
+    # the seeding round holds one panel per non-degenerate interval
+    assert calls[0] == 2 * 15
+    assert all(n % 30 == 0 for n in calls[1:])
+    made = len(calls)
+    assert integrate_finite_many(f, [(1.0, 1.0)], 1e-12) == [IntegralResult(0.0, 0.0, 0.0, 0)]
+    assert len(calls) == made  # zero width never calls f
+
+
+_TAIL_CASES = {
+    "power": (parse("1/s^3"), TailModel("power", 3.0, 1.0)),
+    "exp": (lambda s: np.exp(-np.asarray(s)) * np.cos(np.asarray(s)) ** 2,
+            TailModel("exp", 1.0, 1.0)),
+    "user": (parse("1/s^3"), TailModel("user", rate=1.0, bound_fn=lambda c: 0.5 / c**2)),
+    "explicit cutoff": (parse("1/s^3"), TailModel("power", 3.0, 1.0, cutoff=80.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TAIL_CASES))
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_tail_batch_equals_one_tail_calls_bit_for_bit(case, tol):
+    f, model = _TAIL_CASES[case]
+    los = [2 * PI, 3.0, 2 * PI * 7, 40.0, 3.0]
+    batch = integrate_tail_many(f, los, model, tol, seeds=[5.0, 41.0])
+    alone = [integrate_tail(f, lo, model, tol, seeds=[5.0, 41.0]) for lo in los]
+    assert [_bits(r) for r in batch] == [_bits(r) for r in alone]
+
+
+def test_tail_batch_spot_checks_each_distinct_cutoff_once():
+    f, calls = _counting(parse("1/s^3"))
+    model = TailModel("power", 3.0, 1.0, cutoff=80.0)
+    results = integrate_tail_many(f, [2 * PI, 4 * PI, 6 * PI], model, 1e-10)
+    assert calls[0] == 5  # one shared cutoff, five envelope samples
+    # every result still accounts for its own five samples
+    assert all(r.evaluations == integrate_tail(f, lo, model, 1e-10).evaluations
+               for r, lo in zip(results, [2 * PI, 4 * PI, 6 * PI]))
+
+
+def test_lemma_wide_tails_take_few_integrand_calls():
+    f, calls = _counting(parse("1/s^3"))
+    los = [2.0 * m * PI for m in range(1, 201)]
+    results = integrate_tail_many(f, los, TailModel("power", 3.0, 1.0), tol=1e-12)
+    assert len(calls) <= 40
+    # one call per panel, as each tail alone would make, is over a hundred times more
+    assert sum(r.evaluations - 5 for r in results) // 15 > 100 * len(calls)
+
+
+def test_batch_keeps_the_one_interval_error_messages():
+    with pytest.raises(ValueError, match="tail model violated"):
+        integrate_tail_many(parse("1/s"), [2 * PI], TailModel("power", 3.0, 1.0), 1e-8)
+    with pytest.raises(ValueError, match="tail model violated"):
+        integrate_tail_many(parse("1/s"), [3 * PI, 2 * PI], TailModel("power", 3.0, 1.0), 1e-8)
+
+    kink = lambda s: np.abs(np.asarray(s) - 1.0 / 3.0)
+    message = r"subdivision limit 4 reached with error estimate .* > tol 1\.000e-15"
+    with pytest.raises(RuntimeError, match=message):
+        integrate_finite(kink, 0.0, 1.0, 1e-15, limit=4)
+    with pytest.raises(RuntimeError, match=message):
+        integrate_finite_many(kink, [(0.0, 1.0), (5.0, 6.0)], 1e-15, limit=4)
+
+    # the central Kronrod node of [0, 1] is 0.5
+    pole = lambda s: np.where(np.asarray(s) == 0.5, np.inf, 1.0)
+    message = r"integrand is not finite at s = np\.float64\(0\.5\)"
+    with pytest.raises(ValueError, match=message):
+        integrate_finite(pole, 0.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        integrate_finite_many(pole, [(2.0, 3.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match="integrand is not finite beyond the cutoff"):
+        integrate_tail_many(lambda s: np.where(np.asarray(s) > 1e5, np.nan, 1.0 / np.asarray(s) ** 3),
+                            [2 * PI, 4 * PI], TailModel("power", 3.0, 1.0), 1e-12)
+    with pytest.raises(ValueError, match="finite endpoints"):
+        integrate_finite_many(parse("s"), [(0.0, 1.0), (0.0, math.inf)])
+
+
+def test_without_cutoff_keeps_the_envelope():
+    bound = lambda c: 1.0 / c
+    model = TailModel("user", rate=2.0, coef=3.0, cutoff=50.0, bound_fn=bound)
+    free = model.without_cutoff()
+    assert free.cutoff is None
+    assert (free.kind, free.rate, free.coef, free.bound_fn) == ("user", 2.0, 3.0, bound)
+    assert model.cutoff == 50.0
 
 
 # ---------------------------------------------------------------------------
