@@ -503,6 +503,13 @@ def load_config(raw: dict) -> RunConfig:
         if _grid_cells(span, steps[key]) < 2:
             raise ValueError(f"kernel.{key} = {steps[key]!r} leaves no grid cell over "
                              f"kernel.span = {span!r}; it must be below twice the span")
+    # the bridge's integral conditions run up to the radius of the grid end
+    T = float(beta_map(n, R, s0 + span))
+    if not T > 4.0 * R:
+        raise ValueError(
+            f"problem.n = {n}, problem.R = {R!r} and kernel.span = {span!r} put the "
+            f"grid end at radius {T:.6g}, which must exceed 4 problem.R = {4.0 * R!r}: "
+            f"lower problem.n or problem.R, or lengthen kernel.span")
 
     return RunConfig(
         oscillation=osc,

@@ -167,8 +167,10 @@ class OscillationSpec:
             pe = as_callable(self.params.p)
             # complement route: I_m = lam - integral_{s0}^{2m pi} p, on a
             # refined node grid (8 subcells per pi keeps the Simpson error
-            # far below the size of the smallest I_m in use)
-            refine = np.linspace(S0_FIXED, (2 * M_new + 2) * PI, (2 * M_new) * 8 + 1)
+            # far below the size of the smallest I_m in use); node k does not
+            # depend on the grid's length, so neither does any I_m, whatever
+            # extended the table before
+            refine = S0_FIXED + (PI / 8) * np.arange(16 * M_new + 1)
             P = cumulative_integral(pe, refine)
             idx = np.arange(1, M_new + 1) * 16 - 16  # position of 2m*pi
             I_bulk = self.lam - P[idx]

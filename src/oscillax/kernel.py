@@ -12,30 +12,43 @@ equivalently the solution of z' = -p z - q with z(s0) = 0.  The second is
 
 so that h'' + p (h' - h/s) + q/s = 0 and s (h/s)' = h' - h/s = z/s.
 
-Everything is computed on uniform grids with a midpoint-doubled Simpson
-scheme.  The improper h integral splits into a gridded part, an optional
-coarse continuation of z far beyond the working window, a last-window mean
-value estimate of the remainder, and a certified bound from a tail model
-built on a proven sup bound for |z|.  The certificate and the estimate are
-reported separately; nothing is silently mixed.
+Kernels on a grid are computed on uniform grids with a midpoint-doubled
+Simpson scheme.  The improper h integral splits into a gridded part, an
+optional continuation of z far beyond the working window, a last-window
+mean value estimate of the remainder, and a certified bound from a tail
+model built on a proven sup bound for |z|.  The certificate and the
+estimate are reported separately; nothing is silently mixed.
 
 The far continuation depends on the grid only through x = z(grid end):
 continuing from there, z = E x - D with E = exp(-P_loc), D = E C_loc, and
-P_loc, C_loc the integrals of p and q exp(P_loc) from the grid end.  A
-:class:`FarField` keeps what h needs of it for every x: the Simpson totals
-of E/t^2 and D/t^2, E and D on the trailing window, and E and D at the
-indices within 2 tau of max|z| at the x0 it was built at, with
-tau = 1e-9 max(1, |x0|).  That kept set still holds the maximiser of |z|
-for any x with max(E) |x - x0| <= tau (the validity radius), so sup|z| over
-the continuation stays exact there.  It is built once per coefficient pair
-and passed to every later kernel whose grid ends at the same point.
+P_loc, C_loc the integrals of p and q exp(P_loc) from the grid end.  It is
+resolved on cells whose edges are the grid end, every multiple of pi past
+it and the continuation end, so that each cell holds one smooth sin^2 lobe
+of a family.  On each cell a 17-node Chebyshev-Lobatto rule with its
+spectral integration matrix gives P_loc and C_loc at the nodes, and one
+cumulative sum carries the cell totals across cells (Greengard, SIAM J.
+Numer. Anal. 28, 1991; Trefethen, Approximation Theory and Approximation
+Practice, 2013).  The rule checks itself: on every cell the degree-16
+interpolants of p and q must agree with their degree-14 truncations to
+CELL_TAIL_TOL of max|p|, max|q|, and a cell that fails is bisected, so a
+coefficient with a kink inside a cell is still resolved.
+
+A :class:`FarField` keeps what h needs of the continuation for every x: the
+Clenshaw-Curtis cell totals of E/t^2 and D/t^2, E and D on the trailing
+window, and E and D at the points within 2 tau of max|z| at the x0 it was
+built at, with tau = 1e-9 max(1, |x0|).  That kept set still holds the
+maximiser of |z| for any x with max(E) |x - x0| <= tau (the validity
+radius), so sup|z| over the sampled points stays exact there.  It is built
+once per coefficient pair and passed to every later kernel whose grid ends
+at the same point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -107,21 +120,193 @@ def _window_start(u: np.ndarray, window: float) -> int:
     return i0
 
 
-def _simpson_total(f: np.ndarray, dt: float) -> float:
-    """Composite Simpson integral over a doubled grid of coarse step dt."""
-    return float(dt / 6.0 * (f[0] + f[-1] + 4.0 * np.sum(f[1::2]) + 2.0 * np.sum(f[2:-1:2])))
+CELL_NODES = 17          # Chebyshev-Lobatto nodes per continuation cell
+CELL_TAIL_TOL = 1e-9     # self-check: the degree-16 interpolant of p (or q) on a cell and
+#                          its degree-14 truncation agree within this fraction of max|p|
+#                          (or max|q|) over the continuation
+CELL_MAX_SPLITS = 30     # bisections of one cell before the continuation gives up
+_BLOCK = 512             # cells per block when the sup set is refined
+
+
+class _Rule(NamedTuple):
+    """The cell rule on [-1, 1]; rows act on a cell's values at the nodes ``x``."""
+
+    x: np.ndarray            # ascending Chebyshev-Lobatto nodes
+    to_coef: np.ndarray      # Chebyshev coefficients of the interpolant
+    anti: np.ndarray         # Chebyshev coefficients of its antiderivative from -1
+    S: np.ndarray            # that antiderivative at the nodes; S[-1] is Clenshaw-Curtis
+    diff: np.ndarray         # the interpolant's derivative at the nodes
+
+
+@functools.cache
+def _cell_rule() -> _Rule:
+    """The cell rule, built once."""
+    from numpy.polynomial import chebyshev
+
+    deg = CELL_NODES - 1
+    x = -np.cos(np.pi * np.arange(CELL_NODES) / deg)
+    x[deg // 2] = 0.0
+    to_coef = np.linalg.inv(chebyshev.chebvander(x, deg))
+    anti = chebyshev.chebint(to_coef, lbnd=-1.0)
+    S = chebyshev.chebvander(x, deg + 1) @ anti
+    S[0] = 0.0
+    diff = chebyshev.chebvander(x, deg - 1) @ chebyshev.chebder(to_coef)
+    return _Rule(x, to_coef, anti, S, diff)
+
+
+def _antiderivative(x: np.ndarray) -> np.ndarray:
+    """Rows mapping a cell's node values to their integral from -1 to each x."""
+    from numpy.polynomial import chebyshev
+
+    return chebyshev.chebvander(x, CELL_NODES) @ _cell_rule().anti
+
+
+def _subdivisions(widths: np.ndarray, half: float) -> np.ndarray:
+    """Steps of each cell's uniform subdivision with spacing at most ``half``.
+
+    A cell of width pi with half = pi/160 gets 160, not 161 for a width one
+    rounding error above pi.
+    """
+    return np.maximum(1, np.ceil(widths / half * (1.0 - 1e-12))).astype(int)
+
+
+def _nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The cell nodes, one row per cell [lo, hi], with the edges exact."""
+    x = _cell_rule().x
+    t = lo[:, None] + (hi - lo)[:, None] * (0.5 * (x + 1.0))
+    t[:, -1] = hi
+    return t
+
+
+def _sample(fe: Callable, name: str, t: np.ndarray) -> np.ndarray:
+    """One coefficient at the nodes ``t``, in one call."""
+    flat = t.ravel()
+    vals = np.broadcast_to(np.asarray(fe(flat), dtype=float), flat.shape).reshape(t.shape)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"coefficient {name} is not finite on the continuation")
+    return vals
+
+
+def _unresolved(vals: np.ndarray) -> np.ndarray:
+    """Cells whose interpolant fails the self-check (see CELL_TAIL_TOL)."""
+    tail = np.sum(np.abs(vals @ _cell_rule().to_coef[-2:].T), axis=1)
+    return tail > CELL_TAIL_TOL * float(np.max(np.abs(vals)))
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """The continuation from ``lo[0]`` on cells: integrand samples and integrals."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    p_vals: np.ndarray       # p at the nodes, one row per cell
+    g_vals: np.ndarray       # q exp(P_loc) at the nodes
+    P0: np.ndarray           # P_loc at each cell's left edge
+    C0: np.ndarray           # C_loc there
+
+    @classmethod
+    def build(cls, pe: Callable, qe: Callable, start: float, end: float
+              ) -> tuple["_Cells", np.ndarray, np.ndarray, np.ndarray]:
+        """The cells, with the nodes and E, D there.
+
+        Edges are start, every multiple of pi between, and end; a cell on
+        which p or q fails the self-check is bisected.
+        """
+        k = np.arange(math.floor(start / math.pi) + 1, math.ceil(end / math.pi))
+        inner = math.pi * k
+        gap = 1e-9 * math.pi
+        inner = inner[(inner > start + gap) & (inner < end - gap)]
+        edges = np.concatenate(([start], inner, [end]))
+        lo, hi = edges[:-1], edges[1:]
+        splits = np.zeros(len(lo), dtype=int)
+        t = _nodes(lo, hi)
+        p_vals, q_vals = _sample(pe, "p", t), _sample(qe, "q", t)
+        while True:
+            bad = _unresolved(p_vals) | _unresolved(q_vals)
+            if not np.any(bad):
+                break
+            if int(np.max(splits[bad])) >= CELL_MAX_SPLITS:
+                i = int(np.flatnonzero(bad & (splits >= CELL_MAX_SPLITS))[0])
+                raise ValueError(
+                    f"far-field continuation: p or q is not smooth enough on "
+                    f"[{lo[i]!r}, {hi[i]!r}] after {CELL_MAX_SPLITS} bisections")
+            mid = 0.5 * (lo[bad] + hi[bad])
+            new_lo = np.concatenate((lo[bad], mid))
+            new_hi = np.concatenate((mid, hi[bad]))
+            new_t = _nodes(new_lo, new_hi)
+            new_p, new_q = _sample(pe, "p", new_t), _sample(qe, "q", new_t)
+            keep = ~bad
+            lo = np.concatenate((lo[keep], new_lo))
+            order = np.argsort(lo, kind="stable")
+            lo = lo[order]
+            hi = np.concatenate((hi[keep], new_hi))[order]
+            splits = np.concatenate((splits[keep], splits[bad] + 1, splits[bad] + 1))[order]
+            t = np.concatenate((t[keep], new_t))[order]
+            p_vals = np.concatenate((p_vals[keep], new_p))[order]
+            q_vals = np.concatenate((q_vals[keep], new_q))[order]
+
+        # a node sits at the rounding of lo + (hi - lo)(x_j + 1)/2, and that
+        # rounding repeats from cell to cell; move each sample to the node
+        # the rule assumes, to first order, so that it does not pile up in P, C
+        rule = _cell_rule()
+        w = 0.5 * (hi - lo)[:, None]
+        shift = ((t - lo[:, None]) - w * (rule.x + 1.0)) / w
+        p_vals = p_vals - (p_vals @ rule.diff.T) * shift
+        q_vals = q_vals - (q_vals @ rule.diff.T) * shift
+        S = rule.S
+        P = (p_vals @ S.T) * w                    # P_loc from each left edge
+        P0 = np.concatenate(([0.0], np.cumsum(P[:-1, -1])))
+        P += P0[:, None]
+        E = np.exp(-P)
+        g_vals = q_vals / E                       # q exp(P_loc), a fresh array
+        D = (g_vals @ S.T) * w                    # C_loc from each left edge
+        C0 = np.concatenate(([0.0], np.cumsum(D[:-1, -1])))
+        D += C0[:, None]
+        D *= E
+        return cls(lo, hi, p_vals, g_vals, P0, C0), t, E, D
+
+    def _running(self, vals: np.ndarray, at_lo: np.ndarray, k: np.ndarray,
+                 Q: np.ndarray) -> np.ndarray:
+        out = vals[k] @ Q
+        out *= 0.5 * (self.hi[k] - self.lo[k])[:, None]
+        out += at_lo[k][:, None]
+        return out
+
+    def E(self, k: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """exp(-P_loc) in the cells ``k`` at the points of ``Q = _antiderivative(x).T``."""
+        out = self._running(self.p_vals, self.P0, k, Q)
+        np.negative(out, out=out)
+        return np.exp(out, out=out)
+
+    def C(self, k: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """C_loc in the cells ``k`` at the points of ``Q``."""
+        return self._running(self.g_vals, self.C0, k, Q)
+
+    def E_bound(self) -> np.ndarray:
+        """An upper bound on exp(-P_loc) over each cell, whatever the sign of p.
+
+        Over a cell of half-width w, |P_loc - P0| <= 2 w sum|c_j|, with c_j the
+        Chebyshev coefficients of p there.
+        """
+        spread = np.sum(np.abs(self.p_vals @ _cell_rule().to_coef.T), axis=1)
+        return np.exp((self.hi - self.lo) * spread - self.P0)
 
 
 @dataclass(frozen=True, eq=False)
 class FarField:
     """What h needs of the continuation of z beyond a grid end, for any z there.
 
-    Continuing from ``start`` with z(start) = x on the uniform grid
-    start, start + extend_step/2, ... up to ``end`` >= extend_to gives
-    z = E x - D.  The integral of z/t^2 over the continuation is x A - B,
-    the trailing window holds E and D on ``window_u``, and sup|z| is the
-    largest |E_i x - D_i| over the kept indices while x stays within the
-    validity radius of ``x0`` (see :meth:`covers`).
+    Continuing from ``start`` with z(start) = x up to ``end`` (start plus an
+    even number of extend_step/2 steps, at or past extend_to) gives
+    z = E x - D.  The continuation is resolved on cells (see
+    :class:`_Cells`): the integral of z/t^2 over it is x A - B, the trailing
+    window holds E and D on ``window_u`` (the points start + j extend_step/2
+    in the last ``tail_window``), and sup|z| is the largest |E_i x - D_i|
+    over the kept points while x stays within the validity radius of ``x0``
+    (see :meth:`covers`).  The points sup|z| is taken over are the cell
+    nodes and, on every cell, its uniform subdivision with spacing at most
+    extend_step/2; so extend_step sets only the window's spacing, this
+    spacing and the rounding of ``end``, not the accuracy of A and B.
     """
 
     p: Coefficient
@@ -131,8 +316,8 @@ class FarField:
     extend_step: float
     tail_window: float
     end: float
-    A: float                 # Simpson total of E/t^2
-    B: float                 # Simpson total of D/t^2
+    A: float                 # Clenshaw-Curtis total of E/t^2
+    B: float                 # Clenshaw-Curtis total of D/t^2
     window_u: np.ndarray
     window_E: np.ndarray
     window_D: np.ndarray
@@ -147,47 +332,74 @@ class FarField:
               extend_to: float, extend_step: float, tail_window: float) -> "FarField":
         """Continue z from ``start`` once and keep its summary.
 
-        Works in place on a few continuation-length arrays of its own (never
-        on what p or q return); only the summary outlives the call.
+        Never writes into what p or q return; only the summary outlives the
+        call.
         """
-        pe, qe = as_callable(p), as_callable(q)
+        if not extend_to > start:
+            raise ValueError(f"the continuation must end past its start {start!r}, "
+                             f"got extend_to = {extend_to!r}")
         half = 0.5 * extend_step
-        n_cells = int(math.ceil((extend_to - start) / half))
-        n_cells += n_cells % 2
-        u = np.arange(n_cells + 1, dtype=float)
-        u *= half
-        u += start
-        vals = np.asarray(pe(u), dtype=float)
-        E = cumulative_simpson_doubled(u, vals)          # P_loc
-        del vals
-        np.exp(E, out=E)
-        vals = np.multiply(qe(u), E, dtype=float)        # q exp(P_loc)
-        D = cumulative_simpson_doubled(u, vals)          # C_loc
-        del vals
-        np.reciprocal(E, out=E)                          # exp(-P_loc)
-        D *= E
+        n_steps = int(math.ceil((extend_to - start) / half))
+        n_steps += n_steps % 2
+        end = float(n_steps * half + start)
+        cells, t, E, D = _Cells.build(as_callable(p), as_callable(q), float(start), end)
+        w = 0.5 * (cells.hi - cells.lo)
+        cc = _cell_rule().S[-1]
+        t *= t
+        A = float(w @ ((E / t) @ cc))
+        B = float(w @ ((D / t) @ cc))
 
-        i0 = _window_start(u, tail_window)
+        j0 = max(0, n_steps - int(tail_window / half) - 2)
+        window_u = np.arange(j0, n_steps + 1, dtype=float) * half + start
+        window_u = window_u[_window_start(window_u, tail_window):]
+        k = np.minimum(np.searchsorted(cells.hi, window_u), len(cells.hi) - 1)
+        window_E, window_D = np.empty_like(window_u), np.empty_like(window_u)
+        for cell in np.unique(k):
+            at = k == cell
+            x = (2.0 * window_u[at] - cells.lo[cell] - cells.hi[cell]) \
+                / (cells.hi[cell] - cells.lo[cell])
+            Q = _antiderivative(np.clip(x, -1.0, 1.0)).T
+            window_E[at] = cells.E(np.array([cell]), Q)[0]
+            window_D[at] = window_E[at] * cells.C(np.array([cell]), Q)[0]
+
+        # sup set: the nodes, each once (a shared edge counts for the cell on
+        # its right), and each cell's uniform subdivision.  There, blocks of
+        # cells are screened with the bound E_bound max|x0 - C| >= max|z|, and
+        # only cells that may come within 2 tau of the max get E.
         tau = 1e-9 * max(1.0, abs(x0))
-        z = np.multiply(E, x0)
-        z -= D
-        np.abs(z, out=z)
+        z = np.abs(E * x0 - D)
+        z[:-1, -1] = -np.inf
+        z_max = float(np.max(z))
+        near = z >= z_max - 2.0 * tau
+        E_keep, D_keep = [E[near]], [D[near]]
+        e_bound = cells.E_bound()
+        counts = _subdivisions(cells.hi - cells.lo, half)
+        for n in np.unique(counts[counts > 1]):
+            Q = _antiderivative(-1.0 + 2.0 * np.arange(1, n) / n).T
+            group = np.flatnonzero(counts == n)
+            for b in range(0, len(group), _BLOCK):
+                block = group[b:b + _BLOCK]
+                c = cells.C(block, Q)
+                reach = np.maximum(np.max(c, axis=1) - x0, x0 - np.min(c, axis=1))
+                rows = np.flatnonzero(reach * e_bound[block] >= z_max - 2.0 * tau)
+                if len(rows) == 0:
+                    continue
+                e = cells.E(block[rows], Q)
+                d = e * c[rows]
+                z = np.abs(e * x0 - d)
+                z_max = max(z_max, float(np.max(z)))
+                near = z >= z_max - 2.0 * tau
+                E_keep.append(e[near])
+                D_keep.append(d[near])
+        E_keep, D_keep = np.concatenate(E_keep), np.concatenate(D_keep)
+        z = np.abs(E_keep * x0 - D_keep)
         keep = np.flatnonzero(z >= float(np.max(z)) - 2.0 * tau)
-
-        dt = 2.0 * float(u[1] - u[0])
-        end = float(u[-1])
-        window_u = u[i0:].copy()
-        np.square(u, out=u)
-        np.divide(E, u, out=z)
-        A = _simpson_total(z, dt)
-        np.divide(D, u, out=z)
-        B = _simpson_total(z, dt)
         return cls(
             p=p, q=q, start=float(start), extend_to=float(extend_to),
             extend_step=float(extend_step), tail_window=float(tail_window), end=end,
-            A=A, B=B, window_u=window_u, window_E=E[i0:].copy(), window_D=D[i0:].copy(),
+            A=A, B=B, window_u=window_u, window_E=window_E, window_D=window_D,
             x0=float(x0), tau=tau, e_max=float(np.max(E)),
-            sup_E=E[keep], sup_D=D[keep],
+            sup_E=E_keep[keep], sup_D=D_keep[keep],
         )
 
     def check_inputs(self, p: Coefficient, q: Coefficient, start: float, *,
@@ -205,7 +417,7 @@ class FarField:
             raise ValueError("far-field summary was built for other coefficients p, q")
 
     def covers(self, x: float) -> bool:
-        """Whether the kept indices still contain the maximiser of |E x - D|."""
+        """Whether the kept points still contain the maximiser of |E x - D|."""
         return self.e_max * abs(x - self.x0) <= self.tau
 
     def beyond(self, x: float) -> float:

@@ -252,7 +252,8 @@ def make_barriers(
     )
 
 
-def make_blend(problem: RadialProblem, barrier: BarrierPair, r) -> Callable:
+def make_blend(problem: RadialProblem, barrier: BarrierPair, r, *,
+               ribbon: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Callable:
     """The stock nonlinearity bound to the radii ``r``: a tanh ramp across the ribbon.
 
         f(r, u) = (a1 + a2)/2 + ((a2 - a1)/2) tanh((u - u_mid) / w),
@@ -265,7 +266,8 @@ def make_blend(problem: RadialProblem, barrier: BarrierPair, r) -> Callable:
     Everything that depends on r alone (the barrier traces, the gap and its
     check, a1, a2 and the midpoint) is computed here, once; the returned
     ``blend(u)`` evaluates f(r, u) with only the tanh left to do, so a
-    monotone sweep over a fixed grid pays for nothing else.
+    monotone sweep over a fixed grid pays for nothing else.  A caller that
+    already holds a1(r) and a2(r) passes them as ``ribbon``.
     """
     problem.validate()
     if problem.a1 is None or problem.a2 is None:
@@ -277,8 +279,7 @@ def make_blend(problem: RadialProblem, barrier: BarrierPair, r) -> Callable:
     gap = v2 - v1
     if np.any(gap <= 0):
         raise ValueError("degenerate ribbon: the barriers touch at some radius")
-    lo = np.asarray(as_callable(problem.a1)(r_arr), dtype=float)
-    hi = np.asarray(as_callable(problem.a2)(r_arr), dtype=float)
+    lo, hi = ribbon if ribbon is not None else _ribbon(problem, r_arr)
     mid = 0.5 * (v1 + v2)
     base = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -289,17 +290,27 @@ def make_blend(problem: RadialProblem, barrier: BarrierPair, r) -> Callable:
     return blend
 
 
+def _ribbon(problem: RadialProblem, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a1(r), a2(r))."""
+    if problem.a1 is None or problem.a2 is None:
+        raise ValueError("the ribbon needs both edges a1 and a2")
+    return (np.asarray(as_callable(problem.a1)(r), dtype=float),
+            np.asarray(as_callable(problem.a2)(r), dtype=float))
+
+
 def resolve_nonlinearity(problem: RadialProblem, barrier: BarrierPair, r,
-                         f: Optional[Callable] = None) -> Callable:
+                         f: Optional[Callable] = None, *,
+                         ribbon: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Callable:
     """The nonlinearity bound to the radii ``r``, as a callable of u alone.
 
     An explicit ``f(r, u)`` wins over ``problem.f_blend``; either is bound as
-    ``u -> f(r, u)``.  The stock "tanh" descriptor gives :func:`make_blend`.
+    ``u -> f(r, u)``.  The stock "tanh" descriptor gives :func:`make_blend`,
+    which reuses ``ribbon`` = (a1(r), a2(r)) when given.
     """
     fn = f if f is not None else problem.f_blend
     if callable(fn):
         return lambda u: fn(r, u)
-    return make_blend(problem, barrier, r)
+    return make_blend(problem, barrier, r, ribbon=ribbon)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +359,8 @@ def subsuper_residual(
     p_i = np.asarray(p_lift(si), dtype=float)
     bb = _beta_betaprime(n, si)
     r_i = beta_map(n, R, si)
-    fn = resolve_nonlinearity(problem, barrier, r_i, f)
-    a1e, a2e = as_callable(problem.a1), as_callable(problem.a2)
-    lo = np.asarray(a1e(r_i), dtype=float)
-    hi = np.asarray(a2e(r_i), dtype=float)
+    lo, hi = _ribbon(problem, r_i)
+    fn = resolve_nonlinearity(problem, barrier, r_i, f, ribbon=(lo, hi))
     width = np.max(hi - lo)
 
     excursion = 0.0

@@ -264,6 +264,19 @@ def test_span_or_step_leaving_no_grid_cell_exits_2_before_writing(tmp_path, caps
     assert not out.exists()
 
 
+def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsys):
+    # n = 5 puts s0 + span = 42 pi at radius beta(42 pi) = 3.53 < 4 R
+    cfg = _write_config(tmp_path, {"problem.n": 5})
+    out = tmp_path / "out"
+    rc = main(["bridge", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    for key in ("problem.n", "problem.R", "kernel.span"):
+        assert key in captured.err
+    assert not out.exists()
+
+
 def test_smallest_step_keeping_a_cell_is_accepted():
     cfg = load_config({"kernel": {"span": 1.0, "step": 1.9, "residual_step": 1.0}})
     assert (cfg.kernel_span, cfg.kernel_step, cfg.residual_step) == (1.0, 1.9, 1.0)

@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oscillax import (
     BandParams,
@@ -101,6 +102,28 @@ def test_q_callable_extends_smoothly_beyond_the_certified_range(family):
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) <= family.sup_bound
     assert np.max(np.abs(np.diff(vals))) < 0.05   # no parity glitch at the seam
+
+
+# periods 26-119 (past the certified table of 25), the first far-field cell
+# past the default kernel grid, and the far-field end near period 3 200
+_FIXED_POINTS = np.concatenate((np.linspace(52 * PI + 0.3, 240 * PI - 0.3, 94),
+                                [42 * PI + 0.5, 2e4 - 0.3]))
+
+
+@functools.cache
+def _fresh_values() -> np.ndarray:
+    return build_oscillation(default_params()).q_callable(_FIXED_POINTS)
+
+
+@settings(max_examples=15)
+@given(st.lists(st.one_of(st.floats(2 * PI, 6600 * PI), st.just(2e4)), max_size=4))
+@example([2e4])
+@example([60 * PI, 2e4, 500 * PI])
+def test_q_callable_does_not_depend_on_the_call_history(history):
+    spec = build_oscillation(default_params())
+    for s in history:
+        spec.q_callable(np.array([s]))
+    assert np.array_equal(spec.q_callable(_FIXED_POINTS), _fresh_values())
 
 
 def test_piecewise_expression_agrees_with_the_callable(family):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oscillax import (
+    CoefficientExpr,
     FarField,
     TailModel,
     compute_h,
@@ -17,6 +18,7 @@ from oscillax import (
     parse,
     z_ode_oracle,
 )
+from oscillax import kernel
 from oscillax.quadrature import cumulative_simpson_doubled
 
 PI = math.pi
@@ -254,21 +256,150 @@ def test_far_field_leaves_what_q_returns_untouched(shared, copying):
 
 
 def test_far_field_sup_is_exact_within_its_radius():
+    # the kept points must hold the maximiser over every point the build
+    # samples: the cell nodes and each cell's uniform subdivision
     p = parse("1/s^3")
     q = lambda s: np.sin(np.asarray(s)) ** 2 - 0.4
     start, x0 = 8 * PI, -0.3
     far = FarField.build(p, q, start, x0, extend_to=400.0, extend_step=PI / 80,
                          tail_window=2 * PI)
-    # the same continuation, kept whole
-    n_cells = round((far.end - start) / (PI / 160))
-    u = start + (PI / 160) * np.arange(n_cells + 1)
-    assert u[-1] == far.end
-    P = cumulative_simpson_doubled(u, p(u))
-    C = cumulative_simpson_doubled(u, q(u) * np.exp(P))
+    cells, _, E, D = kernel._Cells.build(p, q, start, far.end)
+    Es, Ds = [E.ravel()], [D.ravel()]
+    counts = kernel._subdivisions(cells.hi - cells.lo, PI / 160)
+    assert np.all((cells.hi - cells.lo) / counts <= (1 + 1e-12) * PI / 160)
+    for cell, n in enumerate(counts):
+        Q = kernel._antiderivative(-1.0 + 2.0 * np.arange(1, n) / n).T
+        e = cells.E(np.array([cell]), Q)
+        Es.append(e.ravel())
+        Ds.append((e * cells.C(np.array([cell]), Q)).ravel())
+    Es, Ds = np.concatenate(Es), np.concatenate(Ds)
     radius = far.tau / far.e_max
     for x in (x0, x0 + 0.99 * radius, x0 - 0.99 * radius):
-        full = np.max(np.abs(np.exp(-P) * (x - C)))
+        full = np.max(np.abs(Es * x - Ds))
         assert far.sup(x) == pytest.approx(full, rel=1e-13)
+
+
+def test_a_whole_pi_cell_is_subdivided_like_the_uniform_sweep():
+    widths = np.array([PI, math.nextafter(PI, 4.0), math.nextafter(PI, 3.0), 0.5 * PI, 1e-3])
+    assert list(kernel._subdivisions(widths, PI / 160)) == [160, 160, 160, 80, 1]
+
+
+def _simpson_total(f, u):
+    dt = 2.0 * (u[1] - u[0])
+    return dt / 6.0 * (f[0] + f[-1] + 4.0 * np.sum(f[1::2]) + 2.0 * np.sum(f[2:-1:2]))
+
+
+def _assert_matches_half_step_simpson(far, p, q, rtol=1e-11):
+    """A, B, the trailing window and sup|z| against Simpson at step extend_step/4.
+
+    Inside a lobe a cumulative Simpson value is itself off by about
+    h^4 max|q'''| / 180, 2e-10 at this step, so the window is referenced by a
+    sweep 64 times finer that starts from the reference at the last multiple
+    of pi before it, where q''' of a sin^2 lobe vanishes.  Each sweep runs on
+    offsets from its first point: far out, the difference of two abscissae
+    would carry the rounding of both into the step.
+    """
+    step = far.extend_step / 4
+    offsets = step * np.arange(round((far.end - far.start) / step) + 1)
+    u = far.start + offsets
+    assert u[-1] == far.end
+    P = cumulative_simpson_doubled(offsets, p(u))
+    C = cumulative_simpson_doubled(offsets, q(u) * np.exp(P))
+    E = np.exp(-P)
+    D = E * C
+    u2 = u * u
+    for name, f in (("A", E / u2), ("B", D / u2)):
+        assert getattr(far, name) == pytest.approx(_simpson_total(f, u), rel=rtol, abs=0.0)
+    full = np.max(np.abs(E * far.x0 - D))
+    assert far.sup(far.x0) == pytest.approx(full, rel=rtol, abs=0.0)
+
+    a = int(np.argmin(np.abs(u - PI * math.floor(far.window_u[0] / PI))))
+    fine = step / 64
+    offsets = fine * np.arange(64 * (len(u) - 1 - a) + 1)
+    v = u[a] + offsets
+    Pv = P[a] + cumulative_simpson_doubled(offsets, p(v))
+    Cv = C[a] + cumulative_simpson_doubled(offsets, q(v) * np.exp(Pv))
+    at = np.rint((far.window_u - v[0]) / fine).astype(int)
+    assert np.max(np.abs(v[at] - far.window_u)) <= 1e-9
+    Ev = np.exp(-Pv[at])
+    for ours, theirs in ((far.window_E, Ev), (far.window_D, Ev * Cv[at])):
+        assert np.max(np.abs(ours - theirs)) <= rtol * np.max(np.abs(theirs))
+
+
+@pytest.mark.parametrize("member", ["family", "q1", "q2"])
+def test_far_field_matches_a_half_step_simpson_reference(family, pair, member):
+    params = default_params()
+    q = {"family": family, "q1": pair.q1, "q2": pair.q2}[member].q_callable
+    grid = np.linspace(2 * PI, 42 * PI, 8001)
+    x0 = float(compute_z(params.p, q, grid)[-1])
+    far = FarField.build(params.p, q, 42 * PI, x0, extend_to=2e4, extend_step=PI / 80,
+                         tail_window=2 * PI)
+    _assert_matches_half_step_simpson(far, params.p, q)
+
+
+def test_node_rounding_does_not_pile_up_over_the_continuation():
+    # with p = 0 and q = -cos(2s)/2, C_loc = (sin 2 start - sin 2t)/4 exactly;
+    # every cell sees the same lobe, so a rounding pattern of the nodes that
+    # repeats from cell to cell would add up over the 6 300 cells (to 2.4e-9)
+    q = lambda s: -0.5 * np.cos(2.0 * np.asarray(s))
+    start = 42 * PI
+    far = FarField.build(_zero, q, start, -0.1, extend_to=2e4, extend_step=PI / 80,
+                         tail_window=2 * PI)
+    exact = (math.sin(2.0 * start) - np.sin(2.0 * far.window_u)) / 4.0
+    assert np.array_equal(far.window_E, np.ones_like(exact))
+    assert np.max(np.abs(far.window_D - exact)) <= 1e-10
+
+
+def test_a_kink_inside_a_cell_is_bisected_and_still_resolved():
+    # the break sits on a panel edge of the Simpson reference, at a
+    # non-dyadic fraction of its pi-cell, so bisection never lands on it
+    start = 8 * PI
+    kink = start + 213 * PI / 160
+    expr = CoefficientExpr.piecewise(
+        [start, kink, 1000.0],
+        [f"sin(s)^2 - 0.4 + 0.2*(s - {kink!r})", "sin(s)^2 - 0.4"])
+    calls = []
+
+    def q(s):
+        calls.append(np.size(s))
+        return expr(s)
+
+    p = parse("1/s^3")
+    far = FarField.build(p, q, start, -0.3, extend_to=400.0, extend_step=PI / 80,
+                         tail_window=2 * PI)
+    assert len(calls) > 10                     # the first sample, then bisection rounds
+    assert sum(calls[1:]) < calls[0]           # only the kink's cells were resampled
+    _assert_matches_half_step_simpson(far, p, expr)
+
+
+def test_a_jump_inside_a_cell_fails_the_self_check_clearly():
+    start = 8 * PI
+    q = CoefficientExpr.piecewise([start, start + 1.3 * PI, 1000.0], ["0.1", "0.3"])
+    with pytest.raises(ValueError, match=r"not smooth enough on \[.*\] after 30 bisections"):
+        FarField.build(parse("1/s^3"), q, start, -0.3, extend_to=400.0,
+                       extend_step=PI / 80, tail_window=2 * PI)
+
+
+def test_non_finite_coefficients_on_the_continuation_are_rejected():
+    q = lambda s: np.where(np.asarray(s) > 100.0, np.nan, 0.5)
+    with pytest.raises(ValueError, match="coefficient q is not finite on the continuation"):
+        FarField.build(parse("1/s^3"), q, 8 * PI, -0.3, extend_to=400.0,
+                       extend_step=PI / 80, tail_window=2 * PI)
+
+
+def test_a_continuation_must_end_past_its_start():
+    with pytest.raises(ValueError, match="must end past its start"):
+        FarField.build(parse("1/s^3"), _one, 8 * PI, -0.3, extend_to=8 * PI,
+                       extend_step=PI / 80, tail_window=2 * PI)
+
+
+def test_a_scalar_coefficient_is_broadcast_to_the_nodes():
+    kwargs = {"extend_to": 400.0, "extend_step": PI / 80, "tail_window": 2 * PI}
+    a = FarField.build(parse("1/s^3"), lambda s: 0.3, 8 * PI, -0.3, **kwargs)
+    b = FarField.build(parse("1/s^3"), lambda s: np.full(np.shape(s), 0.3), 8 * PI, -0.3,
+                       **kwargs)
+    assert (a.A, a.B, a.sup(-0.3)) == (b.A, b.B, b.sup(-0.3))
+    assert np.array_equal(a.window_D, b.window_D)
 
 
 def test_import_leaves_scipy_integrate_unloaded(package_env):

@@ -202,6 +202,36 @@ def test_barrier_residual_signs_on_fine_grid(problem, fine_barrier):
     assert rep.ribbon_excursion == 0.0
 
 
+def test_subsuper_residual_pushes_each_ribbon_edge_once(problem, solver_barrier):
+    calls = {"a1": 0, "a2": 0}
+
+    def counted(name):
+        edge = getattr(problem, name)
+
+        def a(r):
+            calls[name] += 1
+            return edge(r)
+        return a
+
+    counting = dataclasses.replace(problem, a1=counted("a1"), a2=counted("a2"))
+    rep = subsuper_residual(counting, solver_barrier)
+    assert calls == {"a1": 1, "a2": 1}
+    # a blend that pushes a1 and a2 itself gives the same residuals, bit for bit
+    again = subsuper_residual(problem, solver_barrier,
+                              f=lambda r, u: make_blend(problem, solver_barrier, r)(u))
+    assert np.array_equal(rep.rho1, again.rho1)
+    assert np.array_equal(rep.rho2, again.rho2)
+    assert rep.ribbon_excursion == again.ribbon_excursion
+
+
+def test_a_passed_ribbon_is_the_pushed_one(problem, solver_barrier):
+    r = beta_map(problem.n, problem.R, solver_barrier.grid[1:-1])
+    u = solver_barrier.v1(solver_barrier.grid[1:-1])
+    ribbon = (problem.a1(r), problem.a2(r))
+    assert np.array_equal(make_blend(problem, solver_barrier, r, ribbon=ribbon)(u),
+                          make_blend(problem, solver_barrier, r)(u))
+
+
 def test_blend_stays_inside_the_ribbon(problem, fine_barrier):
     s = np.linspace(fine_barrier.grid[0], fine_barrier.grid[-1], 2001)
     r = s
