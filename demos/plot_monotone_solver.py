@@ -16,13 +16,11 @@ import numpy as np
 
 from oscillax import (
     RadialProblem,
-    TailModel,
     build_pair,
     check_sandwich,
     decay_fit,
     emit_plot,
     make_barriers,
-    parse,
     push_a_from_q,
     solve_radial,
 )
@@ -37,7 +35,7 @@ pair = build_pair()
 s0 = float(pair.q1.nodes[0])
 problem = RadialProblem(
     n=3, R=1.0, s0=s0,
-    g=parse("1/s^4"), g_tail=TailModel("power", 4.0, 1.0),
+    p=pair.q1.params.p, p_tail=pair.q1.params.p_tail,  # the damping the kernels use
     a1=push_a_from_q(pair.q1.q_callable, 3),
     a2=push_a_from_q(pair.q2.q_callable, 3),
 )

@@ -17,12 +17,10 @@ import numpy as np
 
 from oscillax import (
     RadialProblem,
-    TailModel,
     build_pair,
     emit_plot,
     lift_coefficients,
     make_barriers,
-    parse,
     push_a_from_q,
     subsuper_residual,
 )
@@ -54,10 +52,10 @@ a1 = push_a_from_q(pair.q1.q_callable, n)
 a2 = push_a_from_q(pair.q2.q_callable, n)
 problem = RadialProblem(
     n=n, R=1.0, s0=float(pair.q1.nodes[0]),
-    g=parse("1/s^4"), g_tail=TailModel("power", 4.0, 1.0),
+    p=pair.q1.params.p, p_tail=pair.q1.params.p_tail,  # the damping the kernels use
     a1=a1, a2=a2,
 )
-_, q1_back, q2_back = lift_coefficients(problem)
+q1_back, q2_back = lift_coefficients(problem)
 round_trip = max(
     float(np.max(np.abs(q1_back(grid) - pair.q1.q_callable(grid)))),
     float(np.max(np.abs(q2_back(grid) - pair.q2.q_callable(grid)))),

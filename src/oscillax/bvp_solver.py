@@ -32,12 +32,12 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .coeff_dsl import as_callable
 from .pde_bridge import (
     BarrierPair,
     RadialProblem,
     _beta_betaprime,
     beta_map,
-    lift_coefficients,
     resolve_nonlinearity,
 )
 
@@ -154,9 +154,8 @@ def solve_radial(
     if K_used < 0:
         raise ValueError("the shift K must be nonnegative")
 
-    p_lift, _, _ = lift_coefficients(problem)
     si = g[1:-1]
-    p_i = np.asarray(p_lift(si), dtype=float)
+    p_i = np.asarray(as_callable(problem.p)(si), dtype=float)
     r_i = beta_map(n, R, si)
     B = _beta_betaprime(n, si) / (n - 2)
     fn = resolve_nonlinearity(problem, barrier, r_i, f)

@@ -11,7 +11,8 @@ Modes wire the library stages together on a JSON config:
   full-pipeline       all of the above, writing the complete report set
 
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 the
-config is invalid, 3 an internal error.  Outputs are byte-deterministic:
+config is invalid (found before anything is written), 3 a failure during
+the run.  Outputs are byte-deterministic:
 JSON with sorted keys and 17-significant-digit floats, CSV with a header
 row and '.' decimal points, standalone SVG with no timestamps.  The
 OSCILLAX_SEED environment variable pins the sampling of the property-based
@@ -32,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bvp_solver import check_sandwich, solve_radial
-from .coeff_dsl import CoefficientExpr, DomainError, ParseError, Num, Var, Neg, BinOp, Call
+from .coeff_dsl import CoefficientExpr, Num, Var, Neg, BinOp, Call
 from .example_builder import (
     BandParams,
     OscillationParams,
@@ -284,7 +285,6 @@ def default_config() -> dict:
         "s0": "2*pi",
         "problem": {
             "n": 3, "R": 1.0,
-            "g": {"expr": "1/s^4", "tail": {"kind": "power", "rate": 4.0, "coef": 1.0}},
             "varsigma": 1.0, "blend": "tanh",
         },
         "kernel": {
@@ -393,8 +393,6 @@ class RunConfig:
     pair: PairParams
     problem_n: int
     problem_R: float
-    g: CoefficientExpr
-    g_tail: Optional[TailModel]
     blend: str
     varsigma: float
     kernel_step: float
@@ -410,7 +408,6 @@ class RunConfig:
     features_varsigma: float
     features_M: int
     q_override: Optional[dict] = None
-    parallel: bool = False
     formats: tuple = ("csv", "json", "svg")
     out: Path = field(default_factory=lambda: Path("out"))
 
@@ -462,14 +459,23 @@ def load_config(raw: dict) -> RunConfig:
     )
     pair.validate()
 
+    if isinstance(top["problem"], dict) and "g" in top["problem"]:
+        raise ValueError(
+            'the "problem" section no longer takes "g": the radial damping g is now '
+            'derived from p through r = beta(s), so give the damping as p only')
     prob = _take(top["problem"], default_config()["problem"], "problem")
-    g_expr, g_tail = _coefficient(prob["g"], "problem.g")
     n = _count(prob["n"], "problem.n")
-    R = _const_expr(prob["R"], "problem.R")
+    if n < 3:
+        raise ValueError(f"problem.n must be a dimension of at least 3, got {n}")
+    R = _positive(prob["R"], "problem.R")
+    if not s0 > (n - 2) * R ** (n - 2):
+        raise ValueError(
+            f"s0 = {s0!r} must lie beyond the excluded ball: it needs "
+            f"s0 > (problem.n - 2) problem.R^(problem.n - 2) = {(n - 2) * R ** (n - 2)!r}")
     blend = prob["blend"]
     if not (isinstance(blend, str) and blend == "tanh"):
         raise ValueError(f"unknown nonlinearity descriptor {blend!r}")
-    varsigma = _const_expr(prob["varsigma"], "problem.varsigma")
+    varsigma = _positive(prob["varsigma"], "problem.varsigma")
 
     kern = _take(top["kernel"], default_config()["kernel"], "kernel")
     solv = _take(top["solver"], default_config()["solver"], "solver")
@@ -486,6 +492,12 @@ def load_config(raw: dict) -> RunConfig:
     solver_max_iter = _count(solv["max_iter"], "solver.max_iter")
     if solver_max_iter < 1:
         raise ValueError(f"solver.max_iter must be at least 1, got {solver_max_iter}")
+    solver_K = None if solv["K"] is None else _const_expr(solv["K"], "solver.K")
+    if solver_K is not None and not (math.isfinite(solver_K) and solver_K >= 0.0):
+        raise ValueError(f"solver.K must be a nonnegative finite shift, got {solver_K!r}")
+    features_M = _count(feat["M"], "features.M")
+    if features_M < 2:
+        raise ValueError(f"features.M must be at least 2 to fit a growth rate, got {features_M}")
 
     q_override = top["q_override"]
     if q_override is not None:
@@ -516,8 +528,6 @@ def load_config(raw: dict) -> RunConfig:
         pair=pair,
         problem_n=n,
         problem_R=R,
-        g=g_expr,
-        g_tail=g_tail,
         blend="tanh",
         varsigma=varsigma,
         kernel_step=steps["step"],
@@ -526,12 +536,12 @@ def load_config(raw: dict) -> RunConfig:
         extend_step=steps["extend_step"],
         residual_step=steps["residual_step"],
         solver_N=solver_N,
-        solver_K=None if solv["K"] is None else _const_expr(solv["K"], "solver.K"),
+        solver_K=solver_K,
         solver_tol=_positive(solv["tol"], "solver.tol"),
         solver_max_iter=solver_max_iter,
         solver_boundary=boundary,
-        features_varsigma=_const_expr(feat["varsigma"], "features.varsigma"),
-        features_M=_count(feat["M"], "features.M"),
+        features_varsigma=_positive(feat["varsigma"], "features.varsigma"),
+        features_M=features_M,
         q_override=q_override,
     )
 
@@ -570,7 +580,7 @@ class _Runner:
         a2 = push_a_from_q(pair_result.q2.q_callable, cfg.problem_n)
         return RadialProblem(
             n=cfg.problem_n, R=cfg.problem_R, s0=cfg.oscillation.s0,
-            g=cfg.g, g_tail=cfg.g_tail, a1=a1, a2=a2,
+            p=cfg.oscillation.p, p_tail=cfg.oscillation.p_tail, a1=a1, a2=a2,
             f_blend=cfg.blend, varsigma=cfg.varsigma,
         )
 
@@ -645,7 +655,7 @@ class _Runner:
         report = verify_lemma(
             cfg.oscillation.p, q_call, nodes,
             p_tail=cfg.oscillation.p_tail, family=family, kernel=kern,
-            q_minus=cfg.oscillation.q_minus, parallel=cfg.parallel,
+            q_minus=cfg.oscillation.q_minus,
         )
         entries = report.entries()
         for e in entries:
@@ -755,17 +765,16 @@ class _Runner:
 
         # lift/push round trip on a fine grid
         s = np.linspace(cfg.oscillation.s0, cfg.oscillation.s0 + cfg.kernel_span, 1000)
-        p_lift, q1_lift, q2_lift = lift_coefficients(problem)
-        rt1 = q1_lift(s)
+        q1_lift, _ = lift_coefficients(problem)
         direct1 = pair.q1.q_callable(s)
-        scale = np.maximum(np.abs(direct1), 1e-30)
-        rt_err = float(np.max(np.abs(rt1 - direct1) / scale))
+        # scaled by the sample's sup|q1|: q1 vanishes at every lobe node
+        rt_err = float(np.max(np.abs(q1_lift(s) - direct1)) / np.max(np.abs(direct1)))
         self.note("lift of pushed coefficient returns q1 (relative)",
                   rt_err <= 1e-11, 1e-11 - rt_err)
 
         res_grid = _uniform_grid(cfg.oscillation.s0, cfg.kernel_span, cfg.residual_step)
         barrier = make_barriers(pair, res_grid, extend_to=cfg.extend_to,
-                                extend_step=cfg.extend_step, parallel=cfg.parallel)
+                                extend_step=cfg.extend_step)
         report = subsuper_residual(problem, barrier)
         self.note("lower barrier residual sign", report.lower_ok, report.min_rho1)
         self.note("upper barrier residual sign", report.upper_ok, -report.max_rho2)
@@ -813,8 +822,7 @@ class _Runner:
         far = None if bridge_barrier is None else (
             bridge_barrier.kernel1.far, bridge_barrier.kernel2.far)
         barrier = make_barriers(pair, grid, extend_to=cfg.extend_to,
-                                extend_step=cfg.extend_step, far=far,
-                                parallel=cfg.parallel)
+                                extend_step=cfg.extend_step, far=far)
         solution = solve_radial(
             problem, barrier, K=cfg.solver_K, tol=cfg.solver_tol,
             boundary=cfg.solver_boundary, max_iter=cfg.solver_max_iter,
@@ -895,8 +903,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--parallel", action="store_true",
-                        help="parallelise independent quadratures and kernels")
     parser.add_argument("--formats", default="csv,json,svg",
                         help="comma separated subset of csv,json,svg")
     args = parser.parse_args(argv)
@@ -917,13 +923,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if unknown:
             raise ValueError(f"unknown output formats: {sorted(unknown)}")
         cfg = load_config(raw)
-        cfg.out = Path(args.out)
-        cfg.parallel = bool(args.parallel)
-        cfg.formats = formats
-        return run(args.mode, cfg)
-    except (ValueError, ParseError, DomainError) as exc:
+    except ValueError as exc:  # ParseError and DomainError included
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
+    cfg.out = Path(args.out)
+    cfg.formats = formats
+    try:
+        return run(args.mode, cfg)
+    except ValueError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 3
     except Exception:
         traceback.print_exc()
         return 3

@@ -36,7 +36,6 @@ from .coeff_dsl import CoefficientExpr, as_callable
 from .quadrature import (
     TailModel,
     cumulative_integral,
-    integrate_finite,
     integrate_finite_many,
     integrate_tail,
     integrate_tail_many,
@@ -210,20 +209,13 @@ class OscillationSpec:
         tail); returns None otherwise.
         """
         tail = self.params.p_tail
-        if tail.kind == "power" and tail.rate <= 2.0:
-            return None
-        if tail.kind == "user":
+        T = 2.0 * (M + 2) * PI
+        moment_model = tail.first_moment(T)
+        if moment_model is None:
             return None
         pe = as_callable(self.params.p)
-        T = 2.0 * (M + 2) * PI
         I_next = integrate_tail(pe, 2.0 * (M + 1) * PI, tail.without_cutoff(), tol=1e-12)
         I_after = integrate_tail(pe, T, tail.without_cutoff(), tol=1e-12)
-        if tail.kind == "power":
-            moment_model = TailModel(kind="power", rate=tail.rate - 1.0, coef=tail.coef)
-        else:
-            moment_model = TailModel(kind="user", rate=tail.rate, coef=tail.coef,
-                                     bound_fn=lambda S: tail.coef * math.exp(-tail.rate * S)
-                                     * (S - T + 1.0 / tail.rate) / tail.rate)
         moment = integrate_tail(lambda s: (np.asarray(s) - T) * np.asarray(pe(s)),
                                 T, moment_model, tol=1e-12)
         envelope = (I_next.value + I_next.abs_error_estimate
@@ -621,12 +613,11 @@ def check_integral_features(
     slope = float(np.polyfit(x, y, 1)[0])
 
     T_val = float(T) if T is not None else 2.0 * (M + 1) * PI
-    nodes_to = lambda t: PI * np.arange(2, int(math.ceil(t / PI)) + 1)
+    # the lobe nodes up to 2T; each interval takes those strictly inside it
+    nodes = PI * np.arange(2, int(math.ceil(2.0 * T_val / PI)) + 1)
     weight = lambda s: np.abs(fn(s)) / s ** (1.0 + varsigma)
-    F_T = integrate_finite(weight, S0_FIXED, T_val, tol=1e-10,
-                           seeds=nodes_to(T_val)).value
-    F_2T = integrate_finite(weight, S0_FIXED, 2.0 * T_val, tol=1e-10,
-                            seeds=nodes_to(2.0 * T_val)).value
+    F_T, F_2T = (part.value for part in integrate_finite_many(
+        weight, [(S0_FIXED, T_val), (S0_FIXED, 2.0 * T_val)], tol=1e-10, seeds=nodes))
     gap = abs(F_2T - F_T)
     gap_bound = spec.sup_bound * T_val ** (-varsigma) / varsigma
 

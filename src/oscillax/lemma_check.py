@@ -28,7 +28,6 @@ certified instead of extrapolating.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -270,7 +269,6 @@ def check_hypotheses(
     q_tail: Optional[TailModel] = None,
     sign_samples: int = 64,
     quad_tol: float = 1e-12,
-    parallel: bool = False,
 ) -> HypothesesResult:
     """Certify the oscillation hypotheses on the given breakpoint range.
 
@@ -307,12 +305,7 @@ def check_hypotheses(
         inconclusive = int(np.sum(np.abs(qpos) <= STRICT) + np.sum(np.abs(qneg) <= STRICT))
         return ok, clearance, inconclusive
 
-    indices = range(1, M + 1)
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(one_period, indices))
-    else:
-        rows = [one_period(m) for m in indices]
+    rows = [one_period(m) for m in range(1, M + 1)]
 
     Ipos = np.array([r.value for r in pos])
     Ineg = np.array([-r.value for r in neg])
@@ -471,20 +464,11 @@ def check_remark(
 
     moment = moment_err = None
     counting_ok = None
-    if p_tail.kind == "power" and p_tail.rate > 2.0:
-        model = TailModel(kind="power", rate=p_tail.rate - 1.0, coef=p_tail.coef)
+    model = p_tail.first_moment(s0)
+    if model is not None:
         res = integrate_tail(lambda s: (np.asarray(s) - s0) * np.asarray(pe(s)),
                              s0, model, tol=1e-10)
         moment, moment_err = res.value, res.abs_error_estimate
-    elif p_tail.kind == "exp":
-        rate, coef = p_tail.rate, p_tail.coef
-        model = TailModel(kind="user", rate=rate, coef=coef,
-                          bound_fn=lambda S: coef * math.exp(-rate * S)
-                          * (S - s0 + 1.0 / rate) / rate)
-        res = integrate_tail(lambda s: (np.asarray(s) - s0) * np.asarray(pe(s)),
-                             s0, model, tol=1e-10)
-        moment, moment_err = res.value, res.abs_error_estimate
-    if moment is not None:
         counting_ok = bool(spacing * sum_I <= moment + moment_err + 1e-12)
 
     eps_budget = None
@@ -517,12 +501,11 @@ def verify_lemma(
     q_minus: Optional[float] = None,
     eps_mode: str = "slack",
     q_tail: Optional[TailModel] = None,
-    parallel: bool = False,
 ) -> LemmaReport:
     """Full report: hypotheses, remark consistency, kernel conclusions."""
     hyp = check_hypotheses(
         p, q, nodes, p_tail=p_tail, family=family,
-        eps_mode=eps_mode, q_tail=q_tail, parallel=parallel,
+        eps_mode=eps_mode, q_tail=q_tail,
     )
     sum_tail = None
     if family is not None:

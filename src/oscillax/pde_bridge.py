@@ -10,13 +10,16 @@ turns  v'' + ((n-1)/r) v' + f(r, v) + g(r) r v'  into
 
     ((n-2) / (beta beta')) * [ h'' + p (h' - h/s) + (1/(n-2)) beta beta' f ],
 
-with  beta(s) beta'(s) = beta^(4-n) / (n-2)^2  and the lifted damping
-p(s) = beta beta' g(beta).  A source coefficient a(r) lifts to
+with  beta(s) beta'(s) = beta^(4-n) / (n-2)^2.  The damping is given once,
+on the arc side, as p: the kernels, the barriers, the residual check and
+the solver all read it there, and the radial damping it stands for,
+g(r) = p(s) / (beta beta')(s) at s = (n-2) r^(n-2), is derived only where
+a radial integral needs it.  A source coefficient a(r) lifts to
 q(s) = (s/(n-2)) beta beta' a(beta(s)), so q/s is exactly the kernel-ODE
 load and the whole machinery of :mod:`oscillax.kernel` applies; pushing a
 q back down gives a(r) = (n-2)^2 r^(-2) q((n-2) r^(n-2)).
 
-For n = 3 the map is the identity: p = s g(s), q = s^2 a(s).
+For n = 3 the map is the identity: g(r) = p(r) / r, q = s^2 a(s).
 
 The barrier pair (h1, h2) built from an ordered coefficient pair provides
 v1 = h1/s and v2 = h2/s; a nonlinearity f confined to the ribbon
@@ -28,7 +31,6 @@ residuals.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -95,18 +97,21 @@ def _beta_betaprime(n: int, s: np.ndarray) -> np.ndarray:
 class RadialProblem:
     """Exterior-domain radial problem data.
 
-    ``g`` is the radial damping coefficient, ``a1 <= a2`` the source
-    coefficients bounding the nonlinearity, all functions of the radius
-    (expressions use the variable name s for their argument).  ``f_blend``
-    is either the string "tanh" (the stock ribbon-respecting nonlinearity
-    built from the barriers, see :func:`make_blend`) or a callable f(r, u).
+    ``p`` is the damping on the arc side, a function of s, with ``p_tail``
+    its decay model; they are the p and p_tail of the coefficient family.
+    The radial damping g is not stored: it is derived from p (see the
+    module docstring).  ``a1 <= a2`` are the source coefficients bounding
+    the nonlinearity, functions of the radius (expressions use the variable
+    name s for their argument).  ``f_blend`` is either the string "tanh"
+    (the stock ribbon-respecting nonlinearity built from the barriers, see
+    :func:`make_blend`) or a callable f(r, u).
     """
 
     n: int = 3
     R: float = 1.0
     s0: float = 2.0 * math.pi
-    g: Coefficient = None  # type: ignore[assignment]
-    g_tail: Optional[TailModel] = None
+    p: Coefficient = None  # type: ignore[assignment]
+    p_tail: Optional[TailModel] = None
     a1: Coefficient = None  # type: ignore[assignment]
     a2: Coefficient = None  # type: ignore[assignment]
     f_blend: Union[str, Callable] = "tanh"
@@ -122,8 +127,8 @@ class RadialProblem:
                 f"the arc parameter must start beyond the excluded ball: need "
                 f"s0 > (n-2) R^(n-2) = {s_min!r}, got {self.s0!r}"
             )
-        if self.g is None:
-            raise ValueError("a damping coefficient g is required")
+        if self.p is None:
+            raise ValueError("a damping coefficient p is required")
         if isinstance(self.f_blend, str) and self.f_blend != "tanh":
             raise ValueError(f"unknown nonlinearity descriptor {self.f_blend!r}")
         if not self.varsigma > 0:
@@ -131,19 +136,13 @@ class RadialProblem:
 
 
 def lift_coefficients(problem: RadialProblem):
-    """(p, q1, q2) on the arc side from (g, a1, a2) on the radial side.
+    """(q1, q2) on the arc side from (a1, a2) on the radial side.
 
-    Returns vectorised callables of s.  q1/q2 entries are None when the
+    Returns vectorised callables of s; an entry is None when the
     corresponding a_i is missing.
     """
     problem.validate()
     n, R = problem.n, problem.R
-    ge = as_callable(problem.g)
-
-    def p(s):
-        s_arr = np.asarray(s, dtype=float)
-        bb = _beta_betaprime(n, s_arr)
-        return bb * np.asarray(ge(beta_map(n, R, s_arr)), dtype=float)
 
     def lift_one(a):
         ae = as_callable(a)
@@ -157,7 +156,7 @@ def lift_coefficients(problem: RadialProblem):
 
     q1 = lift_one(problem.a1) if problem.a1 is not None else None
     q2 = lift_one(problem.a2) if problem.a2 is not None else None
-    return p, q1, q2
+    return q1, q2
 
 
 def push_a_from_q(q: Coefficient, n: int) -> Callable:
@@ -214,7 +213,6 @@ def make_barriers(
     extend_to: float = 2e4,
     extend_step: float = math.pi / 80.0,
     far: Optional[tuple[Optional[FarField], Optional[FarField]]] = None,
-    parallel: bool = False,
 ) -> BarrierPair:
     """Compute both kernels of an ordered pair on a shared grid.
 
@@ -236,11 +234,7 @@ def make_barriers(
             extend_to=extend_to, extend_step=extend_step, far=fars[which],
         )
 
-    if parallel:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            k1, k2 = pool.map(one, (0, 1))
-    else:
-        k1, k2 = one(0), one(1)
+    k1, k2 = one(0), one(1)
 
     if np.any(k1.z_values < k2.z_values - 1e-12):
         raise ValueError("kernel ordering violated: z1 < z2 somewhere on the grid")
@@ -354,9 +348,8 @@ def subsuper_residual(
     if np.any(np.abs(np.diff(g) - step) > 1e-9 * max(step, 1.0)):
         raise ValueError("residual checks need a uniform barrier grid")
 
-    p_lift, _, _ = lift_coefficients(problem)
     si = g[1:-1]
-    p_i = np.asarray(p_lift(si), dtype=float)
+    p_i = np.asarray(as_callable(problem.p)(si), dtype=float)
     bb = _beta_betaprime(n, si)
     r_i = beta_map(n, R, si)
     lo, hi = _ribbon(problem, r_i)
@@ -405,9 +398,11 @@ def integral_conditions(
 ) -> dict:
     """The three radial integral features, measured up to radius T.
 
-    (i) integral r^(n-1) g dr converges: finite part plus a certificate
-        from g_tail, cross-checked against (1/(n-2)) integral s p ds
-        through the substitution r = beta(s).
+    (i) integral r^(n-1) g dr converges, for the radial damping g derived
+        from p.  Through r = beta(s) it equals (1/(n-2)) integral s p ds,
+        so its tail beyond T is certified on the arc side by the first
+        moment of p_tail beyond S_T = beta^-1(T); the finite part is
+        cross-checked between the two routes over [beta(s0), T].
     (ii) integral r |a_i| dr grows without bound: partial integrals at
         T, 2T, 4T with their growth rate against ln T.
     (iii) integral r^(1 - varsigma (n-2)) |a_i| dr converges: Cauchy gap
@@ -419,30 +414,26 @@ def integral_conditions(
     n, R, vs = problem.n, problem.R, problem.varsigma
     if not T > 4.0 * R:
         raise ValueError("truncation radius must exceed the excluded ball comfortably")
-    ge = as_callable(problem.g)
-
-    damping = integrate_finite(
-        lambda r: np.power(np.asarray(r, dtype=float), n - 1) * np.asarray(ge(r), dtype=float),
-        R, T, tol=1e-10,
-    )
-    certificate = None
-    if problem.g_tail is not None and problem.g_tail.kind == "power" \
-            and problem.g_tail.rate > n:
-        model = TailModel(kind="power", rate=problem.g_tail.rate - (n - 1),
-                          coef=problem.g_tail.coef)
-        certificate = model.tail_bound(T)
-    p_lift, q1, q2 = lift_coefficients(problem)
-    s_lo = problem.s0
+    pe = as_callable(problem.p)
+    q1, q2 = lift_coefficients(problem)
     S_T = beta_inverse(n, R, T)
+
+    def radial_damping(r):
+        # r^(n-1) g(r), with g(r) = p(s) / (beta beta')(s) at s = beta^-1(r)
+        r_arr = np.asarray(r, dtype=float)
+        s = beta_inverse(n, R, r_arr)
+        g = np.asarray(pe(s), dtype=float) / _beta_betaprime(n, s)
+        return np.power(r_arr, n - 1) * g
+
+    r_lo = beta_map(n, R, problem.s0)
+    damping, damping_part = integrate_finite_many(radial_damping, [(R, T), (r_lo, T)],
+                                                  tol=1e-10)
     cross = integrate_finite(
-        lambda s: np.asarray(s, dtype=float) * np.asarray(p_lift(s), dtype=float) / (n - 2),
-        s_lo, S_T, tol=1e-10,
+        lambda s: np.asarray(s, dtype=float) * np.asarray(pe(s), dtype=float) / (n - 2),
+        problem.s0, S_T, tol=1e-10,
     )
-    r_lo = beta_map(n, R, s_lo)
-    damping_part = integrate_finite(
-        lambda r: np.power(np.asarray(r, dtype=float), n - 1) * np.asarray(ge(r), dtype=float),
-        r_lo, T, tol=1e-10,
-    )
+    moment = problem.p_tail.first_moment() if problem.p_tail is not None else None
+    certificate = None if moment is None else moment.tail_bound(S_T) / (n - 2)
 
     out = {
         "damping_radial_integral": damping.value,
@@ -453,10 +444,10 @@ def integral_conditions(
         "T": float(T),
     }
 
+    seeds = _lobe_radii(problem, 4.0 * T)
     for label, q in (("a1", q1), ("a2", q2)):
         if q is None:
             continue
-        seeds = _lobe_radii(problem, 4.0 * T)
 
         def r_weighted(r, power):
             r_arr = np.asarray(r, dtype=float)
@@ -465,17 +456,15 @@ def integral_conditions(
             # a(r) = (n-2)^2 r^-2 q(s(r))
             return np.power(r_arr, power) * (n - 2) ** 2 / r_arr**2 * lifted
 
-        lo = beta_map(n, R, problem.s0)
         parts = integrate_finite_many(lambda r: r_weighted(r, 1.0),
-                                      [(lo, T), (lo, 2.0 * T), (lo, 4.0 * T)],
+                                      [(r_lo, T), (r_lo, 2.0 * T), (r_lo, 4.0 * T)],
                                       tol=1e-9, seeds=seeds, limit=20000)
         growth = [part.value for part in parts]
         slope = ((growth[2] - growth[0]) / math.log(4.0))
 
-        heavy_T = integrate_finite(lambda r: r_weighted(r, 1.0 - vs * (n - 2)),
-                                   lo, T, tol=1e-10, seeds=seeds, limit=20000)
-        heavy_2T = integrate_finite(lambda r: r_weighted(r, 1.0 - vs * (n - 2)),
-                                    lo, 2.0 * T, tol=1e-10, seeds=seeds, limit=20000)
+        heavy_T, heavy_2T = integrate_finite_many(
+            lambda r: r_weighted(r, 1.0 - vs * (n - 2)), [(r_lo, T), (r_lo, 2.0 * T)],
+            tol=1e-10, seeds=seeds, limit=20000)
         if sup_q is not None:
             sup_val = sup_q[0] if label == "a1" else sup_q[1]
             sup_label = "certified"

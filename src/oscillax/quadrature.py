@@ -105,6 +105,23 @@ class TailModel:
         """The same envelope with the cutoff left to the integrator."""
         return replace(self, cutoff=None)
 
+    def first_moment(self, origin: float = 0.0) -> Optional["TailModel"]:
+        """Decay model of (s - origin) f(s) for s >= origin >= 0; None if it has none.
+
+        A power envelope of rate k gives one of rate k - 1, integrable only
+        for k > 2.  An exp envelope gives the closed-form tail
+        coef e^(-rate S) (S - origin + 1/rate) / rate.  A user model has no
+        pointwise envelope to build on.
+        """
+        if self.kind == "power" and self.rate > 2.0:
+            return TailModel(kind="power", rate=self.rate - 1.0, coef=self.coef)
+        if self.kind == "exp":
+            rate, coef = self.rate, self.coef
+            return TailModel(kind="user", rate=rate, coef=coef,
+                             bound_fn=lambda S: coef * math.exp(-rate * S)
+                             * (S - origin + 1.0 / rate) / rate)
+        return None
+
     def tail_bound(self, cutoff: float) -> float:
         """Bound on the integral of |f| over [cutoff, infinity)."""
         if cutoff <= 0 and self.kind == "power":

@@ -149,10 +149,10 @@ def test_criterion_06_coefficient_round_trip_is_the_identity():
     for n in (3, 4, 5, 6):
         problem = RadialProblem(
             n=n, R=1.0, s0=2 * math.pi,
-            g=parse("1/s^4"), g_tail=TailModel("power", 4.0, 1.0),
+            p=parse("1/s^3"), p_tail=TailModel("power", 3.0, 1.0),
             a1=push_a_from_q(q, n),
         )
-        _, q_back, _ = lift_coefficients(problem)
+        q_back, _ = lift_coefficients(problem)
         worst = max(worst, float(np.max(np.abs(q_back(grid) - reference))) / scale)
     identity = np.array_equal(beta_map(3, 1.0, grid), grid)
     ok = worst <= 1e-12 and identity

@@ -8,11 +8,11 @@ from oscillax import (
     beta_map,
     check_sandwich,
     decay_fit,
-    lift_coefficients,
     make_barriers,
     make_blend,
     solve_radial,
 )
+from oscillax.coeff_dsl import as_callable
 from oscillax.pde_bridge import _beta_betaprime
 
 PI = math.pi
@@ -71,12 +71,11 @@ def test_returned_residual_matches_a_recomputation(problem, solver_barrier, solu
     n, R = problem.n, problem.R
     step = g[1] - g[0]
     si = g[1:-1]
-    p_lift, _, _ = lift_coefficients(problem)
     blend = make_blend(problem, solver_barrier, beta_map(n, R, si))
     load = _beta_betaprime(n, si) / (n - 2) * blend(H[1:-1] / si)
     d2 = (H[:-2] - 2.0 * H[1:-1] + H[2:]) / step**2
     d1 = (H[2:] - H[:-2]) / (2.0 * step)
-    interior = d2 + np.asarray(p_lift(si), dtype=float) * (d1 - H[1:-1] / si) + load
+    interior = d2 + np.asarray(as_callable(problem.p)(si), dtype=float) * (d1 - H[1:-1] / si) + load
     assert solution.residual.shape == g.shape
     assert solution.residual[0] == 0.0 and solution.residual[-1] == 0.0
     assert np.array_equal(solution.residual[1:-1], interior)

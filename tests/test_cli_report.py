@@ -277,6 +277,43 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("patch, named", [
+    # s0 = 2 pi must exceed (n-2) R^(n-2) = 7
+    ({"problem.R": 7}, "problem.R"),
+    ({"problem.R": -1}, "problem.R"),
+    ({"problem.R": 0}, "problem.R"),
+    ({"problem.varsigma": 0}, "problem.varsigma"),
+    ({"problem.varsigma": -1.0}, "problem.varsigma"),
+    ({"problem.n": 2}, "problem.n"),
+    ({"features.varsigma": 0}, "features.varsigma"),
+    ({"features.M": 1}, "features.M"),
+    ({"solver.K": -1.0}, "solver.K"),
+])
+def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, named):
+    cfg = _write_config(tmp_path, patch)
+    out = tmp_path / "out"
+    rc = main(["full-pipeline", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert "invalid configuration" in captured.err
+    assert named in captured.err
+    assert not out.exists()
+
+
+def test_a_config_still_setting_problem_g_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"problem.g": {
+        "expr": "1/s^4", "tail": {"kind": "power", "rate": 4.0, "coef": 1.0}}})
+    out = tmp_path / "out"
+    rc = main(["bridge", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert '"problem" section no longer takes "g"' in captured.err
+    assert "derived from p" in captured.err
+    assert not out.exists()
+
+
 def test_smallest_step_keeping_a_cell_is_accepted():
     cfg = load_config({"kernel": {"span": 1.0, "step": 1.9, "residual_step": 1.0}})
     assert (cfg.kernel_span, cfg.kernel_step, cfg.residual_step) == (1.0, 1.9, 1.0)
@@ -342,6 +379,23 @@ def test_failed_checks_exit_1(tmp_path, capsys):
     assert "mode verify-lemma: FAIL" in out
 
 
+def test_a_value_error_during_the_run_exits_3(tmp_path, capsys, monkeypatch):
+    from oscillax import cli_report
+
+    def fail(self):
+        print("PASS a check that ran first")
+        raise ValueError("quadrature did not converge")
+
+    monkeypatch.setattr(cli_report._Runner, "construct_example", fail)
+    cfg = _write_config(tmp_path)
+    rc = main(["construct-example", "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "quadrature did not converge" in err
+    assert "invalid configuration" not in err
+
+
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     from oscillax import cli_report
 
@@ -394,14 +448,30 @@ def test_reports_are_byte_deterministic(tmp_path, capsys):
     assert _read_all(out1) == _read_all(out2)
 
 
-def test_parallel_matches_serial(tmp_path, capsys):
-    cfg = _write_config(tmp_path)
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["verify-lemma", "--config", str(cfg), "--out", str(serial)]) == 0
-    assert main(["verify-lemma", "--config", str(cfg), "--out", str(parallel),
-                 "--parallel"]) == 0
-    capsys.readouterr()
-    assert _read_all(serial) == _read_all(parallel)
+def test_dimension_four_pipeline_passes(tmp_path, capsys):
+    # the damping is p in every stage, so the n = 4 barriers keep their signs
+    cfg = _write_config(tmp_path, {"problem.n": 4})
+    out = tmp_path / "out"
+    rc = main(["full-pipeline", "--config", str(cfg), "--out", str(out)])
+    seen = capsys.readouterr().out
+    assert rc == 0, seen
+    assert "PASS radial damping integral converges" in seen
+    bridge = json.loads((out / "bridge_report.json").read_text())
+    assert bridge["round_trip_rel_error"] <= 1e-11
+    bvp = json.loads((out / "bvp_summary.json").read_text())
+    assert abs(bvp["decay_exponent"] - (2 - 4)) <= 0.15
+
+
+def test_exponential_damping_bridge_passes(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"p": {
+        "expr": "exp(-s)", "tail": {"kind": "exp", "rate": 1.0, "coef": 1.0}}})
+    out = tmp_path / "out"
+    rc = main(["bridge", "--config", str(cfg), "--out", str(out)])
+    seen = capsys.readouterr().out
+    assert rc == 0, seen
+    assert "mode bridge: PASS (8/8 checks)" in seen
+    conditions = json.loads((out / "bridge_report.json").read_text())["integral_conditions"]
+    assert conditions["damping_certificate"] > 0.0
 
 
 def test_verify_lemma_report_carries_every_check(tmp_path, capsys):

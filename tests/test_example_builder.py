@@ -14,6 +14,7 @@ from oscillax import (
     check_integral_features,
     default_params,
     integrate_finite,
+    parse,
     verify_pair,
 )
 from oscillax.quadrature import TailModel
@@ -137,6 +138,42 @@ def test_tail_sum_bound_is_valid_and_not_wild(family):
     true = sum(1.0 / (8.0 * PI**2 * m**2) for m in range(M + 1, 20000))
     assert bound is not None
     assert true <= bound <= 10.0 * true
+
+
+def _tail_sum_I_bound_reference(spec, M):
+    """tail_sum_I_bound with its moment model written out per tail kind."""
+    from oscillax.quadrature import integrate_tail
+
+    tail, pe = spec.params.p_tail, spec.params.p
+    T = 2.0 * (M + 2) * PI
+    I_next = integrate_tail(pe, 2.0 * (M + 1) * PI, tail.without_cutoff(), tol=1e-12)
+    I_after = integrate_tail(pe, T, tail.without_cutoff(), tol=1e-12)
+    if tail.kind == "power":
+        moment_model = TailModel(kind="power", rate=tail.rate - 1.0, coef=tail.coef)
+    else:
+        moment_model = TailModel(kind="user", rate=tail.rate, coef=tail.coef,
+                                 bound_fn=lambda S: tail.coef * math.exp(-tail.rate * S)
+                                 * (S - T + 1.0 / tail.rate) / tail.rate)
+    moment = integrate_tail(lambda s: (np.asarray(s) - T) * np.asarray(pe(s)),
+                            T, moment_model, tol=1e-12)
+    return float(I_next.value + I_next.abs_error_estimate
+                 + I_after.value + I_after.abs_error_estimate
+                 + (moment.value + moment.abs_error_estimate) / spec.spacing)
+
+
+@pytest.mark.parametrize("p, tail", [
+    ("1/s^3", TailModel("power", 3.0, 1.0)),
+    ("2/s^4", TailModel("power", 4.0, 2.0)),
+    ("exp(-s)", TailModel("exp", 1.0, 1.0)),
+    ("exp(-s/2)/3", TailModel("exp", 0.5, 1.0 / 3.0)),
+])
+def test_tail_sum_bound_through_the_shared_moment_model_is_unchanged(p, tail):
+    base = default_params(m_max=6)
+    spec = build_oscillation(OscillationParams(
+        q_minus=base.q_minus, q_plus=base.q_plus, gamma=base.gamma, sigma=base.sigma,
+        eta=base.eta, theta=base.theta, s0=base.s0, p=parse(p), p_tail=tail, m_max=6))
+    for M in (4, 6, 30):
+        assert spec.tail_sum_I_bound(M) == _tail_sum_I_bound_reference(spec, M)
 
 
 def test_tail_sum_bound_needs_a_fast_enough_rate():

@@ -58,12 +58,39 @@ def test_beta_rejects_low_dimensions():
 # lift and push
 
 
-def test_lift_of_inverse_quartic_damping_is_inverse_cube():
-    problem = RadialProblem(n=3, R=1.0, s0=2 * PI, g=parse("1/s^4"),
-                            g_tail=TailModel("power", 4.0, 1.0))
-    p, _, _ = lift_coefficients(problem)
-    s = np.linspace(2 * PI, 100.0, 1001)
-    assert np.max(np.abs(p(s) - 1.0 / s**3)) <= 1e-15
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_damping_derived_from_inverse_cube_p_has_its_closed_form(n):
+    # p = 1/s^3 gives g(r) = r^(2-2n) / (n-2), the inverse quartic for n = 3,
+    # so integral_R^T r^(n-1) g dr = (R^(2-n) - T^(2-n)) / (n-2)^2 and the
+    # tail beyond T is T^(2-n) / (n-2)^2, which the moment certificate is
+    R, T = 1.0, 30.0
+    problem = RadialProblem(n=n, R=R, s0=(n - 2) * R ** (n - 2) + 2.0, p=parse("1/s^3"),
+                            p_tail=TailModel("power", 3.0, 1.0))
+    out = integral_conditions(problem, T)
+    assert out["damping_radial_integral"] == pytest.approx(
+        (R ** (2 - n) - T ** (2 - n)) / (n - 2) ** 2, rel=1e-12)
+    assert out["damping_certificate"] == pytest.approx(T ** (2 - n) / (n - 2) ** 2, rel=1e-14)
+    assert out["damping_converges"]
+    assert out["substitution_identity_gap"] <= 1e-12
+    assert "a1" not in out and "a2" not in out
+
+
+@pytest.mark.parametrize("tail, converges", [
+    (TailModel("power", 2.5, 1.0), True),
+    (TailModel("power", 2.0, 1.0), False),
+    (TailModel("exp", 1.0, 1.0), True),
+    (TailModel("user", 3.0, bound_fn=lambda S: 1.0 / S**2), False),
+])
+def test_damping_certificate_is_the_first_moment_of_p_tail(problem, tail, converges):
+    problem = dataclasses.replace(problem, p_tail=tail)
+    T = 120.0
+    out = integral_conditions(problem, T)
+    assert out["damping_converges"] is converges
+    if converges:
+        expected = tail.first_moment().tail_bound(beta_inverse(3, 1.0, T))
+        assert out["damping_certificate"] == expected
+    else:
+        assert out["damping_certificate"] is None
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -71,9 +98,9 @@ def test_push_then_lift_returns_the_source(n):
     q = lambda s: np.sin(np.asarray(s)) ** 2 / np.asarray(s)
     a = push_a_from_q(q, n)
     s0 = max(2 * PI, (n - 2) * 1.0 + 1.0)
-    problem = RadialProblem(n=n, R=1.0, s0=s0, g=parse("1/s^4"),
-                            g_tail=TailModel("power", 4.0, 1.0), a1=a, a2=a)
-    _, q_back, _ = lift_coefficients(problem)
+    problem = RadialProblem(n=n, R=1.0, s0=s0, p=parse("1/s^3"),
+                            p_tail=TailModel("power", 3.0, 1.0), a1=a, a2=a)
+    q_back, _ = lift_coefficients(problem)
     s = np.linspace(s0, s0 + 60.0, 2001)
     ref = q(s)
     assert np.max(np.abs(q_back(s) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -86,19 +113,22 @@ def test_push_then_lift_returns_the_source(n):
 #
 #   Dv + g r v' + a(r)  =  [(n-2)^4 r^(2n-6) / s] (h'' + p (h' - h/s) + q/s)
 #
-# with (p, q) the lifted coefficients.  The left side uses analytic radial
-# derivatives, the right side finite differences in s, so agreement pins
-# down every factor in the lift.
+# with p the given damping, g(r) = p(s) / (beta beta')(s) the radial damping
+# derived from it, and q the lifted source.  The left side uses analytic
+# radial derivatives, the right side finite differences in s, so agreement
+# pins down every factor of the derivation and the lift.
 
 
 def _identity_case(n, v, dv, d2v):
     R = 1.0
     s0 = (n - 2) * R ** (n - 2) + 2.0
-    g_expr = parse("1/s^4")
+    p = parse("1/s^3")
+    # (beta beta')(s) = r^(4-n) / (n-2)^2 at r = beta(s)
+    g = lambda r: (n - 2) ** 2 * r ** (n - 4) * p(beta_inverse(n, R, r))
     a = lambda r: np.cos(np.asarray(r)) / np.asarray(r) ** 2
-    problem = RadialProblem(n=n, R=R, s0=s0, g=g_expr,
-                            g_tail=TailModel("power", 4.0, 1.0), a1=a, a2=a)
-    p, q, _ = lift_coefficients(problem)
+    problem = RadialProblem(n=n, R=R, s0=s0, p=p,
+                            p_tail=TailModel("power", 3.0, 1.0), a1=a, a2=a)
+    q, _ = lift_coefficients(problem)
 
     step = 1e-3
     s = s0 + step * np.arange(12001)
@@ -111,7 +141,7 @@ def _identity_case(n, v, dv, d2v):
     bracket = d2h + p(si) * (d1h - h[1:-1] / si) + q(si) / si
 
     lap = d2v(ri) + (n - 1) * dv(ri) / ri
-    lhs = lap + (1.0 / ri**4) * ri * dv(ri) + a(ri)
+    lhs = lap + g(ri) * ri * dv(ri) + a(ri)
     factor = (n - 2) ** 4 * ri ** (2 * n - 6) / si
     return lhs, factor * bracket
 
@@ -168,25 +198,11 @@ def test_swapped_pair_is_rejected(pair):
         make_barriers(swapped, grid)
 
 
-def test_parallel_barriers_match_serial(pair):
-    grid = np.linspace(2 * PI, 12 * PI, 2001)
-    serial = make_barriers(pair, grid)
-    threaded = make_barriers(pair, grid, parallel=True)
-    assert np.array_equal(serial.h1, threaded.h1)
-    assert np.array_equal(serial.h2, threaded.h2)
-
-
-def test_parallel_barriers_with_summaries_match_serial(pair, solver_barrier):
+def test_barriers_reuse_the_summaries_they_are_passed(pair, solver_barrier):
     grid = np.linspace(solver_barrier.grid[0], solver_barrier.grid[-1], 8001)
     far = (solver_barrier.kernel1.far, solver_barrier.kernel2.far)
-    serial = make_barriers(pair, grid, far=far)
-    threaded = make_barriers(pair, grid, far=far, parallel=True)
-    assert serial.kernel1.far is far[0] and serial.kernel2.far is far[1]
-    assert threaded.kernel1.far is far[0] and threaded.kernel2.far is far[1]
-    for name in ("h1", "h2", "z1", "z2"):
-        assert np.array_equal(getattr(serial, name), getattr(threaded, name))
-    assert serial.kernel1.h_tail == threaded.kernel1.h_tail
-    assert serial.kernel2.z_sup_observed == threaded.kernel2.z_sup_observed
+    barrier = make_barriers(pair, grid, far=far)
+    assert barrier.kernel1.far is far[0] and barrier.kernel2.far is far[1]
 
 
 # ---------------------------------------------------------------------------

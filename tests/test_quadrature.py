@@ -285,6 +285,20 @@ def test_batch_keeps_the_one_interval_error_messages():
         integrate_finite_many(parse("s"), [(0.0, 1.0), (0.0, math.inf)])
 
 
+def test_first_moment_models():
+    power = TailModel("power", 3.5, 2.0, cutoff=40.0).first_moment(10.0)
+    assert (power.kind, power.rate, power.coef, power.cutoff) == ("power", 2.5, 2.0, None)
+    assert TailModel("power", 2.0, 1.0).first_moment() is None
+    assert TailModel("user", 3.0, bound_fn=lambda S: S**-2).first_moment() is None
+    # integral_S^inf (s - 5) 3 e^(-2s) ds in closed form
+    exp = TailModel("exp", 2.0, 3.0).first_moment(5.0)
+    S = 7.0
+    assert exp.tail_bound(S) == pytest.approx(3.0 * math.exp(-2.0 * S) * ((S - 5.0) / 2.0 + 0.25),
+                                              rel=1e-14)
+    res = integrate_tail(lambda s: (s - 5.0) * 3.0 * np.exp(-2.0 * s), S, exp, tol=1e-12)
+    assert res.value == pytest.approx(exp.tail_bound(S), rel=1e-9)
+
+
 def test_without_cutoff_keeps_the_envelope():
     bound = lambda c: 1.0 / c
     model = TailModel("user", rate=2.0, coef=3.0, cutoff=50.0, bound_fn=bound)
