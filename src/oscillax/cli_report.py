@@ -51,6 +51,7 @@ from .pde_bridge import (
     BarrierPair,
     RadialProblem,
     beta_map,
+    excluded_arc,
     lift_coefficients,
     make_barriers,
     push_a_from_q,
@@ -468,10 +469,11 @@ def load_config(raw: dict) -> RunConfig:
     if n < 3:
         raise ValueError(f"problem.n must be a dimension of at least 3, got {n}")
     R = _positive(prob["R"], "problem.R")
-    if not s0 > (n - 2) * R ** (n - 2):
+    s_min = excluded_arc(n, R)
+    if not s0 > s_min:
         raise ValueError(
             f"s0 = {s0!r} must lie beyond the excluded ball: it needs "
-            f"s0 > (problem.n - 2) problem.R^(problem.n - 2) = {(n - 2) * R ** (n - 2)!r}")
+            f"s0 > (problem.n - 2) problem.R^(problem.n - 2) = {s_min!r}")
     blend = prob["blend"]
     if not (isinstance(blend, str) and blend == "tanh"):
         raise ValueError(f"unknown nonlinearity descriptor {blend!r}")
@@ -920,19 +922,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     unknown = set(formats) - {"csv", "json", "svg"}
 
     try:
-        if unknown:
-            raise ValueError(f"unknown output formats: {sorted(unknown)}")
-        cfg = load_config(raw)
-    except ValueError as exc:  # ParseError and DomainError included
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    cfg.out = Path(args.out)
-    cfg.formats = formats
-    try:
+        try:
+            if unknown:
+                raise ValueError(f"unknown output formats: {sorted(unknown)}")
+            cfg = load_config(raw)
+        except ValueError as exc:  # ParseError and DomainError included
+            print(f"invalid configuration: {exc}", file=sys.stderr)
+            return 2
+        cfg.out = Path(args.out)
+        cfg.formats = formats
         return run(args.mode, cfg)
-    except ValueError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 3
     except Exception:
         traceback.print_exc()
         return 3

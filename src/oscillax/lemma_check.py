@@ -28,6 +28,7 @@ certified instead of extrapolating.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -269,6 +270,7 @@ def check_hypotheses(
     q_tail: Optional[TailModel] = None,
     sign_samples: int = 64,
     quad_tol: float = 1e-12,
+    parallel: bool = False,
 ) -> HypothesesResult:
     """Certify the oscillation hypotheses on the given breakpoint range.
 
@@ -278,6 +280,7 @@ def check_hypotheses(
     ``family`` supplies certified beyond-range coefficients
     (surplus_tail_bound / future_pos_lobe_bound); without it the beyond-range
     sums are reported as not certified rather than guessed.
+    ``parallel`` checks the periods on a thread pool, to the same bits.
     """
     if eps_mode not in ("slack", "integrable"):
         raise ValueError(f"unknown eps_mode {eps_mode!r}")
@@ -305,7 +308,12 @@ def check_hypotheses(
         inconclusive = int(np.sum(np.abs(qpos) <= STRICT) + np.sum(np.abs(qneg) <= STRICT))
         return ok, clearance, inconclusive
 
-    rows = [one_period(m) for m in range(1, M + 1)]
+    indices = range(1, M + 1)
+    if parallel:
+        with ThreadPoolExecutor() as pool:
+            rows = list(pool.map(one_period, indices))
+    else:
+        rows = [one_period(m) for m in indices]
 
     Ipos = np.array([r.value for r in pos])
     Ineg = np.array([-r.value for r in neg])

@@ -31,6 +31,7 @@ residuals.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -82,6 +83,14 @@ def beta_inverse(n: int, R: float, r) -> np.ndarray:
     return s if np.ndim(r) else float(s)
 
 
+def excluded_arc(n: int, R: float) -> float:
+    """(n-2) R^(n-2), the arc parameter of the ball's rim; inf past float range."""
+    try:
+        return (n - 2) * R ** (n - 2)
+    except OverflowError:
+        return math.inf
+
+
 def _check_dim(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
@@ -121,7 +130,7 @@ class RadialProblem:
         _check_dim(self.n)
         if not self.R > 0:
             raise ValueError(f"the excluded ball needs a positive radius, got {self.R!r}")
-        s_min = (self.n - 2) * self.R ** (self.n - 2)
+        s_min = excluded_arc(self.n, self.R)
         if not self.s0 > s_min:
             raise ValueError(
                 f"the arc parameter must start beyond the excluded ball: need "
@@ -213,6 +222,7 @@ def make_barriers(
     extend_to: float = 2e4,
     extend_step: float = math.pi / 80.0,
     far: Optional[tuple[Optional[FarField], Optional[FarField]]] = None,
+    parallel: bool = False,
 ) -> BarrierPair:
     """Compute both kernels of an ordered pair on a shared grid.
 
@@ -220,6 +230,7 @@ def make_barriers(
     verified on the grid and a violation raises, since barriers that cross
     cannot sandwich anything.  ``far`` passes one continuation summary per
     member, e.g. those of a barrier pair on another grid with the same end.
+    ``parallel`` computes the two kernels on two threads, to the same bits.
     """
     p = pair.q1.params.p
     p_tail = pair.q1.params.p_tail
@@ -234,7 +245,11 @@ def make_barriers(
             extend_to=extend_to, extend_step=extend_step, far=fars[which],
         )
 
-    k1, k2 = one(0), one(1)
+    if parallel:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            k1, k2 = pool.map(one, (0, 1))
+    else:
+        k1, k2 = one(0), one(1)
 
     if np.any(k1.z_values < k2.z_values - 1e-12):
         raise ValueError("kernel ordering violated: z1 < z2 somewhere on the grid")
@@ -399,10 +414,12 @@ def integral_conditions(
     """The three radial integral features, measured up to radius T.
 
     (i) integral r^(n-1) g dr converges, for the radial damping g derived
-        from p.  Through r = beta(s) it equals (1/(n-2)) integral s p ds,
-        so its tail beyond T is certified on the arc side by the first
-        moment of p_tail beyond S_T = beta^-1(T); the finite part is
-        cross-checked between the two routes over [beta(s0), T].
+        from p.  p is given for s >= s0 only, so g is known for
+        r >= beta(s0) and the finite part is taken over [beta(s0), T].
+        Through r = beta(s) it equals (1/(n-2)) integral s p ds over
+        [s0, S_T], S_T = beta^-1(T), and the two routes are cross-checked;
+        the tail beyond T is certified on the arc side by the first moment
+        of p_tail beyond S_T.
     (ii) integral r |a_i| dr grows without bound: partial integrals at
         T, 2T, 4T with their growth rate against ln T.
     (iii) integral r^(1 - varsigma (n-2)) |a_i| dr converges: Cauchy gap
@@ -426,8 +443,7 @@ def integral_conditions(
         return np.power(r_arr, n - 1) * g
 
     r_lo = beta_map(n, R, problem.s0)
-    damping, damping_part = integrate_finite_many(radial_damping, [(R, T), (r_lo, T)],
-                                                  tol=1e-10)
+    damping = integrate_finite(radial_damping, r_lo, T, tol=1e-10)
     cross = integrate_finite(
         lambda s: np.asarray(s, dtype=float) * np.asarray(pe(s), dtype=float) / (n - 2),
         problem.s0, S_T, tol=1e-10,
@@ -439,7 +455,7 @@ def integral_conditions(
         "damping_radial_integral": damping.value,
         "damping_certificate": certificate,
         "damping_converges": certificate is not None,
-        "substitution_identity_gap": abs(cross.value - damping_part.value),
+        "substitution_identity_gap": abs(cross.value - damping.value),
         "varsigma": vs,
         "T": float(T),
     }

@@ -282,6 +282,8 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
     ({"problem.R": 7}, "problem.R"),
     ({"problem.R": -1}, "problem.R"),
     ({"problem.R": 0}, "problem.R"),
+    # (n-2) R^(n-2) overflows a float
+    ({"problem.n": 4, "problem.R": 1e200}, "problem.R"),
     ({"problem.varsigma": 0}, "problem.varsigma"),
     ({"problem.varsigma": -1.0}, "problem.varsigma"),
     ({"problem.n": 2}, "problem.n"),
@@ -472,6 +474,16 @@ def test_exponential_damping_bridge_passes(tmp_path, capsys):
     assert "mode bridge: PASS (8/8 checks)" in seen
     conditions = json.loads((out / "bridge_report.json").read_text())["integral_conditions"]
     assert conditions["damping_certificate"] > 0.0
+
+
+def test_damping_singular_below_s0_bridge_passes(tmp_path, capsys):
+    # p is given for s >= s0 = 2 pi only; its pole at s = 3 lies below that
+    cfg = _write_config(tmp_path, {"p": {
+        "expr": "1/(s-3)^3", "tail": {"kind": "power", "rate": 3.0, "coef": 8.0}}})
+    rc = main(["bridge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    seen = capsys.readouterr().out
+    assert rc == 0, seen
+    assert "PASS radial damping integral converges" in seen
 
 
 def test_verify_lemma_report_carries_every_check(tmp_path, capsys):

@@ -89,13 +89,22 @@ def test_z_period_maxima_are_diagnostic(report):
         assert value <= report.hypotheses.proof_bound()
 
 
-def test_hypotheses_check_every_one_of_200_periods():
+def test_parallel_hypotheses_equal_serial_on_200_periods():
     params = default_params(m_max=200)
     wide = build_oscillation(params)
     nodes = PI * np.arange(2, 2 * 200 + 3)
-    hyp = check_hypotheses(params.p, wide.q_callable, nodes, p_tail=params.p_tail,
-                           family=wide)
-    assert hyp.m_checked == 200
+    serial, parallel = (
+        check_hypotheses(params.p, wide.q_callable, nodes, p_tail=params.p_tail,
+                         family=wide, parallel=flag)
+        for flag in (False, True)
+    )
+    assert serial.m_checked == 200
+    for name, value in vars(serial).items():
+        other = getattr(parallel, name)
+        if isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype and value.tobytes() == other.tobytes(), name
+        else:
+            assert value == other, name
 
 
 # ---------------------------------------------------------------------------

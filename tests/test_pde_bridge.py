@@ -18,6 +18,7 @@ from oscillax import (
     subsuper_residual,
 )
 from oscillax.example_builder import PairResult
+from oscillax.pde_bridge import excluded_arc
 from oscillax.quadrature import TailModel
 
 PI = math.pi
@@ -61,18 +62,41 @@ def test_beta_rejects_low_dimensions():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_damping_derived_from_inverse_cube_p_has_its_closed_form(n):
     # p = 1/s^3 gives g(r) = r^(2-2n) / (n-2), the inverse quartic for n = 3,
-    # so integral_R^T r^(n-1) g dr = (R^(2-n) - T^(2-n)) / (n-2)^2 and the
+    # so integral from beta(s0) to T of r^(n-1) g dr is
+    # ((n-2)/s0 - T^(2-n)) / (n-2)^2, using beta(s0)^(2-n) = (n-2)/s0, and the
     # tail beyond T is T^(2-n) / (n-2)^2, which the moment certificate is
     R, T = 1.0, 30.0
-    problem = RadialProblem(n=n, R=R, s0=(n - 2) * R ** (n - 2) + 2.0, p=parse("1/s^3"),
+    s0 = (n - 2) * R ** (n - 2) + 2.0
+    problem = RadialProblem(n=n, R=R, s0=s0, p=parse("1/s^3"),
                             p_tail=TailModel("power", 3.0, 1.0))
     out = integral_conditions(problem, T)
     assert out["damping_radial_integral"] == pytest.approx(
-        (R ** (2 - n) - T ** (2 - n)) / (n - 2) ** 2, rel=1e-12)
+        ((n - 2) / s0 - T ** (2 - n)) / (n - 2) ** 2, rel=1e-12)
     assert out["damping_certificate"] == pytest.approx(T ** (2 - n) / (n - 2) ** 2, rel=1e-14)
     assert out["damping_converges"]
     assert out["substitution_identity_gap"] <= 1e-12
     assert "a1" not in out and "a2" not in out
+
+
+def test_damping_integral_reads_p_from_s0_on_only():
+    # p = 1/(s-3)^3 is singular at s = 3, inside [(n-2) R^(n-2), s0) = [1, 2 pi),
+    # where p is not given; for n = 3, r^2 g = r/(r-3)^3 = u^-2 + 3 u^-3 with
+    # u = r - 3, whose antiderivative is -1/u - 3/(2 u^2)
+    s0, T = 2 * PI, 30.0
+    problem = RadialProblem(n=3, R=1.0, s0=s0, p=parse("1/(s-3)^3"),
+                            p_tail=TailModel("power", 3.0, 8.0))
+    out = integral_conditions(problem, T)
+    F = lambda r: -1.0 / (r - 3.0) - 1.5 / (r - 3.0) ** 2
+    assert out["damping_radial_integral"] == pytest.approx(F(T) - F(s0), rel=1e-12)
+    assert out["substitution_identity_gap"] <= 1e-12
+    assert out["damping_converges"]
+
+
+def test_a_ball_too_large_for_floats_is_rejected_not_overflowed():
+    assert excluded_arc(4, 1e200) == math.inf
+    assert excluded_arc(3, 7.0) == 7.0
+    with pytest.raises(ValueError, match="beyond the excluded ball"):
+        RadialProblem(n=4, R=1e200, s0=2 * PI, p=parse("1/s^3")).validate()
 
 
 @pytest.mark.parametrize("tail, converges", [
@@ -198,11 +222,25 @@ def test_swapped_pair_is_rejected(pair):
         make_barriers(swapped, grid)
 
 
-def test_barriers_reuse_the_summaries_they_are_passed(pair, solver_barrier):
+def test_parallel_barriers_match_serial(pair):
+    grid = np.linspace(2 * PI, 12 * PI, 2001)
+    serial = make_barriers(pair, grid)
+    threaded = make_barriers(pair, grid, parallel=True)
+    assert np.array_equal(serial.h1, threaded.h1)
+    assert np.array_equal(serial.h2, threaded.h2)
+
+
+def test_parallel_barriers_with_summaries_match_serial(pair, solver_barrier):
     grid = np.linspace(solver_barrier.grid[0], solver_barrier.grid[-1], 8001)
     far = (solver_barrier.kernel1.far, solver_barrier.kernel2.far)
-    barrier = make_barriers(pair, grid, far=far)
-    assert barrier.kernel1.far is far[0] and barrier.kernel2.far is far[1]
+    serial = make_barriers(pair, grid, far=far)
+    threaded = make_barriers(pair, grid, far=far, parallel=True)
+    assert serial.kernel1.far is far[0] and serial.kernel2.far is far[1]
+    assert threaded.kernel1.far is far[0] and threaded.kernel2.far is far[1]
+    for name in ("h1", "h2", "z1", "z2"):
+        assert np.array_equal(getattr(serial, name), getattr(threaded, name))
+    assert serial.kernel1.h_tail == threaded.kernel1.h_tail
+    assert serial.kernel2.z_sup_observed == threaded.kernel2.z_sup_observed
 
 
 # ---------------------------------------------------------------------------
