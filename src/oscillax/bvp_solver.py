@@ -11,11 +11,26 @@ problem
 
     (L - K) H^{k+1} = -B f(beta, H^k / s) - K H^k
 
-with the tridiagonal central-difference L.  For f nondecreasing in u the
-shift K = 0 already makes the sweep order preserving, so the iterates
-decrease monotonically from the supersolution and converge geometrically;
-a decreasing f needs K at least the worst negative slope of B f / s, which
-the solver estimates by sampling the ribbon when K is not given.
+with the tridiagonal central-difference L.  The sweep is written for the
+increment dH = H^{k+1} - H^k, which keeps the Dirichlet nodes fixed:
+
+    (K - L) dH = L H^k + B f(beta, H^k / s),
+
+whose right-hand side is the discrete residual of H^k, the same formula the
+final check reports.  The matrix K - L does not change from sweep to sweep,
+so it is factored once per solve by odd-even cyclic reduction (Buzbee,
+Golub & Nielson, SIAM J. Numer. Anal. 7, 1970) and each sweep runs only the
+reduction and back-substitution of its right-hand side.  The factorization
+first checks that K - L is an M-matrix: off-diagonals of L positive
+(p step < 2) and -diag >= sub + sup (p/s + K >= 0).  That is the discrete
+maximum principle the monotonicity below rests on, and it also makes the
+reduction stable without pivoting (Heller, SIAM J. Numer. Anal. 13, 1976).
+
+For f nondecreasing in u the shift K = 0 already makes the sweep order
+preserving, so the iterates decrease monotonically from the supersolution
+and converge geometrically; a decreasing f needs K at least the worst
+negative slope of B f / s, which the solver estimates by sampling the ribbon
+when K is not given.
 
 The homogeneous solution A s of L is resolved exactly by the scheme, so
 boundary data enters without discretisation bias; what remains is the
@@ -30,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .coeff_dsl import as_callable
 from .pde_bridge import (
@@ -76,6 +90,110 @@ class DecayFit:
     r_lo: float
     r_hi: float
     n_points: int
+
+
+class _CyclicReduction:
+    """A tridiagonal matrix factored once by odd-even cyclic reduction.
+
+    Row i reads ``lo[i-1] x[i-1] + dia[i] x[i] + up[i] x[i+1]``.  Each level
+    keeps the odd rows and eliminates the even ones, halving the system until
+    one row is left.  No pivoting is done, so the pivots must stay nonzero
+    under the reduction, as they do for a diagonally dominant matrix.
+
+    The factor's coefficients live in one block and the right-hand sides of
+    every level in another, both allocated here; :meth:`solve` allocates
+    nothing, and repeated solves give bit-identical results.
+    """
+
+    def __init__(self, lo, dia, up):
+        lo, b, up = (np.asarray(v, dtype=float) for v in (lo, dia, up))
+        m = len(b)
+        sizes = [m]
+        while sizes[-1] > 1:
+            sizes.append(sizes[-1] // 2)
+        # a level of n rows keeps n // 2 and eliminates the other ne; `inner`
+        # = ne - 1 eliminated rows have a left neighbour, as many kept rows a
+        # right one
+        coef = np.empty(sum(3 * n - n // 2 - 2 for n in sizes[:-1]) + 1)
+        work = np.empty(sum(sizes))
+        self._levels = []
+        at = 0
+        for n in sizes[:-1]:
+            kept, inner = n // 2, (n - 1) // 2
+            ne = n - kept
+            inv, alpha, gamma, left_e, right_e = np.split(
+                coef[at:at + ne + 2 * kept + 2 * inner],
+                np.cumsum([ne, kept, inner, inner]))
+            at += ne + 2 * kept + 2 * inner
+            np.divide(1.0, b[0::2], out=inv)
+            np.multiply(lo[0::2], inv[:kept], out=alpha)        # a_k / b_(k-1)
+            np.multiply(up[1::2], inv[1:], out=gamma)           # c_k / b_(k+1)
+            np.multiply(lo[1::2], inv[1:], out=left_e)          # a_e / b_e
+            np.multiply(up[0::2], inv[:kept], out=right_e)      # c_e / b_e
+            b_next = b[1::2] - alpha * up[0::2]
+            b_next[:inner] -= gamma * lo[1::2]
+            lo_next = -alpha[1:] * lo[1::2][:kept - 1]
+            up_next = -gamma[:kept - 1] * up[2::2]
+            self._levels.append((work[:n], work[n:n + kept], inv, alpha, gamma,
+                                 left_e, right_e))
+            work = work[n:]
+            lo, b, up = lo_next, b_next, up_next
+        coef[-1] = 1.0 / b[0]
+        self._last = (work, coef[-1:])
+        self.rhs = self._levels[0][0] if self._levels else work
+
+    def solve(self) -> np.ndarray:
+        """Solve for the right-hand side the caller wrote into :attr:`rhs`.
+
+        Returns :attr:`rhs`, which now holds the solution; the next solve
+        overwrites it.
+        """
+        # d' = d_k - alpha d_(k-1) - gamma d_(k+1); the odd slots of d, read
+        # into d' first, then hold the products
+        for d, d_next, _, alpha, gamma, _, _ in self._levels:
+            tmp = d[1:2 * len(gamma):2]
+            np.multiply(alpha, d[0:2 * len(alpha):2], out=d_next)
+            np.subtract(d[1::2], d_next, out=d_next)
+            np.multiply(gamma, d[2::2], out=tmp)
+            d_next[:len(gamma)] -= tmp
+        x, inv = self._last
+        x *= inv
+        # x_e = d_e / b_e - (a_e / b_e) x_(e-1) - (c_e / b_e) x_(e+1), then the
+        # kept rows' solution fills the odd slots
+        for d, x_kept, inv, _, _, left_e, right_e in reversed(self._levels):
+            x_e, tmp = d[0::2], d[1::2]
+            x_e *= inv
+            np.multiply(right_e, x_kept, out=tmp)
+            x_e[:len(tmp)] -= tmp
+            np.multiply(left_e, x_kept[:len(left_e)], out=tmp[:len(left_e)])
+            x_e[1:] -= tmp[:len(left_e)]
+            tmp[:] = x_kept
+        return self.rhs
+
+
+def _sweep_factor(p_i: np.ndarray, si: np.ndarray, step: float, K: float) -> _CyclicReduction:
+    """K - L on the interior nodes ``si``, checked to be an M-matrix, then factored.
+
+    L H = (H[i-1] - 2 H[i] + H[i+1]) / step^2 + p (H' - H/s) with the central
+    H'.  The off-diagonals of L are positive when p step < 2 in absolute
+    value, and -diag >= sub + sup reads p/s + K >= 0 in exact arithmetic;
+    together they are the discrete maximum principle of the sweep.
+    """
+    half = p_i / (2.0 * step)
+    slack = p_i / si + K
+    steep = ~(np.abs(half) < 1.0 / step**2)
+    bad = steep | ~(slack >= 0.0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        need, fix = (("abs(p) * step < 2", "refine the grid") if steep[i]
+                     else ("p/s + K >= 0", "raise K"))
+        raise ValueError(
+            f"the sweep matrix is not an M-matrix at s = {float(si[i])!r}: it needs "
+            f"{need}, but p = {float(p_i[i])!r}, step = {float(step)!r}, "
+            f"K = {float(K)!r}; {fix}"
+        )
+    slack += 2.0 / step**2
+    return _CyclicReduction(half[1:] - 1.0 / step**2, slack, -1.0 / step**2 - half[:-1])
 
 
 def _estimate_shift(
@@ -160,43 +278,48 @@ def solve_radial(
     B = _beta_betaprime(n, si) / (n - 2)
     fn = resolve_nonlinearity(problem, barrier, r_i, f)
 
-    sub = 1.0 / step**2 - p_i / (2.0 * step)
-    sup = 1.0 / step**2 + p_i / (2.0 * step)
-    dia = -2.0 / step**2 - p_i / si - K_used
-    ab = np.zeros((3, len(si)))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = dia
-    ab[2, :-1] = sub[1:]
+    factor = _sweep_factor(p_i, si, step, K_used)
+    work = np.empty((2, len(si)))
 
-    start = barrier.h2 if boundary == "upper" else barrier.h1
-    H = start.copy()
-    H_left, H_right = float(start[0]), float(start[-1])
-    direction = -1.0 if boundary == "upper" else 1.0
+    def residual(out: np.ndarray) -> np.ndarray:
+        """out = L H + B f(beta, H/s) on the interior nodes; ``work`` is its scratch."""
+        d1, u = work
+        np.multiply(H[1:-1], 2.0, out=out)
+        np.subtract(H[:-2], out, out=out)
+        out += H[2:]
+        out /= step**2
+        np.subtract(H[2:], H[:-2], out=d1)
+        d1 /= 2.0 * step
+        np.divide(H[1:-1], si, out=u)
+        d1 -= u
+        d1 *= p_i
+        out += d1
+        np.multiply(B, fn(u), out=d1)
+        out += d1
+        return out
 
+    H = (barrier.h2 if boundary == "upper" else barrier.h1).copy()
     deltas: list[float] = []
     for sweep in range(max_iter):
-        load = B * np.asarray(fn(H[1:-1] / si), dtype=float)
-        rhs = -load - K_used * H[1:-1]
-        rhs[0] -= sub[0] * H_left
-        rhs[-1] -= sup[-1] * H_right
-        interior = solve_banded((1, 1), ab, rhs)
-        H_new = np.concatenate(([H_left], interior, [H_right]))
+        residual(factor.rhs)
+        dH = factor.solve()
+        lo, hi = float(dH.min()), float(dH.max())
 
-        # "upper" must descend (H_new <= H), "lower" must ascend.  The first
+        # "upper" must descend (dH <= 0), "lower" must ascend.  The first
         # sweep leaves the starting barrier, which satisfies the discrete
         # equations only up to O(step^2) truncation, so monotonicity is
         # enforced from the second sweep on, where it is an exact
         # consequence of the discrete maximum principle.
-        overshoot = float(np.max(-direction * (H_new - H)))
+        overshoot = hi if boundary == "upper" else -lo
         if sweep > 0 and overshoot > 1e-12:
             raise RuntimeError(
                 f"iteration left the monotone corridor by {overshoot!r}; "
                 f"the shift K = {K_used!r} is too small for this nonlinearity, "
                 f"rerun with a larger K"
             )
-        delta = float(np.max(np.abs(H_new - H)))
+        delta = max(hi, -lo)
         deltas.append(delta)
-        H = H_new
+        H[1:-1] += dH
         if delta <= tol:
             break
     else:
@@ -205,10 +328,8 @@ def solve_radial(
             f"(tolerance {tol:.3e})"
         )
 
-    load = B * np.asarray(fn(H[1:-1] / si), dtype=float)
-    d2 = (H[:-2] - 2.0 * H[1:-1] + H[2:]) / step**2
-    d1 = (H[2:] - H[:-2]) / (2.0 * step)
-    interior = d2 + p_i * (d1 - H[1:-1] / si) + load
+    full_residual = np.zeros(len(g))
+    interior = residual(full_residual[1:-1])
 
     return BvpSolution(
         grid=g,
@@ -223,7 +344,7 @@ def solve_radial(
         K_used=K_used,
         residual_sup=float(np.max(np.abs(interior))),
         boundary=boundary,
-        residual=np.concatenate(([0.0], interior, [0.0])),
+        residual=full_residual,
     )
 
 

@@ -28,7 +28,6 @@ certified instead of extrapolating.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -310,6 +309,8 @@ def check_hypotheses(
 
     indices = range(1, M + 1)
     if parallel:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor() as pool:
             rows = list(pool.map(one_period, indices))
     else:

@@ -31,7 +31,6 @@ residuals.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -246,6 +245,8 @@ def make_barriers(
         )
 
     if parallel:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=2) as pool:
             k1, k2 = pool.map(one, (0, 1))
     else:

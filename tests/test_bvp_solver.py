@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscillax import (
     BvpSolution,
@@ -12,7 +14,8 @@ from oscillax import (
     make_blend,
     solve_radial,
 )
-from oscillax.coeff_dsl import as_callable
+from oscillax.bvp_solver import _CyclicReduction, _sweep_factor
+from oscillax.coeff_dsl import as_callable, parse
 from oscillax.pde_bridge import _beta_betaprime
 
 PI = math.pi
@@ -158,6 +161,81 @@ def test_grid_consistency_asserts(problem, solver_barrier):
 def test_negative_shift_is_rejected(problem, solver_barrier):
     with pytest.raises(ValueError):
         solve_radial(problem, solver_barrier, K=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# the factor-once tridiagonal solver
+
+# cyclic reduction halves the system level by level, so sizes next to powers
+# of two exercise every odd/even remainder
+SIZES = sorted({1, 2, 3, 999, 1000, 1001}
+               | {2**k + d for k in range(2, 8) for d in (-1, 0, 1)})
+
+
+def _check_against_dense(factor, lo, dia, up, rng):
+    m = len(dia)
+    A = np.diag(dia) + np.diag(lo, -1) + np.diag(up, 1)
+    rhs, other = rng.normal(size=m), rng.normal(size=m)
+
+    def solve(b):
+        factor.rhs[:] = b
+        return factor.solve().copy()
+
+    x = solve(rhs)
+    reference = np.linalg.solve(A, rhs)
+    rel = np.linalg.norm(x - reference) / np.linalg.norm(reference)
+    assert rel <= 1e-12 * np.linalg.cond(A, 1)
+    assert np.array_equal(solve(rhs), x)
+    solve(other)
+    assert np.array_equal(solve(rhs), x)
+
+
+@settings(max_examples=60)
+@given(m=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1),
+       margin=st.floats(1e-3, 1.0))
+def test_cyclic_reduction_matches_a_dense_solve(m, seed, margin):
+    rng = np.random.default_rng(seed)
+    lo, up = rng.uniform(-1.0, 1.0, m - 1), rng.uniform(-1.0, 1.0, m - 1)
+    weight = np.abs(np.append(0.0, lo)) + np.abs(np.append(up, 0.0))
+    dia = (weight + margin) * (1.0 + rng.uniform(0.0, 1.0, m)) * rng.choice([-1.0, 1.0], m)
+    _check_against_dense(_CyclicReduction(lo, dia, up), lo, dia, up, rng)
+
+
+@settings(max_examples=60)
+@given(m=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1),
+       K=st.one_of(st.just(0.0), st.floats(1e-6, 100.0)))
+def test_sweep_matrix_factor_matches_a_dense_solve(m, seed, K):
+    rng = np.random.default_rng(seed)
+    step = 40 * PI / (m + 1)
+    si = 2 * PI + step * np.arange(1, m + 1)
+    p_i = rng.uniform(0.0, 1.9 / step, m) * rng.uniform(0.0, 1.0)
+    lo = p_i[1:] / (2 * step) - 1 / step**2
+    up = -1 / step**2 - p_i[:-1] / (2 * step)
+    dia = 2 / step**2 + (p_i / si + K)
+    _check_against_dense(_sweep_factor(p_i, si, step, K), lo, dia, up, rng)
+
+
+@pytest.mark.parametrize("p, what, other", [
+    # central H' outweighs H'': the off-diagonals of L lose their sign
+    ("1000", "abs(p) * step < 2", "p/s + K >= 0"),
+    # the diagonal no longer dominates
+    ("-1/s^3", "p/s + K >= 0", "abs(p) * step < 2"),
+])
+def test_a_sweep_matrix_that_is_no_m_matrix_is_refused(problem, solver_barrier, p, what, other):
+    bad = dataclasses.replace(problem, p=parse(p))
+    with pytest.raises(ValueError, match="not an M-matrix") as info:
+        solve_radial(bad, solver_barrier, K=0.0)
+    message = str(info.value)
+    assert what in message and other not in message
+    assert "p = " in message and "step = " in message and "K = 0.0" in message
+
+
+def test_a_shift_restores_diagonal_dominance():
+    si = np.linspace(7.0, 9.0, 101)
+    p_i = -1.0 / si**3
+    with pytest.raises(ValueError, match="not an M-matrix"):
+        _sweep_factor(p_i, si, 0.02, 0.0)
+    _sweep_factor(p_i, si, 0.02, float(np.max(-p_i / si)))
 
 
 # ---------------------------------------------------------------------------

@@ -402,8 +402,22 @@ def test_a_scalar_coefficient_is_broadcast_to_the_nodes():
     assert np.array_equal(a.window_D, b.window_D)
 
 
-def test_import_leaves_scipy_integrate_unloaded(package_env):
-    probe = "import sys, oscillax; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True, env=package_env).stdout
-    assert out.strip() == "False"
+def test_import_and_a_pipeline_run_load_no_scipy(package_env, tmp_path):
+    # scipy is left to the z_ode_oracle cross-check; no CLI mode may load it
+    config = tmp_path / "small.json"
+    config.write_text('{"solver": {"N": 4001}, "kernel": {"step": "pi/100"}, '
+                      '"oscillation": {"m_max": 10}}', encoding="utf-8")
+    probe = (
+        "import sys\n"
+        "def loaded(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "import oscillax\n"
+        "print(loaded())\n"
+        "from oscillax.cli_report import main\n"
+        "code = main(['full-pipeline', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, loaded())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe, str(config), str(tmp_path / "out")],
+                         capture_output=True, text=True, check=True,
+                         env=package_env).stdout.splitlines()
+    assert out[0] == "[]"
+    assert out[-1] == "0 []"
