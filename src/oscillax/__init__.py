@@ -14,10 +14,7 @@ from .coeff_dsl import (
     DomainError,
     ParseError,
     as_callable,
-    eval_grid,
-    evaluate,
     parse,
-    to_source,
 )
 from .quadrature import (
     IntegralResult,
@@ -89,8 +86,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # coeff_dsl
-    "CoefficientExpr", "DomainError", "ParseError", "as_callable",
-    "eval_grid", "evaluate", "parse", "to_source",
+    "CoefficientExpr", "DomainError", "ParseError", "as_callable", "parse",
     # quadrature
     "IntegralResult", "TailModel", "cumulative_integral",
     "cumulative_simpson_doubled", "integrate_finite", "integrate_finite_many",

@@ -230,8 +230,6 @@ def _estimate_shift(
 def solve_radial(
     problem: RadialProblem,
     barrier: BarrierPair,
-    S: Optional[float] = None,
-    N: Optional[int] = None,
     K: Optional[float] = None,
     tol: float = 1e-10,
     *,
@@ -241,10 +239,9 @@ def solve_radial(
 ) -> BvpSolution:
     """Run the monotone iteration on the barrier grid until sup-convergence.
 
-    The barriers must live on the solver grid, so S and N, when given, only
-    assert consistency with barrier.grid.  ``boundary`` picks the barrier
-    supplying the Dirichlet trace and the starting iterate: "upper" descends
-    from h2 towards the maximal solution, "lower" ascends from h1.
+    ``boundary`` picks the barrier supplying the Dirichlet trace and the
+    starting iterate: "upper" descends from h2 towards the maximal solution,
+    "lower" ascends from h1.
     """
     if boundary not in ("upper", "lower"):
         raise ValueError(f"boundary must be 'upper' or 'lower', got {boundary!r}")
@@ -254,15 +251,6 @@ def solve_radial(
     step = g[1] - g[0]
     if np.any(np.abs(np.diff(g) - step) > 1e-9 * max(step, 1.0)):
         raise ValueError("the solver needs a uniform barrier grid")
-    if S is not None and abs(float(S) - g[-1]) > 1e-9 * max(abs(float(S)), 1.0):
-        raise ValueError(
-            f"requested truncation S = {S!r} does not match the barrier grid "
-            f"end {float(g[-1])!r}; build the barriers on the solver grid"
-        )
-    if N is not None and int(N) != len(g):
-        raise ValueError(
-            f"requested N = {N!r} does not match the barrier grid size {len(g)}"
-        )
     if len(g) < 9:
         raise ValueError("grid too coarse for the five-figure bookkeeping")
 

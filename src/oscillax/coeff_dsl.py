@@ -2,9 +2,9 @@
 
 Coefficients are functions of a single variable ``s``.  The grammar covers
 arithmetic (+, -, *, /, ^), the functions sin, cos, exp, log, abs, the
-constant ``pi`` and numeric literals.  There are no conditionals: piecewise
-coefficients are assembled programmatically from a breakpoint table, one
-sub-expression per interval.
+constant ``pi`` and numeric literals.  There are no conditionals: a
+piecewise coefficient is a plain vectorised callable, which every consumer
+accepts through :func:`as_callable`.
 
 Expressions are immutable.  Evaluation is vectorised over numpy arrays and
 refuses to return non-finite values: division by zero, log of a non-positive
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -25,9 +25,6 @@ __all__ = [
     "DomainError",
     "ParseError",
     "parse",
-    "evaluate",
-    "eval_grid",
-    "to_source",
 ]
 
 
@@ -315,85 +312,22 @@ def _print_node(node: Node, parent_prec: int, right_side: bool) -> str:
 
 @dataclass(frozen=True)
 class CoefficientExpr:
-    """An immutable coefficient function of ``s``.
-
-    A plain expression holds an AST; a piecewise expression instead holds a
-    breakpoint table ``nodes`` with one sub-expression per interval.  Pieces
-    live on half-open intervals [a_i, a_{i+1}) except the last, which is
-    closed at both ends so the table covers [nodes[0], nodes[-1]] exactly.
-    """
+    """An immutable coefficient function of ``s``: its source and its AST."""
 
     source: str
-    ast: Node | None = None
-    nodes: tuple[float, ...] | None = None
-    pieces: tuple["CoefficientExpr", ...] | None = None
-
-    # -- constructors -----------------------------------------------------
+    ast: Node
 
     @staticmethod
     def parse(text: str) -> "CoefficientExpr":
         node = _Parser(text).parse()
         return CoefficientExpr(source=_print_node(node, 0, False), ast=node)
 
-    @staticmethod
-    def piecewise(
-        nodes: Sequence[float],
-        pieces: Sequence[Union["CoefficientExpr", str]],
-    ) -> "CoefficientExpr":
-        node_arr = tuple(float(a) for a in nodes)
-        if len(node_arr) < 2:
-            raise ValueError("piecewise table needs at least two breakpoints")
-        if any(b <= a for a, b in zip(node_arr, node_arr[1:])):
-            raise ValueError("piecewise breakpoints must be strictly increasing")
-        if len(pieces) != len(node_arr) - 1:
-            raise ValueError(
-                f"piecewise table with {len(node_arr)} breakpoints needs "
-                f"{len(node_arr) - 1} pieces, got {len(pieces)}"
-            )
-        compiled = tuple(
-            p if isinstance(p, CoefficientExpr) else CoefficientExpr.parse(p)
-            for p in pieces
-        )
-        if any(p.nodes is not None for p in compiled):
-            raise ValueError("piecewise pieces must be plain expressions")
-        source = "piecewise on [%r, %r] with %d pieces" % (
-            node_arr[0],
-            node_arr[-1],
-            len(compiled),
-        )
-        return CoefficientExpr(source=source, nodes=node_arr, pieces=compiled)
-
-    # -- evaluation --------------------------------------------------------
-
     def evaluate_grid(self, grid: np.ndarray) -> np.ndarray:
         """Evaluate on an array of abscissae (need not be sorted)."""
         s = np.asarray(grid, dtype=float)
-        if self.nodes is None:
-            assert self.ast is not None
-            with np.errstate(all="ignore"):
-                out = _eval_node(self.ast, s)
-            out = np.asarray(out, dtype=float)
-            _check_finite(out, s, self.source)
-            return out
-        nodes = np.asarray(self.nodes)
-        below = s < nodes[0]
-        above = s > nodes[-1]
-        if below.any() or above.any():
-            bad = below | above
-            i = int(np.argmax(bad))
-            raise DomainError(
-                f"abscissa s = {s.flat[i]!r} outside piecewise table "
-                f"[{nodes[0]!r}, {nodes[-1]!r}]"
-            )
-        # searchsorted('right') - 1 gives the half-open convention; clip
-        # folds the closed right endpoint into the final piece.
-        idx = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2)
-        out = np.empty_like(s, dtype=float)
-        assert self.pieces is not None
-        for k, piece in enumerate(self.pieces):
-            mask = idx == k
-            if mask.any():
-                out[mask] = piece.evaluate_grid(s[mask])
+        with np.errstate(all="ignore"):
+            out = np.asarray(_eval_node(self.ast, s), dtype=float)
+        _check_finite(out, s, self.source)
         return out
 
     def evaluate(self, s: float) -> float:
@@ -405,40 +339,12 @@ class CoefficientExpr:
             return self.evaluate(float(arr))
         return self.evaluate_grid(arr)
 
-    # -- printing ----------------------------------------------------------
-
     def to_source(self) -> str:
-        if self.nodes is not None:
-            raise ValueError(
-                "piecewise expressions have no single-expression source; "
-                "serialise the breakpoint table and pieces instead"
-            )
-        assert self.ast is not None
         return _print_node(self.ast, 0, False)
 
-    def piece_sources(self) -> list[str]:
-        """Sources of the pieces of a piecewise expression."""
-        if self.pieces is None:
-            raise ValueError("not a piecewise expression")
-        return [p.to_source() for p in self.pieces]
-
-
-# Module-level conveniences mirroring the method API.
 
 def parse(text: str) -> CoefficientExpr:
     return CoefficientExpr.parse(text)
-
-
-def evaluate(expr: CoefficientExpr, s: float) -> float:
-    return expr.evaluate(s)
-
-
-def eval_grid(expr: CoefficientExpr, grid: np.ndarray) -> np.ndarray:
-    return expr.evaluate_grid(grid)
-
-
-def to_source(expr: CoefficientExpr) -> str:
-    return expr.to_source()
 
 
 def as_callable(f: Union[CoefficientExpr, Callable[[np.ndarray], np.ndarray]]):

@@ -135,11 +135,11 @@ class _AmplitudeRule:
 class OscillationSpec:
     """A built family: amplitudes, breakpoints, and certified p integrals.
 
-    ``q`` is the piecewise expression covering the m_max tabulated periods;
-    ``q_callable`` evaluates the same family for arbitrary s >= s0 by
-    extending the amplitude rule lazily (tail integrals of p beyond the
-    table come from a cumulative complement against lambda).  Treat
-    instances as immutable.
+    ``q_callable`` is the family's one representation: it evaluates q at
+    any s >= s0, from the m_max tabulated periods and, past them, from the
+    amplitude rule extended lazily (tail integrals of p beyond the table
+    come from a cumulative complement against lambda).  Treat instances as
+    immutable.
     """
 
     params: OscillationParams
@@ -148,7 +148,6 @@ class OscillationSpec:
     d: np.ndarray              # negative-lobe amplitudes
     I: np.ndarray              # certified I_m = integral_{2m pi}^inf p
     I_error: np.ndarray
-    q: CoefficientExpr
     lam: float
     lam_error: float
     sup_bound: float
@@ -253,14 +252,6 @@ def _certified_tail_integrals(params: OscillationParams) -> tuple[np.ndarray, np
     return values, errors
 
 
-def _piecewise_expr(nodes: np.ndarray, c: np.ndarray, d: np.ndarray) -> CoefficientExpr:
-    pieces: list[str] = []
-    for m in range(len(c)):
-        pieces.append(f"{float(c[m])!r} * sin(s)^2")
-        pieces.append(f"-{float(d[m])!r} * sin(s)^2")
-    return CoefficientExpr.piecewise(nodes, pieces)
-
-
 def _assemble(params: OscillationParams, rule: _AmplitudeRule) -> OscillationSpec:
     params.validate()
 
@@ -295,13 +286,11 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule) -> OscillationSpe
         )
 
     nodes = PI * np.arange(2, 2 * params.m_max + 3)
-    q_expr = _piecewise_expr(nodes, c, d)
-
     sup_bound = ((2.0 + params.sigma * lam) * params.q_plus + params.theta) / PI
 
     spec = OscillationSpec(
         params=params, nodes=nodes, c=c, d=d, I=I, I_error=I_err,
-        q=q_expr, lam=lam, lam_error=lam_res.abs_error_estimate,
+        lam=lam, lam_error=lam_res.abs_error_estimate,
         sup_bound=sup_bound, rule=rule,
     )
 
@@ -317,11 +306,11 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule) -> OscillationSpe
 def _check_smooth_joins(spec: OscillationSpec, tol: float = 1e-10) -> None:
     """q and q' vanish at every breakpoint, checked numerically."""
     nodes = spec.nodes
-    vals = np.abs(spec.q.evaluate_grid(nodes))
+    vals = np.abs(spec.q_callable(nodes))
     step = 1e-6
     inner = nodes[1:-1]
     deriv = np.abs(
-        spec.q.evaluate_grid(inner + step) - spec.q.evaluate_grid(inner - step)
+        spec.q_callable(inner + step) - spec.q_callable(inner - step)
     ) / (2.0 * step)
     if np.max(vals) > tol:
         raise ValueError(f"family fails continuity at a breakpoint: |q| = {np.max(vals)!r}")

@@ -151,13 +151,6 @@ def test_decreasing_forcing_converges_with_the_automatic_shift(problem, solver_b
 # consistency guards
 
 
-def test_grid_consistency_asserts(problem, solver_barrier):
-    with pytest.raises(ValueError, match="does not match"):
-        solve_radial(problem, solver_barrier, S=99.0)
-    with pytest.raises(ValueError, match="does not match"):
-        solve_radial(problem, solver_barrier, N=1234)
-
-
 def test_negative_shift_is_rejected(problem, solver_barrier):
     with pytest.raises(ValueError):
         solve_radial(problem, solver_barrier, K=-1.0)

@@ -140,28 +140,6 @@ def test_print_parse_round_trip_is_exact(node):
 
 
 # ---------------------------------------------------------------------------
-# piecewise
-
-
-def test_piecewise_intervals_are_half_open():
-    e = CoefficientExpr.piecewise([0.0, 1.0, 2.0], ["1", "2"])
-    s = np.array([0.0, 0.999999, 1.0, 1.5, 2.0])
-    assert list(e.evaluate_grid(s)) == [1.0, 1.0, 2.0, 2.0, 2.0]
-
-
-def test_piecewise_needs_one_more_node_than_piece():
-    with pytest.raises(ValueError):
-        CoefficientExpr.piecewise([0.0, 1.0], ["1", "2"])
-
-
-def test_piecewise_to_source_refuses_but_piece_sources_work():
-    e = CoefficientExpr.piecewise([0.0, 1.0, 2.0], ["s", "s + 1"])
-    with pytest.raises(ValueError):
-        e.to_source()
-    assert e.piece_sources() == ["s", "s + 1"]
-
-
-# ---------------------------------------------------------------------------
 # misc contracts
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from oscillax import (
     BandParams,
     OscillationParams,
+    OscillationSpec,
     PairParams,
     build_oscillation,
     build_pair,
@@ -127,9 +128,46 @@ def test_q_callable_does_not_depend_on_the_call_history(history):
     assert np.array_equal(spec.q_callable(_FIXED_POINTS), _fresh_values())
 
 
-def test_piecewise_expression_agrees_with_the_callable(family):
-    s = np.linspace(family.nodes[0], family.nodes[-1], 2001)
-    assert np.max(np.abs(family.q(s) - family.q_callable(s))) <= 1e-12
+def _per_lobe_reference(c, d, s):
+    """q from its definition, period by period: c_m sin^2 s on [2m pi, (2m+1) pi]
+    and -d_m sin^2 s on [(2m+1) pi, (2m+2) pi], for m = 1 .. len(c)."""
+    out = np.full(s.shape, np.nan)
+    for m in range(1, len(c) + 1):
+        positive = (2 * m * PI <= s) & (s <= (2 * m + 1) * PI)
+        negative = ((2 * m + 1) * PI <= s) & (s <= (2 * m + 2) * PI)
+        out[positive] = c[m - 1] * np.sin(s[positive]) ** 2
+        out[negative] = -d[m - 1] * np.sin(s[negative]) ** 2
+    assert not np.any(np.isnan(out))
+    return out
+
+
+def test_piecewise_expression_agrees_with_the_callable(family, pair):
+    # the reference tables run 15 periods past m_max = 25, where q_callable
+    # extends the amplitude rule by itself
+    wide_pair = build_pair(m_max=40)
+    wide = {"family": build_oscillation(default_params(m_max=40)),
+            "q1": wide_pair.q1, "q2": wide_pair.q2}
+    s = np.linspace(2 * PI, 82 * PI, 16001)
+    for name, spec in (("family", family), ("q1", pair.q1), ("q2", pair.q2)):
+        inside = s <= spec.nodes[-1]
+        reference = _per_lobe_reference(wide[name].c, wide[name].d, s)
+        error = np.abs(spec.q_callable(s) - reference)
+        assert np.max(error[inside]) <= 1e-12, name
+        # past the table I_m is lam minus a cumulative Simpson integral of p
+        # from s0, whose error (8e-9 for p = 1/s^3) moves every extended
+        # amplitude by up to 4e-8 against the certified I_m of the wide table
+        assert np.max(error[~inside]) <= 1e-7, name
+
+
+def test_a_family_that_is_not_smooth_at_a_join_is_refused(monkeypatch):
+    smooth = OscillationSpec.q_callable
+
+    def stepped(self, s):
+        return smooth(self, s) + np.where(np.asarray(s) > 5 * PI, 1e-3, 0.0)
+
+    monkeypatch.setattr(OscillationSpec, "q_callable", stepped)
+    with pytest.raises(ValueError, match="fails continuity"):
+        build_oscillation(default_params())
 
 
 def test_tail_sum_bound_is_valid_and_not_wild(family):
