@@ -27,6 +27,7 @@ from .quadrature import (
     integrate_tail_many,
 )
 from .kernel import (
+    Damping,
     FarField,
     HTail,
     KernelPair,
@@ -92,8 +93,8 @@ __all__ = [
     "cumulative_simpson_doubled", "integrate_finite", "integrate_finite_many",
     "integrate_tail", "integrate_tail_many",
     # kernel
-    "FarField", "HTail", "KernelPair", "compute_h", "compute_kernel", "compute_z",
-    "ode_residual", "z_ode_oracle",
+    "Damping", "FarField", "HTail", "KernelPair", "compute_h", "compute_kernel",
+    "compute_z", "ode_residual", "z_ode_oracle",
     # lemma_check
     "ConclusionsResult", "HypothesesResult", "LemmaReport", "RemarkResult",
     "check_conclusions", "check_hypotheses", "check_remark", "verify_lemma",

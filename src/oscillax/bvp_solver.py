@@ -54,6 +54,7 @@ from .pde_bridge import (
     beta_map,
     resolve_nonlinearity,
 )
+from .quadrature import uniform_step
 
 __all__ = ["BvpSolution", "DecayFit", "solve_radial", "check_sandwich", "decay_fit"]
 
@@ -248,9 +249,7 @@ def solve_radial(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     g = barrier.grid
-    step = g[1] - g[0]
-    if np.any(np.abs(np.diff(g) - step) > 1e-9 * max(step, 1.0)):
-        raise ValueError("the solver needs a uniform barrier grid")
+    step = uniform_step(g, "the solver needs a uniform barrier grid")
     if len(g) < 9:
         raise ValueError("grid too coarse for the five-figure bookkeeping")
 

@@ -207,10 +207,11 @@ def emit_plot(
     ml, mr, mt, mb = 70, 20, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
 
-    def sx(v: float) -> float:
+    # pixel coordinates of a float or, elementwise and to the same bits, of an array
+    def sx(v):
         return ml + pw * (v - x_lo) / (x_hi - x_lo)
 
-    def sy(v: float) -> float:
+    def sy(v):
         return mt + ph * (1.0 - (v - y_lo) / (y_hi - y_lo))
 
     def esc(text: str) -> str:
@@ -247,7 +248,7 @@ def emit_plot(
         if xs[-1] != x[-1]:
             xs = np.append(xs, x[-1])
             ys = np.append(ys, y[-1])
-        points = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs, ys))
+        points = " ".join(map("%.2f,%.2f".__mod__, zip(sx(xs).tolist(), sy(ys).tolist())))
         parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         ly = mt + 16 + 16 * k

@@ -175,7 +175,9 @@ class OscillationSpec:
             I_bulk[: len(self.I)] = self.I  # certified values take precedence
             m_arr = np.arange(1, M_new + 1, dtype=float)
             c, d = self.rule.amplitudes(I_bulk, m_arr)
-            self._ext.update({"M": M_new, "c": c, "d": d})
+            lobes = np.empty(2 * M_new)
+            lobes[0::2], lobes[1::2] = c, -d
+            self._ext.update({"M": M_new, "c": c, "d": d, "lobes": lobes})
         return self._ext["c"], self._ext["d"]
 
     def q_callable(self, s) -> np.ndarray:
@@ -186,11 +188,19 @@ class OscillationSpec:
         if np.any(arr < S0_FIXED - 1e-12):
             bad = float(arr[np.argmax(arr < S0_FIXED - 1e-12)])
             raise ValueError(f"family is defined on [s0, infinity), got s = {bad!r}")
-        m = np.maximum(np.floor(arr / TWO_PI).astype(int), 1)
-        c, d = self._bulk_amplitudes(int(m.max()))
+        # period m = max(floor(s / 2 pi), 1); its lobe amplitude sits at
+        # 2m - 2 (c_m, positive lobe) or 2m - 1 (-d_m) of the interleaved table
+        m = np.floor(arr / TWO_PI)
+        np.maximum(m, 1.0, out=m)
+        self._bulk_amplitudes(int(m.max()))
         positive = (arr - TWO_PI * m) < PI
-        amp = np.where(positive, c[m - 1], -d[m - 1])
-        out = amp * np.sin(arr) ** 2
+        at = m.astype(np.intp)
+        at *= 2
+        at -= 1
+        at -= positive
+        out = np.sin(arr)
+        out *= out
+        out *= self._ext["lobes"][at]
         return float(out[0]) if scalar else out
 
     # -- certified tail coefficients -----------------------------------------
@@ -273,7 +283,7 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule) -> OscillationSpe
     if np.any(d < d_lo - 1e-12) or np.any(d > d_hi + 1e-12):
         m_bad = int(np.argmax((d < d_lo - 1e-12) | (d > d_hi + 1e-12))) + 1
         raise ValueError(
-            f"negative-lobe amplitude d_{m_bad} = {d[m_bad - 1]!r} leaves the band "
+            f"negative-lobe amplitude d_{m_bad} = {float(d[m_bad - 1])!r} leaves the band "
             f"[{d_lo!r}, {d_hi!r}]; the gap parameters are too large for the bands"
         )
     c_lo = d + params.gamma * (params.q_plus / PI) * I + params.eta * geo
@@ -281,8 +291,8 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule) -> OscillationSpe
     if np.any(c < c_lo - 1e-12) or np.any(c > c_hi + 1e-12):
         m_bad = int(np.argmax((c < c_lo - 1e-12) | (c > c_hi + 1e-12))) + 1
         raise ValueError(
-            f"positive-lobe amplitude c_{m_bad} = {c[m_bad - 1]!r} leaves its band "
-            f"[{c_lo[m_bad - 1]!r}, {c_hi[m_bad - 1]!r}]"
+            f"positive-lobe amplitude c_{m_bad} = {float(c[m_bad - 1])!r} leaves its band "
+            f"[{float(c_lo[m_bad - 1])!r}, {float(c_hi[m_bad - 1])!r}]"
         )
 
     nodes = PI * np.arange(2, 2 * params.m_max + 3)
@@ -312,10 +322,11 @@ def _check_smooth_joins(spec: OscillationSpec, tol: float = 1e-10) -> None:
     deriv = np.abs(
         spec.q_callable(inner + step) - spec.q_callable(inner - step)
     ) / (2.0 * step)
-    if np.max(vals) > tol:
-        raise ValueError(f"family fails continuity at a breakpoint: |q| = {np.max(vals)!r}")
-    if np.max(deriv) > math.sqrt(tol):
-        raise ValueError(f"family fails smoothness at a breakpoint: |q'| = {np.max(deriv)!r}")
+    worst_q, worst_dq = float(np.max(vals)), float(np.max(deriv))
+    if worst_q > tol:
+        raise ValueError(f"family fails continuity at a breakpoint: |q| = {worst_q!r}")
+    if worst_dq > math.sqrt(tol):
+        raise ValueError(f"family fails smoothness at a breakpoint: |q'| = {worst_dq!r}")
 
 
 def build_oscillation(params: Optional[OscillationParams] = None) -> OscillationSpec:

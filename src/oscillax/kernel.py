@@ -13,11 +13,18 @@ equivalently the solution of z' = -p z - q with z(s0) = 0.  The second is
 so that h'' + p (h' - h/s) + q/s = 0 and s (h/s)' = h' - h/s = z/s.
 
 Kernels on a grid are computed on uniform grids with a midpoint-doubled
-Simpson scheme.  The improper h integral splits into a gridded part, an
-optional continuation of z far beyond the working window, a last-window
-mean value estimate of the remainder, and a certified bound from a tail
-model built on a proven sup bound for |z|.  The certificate and the
-estimate are reported separately; nothing is silently mixed.
+Simpson scheme.  The part that depends on p alone, the doubled grid and P
+on it, is a :class:`Damping`, built once and shared by kernels with the
+same p and grid, such as the two members of a barrier pair.  It holds
+neither exp(P) nor exp(-P): each kernel forms those itself, since two more
+arrays of the doubled grid's length held across a pair cost more in pages
+faulted in than the two exponentials do.
+
+The improper h integral splits into a gridded part, an optional
+continuation of z far beyond the working window, a last-window mean value
+estimate of the remainder, and a certified bound from a tail model built
+on a proven sup bound for |z|.  The certificate and the estimate are
+reported separately; nothing is silently mixed.
 
 The far continuation depends on the grid only through x = z(grid end):
 continuing from there, z = E x - D with E = exp(-P_loc), D = E C_loc, and
@@ -53,12 +60,13 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .coeff_dsl import CoefficientExpr, as_callable
-from .quadrature import TailModel, cumulative_simpson_doubled, integrate_tail
+from .quadrature import TailModel, cumulative_simpson_doubled, integrate_tail, uniform_step
 
 __all__ = [
     "KernelPair",
     "HTail",
     "FarField",
+    "Damping",
     "compute_z",
     "z_ode_oracle",
     "compute_h",
@@ -229,7 +237,7 @@ class _Cells:
                 i = int(np.flatnonzero(bad & (splits >= CELL_MAX_SPLITS))[0])
                 raise ValueError(
                     f"far-field continuation: p or q is not smooth enough on "
-                    f"[{lo[i]!r}, {hi[i]!r}] after {CELL_MAX_SPLITS} bisections")
+                    f"[{float(lo[i])!r}, {float(hi[i])!r}] after {CELL_MAX_SPLITS} bisections")
             mid = 0.5 * (lo[bad] + hi[bad])
             new_lo = np.concatenate((lo[bad], mid))
             new_hi = np.concatenate((mid, hi[bad]))
@@ -437,41 +445,80 @@ class FarField:
         return float(np.max(np.abs(self.sup_E * x - self.sup_D)))
 
 
-def _doubled(grid: np.ndarray) -> np.ndarray:
-    """Uniform grid with midpoints inserted."""
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or len(g) < 2:
+def _check_grid(grid: np.ndarray) -> None:
+    """Refuse a kernel grid that is not uniform, increasing and of two points or more."""
+    if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must be one-dimensional with at least two points")
-    steps = np.diff(g)
-    if steps[0] <= 0 or np.any(np.abs(steps - steps[0]) > 1e-9 * max(steps[0], 1.0)):
-        raise ValueError("kernel grids must be uniform and increasing")
-    return np.linspace(g[0], g[-1], 2 * (len(g) - 1) + 1)
+    uniform_step(grid, "kernel grids must be uniform and increasing")
 
 
-def _samples(pe: Callable, qe: Callable, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p and q on the doubled grid u, checked to be finite."""
-    p_vals = np.asarray(pe(u), dtype=float)
-    q_vals = np.asarray(qe(u), dtype=float)
-    if not (np.all(np.isfinite(p_vals)) and np.all(np.isfinite(q_vals))):
-        raise ValueError("coefficients are not finite on the grid")
-    return p_vals, q_vals
+@dataclass(frozen=True, eq=False)
+class Damping:
+    """The part of a kernel that depends on p and the grid only.
 
-
-def _z_doubled(p_vals: np.ndarray, q_vals: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """z = -exp(-P) C on the doubled grid u.
-
-    P is the cumulative integral of p and C the cumulative integral of
-    q * exp(P), both from u[0].
+    ``u`` is the grid with midpoints inserted and ``P`` the cumulative
+    integral of p along it from u[0], by :func:`cumulative_simpson_doubled`.
+    exp(P) and exp(-P) are left to each kernel (see the module docstring).
     """
-    P = cumulative_simpson_doubled(u, p_vals)
-    C = cumulative_simpson_doubled(u, q_vals * np.exp(P))
-    return -np.exp(-P) * C
+
+    p: Coefficient
+    u: np.ndarray
+    P: np.ndarray
+
+    @classmethod
+    def build(cls, p: Coefficient, grid: np.ndarray) -> "Damping":
+        """Check the grid, double it, sample p on it once and integrate."""
+        g = np.asarray(grid, dtype=float)
+        _check_grid(g)
+        u = np.linspace(g[0], g[-1], 2 * (len(g) - 1) + 1)
+        p_vals = np.asarray(as_callable(p)(u), dtype=float)
+        if not np.all(np.isfinite(p_vals)):
+            raise ValueError("coefficients are not finite on the grid")
+        return cls(p=p, u=u, P=cumulative_simpson_doubled(u, p_vals))
+
+    def check_inputs(self, p: Coefficient, grid: np.ndarray) -> None:
+        """Raise unless this was built for exactly this p and this grid."""
+        grid = np.asarray(grid, dtype=float)
+        _check_grid(grid)
+        u = self.u
+        if (len(u), u[0], u[-1]) != (2 * len(grid) - 1, grid[0], grid[-1]):
+            raise ValueError(
+                f"damping was built for a grid of {(len(u) + 1) // 2} points on "
+                f"[{float(u[0])!r}, {float(u[-1])!r}], not {len(grid)} on "
+                f"[{float(grid[0])!r}, {float(grid[-1])!r}]")
+        if not self.p == p:
+            raise ValueError("damping was built for another coefficient p")
+
+
+def _q_samples(qe: Callable, u: np.ndarray) -> np.ndarray:
+    """q on the doubled grid u, checked to be finite."""
+    q_vals = np.asarray(qe(u), dtype=float)
+    if not np.all(np.isfinite(q_vals)):
+        raise ValueError("coefficients are not finite on the grid")
+    return q_vals
+
+
+def _z_doubled(damping: Damping, q_vals: np.ndarray) -> np.ndarray:
+    """z = -exp(-P) C on the doubled grid, C the cumulative integral of q exp(P).
+
+    One array holds q exp(P) and then z, each formed in place by the same
+    operations as the expressions above.
+    """
+    P = damping.P
+    z = np.exp(P)
+    z *= q_vals
+    C = cumulative_simpson_doubled(damping.u, z)
+    np.negative(P, out=z)
+    np.exp(z, out=z)
+    np.negative(z, out=z)
+    z *= C
+    return z
 
 
 def compute_z(p: Coefficient, q: Coefficient, grid: np.ndarray) -> np.ndarray:
     """Kernel z on a uniform grid via the weighted cumulative integrals."""
-    u = _doubled(grid)
-    z = _z_doubled(*_samples(as_callable(p), as_callable(q), u), u)
+    damping = Damping.build(p, grid)
+    z = _z_doubled(damping, _q_samples(as_callable(q), damping.u))
     return z[::2].copy()
 
 
@@ -586,6 +633,7 @@ def compute_kernel(
     tail_window: float = TWO_PI,
     lam_tol: float = 1e-10,
     far: Optional[FarField] = None,
+    damping: Optional[Damping] = None,
 ) -> KernelPair:
     """Compute both kernels with certified accounting.
 
@@ -596,10 +644,15 @@ def compute_kernel(
     ``far`` is the continuation summary of an earlier kernel of the same
     p and q whose grid ended at the same point; it is reused while z at the
     grid end stays inside its validity radius and rebuilt otherwise.  The
-    summary in use is returned as ``KernelPair.far``.
+    summary in use is returned as ``KernelPair.far``.  ``damping`` is the
+    :class:`Damping` of p on this grid, shared with the other member of a
+    pair; it is built here when omitted.
     """
     g = np.asarray(grid, dtype=float)
-    u = _doubled(g)
+    if damping is None:
+        damping = Damping.build(p, g)
+    else:
+        damping.check_inputs(p, g)
     pe, qe = as_callable(p), as_callable(q)
     if far is not None:
         far.check_inputs(p, q, float(g[-1]), extend_to=extend_to,
@@ -608,12 +661,12 @@ def compute_kernel(
     lam_res = integrate_tail(pe, float(g[0]), p_tail, tol=lam_tol)
     lam = lam_res.value
 
-    # the samples stay bound until the kernel returns: freed as soon as z is
-    # made, they let glibc trim the heap, and the arrays made after them
-    # fault their pages in again (2.5x the minor faults of a 256k-point
-    # make_barriers, 12% more wall time on the solve-fine benchmark)
-    p_vals, q_vals = _samples(pe, qe, u)
-    z_doubled = _z_doubled(p_vals, q_vals, u)
+    # the q samples stay bound until the kernel returns: freed as soon as z
+    # is made, they let glibc trim the heap, and the arrays made after them
+    # fault their pages in again (a 256k-point make_barriers, whose members
+    # share one Damping, takes 10.4k minor faults that way against 7.5k)
+    q_vals = _q_samples(qe, damping.u)
+    z_doubled = _z_doubled(damping, q_vals)
     z = z_doubled[::2].copy()
 
     observed = float(np.max(np.abs(z_doubled)))
@@ -663,9 +716,7 @@ def ode_residual(
     h = np.asarray(h_values, dtype=float)
     if g.shape != h.shape or len(g) < 3:
         raise ValueError("need h sampled on at least three grid points")
-    step = g[1] - g[0]
-    if np.any(np.abs(np.diff(g) - step) > 1e-9 * max(step, 1.0)):
-        raise ValueError("residual check needs a uniform grid")
+    step = uniform_step(g, "residual check needs a uniform grid")
 
     pe, qe = as_callable(p), as_callable(q)
     si = g[1:-1]

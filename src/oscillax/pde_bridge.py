@@ -38,8 +38,8 @@ import numpy as np
 
 from .coeff_dsl import CoefficientExpr, as_callable
 from .example_builder import PairResult
-from .kernel import FarField, KernelPair, compute_kernel
-from .quadrature import TailModel, integrate_finite, integrate_finite_many
+from .kernel import Damping, FarField, KernelPair, compute_kernel
+from .quadrature import TailModel, integrate_finite, integrate_finite_many, uniform_step
 
 __all__ = [
     "RadialProblem",
@@ -229,12 +229,15 @@ def make_barriers(
     verified on the grid and a violation raises, since barriers that cross
     cannot sandwich anything.  ``far`` passes one continuation summary per
     member, e.g. those of a barrier pair on another grid with the same end.
-    ``parallel`` computes the two kernels on two threads, to the same bits.
+    The members share p, so p is sampled and integrated on the grid once,
+    into one :class:`Damping` both kernels read.  ``parallel`` computes the
+    two kernels on two threads, to the same bits.
     """
     p = pair.q1.params.p
     p_tail = pair.q1.params.p_tail
     bounds = z_sup_bounds if z_sup_bounds is not None else (None, None)
     fars = far if far is not None else (None, None)
+    damping = Damping.build(p, grid)
 
     def one(which: int) -> KernelPair:
         spec = pair.q1 if which == 0 else pair.q2
@@ -242,6 +245,7 @@ def make_barriers(
             p, spec.q_callable, grid, p_tail=p_tail,
             z_sup_bound=bounds[which],
             extend_to=extend_to, extend_step=extend_step, far=fars[which],
+            damping=damping,
         )
 
     if parallel:
@@ -360,9 +364,7 @@ def subsuper_residual(
     problem.validate()
     n, R = problem.n, problem.R
     g = barrier.grid
-    step = g[1] - g[0]
-    if np.any(np.abs(np.diff(g) - step) > 1e-9 * max(step, 1.0)):
-        raise ValueError("residual checks need a uniform barrier grid")
+    step = uniform_step(g, "residual checks need a uniform barrier grid")
 
     si = g[1:-1]
     p_i = np.asarray(as_callable(problem.p)(si), dtype=float)

@@ -39,6 +39,7 @@ __all__ = [
     "integrate_tail_many",
     "cumulative_integral",
     "cumulative_simpson_doubled",
+    "uniform_step",
 ]
 
 Integrand = Union[CoefficientExpr, Callable]
@@ -401,6 +402,25 @@ def integrate_tail(
     return integrate_tail_many(f, [lo], model, tol, seeds=seeds, limit=limit)[0]
 
 
+def uniform_step(grid: np.ndarray, message: str) -> float:
+    """The step of a uniform increasing grid of two points or more.
+
+    Raises ``ValueError(message)`` unless the first step is positive and
+    every step is within 1e-9 max(step, 1) of it, so a NaN anywhere in the
+    grid is refused too.  One scratch array holds the steps and then their
+    deviations.
+    """
+    steps = np.diff(grid)
+    step = float(steps[0])
+    if not step > 0:
+        raise ValueError(message)
+    steps -= step
+    np.abs(steps, out=steps)
+    if not np.all(steps <= 1e-9 * max(step, 1.0)):
+        raise ValueError(message)
+    return step
+
+
 def cumulative_integral(f: Integrand, grid: np.ndarray) -> np.ndarray:
     """Cumulative integral of f from grid[0] to every grid point.
 
@@ -444,15 +464,23 @@ def cumulative_simpson_doubled(u: np.ndarray, fu: np.ndarray) -> np.ndarray:
     n_cells = len(u) - 1
     if n_cells < 2 or n_cells % 2 != 0:
         raise ValueError("doubled grid needs an even, positive number of cells")
-    steps = np.diff(u)
-    dt0 = steps[0]
-    if dt0 <= 0 or np.any(np.abs(steps - dt0) > 1e-9 * max(abs(dt0), 1.0)):
-        raise ValueError("doubled grid must be uniform")
-    dt = 2.0 * dt0
+    dt = 2.0 * uniform_step(u, "doubled grid must be uniform")
     f0, f1, f2 = f[0:-1:2], f[1::2], f[2::2]
-    full = (dt / 6.0) * (f0 + 4.0 * f1 + f2)
-    half = (dt / 24.0) * (5.0 * f0 + 8.0 * f1 - f2)
-    out = np.zeros(len(u))
-    np.cumsum(full, out=out[2::2])
-    out[1::2] = out[0:-1:2] + half
+    # the full-cell increments (dt/6)(f0 + 4 f1 + f2), then the half-cell
+    # ones (dt/24)(5 f0 + 8 f1 - f2), in one scratch array; 8 f1 waits in the
+    # odd entries of the output until they are written
+    inc = np.multiply(f1, 4.0)
+    inc += f0
+    inc += f2
+    inc *= dt / 6.0
+    out = np.empty(len(u))
+    out[0] = 0.0
+    np.cumsum(inc, out=out[2::2])
+    odd = out[1::2]
+    np.multiply(f1, 8.0, out=odd)
+    np.multiply(f0, 5.0, out=inc)
+    inc += odd
+    inc -= f2
+    inc *= dt / 24.0
+    np.add(out[0:-1:2], inc, out=odd)
     return out

@@ -277,3 +277,9 @@ def test_decay_fit_rejects_nonpositive_windows(problem, solver_barrier):
         decay_fit(mock, problem)
     with pytest.raises(ValueError):
         decay_fit(mock, problem, window=0.9, exclude=0.2)
+
+
+def test_a_reversed_barrier_grid_is_refused(problem, solver_barrier):
+    reversed_barrier = dataclasses.replace(solver_barrier, grid=solver_barrier.grid[::-1])
+    with pytest.raises(ValueError, match="the solver needs a uniform barrier grid"):
+        solve_radial(problem, reversed_barrier)

@@ -1,10 +1,12 @@
 """Command line interface: exit codes, determinism, and report formats."""
 
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscillax.cli_report import (
     _const_expr,
@@ -170,6 +172,61 @@ def test_emit_plot_is_deterministic(tmp_path):
     emit_plot(a, [("y", x, 1.0 / x)], logy=True)
     emit_plot(b, [("y", x, 1.0 / x)], logy=True)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _reference_polylines(series, logx, logy):
+    """Each series' points, mapped and formatted one at a time (default 720 x 480 plot)."""
+    cleaned = [(np.log10(x) if logx else x, np.log10(y) if logy else y) for _, x, y in series]
+    x_lo = min(float(np.min(x)) for x, _ in cleaned)
+    x_hi = max(float(np.max(x)) for x, _ in cleaned)
+    y_lo = min(float(np.min(y)) for _, y in cleaned)
+    y_hi = max(float(np.max(y)) for _, y in cleaned)
+    if x_hi <= x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi <= y_lo:
+        y_hi = y_lo + 1.0
+    y_pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    ml, mt, pw, ph = 70, 40, 720 - 70 - 20, 480 - 40 - 50
+
+    def sx(v):
+        return ml + pw * (v - x_lo) / (x_hi - x_lo)
+
+    def sy(v):
+        return mt + ph * (1.0 - (v - y_lo) / (y_hi - y_lo))
+
+    lines = []
+    for x, y in cleaned:
+        stride = max(1, len(x) // 2000)
+        xs, ys = x[::stride], y[::stride]
+        if xs[-1] != x[-1]:
+            xs, ys = np.append(xs, x[-1]), np.append(ys, y[-1])
+        lines.append(" ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs, ys)))
+    return lines
+
+
+@given(
+    st.lists(st.integers(1, 9000), min_size=1, max_size=3),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40)
+def test_emit_plot_polylines_equal_the_pointwise_mapping(tmp_path_factory, lengths, logx,
+                                                         logy, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-6.0, 6.0)
+    series = []
+    for k, n in enumerate(lengths):
+        x = np.sort(rng.uniform(1e-3, 50.0, n)) * scale
+        y = rng.standard_normal(n) * scale
+        if logy:
+            y = np.abs(y) + 1e-9
+        series.append((f"s{k}", x, y))
+    path = tmp_path_factory.mktemp("plot") / "p.svg"
+    emit_plot(path, series, logx=logx, logy=logy)
+    drawn = re.findall(r'<polyline points="([^"]*)"', path.read_text(encoding="utf-8"))
+    assert drawn == _reference_polylines(series, logx, logy)
 
 
 def test_emit_plot_rejects_bad_series_before_writing(tmp_path):

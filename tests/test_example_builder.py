@@ -166,8 +166,29 @@ def test_a_family_that_is_not_smooth_at_a_join_is_refused(monkeypatch):
         return smooth(self, s) + np.where(np.asarray(s) > 5 * PI, 1e-3, 0.0)
 
     monkeypatch.setattr(OscillationSpec, "q_callable", stepped)
-    with pytest.raises(ValueError, match="fails continuity"):
+    with pytest.raises(ValueError, match="fails continuity") as err:
         build_oscillation(default_params())
+    assert "np.float64" not in str(err.value)
+
+
+def _two_lookup_q(spec, s):
+    """q by the period-and-sign expression that the lobe table replaced."""
+    m = np.maximum(np.floor(s / (2 * PI)).astype(int), 1)
+    c, d = spec._bulk_amplitudes(int(m.max()))
+    positive = (s - (2 * PI) * m) < PI
+    return np.where(positive, c[m - 1], -d[m - 1]) * np.sin(s) ** 2
+
+
+def test_q_callable_is_the_two_lookup_expression_bitwise(family, rng):
+    nodes = PI * np.arange(2, 401)
+    s = np.concatenate((
+        rng.uniform(2 * PI, 400 * PI, 1_000_000),
+        nodes,
+        np.nextafter(nodes, -np.inf),
+        np.nextafter(nodes, np.inf),
+    ))
+    assert family.q_callable(s).tobytes() == _two_lookup_q(family, s).tobytes()
+    assert family.q_callable(float(nodes[7])) == float(_two_lookup_q(family, nodes[7:8])[0])
 
 
 def test_tail_sum_bound_is_valid_and_not_wild(family):

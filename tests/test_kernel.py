@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oscillax import (
+    Damping,
     FarField,
     TailModel,
     compute_h,
@@ -376,9 +377,11 @@ def test_a_kink_inside_a_cell_is_bisected_and_still_resolved():
 def test_a_jump_inside_a_cell_fails_the_self_check_clearly():
     start = 8 * PI
     q = lambda s: np.where(np.asarray(s) < start + 1.3 * PI, 0.1, 0.3)
-    with pytest.raises(ValueError, match=r"not smooth enough on \[.*\] after 30 bisections"):
+    message = r"not smooth enough on \[.*\] after 30 bisections"
+    with pytest.raises(ValueError, match=message) as err:
         FarField.build(parse("1/s^3"), q, start, -0.3, extend_to=400.0,
                        extend_step=PI / 80, tail_window=2 * PI)
+    assert "np.float64" not in str(err.value)
 
 
 def test_non_finite_coefficients_on_the_continuation_are_rejected():
@@ -423,3 +426,32 @@ def test_import_and_a_pipeline_run_load_no_scipy(package_env, tmp_path):
                          env=package_env).stdout.splitlines()
     assert out[0] == "[]"
     assert out[-1] == "0 [] False"
+
+
+# ---------------------------------------------------------------------------
+# the shared damping pass
+
+
+def test_a_damping_for_another_p_or_grid_is_refused():
+    params = default_params()
+    grid = np.linspace(2 * PI, 6 * PI, 401)
+    damping = Damping.build(params.p, grid)
+    q = lambda s: np.sin(np.asarray(s)) ** 2 - 0.4
+    kwargs = dict(p_tail=params.p_tail, extend_to=0.0, damping=damping)
+    compute_kernel(params.p, q, grid, **kwargs)
+    with pytest.raises(ValueError, match="damping was built for another coefficient p"):
+        compute_kernel(parse("2/s^3"), q, grid, **kwargs)
+    for other in (np.linspace(2 * PI, 6 * PI, 201), np.linspace(2.5 * PI, 6 * PI, 401),
+                  np.linspace(2 * PI, 7 * PI, 401)):
+        with pytest.raises(ValueError, match=r"damping was built for a grid of 401 points") as err:
+            compute_kernel(params.p, q, other, **kwargs)
+        assert "np.float64" not in str(err.value)
+    with pytest.raises(ValueError, match="kernel grids must be uniform and increasing"):
+        compute_kernel(params.p, q, grid[::-1], **kwargs)
+
+
+def test_a_damping_refuses_a_p_that_is_not_finite_on_the_grid():
+    grid = np.linspace(2 * PI, 6 * PI, 401)
+    p = lambda s: np.where(np.asarray(s) > 4 * PI, np.inf, 0.0)
+    with pytest.raises(ValueError, match="coefficients are not finite on the grid"):
+        Damping.build(p, grid)

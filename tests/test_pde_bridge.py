@@ -8,6 +8,7 @@ from oscillax import (
     RadialProblem,
     beta_inverse,
     beta_map,
+    compute_kernel,
     integral_conditions,
     lift_coefficients,
     make_barriers,
@@ -241,6 +242,22 @@ def test_parallel_barriers_with_summaries_match_serial(pair, solver_barrier):
         assert np.array_equal(getattr(serial, name), getattr(threaded, name))
     assert serial.kernel1.h_tail == threaded.kernel1.h_tail
     assert serial.kernel2.z_sup_observed == threaded.kernel2.z_sup_observed
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+@pytest.mark.parametrize("extend_to", [0.0, 2e4], ids=["no-continuation", "continuation"])
+def test_barrier_kernels_are_the_standalone_kernels_bitwise(pair, parallel, extend_to):
+    grid = np.linspace(2 * PI, 12 * PI, 2001)
+    barrier = make_barriers(pair, grid, extend_to=extend_to, parallel=parallel)
+    params = pair.q1.params
+    for spec, kernel in ((pair.q1, barrier.kernel1), (pair.q2, barrier.kernel2)):
+        alone = compute_kernel(params.p, spec.q_callable, grid, p_tail=params.p_tail,
+                               extend_to=extend_to)
+        assert (kernel.far is None) == (extend_to == 0.0)
+        assert kernel.z_values.tobytes() == alone.z_values.tobytes()
+        assert kernel.h_values.tobytes() == alone.h_values.tobytes()
+        assert kernel.z_sup_observed == alone.z_sup_observed
+        assert kernel.h_tail == alone.h_tail
 
 
 # ---------------------------------------------------------------------------

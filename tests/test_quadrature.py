@@ -364,7 +364,39 @@ def test_doubled_simpson_agrees_with_composite_on_even_nodes():
 
 
 def test_doubled_simpson_rejects_odd_or_nonuniform_grids():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even, positive number of cells"):
         cumulative_simpson_doubled(np.linspace(0, 1, 4), np.zeros(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="doubled grid must be uniform"):
         cumulative_simpson_doubled(np.array([0.0, 0.1, 0.3]), np.zeros(3))
+    with pytest.raises(ValueError, match="doubled grid must be uniform"):
+        cumulative_simpson_doubled(np.linspace(1, 0, 5), np.zeros(5))
+    with pytest.raises(ValueError, match="one-dimensional and equal length"):
+        cumulative_simpson_doubled(np.linspace(0, 1, 5), np.zeros(3))
+    with pytest.raises(ValueError, match="doubled grid must be uniform"):
+        cumulative_simpson_doubled(np.array([0.0, 0.5, np.nan, 1.5, 2.0]), np.zeros(5))
+
+
+def _simpson_doubled_reference(u, f):
+    """The rule as whole-array expressions, with their grouping and order of additions."""
+    dt = 2.0 * (u[1] - u[0])
+    f0, f1, f2 = f[0:-1:2], f[1::2], f[2::2]
+    full = (dt / 6.0) * (f0 + 4.0 * f1 + f2)
+    half = (dt / 24.0) * (5.0 * f0 + 8.0 * f1 - f2)
+    out = np.zeros(len(u))
+    np.cumsum(full, out=out[2::2])
+    out[1::2] = out[0:-1:2] + half
+    return out
+
+
+@given(
+    st.one_of(st.sampled_from([3, 5, 9, 17, 33, 65, 129, 257, 1025]),
+              st.integers(1, 600).map(lambda k: 2 * k + 1)),
+    st.floats(-50.0, 50.0),
+    st.floats(1e-3, 20.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_doubled_simpson_in_place_equals_the_whole_array_rule_bitwise(n, start, span, seed):
+    u = np.linspace(start, start + span, n)
+    f = np.random.default_rng(seed).standard_normal(n) * 10.0 ** (seed % 7 - 3)
+    out = cumulative_simpson_doubled(u, f)
+    assert out.tobytes() == _simpson_doubled_reference(u, f).tobytes()
