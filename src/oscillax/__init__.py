@@ -70,7 +70,6 @@ from .pde_bridge import (
     make_barriers,
     make_blend,
     push_a_from_q,
-    resolve_nonlinearity,
     subsuper_residual,
 )
 from .bvp_solver import (
@@ -105,7 +104,7 @@ __all__ = [
     # pde_bridge
     "BarrierPair", "RadialProblem", "ResidualReport", "beta_inverse",
     "beta_map", "integral_conditions", "lift_coefficients", "make_barriers",
-    "make_blend", "push_a_from_q", "resolve_nonlinearity", "subsuper_residual",
+    "make_blend", "push_a_from_q", "subsuper_residual",
     # bvp_solver
     "BvpSolution", "DecayFit", "check_sandwich", "decay_fit", "solve_radial",
     # cli_report

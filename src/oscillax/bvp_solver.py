@@ -47,16 +47,19 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coeff_dsl import as_callable
+from .kernel import _central_operator
 from .pde_bridge import (
     BarrierPair,
     RadialProblem,
     _beta_betaprime,
     beta_map,
-    resolve_nonlinearity,
+    make_blend,
 )
 from .quadrature import uniform_step
 
 __all__ = ["BvpSolution", "DecayFit", "solve_radial", "check_sandwich", "decay_fit"]
+
+SANDWICH_TOL = 1e-8   # how far below a barrier the solution may dip, in the radial scale
 
 
 @dataclass(frozen=True)
@@ -207,14 +210,15 @@ def _estimate_shift(
 ) -> float:
     """Sampled lower bound for the shift: worst negative u-slope of B f / s.
 
-    Zero for any f nondecreasing in u, in particular the stock blend.
+    Zero for any f nondecreasing in u, in particular the stock blend, which
+    a missing f stands for.
     """
     g = barrier.grid
     n, R = problem.n, problem.R
     si = g[1:-1:max(1, len(g) // 512)]
     r_i = beta_map(n, R, si)
     B = _beta_betaprime(n, si) / (n - 2)
-    fn = resolve_nonlinearity(problem, barrier, r_i, f)
+    fn = make_blend(problem, barrier, r_i) if f is None else lambda u: f(r_i, u)
     v1 = np.interp(si, g, barrier.h1) / si
     v2 = np.interp(si, g, barrier.h2) / si
     width = v2 - v1
@@ -240,9 +244,10 @@ def solve_radial(
 ) -> BvpSolution:
     """Run the monotone iteration on the barrier grid until sup-convergence.
 
-    ``boundary`` picks the barrier supplying the Dirichlet trace and the
-    starting iterate: "upper" descends from h2 towards the maximal solution,
-    "lower" ascends from h1.
+    ``f(r, u)`` is the nonlinearity, the stock blend of :func:`make_blend`
+    when omitted.  ``boundary`` picks the barrier supplying the Dirichlet
+    trace and the starting iterate: "upper" descends from h2 towards the
+    maximal solution, "lower" ascends from h1.
     """
     if boundary not in ("upper", "lower"):
         raise ValueError(f"boundary must be 'upper' or 'lower', got {boundary!r}")
@@ -263,26 +268,18 @@ def solve_radial(
     p_i = np.asarray(as_callable(problem.p)(si), dtype=float)
     r_i = beta_map(n, R, si)
     B = _beta_betaprime(n, si) / (n - 2)
-    fn = resolve_nonlinearity(problem, barrier, r_i, f)
+    fn = make_blend(problem, barrier, r_i) if f is None else lambda u: f(r_i, u)
 
     factor = _sweep_factor(p_i, si, step, K_used)
     work = np.empty((2, len(si)))
 
     def residual(out: np.ndarray) -> np.ndarray:
         """out = L H + B f(beta, H/s) on the interior nodes; ``work`` is its scratch."""
-        d1, u = work
-        np.multiply(H[1:-1], 2.0, out=out)
-        np.subtract(H[:-2], out, out=out)
-        out += H[2:]
-        out /= step**2
-        np.subtract(H[2:], H[:-2], out=d1)
-        d1 /= 2.0 * step
+        _central_operator(H, si, p_i, step, out, work)
+        u, term = work
         np.divide(H[1:-1], si, out=u)
-        d1 -= u
-        d1 *= p_i
-        out += d1
-        np.multiply(B, fn(u), out=d1)
-        out += d1
+        np.multiply(B, fn(u), out=term)
+        out += term
         return out
 
     H = (barrier.h2 if boundary == "upper" else barrier.h1).copy()
@@ -335,7 +332,7 @@ def solve_radial(
     )
 
 
-def check_sandwich(solution: BvpSolution, barrier: BarrierPair, tol: float = 1e-8) -> dict:
+def check_sandwich(solution: BvpSolution, barrier: BarrierPair) -> dict:
     """Margins of v1 <= u <= v2 on the grid, in the radial scale u = H/s."""
     g = solution.grid
     if g.shape != barrier.grid.shape or np.any(g != barrier.grid):
@@ -347,7 +344,7 @@ def check_sandwich(solution: BvpSolution, barrier: BarrierPair, tol: float = 1e-
         "upper_margin": float(np.min(upper)),
         "lower_argmin": float(g[int(np.argmin(lower))]),
         "upper_argmin": float(g[int(np.argmin(upper))]),
-        "ok": bool(np.min(lower) >= -tol and np.min(upper) >= -tol),
+        "ok": bool(np.min(lower) >= -SANDWICH_TOL and np.min(upper) >= -SANDWICH_TOL),
     }
 
 

@@ -138,6 +138,7 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) 
 # SVG plotting (self-contained, no timestamps)
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+PLOT_WIDTH, PLOT_HEIGHT = 720, 480   # SVG canvas, in pixels
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -167,8 +168,6 @@ def emit_plot(
     ylabel: str = "",
     logy: bool = False,
     logx: bool = False,
-    width: int = 720,
-    height: int = 480,
 ) -> None:
     """Write a standalone SVG line plot.
 
@@ -204,6 +203,7 @@ def emit_plot(
     y_pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
+    width, height = PLOT_WIDTH, PLOT_HEIGHT
     ml, mr, mt, mb = 70, 20, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -285,10 +285,7 @@ def default_config() -> dict:
         },
         "p": {"expr": "1/s^3", "tail": {"kind": "power", "rate": 3.0, "coef": 1.0}},
         "s0": "2*pi",
-        "problem": {
-            "n": 3, "R": 1.0,
-            "varsigma": 1.0, "blend": "tanh",
-        },
+        "problem": {"n": 3, "R": 1.0, "varsigma": 1.0},
         "kernel": {
             "step": "pi/200", "span": "40*pi",
             "extend_to": 2e4, "extend_step": "pi/80",
@@ -320,6 +317,14 @@ def _positive(value, what: str) -> float:
     x = _const_expr(value, what)
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"{what} must be a positive finite number, got {x!r}")
+    return x
+
+
+def _nonnegative(value, what: str) -> float:
+    """A nonnegative finite number, or a constant expression for one."""
+    x = _const_expr(value, what)
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError(f"{what} must be a nonnegative finite number, got {x!r}")
     return x
 
 
@@ -370,12 +375,13 @@ def _tail_model(block, what: str) -> TailModel:
     got = _take(block, allowed, what)
     if got["rate"] is None:
         raise ValueError(f"{what} needs a decay rate")
-    return TailModel(
-        kind=str(got["kind"]),
-        rate=_const_expr(got["rate"], f"{what}.rate"),
-        coef=_const_expr(got["coef"], f"{what}.coef"),
-        cutoff=None if got["cutoff"] is None else _const_expr(got["cutoff"], f"{what}.cutoff"),
-    )
+    rate = _const_expr(got["rate"], f"{what}.rate")
+    coef = _const_expr(got["coef"], f"{what}.coef")
+    cutoff = None if got["cutoff"] is None else _const_expr(got["cutoff"], f"{what}.cutoff")
+    try:
+        return TailModel(kind=str(got["kind"]), rate=rate, coef=coef, cutoff=cutoff)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _coefficient(block, what: str) -> tuple[CoefficientExpr, Optional[TailModel]]:
@@ -395,7 +401,6 @@ class RunConfig:
     pair: PairParams
     problem_n: int
     problem_R: float
-    blend: str
     varsigma: float
     kernel_step: float
     kernel_span: float
@@ -465,6 +470,10 @@ def load_config(raw: dict) -> RunConfig:
         raise ValueError(
             'the "problem" section no longer takes "g": the radial damping g is now '
             'derived from p through r = beta(s), so give the damping as p only')
+    if isinstance(top["problem"], dict) and "blend" in top["problem"]:
+        raise ValueError(
+            'the "problem" section no longer takes "blend": the nonlinearity is '
+            'always the tanh blend across the barrier ribbon, so leave problem.blend out')
     prob = _take(top["problem"], default_config()["problem"], "problem")
     n = _count(prob["n"], "problem.n")
     if n < 3:
@@ -475,9 +484,6 @@ def load_config(raw: dict) -> RunConfig:
         raise ValueError(
             f"s0 = {s0!r} must lie beyond the excluded ball: it needs "
             f"s0 > (problem.n - 2) problem.R^(problem.n - 2) = {s_min!r}")
-    blend = prob["blend"]
-    if not (isinstance(blend, str) and blend == "tanh"):
-        raise ValueError(f"unknown nonlinearity descriptor {blend!r}")
     varsigma = _positive(prob["varsigma"], "problem.varsigma")
 
     kern = _take(top["kernel"], default_config()["kernel"], "kernel")
@@ -495,9 +501,7 @@ def load_config(raw: dict) -> RunConfig:
     solver_max_iter = _count(solv["max_iter"], "solver.max_iter")
     if solver_max_iter < 1:
         raise ValueError(f"solver.max_iter must be at least 1, got {solver_max_iter}")
-    solver_K = None if solv["K"] is None else _const_expr(solv["K"], "solver.K")
-    if solver_K is not None and not (math.isfinite(solver_K) and solver_K >= 0.0):
-        raise ValueError(f"solver.K must be a nonnegative finite shift, got {solver_K!r}")
+    solver_K = None if solv["K"] is None else _nonnegative(solv["K"], "solver.K")
     features_M = _count(feat["M"], "features.M")
     if features_M < 2:
         raise ValueError(f"features.M must be at least 2 to fit a growth rate, got {features_M}")
@@ -531,11 +535,10 @@ def load_config(raw: dict) -> RunConfig:
         pair=pair,
         problem_n=n,
         problem_R=R,
-        blend="tanh",
         varsigma=varsigma,
         kernel_step=steps["step"],
         kernel_span=span,
-        extend_to=_const_expr(kern["extend_to"], "kernel.extend_to"),
+        extend_to=_nonnegative(kern["extend_to"], "kernel.extend_to"),
         extend_step=steps["extend_step"],
         residual_step=steps["residual_step"],
         solver_N=solver_N,
@@ -584,7 +587,7 @@ class _Runner:
         return RadialProblem(
             n=cfg.problem_n, R=cfg.problem_R, s0=cfg.oscillation.s0,
             p=cfg.oscillation.p, p_tail=cfg.oscillation.p_tail, a1=a1, a2=a2,
-            f_blend=cfg.blend, varsigma=cfg.varsigma,
+            varsigma=cfg.varsigma,
         )
 
     # -- stages -------------------------------------------------------------

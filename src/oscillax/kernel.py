@@ -42,10 +42,11 @@ coefficient with a kink inside a cell is still resolved.
 
 A :class:`FarField` keeps what h needs of the continuation for every x: the
 Clenshaw-Curtis cell totals of E/t^2 and D/t^2, E and D on the trailing
-window, and E and D at the points within 2 tau of max|z| at the x0 it was
-built at, with tau = 1e-9 max(1, |x0|).  That kept set still holds the
-maximiser of |z| for any x with max(E) |x - x0| <= tau (the validity
-radius), so sup|z| over the sampled points stays exact there.  It is built
+window (the last TAIL_WINDOW of the continuation), and E and D at the
+points within 2 tau of max|z| at the x0 it was built at, with
+tau = 1e-9 max(1, |x0|).  That kept set still holds the maximiser of |z|
+for any x with max(E) |x - x0| <= tau (the validity radius), so sup|z|
+over the sampled points stays exact there.  It is built
 once per coefficient pair and passed to every later kernel whose grid ends
 at the same point.
 """
@@ -76,7 +77,8 @@ __all__ = [
 
 Coefficient = Union[CoefficientExpr, Callable]
 
-TWO_PI = 2.0 * math.pi
+TAIL_WINDOW = 2.0 * math.pi   # trailing window of the h-tail mean value estimate
+LAM_TOL = 1e-10               # quadrature tolerance of lambda = integral of p
 
 
 @dataclass(frozen=True)
@@ -309,7 +311,7 @@ class FarField:
     z = E x - D.  The continuation is resolved on cells (see
     :class:`_Cells`): the integral of z/t^2 over it is x A - B, the trailing
     window holds E and D on ``window_u`` (the points start + j extend_step/2
-    in the last ``tail_window``), and sup|z| is the largest |E_i x - D_i|
+    in the last TAIL_WINDOW), and sup|z| is the largest |E_i x - D_i|
     over the kept points while x stays within the validity radius of ``x0``
     (see :meth:`covers`).  The points sup|z| is taken over are the cell
     nodes and, on every cell, its uniform subdivision with spacing at most
@@ -322,7 +324,6 @@ class FarField:
     start: float
     extend_to: float
     extend_step: float
-    tail_window: float
     end: float
     A: float                 # Clenshaw-Curtis total of E/t^2
     B: float                 # Clenshaw-Curtis total of D/t^2
@@ -337,7 +338,7 @@ class FarField:
 
     @classmethod
     def build(cls, p: Coefficient, q: Coefficient, start: float, x0: float, *,
-              extend_to: float, extend_step: float, tail_window: float) -> "FarField":
+              extend_to: float, extend_step: float) -> "FarField":
         """Continue z from ``start`` once and keep its summary.
 
         Never writes into what p or q return; only the summary outlives the
@@ -357,9 +358,9 @@ class FarField:
         A = float(w @ ((E / t) @ cc))
         B = float(w @ ((D / t) @ cc))
 
-        j0 = max(0, n_steps - int(tail_window / half) - 2)
+        j0 = max(0, n_steps - int(TAIL_WINDOW / half) - 2)
         window_u = np.arange(j0, n_steps + 1, dtype=float) * half + start
-        window_u = window_u[_window_start(window_u, tail_window):]
+        window_u = window_u[_window_start(window_u, TAIL_WINDOW):]
         k = np.minimum(np.searchsorted(cells.hi, window_u), len(cells.hi) - 1)
         window_E, window_D = np.empty_like(window_u), np.empty_like(window_u)
         for cell in k[np.flatnonzero(np.diff(k, prepend=-1))]:  # k is sorted
@@ -405,19 +406,18 @@ class FarField:
         keep = np.flatnonzero(z >= float(np.max(z)) - 2.0 * tau)
         return cls(
             p=p, q=q, start=float(start), extend_to=float(extend_to),
-            extend_step=float(extend_step), tail_window=float(tail_window), end=end,
+            extend_step=float(extend_step), end=end,
             A=A, B=B, window_u=window_u, window_E=window_E, window_D=window_D,
             x0=float(x0), tau=tau, e_max=float(np.max(E)),
             sup_E=E_keep[keep], sup_D=D_keep[keep],
         )
 
     def check_inputs(self, p: Coefficient, q: Coefficient, start: float, *,
-                     extend_to: float, extend_step: float, tail_window: float) -> None:
+                     extend_to: float, extend_step: float) -> None:
         """Raise unless the summary was built for exactly these inputs."""
         for name, ours, theirs in (
             ("start", self.start, start), ("extend_to", self.extend_to, extend_to),
             ("extend_step", self.extend_step, extend_step),
-            ("tail_window", self.tail_window, tail_window),
         ):
             if ours != float(theirs):
                 raise ValueError(f"far-field summary was built for {name} = {ours!r}, "
@@ -582,7 +582,6 @@ def compute_h(
     tail: TailModel,
     *,
     far: Optional[FarField] = None,
-    tail_window: float = TWO_PI,
 ) -> tuple[np.ndarray, HTail]:
     """Kernel h on the grid from sampled z plus tail accounting.
 
@@ -602,14 +601,12 @@ def compute_h(
     if far is not None:
         if far.start != g[-1]:
             raise ValueError("far-field summary must start exactly at the end of the grid")
-        if far.tail_window != tail_window:
-            raise ValueError("far-field summary was built for another tail window")
         x = float(z[-1])
         beyond = far.beyond(x)
         tail_u, tail_z = far.window(x)
 
     cutoff = float(tail_u[-1])
-    zbar, uncertainty = _window_mean_tail(tail_u, tail_z, tail_window)
+    zbar, uncertainty = _window_mean_tail(tail_u, tail_z, TAIL_WINDOW)
     tail_value = zbar / cutoff
     certificate = tail.tail_bound(cutoff)
 
@@ -630,8 +627,6 @@ def compute_kernel(
     z_sup_bound: Optional[float] = None,
     extend_to: float = 2e4,
     extend_step: float = math.pi / 80.0,
-    tail_window: float = TWO_PI,
-    lam_tol: float = 1e-10,
     far: Optional[FarField] = None,
     damping: Optional[Damping] = None,
 ) -> KernelPair:
@@ -655,10 +650,9 @@ def compute_kernel(
         damping.check_inputs(p, g)
     pe, qe = as_callable(p), as_callable(q)
     if far is not None:
-        far.check_inputs(p, q, float(g[-1]), extend_to=extend_to,
-                         extend_step=extend_step, tail_window=tail_window)
+        far.check_inputs(p, q, float(g[-1]), extend_to=extend_to, extend_step=extend_step)
 
-    lam_res = integrate_tail(pe, float(g[0]), p_tail, tol=lam_tol)
+    lam_res = integrate_tail(pe, float(g[0]), p_tail, tol=LAM_TOL)
     lam = lam_res.value
 
     # the q samples stay bound until the kernel returns: freed as soon as z
@@ -674,13 +668,13 @@ def compute_kernel(
         x = float(z[-1])
         if far is None or not far.covers(x):
             far = FarField.build(p, q, float(g[-1]), x, extend_to=extend_to,
-                                 extend_step=extend_step, tail_window=tail_window)
+                                 extend_step=extend_step)
         observed = max(observed, far.sup(x))
 
     bound = observed if z_sup_bound is None else float(z_sup_bound)
     tail = TailModel(kind="power", rate=2.0, coef=bound,
                      cutoff=far.end if far is not None else float(g[-1]))
-    h, h_tail = compute_h(z, g, tail, far=far, tail_window=tail_window)
+    h, h_tail = compute_h(z, g, tail, far=far)
 
     for arr in (g, z, h):
         arr.setflags(write=False)
@@ -696,6 +690,29 @@ def compute_kernel(
         z_sup_observed=observed,
         far=far,
     )
+
+
+def _central_operator(h: np.ndarray, si: np.ndarray, p_i: np.ndarray, step: float,
+                      out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """out = h'' + p (h' - h/s) on the interior nodes ``si``, by central differences.
+
+    ``h`` lives on a uniform grid of step ``step`` whose interior nodes are
+    ``si``, and ``p_i`` is p there.  Everything is written in place: the
+    operator into ``out``, and the two rows of ``work`` end holding h' - h/s
+    and p (h' - h/s).  Returns ``out``.
+    """
+    slope, term = work
+    np.multiply(h[1:-1], 2.0, out=out)
+    np.subtract(h[:-2], out, out=out)
+    out += h[2:]
+    out /= step**2
+    np.subtract(h[2:], h[:-2], out=slope)
+    slope /= 2.0 * step
+    np.divide(h[1:-1], si, out=term)
+    slope -= term
+    np.multiply(slope, p_i, out=term)
+    out += term
+    return out
 
 
 def ode_residual(
@@ -720,10 +737,10 @@ def ode_residual(
 
     pe, qe = as_callable(p), as_callable(q)
     si = g[1:-1]
-    d2 = (h[:-2] - 2.0 * h[1:-1] + h[2:]) / step**2
-    d1 = (h[2:] - h[:-2]) / (2.0 * step)
-    resid = d2 + np.asarray(pe(si), dtype=float) * (d1 - h[1:-1] / si) \
-        + np.asarray(qe(si), dtype=float) / si
+    work = np.empty((2, len(si)))
+    resid = _central_operator(h, si, np.asarray(pe(si), dtype=float), step,
+                              np.empty(len(si)), work)
+    resid += np.asarray(qe(si), dtype=float) / si
     out = {
         "sup": float(np.max(np.abs(resid))),
         "l2": float(np.sqrt(step * np.sum(resid**2))),
@@ -731,7 +748,7 @@ def ode_residual(
     }
     if z_values is not None:
         z = np.asarray(z_values, dtype=float)
-        ident = d1 - h[1:-1] / si - z[1:-1] / si
+        ident = work[0] - z[1:-1] / si
         out["identity_sup"] = float(np.max(np.abs(ident)))
         out["identity_l2"] = float(np.sqrt(step * np.sum(ident**2)))
     return out

@@ -6,7 +6,8 @@ Hypotheses, per period m with breakpoints a_{2m} < a_{2m+1} < a_{2m+2}:
   (hyp1)   integral of q over the positive lobe dominates the negative one
            with the damping markup:  Ipos_m >= (1 + 3 I_m) Ineg_m, where
            I_m = integral_{a_{2m}}^{infinity} p;
-  (hyp2)   the surpluses eps_m >= Ipos_m - Ineg_m are summable;
+  (hyp2)   the surpluses eps_m = max(Ipos_m - Ineg_m, 0), the smallest
+           admissible ones (the slack surplus), are summable;
   (hyp3)   each positive-lobe integral alone stays below a fixed delta.
 
 Standing smallness: lambda = integral of p over [s0, infinity) below one.
@@ -50,7 +51,9 @@ __all__ = [
 
 Coefficient = Union[CoefficientExpr, Callable]
 
-STRICT = 1e-12  # strict-inequality threshold; closer to zero is inconclusive
+STRICT = 1e-12       # strict-inequality threshold; closer to zero is inconclusive
+SIGN_SAMPLES = 64    # interior samples per lobe of the sign-pattern check
+QUAD_TOL = 1e-12     # quadrature tolerance of the lobe integrals
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,6 @@ class HypothesesResult:
     sign_inconclusive: int
     hyp1_margins: np.ndarray
     eps: np.ndarray
-    eps_mode: str
     eps_range_sum: float
     eps_tail: Optional[float]
     eps_total: Optional[float]
@@ -165,7 +167,7 @@ class LemmaReport:
             "pass": hyp.eps_total is not None,
             "margin": hyp.eps_total if hyp.eps_total is not None else hyp.eps_range_sum,
             "details": {
-                "mode": hyp.eps_mode,
+                "mode": "slack",
                 "range_sum": hyp.eps_range_sum,
                 "certified_tail": hyp.eps_tail,
                 "truncated": hyp.eps_total is None,
@@ -265,24 +267,16 @@ def check_hypotheses(
     *,
     p_tail: TailModel,
     family=None,
-    eps_mode: str = "slack",
-    q_tail: Optional[TailModel] = None,
-    sign_samples: int = 64,
-    quad_tol: float = 1e-12,
     parallel: bool = False,
 ) -> HypothesesResult:
     """Certify the oscillation hypotheses on the given breakpoint range.
 
-    ``eps_mode`` picks the surplus sequence: "slack" takes the minimal
-    admissible eps_m = max(Ipos_m - Ineg_m, 0); "integrable" takes
-    eps_m = Ipos_m, which is summable when |q| is (certify with ``q_tail``).
+    The surpluses are the slack ones, eps_m = max(Ipos_m - Ineg_m, 0).
     ``family`` supplies certified beyond-range coefficients
     (surplus_tail_bound / future_pos_lobe_bound); without it the beyond-range
     sums are reported as not certified rather than guessed.
     ``parallel`` checks the periods on a thread pool, to the same bits.
     """
-    if eps_mode not in ("slack", "integrable"):
-        raise ValueError(f"unknown eps_mode {eps_mode!r}")
     nodes = np.asarray(nodes, dtype=float)
     M = _lobe_bounds(nodes)
     pe, qe = as_callable(p), as_callable(q)
@@ -292,14 +286,14 @@ def check_hypotheses(
     lam_ok = bool(lam + lam_res.abs_error_estimate < 1.0)
 
     # lobes [a_{2m}, a_{2m+1}] and [a_{2m+1}, a_{2m+2}] alternate in one batch
-    lobes = integrate_finite_many(qe, list(zip(nodes[:-1], nodes[1:])), quad_tol)
+    lobes = integrate_finite_many(qe, list(zip(nodes[:-1], nodes[1:])), QUAD_TOL)
     pos, neg = lobes[0::2], lobes[1::2]
     tails = integrate_tail_many(pe, nodes[0:-1:2], p_tail.without_cutoff(), tol=1e-12)
 
     def one_period(m: int):
         a, b, c = nodes[2 * m - 2], nodes[2 * m - 1], nodes[2 * m]
-        tpos = a + (b - a) * (np.arange(1, sign_samples + 1) / (sign_samples + 1.0))
-        tneg = b + (c - b) * (np.arange(1, sign_samples + 1) / (sign_samples + 1.0))
+        tpos = a + (b - a) * (np.arange(1, SIGN_SAMPLES + 1) / (SIGN_SAMPLES + 1.0))
+        tneg = b + (c - b) * (np.arange(1, SIGN_SAMPLES + 1) / (SIGN_SAMPLES + 1.0))
         qpos = np.asarray(qe(tpos), dtype=float)
         qneg = np.asarray(qe(tneg), dtype=float)
         clearance = min(float(np.min(qpos)), float(np.min(-qneg)))
@@ -327,27 +321,13 @@ def check_hypotheses(
 
     hyp1 = Ipos - (1.0 + 3.0 * I) * Ineg
 
-    if eps_mode == "slack":
-        eps = np.maximum(Ipos - Ineg, 0.0)
-        eps_tail = None
-        if family is not None:
-            eps_tail = family.surplus_tail_bound(M)
-    else:
-        eps = Ipos.copy()
-        eps_tail = None
-        if q_tail is not None:
-            # positive lobes of |q| beyond the range are no more than the
-            # whole remaining integral of |q|
-            eps_tail = q_tail.tail_bound(float(nodes[-1]))
+    eps = np.maximum(Ipos - Ineg, 0.0)
+    eps_tail = None if family is None else family.surplus_tail_bound(M)
     eps_range = float(np.sum(eps))
     eps_total = None if eps_tail is None else eps_range + float(eps_tail)
 
     delta_range = float(np.max(Ipos + quad_err))
-    delta_tail: Optional[float] = None
-    if family is not None:
-        delta_tail = float(family.future_pos_lobe_bound(M))
-    elif eps_mode == "integrable" and q_tail is not None:
-        delta_tail = float(q_tail.tail_bound(float(nodes[-1])))
+    delta_tail = None if family is None else float(family.future_pos_lobe_bound(M))
     delta_total = None if delta_tail is None else max(delta_range, delta_tail)
 
     deduced = bool(np.all(3.0 * I * Ineg <= eps + quad_err + 1e-12))
@@ -360,7 +340,7 @@ def check_hypotheses(
         pos_integrals=Ipos, neg_integrals=Ineg, quad_errors=quad_err,
         sign_ok=sign_ok, sign_margin=sign_margin, sign_inconclusive=inconclusive,
         hyp1_margins=hyp1,
-        eps=eps, eps_mode=eps_mode,
+        eps=eps,
         eps_range_sum=eps_range, eps_tail=eps_tail, eps_total=eps_total,
         delta_range=delta_range, delta_tail=delta_tail, delta_total=delta_total,
         deduced_damping_ok=deduced,
@@ -372,13 +352,12 @@ def check_conclusions(
     *,
     eps: Optional[float] = None,
     delta: Optional[float] = None,
-    threshold: float = STRICT,
 ) -> ConclusionsResult:
     """Check the kernel conclusions on the computed samples.
 
     ``eps`` and ``delta`` feed the proof bound (eps + delta) e^lambda; when
     either is missing the bound check is skipped rather than improvised.
-    Strict inequalities use ``threshold``; samples inside the zone count as
+    Strict inequalities use STRICT; samples inside the zone count as
     inconclusive, never as passing.
     """
     g = kernel.grid
@@ -386,9 +365,9 @@ def check_conclusions(
     h = kernel.h_values
 
     interior = z[1:]
-    z_negative = bool(np.all(interior < -threshold))
-    margin = float(-threshold - np.max(interior))
-    z_inconclusive = int(np.sum((interior > -threshold) & (interior <= threshold)))
+    z_negative = bool(np.all(interior < -STRICT))
+    margin = float(-STRICT - np.max(interior))
+    z_inconclusive = int(np.sum((interior > -STRICT) & (interior <= STRICT)))
 
     bound = None
     bounded = None
@@ -399,7 +378,7 @@ def check_conclusions(
         bounded = bool(bound_margin > 0.0)
 
     h_min = float(np.min(h))
-    h_positive = bool(h_min > threshold)
+    h_positive = bool(h_min > STRICT)
 
     ratio = h / g
     ratio_dec = bool(np.all(np.diff(ratio) < 0.0))
@@ -508,14 +487,9 @@ def verify_lemma(
     family=None,
     kernel: Optional[KernelPair] = None,
     q_minus: Optional[float] = None,
-    eps_mode: str = "slack",
-    q_tail: Optional[TailModel] = None,
 ) -> LemmaReport:
     """Full report: hypotheses, remark consistency, kernel conclusions."""
-    hyp = check_hypotheses(
-        p, q, nodes, p_tail=p_tail, family=family,
-        eps_mode=eps_mode, q_tail=q_tail,
-    )
+    hyp = check_hypotheses(p, q, nodes, p_tail=p_tail, family=family)
     sum_tail = None
     if family is not None:
         sum_tail = family.tail_sum_I_bound(hyp.m_checked)

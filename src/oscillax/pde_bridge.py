@@ -25,7 +25,8 @@ The barrier pair (h1, h2) built from an ordered coefficient pair provides
 v1 = h1/s and v2 = h2/s; a nonlinearity f confined to the ribbon
 a1 <= f <= a2 for v1 <= u <= v2 then has v1, v2 as sub- and supersolution,
 which :func:`subsuper_residual` checks through the sign of the discrete
-residuals.
+residuals.  The nonlinearity is given as ``f(r, u)`` to the functions that
+evaluate it; leaving it out means the stock tanh blend of :func:`make_blend`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .coeff_dsl import CoefficientExpr, as_callable
 from .example_builder import PairResult
-from .kernel import Damping, FarField, KernelPair, compute_kernel
+from .kernel import Damping, FarField, KernelPair, _central_operator, compute_kernel
 from .quadrature import TailModel, integrate_finite, integrate_finite_many, uniform_step
 
 __all__ = [
@@ -56,6 +57,9 @@ __all__ = [
 ]
 
 Coefficient = Union[CoefficientExpr, Callable]
+
+SIGN_TOL = 1e-6       # tolerated discretisation leak of the barrier residual signs
+RIBBON_TOL = 1e-12    # tolerated excursion of f beyond [a1, a2], relative to the ribbon width
 
 
 def beta_map(n: int, R: float, s) -> np.ndarray:
@@ -110,9 +114,7 @@ class RadialProblem:
     The radial damping g is not stored: it is derived from p (see the
     module docstring).  ``a1 <= a2`` are the source coefficients bounding
     the nonlinearity, functions of the radius (expressions use the variable
-    name s for their argument).  ``f_blend`` is either the string "tanh"
-    (the stock ribbon-respecting nonlinearity built from the barriers, see
-    :func:`make_blend`) or a callable f(r, u).
+    name s for their argument).
     """
 
     n: int = 3
@@ -122,7 +124,6 @@ class RadialProblem:
     p_tail: Optional[TailModel] = None
     a1: Coefficient = None  # type: ignore[assignment]
     a2: Coefficient = None  # type: ignore[assignment]
-    f_blend: Union[str, Callable] = "tanh"
     varsigma: float = 1.0
 
     def validate(self) -> None:
@@ -137,8 +138,6 @@ class RadialProblem:
             )
         if self.p is None:
             raise ValueError("a damping coefficient p is required")
-        if isinstance(self.f_blend, str) and self.f_blend != "tanh":
-            raise ValueError(f"unknown nonlinearity descriptor {self.f_blend!r}")
         if not self.varsigma > 0:
             raise ValueError("varsigma must be positive")
 
@@ -312,21 +311,6 @@ def _ribbon(problem: RadialProblem, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
             np.asarray(as_callable(problem.a2)(r), dtype=float))
 
 
-def resolve_nonlinearity(problem: RadialProblem, barrier: BarrierPair, r,
-                         f: Optional[Callable] = None, *,
-                         ribbon: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Callable:
-    """The nonlinearity bound to the radii ``r``, as a callable of u alone.
-
-    An explicit ``f(r, u)`` wins over ``problem.f_blend``; either is bound as
-    ``u -> f(r, u)``.  The stock "tanh" descriptor gives :func:`make_blend`,
-    which reuses ``ribbon`` = (a1(r), a2(r)) when given.
-    """
-    fn = f if f is not None else problem.f_blend
-    if callable(fn):
-        return lambda u: fn(r, u)
-    return make_blend(problem, barrier, r, ribbon=ribbon)
-
-
 # ---------------------------------------------------------------------------
 # Residual signs
 
@@ -348,18 +332,17 @@ def subsuper_residual(
     barrier: BarrierPair,
     *,
     f: Optional[Callable] = None,
-    sign_tol: float = 1e-6,
-    ribbon_tol: float = 1e-12,
 ) -> ResidualReport:
-    """Discrete residuals of the barriers under the full nonlinearity.
+    """Discrete residuals of the barriers under the nonlinearity f(r, u).
 
     On the arc side the operator is  L[h] + (1/(n-2)) beta beta' f(beta, h/s)
     with L[h] = h'' + p (h' - h/s).  A subsolution must keep it >= 0 (for
     h1), a supersolution <= 0 (for h2); central differences on the barrier
-    grid measure both, and ``sign_tol`` sets the tolerated discretisation
-    leak.  f is required to respect the ribbon a1 <= f <= a2 wherever it is
-    evaluated; an excursion beyond ``ribbon_tol`` (relative to the ribbon
-    width) is a hard error because the sandwich argument breaks there.
+    grid measure both, and SIGN_TOL sets the tolerated discretisation leak.
+    f, the stock blend when omitted, is required to respect the ribbon
+    a1 <= f <= a2 wherever it is evaluated; an excursion beyond RIBBON_TOL
+    (relative to the ribbon width) is a hard error because the sandwich
+    argument breaks there.
     """
     problem.validate()
     n, R = problem.n, problem.R
@@ -371,25 +354,26 @@ def subsuper_residual(
     bb = _beta_betaprime(n, si)
     r_i = beta_map(n, R, si)
     lo, hi = _ribbon(problem, r_i)
-    fn = resolve_nonlinearity(problem, barrier, r_i, f, ribbon=(lo, hi))
+    fn = (make_blend(problem, barrier, r_i, ribbon=(lo, hi)) if f is None
+          else lambda u: f(r_i, u))
     width = np.max(hi - lo)
 
     excursion = 0.0
     rhos = []
+    work = np.empty((2, len(si)))
     for h in (barrier.h1, barrier.h2):
-        d2 = (h[:-2] - 2.0 * h[1:-1] + h[2:]) / step**2
-        d1 = (h[2:] - h[:-2]) / (2.0 * step)
-        u = h[1:-1] / si
-        fv = np.asarray(fn(u), dtype=float)
+        fv = np.asarray(fn(h[1:-1] / si), dtype=float)
         over = float(np.max(np.maximum(fv - hi, lo - fv)))
         excursion = max(excursion, over)
-        if over > ribbon_tol * max(width, 1.0):
+        if over > RIBBON_TOL * max(width, 1.0):
             raise ValueError(
                 f"nonlinearity leaves the ribbon [a1, a2] by {over!r} "
                 f"while evaluating barrier residuals; the comparison argument "
                 f"does not apply to such an f"
             )
-        rhos.append(d2 + p_i * (d1 - h[1:-1] / si) + bb / (n - 2) * fv)
+        rho = _central_operator(h, si, p_i, step, np.empty(len(si)), work)
+        rho += bb / (n - 2) * fv
+        rhos.append(rho)
     rho1, rho2 = rhos
 
     return ResidualReport(
@@ -398,8 +382,8 @@ def subsuper_residual(
         rho2=rho2,
         min_rho1=float(np.min(rho1)),
         max_rho2=float(np.max(rho2)),
-        lower_ok=bool(np.min(rho1) >= -sign_tol),
-        upper_ok=bool(np.max(rho2) <= sign_tol),
+        lower_ok=bool(np.min(rho1) >= -SIGN_TOL),
+        upper_ok=bool(np.max(rho2) <= SIGN_TOL),
         ribbon_excursion=excursion,
     )
 

@@ -84,6 +84,10 @@ class TailModel:
     def __post_init__(self) -> None:
         if self.kind not in ("power", "exp", "user"):
             raise ValueError(f"unknown tail model kind {self.kind!r}")
+        for name in ("rate", "coef", "cutoff"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"tail model {name} must be finite, got {value!r}")
         if self.kind == "power" and not self.rate > 1.0:
             raise ValueError("power tail needs rate > 1 for an integrable bound")
         if self.kind == "exp" and not self.rate > 0.0:
@@ -200,7 +204,7 @@ def _panels(f: Callable, panels: list[tuple[float, float]]) -> list[tuple[float,
     y = np.asarray(f(x), dtype=float).reshape(len(panels), len(_XK))
     if not np.all(np.isfinite(y)):
         i = int(np.argmax(~np.isfinite(y.reshape(-1))))
-        raise ValueError(f"integrand is not finite at s = {x[i]!r}")
+        raise ValueError(f"integrand is not finite at s = {float(x[i])!r}")
     out = []
     for h, row in zip(half.tolist(), y):
         k = h * float(_WK @ row)
@@ -243,7 +247,8 @@ class _Adaptive:
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             raise RuntimeError(
-                f"panel [{a!r}, {b!r}] cannot be split further at tol {self.tol:.3e}"
+                f"panel [{float(a)!r}, {float(b)!r}] cannot be split further "
+                f"at tol {self.tol:.3e}"
             )
         return [(a, m), (m, b)]
 
@@ -356,7 +361,8 @@ def integrate_tail_many(
     for lo in los:
         cutoff = model.cutoff if model.cutoff is not None else model.cutoff_for(0.5 * tol, lo)
         if cutoff < lo:
-            raise ValueError(f"cutoff {cutoff!r} lies below the lower endpoint {lo!r}")
+            raise ValueError(f"cutoff {float(cutoff)!r} lies below the lower endpoint "
+                             f"{float(lo)!r}")
         cutoffs.append(cutoff)
         bounds.append(model.tail_bound(cutoff))
 
@@ -373,8 +379,8 @@ def integrate_tail_many(
         if np.any(observed > allowed):
             i = int(np.argmax(observed > allowed))
             raise ValueError(
-                f"tail model violated: |f({sample[i]!r})| = {observed[i]!r} "
-                f"exceeds the claimed envelope {allowed[i]!r}"
+                f"tail model violated: |f({float(sample[i])!r})| = {float(observed[i])!r} "
+                f"exceeds the claimed envelope {float(allowed[i])!r}"
             )
 
     finite = integrate_finite_many(fn, list(zip(los, cutoffs)), tol, seeds=seeds, limit=limit)

@@ -3,6 +3,7 @@
 import json
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,6 +348,12 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
     ({"features.varsigma": 0}, "features.varsigma"),
     ({"features.M": 1}, "features.M"),
     ({"solver.K": -1.0}, "solver.K"),
+    # a JSON 1e400 reads as inf; NaN would turn the continuation off silently
+    ({"kernel.extend_to": float("inf")}, "kernel.extend_to"),
+    ({"kernel.extend_to": float("nan")}, "kernel.extend_to"),
+    ({"kernel.extend_to": -5}, "kernel.extend_to"),
+    ({"p.tail.coef": float("nan")}, "p.tail"),
+    ({"p.tail.cutoff": float("nan")}, "p.tail"),
 ])
 def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, named):
     cfg = _write_config(tmp_path, patch)
@@ -371,6 +378,26 @@ def test_a_config_still_setting_problem_g_exits_2(tmp_path, capsys):
     assert '"problem" section no longer takes "g"' in captured.err
     assert "derived from p" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["tanh", "other", None])
+def test_a_config_setting_problem_blend_exits_2(tmp_path, capsys, value):
+    cfg = _write_config(tmp_path, {"problem.blend": value})
+    out = tmp_path / "out"
+    rc = main(["solve-bvp", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert "invalid configuration" in captured.err
+    assert "problem.blend" in captured.err
+    assert not out.exists()
+
+
+def test_readme_shows_the_default_config():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("The full default:", 1)[1]
+    block = block.split("```json", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == default_config()
 
 
 def test_smallest_step_keeping_a_cell_is_accepted():

@@ -114,7 +114,7 @@ def test_h_extension_must_start_at_grid_end():
     grid = np.linspace(2 * PI, 4 * PI, 201)
     z = -np.ones_like(grid)
     far = FarField.build(_zero, _one, 4 * PI + 0.1, -1.0, extend_to=8 * PI,
-                         extend_step=PI / 40, tail_window=2 * PI)
+                         extend_step=PI / 40)
     with pytest.raises(ValueError, match="start exactly"):
         compute_h(z, grid, TailModel("power", 2.0, 1.0), far=far)
 
@@ -193,13 +193,12 @@ def test_far_field_reuse_equals_a_fresh_build(family, family_kernel):
             getattr(fresh.h_tail, name), rel=1e-12)
 
 
-@pytest.mark.parametrize("change", ["start", "extend_to", "extend_step",
-                                    "tail_window", "p", "q"])
+@pytest.mark.parametrize("change", ["start", "extend_to", "extend_step", "p", "q"])
 def test_far_field_mismatch_is_rejected(family, family_kernel, change):
     params = default_params()
     args = {"p": params.p, "q": family.q_callable,
             "grid": _end_matched_grid(family_kernel, 4001)}
-    kwargs = {"extend_to": 2e4, "extend_step": PI / 80, "tail_window": 2 * PI}
+    kwargs = {"extend_to": 2e4, "extend_step": PI / 80}
     if change == "start":
         args["grid"] = np.linspace(family_kernel.grid[0], family_kernel.grid[-1] - PI, 4001)
     elif change == "p":
@@ -246,7 +245,7 @@ def test_far_field_holds_no_continuation_length_array(family_kernel):
 ])
 def test_far_field_leaves_what_q_returns_untouched(shared, copying):
     # q may hand back its input or a read-only array; the build must not write into it
-    kwargs = {"extend_to": 400.0, "extend_step": PI / 80, "tail_window": 2 * PI}
+    kwargs = {"extend_to": 400.0, "extend_step": PI / 80}
     a = FarField.build(parse("1/s^3"), shared, 8 * PI, -0.3, **kwargs)
     b = FarField.build(parse("1/s^3"), copying, 8 * PI, -0.3, **kwargs)
     for name in ("end", "A", "B", "x0", "e_max"):
@@ -261,8 +260,7 @@ def test_far_field_sup_is_exact_within_its_radius():
     p = parse("1/s^3")
     q = lambda s: np.sin(np.asarray(s)) ** 2 - 0.4
     start, x0 = 8 * PI, -0.3
-    far = FarField.build(p, q, start, x0, extend_to=400.0, extend_step=PI / 80,
-                         tail_window=2 * PI)
+    far = FarField.build(p, q, start, x0, extend_to=400.0, extend_step=PI / 80)
     cells, _, E, D = kernel._Cells.build(p, q, start, far.end)
     Es, Ds = [E.ravel()], [D.ravel()]
     counts = kernel._subdivisions(cells.hi - cells.lo, PI / 160)
@@ -332,8 +330,7 @@ def test_far_field_matches_a_half_step_simpson_reference(family, pair, member):
     q = {"family": family, "q1": pair.q1, "q2": pair.q2}[member].q_callable
     grid = np.linspace(2 * PI, 42 * PI, 8001)
     x0 = float(compute_z(params.p, q, grid)[-1])
-    far = FarField.build(params.p, q, 42 * PI, x0, extend_to=2e4, extend_step=PI / 80,
-                         tail_window=2 * PI)
+    far = FarField.build(params.p, q, 42 * PI, x0, extend_to=2e4, extend_step=PI / 80)
     _assert_matches_half_step_simpson(far, params.p, q)
 
 
@@ -343,8 +340,7 @@ def test_node_rounding_does_not_pile_up_over_the_continuation():
     # repeats from cell to cell would add up over the 6 300 cells (to 2.4e-9)
     q = lambda s: -0.5 * np.cos(2.0 * np.asarray(s))
     start = 42 * PI
-    far = FarField.build(_zero, q, start, -0.1, extend_to=2e4, extend_step=PI / 80,
-                         tail_window=2 * PI)
+    far = FarField.build(_zero, q, start, -0.1, extend_to=2e4, extend_step=PI / 80)
     exact = (math.sin(2.0 * start) - np.sin(2.0 * far.window_u)) / 4.0
     assert np.array_equal(far.window_E, np.ones_like(exact))
     assert np.max(np.abs(far.window_D - exact)) <= 1e-10
@@ -367,8 +363,7 @@ def test_a_kink_inside_a_cell_is_bisected_and_still_resolved():
         return expr(s)
 
     p = parse("1/s^3")
-    far = FarField.build(p, q, start, -0.3, extend_to=400.0, extend_step=PI / 80,
-                         tail_window=2 * PI)
+    far = FarField.build(p, q, start, -0.3, extend_to=400.0, extend_step=PI / 80)
     assert len(calls) > 10                     # the first sample, then bisection rounds
     assert sum(calls[1:]) < calls[0]           # only the kink's cells were resampled
     _assert_matches_half_step_simpson(far, p, expr)
@@ -380,7 +375,7 @@ def test_a_jump_inside_a_cell_fails_the_self_check_clearly():
     message = r"not smooth enough on \[.*\] after 30 bisections"
     with pytest.raises(ValueError, match=message) as err:
         FarField.build(parse("1/s^3"), q, start, -0.3, extend_to=400.0,
-                       extend_step=PI / 80, tail_window=2 * PI)
+                       extend_step=PI / 80)
     assert "np.float64" not in str(err.value)
 
 
@@ -388,17 +383,17 @@ def test_non_finite_coefficients_on_the_continuation_are_rejected():
     q = lambda s: np.where(np.asarray(s) > 100.0, np.nan, 0.5)
     with pytest.raises(ValueError, match="coefficient q is not finite on the continuation"):
         FarField.build(parse("1/s^3"), q, 8 * PI, -0.3, extend_to=400.0,
-                       extend_step=PI / 80, tail_window=2 * PI)
+                       extend_step=PI / 80)
 
 
 def test_a_continuation_must_end_past_its_start():
     with pytest.raises(ValueError, match="must end past its start"):
         FarField.build(parse("1/s^3"), _one, 8 * PI, -0.3, extend_to=8 * PI,
-                       extend_step=PI / 80, tail_window=2 * PI)
+                       extend_step=PI / 80)
 
 
 def test_a_scalar_coefficient_is_broadcast_to_the_nodes():
-    kwargs = {"extend_to": 400.0, "extend_step": PI / 80, "tail_window": 2 * PI}
+    kwargs = {"extend_to": 400.0, "extend_step": PI / 80}
     a = FarField.build(parse("1/s^3"), lambda s: 0.3, 8 * PI, -0.3, **kwargs)
     b = FarField.build(parse("1/s^3"), lambda s: np.full(np.shape(s), 0.3), 8 * PI, -0.3,
                        **kwargs)
@@ -455,3 +450,26 @@ def test_a_damping_refuses_a_p_that_is_not_finite_on_the_grid():
     p = lambda s: np.where(np.asarray(s) > 4 * PI, np.inf, 0.0)
     with pytest.raises(ValueError, match="coefficients are not finite on the grid"):
         Damping.build(p, grid)
+
+
+# ---------------------------------------------------------------------------
+# the central difference operator
+
+
+@pytest.mark.parametrize("n", [5, 16001, 125665])
+def test_central_operator_is_the_written_out_expression_bitwise(n):
+    # the expressions the residual checks and the solver sweep wrote out before
+    # they shared one operator
+    rng = np.random.default_rng(n)
+    g = np.linspace(2 * PI, 42 * PI, n)
+    step = float(g[1] - g[0])
+    h = rng.standard_normal(n) + g
+    si = g[1:-1]
+    p_i = 1.0 / si**3
+    d2 = (h[:-2] - 2.0 * h[1:-1] + h[2:]) / step**2
+    d1 = (h[2:] - h[:-2]) / (2.0 * step)
+    work = np.empty((2, n - 2))
+    out = kernel._central_operator(h, si, p_i, step, np.empty(n - 2), work)
+    assert np.array_equal(out, d2 + p_i * (d1 - h[1:-1] / si))
+    assert np.array_equal(work[0], d1 - h[1:-1] / si)
+    assert np.array_equal(work[1], p_i * (d1 - h[1:-1] / si))

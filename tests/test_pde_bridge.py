@@ -15,7 +15,7 @@ from oscillax import (
     make_blend,
     parse,
     push_a_from_q,
-    resolve_nonlinearity,
+    solve_radial,
     subsuper_residual,
 )
 from oscillax.example_builder import PairResult
@@ -348,25 +348,28 @@ def test_degenerate_ribbon_is_raised_when_binding(problem, fine_barrier):
         make_blend(problem, touching, fine_barrier.grid[1:-1])
 
 
-def test_user_nonlinearity_flows_through_resolve(problem, fine_barrier):
-    r = fine_barrier.grid[1:-1:97]
-    u = fine_barrier.v1(r)
+def test_a_user_nonlinearity_enters_through_f(problem, fine_barrier, solver_barrier):
+    # f(r, u) is called with the radii of the interior nodes; left out, it is
+    # the stock blend bound there
+    r_i = beta_map(problem.n, problem.R, fine_barrier.grid[1:-1])
     seen = []
 
-    def f(r_arg, u_arg):
+    def blend(r_arg, u_arg):
         seen.append(r_arg)
-        return np.asarray(problem.a1(r_arg), dtype=float) + 0.0 * u_arg
+        return make_blend(problem, fine_barrier, r_arg)(u_arg)
 
-    expected = f(r, u)
-    seen.clear()
-    assert np.array_equal(resolve_nonlinearity(problem, fine_barrier, r, f)(u), expected)
-    own = dataclasses.replace(problem, f_blend=f)
-    assert np.array_equal(resolve_nonlinearity(own, fine_barrier, r)(u), expected)
-    assert len(seen) == 2 and all(x is r for x in seen)
-    # an explicit f wins over the problem's own, and the stock one is make_blend's
-    assert resolve_nonlinearity(own, fine_barrier, r, lambda r_arg, u_arg: u_arg)(u) is u
-    assert np.array_equal(resolve_nonlinearity(problem, fine_barrier, r)(u),
-                          make_blend(problem, fine_barrier, r)(u))
+    given = subsuper_residual(problem, fine_barrier, f=blend)
+    stock = subsuper_residual(problem, fine_barrier)
+    assert len(seen) == 2 and all(np.array_equal(x, r_i) for x in seen)
+    for name in ("rho1", "rho2"):
+        assert np.array_equal(getattr(given, name), getattr(stock, name))
+    lower = subsuper_residual(
+        problem, fine_barrier, f=lambda r, u: np.asarray(problem.a1(r), dtype=float) + 0.0 * u)
+    assert not np.array_equal(lower.rho2, stock.rho2)
+
+    own = solve_radial(problem, solver_barrier,
+                       f=lambda r, u: make_blend(problem, solver_barrier, r)(u))
+    assert np.array_equal(own.u_values, solve_radial(problem, solver_barrier).u_values)
 
 
 def test_ribbon_escape_is_a_hard_error(problem, fine_barrier):

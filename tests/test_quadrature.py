@@ -107,8 +107,18 @@ def test_improper_integral_of_inverse_cube():
 
 def test_tail_envelope_violation_is_detected():
     model = TailModel("power", 3.0, 1.0)
-    with pytest.raises(ValueError, match="tail model violated"):
+    with pytest.raises(ValueError, match="tail model violated") as err:
         integrate_tail(parse("1/s"), 2 * PI, model, tol=1e-8)
+    assert "np.float64(" not in str(err.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rate", math.inf), ("coef", math.nan), ("coef", math.inf), ("cutoff", math.nan),
+])
+def test_a_tail_model_refuses_non_finite_numbers(field, value):
+    numbers = {"rate": 3.0, "coef": 1.0, "cutoff": None, field: value}
+    with pytest.raises(ValueError, match=f"tail model {field} must be finite"):
+        TailModel("power", **numbers)
 
 
 def test_exp_tail_model():
@@ -273,7 +283,7 @@ def test_batch_keeps_the_one_interval_error_messages():
 
     # the central Kronrod node of [0, 1] is 0.5
     pole = lambda s: np.where(np.asarray(s) == 0.5, np.inf, 1.0)
-    message = r"integrand is not finite at s = np\.float64\(0\.5\)"
+    message = r"integrand is not finite at s = 0\.5$"
     with pytest.raises(ValueError, match=message):
         integrate_finite(pole, 0.0, 1.0)
     with pytest.raises(ValueError, match=message):
