@@ -34,8 +34,7 @@ out_dir.mkdir(exist_ok=True)
 params = default_params()
 family = build_oscillation(params)
 grid = np.linspace(family.nodes[0], family.nodes[0] + 40 * np.pi, 8001)
-kernel = compute_kernel(params.p, family.q_callable, grid,
-                        p_tail=params.p_tail)
+kernel = compute_kernel(params.p, family.q_callable, grid)
 
 print(f"z(s_0) = {float(kernel.z_values[0])} (starts exactly at zero)")
 print(f"sup|z| observed = {kernel.z_sup_observed:.9f}")

@@ -35,6 +35,7 @@ import numpy as np
 from .bvp_solver import check_sandwich, solve_radial
 from .coeff_dsl import CoefficientExpr, Num, Var, Neg, BinOp, Call
 from .example_builder import (
+    LAMBDA_TOL,
     BandParams,
     OscillationParams,
     OscillationSpec,
@@ -45,7 +46,7 @@ from .example_builder import (
     check_integral_features,
     verify_pair,
 )
-from .kernel import FarField, compute_kernel, ode_residual
+from .kernel import KernelPair, compute_kernel, ode_residual
 from .lemma_check import LemmaReport, verify_lemma
 from .pde_bridge import (
     BarrierPair,
@@ -58,7 +59,7 @@ from .pde_bridge import (
     subsuper_residual,
     integral_conditions,
 )
-from .quadrature import TailModel
+from .quadrature import TailModel, check_envelope
 
 __all__ = ["RunConfig", "load_config", "default_config", "run", "main", "emit_plot"]
 
@@ -370,27 +371,25 @@ def _take(block: dict, allowed: dict, what: str) -> dict:
     return merged
 
 
-def _tail_model(block, what: str) -> TailModel:
-    allowed = {"kind": "power", "rate": None, "coef": 1.0, "cutoff": None}
-    got = _take(block, allowed, what)
-    if got["rate"] is None:
-        raise ValueError(f"{what} needs a decay rate")
-    rate = _const_expr(got["rate"], f"{what}.rate")
-    coef = _const_expr(got["coef"], f"{what}.coef")
-    cutoff = None if got["cutoff"] is None else _const_expr(got["cutoff"], f"{what}.cutoff")
-    try:
-        return TailModel(kind=str(got["kind"]), rate=rate, coef=coef, cutoff=cutoff)
-    except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from None
-
-
-def _coefficient(block, what: str) -> tuple[CoefficientExpr, Optional[TailModel]]:
-    got = _take(block, {"expr": None, "tail": None}, what)
+def _damping(block, s0: float) -> tuple[CoefficientExpr, TailModel]:
+    """p and p.tail, whose envelope must hold where the lambda integral samples p."""
+    got = _take(block, {"expr": None, "tail": None}, "p")
     if not isinstance(got["expr"], str):
-        raise ValueError(f"{what}.expr must be an expression string")
+        raise ValueError("p.expr must be an expression string")
     expr = CoefficientExpr.parse(got["expr"])
-    tail = _tail_model(got["tail"], f"{what}.tail") if got["tail"] is not None else None
-    return expr, tail
+    if got["tail"] is None:
+        raise ValueError("p.tail is required: the damping needs a certified decay model")
+    tail = _take(got["tail"], {"kind": "power", "rate": None, "coef": 1.0}, "p.tail")
+    if tail["rate"] is None:
+        raise ValueError("p.tail needs a decay rate")
+    rate = _const_expr(tail["rate"], "p.tail.rate")
+    coef = _const_expr(tail["coef"], "p.tail.coef")
+    try:
+        model = TailModel(kind=str(tail["kind"]), rate=rate, coef=coef)
+        check_envelope(expr, model, [model.cutoff_for(0.5 * LAMBDA_TOL, s0)])
+    except ValueError as exc:
+        raise ValueError(f"p.tail: {exc}") from None
+    return expr, model
 
 
 @dataclass
@@ -425,10 +424,8 @@ def load_config(raw: dict) -> RunConfig:
         raise ValueError("config must be a JSON object")
     top = _take(raw, default_config(), "top level")
 
-    p_expr, p_tail = _coefficient(top["p"], "p")
-    if p_tail is None:
-        raise ValueError("p.tail is required: the damping needs a certified decay model")
     s0 = _const_expr(top["s0"], "s0")
+    p_expr, p_tail = _damping(top["p"], s0)
 
     osc_block = _take(top["oscillation"], default_config()["oscillation"], "oscillation")
     osc = OscillationParams(
@@ -516,6 +513,11 @@ def load_config(raw: dict) -> RunConfig:
                       "m_max": _count(q_override["m_max"], "q_override.m_max")}
 
     span = _positive(kern["span"], "kernel.span")
+    extend_to = _nonnegative(kern["extend_to"], "kernel.extend_to")
+    if 0.0 < extend_to <= s0 + span:
+        raise ValueError(
+            f"kernel.extend_to = {extend_to!r} must lie past the grid end s0 + kernel.span "
+            f"= {s0 + span!r}, or be 0 to turn the continuation off")
     steps = {key: _positive(kern[key], f"kernel.{key}")
              for key in ("step", "extend_step", "residual_step")}
     for key in ("step", "residual_step"):
@@ -538,7 +540,7 @@ def load_config(raw: dict) -> RunConfig:
         varsigma=varsigma,
         kernel_step=steps["step"],
         kernel_span=span,
-        extend_to=_nonnegative(kern["extend_to"], "kernel.extend_to"),
+        extend_to=extend_to,
         extend_step=steps["extend_step"],
         residual_step=steps["residual_step"],
         solver_N=solver_N,
@@ -641,8 +643,8 @@ class _Runner:
         return spec
 
     def verify_lemma_stage(self, spec: Optional[OscillationSpec] = None
-                           ) -> tuple[LemmaReport, Optional[FarField]]:
-        """The lemma report, and the family kernel's continuation summary when it checked one."""
+                           ) -> tuple[LemmaReport, Optional[KernelPair]]:
+        """The lemma report, and the family kernel when it checked one."""
         cfg = self.cfg
         if cfg.q_override is not None:
             m_max = cfg.q_override["m_max"]
@@ -654,10 +656,8 @@ class _Runner:
             q_call = family.q_callable
         nodes = PI * np.arange(2, 2 * m_max + 3)
         grid = _uniform_grid(cfg.oscillation.s0, cfg.kernel_span, cfg.kernel_step)
-        kern = compute_kernel(
-            cfg.oscillation.p, q_call, grid, p_tail=cfg.oscillation.p_tail,
-            extend_to=cfg.extend_to, extend_step=cfg.extend_step,
-        )
+        kern = compute_kernel(cfg.oscillation.p, q_call, grid,
+                              extend_to=cfg.extend_to, extend_step=cfg.extend_step)
         report = verify_lemma(
             cfg.oscillation.p, q_call, nodes,
             p_tail=cfg.oscillation.p_tail, family=family, kernel=kern,
@@ -678,26 +678,25 @@ class _Runner:
         }
         if self.want("json"):
             write_json(self.path("lemma_report.json"), payload)
-        return report, (kern.far if family is not None else None)
+        return report, (kern if family is not None else None)
 
     def compute_kernel_stage(self, spec: Optional[OscillationSpec] = None,
                              lemma: Optional[LemmaReport] = None,
-                             far: Optional[FarField] = None) -> None:
-        """Kernels of the family; ``far`` is its continuation summary from the lemma stage."""
+                             kernel: Optional[KernelPair] = None) -> None:
+        """Kernels of the family; ``kernel`` is the one the lemma stage checked."""
         cfg = self.cfg
         spec = spec or build_oscillation(cfg.oscillation)
         bound = lemma.hypotheses.proof_bound() if lemma is not None else None
 
-        grid = _uniform_grid(cfg.oscillation.s0, cfg.kernel_span, cfg.kernel_step)
-        kern = compute_kernel(
-            cfg.oscillation.p, spec.q_callable, grid,
-            p_tail=cfg.oscillation.p_tail, z_sup_bound=bound,
-            extend_to=cfg.extend_to, extend_step=cfg.extend_step, far=far,
-        )
+        kern = kernel or compute_kernel(
+            cfg.oscillation.p, spec.q_callable,
+            _uniform_grid(cfg.oscillation.s0, cfg.kernel_span, cfg.kernel_step),
+            extend_to=cfg.extend_to, extend_step=cfg.extend_step)
+        if bound is not None:
+            kern = kern.with_sup_bound(bound)
         res_grid = _uniform_grid(cfg.oscillation.s0, cfg.kernel_span, cfg.residual_step)
         res_kern = compute_kernel(
             cfg.oscillation.p, spec.q_callable, res_grid,
-            p_tail=cfg.oscillation.p_tail, z_sup_bound=bound,
             extend_to=cfg.extend_to, extend_step=cfg.extend_step, far=kern.far,
         )
         resid = ode_residual(res_kern.h_values, cfg.oscillation.p, spec.q_callable,
@@ -707,7 +706,7 @@ class _Runner:
         self.note("kernel z negative beyond the first lobe",
                   bool(np.all(kern.z_values[kern.grid > kern.s0 + PI] < -1e-12)))
         payload = {
-            "lambda": kern.lam,
+            "lambda": spec.lam,
             "z_sup_observed": kern.z_sup_observed,
             "z_sup_bound": kern.z_sup_bound,
             "h_tail": {
@@ -719,7 +718,7 @@ class _Runner:
             "residual_sup": resid["sup"],
             "residual_l2": resid["l2"],
             "identity_sup": resid["identity_sup"],
-            "grid_step": float(grid[1] - grid[0]),
+            "grid_step": float(kern.grid[1] - kern.grid[0]),
             "residual_grid_step": float(res_grid[1] - res_grid[0]),
         }
         if self.want("json"):
@@ -873,8 +872,8 @@ class _Runner:
 
     def full_pipeline(self) -> None:
         spec = self.construct_example()
-        lemma, far = self.verify_lemma_stage(spec)
-        self.compute_kernel_stage(spec, lemma, far)
+        lemma, kernel = self.verify_lemma_stage(spec)
+        self.compute_kernel_stage(spec, lemma, kernel)
         pair = self.build_pair_stage()
         problem, barrier = self.bridge_stage(pair)
         self.solve_bvp_stage(pair, problem, barrier)

@@ -34,6 +34,7 @@ import numpy as np
 
 from .coeff_dsl import CoefficientExpr, as_callable
 from .quadrature import (
+    IntegralResult,
     TailModel,
     cumulative_integral,
     integrate_finite_many,
@@ -60,6 +61,7 @@ Coefficient = Union[CoefficientExpr, Callable]
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 S0_FIXED = TWO_PI  # families are anchored at s0 = a_2 = 2*pi
+LAMBDA_TOL = 1e-10  # quadrature tolerance of lambda = integral of p over [s0, infinity)
 
 
 @dataclass(frozen=True)
@@ -232,11 +234,8 @@ class OscillationSpec:
                     + (moment.value + moment.abs_error_estimate) / self.spacing)
         return float(envelope)
 
-    def surplus_tail_bound(self, M: int) -> Optional[float]:
-        """Certified bound on sum_{m > M} (pi/2)(c_m - d_m)."""
-        sum_I = self.tail_sum_I_bound(M)
-        if sum_I is None:
-            return None
+    def surplus_tail_bound(self, M: int, sum_I: float) -> float:
+        """Certified bound on sum_{m > M} (pi/2)(c_m - d_m), given ``tail_sum_I_bound(M)``."""
         return self.rule.slack_I_coef * sum_I + self.rule.slack_geo_coef * 2.0 ** (-M)
 
     def future_pos_lobe_bound(self, M: int) -> float:
@@ -254,25 +253,28 @@ def default_params(m_max: int = 25) -> OscillationParams:
     )
 
 
-def _certified_tail_integrals(params: OscillationParams) -> tuple[np.ndarray, np.ndarray]:
+def _damping_integrals(params: OscillationParams
+                       ) -> tuple[IntegralResult, np.ndarray, np.ndarray]:
+    """lambda and the certified I_m with their errors, m = 1 .. m_max."""
+    tail = params.p_tail.without_cutoff()
+    lam_res = integrate_tail(params.p, params.s0, tail, tol=LAMBDA_TOL)
     los = [2.0 * m * PI for m in range(1, params.m_max + 1)]
-    results = integrate_tail_many(params.p, los, params.p_tail.without_cutoff(), tol=1e-12)
-    values = np.array([res.value for res in results])
-    errors = np.array([res.abs_error_estimate for res in results])
-    return values, errors
+    results = integrate_tail_many(params.p, los, tail, tol=1e-12)
+    return (lam_res, np.array([res.value for res in results]),
+            np.array([res.abs_error_estimate for res in results]))
 
 
-def _assemble(params: OscillationParams, rule: _AmplitudeRule) -> OscillationSpec:
+def _assemble(params: OscillationParams, rule: _AmplitudeRule,
+              integrals: tuple[IntegralResult, np.ndarray, np.ndarray]) -> OscillationSpec:
     params.validate()
 
-    lam_res = integrate_tail(params.p, params.s0, params.p_tail.without_cutoff(), tol=1e-10)
+    lam_res, I, I_err = integrals
     lam = lam_res.value
     if not lam < 1.0:
         raise ValueError(
             f"the damping budget requires integral of p below one, got {lam!r}"
         )
 
-    I, I_err = _certified_tail_integrals(params)
     m_arr = np.arange(1, params.m_max + 1, dtype=float)
     c, d = rule.amplitudes(I, m_arr)
     geo = np.power(2.0, 1.0 - m_arr) / PI
@@ -338,12 +340,13 @@ def build_oscillation(params: Optional[OscillationParams] = None) -> Oscillation
     bound) as small as the constraints permit.
     """
     params = params if params is not None else default_params()
+    params.validate()
     d0 = (params.q_minus + params.q_plus) / PI
     rule = _AmplitudeRule(
         d0=d0, dI=0.0, dg=0.0,
         c0=d0, cI=params.gamma * params.q_plus / PI, cg=params.eta,
     )
-    return _assemble(params, rule)
+    return _assemble(params, rule, _damping_integrals(params))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +470,10 @@ def build_pair(params: Optional[PairParams] = None, m_max: Optional[int] = None)
         pp = PairParams(**{**pp.__dict__, **updates})
     pp.validate()
 
-    lam = integrate_tail(pp.p, pp.s0, pp.p_tail.without_cutoff(), tol=1e-10).value
+    # the members share p, so lambda and the I_m are integrated once for both
+    params1, params2 = _member_params(pp, pp.set1), _member_params(pp, pp.set2)
+    integrals = _damping_integrals(params1)
+    lam = integrals[0].value
     smallness = pp.q_plus - (
         pp.q_minus + 0.5 * pp.alpha_gap * pp.q_plus * lam + 0.5 * pp.beta_gap
     )
@@ -489,8 +495,8 @@ def build_pair(params: Optional[PairParams] = None, m_max: Optional[int] = None)
         d0=d_floor, dI=0.0, dg=0.0,
         c0=d_floor, cI=b2.gamma * pp.q_plus / PI, cg=b2.eta,
     )
-    spec1 = _assemble(_member_params(pp, b1), rule1)
-    spec2 = _assemble(_member_params(pp, b2), rule2)
+    spec1 = _assemble(params1, rule1, integrals)
+    spec2 = _assemble(params2, rule2, integrals)
 
     # Chain margins in closed form.  Three links are equalities by the
     # construction choice (c at the band floor, d1 absorbing exactly the

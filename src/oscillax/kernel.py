@@ -23,8 +23,10 @@ faulted in than the two exponentials do.
 The improper h integral splits into a gridded part, an optional
 continuation of z far beyond the working window, a last-window mean value
 estimate of the remainder, and a certified bound from a tail model built
-on a proven sup bound for |z|.  The certificate and the estimate are
-reported separately; nothing is silently mixed.
+on a bound for sup|z|: the observed one, or a proven one attached by
+:meth:`KernelPair.with_sup_bound`.  The certificate and the estimate are
+reported separately; nothing is silently mixed.  Kernels do not integrate
+p over [s0, infinity); the coefficient family reports lambda.
 
 The far continuation depends on the grid only through x = z(grid end):
 continuing from there, z = E x - D with E = exp(-P_loc), D = E C_loc, and
@@ -55,13 +57,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .coeff_dsl import CoefficientExpr, as_callable
-from .quadrature import TailModel, cumulative_simpson_doubled, integrate_tail, uniform_step
+from .quadrature import TailModel, cumulative_simpson_doubled, uniform_step
 
 __all__ = [
     "KernelPair",
@@ -78,7 +80,6 @@ __all__ = [
 Coefficient = Union[CoefficientExpr, Callable]
 
 TAIL_WINDOW = 2.0 * math.pi   # trailing window of the h-tail mean value estimate
-LAM_TOL = 1e-10               # quadrature tolerance of lambda = integral of p
 
 
 @dataclass(frozen=True)
@@ -105,17 +106,26 @@ class KernelPair:
     grid: np.ndarray
     z_values: np.ndarray
     h_values: np.ndarray
-    lam: float                # certified integral of p over [s0, infinity)
     z_sup_bound: float        # bound used in the h tail certificate
     tail: TailModel           # envelope for z/t^2 beyond the extension end
     h_tail: HTail
-    lam_error: float
     z_sup_observed: float
     far: Optional["FarField"] = None   # continuation summary, reusable by later grids
 
     @property
     def s0(self) -> float:
         return float(self.grid[0])
+
+    def with_sup_bound(self, bound: float) -> "KernelPair":
+        """The same kernel with its h tail certified by a proven bound on sup|z|.
+
+        z and h do not depend on the bound, so the copy shares their
+        read-only arrays; only the tail model and the certificate change.
+        """
+        tail = TailModel(kind="power", rate=2.0, coef=float(bound), cutoff=self.tail.cutoff)
+        return replace(self, z_sup_bound=tail.coef, tail=tail,
+                       h_tail=replace(self.h_tail,
+                                      certificate=tail.tail_bound(self.h_tail.cutoff)))
 
     def h_over_s(self) -> np.ndarray:
         return self.h_values / self.grid
@@ -623,8 +633,6 @@ def compute_kernel(
     q: Coefficient,
     grid: np.ndarray,
     *,
-    p_tail: TailModel,
-    z_sup_bound: Optional[float] = None,
     extend_to: float = 2e4,
     extend_step: float = math.pi / 80.0,
     far: Optional[FarField] = None,
@@ -632,28 +640,24 @@ def compute_kernel(
 ) -> KernelPair:
     """Compute both kernels with certified accounting.
 
-    ``p_tail`` certifies the integrability of p (for lambda = integral of p).
-    ``z_sup_bound`` should be a proven bound on sup|z| (for instance from
-    the oscillation lemma); when omitted, the observed sup is used for the
-    tail certificate and flagged by z_sup_bound == z_sup_observed.
-    ``far`` is the continuation summary of an earlier kernel of the same
-    p and q whose grid ended at the same point; it is reused while z at the
-    grid end stays inside its validity radius and rebuilt otherwise.  The
-    summary in use is returned as ``KernelPair.far``.  ``damping`` is the
-    :class:`Damping` of p on this grid, shared with the other member of a
-    pair; it is built here when omitted.
+    The h tail is certified with the observed sup|z|, flagged by
+    z_sup_bound == z_sup_observed; :meth:`KernelPair.with_sup_bound`
+    re-certifies it with a proven bound (for instance from the oscillation
+    lemma).  ``far`` is the continuation summary of an earlier kernel of
+    the same p and q whose grid ended at the same point; it is reused while
+    z at the grid end stays inside its validity radius and rebuilt
+    otherwise.  The summary in use is returned as ``KernelPair.far``.
+    ``damping`` is the :class:`Damping` of p on this grid, shared with the
+    other member of a pair; it is built here when omitted.
     """
     g = np.asarray(grid, dtype=float)
     if damping is None:
         damping = Damping.build(p, g)
     else:
         damping.check_inputs(p, g)
-    pe, qe = as_callable(p), as_callable(q)
+    qe = as_callable(q)
     if far is not None:
         far.check_inputs(p, q, float(g[-1]), extend_to=extend_to, extend_step=extend_step)
-
-    lam_res = integrate_tail(pe, float(g[0]), p_tail, tol=LAM_TOL)
-    lam = lam_res.value
 
     # the q samples stay bound until the kernel returns: freed as soon as z
     # is made, they let glibc trim the heap, and the arrays made after them
@@ -671,8 +675,7 @@ def compute_kernel(
                                  extend_step=extend_step)
         observed = max(observed, far.sup(x))
 
-    bound = observed if z_sup_bound is None else float(z_sup_bound)
-    tail = TailModel(kind="power", rate=2.0, coef=bound,
+    tail = TailModel(kind="power", rate=2.0, coef=observed,
                      cutoff=far.end if far is not None else float(g[-1]))
     h, h_tail = compute_h(z, g, tail, far=far)
 
@@ -682,11 +685,9 @@ def compute_kernel(
         grid=g,
         z_values=z,
         h_values=h,
-        lam=lam,
-        z_sup_bound=bound,
+        z_sup_bound=observed,
         tail=tail,
         h_tail=h_tail,
-        lam_error=lam_res.abs_error_estimate,
         z_sup_observed=observed,
         far=far,
     )

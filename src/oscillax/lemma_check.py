@@ -35,6 +35,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .coeff_dsl import CoefficientExpr, as_callable
+from .example_builder import LAMBDA_TOL
 from .kernel import KernelPair
 from .quadrature import TailModel, integrate_finite_many, integrate_tail, integrate_tail_many
 
@@ -73,6 +74,7 @@ class HypothesesResult:
     sign_inconclusive: int
     hyp1_margins: np.ndarray
     eps: np.ndarray
+    sum_I_tail: Optional[float]     # certified bound on sum_{m > M} I_m behind eps_tail
     eps_range_sum: float
     eps_tail: Optional[float]
     eps_total: Optional[float]
@@ -111,7 +113,6 @@ class ConclusionsResult:
     ratio_decreasing: bool
     ratio_decreasing_by_z: bool
     routes_agree: bool
-    z_period_maxima: tuple
 
 
 @dataclass(frozen=True)
@@ -272,23 +273,33 @@ def check_hypotheses(
     """Certify the oscillation hypotheses on the given breakpoint range.
 
     The surpluses are the slack ones, eps_m = max(Ipos_m - Ineg_m, 0).
-    ``family`` supplies certified beyond-range coefficients
-    (surplus_tail_bound / future_pos_lobe_bound); without it the beyond-range
-    sums are reported as not certified rather than guessed.
+    ``family`` is the built family of p whose lobes ``nodes`` lists: it
+    supplies lambda and the I_m, integrated once when it was built, and
+    certified beyond-range coefficients (surplus_tail_bound /
+    future_pos_lobe_bound).  A bare q integrates lambda and the I_m here and
+    reports the beyond-range sums as not certified rather than guessed.
     ``parallel`` checks the periods on a thread pool, to the same bits.
     """
     nodes = np.asarray(nodes, dtype=float)
     M = _lobe_bounds(nodes)
     pe, qe = as_callable(p), as_callable(q)
 
-    lam_res = integrate_tail(pe, float(nodes[0]), p_tail.without_cutoff(), tol=1e-10)
-    lam = lam_res.value
-    lam_ok = bool(lam + lam_res.abs_error_estimate < 1.0)
+    if family is None:
+        lam_res = integrate_tail(pe, float(nodes[0]), p_tail.without_cutoff(), tol=LAMBDA_TOL)
+        lam, lam_error = lam_res.value, lam_res.abs_error_estimate
+        tails = integrate_tail_many(pe, nodes[0:-1:2], p_tail.without_cutoff(), tol=1e-12)
+        I = np.array([r.value for r in tails])
+        I_err = np.array([r.abs_error_estimate for r in tails])
+    else:
+        if not (family.params.p == p and family.params.p_tail == p_tail
+                and np.array_equal(family.nodes, nodes)):
+            raise ValueError("the family was built for another p, p_tail or breakpoint range")
+        lam, lam_error, I, I_err = family.lam, family.lam_error, family.I, family.I_error
+    lam_ok = bool(lam + lam_error < 1.0)
 
     # lobes [a_{2m}, a_{2m+1}] and [a_{2m+1}, a_{2m+2}] alternate in one batch
     lobes = integrate_finite_many(qe, list(zip(nodes[:-1], nodes[1:])), QUAD_TOL)
     pos, neg = lobes[0::2], lobes[1::2]
-    tails = integrate_tail_many(pe, nodes[0:-1:2], p_tail.without_cutoff(), tol=1e-12)
 
     def one_period(m: int):
         a, b, c = nodes[2 * m - 2], nodes[2 * m - 1], nodes[2 * m]
@@ -313,8 +324,6 @@ def check_hypotheses(
     Ipos = np.array([r.value for r in pos])
     Ineg = np.array([-r.value for r in neg])
     quad_err = np.array([a.abs_error_estimate + b.abs_error_estimate for a, b in zip(pos, neg)])
-    I = np.array([r.value for r in tails])
-    I_err = np.array([r.abs_error_estimate for r in tails])
     sign_ok = np.array([r[0] for r in rows], dtype=bool)
     sign_margin = float(min(r[1] for r in rows) - STRICT)
     inconclusive = int(sum(r[2] for r in rows))
@@ -322,7 +331,8 @@ def check_hypotheses(
     hyp1 = Ipos - (1.0 + 3.0 * I) * Ineg
 
     eps = np.maximum(Ipos - Ineg, 0.0)
-    eps_tail = None if family is None else family.surplus_tail_bound(M)
+    sum_I_tail = None if family is None else family.tail_sum_I_bound(M)
+    eps_tail = None if sum_I_tail is None else family.surplus_tail_bound(M, sum_I_tail)
     eps_range = float(np.sum(eps))
     eps_total = None if eps_tail is None else eps_range + float(eps_tail)
 
@@ -334,13 +344,13 @@ def check_hypotheses(
 
     return HypothesesResult(
         m_checked=M,
-        lam=lam, lam_error=lam_res.abs_error_estimate, lam_ok=lam_ok,
+        lam=lam, lam_error=lam_error, lam_ok=lam_ok,
         nodes=nodes,
         I=I, I_error=I_err,
         pos_integrals=Ipos, neg_integrals=Ineg, quad_errors=quad_err,
         sign_ok=sign_ok, sign_margin=sign_margin, sign_inconclusive=inconclusive,
         hyp1_margins=hyp1,
-        eps=eps,
+        eps=eps, sum_I_tail=sum_I_tail,
         eps_range_sum=eps_range, eps_tail=eps_tail, eps_total=eps_total,
         delta_range=delta_range, delta_tail=delta_tail, delta_total=delta_total,
         deduced_damping_ok=deduced,
@@ -350,14 +360,13 @@ def check_hypotheses(
 def check_conclusions(
     kernel: KernelPair,
     *,
-    eps: Optional[float] = None,
-    delta: Optional[float] = None,
+    bound: Optional[float] = None,
 ) -> ConclusionsResult:
     """Check the kernel conclusions on the computed samples.
 
-    ``eps`` and ``delta`` feed the proof bound (eps + delta) e^lambda; when
-    either is missing the bound check is skipped rather than improvised.
-    Strict inequalities use STRICT; samples inside the zone count as
+    ``bound`` is the proof bound (eps + delta) e^lambda of
+    :meth:`HypothesesResult.proof_bound`; without it the bound check is
+    skipped rather than improvised.  Strict inequalities use STRICT; samples inside the zone count as
     inconclusive, never as passing.
     """
     g = kernel.grid
@@ -369,13 +378,8 @@ def check_conclusions(
     margin = float(-STRICT - np.max(interior))
     z_inconclusive = int(np.sum((interior > -STRICT) & (interior <= STRICT)))
 
-    bound = None
-    bounded = None
-    bound_margin = None
-    if eps is not None and delta is not None:
-        bound = (eps + delta) * math.exp(kernel.lam)
-        bound_margin = bound - kernel.z_sup_observed
-        bounded = bool(bound_margin > 0.0)
+    bound_margin = None if bound is None else bound - kernel.z_sup_observed
+    bounded = None if bound is None else bool(bound_margin > 0.0)
 
     h_min = float(np.min(h))
     h_positive = bool(h_min > STRICT)
@@ -384,20 +388,6 @@ def check_conclusions(
     ratio_dec = bool(np.all(np.diff(ratio) < 0.0))
     by_z = bool(np.all(z[1:] < 0.0))  # s (h/s)' = z/s, z(s0) = 0 exactly
     agree = ratio_dec == by_z
-
-    # grid argmax of z per period, a diagnostic for where z re-approaches 0
-    period = 2.0 * math.pi
-    maxima = []
-    s_left = g[0]
-    while s_left < g[-1] - 1e-9 and len(maxima) < 16:
-        i0 = int(np.searchsorted(g, s_left + 1e-12))
-        i1 = int(np.searchsorted(g, s_left + period + 1e-12))
-        if i1 <= i0:
-            break
-        seg = z[i0:i1]
-        j = int(np.argmax(seg))
-        maxima.append((float(g[i0 + j]), float(seg[j])))
-        s_left += period
 
     return ConclusionsResult(
         z_negative=z_negative,
@@ -413,7 +403,6 @@ def check_conclusions(
         ratio_decreasing=ratio_dec,
         ratio_decreasing_by_z=by_z,
         routes_agree=agree,
-        z_period_maxima=tuple(maxima),
     )
 
 
@@ -490,17 +479,11 @@ def verify_lemma(
 ) -> LemmaReport:
     """Full report: hypotheses, remark consistency, kernel conclusions."""
     hyp = check_hypotheses(p, q, nodes, p_tail=p_tail, family=family)
-    sum_tail = None
-    if family is not None:
-        sum_tail = family.tail_sum_I_bound(hyp.m_checked)
     remark = check_remark(
         p, nodes, q_minus, p_tail=p_tail,
-        eps=hyp.eps_total if hyp.eps_total is not None else None,
-        I_values=hyp.I, sum_I_tail=sum_tail,
+        eps=hyp.eps_total, I_values=hyp.I, sum_I_tail=hyp.sum_I_tail,
     )
     conclusions = None
     if kernel is not None:
-        conclusions = check_conclusions(
-            kernel, eps=hyp.eps_total, delta=hyp.delta_total,
-        )
+        conclusions = check_conclusions(kernel, bound=hyp.proof_bound())
     return LemmaReport(hypotheses=hyp, conclusions=conclusions, remark=remark)

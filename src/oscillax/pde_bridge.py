@@ -229,23 +229,23 @@ def make_barriers(
     cannot sandwich anything.  ``far`` passes one continuation summary per
     member, e.g. those of a barrier pair on another grid with the same end.
     The members share p, so p is sampled and integrated on the grid once,
-    into one :class:`Damping` both kernels read.  ``parallel`` computes the
+    into one :class:`Damping` both kernels read.  ``z_sup_bounds``, proven
+    bounds on sup|z1| and sup|z2|, re-certify the h tails through
+    :meth:`KernelPair.with_sup_bound`.  ``parallel`` computes the
     two kernels on two threads, to the same bits.
     """
     p = pair.q1.params.p
-    p_tail = pair.q1.params.p_tail
-    bounds = z_sup_bounds if z_sup_bounds is not None else (None, None)
     fars = far if far is not None else (None, None)
     damping = Damping.build(p, grid)
 
     def one(which: int) -> KernelPair:
         spec = pair.q1 if which == 0 else pair.q2
-        return compute_kernel(
-            p, spec.q_callable, grid, p_tail=p_tail,
-            z_sup_bound=bounds[which],
+        kernel = compute_kernel(
+            p, spec.q_callable, grid,
             extend_to=extend_to, extend_step=extend_step, far=fars[which],
             damping=damping,
         )
+        return kernel if z_sup_bounds is None else kernel.with_sup_bound(z_sup_bounds[which])
 
     if parallel:
         from concurrent.futures import ThreadPoolExecutor

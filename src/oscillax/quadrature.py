@@ -33,6 +33,7 @@ from .coeff_dsl import CoefficientExpr, as_callable
 __all__ = [
     "IntegralResult",
     "TailModel",
+    "check_envelope",
     "integrate_finite",
     "integrate_finite_many",
     "integrate_tail",
@@ -338,6 +339,30 @@ def integrate_finite(
     return integrate_finite_many(f, [(lo, hi)], tol, seeds=seeds, limit=limit)[0]
 
 
+def check_envelope(f: Integrand, model: TailModel, cutoffs: Sequence[float]) -> int:
+    """Sample f beyond every distinct cutoff, in one call, against the model's envelope.
+
+    Raises ``ValueError`` when f is not finite there or exceeds the claimed
+    envelope of a power or exp model; a user model has no envelope and is
+    taken on trust.  Returns the samples taken per cutoff (0 when none).
+    """
+    if model.kind == "user" or not cutoffs:
+        return 0
+    distinct = np.array(list(dict.fromkeys(cutoffs)), dtype=float)
+    sample = (distinct[:, None] * _TAIL_SPOTS).reshape(-1)
+    observed = np.abs(np.asarray(as_callable(f)(sample), dtype=float))
+    allowed = model.envelope(sample) * (1.0 + 1e-9) + 1e-300
+    if not np.all(np.isfinite(observed)):
+        raise ValueError("integrand is not finite beyond the cutoff")
+    if np.any(observed > allowed):
+        i = int(np.argmax(observed > allowed))
+        raise ValueError(
+            f"tail model violated: |f({float(sample[i])!r})| = {float(observed[i])!r} "
+            f"exceeds the claimed envelope {float(allowed[i])!r}"
+        )
+    return len(_TAIL_SPOTS)
+
+
 def integrate_tail_many(
     f: Integrand,
     los: Sequence[float],
@@ -350,9 +375,9 @@ def integrate_tail_many(
     """Integrals of f over [lo, infinity) for every lo, each a finite part + certified tail.
 
     Each cutoff comes from the model (or is derived per lo so the tail bound
-    is at most tol/2).  For power and exp models the integrand is sampled
-    beyond every distinct cutoff, in one call, and must stay within the
-    claimed envelope.  The finite parts run in lockstep through
+    is at most tol/2).  For power and exp models the integrand must stay
+    within the claimed envelope beyond every cutoff (see
+    :func:`check_envelope`).  The finite parts run in lockstep through
     :func:`integrate_finite_many`.
     """
     if tol <= 0:
@@ -367,22 +392,7 @@ def integrate_tail_many(
         bounds.append(model.tail_bound(cutoff))
 
     fn = as_callable(f)
-    spot_evals = 0
-    if model.kind != "user" and cutoffs:
-        spot_evals = len(_TAIL_SPOTS)
-        distinct = np.array(list(dict.fromkeys(cutoffs)), dtype=float)
-        sample = (distinct[:, None] * _TAIL_SPOTS).reshape(-1)
-        observed = np.abs(np.asarray(fn(sample), dtype=float))
-        allowed = model.envelope(sample) * (1.0 + 1e-9) + 1e-300
-        if not np.all(np.isfinite(observed)):
-            raise ValueError("integrand is not finite beyond the cutoff")
-        if np.any(observed > allowed):
-            i = int(np.argmax(observed > allowed))
-            raise ValueError(
-                f"tail model violated: |f({float(sample[i])!r})| = {float(observed[i])!r} "
-                f"exceeds the claimed envelope {float(allowed[i])!r}"
-            )
-
+    spot_evals = check_envelope(fn, model, cutoffs)
     finite = integrate_finite_many(fn, list(zip(los, cutoffs)), tol, seeds=seeds, limit=limit)
     return [
         IntegralResult(

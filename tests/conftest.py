@@ -54,7 +54,7 @@ def family():
 def family_kernel(family):
     params = default_params()
     grid = np.linspace(family.nodes[0], family.nodes[0] + 40 * math.pi, 8001)
-    return compute_kernel(params.p, family.q_callable, grid, p_tail=params.p_tail)
+    return compute_kernel(params.p, family.q_callable, grid)
 
 
 @pytest.fixture(scope="session")

@@ -51,8 +51,7 @@ def fine_kernel(family):
     n_cells = int(round(span / 1e-3))
     n_cells += n_cells % 2
     grid = np.linspace(family.nodes[0], family.nodes[0] + span, n_cells + 1)
-    return compute_kernel(family.params.p, family.q_callable, grid,
-                          p_tail=family.params.p_tail)
+    return compute_kernel(family.params.p, family.q_callable, grid)
 
 
 @pytest.fixture(scope="module")

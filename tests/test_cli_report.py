@@ -1,6 +1,7 @@
 """Command line interface: exit codes, determinism, and report formats."""
 
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -354,6 +355,12 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
     ({"kernel.extend_to": -5}, "kernel.extend_to"),
     ({"p.tail.coef": float("nan")}, "p.tail"),
     ({"p.tail.cutoff": float("nan")}, "p.tail"),
+    # a continuation that ends inside the grid would be turned off silently
+    ({"kernel.extend_to": 100}, "kernel.extend_to"),
+    ({"kernel.extend_to": 2 * math.pi + 40 * math.pi}, "kernel.extend_to"),
+    # p = 1/s^3 exceeds the envelope 0 everywhere; no run reads a cutoff
+    ({"p.tail.coef": 0}, "p.tail"),
+    ({"p.tail.cutoff": 100}, "p.tail"),
 ])
 def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, named):
     cfg = _write_config(tmp_path, patch)
@@ -365,6 +372,12 @@ def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, 
     assert "invalid configuration" in captured.err
     assert named in captured.err
     assert not out.exists()
+
+
+def test_extend_to_zero_still_turns_the_continuation_off():
+    cfg = load_config({"kernel": {"extend_to": 0}})
+    assert cfg.extend_to == 0.0
+    assert cfg.oscillation.s0 + cfg.kernel_span == 2 * math.pi + 40 * math.pi
 
 
 def test_a_config_still_setting_problem_g_exits_2(tmp_path, capsys):
@@ -568,6 +581,47 @@ def test_damping_singular_below_s0_bridge_passes(tmp_path, capsys):
     seen = capsys.readouterr().out
     assert rc == 0, seen
     assert "PASS radial damping integral converges" in seen
+
+
+def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, capsys,
+                                                                     monkeypatch):
+    from oscillax import cli_report, example_builder, kernel, lemma_check, parse, pde_bridge
+
+    p, s0 = parse("1/s^3"), 2 * math.pi
+    counts = {"compute_kernel": 0, "lambda": 0, "I batch": 0, "tail_sum_I_bound": 0}
+
+    def of_p(f):
+        return getattr(f, "__self__", f) == p   # p or its bound evaluate_grid
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "compute_kernel":
+                counts[name] += 1
+            elif name == "integrate_tail" and of_p(args[0]) and args[1] == s0:
+                counts["lambda"] += 1
+            elif name == "integrate_tail_many" and of_p(args[0]) and len(args[1]) > 1:
+                counts["I batch"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli_report, example_builder, kernel, lemma_check, pde_bridge):
+        for name in ("compute_kernel", "integrate_tail", "integrate_tail_many"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
+    spec = example_builder.OscillationSpec
+    original = spec.tail_sum_I_bound
+
+    def tail_sum(self, M):
+        counts["tail_sum_I_bound"] += 1
+        return original(self, M)
+
+    monkeypatch.setattr(spec, "tail_sum_I_bound", tail_sum)
+    cfg = _write_config(tmp_path)
+    assert main(["full-pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    # the lemma's family kernel serves the kernel stage; the family and the
+    # pair each integrate lambda and their I_m once, and lemma_check reuses them
+    assert counts == {"compute_kernel": 6, "lambda": 2, "I batch": 2, "tail_sum_I_bound": 1}
 
 
 def test_verify_lemma_report_carries_every_check(tmp_path, capsys):

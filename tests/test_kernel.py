@@ -129,7 +129,6 @@ def test_family_kernel_shapes_and_flags(family_kernel):
     assert not k.z_values.flags.writeable
     assert not k.h_values.flags.writeable
     assert k.z_values[0] == 0.0
-    assert k.lam < 1.0
     assert k.z_sup_observed > 1.5
 
 
@@ -155,7 +154,7 @@ def test_ode_residual_small_on_fine_grid(family):
     n_cells = int(round(span / (PI / 400)))
     n_cells += n_cells % 2
     grid = np.linspace(2 * PI, 2 * PI + span, n_cells + 1)
-    kern = compute_kernel(params.p, family.q_callable, grid, p_tail=params.p_tail)
+    kern = compute_kernel(params.p, family.q_callable, grid)
     resid = ode_residual(kern.h_values, params.p, family.q_callable, grid,
                          z_values=kern.z_values)
     assert resid["sup"] <= 1e-4
@@ -164,10 +163,31 @@ def test_ode_residual_small_on_fine_grid(family):
     assert resid["l2"] <= resid["sup"] * math.sqrt(span)
 
 
-def test_kernel_lambda_matches_closed_form(family_kernel):
+def test_kernel_lambda_matches_closed_form(family):
+    # the family is the one source of lambda; the kernel no longer integrates p
     exact = 1.0 / (8.0 * PI**2)
-    assert abs(family_kernel.lam - exact) <= family_kernel.lam_error + 1e-12
-    assert family_kernel.lam_error <= 1e-9
+    assert abs(family.lam - exact) <= family.lam_error + 1e-12
+    assert family.lam_error <= 1e-9
+
+
+def test_a_proof_bound_recertifies_the_same_kernel(family, family_kernel):
+    params = default_params()
+    again = compute_kernel(params.p, family.q_callable, family_kernel.grid,
+                           far=family_kernel.far)
+    bounded = again.with_sup_bound(1.75)
+    assert bounded.z_values is again.z_values and bounded.h_values is again.h_values
+    assert bounded.far is family_kernel.far
+    assert again.z_values.tobytes() == family_kernel.z_values.tobytes()
+    assert again.h_values.tobytes() == family_kernel.h_values.tobytes()
+    tail = TailModel("power", 2.0, 1.75, cutoff=family_kernel.far.end)
+    assert bounded.tail == tail and bounded.z_sup_bound == 1.75
+    for name in ("value", "uncertainty", "cutoff"):
+        assert getattr(bounded.h_tail, name) == getattr(family_kernel.h_tail, name)
+    assert bounded.h_tail.certificate == tail.tail_bound(family_kernel.h_tail.cutoff)
+    # the certificate compute_h gives that tail model on the same samples
+    _, info = compute_h(again.z_values, again.grid, tail, far=again.far)
+    assert bounded.h_tail == info
+    assert family_kernel.z_sup_bound == family_kernel.z_sup_observed
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +201,8 @@ def _end_matched_grid(kernel, points):
 def test_far_field_reuse_equals_a_fresh_build(family, family_kernel):
     params = default_params()
     grid = _end_matched_grid(family_kernel, 12001)
-    fresh = compute_kernel(params.p, family.q_callable, grid, p_tail=params.p_tail)
-    reused = compute_kernel(params.p, family.q_callable, grid, p_tail=params.p_tail,
-                            far=family_kernel.far)
+    fresh = compute_kernel(params.p, family.q_callable, grid)
+    reused = compute_kernel(params.p, family.q_callable, grid, far=family_kernel.far)
     assert reused.far is family_kernel.far
     for a, b in ((fresh.z_values, reused.z_values), (fresh.h_values, reused.h_values)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
@@ -208,8 +227,7 @@ def test_far_field_mismatch_is_rejected(family, family_kernel, change):
     else:
         kwargs[change] *= 1.5
     with pytest.raises(ValueError, match="far-field summary"):
-        compute_kernel(args["p"], args["q"], args["grid"], p_tail=params.p_tail,
-                       far=family_kernel.far, **kwargs)
+        compute_kernel(args["p"], args["q"], args["grid"], far=family_kernel.far, **kwargs)
 
 
 def test_far_field_outside_its_radius_is_rebuilt(family, family_kernel):
@@ -219,8 +237,7 @@ def test_far_field_outside_its_radius_is_rebuilt(family, family_kernel):
     assert not stale.covers(float(family_kernel.z_values[-1]))
     with pytest.raises(ValueError, match="validity radius"):
         stale.sup(float(family_kernel.z_values[-1]))
-    rebuilt = compute_kernel(params.p, family.q_callable, family_kernel.grid,
-                             p_tail=params.p_tail, far=stale)
+    rebuilt = compute_kernel(params.p, family.q_callable, family_kernel.grid, far=stale)
     assert rebuilt.far is not stale
     assert rebuilt.far.x0 == far.x0
     assert np.array_equal(rebuilt.h_values, family_kernel.h_values)
@@ -432,7 +449,7 @@ def test_a_damping_for_another_p_or_grid_is_refused():
     grid = np.linspace(2 * PI, 6 * PI, 401)
     damping = Damping.build(params.p, grid)
     q = lambda s: np.sin(np.asarray(s)) ** 2 - 0.4
-    kwargs = dict(p_tail=params.p_tail, extend_to=0.0, damping=damping)
+    kwargs = dict(extend_to=0.0, damping=damping)
     compute_kernel(params.p, q, grid, **kwargs)
     with pytest.raises(ValueError, match="damping was built for another coefficient p"):
         compute_kernel(parse("2/s^3"), q, grid, **kwargs)

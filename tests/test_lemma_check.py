@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from oscillax import (
     check_conclusions,
     check_hypotheses,
     check_remark,
+    compute_kernel,
     default_params,
+    parse,
     verify_lemma,
 )
 from oscillax.quadrature import TailModel
@@ -81,12 +84,34 @@ def test_conclusion_routes_agree(report):
     assert con.h_min > 0.7
 
 
-def test_z_period_maxima_are_diagnostic(report):
-    maxima = report.conclusions.z_period_maxima
-    assert 0 < len(maxima) <= 16
-    # |z| settles around its limit; the recorded maxima are all below bound
-    for _, value in maxima:
-        assert value <= report.hypotheses.proof_bound()
+def test_the_proof_bound_uses_the_familys_lambda():
+    # a p_tail with a cutoff once gave the kernel a lambda of its own
+    # (1.7226372 against the report's proof bound 1.7227233)
+    params = dataclasses.replace(default_params(), p_tail=TailModel("power", 3.0, 1.0,
+                                                                   cutoff=100.0))
+    family = build_oscillation(params)
+    grid = np.linspace(2 * PI, 12 * PI, 2001)
+    kernel = compute_kernel(params.p, family.q_callable, grid, extend_to=0.0)
+    report = verify_lemma(params.p, family.q_callable, family.nodes, p_tail=params.p_tail,
+                          family=family, kernel=kernel, q_minus=params.q_minus)
+    assert report.hypotheses.lam == family.lam
+    assert report.conclusions.z_bound == report.hypotheses.proof_bound()
+    assert report.conclusions.z_bound == pytest.approx(1.7227233, abs=1e-7)
+
+
+def test_a_family_of_another_p_or_other_nodes_is_refused(family):
+    params = default_params()
+    call = dict(p_tail=params.p_tail, family=family)
+    hyp = check_hypotheses(params.p, family.q_callable, family.nodes, **call)
+    assert hyp.I is family.I and hyp.lam == family.lam
+    with pytest.raises(ValueError, match="another p, p_tail or breakpoint range"):
+        check_hypotheses(parse("2/s^3"), family.q_callable, family.nodes, **call)
+    with pytest.raises(ValueError, match="another p, p_tail or breakpoint range"):
+        check_hypotheses(params.p, family.q_callable, family.nodes, family=family,
+                         p_tail=TailModel("power", 3.0, 2.0))
+    for nodes in (family.nodes[:-2], family.nodes + 1e-9):
+        with pytest.raises(ValueError, match="another p, p_tail or breakpoint range"):
+            check_hypotheses(params.p, family.q_callable, nodes, **call)
 
 
 def test_parallel_hypotheses_equal_serial_on_200_periods():
@@ -187,8 +212,10 @@ def test_remark_skips_moment_for_slow_power_tails():
 
 
 def test_conclusions_bound_needs_both_budgets(family_kernel):
-    con = check_conclusions(family_kernel, eps=None, delta=None)
+    # without a proof bound (eps or delta uncertified) the check is skipped
+    con = check_conclusions(family_kernel, bound=None)
     assert con.z_bounded is None
     assert con.z_bound is None
-    con2 = check_conclusions(family_kernel, eps=0.126, delta=1.577)
-    assert con2.z_bounded is not None
+    con2 = check_conclusions(family_kernel, bound=1.75)
+    assert con2.z_bounded is True
+    assert con2.z_bound_margin == 1.75 - family_kernel.z_sup_observed

@@ -251,8 +251,7 @@ def test_barrier_kernels_are_the_standalone_kernels_bitwise(pair, parallel, exte
     barrier = make_barriers(pair, grid, extend_to=extend_to, parallel=parallel)
     params = pair.q1.params
     for spec, kernel in ((pair.q1, barrier.kernel1), (pair.q2, barrier.kernel2)):
-        alone = compute_kernel(params.p, spec.q_callable, grid, p_tail=params.p_tail,
-                               extend_to=extend_to)
+        alone = compute_kernel(params.p, spec.q_callable, grid, extend_to=extend_to)
         assert (kernel.far is None) == (extend_to == 0.0)
         assert kernel.z_values.tobytes() == alone.z_values.tobytes()
         assert kernel.h_values.tobytes() == alone.h_values.tobytes()
