@@ -60,6 +60,10 @@ from .quadrature import uniform_step
 __all__ = ["BvpSolution", "DecayFit", "solve_radial", "check_sandwich", "decay_fit"]
 
 SANDWICH_TOL = 1e-8   # how far below a barrier the solution may dip, in the radial scale
+SHIFT_LEVELS = 9      # levels across the ribbon where the shift estimate samples the u-slope
+SHIFT_SAFETY = 1.5    # factor on the worst sampled negative slope
+FIT_WINDOW = 0.30     # fraction of the grid the decay fit covers ...
+FIT_EXCLUDE = 0.05    # ... ending this fraction short of the truncation boundary
 
 
 @dataclass(frozen=True)
@@ -204,9 +208,6 @@ def _estimate_shift(
     problem: RadialProblem,
     barrier: BarrierPair,
     f: Optional[Callable],
-    *,
-    levels: int = 9,
-    safety: float = 1.5,
 ) -> float:
     """Sampled lower bound for the shift: worst negative u-slope of B f / s.
 
@@ -219,17 +220,16 @@ def _estimate_shift(
     r_i = beta_map(n, R, si)
     B = _beta_betaprime(n, si) / (n - 2)
     fn = make_blend(problem, barrier, r_i) if f is None else lambda u: f(r_i, u)
-    v1 = np.interp(si, g, barrier.h1) / si
-    v2 = np.interp(si, g, barrier.h2) / si
-    width = v2 - v1
+    v1 = barrier.v1(si)
+    width = barrier.v2(si) - v1
     worst = 0.0
-    for t in np.linspace(0.05, 0.95, levels):
+    for t in np.linspace(0.05, 0.95, SHIFT_LEVELS):
         u = v1 + t * width
         du = 1e-4 * width
         slope = (np.asarray(fn(u + du), dtype=float)
                  - np.asarray(fn(u - du), dtype=float)) / (2.0 * du)
         worst = min(worst, float(np.min(B * slope / si)))
-    return safety * max(0.0, -worst)
+    return SHIFT_SAFETY * max(0.0, -worst)
 
 
 def solve_radial(
@@ -348,36 +348,23 @@ def check_sandwich(solution: BvpSolution, barrier: BarrierPair) -> dict:
     }
 
 
-def decay_fit(
-    solution: BvpSolution,
-    problem: RadialProblem,
-    window: float = 0.30,
-    exclude: float = 0.05,
-) -> DecayFit:
+def decay_fit(solution: BvpSolution, problem: RadialProblem) -> DecayFit:
     """Least-squares decay exponent of u(r) = H/s on a log-log window.
 
-    The window covers the given fraction of the grid, ending just short of
-    the truncation boundary (the excluded final fraction) so the Dirichlet
+    The window covers the fraction FIT_WINDOW of the grid, ending the
+    fraction FIT_EXCLUDE short of the truncation boundary so the Dirichlet
     condition does not contaminate the fit.  For the exterior problem the
     expected exponent is 2 - n.
     """
-    return _fit_decay(solution.grid, solution.u_values, problem, window, exclude)
+    return _fit_decay(solution.grid, solution.u_values, problem)
 
 
-def _fit_decay(
-    g: np.ndarray,
-    H: np.ndarray,
-    problem: RadialProblem,
-    window: float = 0.30,
-    exclude: float = 0.05,
-) -> DecayFit:
+def _fit_decay(g: np.ndarray, H: np.ndarray, problem: RadialProblem) -> DecayFit:
     """:func:`decay_fit` on the grid ``g`` and the arc-side profile ``H``."""
-    if not (0.0 < window < 1.0 and 0.0 <= exclude < 1.0 and window + exclude < 1.0):
-        raise ValueError("window and exclude must be fractions with window + exclude < 1")
     u = H / g
     N = len(g)
-    j1 = int(round(N * (1.0 - exclude)))
-    j0 = int(round(N * (1.0 - exclude - window)))
+    j1 = int(round(N * (1.0 - FIT_EXCLUDE)))
+    j0 = int(round(N * (1.0 - FIT_EXCLUDE - FIT_WINDOW)))
     j0, j1 = max(0, j0), min(N, j1)
     if j1 - j0 < 8:
         raise ValueError("fit window too small on this grid")

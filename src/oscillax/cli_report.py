@@ -36,6 +36,9 @@ from .bvp_solver import check_sandwich, solve_radial
 from .coeff_dsl import CoefficientExpr, Num, Var, Neg, BinOp, Call
 from .example_builder import (
     LAMBDA_TOL,
+    S0_FIXED,
+    TAIL_TOL,
+    TWO_PI,
     BandParams,
     OscillationParams,
     OscillationSpec,
@@ -47,7 +50,7 @@ from .example_builder import (
     verify_pair,
 )
 from .kernel import KernelPair, compute_kernel, ode_residual
-from .lemma_check import LemmaReport, verify_lemma
+from .lemma_check import MOMENT_TOL, LemmaReport, verify_lemma
 from .pde_bridge import (
     BarrierPair,
     RadialProblem,
@@ -285,7 +288,6 @@ def default_config() -> dict:
             "alpha_gap": 0.5, "beta_gap": 0.5,
         },
         "p": {"expr": "1/s^3", "tail": {"kind": "power", "rate": 3.0, "coef": 1.0}},
-        "s0": "2*pi",
         "problem": {"n": 3, "R": 1.0, "varsigma": 1.0},
         "kernel": {
             "step": "pi/200", "span": "40*pi",
@@ -371,8 +373,8 @@ def _take(block: dict, allowed: dict, what: str) -> dict:
     return merged
 
 
-def _damping(block, s0: float) -> tuple[CoefficientExpr, TailModel]:
-    """p and p.tail, whose envelope must hold where the lambda integral samples p."""
+def _damping(block) -> tuple[CoefficientExpr, TailModel]:
+    """p and p.tail; :func:`_check_damping` then samples p against the envelope."""
     got = _take(block, {"expr": None, "tail": None}, "p")
     if not isinstance(got["expr"], str):
         raise ValueError("p.expr must be an expression string")
@@ -385,11 +387,36 @@ def _damping(block, s0: float) -> tuple[CoefficientExpr, TailModel]:
     rate = _const_expr(tail["rate"], "p.tail.rate")
     coef = _const_expr(tail["coef"], "p.tail.coef")
     try:
-        model = TailModel(kind=str(tail["kind"]), rate=rate, coef=coef)
-        check_envelope(expr, model, [model.cutoff_for(0.5 * LAMBDA_TOL, s0)])
+        return expr, TailModel(kind=str(tail["kind"]), rate=rate, coef=coef)
     except ValueError as exc:
         raise ValueError(f"p.tail: {exc}") from None
-    return expr, model
+
+
+def _check_damping(p: CoefficientExpr, model: TailModel, m_family: int, m_bare: int) -> None:
+    """Sample p against p.tail past every cutoff at which a run integrates it.
+
+    Those are the cutoffs of lambda (from s0), of the I_m (from 2 m pi, for
+    m up to m_family + 2 for a family and its tail_sum_I_bound, and up to
+    m_bare for a bare q), and of the first moments (s - a) p of
+    tail_sum_I_bound (a = 2 (m_family + 2) pi) and check_remark (a = s0).
+    Each is derived from its integral's tolerance as integrate_tail_many
+    derives it, so a p that leaves its envelope there is refused here, not
+    in the middle of a run.
+    """
+    pe = p.evaluate_grid
+    top = max(m_family + 2, m_bare)
+    checks = [(pe, model, [model.cutoff_for(0.5 * LAMBDA_TOL, S0_FIXED)]
+               + [model.cutoff_for(0.5 * TAIL_TOL, TWO_PI * m) for m in range(1, top + 1)])]
+    for a, tol in ((TWO_PI * (m_family + 2), TAIL_TOL), (S0_FIXED, MOMENT_TOL)):
+        moment = model.first_moment(a)
+        if moment is not None:
+            checks.append((lambda s, a=a: (np.asarray(s) - a) * np.asarray(pe(s)),
+                           moment, [moment.cutoff_for(0.5 * tol, a)]))
+    try:
+        for f, envelope, cutoffs in checks:
+            check_envelope(f, envelope, cutoffs)
+    except ValueError as exc:
+        raise ValueError(f"p.tail: {exc}") from None
 
 
 @dataclass
@@ -424,8 +451,7 @@ def load_config(raw: dict) -> RunConfig:
         raise ValueError("config must be a JSON object")
     top = _take(raw, default_config(), "top level")
 
-    s0 = _const_expr(top["s0"], "s0")
-    p_expr, p_tail = _damping(top["p"], s0)
+    p_expr, p_tail = _damping(top["p"])
 
     osc_block = _take(top["oscillation"], default_config()["oscillation"], "oscillation")
     osc = OscillationParams(
@@ -435,10 +461,13 @@ def load_config(raw: dict) -> RunConfig:
         sigma=_const_expr(osc_block["sigma"], "oscillation.sigma"),
         eta=_const_expr(osc_block["eta"], "oscillation.eta"),
         theta=_const_expr(osc_block["theta"], "oscillation.theta"),
-        s0=s0, p=p_expr, p_tail=p_tail,
+        p=p_expr, p_tail=p_tail,
         m_max=_count(osc_block["m_max"], "oscillation.m_max"),
     )
-    osc.validate()
+    try:
+        osc.validate()
+    except ValueError as exc:
+        raise ValueError(f"oscillation: {exc}") from None
 
     pair_block = _take(top["pair"], default_config()["pair"], "pair")
 
@@ -454,14 +483,17 @@ def load_config(raw: dict) -> RunConfig:
         )
 
     pair = PairParams(
-        q_minus=osc.q_minus, q_plus=osc.q_plus, s0=s0, p=p_expr, p_tail=p_tail,
+        q_minus=osc.q_minus, q_plus=osc.q_plus, p=p_expr, p_tail=p_tail,
         set1=band(pair_block["set1"], "pair.set1"),
         set2=band(pair_block["set2"], "pair.set2"),
         alpha_gap=_const_expr(pair_block["alpha_gap"], "pair.alpha_gap"),
         beta_gap=_const_expr(pair_block["beta_gap"], "pair.beta_gap"),
         m_max=osc.m_max,
     )
-    pair.validate()
+    try:
+        pair.validate()
+    except ValueError as exc:  # its messages start with the field they are about
+        raise ValueError(f"pair.{exc}") from None
 
     if isinstance(top["problem"], dict) and "g" in top["problem"]:
         raise ValueError(
@@ -477,9 +509,9 @@ def load_config(raw: dict) -> RunConfig:
         raise ValueError(f"problem.n must be a dimension of at least 3, got {n}")
     R = _positive(prob["R"], "problem.R")
     s_min = excluded_arc(n, R)
-    if not s0 > s_min:
+    if not S0_FIXED > s_min:
         raise ValueError(
-            f"s0 = {s0!r} must lie beyond the excluded ball: it needs "
+            f"the families' anchor s0 = 2 pi must lie beyond the excluded ball: it needs "
             f"s0 > (problem.n - 2) problem.R^(problem.n - 2) = {s_min!r}")
     varsigma = _positive(prob["varsigma"], "problem.varsigma")
 
@@ -511,13 +543,14 @@ def load_config(raw: dict) -> RunConfig:
         CoefficientExpr.parse(q_override["expr"])  # fail fast on bad source
         q_override = {"expr": q_override["expr"],
                       "m_max": _count(q_override["m_max"], "q_override.m_max")}
+    _check_damping(p_expr, p_tail, osc.m_max, q_override["m_max"] if q_override else 0)
 
     span = _positive(kern["span"], "kernel.span")
     extend_to = _nonnegative(kern["extend_to"], "kernel.extend_to")
-    if 0.0 < extend_to <= s0 + span:
+    if 0.0 < extend_to <= S0_FIXED + span:
         raise ValueError(
             f"kernel.extend_to = {extend_to!r} must lie past the grid end s0 + kernel.span "
-            f"= {s0 + span!r}, or be 0 to turn the continuation off")
+            f"= {S0_FIXED + span!r}, or be 0 to turn the continuation off")
     steps = {key: _positive(kern[key], f"kernel.{key}")
              for key in ("step", "extend_step", "residual_step")}
     for key in ("step", "residual_step"):
@@ -525,7 +558,7 @@ def load_config(raw: dict) -> RunConfig:
             raise ValueError(f"kernel.{key} = {steps[key]!r} leaves no grid cell over "
                              f"kernel.span = {span!r}; it must be below twice the span")
     # the bridge's integral conditions run up to the radius of the grid end
-    T = float(beta_map(n, R, s0 + span))
+    T = float(beta_map(n, R, S0_FIXED + span))
     if not T > 4.0 * R:
         raise ValueError(
             f"problem.n = {n}, problem.R = {R!r} and kernel.span = {span!r} put the "

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "verify_pair",
     "check_integral_features",
     "default_params",
-    "default_pair_params",
 ]
 
 Coefficient = Union[CoefficientExpr, Callable]
@@ -62,29 +61,23 @@ PI = math.pi
 TWO_PI = 2.0 * math.pi
 S0_FIXED = TWO_PI  # families are anchored at s0 = a_2 = 2*pi
 LAMBDA_TOL = 1e-10  # quadrature tolerance of lambda = integral of p over [s0, infinity)
+TAIL_TOL = 1e-12    # quadrature tolerance of the I_m and of the integrals of tail_sum_I_bound
+JOIN_TOL = 1e-10    # |q| allowed at a breakpoint; sqrt(JOIN_TOL) bounds |q'| there
+
+STOCK_P = CoefficientExpr.parse("1/s^3")   # the stock damping and its decay model
+STOCK_P_TAIL = TailModel(kind="power", rate=3.0, coef=1.0)
 
 
 @dataclass(frozen=True)
-class OscillationParams:
-    """Parameters of one sin^2-band family."""
+class BandParams:
+    """Surplus constants of one family's band: 6 <= gamma < sigma, 0 <= eta < theta."""
 
-    q_minus: float = 1.0
-    q_plus: float = 2.0
-    gamma: float = 6.0
-    sigma: float = 7.0
-    eta: float = 0.0
-    theta: float = 1.0
-    s0: float = S0_FIXED
-    p: Coefficient = None  # type: ignore[assignment]
-    p_tail: TailModel = None  # type: ignore[assignment]
-    m_max: int = 25
+    gamma: float
+    sigma: float
+    eta: float
+    theta: float
 
     def validate(self) -> None:
-        if not (0.0 < self.q_minus < self.q_plus):
-            raise ValueError(
-                f"negative-lobe band requires 0 < q_minus < q_plus, "
-                f"got q_minus={self.q_minus!r}, q_plus={self.q_plus!r}"
-            )
         if not (6.0 <= self.gamma < self.sigma):
             raise ValueError(
                 f"surplus coefficients require 6 <= gamma < sigma, "
@@ -95,15 +88,32 @@ class OscillationParams:
                 f"geometric surplus requires 0 <= eta < theta, "
                 f"got eta={self.eta!r}, theta={self.theta!r}"
             )
-        if abs(self.s0 - S0_FIXED) > 1e-12:
+
+
+@dataclass(frozen=True)
+class OscillationParams:
+    """Parameters of one sin^2-band family; ``s0`` is the fixed anchor 2*pi."""
+
+    s0: ClassVar[float] = S0_FIXED
+    q_minus: float = 1.0
+    q_plus: float = 2.0
+    gamma: float = 6.0
+    sigma: float = 7.0
+    eta: float = 0.0
+    theta: float = 1.0
+    p: Coefficient = STOCK_P
+    p_tail: TailModel = STOCK_P_TAIL
+    m_max: int = 25
+
+    def validate(self) -> None:
+        if not (0.0 < self.q_minus < self.q_plus):
             raise ValueError(
-                f"the family anchors its lobes at a_m = m*pi with s0 = 2*pi, "
-                f"got s0={self.s0!r}"
+                f"negative-lobe band requires 0 < q_minus < q_plus, "
+                f"got q_minus={self.q_minus!r}, q_plus={self.q_plus!r}"
             )
+        BandParams(self.gamma, self.sigma, self.eta, self.theta).validate()
         if self.m_max < 1:
             raise ValueError("m_max must be at least 1")
-        if self.p is None or self.p_tail is None:
-            raise ValueError("a damping coefficient p and its tail model are required")
 
 
 @dataclass(frozen=True)
@@ -154,7 +164,6 @@ class OscillationSpec:
     lam_error: float
     sup_bound: float
     rule: _AmplitudeRule
-    spacing: float = TWO_PI    # min over m of a_{2m+2} - a_{2m}
     _ext: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- evaluation beyond the table ----------------------------------------
@@ -214,7 +223,7 @@ class OscillationSpec:
 
             sum_{m >= M+2} I_m <= integral_T^inf p + (1/A) integral_T^inf (s - T) p,
 
-        with T = a_{2(M+2)} and A the minimal period spacing, so the bound
+        with T = a_{2(M+2)} and A = 2 pi the period length, so the bound
         is I_{M+1} plus that right-hand side.  Needs the first moment of p
         to be certifiable (power tail with rate > 2, or an exponential
         tail); returns None otherwise.
@@ -225,13 +234,13 @@ class OscillationSpec:
         if moment_model is None:
             return None
         pe = as_callable(self.params.p)
-        I_next = integrate_tail(pe, 2.0 * (M + 1) * PI, tail.without_cutoff(), tol=1e-12)
-        I_after = integrate_tail(pe, T, tail.without_cutoff(), tol=1e-12)
+        I_next = integrate_tail(pe, 2.0 * (M + 1) * PI, tail, tol=TAIL_TOL)
+        I_after = integrate_tail(pe, T, tail, tol=TAIL_TOL)
         moment = integrate_tail(lambda s: (np.asarray(s) - T) * np.asarray(pe(s)),
-                                T, moment_model, tol=1e-12)
+                                T, moment_model, tol=TAIL_TOL)
         envelope = (I_next.value + I_next.abs_error_estimate
                     + I_after.value + I_after.abs_error_estimate
-                    + (moment.value + moment.abs_error_estimate) / self.spacing)
+                    + (moment.value + moment.abs_error_estimate) / TWO_PI)
         return float(envelope)
 
     def surplus_tail_bound(self, M: int, sum_I: float) -> float:
@@ -246,20 +255,15 @@ class OscillationSpec:
 
 def default_params(m_max: int = 25) -> OscillationParams:
     """The stock family: p = 1/s^3 and the documented band constants."""
-    return OscillationParams(
-        p=CoefficientExpr.parse("1/s^3"),
-        p_tail=TailModel(kind="power", rate=3.0, coef=1.0),
-        m_max=m_max,
-    )
+    return OscillationParams(m_max=m_max)
 
 
 def _damping_integrals(params: OscillationParams
                        ) -> tuple[IntegralResult, np.ndarray, np.ndarray]:
     """lambda and the certified I_m with their errors, m = 1 .. m_max."""
-    tail = params.p_tail.without_cutoff()
-    lam_res = integrate_tail(params.p, params.s0, tail, tol=LAMBDA_TOL)
+    lam_res = integrate_tail(params.p, S0_FIXED, params.p_tail, tol=LAMBDA_TOL)
     los = [2.0 * m * PI for m in range(1, params.m_max + 1)]
-    results = integrate_tail_many(params.p, los, tail, tol=1e-12)
+    results = integrate_tail_many(params.p, los, params.p_tail, tol=TAIL_TOL)
     return (lam_res, np.array([res.value for res in results]),
             np.array([res.abs_error_estimate for res in results]))
 
@@ -315,7 +319,7 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule,
     return spec
 
 
-def _check_smooth_joins(spec: OscillationSpec, tol: float = 1e-10) -> None:
+def _check_smooth_joins(spec: OscillationSpec) -> None:
     """q and q' vanish at every breakpoint, checked numerically."""
     nodes = spec.nodes
     vals = np.abs(spec.q_callable(nodes))
@@ -325,9 +329,9 @@ def _check_smooth_joins(spec: OscillationSpec, tol: float = 1e-10) -> None:
         spec.q_callable(inner + step) - spec.q_callable(inner - step)
     ) / (2.0 * step)
     worst_q, worst_dq = float(np.max(vals)), float(np.max(deriv))
-    if worst_q > tol:
+    if worst_q > JOIN_TOL:
         raise ValueError(f"family fails continuity at a breakpoint: |q| = {worst_q!r}")
-    if worst_dq > math.sqrt(tol):
+    if worst_dq > math.sqrt(JOIN_TOL):
         raise ValueError(f"family fails smoothness at a breakpoint: |q'| = {worst_dq!r}")
 
 
@@ -354,28 +358,21 @@ def build_oscillation(params: Optional[OscillationParams] = None) -> Oscillation
 
 
 @dataclass(frozen=True)
-class BandParams:
-    gamma: float
-    sigma: float
-    eta: float
-    theta: float
-
-
-@dataclass(frozen=True)
 class PairParams:
     """Two band parameter sets plus the gaps that separate the families.
 
     Requires sigma1 < gamma2 and theta1 < eta2 so that set 2 sits strictly
     above set 1, with alpha_gap in (0, gamma2 - sigma1) and beta_gap in
     (0, eta2 - theta1) fixing how much of the corridor the first family's
-    negative lobes use up.
+    negative lobes use up.  Each message of :meth:`validate` starts with the
+    field it is about.
     """
 
+    s0: ClassVar[float] = S0_FIXED
     q_minus: float = 1.0
     q_plus: float = 2.0
-    s0: float = S0_FIXED
-    p: Coefficient = None  # type: ignore[assignment]
-    p_tail: TailModel = None  # type: ignore[assignment]
+    p: Coefficient = STOCK_P
+    p_tail: TailModel = STOCK_P_TAIL
     set1: BandParams = BandParams(6.0, 7.0, 0.0, 1.0)
     set2: BandParams = BandParams(8.0, 9.0, 2.0, 3.0)
     alpha_gap: float = 0.5
@@ -383,26 +380,20 @@ class PairParams:
     m_max: int = 25
 
     def validate(self) -> None:
-        for label, band in (("first", self.set1), ("second", self.set2)):
-            if not (6.0 <= band.gamma < band.sigma):
-                raise ValueError(
-                    f"{label} band set requires 6 <= gamma < sigma, "
-                    f"got gamma={band.gamma!r}, sigma={band.sigma!r}"
-                )
-            if not (0.0 <= band.eta < band.theta):
-                raise ValueError(
-                    f"{label} band set requires 0 <= eta < theta, "
-                    f"got eta={band.eta!r}, theta={band.theta!r}"
-                )
+        for name in ("set1", "set2"):
+            try:
+                getattr(self, name).validate()
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         if not self.set1.sigma < self.set2.gamma:
             raise ValueError(
-                f"band corridor needs sigma1 < gamma2, got "
-                f"sigma1={self.set1.sigma!r}, gamma2={self.set2.gamma!r}"
+                f"set2.gamma must exceed set1.sigma to leave a band corridor, got "
+                f"set1.sigma={self.set1.sigma!r}, set2.gamma={self.set2.gamma!r}"
             )
         if not self.set1.theta < self.set2.eta:
             raise ValueError(
-                f"band corridor needs theta1 < eta2, got "
-                f"theta1={self.set1.theta!r}, eta2={self.set2.eta!r}"
+                f"set2.eta must exceed set1.theta to leave a band corridor, got "
+                f"set1.theta={self.set1.theta!r}, set2.eta={self.set2.eta!r}"
             )
         if not (0.0 < self.alpha_gap < self.set2.gamma - self.set1.sigma):
             raise ValueError(
@@ -414,16 +405,6 @@ class PairParams:
                 f"beta_gap must lie in (0, eta2 - theta1) = "
                 f"(0, {self.set2.eta - self.set1.theta!r}), got {self.beta_gap!r}"
             )
-        if self.p is None or self.p_tail is None:
-            raise ValueError("a damping coefficient p and its tail model are required")
-
-
-def default_pair_params(m_max: int = 25) -> PairParams:
-    return PairParams(
-        p=CoefficientExpr.parse("1/s^3"),
-        p_tail=TailModel(kind="power", rate=3.0, coef=1.0),
-        m_max=m_max,
-    )
 
 
 @dataclass
@@ -441,11 +422,11 @@ def _member_params(pp: PairParams, band: BandParams) -> OscillationParams:
     return OscillationParams(
         q_minus=pp.q_minus, q_plus=pp.q_plus,
         gamma=band.gamma, sigma=band.sigma, eta=band.eta, theta=band.theta,
-        s0=pp.s0, p=pp.p, p_tail=pp.p_tail, m_max=pp.m_max,
+        p=pp.p, p_tail=pp.p_tail, m_max=pp.m_max,
     )
 
 
-def build_pair(params: Optional[PairParams] = None, m_max: Optional[int] = None) -> PairResult:
+def build_pair(params: Optional[PairParams] = None) -> PairResult:
     """Build the ordered pair and verify each link of the ordering chain.
 
     The first family raises its negative-lobe amplitude by the gap terms
@@ -458,16 +439,7 @@ def build_pair(params: Optional[PairParams] = None, m_max: Optional[int] = None)
     is evaluated per period and the smallest margin of each link reported;
     the first violated link raises with its period index.
     """
-    pp = params if params is not None else default_pair_params()
-    updates = {}
-    if m_max is not None:
-        updates["m_max"] = m_max
-    if pp.p is None and pp.p_tail is None:
-        stock = default_params()
-        updates["p"] = stock.p
-        updates["p_tail"] = stock.p_tail
-    if updates:
-        pp = PairParams(**{**pp.__dict__, **updates})
+    pp = params if params is not None else PairParams()
     pp.validate()
 
     # the members share p, so lambda and the I_m are integrated once for both

@@ -122,7 +122,7 @@ class KernelPair:
         z and h do not depend on the bound, so the copy shares their
         read-only arrays; only the tail model and the certificate change.
         """
-        tail = TailModel(kind="power", rate=2.0, coef=float(bound), cutoff=self.tail.cutoff)
+        tail = TailModel(kind="power", rate=2.0, coef=float(bound))
         return replace(self, z_sup_bound=tail.coef, tail=tail,
                        h_tail=replace(self.h_tail,
                                       certificate=tail.tail_bound(self.h_tail.cutoff)))
@@ -675,8 +675,7 @@ def compute_kernel(
                                  extend_step=extend_step)
         observed = max(observed, far.sup(x))
 
-    tail = TailModel(kind="power", rate=2.0, coef=observed,
-                     cutoff=far.end if far is not None else float(g[-1]))
+    tail = TailModel(kind="power", rate=2.0, coef=observed)
     h, h_tail = compute_h(z, g, tail, far=far)
 
     for arr in (g, z, h):

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .coeff_dsl import CoefficientExpr, as_callable
-from .example_builder import LAMBDA_TOL
+from .example_builder import LAMBDA_TOL, TAIL_TOL
 from .kernel import KernelPair
 from .quadrature import TailModel, integrate_finite_many, integrate_tail, integrate_tail_many
 
@@ -55,6 +55,7 @@ Coefficient = Union[CoefficientExpr, Callable]
 STRICT = 1e-12       # strict-inequality threshold; closer to zero is inconclusive
 SIGN_SAMPLES = 64    # interior samples per lobe of the sign-pattern check
 QUAD_TOL = 1e-12     # quadrature tolerance of the lobe integrals
+MOMENT_TOL = 1e-10   # quadrature tolerance of check_remark's first moment of p
 
 
 @dataclass(frozen=True)
@@ -285,9 +286,9 @@ def check_hypotheses(
     pe, qe = as_callable(p), as_callable(q)
 
     if family is None:
-        lam_res = integrate_tail(pe, float(nodes[0]), p_tail.without_cutoff(), tol=LAMBDA_TOL)
+        lam_res = integrate_tail(pe, float(nodes[0]), p_tail, tol=LAMBDA_TOL)
         lam, lam_error = lam_res.value, lam_res.abs_error_estimate
-        tails = integrate_tail_many(pe, nodes[0:-1:2], p_tail.without_cutoff(), tol=1e-12)
+        tails = integrate_tail_many(pe, nodes[0:-1:2], p_tail, tol=TAIL_TOL)
         I = np.array([r.value for r in tails])
         I_err = np.array([r.abs_error_estimate for r in tails])
     else:
@@ -431,8 +432,7 @@ def check_remark(
     spacing = float(np.min(np.diff(even)))
 
     if I_values is None:
-        tails = integrate_tail_many(pe, [float(a) for a in even[1:M]],
-                                    p_tail.without_cutoff(), tol=1e-12)
+        tails = integrate_tail_many(pe, [float(a) for a in even[1:M]], p_tail, tol=TAIL_TOL)
         I_values = np.array([res.value for res in tails])
     else:
         I_values = np.asarray(I_values, dtype=float)[1:M]
@@ -444,7 +444,7 @@ def check_remark(
     model = p_tail.first_moment(s0)
     if model is not None:
         res = integrate_tail(lambda s: (np.asarray(s) - s0) * np.asarray(pe(s)),
-                             s0, model, tol=1e-10)
+                             s0, model, tol=MOMENT_TOL)
         moment, moment_err = res.value, res.abs_error_estimate
         counting_ok = bool(spacing * sum_I <= moment + moment_err + 1e-12)
 

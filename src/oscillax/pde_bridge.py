@@ -287,8 +287,7 @@ def make_blend(problem: RadialProblem, barrier: BarrierPair, r, *,
         raise ValueError("the blend nonlinearity needs both ribbon edges a1 and a2")
     r_arr = np.asarray(r, dtype=float)
     s = beta_inverse(problem.n, problem.R, r_arr)
-    v1 = np.interp(s, barrier.grid, barrier.h1) / s
-    v2 = np.interp(s, barrier.grid, barrier.h2) / s
+    v1, v2 = barrier.v1(s), barrier.v2(s)
     gap = v2 - v1
     if np.any(gap <= 0):
         raise ValueError("degenerate ribbon: the barriers touch at some radius")
@@ -400,6 +399,9 @@ def integral_conditions(
 ) -> dict:
     """The three radial integral features, measured up to radius T.
 
+    ``sup_q`` holds certified bounds on sup|q1| and sup|q2|, the lifts of
+    a1 and a2; it is required when the problem has a source.
+
     (i) integral r^(n-1) g dr converges, for the radial damping g derived
         from p.  p is given for s >= s0 only, so g is known for
         r >= beta(s0) and the finite part is taken over [beta(s0), T].
@@ -411,15 +413,15 @@ def integral_conditions(
         T, 2T, 4T with their growth rate against ln T.
     (iii) integral r^(1 - varsigma (n-2)) |a_i| dr converges: Cauchy gap
         between T and 2T against the closed-form tail bound, which needs
-        sup|q_i| (pass certified values via ``sup_q``; otherwise an
-        observed sup is used and labelled as such).
+        sup|q_i| from ``sup_q``.
     """
     problem.validate()
     n, R, vs = problem.n, problem.R, problem.varsigma
     if not T > 4.0 * R:
         raise ValueError("truncation radius must exceed the excluded ball comfortably")
+    if sup_q is None and (problem.a1 is not None or problem.a2 is not None):
+        raise ValueError("the radial sources need certified bounds sup_q on sup|q1|, sup|q2|")
     pe = as_callable(problem.p)
-    q1, q2 = lift_coefficients(problem)
     S_T = beta_inverse(n, R, T)
 
     def radial_damping(r):
@@ -448,16 +450,14 @@ def integral_conditions(
     }
 
     seeds = _lobe_radii(problem, 4.0 * T)
-    for label, q in (("a1", q1), ("a2", q2)):
-        if q is None:
+    for label, a, sup_val in zip(("a1", "a2"), (problem.a1, problem.a2), sup_q or (None, None)):
+        if a is None:
             continue
+        ae = as_callable(a)
 
         def r_weighted(r, power):
             r_arr = np.asarray(r, dtype=float)
-            s = beta_inverse(n, R, r_arr)
-            lifted = np.abs(np.asarray(q(s), dtype=float))
-            # a(r) = (n-2)^2 r^-2 q(s(r))
-            return np.power(r_arr, power) * (n - 2) ** 2 / r_arr**2 * lifted
+            return np.power(r_arr, power) * np.abs(np.asarray(ae(r_arr), dtype=float))
 
         parts = integrate_finite_many(lambda r: r_weighted(r, 1.0),
                                       [(r_lo, T), (r_lo, 2.0 * T), (r_lo, 4.0 * T)],
@@ -468,13 +468,6 @@ def integral_conditions(
         heavy_T, heavy_2T = integrate_finite_many(
             lambda r: r_weighted(r, 1.0 - vs * (n - 2)), [(r_lo, T), (r_lo, 2.0 * T)],
             tol=1e-10, seeds=seeds, limit=20000)
-        if sup_q is not None:
-            sup_val = sup_q[0] if label == "a1" else sup_q[1]
-            sup_label = "certified"
-        else:
-            probe = np.linspace(problem.s0, beta_inverse(n, R, 4.0 * T), 65536)
-            sup_val = float(np.max(np.abs(q(probe)))) * (1.0 + 1e-6)
-            sup_label = "observed"
         gap_bound = (n - 2) ** (1.0 + vs) * sup_val * S_T ** (-vs) / vs
         out[label] = {
             "growth_partials": growth,
@@ -485,7 +478,7 @@ def integral_conditions(
             "cauchy_gap": abs(heavy_2T.value - heavy_T.value),
             "gap_bound": gap_bound,
             "sup_q": sup_val,
-            "sup_q_source": sup_label,
+            "sup_q_source": "certified",
             "converges": bool(abs(heavy_2T.value - heavy_T.value) <= gap_bound + 1e-12),
         }
     return out

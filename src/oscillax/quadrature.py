@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -72,22 +72,20 @@ class TailModel:
     kind "user":   an explicit bound function S -> tail bound; the envelope
                    is taken on trust and not sampled.
 
-    ``cutoff`` optionally pins where the finite part ends; when omitted the
-    integrator derives a cutoff from the requested tolerance.
+    The integrator derives the cutoff from the requested tolerance.
     """
 
     kind: str
     rate: float
     coef: float = 1.0
-    cutoff: Optional[float] = None
     bound_fn: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("power", "exp", "user"):
             raise ValueError(f"unknown tail model kind {self.kind!r}")
-        for name in ("rate", "coef", "cutoff"):
+        for name in ("rate", "coef"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"tail model {name} must be finite, got {value!r}")
         if self.kind == "power" and not self.rate > 1.0:
             raise ValueError("power tail needs rate > 1 for an integrable bound")
@@ -106,10 +104,6 @@ class TailModel:
         if self.kind == "exp":
             return self.coef * np.exp(-self.rate * s)
         raise ValueError("user tail model has no pointwise envelope")
-
-    def without_cutoff(self) -> "TailModel":
-        """The same envelope with the cutoff left to the integrator."""
-        return replace(self, cutoff=None)
 
     def first_moment(self, origin: float = 0.0) -> Optional["TailModel"]:
         """Decay model of (s - origin) f(s) for s >= origin >= 0; None if it has none.
@@ -374,22 +368,16 @@ def integrate_tail_many(
 ) -> list[IntegralResult]:
     """Integrals of f over [lo, infinity) for every lo, each a finite part + certified tail.
 
-    Each cutoff comes from the model (or is derived per lo so the tail bound
-    is at most tol/2).  For power and exp models the integrand must stay
-    within the claimed envelope beyond every cutoff (see
+    Each cutoff is derived per lo so that the tail bound is at most tol/2
+    (see :meth:`TailModel.cutoff_for`).  For power and exp models the
+    integrand must stay within the claimed envelope beyond every cutoff (see
     :func:`check_envelope`).  The finite parts run in lockstep through
     :func:`integrate_finite_many`.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    cutoffs, bounds = [], []
-    for lo in los:
-        cutoff = model.cutoff if model.cutoff is not None else model.cutoff_for(0.5 * tol, lo)
-        if cutoff < lo:
-            raise ValueError(f"cutoff {float(cutoff)!r} lies below the lower endpoint "
-                             f"{float(lo)!r}")
-        cutoffs.append(cutoff)
-        bounds.append(model.tail_bound(cutoff))
+    cutoffs = [model.cutoff_for(0.5 * tol, lo) for lo in los]
+    bounds = [model.tail_bound(cutoff) for cutoff in cutoffs]
 
     fn = as_callable(f)
     spot_evals = check_envelope(fn, model, cutoffs)

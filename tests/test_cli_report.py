@@ -67,8 +67,9 @@ def test_unknown_config_keys_are_rejected():
 
 
 def test_constant_expressions_are_accepted_for_scalars():
-    cfg = load_config({"s0": "2*pi"})
-    assert cfg.oscillation.s0 == pytest.approx(2 * np.pi)
+    cfg = load_config({"kernel": {"span": "40*pi"}})
+    assert cfg.kernel_span == pytest.approx(40 * np.pi)
+    assert cfg.oscillation.s0 == 2 * np.pi
 
 
 def test_const_expr_accepts_numbers_and_constants():
@@ -261,13 +262,18 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 
 
 def test_constraint_violation_exits_2_and_names_the_bound(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"oscillation.gamma": 5.0})
-    rc = main(["construct-example", "--config", str(cfg),
-               "--out", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "invalid configuration" in err
-    assert "6 <= gamma" in err
+    for patch, section, bound in (
+        ({"oscillation.gamma": 5.0}, "oscillation: ", "6 <= gamma"),
+        ({"pair.set1.gamma": 5.0}, "pair.set1: ", "6 <= gamma"),
+        ({"pair.set2.gamma": 7.0}, "pair.set2.gamma", "set1.sigma"),
+    ):
+        cfg = _write_config(tmp_path, patch)
+        rc = main(["build-pair", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert section in err and bound in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["step", "extend_step"])
@@ -361,6 +367,12 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
     # p = 1/s^3 exceeds the envelope 0 everywhere; no run reads a cutoff
     ({"p.tail.coef": 0}, "p.tail"),
     ({"p.tail.cutoff": 100}, "p.tail"),
+    # p leaves its envelope past the I_m cutoff (1e6), or only past the cutoff
+    # of tail_sum_I_bound's first moment (2e12)
+    ({"p.expr": "1/s^3 + 1e-33*s"}, "p.tail"),
+    ({"p.expr": "1/s^3 + 1e-40*s"}, "p.tail"),
+    # the families are anchored at s0 = 2 pi
+    ({"s0": "2*pi"}, "s0"),
 ])
 def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, named):
     cfg = _write_config(tmp_path, patch)

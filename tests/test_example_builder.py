@@ -144,7 +144,7 @@ def _per_lobe_reference(c, d, s):
 def test_piecewise_expression_agrees_with_the_callable(family, pair):
     # the reference tables run 15 periods past m_max = 25, where q_callable
     # extends the amplitude rule by itself
-    wide_pair = build_pair(m_max=40)
+    wide_pair = build_pair(PairParams(m_max=40))
     wide = {"family": build_oscillation(default_params(m_max=40)),
             "q1": wide_pair.q1, "q2": wide_pair.q2}
     s = np.linspace(2 * PI, 82 * PI, 16001)
@@ -205,8 +205,8 @@ def _tail_sum_I_bound_reference(spec, M):
 
     tail, pe = spec.params.p_tail, spec.params.p
     T = 2.0 * (M + 2) * PI
-    I_next = integrate_tail(pe, 2.0 * (M + 1) * PI, tail.without_cutoff(), tol=1e-12)
-    I_after = integrate_tail(pe, T, tail.without_cutoff(), tol=1e-12)
+    I_next = integrate_tail(pe, 2.0 * (M + 1) * PI, tail, tol=1e-12)
+    I_after = integrate_tail(pe, T, tail, tol=1e-12)
     if tail.kind == "power":
         moment_model = TailModel(kind="power", rate=tail.rate - 1.0, coef=tail.coef)
     else:
@@ -217,7 +217,7 @@ def _tail_sum_I_bound_reference(spec, M):
                             T, moment_model, tol=1e-12)
     return float(I_next.value + I_next.abs_error_estimate
                  + I_after.value + I_after.abs_error_estimate
-                 + (moment.value + moment.abs_error_estimate) / spec.spacing)
+                 + (moment.value + moment.abs_error_estimate) / (2.0 * PI))
 
 
 @pytest.mark.parametrize("p, tail", [
@@ -230,7 +230,7 @@ def test_tail_sum_bound_through_the_shared_moment_model_is_unchanged(p, tail):
     base = default_params(m_max=6)
     spec = build_oscillation(OscillationParams(
         q_minus=base.q_minus, q_plus=base.q_plus, gamma=base.gamma, sigma=base.sigma,
-        eta=base.eta, theta=base.theta, s0=base.s0, p=parse(p), p_tail=tail, m_max=6))
+        eta=base.eta, theta=base.theta, p=parse(p), p_tail=tail, m_max=6))
     for M in (4, 6, 30):
         assert spec.tail_sum_I_bound(M) == _tail_sum_I_bound_reference(spec, M)
 
@@ -239,7 +239,7 @@ def test_tail_sum_bound_needs_a_fast_enough_rate():
     params = default_params(m_max=4)
     slow = OscillationParams(
         q_minus=params.q_minus, q_plus=params.q_plus, gamma=params.gamma,
-        sigma=params.sigma, eta=params.eta, theta=params.theta, s0=params.s0,
+        sigma=params.sigma, eta=params.eta, theta=params.theta,
         p=lambda s: 1.0 / np.asarray(s, dtype=float) ** 2 / 40.0,
         p_tail=TailModel("power", 2.0, 1.0 / 40.0), m_max=4,
     )
@@ -339,7 +339,7 @@ def test_random_admissible_families_stay_in_band(gamma, dsig, eta, dth,
     p = OscillationParams(
         q_minus=q_minus, q_plus=q_minus * q_ratio,
         gamma=gamma, sigma=gamma + dsig, eta=eta, theta=eta + dth,
-        s0=params.s0, p=params.p, p_tail=params.p_tail, m_max=4,
+        p=params.p, p_tail=params.p_tail, m_max=4,
     )
     spec = build_oscillation(p)
     # lobes alternate and respect the band by construction

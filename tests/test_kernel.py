@@ -179,7 +179,7 @@ def test_a_proof_bound_recertifies_the_same_kernel(family, family_kernel):
     assert bounded.far is family_kernel.far
     assert again.z_values.tobytes() == family_kernel.z_values.tobytes()
     assert again.h_values.tobytes() == family_kernel.h_values.tobytes()
-    tail = TailModel("power", 2.0, 1.75, cutoff=family_kernel.far.end)
+    tail = TailModel("power", 2.0, 1.75)
     assert bounded.tail == tail and bounded.z_sup_bound == 1.75
     for name in ("value", "uncertainty", "cutoff"):
         assert getattr(bounded.h_tail, name) == getattr(family_kernel.h_tail, name)

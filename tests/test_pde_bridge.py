@@ -106,10 +106,10 @@ def test_a_ball_too_large_for_floats_is_rejected_not_overflowed():
     (TailModel("exp", 1.0, 1.0), True),
     (TailModel("user", 3.0, bound_fn=lambda S: 1.0 / S**2), False),
 ])
-def test_damping_certificate_is_the_first_moment_of_p_tail(problem, tail, converges):
+def test_damping_certificate_is_the_first_moment_of_p_tail(problem, pair, tail, converges):
     problem = dataclasses.replace(problem, p_tail=tail)
     T = 120.0
-    out = integral_conditions(problem, T)
+    out = integral_conditions(problem, T, sup_q=(pair.q1.sup_bound, pair.q2.sup_bound))
     assert out["damping_converges"] is converges
     if converges:
         expected = tail.first_moment().tail_bound(beta_inverse(3, 1.0, T))
@@ -394,11 +394,9 @@ def test_integral_conditions_on_the_stock_problem(problem, pair):
         assert block["converges"]
         assert block["cauchy_gap"] <= block["gap_bound"]
         assert block["sup_q_source"] == "certified"
-
-
-def test_integral_conditions_observed_sup_is_labelled(problem):
-    out = integral_conditions(problem, 120.0)
-    assert out["a1"]["sup_q_source"] == "observed"
+    # a verdict never rests on a sampled sup|q|
+    with pytest.raises(ValueError, match="sup_q"):
+        integral_conditions(problem, T)
 
 
 def test_truncation_radius_must_clear_the_hole(problem):

@@ -113,10 +113,10 @@ def test_tail_envelope_violation_is_detected():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("rate", math.inf), ("coef", math.nan), ("coef", math.inf), ("cutoff", math.nan),
+    ("rate", math.inf), ("coef", math.nan), ("coef", math.inf),
 ])
 def test_a_tail_model_refuses_non_finite_numbers(field, value):
-    numbers = {"rate": 3.0, "coef": 1.0, "cutoff": None, field: value}
+    numbers = {"rate": 3.0, "coef": 1.0, field: value}
     with pytest.raises(ValueError, match=f"tail model {field} must be finite"):
         TailModel("power", **numbers)
 
@@ -129,10 +129,10 @@ def test_exp_tail_model():
 
 
 def test_user_model_uses_the_supplied_bound():
-    model = TailModel("user", rate=1.0, cutoff=50.0,
-                      bound_fn=lambda c: 1.0 / c**2)
+    model = TailModel("user", rate=1.0, bound_fn=lambda c: 1.0 / c**2)
     res = integrate_tail(parse("1/s^3"), 2 * PI, model, tol=1e-10)
-    assert res.tail_bound == pytest.approx(1.0 / 2500.0, rel=1e-12)
+    cutoff = model.cutoff_for(0.5e-10, 2 * PI)
+    assert res.tail_bound == 1.0 / cutoff**2 <= 0.5e-10
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,6 @@ _TAIL_CASES = {
     "exp": (lambda s: np.exp(-np.asarray(s)) * np.cos(np.asarray(s)) ** 2,
             TailModel("exp", 1.0, 1.0)),
     "user": (parse("1/s^3"), TailModel("user", rate=1.0, bound_fn=lambda c: 0.5 / c**2)),
-    "explicit cutoff": (parse("1/s^3"), TailModel("power", 3.0, 1.0, cutoff=80.0)),
 }
 
 
@@ -251,9 +250,9 @@ def test_tail_batch_equals_one_tail_calls_bit_for_bit(case, tol):
 
 def test_tail_batch_spot_checks_each_distinct_cutoff_once():
     f, calls = _counting(parse("1/s^3"))
-    model = TailModel("power", 3.0, 1.0, cutoff=80.0)
+    model = TailModel("power", 3.0, 1.0)
     results = integrate_tail_many(f, [2 * PI, 4 * PI, 6 * PI], model, 1e-10)
-    assert calls[0] == 5  # one shared cutoff, five envelope samples
+    assert calls[0] == 5  # one shared cutoff (1e5), five envelope samples
     # every result still accounts for its own five samples
     assert all(r.evaluations == integrate_tail(f, lo, model, 1e-10).evaluations
                for r, lo in zip(results, [2 * PI, 4 * PI, 6 * PI]))
@@ -296,8 +295,8 @@ def test_batch_keeps_the_one_interval_error_messages():
 
 
 def test_first_moment_models():
-    power = TailModel("power", 3.5, 2.0, cutoff=40.0).first_moment(10.0)
-    assert (power.kind, power.rate, power.coef, power.cutoff) == ("power", 2.5, 2.0, None)
+    power = TailModel("power", 3.5, 2.0).first_moment(10.0)
+    assert (power.kind, power.rate, power.coef) == ("power", 2.5, 2.0)
     assert TailModel("power", 2.0, 1.0).first_moment() is None
     assert TailModel("user", 3.0, bound_fn=lambda S: S**-2).first_moment() is None
     # integral_S^inf (s - 5) 3 e^(-2s) ds in closed form
@@ -308,14 +307,6 @@ def test_first_moment_models():
     res = integrate_tail(lambda s: (s - 5.0) * 3.0 * np.exp(-2.0 * s), S, exp, tol=1e-12)
     assert res.value == pytest.approx(exp.tail_bound(S), rel=1e-9)
 
-
-def test_without_cutoff_keeps_the_envelope():
-    bound = lambda c: 1.0 / c
-    model = TailModel("user", rate=2.0, coef=3.0, cutoff=50.0, bound_fn=bound)
-    free = model.without_cutoff()
-    assert free.cutoff is None
-    assert (free.kind, free.rate, free.coef, free.bound_fn) == ("user", 2.0, 3.0, bound)
-    assert model.cutoff == 50.0
 
 
 # ---------------------------------------------------------------------------
