@@ -189,8 +189,11 @@ _TAIL_SPOTS = np.array([1.0, 1.5, 2.0, 4.0, 8.0])  # envelope samples, in cutoff
 def _panels(f: Callable, panels: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """(Kronrod value, error estimate) of every panel, from one call of f.
 
-    Each panel's sums are 1-D dots on its own row of samples, so a panel
-    gets the same bits whatever other panels share the call.
+    The sums of all panels are one stacked matmul whose core, per panel, is
+    a vector-vector product: numpy runs it as the same 1-D dot that
+    ``_WK @ row`` runs, so a panel gets the same bits whatever other panels
+    share the call.  The strided Gauss slice keeps this; a contiguous copy
+    of it does not.
     """
     ends = np.array(panels, dtype=float)
     half = 0.5 * (ends[:, 1] - ends[:, 0])
@@ -200,12 +203,9 @@ def _panels(f: Callable, panels: list[tuple[float, float]]) -> list[tuple[float,
     if not np.all(np.isfinite(y)):
         i = int(np.argmax(~np.isfinite(y.reshape(-1))))
         raise ValueError(f"integrand is not finite at s = {float(x[i])!r}")
-    out = []
-    for h, row in zip(half.tolist(), y):
-        k = h * float(_WK @ row)
-        g = h * float(_WG @ row[_GAUSS_SLICE])
-        out.append((k, abs(k - g)))
-    return out
+    k = half * np.matmul(y[:, None, :], _WK[:, None])[:, 0, 0]
+    g = half * np.matmul(y[:, None, _GAUSS_SLICE], _WG[:, None])[:, 0, 0]
+    return list(zip(k.tolist(), np.abs(k - g).tolist()))
 
 
 class _Adaptive:

@@ -13,7 +13,8 @@ from oscillax import (
     parse,
     verify_lemma,
 )
-from oscillax.quadrature import TailModel
+from oscillax.lemma_check import QUAD_TOL, SIGN_SAMPLES, STRICT
+from oscillax.quadrature import TailModel, integrate_finite_many
 
 PI = math.pi
 
@@ -127,6 +128,86 @@ def test_parallel_hypotheses_equal_serial_on_200_periods():
             assert value.dtype == other.dtype and value.tobytes() == other.tobytes(), name
         else:
             assert value == other, name
+
+
+def _sign_check_period_by_period(q, nodes):
+    """The sign check one period at a time, two q calls per period."""
+    rows = []
+    for m in range(1, (len(nodes) - 1) // 2 + 1):
+        a, b, c = nodes[2 * m - 2], nodes[2 * m - 1], nodes[2 * m]
+        tpos = a + (b - a) * (np.arange(1, SIGN_SAMPLES + 1) / (SIGN_SAMPLES + 1.0))
+        tneg = b + (c - b) * (np.arange(1, SIGN_SAMPLES + 1) / (SIGN_SAMPLES + 1.0))
+        qpos = np.asarray(q(tpos), dtype=float)
+        qneg = np.asarray(q(tneg), dtype=float)
+        clearance = min(float(np.min(qpos)), float(np.min(-qneg)))
+        inconclusive = int(np.sum(np.abs(qpos) <= STRICT) + np.sum(np.abs(qneg) <= STRICT))
+        rows.append((clearance > STRICT, clearance, inconclusive))
+    return (np.array([r[0] for r in rows], dtype=bool),
+            float(min(r[1] for r in rows) - STRICT),
+            int(sum(r[2] for r in rows)))
+
+
+def _assert_sign_check_matches(hyp, q, nodes):
+    ok, margin, inconclusive = _sign_check_period_by_period(q, nodes)
+    assert hyp.sign_ok.dtype == ok.dtype and hyp.sign_ok.tobytes() == ok.tobytes()
+    assert np.float64(hyp.sign_margin).tobytes() == np.float64(margin).tobytes()
+    assert hyp.sign_inconclusive == inconclusive
+
+
+def test_batched_sign_check_equals_the_period_loop_on_200_periods():
+    params = default_params(m_max=200)
+    wide = build_oscillation(params)
+    hyp = check_hypotheses(params.p, wide.q_callable, wide.nodes,
+                           p_tail=params.p_tail, family=wide)
+    assert hyp.m_checked == 200
+    _assert_sign_check_matches(hyp, wide.q_callable, wide.nodes)
+
+
+def test_batched_sign_check_equals_the_period_loop_on_a_bare_q():
+    # the factor (s - c) puts an exact zero on a sign sample of the third
+    # period and flips the sign pattern of every lobe before c
+    params = default_params()
+    nodes = PI * np.arange(2, 19)
+    c = nodes[4] + (nodes[5] - nodes[4]) * (3 / (SIGN_SAMPLES + 1.0))
+    q = parse(f"sin(s) * (s - {float(c)!r})")
+    hyp = check_hypotheses(params.p, q, nodes, p_tail=params.p_tail)
+    assert not hyp.sign_pattern_ok
+    assert hyp.sign_inconclusive > 0
+    assert list(hyp.sign_ok) == [False] * 3 + [True] * 5
+    _assert_sign_check_matches(hyp, q.evaluate_grid, nodes)
+
+
+def _counting(f):
+    calls = []
+
+    def counted(s):
+        calls.append(np.size(s))
+        return f(s)
+    return counted, calls
+
+
+@pytest.mark.parametrize("M", [1, 2, 15, 25, 200])
+def test_sign_check_is_one_q_call(family, M):
+    # the lobe quadrature's own calls, then one call for all 2M lobes' samples
+    params = default_params()
+    nodes = PI * np.arange(2, 2 * M + 3)
+    q, calls = _counting(family.q_callable)
+    integrate_finite_many(q, list(zip(nodes[:-1], nodes[1:])), QUAD_TOL)
+    quadrature_calls = list(calls)
+    calls.clear()
+    check_hypotheses(params.p, q, nodes, p_tail=params.p_tail)
+    assert calls == quadrature_calls + [2 * M * SIGN_SAMPLES]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_breakpoints_are_refused(bad):
+    params = default_params()
+    nodes = PI * np.arange(2, 9)
+    nodes[3] = bad
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        check_hypotheses(params.p, parse("sin(s)"), nodes, p_tail=params.p_tail)
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        check_remark(params.p, nodes, p_tail=params.p_tail)
 
 
 # ---------------------------------------------------------------------------

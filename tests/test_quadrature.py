@@ -230,6 +230,28 @@ def test_batch_calls_the_integrand_once_per_round():
     assert len(calls) == made  # zero width never calls f
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+def test_stacked_panel_sums_equal_per_row_dots_bit_for_bit(n):
+    from oscillax.quadrature import _WG, _WK, _panels
+
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((n, 15)) * 10.0 ** rng.uniform(-30.0, 10.0, (n, 1))
+    ends = np.sort(rng.uniform(-5.0, 5.0, (n, 2)), axis=1)
+    panels = [tuple(e) for e in ends.tolist()]
+    # the central Kronrod node is the panel's midpoint: it picks the panel's row
+    by_mid = dict(zip((0.5 * (ends[:, 1] + ends[:, 0])).tolist(), rows))
+    f = lambda x: np.concatenate([by_mid[mid] for mid in x[7::15].tolist()])
+    got = _panels(f, panels)
+    reference = []
+    for (a, b), row in zip(panels, rows):
+        h = 0.5 * (b - a)
+        k = h * float(_WK @ row)
+        reference.append((k, abs(k - h * float(_WG @ row[1:15:2]))))
+    assert np.array(got).tobytes() == np.array(reference).tobytes()
+    alone = [_panels(f, [panel])[0] for panel in panels]
+    assert np.array(alone).tobytes() == np.array(got).tobytes()
+
+
 _TAIL_CASES = {
     "power": (parse("1/s^3"), TailModel("power", 3.0, 1.0)),
     "exp": (lambda s: np.exp(-np.asarray(s)) * np.cos(np.asarray(s)) ** 2,
