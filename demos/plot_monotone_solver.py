@@ -34,7 +34,7 @@ out_dir.mkdir(exist_ok=True)
 pair = build_pair()
 s0 = float(pair.q1.nodes[0])
 problem = RadialProblem(
-    n=3, R=1.0, s0=s0,
+    n=3, R=1.0,
     p=pair.q1.params.p, p_tail=pair.q1.params.p_tail,  # the damping the kernels use
     a1=push_a_from_q(pair.q1.q_callable, 3),
     a2=push_a_from_q(pair.q2.q_callable, 3),

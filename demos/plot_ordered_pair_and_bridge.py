@@ -51,7 +51,7 @@ n = 3
 a1 = push_a_from_q(pair.q1.q_callable, n)
 a2 = push_a_from_q(pair.q2.q_callable, n)
 problem = RadialProblem(
-    n=n, R=1.0, s0=float(pair.q1.nodes[0]),
+    n=n, R=1.0,
     p=pair.q1.params.p, p_tail=pair.q1.params.p_tail,  # the damping the kernels use
     a1=a1, a2=a2,
 )
@@ -68,7 +68,7 @@ print(f"lift(push(q)) - q, sup over both members: {round_trip:.3e}")
 span = 40 * np.pi
 cells = int(round(span / 1e-3))
 cells += cells % 2
-fine = np.linspace(problem.s0, problem.s0 + span, cells + 1)
+fine = np.linspace(pair.q1.nodes[0], pair.q1.nodes[0] + span, cells + 1)
 rep = subsuper_residual(problem, make_barriers(pair, fine))
 print(f"\nsubsolution residual:  min = {rep.min_rho1:.3e} (must be >= -1e-6)")
 print(f"supersolution residual: max = {rep.max_rho2:.3e} (must be <= 1e-6)")

@@ -64,6 +64,7 @@ SHIFT_LEVELS = 9      # levels across the ribbon where the shift estimate sample
 SHIFT_SAFETY = 1.5    # factor on the worst sampled negative slope
 FIT_WINDOW = 0.30     # fraction of the grid the decay fit covers ...
 FIT_EXCLUDE = 0.05    # ... ending this fraction short of the truncation boundary
+FIT_POINTS = 8        # fewest grid points the decay fit's window may hold
 
 
 @dataclass(frozen=True)
@@ -255,8 +256,7 @@ def solve_radial(
         raise ValueError("tolerance must be positive")
     g = barrier.grid
     step = uniform_step(g, "the solver needs a uniform barrier grid")
-    if len(g) < 9:
-        raise ValueError("grid too coarse for the five-figure bookkeeping")
+    fit_window(len(g))
 
     problem.validate()
     n, R = problem.n, problem.R
@@ -359,15 +359,20 @@ def decay_fit(solution: BvpSolution, problem: RadialProblem) -> DecayFit:
     return _fit_decay(solution.grid, solution.u_values, problem)
 
 
+def fit_window(N: int) -> tuple[int, int]:
+    """Index range [j0, j1) of the decay fit on an N-point grid, at least FIT_POINTS long."""
+    j1 = min(N, int(round(N * (1.0 - FIT_EXCLUDE))))
+    j0 = max(0, int(round(N * (1.0 - FIT_EXCLUDE - FIT_WINDOW))))
+    if j1 - j0 < FIT_POINTS:
+        raise ValueError(f"fit window too small on this grid: {N} points leave {j1 - j0} "
+                         f"in the decay fit's window, which needs {FIT_POINTS}")
+    return j0, j1
+
+
 def _fit_decay(g: np.ndarray, H: np.ndarray, problem: RadialProblem) -> DecayFit:
     """:func:`decay_fit` on the grid ``g`` and the arc-side profile ``H``."""
     u = H / g
-    N = len(g)
-    j1 = int(round(N * (1.0 - FIT_EXCLUDE)))
-    j0 = int(round(N * (1.0 - FIT_EXCLUDE - FIT_WINDOW)))
-    j0, j1 = max(0, j0), min(N, j1)
-    if j1 - j0 < 8:
-        raise ValueError("fit window too small on this grid")
+    j0, j1 = fit_window(len(g))
     if np.any(u[j0:j1] <= 0):
         raise ValueError("solution is not positive on the fit window")
     r = beta_map(problem.n, problem.R, g[j0:j1])

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bvp_solver import check_sandwich, solve_radial
+from .bvp_solver import check_sandwich, fit_window, solve_radial
 from .coeff_dsl import CoefficientExpr, Num, Var, Neg, BinOp, Call
 from .example_builder import (
     LAMBDA_TOL,
@@ -295,12 +295,25 @@ def default_config() -> dict:
             "residual_step": 1e-3,
         },
         "solver": {
-            "N": 16001, "K": None, "tol": 1e-10,
+            "N": 16001, "tol": 1e-10,
             "max_iter": 200, "boundary": "upper",
         },
-        "features": {"varsigma": 1.0, "M": 50},
+        "features": {"M": 50},
         "q_override": None,
     }
+
+
+# keys a config may no longer set, each with the reason it is refused
+RETIRED_KEYS = {
+    ("problem", "g"): "the radial damping g is now derived from p through r = beta(s), "
+                      "so give the damping as p only",
+    ("problem", "blend"): "the nonlinearity is always the tanh blend across the barrier "
+                          "ribbon, so leave problem.blend out",
+    ("features", "varsigma"): "varsigma is problem.varsigma, the one exponent of the "
+                              "heavy-weight integrals, so leave features.varsigma out",
+    ("solver", "K"): "the sweep shift is derived from the nonlinearity (0 for the "
+                     "nondecreasing tanh blend), so leave solver.K out",
+}
 
 
 def _const_expr(value, what: str) -> float:
@@ -323,19 +336,13 @@ def _positive(value, what: str) -> float:
     return x
 
 
-def _nonnegative(value, what: str) -> float:
-    """A nonnegative finite number, or a constant expression for one."""
-    x = _const_expr(value, what)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"{what} must be a nonnegative finite number, got {x!r}")
-    return x
-
-
-def _count(value, what: str) -> int:
-    """A whole number given as an int or as a float with no fractional part."""
+def _count(value, what: str, least: int) -> int:
+    """A whole number of at least ``least``, as an int or as a float with no fractional part."""
     whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not whole:
         raise ValueError(f"{what} must be a whole number, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {int(value)}")
     return int(value)
 
 
@@ -434,11 +441,9 @@ class RunConfig:
     extend_step: float
     residual_step: float
     solver_N: int
-    solver_K: Optional[float]
     solver_tol: float
     solver_max_iter: int
     solver_boundary: str
-    features_varsigma: float
     features_M: int
     q_override: Optional[dict] = None
     formats: tuple = ("csv", "json", "svg")
@@ -450,6 +455,9 @@ def load_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     top = _take(raw, default_config(), "top level")
+    for (section, key), why in RETIRED_KEYS.items():
+        if isinstance(top[section], dict) and key in top[section]:
+            raise ValueError(f'the "{section}" section no longer takes "{key}": {why}')
 
     p_expr, p_tail = _damping(top["p"])
 
@@ -462,7 +470,7 @@ def load_config(raw: dict) -> RunConfig:
         eta=_const_expr(osc_block["eta"], "oscillation.eta"),
         theta=_const_expr(osc_block["theta"], "oscillation.theta"),
         p=p_expr, p_tail=p_tail,
-        m_max=_count(osc_block["m_max"], "oscillation.m_max"),
+        m_max=_count(osc_block["m_max"], "oscillation.m_max", 1),
     )
     try:
         osc.validate()
@@ -495,18 +503,8 @@ def load_config(raw: dict) -> RunConfig:
     except ValueError as exc:  # its messages start with the field they are about
         raise ValueError(f"pair.{exc}") from None
 
-    if isinstance(top["problem"], dict) and "g" in top["problem"]:
-        raise ValueError(
-            'the "problem" section no longer takes "g": the radial damping g is now '
-            'derived from p through r = beta(s), so give the damping as p only')
-    if isinstance(top["problem"], dict) and "blend" in top["problem"]:
-        raise ValueError(
-            'the "problem" section no longer takes "blend": the nonlinearity is '
-            'always the tanh blend across the barrier ribbon, so leave problem.blend out')
     prob = _take(top["problem"], default_config()["problem"], "problem")
-    n = _count(prob["n"], "problem.n")
-    if n < 3:
-        raise ValueError(f"problem.n must be a dimension of at least 3, got {n}")
+    n = _count(prob["n"], "problem.n", 3)
     R = _positive(prob["R"], "problem.R")
     s_min = excluded_arc(n, R)
     if not S0_FIXED > s_min:
@@ -523,17 +521,16 @@ def load_config(raw: dict) -> RunConfig:
     if boundary not in ("upper", "lower"):
         raise ValueError(f"solver.boundary must be 'upper' or 'lower', got {boundary!r}")
 
-    solver_N = _count(solv["N"], "solver.N")
-    if solver_N < 9 or solver_N % 2 == 0:
-        raise ValueError(f"solver.N must be an odd number of grid points, at least 9 "
+    solver_N = _count(solv["N"], "solver.N", 1)
+    if solver_N % 2 == 0:
+        raise ValueError(f"solver.N must be an odd number of grid points "
                          f"(the solver grid needs an even number of cells), got {solver_N}")
-    solver_max_iter = _count(solv["max_iter"], "solver.max_iter")
-    if solver_max_iter < 1:
-        raise ValueError(f"solver.max_iter must be at least 1, got {solver_max_iter}")
-    solver_K = None if solv["K"] is None else _nonnegative(solv["K"], "solver.K")
-    features_M = _count(feat["M"], "features.M")
-    if features_M < 2:
-        raise ValueError(f"features.M must be at least 2 to fit a growth rate, got {features_M}")
+    try:
+        fit_window(solver_N)
+    except ValueError as exc:
+        raise ValueError(f"solver.N: {exc}") from None
+    solver_max_iter = _count(solv["max_iter"], "solver.max_iter", 1)
+    features_M = _count(feat["M"], "features.M", 2)  # a growth rate needs two periods
 
     q_override = top["q_override"]
     if q_override is not None:
@@ -542,11 +539,14 @@ def load_config(raw: dict) -> RunConfig:
             raise ValueError("q_override.expr must be an expression string")
         CoefficientExpr.parse(q_override["expr"])  # fail fast on bad source
         q_override = {"expr": q_override["expr"],
-                      "m_max": _count(q_override["m_max"], "q_override.m_max")}
+                      "m_max": _count(q_override["m_max"], "q_override.m_max", 1)}
     _check_damping(p_expr, p_tail, osc.m_max, q_override["m_max"] if q_override else 0)
 
     span = _positive(kern["span"], "kernel.span")
-    extend_to = _nonnegative(kern["extend_to"], "kernel.extend_to")
+    extend_to = _const_expr(kern["extend_to"], "kernel.extend_to")
+    if not (math.isfinite(extend_to) and extend_to >= 0.0):
+        raise ValueError(f"kernel.extend_to must be a nonnegative finite number, "
+                         f"got {extend_to!r}")
     if 0.0 < extend_to <= S0_FIXED + span:
         raise ValueError(
             f"kernel.extend_to = {extend_to!r} must lie past the grid end s0 + kernel.span "
@@ -577,11 +577,9 @@ def load_config(raw: dict) -> RunConfig:
         extend_step=steps["extend_step"],
         residual_step=steps["residual_step"],
         solver_N=solver_N,
-        solver_K=solver_K,
         solver_tol=_positive(solv["tol"], "solver.tol"),
         solver_max_iter=solver_max_iter,
         solver_boundary=boundary,
-        features_varsigma=_positive(feat["varsigma"], "features.varsigma"),
         features_M=features_M,
         q_override=q_override,
     )
@@ -591,8 +589,8 @@ def load_config(raw: dict) -> RunConfig:
 # Stages
 
 
-def _uniform_grid(s0: float, span: float, step: float) -> np.ndarray:
-    return np.linspace(s0, s0 + span, _grid_cells(span, step) + 1)
+def _uniform_grid(span: float, step: float) -> np.ndarray:
+    return np.linspace(S0_FIXED, S0_FIXED + span, _grid_cells(span, step) + 1)
 
 
 class _Runner:
@@ -620,7 +618,7 @@ class _Runner:
         a1 = push_a_from_q(pair_result.q1.q_callable, cfg.problem_n)
         a2 = push_a_from_q(pair_result.q2.q_callable, cfg.problem_n)
         return RadialProblem(
-            n=cfg.problem_n, R=cfg.problem_R, s0=cfg.oscillation.s0,
+            n=cfg.problem_n, R=cfg.problem_R,
             p=cfg.oscillation.p, p_tail=cfg.oscillation.p_tail, a1=a1, a2=a2,
             varsigma=cfg.varsigma,
         )
@@ -631,7 +629,7 @@ class _Runner:
         cfg = self.cfg
         spec = build_oscillation(cfg.oscillation)
         features = check_integral_features(
-            spec, varsigma=cfg.features_varsigma, M=cfg.features_M,
+            spec, varsigma=cfg.varsigma, M=cfg.features_M,
         )
         self.note("family amplitudes inside their bands", True)
         self.note("harmonic-weight integral diverges",
@@ -688,7 +686,7 @@ class _Runner:
             m_max = cfg.oscillation.m_max
             q_call = family.q_callable
         nodes = PI * np.arange(2, 2 * m_max + 3)
-        grid = _uniform_grid(cfg.oscillation.s0, cfg.kernel_span, cfg.kernel_step)
+        grid = _uniform_grid(cfg.kernel_span, cfg.kernel_step)
         kern = compute_kernel(cfg.oscillation.p, q_call, grid,
                               extend_to=cfg.extend_to, extend_step=cfg.extend_step)
         report = verify_lemma(
@@ -723,11 +721,11 @@ class _Runner:
 
         kern = kernel or compute_kernel(
             cfg.oscillation.p, spec.q_callable,
-            _uniform_grid(cfg.oscillation.s0, cfg.kernel_span, cfg.kernel_step),
+            _uniform_grid(cfg.kernel_span, cfg.kernel_step),
             extend_to=cfg.extend_to, extend_step=cfg.extend_step)
         if bound is not None:
             kern = kern.with_sup_bound(bound)
-        res_grid = _uniform_grid(cfg.oscillation.s0, cfg.kernel_span, cfg.residual_step)
+        res_grid = _uniform_grid(cfg.kernel_span, cfg.residual_step)
         res_kern = compute_kernel(
             cfg.oscillation.p, spec.q_callable, res_grid,
             extend_to=cfg.extend_to, extend_step=cfg.extend_step, far=kern.far,
@@ -737,7 +735,7 @@ class _Runner:
         self.note("kernel equation residual within 1e-4", resid["sup"] <= 1e-4,
                   1e-4 - resid["sup"])
         self.note("kernel z negative beyond the first lobe",
-                  bool(np.all(kern.z_values[kern.grid > kern.s0 + PI] < -1e-12)))
+                  bool(np.all(kern.z_values[kern.grid > S0_FIXED + PI] < -1e-12)))
         payload = {
             "lambda": spec.lam,
             "z_sup_observed": kern.z_sup_observed,
@@ -770,7 +768,7 @@ class _Runner:
     def build_pair_stage(self) -> PairResult:
         cfg = self.cfg
         pair = build_pair(cfg.pair)
-        grid = _uniform_grid(cfg.pair.s0, 2 * PI * min(cfg.pair.m_max, 25), PI / 100.0)
+        grid = _uniform_grid(2 * PI * min(cfg.pair.m_max, 25), PI / 100.0)
         check = verify_pair(pair, grid)
         self.note("pair ordered pointwise on the grid", check["ordered"],
                   check["grid_min_slack"])
@@ -787,7 +785,7 @@ class _Runner:
         if self.want("json"):
             write_json(self.path("pair_report.json"), payload)
         if self.want("svg"):
-            s = np.linspace(cfg.pair.s0, cfg.pair.s0 + 8 * PI, 1601)
+            s = np.linspace(S0_FIXED, S0_FIXED + 8 * PI, 1601)
             emit_plot(self.path("pair.svg"),
                       [("q1", s, pair.q1.q_callable(s)),
                        ("q2", s, pair.q2.q_callable(s))],
@@ -802,7 +800,7 @@ class _Runner:
         n = cfg.problem_n
 
         # lift/push round trip on a fine grid
-        s = np.linspace(cfg.oscillation.s0, cfg.oscillation.s0 + cfg.kernel_span, 1000)
+        s = np.linspace(S0_FIXED, S0_FIXED + cfg.kernel_span, 1000)
         q1_lift, _ = lift_coefficients(problem)
         direct1 = pair.q1.q_callable(s)
         # scaled by the sample's sup|q1|: q1 vanishes at every lobe node
@@ -810,7 +808,7 @@ class _Runner:
         self.note("lift of pushed coefficient returns q1 (relative)",
                   rt_err <= 1e-11, 1e-11 - rt_err)
 
-        res_grid = _uniform_grid(cfg.oscillation.s0, cfg.kernel_span, cfg.residual_step)
+        res_grid = _uniform_grid(cfg.kernel_span, cfg.residual_step)
         barrier = make_barriers(pair, res_grid, extend_to=cfg.extend_to,
                                 extend_step=cfg.extend_step)
         report = subsuper_residual(problem, barrier)
@@ -855,14 +853,13 @@ class _Runner:
         pair = pair or build_pair(cfg.pair)
         problem = problem or self.problem(pair)
 
-        grid = np.linspace(cfg.oscillation.s0, cfg.oscillation.s0 + cfg.kernel_span,
-                           cfg.solver_N)
+        grid = np.linspace(S0_FIXED, S0_FIXED + cfg.kernel_span, cfg.solver_N)
         far = None if bridge_barrier is None else (
             bridge_barrier.kernel1.far, bridge_barrier.kernel2.far)
         barrier = make_barriers(pair, grid, extend_to=cfg.extend_to,
                                 extend_step=cfg.extend_step, far=far)
         solution = solve_radial(
-            problem, barrier, K=cfg.solver_K, tol=cfg.solver_tol,
+            problem, barrier, tol=cfg.solver_tol,
             boundary=cfg.solver_boundary, max_iter=cfg.solver_max_iter,
         )
         sandwich = check_sandwich(solution, barrier)

@@ -365,10 +365,9 @@ class PairParams:
     above set 1, with alpha_gap in (0, gamma2 - sigma1) and beta_gap in
     (0, eta2 - theta1) fixing how much of the corridor the first family's
     negative lobes use up.  Each message of :meth:`validate` starts with the
-    field it is about.
+    field it is about.  Both families are anchored at ``S0_FIXED``.
     """
 
-    s0: ClassVar[float] = S0_FIXED
     q_minus: float = 1.0
     q_plus: float = 2.0
     p: Coefficient = STOCK_P

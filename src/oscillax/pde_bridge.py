@@ -38,7 +38,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .coeff_dsl import CoefficientExpr, as_callable
-from .example_builder import PairResult
+from .example_builder import S0_FIXED, PairResult
 from .kernel import Damping, FarField, KernelPair, _central_operator, compute_kernel
 from .quadrature import TailModel, integrate_finite, integrate_finite_many, uniform_step
 
@@ -109,8 +109,8 @@ def _beta_betaprime(n: int, s: np.ndarray) -> np.ndarray:
 class RadialProblem:
     """Exterior-domain radial problem data.
 
-    ``p`` is the damping on the arc side, a function of s, with ``p_tail``
-    its decay model; they are the p and p_tail of the coefficient family.
+    ``p`` is the damping on the arc side, a function of s >= S0_FIXED, with
+    ``p_tail`` its decay model; they are the p and p_tail of the family.
     The radial damping g is not stored: it is derived from p (see the
     module docstring).  ``a1 <= a2`` are the source coefficients bounding
     the nonlinearity, functions of the radius (expressions use the variable
@@ -119,7 +119,6 @@ class RadialProblem:
 
     n: int = 3
     R: float = 1.0
-    s0: float = 2.0 * math.pi
     p: Coefficient = None  # type: ignore[assignment]
     p_tail: Optional[TailModel] = None
     a1: Coefficient = None  # type: ignore[assignment]
@@ -131,10 +130,10 @@ class RadialProblem:
         if not self.R > 0:
             raise ValueError(f"the excluded ball needs a positive radius, got {self.R!r}")
         s_min = excluded_arc(self.n, self.R)
-        if not self.s0 > s_min:
+        if not S0_FIXED > s_min:
             raise ValueError(
                 f"the arc parameter must start beyond the excluded ball: need "
-                f"s0 > (n-2) R^(n-2) = {s_min!r}, got {self.s0!r}"
+                f"s0 = 2 pi > (n-2) R^(n-2) = {s_min!r}"
             )
         if self.p is None:
             raise ValueError("a damping coefficient p is required")
@@ -231,8 +230,8 @@ def make_barriers(
     The members share p, so p is sampled and integrated on the grid once,
     into one :class:`Damping` both kernels read.  ``z_sup_bounds``, proven
     bounds on sup|z1| and sup|z2|, re-certify the h tails through
-    :meth:`KernelPair.with_sup_bound`.  ``parallel`` computes the
-    two kernels on two threads, to the same bits.
+    :meth:`KernelPair.with_sup_bound`.  ``parallel`` does nothing; it stays
+    because the benchmark times make_barriers with and without it.
     """
     p = pair.q1.params.p
     fars = far if far is not None else (None, None)
@@ -247,13 +246,7 @@ def make_barriers(
         )
         return kernel if z_sup_bounds is None else kernel.with_sup_bound(z_sup_bounds[which])
 
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            k1, k2 = pool.map(one, (0, 1))
-    else:
-        k1, k2 = one(0), one(1)
+    k1, k2 = one(0), one(1)
 
     if np.any(k1.z_values < k2.z_values - 1e-12):
         raise ValueError("kernel ordering violated: z1 < z2 somewhere on the grid")
@@ -413,7 +406,10 @@ def integral_conditions(
         T, 2T, 4T with their growth rate against ln T.
     (iii) integral r^(1 - varsigma (n-2)) |a_i| dr converges: Cauchy gap
         between T and 2T against the closed-form tail bound, which needs
-        sup|q_i| from ``sup_q``.
+        sup|q_i| from ``sup_q``.  Through r = beta(s) the integral equals
+        (n-2)^(1+varsigma) integral |q| / s^(1+varsigma) ds, the integral
+        :func:`check_integral_features` tests on the family with the same
+        varsigma, so the bound is (n-2)^(1+varsigma) sup|q| S_T^-varsigma / varsigma.
     """
     problem.validate()
     n, R, vs = problem.n, problem.R, problem.varsigma
@@ -431,11 +427,11 @@ def integral_conditions(
         g = np.asarray(pe(s), dtype=float) / _beta_betaprime(n, s)
         return np.power(r_arr, n - 1) * g
 
-    r_lo = beta_map(n, R, problem.s0)
+    r_lo = beta_map(n, R, S0_FIXED)
     damping = integrate_finite(radial_damping, r_lo, T, tol=1e-10)
     cross = integrate_finite(
         lambda s: np.asarray(s, dtype=float) * np.asarray(pe(s), dtype=float) / (n - 2),
-        problem.s0, S_T, tol=1e-10,
+        S0_FIXED, S_T, tol=1e-10,
     )
     moment = problem.p_tail.first_moment() if problem.p_tail is not None else None
     certificate = None if moment is None else moment.tail_bound(S_T) / (n - 2)
@@ -485,9 +481,9 @@ def integral_conditions(
 
 
 def _lobe_radii(problem: RadialProblem, r_hi: float) -> np.ndarray:
-    """Radial images of the half-period nodes, for quadrature seeding."""
+    """Radial images of the half-period nodes from s0 = 2 pi on, for quadrature seeding."""
     n, R = problem.n, problem.R
     s_hi = beta_inverse(n, R, r_hi)
     m_hi = int(math.ceil(s_hi / math.pi)) + 1
-    nodes = math.pi * np.arange(max(2, int(problem.s0 / math.pi)), m_hi)
+    nodes = math.pi * np.arange(2, m_hi)
     return beta_map(n, R, nodes)

@@ -65,7 +65,7 @@ def pair():
 @pytest.fixture(scope="session")
 def problem(pair):
     return RadialProblem(
-        n=3, R=1.0, s0=2 * math.pi,
+        n=3, R=1.0,
         p=parse("1/s^3"), p_tail=TailModel("power", 3.0, 1.0),
         a1=push_a_from_q(pair.q1.q_callable, 3),
         a2=push_a_from_q(pair.q2.q_callable, 3),

@@ -147,7 +147,7 @@ def test_criterion_06_coefficient_round_trip_is_the_identity():
     worst = 0.0
     for n in (3, 4, 5, 6):
         problem = RadialProblem(
-            n=n, R=1.0, s0=2 * math.pi,
+            n=n, R=1.0,
             p=parse("1/s^3"), p_tail=TailModel("power", 3.0, 1.0),
             a1=push_a_from_q(q, n),
         )

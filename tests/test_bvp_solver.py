@@ -156,6 +156,20 @@ def test_negative_shift_is_rejected(problem, solver_barrier):
         solve_radial(problem, solver_barrier, K=-1.0)
 
 
+def test_a_grid_too_short_for_the_decay_fit_is_refused_before_any_sweep(problem, pair):
+    # 23 points leave 7 in the fit window, one short of the 8 the fit needs
+    barrier = make_barriers(pair, np.linspace(2 * PI, 42 * PI, 23), extend_to=0.0)
+    calls = []
+
+    def f(r, u):
+        calls.append(len(u))
+        return make_blend(problem, barrier, r)(u)
+
+    with pytest.raises(ValueError, match="fit window too small"):
+        solve_radial(problem, barrier, f=f)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # the factor-once tridiagonal solver
 

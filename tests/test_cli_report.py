@@ -373,6 +373,15 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
     ({"p.expr": "1/s^3 + 1e-40*s"}, "p.tail"),
     # the families are anchored at s0 = 2 pi
     ({"s0": "2*pi"}, "s0"),
+    # retired keys: varsigma is problem.varsigma, the sweep shift is derived
+    ({"features.varsigma": 1.0}, "features.varsigma"),
+    ({"solver.K": 0.0}, "solver.K"),
+    # the lemma needs at least one period of the override
+    ({"q_override": {"expr": "sin(s)/s", "m_max": 0}}, "q_override.m_max"),
+    ({"q_override": {"expr": "sin(s)/s", "m_max": -1}}, "q_override.m_max"),
+    # the decay fit needs 8 points in its window, which 23 points do not leave
+    ({"solver.N": 9}, "solver.N"),
+    ({"solver.N": 23}, "solver.N"),
 ])
 def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, named):
     cfg = _write_config(tmp_path, patch)
@@ -384,6 +393,26 @@ def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, 
     assert "invalid configuration" in captured.err
     assert named in captured.err
     assert not out.exists()
+
+
+def test_the_smallest_solver_grid_the_decay_fit_takes_runs_to_its_verdicts(tmp_path, capsys):
+    assert load_config({"solver": {"N": 25}}).solver_N == 25
+    cfg = _write_config(tmp_path, {"solver.N": 25})
+    rc = main(["solve-bvp", "--config", str(cfg), "--out", str(tmp_path / "out"),
+               "--formats", "json"])
+    assert rc in (0, 1)
+    assert "mode solve-bvp:" in capsys.readouterr().out
+
+
+def test_problem_varsigma_is_the_exponent_of_both_heavy_weight_integrals(tmp_path):
+    cfg = _write_config(tmp_path, {"problem.varsigma": 0.5})
+    out = tmp_path / "out"
+    for mode in ("construct-example", "bridge"):
+        main([mode, "--config", str(cfg), "--out", str(out), "--formats", "json"])
+    construct = json.loads((out / "construct_report.json").read_text(encoding="utf-8"))
+    bridge = json.loads((out / "bridge_report.json").read_text(encoding="utf-8"))
+    assert construct["features"]["varsigma"] == 0.5
+    assert bridge["integral_conditions"]["varsigma"] == 0.5
 
 
 def test_extend_to_zero_still_turns_the_continuation_off():

@@ -18,7 +18,7 @@ from oscillax import (
     solve_radial,
     subsuper_residual,
 )
-from oscillax.example_builder import PairResult
+from oscillax.example_builder import S0_FIXED, PairResult
 from oscillax.pde_bridge import excluded_arc
 from oscillax.quadrature import TailModel
 
@@ -66,9 +66,8 @@ def test_damping_derived_from_inverse_cube_p_has_its_closed_form(n):
     # so integral from beta(s0) to T of r^(n-1) g dr is
     # ((n-2)/s0 - T^(2-n)) / (n-2)^2, using beta(s0)^(2-n) = (n-2)/s0, and the
     # tail beyond T is T^(2-n) / (n-2)^2, which the moment certificate is
-    R, T = 1.0, 30.0
-    s0 = (n - 2) * R ** (n - 2) + 2.0
-    problem = RadialProblem(n=n, R=R, s0=s0, p=parse("1/s^3"),
+    R, T, s0 = 1.0, 30.0, S0_FIXED
+    problem = RadialProblem(n=n, R=R, p=parse("1/s^3"),
                             p_tail=TailModel("power", 3.0, 1.0))
     out = integral_conditions(problem, T)
     assert out["damping_radial_integral"] == pytest.approx(
@@ -83,8 +82,8 @@ def test_damping_integral_reads_p_from_s0_on_only():
     # p = 1/(s-3)^3 is singular at s = 3, inside [(n-2) R^(n-2), s0) = [1, 2 pi),
     # where p is not given; for n = 3, r^2 g = r/(r-3)^3 = u^-2 + 3 u^-3 with
     # u = r - 3, whose antiderivative is -1/u - 3/(2 u^2)
-    s0, T = 2 * PI, 30.0
-    problem = RadialProblem(n=3, R=1.0, s0=s0, p=parse("1/(s-3)^3"),
+    s0, T = S0_FIXED, 30.0
+    problem = RadialProblem(n=3, R=1.0, p=parse("1/(s-3)^3"),
                             p_tail=TailModel("power", 3.0, 8.0))
     out = integral_conditions(problem, T)
     F = lambda r: -1.0 / (r - 3.0) - 1.5 / (r - 3.0) ** 2
@@ -97,7 +96,7 @@ def test_a_ball_too_large_for_floats_is_rejected_not_overflowed():
     assert excluded_arc(4, 1e200) == math.inf
     assert excluded_arc(3, 7.0) == 7.0
     with pytest.raises(ValueError, match="beyond the excluded ball"):
-        RadialProblem(n=4, R=1e200, s0=2 * PI, p=parse("1/s^3")).validate()
+        RadialProblem(n=4, R=1e200, p=parse("1/s^3")).validate()
 
 
 @pytest.mark.parametrize("tail, converges", [
@@ -122,8 +121,8 @@ def test_damping_certificate_is_the_first_moment_of_p_tail(problem, pair, tail, 
 def test_push_then_lift_returns_the_source(n):
     q = lambda s: np.sin(np.asarray(s)) ** 2 / np.asarray(s)
     a = push_a_from_q(q, n)
-    s0 = max(2 * PI, (n - 2) * 1.0 + 1.0)
-    problem = RadialProblem(n=n, R=1.0, s0=s0, p=parse("1/s^3"),
+    s0 = S0_FIXED
+    problem = RadialProblem(n=n, R=1.0, p=parse("1/s^3"),
                             p_tail=TailModel("power", 3.0, 1.0), a1=a, a2=a)
     q_back, _ = lift_coefficients(problem)
     s = np.linspace(s0, s0 + 60.0, 2001)
@@ -145,13 +144,12 @@ def test_push_then_lift_returns_the_source(n):
 
 
 def _identity_case(n, v, dv, d2v):
-    R = 1.0
-    s0 = (n - 2) * R ** (n - 2) + 2.0
+    R, s0 = 1.0, S0_FIXED
     p = parse("1/s^3")
     # (beta beta')(s) = r^(4-n) / (n-2)^2 at r = beta(s)
     g = lambda r: (n - 2) ** 2 * r ** (n - 4) * p(beta_inverse(n, R, r))
     a = lambda r: np.cos(np.asarray(r)) / np.asarray(r) ** 2
-    problem = RadialProblem(n=n, R=R, s0=s0, p=p,
+    problem = RadialProblem(n=n, R=R, p=p,
                             p_tail=TailModel("power", 3.0, 1.0), a1=a, a2=a)
     q, _ = lift_coefficients(problem)
 
