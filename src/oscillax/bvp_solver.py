@@ -41,8 +41,7 @@ in the test suite pin to the expected fourth-fold decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -67,8 +66,7 @@ FIT_EXCLUDE = 0.05    # ... ending this fraction short of the truncation boundar
 FIT_POINTS = 8        # fewest grid points the decay fit's window may hold
 
 
-@dataclass(frozen=True)
-class BvpSolution:
+class BvpSolution(NamedTuple):
     """Converged iterate with its convergence and sandwich accounting.
 
     ``u_values`` holds the arc-side profile H (the radial solution is
@@ -91,8 +89,7 @@ class BvpSolution:
     residual: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     exponent: float
     intercept: float
     max_log_residual: float
@@ -205,30 +202,25 @@ def _sweep_factor(p_i: np.ndarray, si: np.ndarray, step: float, K: float) -> _Cy
     return _CyclicReduction(half[1:] - 1.0 / step**2, slack, -1.0 / step**2 - half[:-1])
 
 
-def _estimate_shift(
-    problem: RadialProblem,
-    barrier: BarrierPair,
-    f: Optional[Callable],
-) -> float:
+def _estimate_shift(problem: RadialProblem, barrier: BarrierPair, f: Callable) -> float:
     """Sampled lower bound for the shift: worst negative u-slope of B f / s.
 
-    Zero for any f nondecreasing in u, in particular the stock blend, which
-    a missing f stands for.
+    Zero for any f nondecreasing in u.  The stock blend is nondecreasing by
+    construction, so the solver takes 0 for it without sampling.
     """
     g = barrier.grid
     n, R = problem.n, problem.R
     si = g[1:-1:max(1, len(g) // 512)]
     r_i = beta_map(n, R, si)
     B = _beta_betaprime(n, si) / (n - 2)
-    fn = make_blend(problem, barrier, r_i) if f is None else lambda u: f(r_i, u)
     v1 = barrier.v1(si)
     width = barrier.v2(si) - v1
     worst = 0.0
     for t in np.linspace(0.05, 0.95, SHIFT_LEVELS):
         u = v1 + t * width
         du = 1e-4 * width
-        slope = (np.asarray(fn(u + du), dtype=float)
-                 - np.asarray(fn(u - du), dtype=float)) / (2.0 * du)
+        slope = (np.asarray(f(r_i, u + du), dtype=float)
+                 - np.asarray(f(r_i, u - du), dtype=float)) / (2.0 * du)
         worst = min(worst, float(np.min(B * slope / si)))
     return SHIFT_SAFETY * max(0.0, -worst)
 
@@ -260,7 +252,10 @@ def solve_radial(
 
     problem.validate()
     n, R = problem.n, problem.R
-    K_used = float(K) if K is not None else _estimate_shift(problem, barrier, f)
+    if K is not None:
+        K_used = float(K)
+    else:
+        K_used = 0.0 if f is None else _estimate_shift(problem, barrier, f)
     if K_used < 0:
         raise ValueError("the shift K must be nonnegative")
 

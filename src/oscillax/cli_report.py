@@ -21,11 +21,9 @@ test suite; the runner itself draws no random numbers.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -101,7 +99,7 @@ def _to_json(obj, indent: int = 0) -> str:
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple)) and not hasattr(obj, "_fields"):  # a record is no list
         if not obj:
             return "[]"
         inner = ",\n".join(pad_in + _to_json(v, indent + 1) for v in obj)
@@ -399,8 +397,10 @@ def _damping(block) -> tuple[CoefficientExpr, TailModel]:
         raise ValueError(f"p.tail: {exc}") from None
 
 
-def _check_damping(p: CoefficientExpr, model: TailModel, m_family: int, m_bare: int) -> None:
-    """Sample p against p.tail past every cutoff at which a run integrates it.
+def _check_damping(p: CoefficientExpr, model: TailModel, m_family: int, m_bare: int,
+                   grid: np.ndarray) -> None:
+    """Sample p on the kernel grid, where the kernels assume p >= 0, and
+    against p.tail past every cutoff at which a run integrates it.
 
     Those are the cutoffs of lambda (from s0), of the I_m (from 2 m pi, for
     m up to m_family + 2 for a family and its tail_sum_I_bound, and up to
@@ -424,6 +424,14 @@ def _check_damping(p: CoefficientExpr, model: TailModel, m_family: int, m_bare: 
             check_envelope(f, envelope, cutoffs)
     except ValueError as exc:
         raise ValueError(f"p.tail: {exc}") from None
+    try:
+        on_grid = pe(grid)
+    except ValueError as exc:
+        raise ValueError(f"p.expr: {exc}") from None
+    if np.any(on_grid < 0.0):
+        i = int(np.argmax(on_grid < 0.0))
+        raise ValueError(f"p.expr must be nonnegative on the kernel grid, but "
+                         f"p({float(grid[i])!r}) = {float(on_grid[i])!r}")
 
 
 @dataclass
@@ -502,6 +510,11 @@ def load_config(raw: dict) -> RunConfig:
         pair.validate()
     except ValueError as exc:  # its messages start with the field they are about
         raise ValueError(f"pair.{exc}") from None
+    # the amplitude rules' steepest slope is gamma q_plus / pi, of oscillation or pair.set2
+    for what, band in (("oscillation", osc), ("pair.set2", pair.set2)):
+        if not math.isfinite(band.gamma * osc.q_plus):
+            raise ValueError(f"oscillation.q_plus = {osc.q_plus!r} times {what}.gamma = "
+                             f"{band.gamma!r} overflows the amplitude rule")
 
     prob = _take(top["problem"], default_config()["problem"], "problem")
     n = _count(prob["n"], "problem.n", 3)
@@ -540,7 +553,6 @@ def load_config(raw: dict) -> RunConfig:
         CoefficientExpr.parse(q_override["expr"])  # fail fast on bad source
         q_override = {"expr": q_override["expr"],
                       "m_max": _count(q_override["m_max"], "q_override.m_max", 1)}
-    _check_damping(p_expr, p_tail, osc.m_max, q_override["m_max"] if q_override else 0)
 
     span = _positive(kern["span"], "kernel.span")
     extend_to = _const_expr(kern["extend_to"], "kernel.extend_to")
@@ -557,6 +569,8 @@ def load_config(raw: dict) -> RunConfig:
         if _grid_cells(span, steps[key]) < 2:
             raise ValueError(f"kernel.{key} = {steps[key]!r} leaves no grid cell over "
                              f"kernel.span = {span!r}; it must be below twice the span")
+    _check_damping(p_expr, p_tail, osc.m_max, q_override["m_max"] if q_override else 0,
+                   _uniform_grid(span, steps["step"]))
     # the bridge's integral conditions run up to the radius of the grid end
     T = float(beta_map(n, R, S0_FIXED + span))
     if not T > 4.0 * R:
@@ -929,6 +943,9 @@ def run(mode: str, cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    import argparse  # only the command line needs these, so importing oscillax skips them
+    import traceback
+
     parser = argparse.ArgumentParser(
         prog="oscillax",
         description="oscillating-coefficient comparison kernels and barriers",

@@ -15,8 +15,7 @@ offending abscissa instead of leaking NaN into downstream quadratures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -39,30 +38,25 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 # AST nodes
 
-@dataclass(frozen=True, slots=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    pass
+class Var(NamedTuple):
+    """The variable s.  It has no fields, so it is falsy: test nodes by type, not truth."""
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Node"
 
 
-@dataclass(frozen=True, slots=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * / ^
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
+class Call(NamedTuple):
     func: str  # one of sin cos exp log abs
     arg: "Node"
 
@@ -310,8 +304,7 @@ def _print_node(node: Node, parent_prec: int, right_side: bool) -> str:
 # ---------------------------------------------------------------------------
 # Public wrapper
 
-@dataclass(frozen=True)
-class CoefficientExpr:
+class CoefficientExpr(NamedTuple):
     """An immutable coefficient function of ``s``: its source and its AST."""
 
     source: str

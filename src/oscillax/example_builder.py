@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -68,8 +68,7 @@ STOCK_P = CoefficientExpr.parse("1/s^3")   # the stock damping and its decay mod
 STOCK_P_TAIL = TailModel(kind="power", rate=3.0, coef=1.0)
 
 
-@dataclass(frozen=True)
-class BandParams:
+class BandParams(NamedTuple):
     """Surplus constants of one family's band: 6 <= gamma < sigma, 0 <= eta < theta."""
 
     gamma: float
@@ -90,11 +89,10 @@ class BandParams:
             )
 
 
-@dataclass(frozen=True)
-class OscillationParams:
+class OscillationParams(NamedTuple):
     """Parameters of one sin^2-band family; ``s0`` is the fixed anchor 2*pi."""
 
-    s0: ClassVar[float] = S0_FIXED
+    s0 = S0_FIXED
     q_minus: float = 1.0
     q_plus: float = 2.0
     gamma: float = 6.0
@@ -116,8 +114,7 @@ class OscillationParams:
             raise ValueError("m_max must be at least 1")
 
 
-@dataclass(frozen=True)
-class _AmplitudeRule:
+class _AmplitudeRule(NamedTuple):
     """Affine amplitude rule: x_m = x0 + xI * I_m + xg * 2^(1-m)/pi."""
 
     d0: float
@@ -357,8 +354,7 @@ def build_oscillation(params: Optional[OscillationParams] = None) -> Oscillation
 # Ordered pairs
 
 
-@dataclass(frozen=True)
-class PairParams:
+class PairParams(NamedTuple):
     """Two band parameter sets plus the gaps that separate the families.
 
     Requires sigma1 < gamma2 and theta1 < eta2 so that set 2 sits strictly
@@ -536,8 +532,7 @@ def verify_pair(pair: PairResult, grid: np.ndarray) -> dict:
 # Integral features
 
 
-@dataclass(frozen=True)
-class FeatureReport:
+class FeatureReport(NamedTuple):
     """Divergence of integral |q|/s and convergence of integral |q|/s^(1+varsigma)."""
 
     partial_sums: np.ndarray       # integral of |q|/s over [s0, a_{2m+2}]

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -82,8 +81,7 @@ Coefficient = Union[CoefficientExpr, Callable]
 TAIL_WINDOW = 2.0 * math.pi   # trailing window of the h-tail mean value estimate
 
 
-@dataclass(frozen=True)
-class HTail:
+class HTail(NamedTuple):
     """Accounting for the improper part of the h integral.
 
     ``value`` is the estimate of integral_{cutoff}^{infinity} z/t^2 that was
@@ -99,8 +97,7 @@ class HTail:
     cutoff: float
 
 
-@dataclass(frozen=True)
-class KernelPair:
+class KernelPair(NamedTuple):
     """Sampled kernels with their certified accounting."""
 
     grid: np.ndarray
@@ -123,9 +120,9 @@ class KernelPair:
         read-only arrays; only the tail model and the certificate change.
         """
         tail = TailModel(kind="power", rate=2.0, coef=float(bound))
-        return replace(self, z_sup_bound=tail.coef, tail=tail,
-                       h_tail=replace(self.h_tail,
-                                      certificate=tail.tail_bound(self.h_tail.cutoff)))
+        return self._replace(z_sup_bound=tail.coef, tail=tail,
+                             h_tail=self.h_tail._replace(
+                                 certificate=tail.tail_bound(self.h_tail.cutoff)))
 
     def h_over_s(self) -> np.ndarray:
         return self.h_values / self.grid
@@ -213,8 +210,7 @@ def _unresolved(vals: np.ndarray) -> np.ndarray:
     return tail > CELL_TAIL_TOL * float(np.max(np.abs(vals)))
 
 
-@dataclass(frozen=True)
-class _Cells:
+class _Cells(NamedTuple):
     """The continuation from ``lo[0]`` on cells: integrand samples and integrals."""
 
     lo: np.ndarray
@@ -312,8 +308,7 @@ class _Cells:
         return np.exp((self.hi - self.lo) * spread - self.P0)
 
 
-@dataclass(frozen=True, eq=False)
-class FarField:
+class FarField(NamedTuple):
     """What h needs of the continuation of z beyond a grid end, for any z there.
 
     Continuing from ``start`` with z(start) = x up to ``end`` (start plus an
@@ -345,6 +340,9 @@ class FarField:
     e_max: float             # max(E)
     sup_E: np.ndarray        # E and D where |E x0 - D| is within 2 tau of its max
     sup_D: np.ndarray
+
+    # compared by identity, so that tuple equality never meets an array
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @classmethod
     def build(cls, p: Coefficient, q: Coefficient, start: float, x0: float, *,
@@ -462,8 +460,7 @@ def _check_grid(grid: np.ndarray) -> None:
     uniform_step(grid, "kernel grids must be uniform and increasing")
 
 
-@dataclass(frozen=True, eq=False)
-class Damping:
+class Damping(NamedTuple):
     """The part of a kernel that depends on p and the grid only.
 
     ``u`` is the grid with midpoints inserted and ``P`` the cumulative
@@ -474,6 +471,8 @@ class Damping:
     p: Coefficient
     u: np.ndarray
     P: np.ndarray
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__  # as FarField
 
     @classmethod
     def build(cls, p: Coefficient, grid: np.ndarray) -> "Damping":

@@ -29,8 +29,7 @@ certified instead of extrapolating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -58,8 +57,7 @@ QUAD_TOL = 1e-12     # quadrature tolerance of the lobe integrals
 MOMENT_TOL = 1e-10   # quadrature tolerance of check_remark's first moment of p
 
 
-@dataclass(frozen=True)
-class HypothesesResult:
+class HypothesesResult(NamedTuple):
     m_checked: int
     lam: float
     lam_error: float
@@ -99,8 +97,7 @@ class HypothesesResult:
         return (self.eps_total + self.delta_total) * math.exp(self.lam)
 
 
-@dataclass(frozen=True)
-class ConclusionsResult:
+class ConclusionsResult(NamedTuple):
     z_negative: bool
     z_negative_margin: float
     z_inconclusive: int
@@ -116,8 +113,7 @@ class ConclusionsResult:
     routes_agree: bool
 
 
-@dataclass(frozen=True)
-class RemarkResult:
+class RemarkResult(NamedTuple):
     spacing: float                  # A = min(a_{2m+2} - a_{2m})
     p_moment: Optional[float]       # integral (s - s0) p
     p_moment_error: Optional[float]
@@ -128,8 +124,7 @@ class RemarkResult:
     budget_ok: Optional[bool]
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     hypotheses: HypothesesResult
     conclusions: Optional[ConclusionsResult]
     remark: Optional[RemarkResult]

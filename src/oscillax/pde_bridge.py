@@ -32,8 +32,7 @@ evaluate it; leaving it out means the stock tanh blend of :func:`make_blend`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -105,8 +104,7 @@ def _beta_betaprime(n: int, s: np.ndarray) -> np.ndarray:
     return np.power(beta, 4 - n) / (n - 2) ** 2
 
 
-@dataclass(frozen=True)
-class RadialProblem:
+class RadialProblem(NamedTuple):
     """Exterior-domain radial problem data.
 
     ``p`` is the damping on the arc side, a function of s >= S0_FIXED, with
@@ -184,8 +182,7 @@ def push_a_from_q(q: Coefficient, n: int) -> Callable:
 # Barriers
 
 
-@dataclass(frozen=True)
-class BarrierPair:
+class BarrierPair(NamedTuple):
     """Kernels of an ordered coefficient pair, h1 <= h2 on a shared grid."""
 
     grid: np.ndarray
@@ -307,8 +304,7 @@ def _ribbon(problem: RadialProblem, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
 # Residual signs
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     grid: np.ndarray
     rho1: np.ndarray
     rho2: np.ndarray

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,8 +45,7 @@ __all__ = [
 Integrand = Union[CoefficientExpr, Callable]
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     """Value of an integral together with its accounting.
 
     ``abs_error_estimate`` bounds the numerical error of the finite part;
@@ -61,8 +59,14 @@ class IntegralResult:
     evaluations: int = 0
 
 
-@dataclass(frozen=True)
-class TailModel:
+class _TailFields(NamedTuple):
+    kind: str
+    rate: float
+    coef: float = 1.0
+    bound_fn: Optional[Callable[[float], float]] = None
+
+
+class TailModel(_TailFields):
     """Certified decay envelope for an integrand beyond a cutoff.
 
     kind "power":  |f(s)| <= coef * s**-rate with rate > 1, so the tail
@@ -72,29 +76,29 @@ class TailModel:
     kind "user":   an explicit bound function S -> tail bound; the envelope
                    is taken on trust and not sampled.
 
-    The integrator derives the cutoff from the requested tolerance.
+    The integrator derives the cutoff from the requested tolerance.  The
+    fields are checked here, at construction (``_replace`` and ``_make``
+    skip the check).
     """
 
-    kind: str
-    rate: float
-    coef: float = 1.0
-    bound_fn: Optional[Callable[[float], float]] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("power", "exp", "user"):
-            raise ValueError(f"unknown tail model kind {self.kind!r}")
-        for name in ("rate", "coef"):
-            value = getattr(self, name)
+    def __new__(cls, kind: str, rate: float, coef: float = 1.0,
+                bound_fn: Optional[Callable[[float], float]] = None) -> "TailModel":
+        if kind not in ("power", "exp", "user"):
+            raise ValueError(f"unknown tail model kind {kind!r}")
+        for name, value in (("rate", rate), ("coef", coef)):
             if not math.isfinite(value):
                 raise ValueError(f"tail model {name} must be finite, got {value!r}")
-        if self.kind == "power" and not self.rate > 1.0:
+        if kind == "power" and not rate > 1.0:
             raise ValueError("power tail needs rate > 1 for an integrable bound")
-        if self.kind == "exp" and not self.rate > 0.0:
+        if kind == "exp" and not rate > 0.0:
             raise ValueError("exponential tail needs rate > 0")
-        if self.kind == "user" and self.bound_fn is None:
+        if kind == "user" and bound_fn is None:
             raise ValueError("user tail model needs bound_fn")
-        if self.coef < 0:
+        if coef < 0:
             raise ValueError("tail envelope coefficient must be nonnegative")
+        return super().__new__(cls, kind, rate, coef, bound_fn)
 
     def envelope(self, s: np.ndarray) -> np.ndarray:
         """Pointwise bound on |f| at s (power and exp kinds only)."""

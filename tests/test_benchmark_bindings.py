@@ -26,6 +26,9 @@ def _parameters(fn):
 
 
 def _fields(cls):
+    """The field names of a NamedTuple record or of a dataclass."""
+    if hasattr(cls, "_fields"):
+        return set(cls._fields)
     return {f.name for f in dataclasses.fields(cls)}
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +13,7 @@ from oscillax import (
     make_blend,
     solve_radial,
 )
+from oscillax import bvp_solver
 from oscillax.bvp_solver import _CyclicReduction, _sweep_factor
 from oscillax.coeff_dsl import as_callable, parse
 from oscillax.pde_bridge import _beta_betaprime
@@ -147,6 +147,17 @@ def test_decreasing_forcing_converges_with_the_automatic_shift(problem, solver_b
     assert sol.iteration_sup_deltas[-1] <= 1e-10
 
 
+def test_only_a_user_nonlinearity_gets_a_sampled_shift(problem, solver_barrier, monkeypatch):
+    def refuse(*args):
+        raise LookupError("shift sampled")
+
+    monkeypatch.setattr(bvp_solver, "_estimate_shift", refuse)
+    # the stock blend is nondecreasing in u by construction
+    assert solve_radial(problem, solver_barrier).K_used == 0.0
+    with pytest.raises(LookupError, match="shift sampled"):
+        solve_radial(problem, solver_barrier, f=_reversed_blend(problem, solver_barrier))
+
+
 # ---------------------------------------------------------------------------
 # consistency guards
 
@@ -229,7 +240,7 @@ def test_sweep_matrix_factor_matches_a_dense_solve(m, seed, K):
     ("-1/s^3", "p/s + K >= 0", "abs(p) * step < 2"),
 ])
 def test_a_sweep_matrix_that_is_no_m_matrix_is_refused(problem, solver_barrier, p, what, other):
-    bad = dataclasses.replace(problem, p=parse(p))
+    bad = problem._replace(p=parse(p))
     with pytest.raises(ValueError, match="not an M-matrix") as info:
         solve_radial(bad, solver_barrier, K=0.0)
     message = str(info.value)
@@ -292,6 +303,6 @@ def test_decay_fit_rejects_nonpositive_windows(problem, solver_barrier):
 
 
 def test_a_reversed_barrier_grid_is_refused(problem, solver_barrier):
-    reversed_barrier = dataclasses.replace(solver_barrier, grid=solver_barrier.grid[::-1])
+    reversed_barrier = solver_barrier._replace(grid=solver_barrier.grid[::-1])
     with pytest.raises(ValueError, match="the solver needs a uniform barrier grid"):
         solve_radial(problem, reversed_barrier)

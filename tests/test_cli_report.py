@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oscillax import kernel
 from oscillax.cli_report import (
     _const_expr,
     _to_json,
@@ -119,6 +120,13 @@ def test_to_json_rejects_non_finite_values():
 def test_to_json_rejects_unknown_types():
     with pytest.raises(TypeError, match="deterministically"):
         _to_json({"x": object()})
+
+
+def test_to_json_refuses_a_record_that_is_a_tuple():
+    # records are NamedTuples; one passed by mistake must not become a bare list
+    with pytest.raises(TypeError, match="cannot serialise _Rule deterministically"):
+        _to_json({"x": kernel._cell_rule()})
+    assert json.loads(_to_json({"x": (1, 2.5)})) == {"x": [1, 2.5]}
 
 
 def test_write_csv_requires_equal_columns(tmp_path):
@@ -382,6 +390,10 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
     # the decay fit needs 8 points in its window, which 23 points do not leave
     ({"solver.N": 9}, "solver.N"),
     ({"solver.N": 23}, "solver.N"),
+    # gamma q_plus overflows, so the family's amplitudes would be infinite
+    pytest.param({"oscillation.q_plus": 1e308}, "oscillation.q_plus", id="q_plus-overflows"),
+    # the kernels assume p >= 0; |p| alone fits the envelope
+    pytest.param({"p.expr": "-1/s^3"}, "p.expr", id="negative-p"),
 ])
 def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, named):
     cfg = _write_config(tmp_path, patch)

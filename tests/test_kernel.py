@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import subprocess
 import sys
@@ -233,7 +232,7 @@ def test_far_field_mismatch_is_rejected(family, family_kernel, change):
 def test_far_field_outside_its_radius_is_rebuilt(family, family_kernel):
     params = default_params()
     far = family_kernel.far
-    stale = dataclasses.replace(far, x0=far.x0 + 10 * far.tau / far.e_max)
+    stale = far._replace(x0=far.x0 + 10 * far.tau / far.e_max)
     assert not stale.covers(float(family_kernel.z_values[-1]))
     with pytest.raises(ValueError, match="validity radius"):
         stale.sup(float(family_kernel.z_values[-1]))
@@ -249,7 +248,7 @@ def test_far_field_holds_no_continuation_length_array(family_kernel):
     far = family_kernel.far
     continuation = (far.end - far.start) / (0.5 * far.extend_step)
     assert continuation > 1e6
-    arrays = [v for v in vars(far).values() if isinstance(v, np.ndarray)]
+    arrays = [v for v in far._asdict().values() if isinstance(v, np.ndarray)]
     window, kept = len(far.window_u), len(far.sup_E)
     assert window == 321
     assert 1 <= kept <= 64

@@ -122,7 +122,7 @@ def test_parallel_hypotheses_equal_serial_on_200_periods():
         for flag in (False, True)
     )
     assert serial.m_checked == 200
-    for name, value in vars(serial).items():
+    for name, value in serial._asdict().items():
         other = getattr(parallel, name)
         if isinstance(value, np.ndarray):
             assert value.dtype == other.dtype and value.tobytes() == other.tobytes(), name

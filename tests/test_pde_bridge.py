@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -106,7 +105,7 @@ def test_a_ball_too_large_for_floats_is_rejected_not_overflowed():
     (TailModel("user", 3.0, bound_fn=lambda S: 1.0 / S**2), False),
 ])
 def test_damping_certificate_is_the_first_moment_of_p_tail(problem, pair, tail, converges):
-    problem = dataclasses.replace(problem, p_tail=tail)
+    problem = problem._replace(p_tail=tail)
     T = 120.0
     out = integral_conditions(problem, T, sup_q=(pair.q1.sup_bound, pair.q2.sup_bound))
     assert out["damping_converges"] is converges
@@ -281,7 +280,7 @@ def test_subsuper_residual_pushes_each_ribbon_edge_once(problem, solver_barrier)
             return edge(r)
         return a
 
-    counting = dataclasses.replace(problem, a1=counted("a1"), a2=counted("a2"))
+    counting = problem._replace(a1=counted("a1"), a2=counted("a2"))
     rep = subsuper_residual(counting, solver_barrier)
     assert calls == {"a1": 1, "a2": 1}
     # a blend that pushes a1 and a2 itself gives the same residuals, bit for bit
@@ -340,7 +339,7 @@ def test_bound_blend_equals_the_reference_formula_bitwise(problem, fine_barrier)
 
 
 def test_degenerate_ribbon_is_raised_when_binding(problem, fine_barrier):
-    touching = dataclasses.replace(fine_barrier, h2=fine_barrier.h1)
+    touching = fine_barrier._replace(h2=fine_barrier.h1)
     with pytest.raises(ValueError, match="degenerate ribbon"):
         make_blend(problem, touching, fine_barrier.grid[1:-1])
 

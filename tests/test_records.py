@@ -1,0 +1,25 @@
+"""The form of oscillax's records.
+
+Immutable records are NamedTuples: a frozen dataclass costs about 1.3 ms of
+every fresh process to build, a NamedTuple about a tenth of that.  Only the
+records that are mutated stay dataclasses.
+"""
+
+import dataclasses
+import inspect
+
+import oscillax
+
+
+def test_the_only_dataclasses_are_the_mutable_records():
+    modules = [m for m in vars(oscillax).values() if inspect.ismodule(m)
+               and m.__name__.startswith("oscillax.")]
+    assert len(modules) == 8
+    found = {f"{m.__name__}.{name}" for m in modules for name, obj in vars(m).items()
+             if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+             and obj.__module__ == m.__name__}
+    assert found == {
+        "oscillax.cli_report.RunConfig",            # main sets out and formats
+        "oscillax.example_builder.OscillationSpec",  # extends its _ext cache lazily
+        "oscillax.example_builder.PairResult",      # declared mutable, like these two
+    }
