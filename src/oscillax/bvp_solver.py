@@ -40,30 +40,21 @@ in the test suite pin to the expected fourth-fold decay.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .coeff_dsl import as_callable
 from .kernel import _central_operator
-from .pde_bridge import (
-    BarrierPair,
-    RadialProblem,
-    _beta_betaprime,
-    beta_map,
-    make_blend,
-)
+from .pde_bridge import BarrierPair, RadialProblem, make_blend
 from .quadrature import uniform_step
+from .radial import _beta_betaprime, beta_map, fit_window
 
 __all__ = ["BvpSolution", "DecayFit", "solve_radial", "check_sandwich", "decay_fit"]
 
 SANDWICH_TOL = 1e-8   # how far below a barrier the solution may dip, in the radial scale
 SHIFT_LEVELS = 9      # levels across the ribbon where the shift estimate samples the u-slope
 SHIFT_SAFETY = 1.5    # factor on the worst sampled negative slope
-FIT_WINDOW = 0.30     # fraction of the grid the decay fit covers ...
-FIT_EXCLUDE = 0.05    # ... ending this fraction short of the truncation boundary
-FIT_POINTS = 8        # fewest grid points the decay fit's window may hold
 
 
 class BvpSolution(NamedTuple):
@@ -346,22 +337,12 @@ def check_sandwich(solution: BvpSolution, barrier: BarrierPair) -> dict:
 def decay_fit(solution: BvpSolution, problem: RadialProblem) -> DecayFit:
     """Least-squares decay exponent of u(r) = H/s on a log-log window.
 
-    The window covers the fraction FIT_WINDOW of the grid, ending the
-    fraction FIT_EXCLUDE short of the truncation boundary so the Dirichlet
+    The window covers 30% of the grid, ending 5% short of the truncation
+    boundary (:func:`oscillax.radial.fit_window`) so the Dirichlet
     condition does not contaminate the fit.  For the exterior problem the
     expected exponent is 2 - n.
     """
     return _fit_decay(solution.grid, solution.u_values, problem)
-
-
-def fit_window(N: int) -> tuple[int, int]:
-    """Index range [j0, j1) of the decay fit on an N-point grid, at least FIT_POINTS long."""
-    j1 = min(N, int(round(N * (1.0 - FIT_EXCLUDE))))
-    j0 = max(0, int(round(N * (1.0 - FIT_EXCLUDE - FIT_WINDOW))))
-    if j1 - j0 < FIT_POINTS:
-        raise ValueError(f"fit window too small on this grid: {N} points leave {j1 - j0} "
-                         f"in the decay fit's window, which needs {FIT_POINTS}")
-    return j0, j1
 
 
 def _fit_decay(g: np.ndarray, H: np.ndarray, problem: RadialProblem) -> DecayFit:

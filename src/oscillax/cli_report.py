@@ -26,14 +26,14 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .bvp_solver import check_sandwich, fit_window, solve_radial
 from .coeff_dsl import CoefficientExpr, Num, Var, Neg, BinOp, Call
 from .example_builder import (
     LAMBDA_TOL,
+    MOMENT_TOL,
     S0_FIXED,
     TAIL_TOL,
     TWO_PI,
@@ -47,20 +47,15 @@ from .example_builder import (
     check_integral_features,
     verify_pair,
 )
-from .kernel import KernelPair, compute_kernel, ode_residual
-from .lemma_check import MOMENT_TOL, LemmaReport, verify_lemma
-from .pde_bridge import (
-    BarrierPair,
-    RadialProblem,
-    beta_map,
-    excluded_arc,
-    lift_coefficients,
-    make_barriers,
-    push_a_from_q,
-    subsuper_residual,
-    integral_conditions,
-)
 from .quadrature import TailModel, check_envelope
+from .radial import beta_map, excluded_arc, fit_window
+
+# the stage modules are imported by the stages that run them, so that
+# validating a config, or running one mode, compiles only what it uses
+if TYPE_CHECKING:
+    from .kernel import KernelPair
+    from .lemma_check import LemmaReport
+    from .pde_bridge import BarrierPair, RadialProblem
 
 __all__ = ["RunConfig", "load_config", "default_config", "run", "main", "emit_plot"]
 
@@ -125,6 +120,8 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) 
     cols = [np.asarray(c, dtype=float) for c in columns]
     if len({len(c) for c in cols}) != 1:
         raise ValueError("CSV columns must share a length")
+    if len(header) != len(cols):
+        raise ValueError(f"CSV header names {len(header)} columns, but {len(cols)} are given")
     finite = np.logical_and.reduce([np.isfinite(c) for c in cols])
     if not finite.all():
         i = int(np.argmin(finite))  # first row holding a non-finite value
@@ -628,6 +625,8 @@ class _Runner:
         return self.cfg.out / name
 
     def problem(self, pair_result) -> RadialProblem:
+        from .pde_bridge import RadialProblem, push_a_from_q
+
         cfg = self.cfg
         a1 = push_a_from_q(pair_result.q1.q_callable, cfg.problem_n)
         a2 = push_a_from_q(pair_result.q2.q_callable, cfg.problem_n)
@@ -690,6 +689,9 @@ class _Runner:
     def verify_lemma_stage(self, spec: Optional[OscillationSpec] = None
                            ) -> tuple[LemmaReport, Optional[KernelPair]]:
         """The lemma report, and the family kernel when it checked one."""
+        from .kernel import compute_kernel
+        from .lemma_check import verify_lemma
+
         cfg = self.cfg
         if cfg.q_override is not None:
             m_max = cfg.q_override["m_max"]
@@ -729,6 +731,8 @@ class _Runner:
                              lemma: Optional[LemmaReport] = None,
                              kernel: Optional[KernelPair] = None) -> None:
         """Kernels of the family; ``kernel`` is the one the lemma stage checked."""
+        from .kernel import compute_kernel, ode_residual
+
         cfg = self.cfg
         spec = spec or build_oscillation(cfg.oscillation)
         bound = lemma.hypotheses.proof_bound() if lemma is not None else None
@@ -779,9 +783,10 @@ class _Runner:
                        ("h/s", kern.grid, kern.h_over_s())],
                       title="comparison kernels", xlabel="s", ylabel="value")
 
-    def build_pair_stage(self) -> PairResult:
+    def build_pair_stage(self, family: Optional[OscillationSpec] = None) -> PairResult:
+        """The pair; ``family``, built for the same p, lends its lambda and I_m."""
         cfg = self.cfg
-        pair = build_pair(cfg.pair)
+        pair = build_pair(cfg.pair, family=family)
         grid = _uniform_grid(2 * PI * min(cfg.pair.m_max, 25), PI / 100.0)
         check = verify_pair(pair, grid)
         self.note("pair ordered pointwise on the grid", check["ordered"],
@@ -808,6 +813,9 @@ class _Runner:
 
     def bridge_stage(self, pair: Optional[PairResult] = None
                      ) -> tuple[RadialProblem, BarrierPair]:
+        from .pde_bridge import (integral_conditions, lift_coefficients, make_barriers,
+                                 subsuper_residual)
+
         cfg = self.cfg
         pair = pair or build_pair(cfg.pair)
         problem = self.problem(pair)
@@ -863,6 +871,9 @@ class _Runner:
                         problem: Optional[RadialProblem] = None,
                         bridge_barrier: Optional[BarrierPair] = None) -> None:
         """Solve between the barriers; ``bridge_barrier`` lends its continuation summaries."""
+        from .bvp_solver import check_sandwich, solve_radial
+        from .pde_bridge import make_barriers
+
         cfg = self.cfg
         pair = pair or build_pair(cfg.pair)
         problem = problem or self.problem(pair)
@@ -918,7 +929,7 @@ class _Runner:
         spec = self.construct_example()
         lemma, kernel = self.verify_lemma_stage(spec)
         self.compute_kernel_stage(spec, lemma, kernel)
-        pair = self.build_pair_stage()
+        pair = self.build_pair_stage(spec)
         problem, barrier = self.bridge_stage(pair)
         self.solve_bvp_stage(pair, problem, barrier)
 

@@ -62,6 +62,7 @@ TWO_PI = 2.0 * math.pi
 S0_FIXED = TWO_PI  # families are anchored at s0 = a_2 = 2*pi
 LAMBDA_TOL = 1e-10  # quadrature tolerance of lambda = integral of p over [s0, infinity)
 TAIL_TOL = 1e-12    # quadrature tolerance of the I_m and of the integrals of tail_sum_I_bound
+MOMENT_TOL = 1e-10  # quadrature tolerance of lemma_check.check_remark's first moment of p
 JOIN_TOL = 1e-10    # |q| allowed at a breakpoint; sqrt(JOIN_TOL) bounds |q'| there
 
 STOCK_P = CoefficientExpr.parse("1/s^3")   # the stock damping and its decay model
@@ -421,7 +422,8 @@ def _member_params(pp: PairParams, band: BandParams) -> OscillationParams:
     )
 
 
-def build_pair(params: Optional[PairParams] = None) -> PairResult:
+def build_pair(params: Optional[PairParams] = None, *,
+               family: Optional[OscillationSpec] = None) -> PairResult:
     """Build the ordered pair and verify each link of the ordering chain.
 
     The first family raises its negative-lobe amplitude by the gap terms
@@ -433,13 +435,22 @@ def build_pair(params: Optional[PairParams] = None) -> PairResult:
 
     is evaluated per period and the smallest margin of each link reported;
     the first violated link raises with its period index.
+
+    ``family`` is a family built for the pair's p, p_tail and m_max: it
+    supplies lambda and the I_m, integrated once when it was built.
     """
     pp = params if params is not None else PairParams()
     pp.validate()
 
     # the members share p, so lambda and the I_m are integrated once for both
     params1, params2 = _member_params(pp, pp.set1), _member_params(pp, pp.set2)
-    integrals = _damping_integrals(params1)
+    if family is None:
+        integrals = _damping_integrals(params1)
+    else:
+        fp = family.params
+        if not (fp.p == pp.p and fp.p_tail == pp.p_tail and fp.m_max == pp.m_max):
+            raise ValueError("the family was built for another p, p_tail or m_max")
+        integrals = (IntegralResult(family.lam, family.lam_error), family.I, family.I_error)
     lam = integrals[0].value
     smallness = pp.q_plus - (
         pp.q_minus + 0.5 * pp.alpha_gap * pp.q_plus * lam + 0.5 * pp.beta_gap

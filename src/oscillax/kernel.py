@@ -283,7 +283,10 @@ class _Cells(NamedTuple):
 
     def _running(self, vals: np.ndarray, at_lo: np.ndarray, k: np.ndarray,
                  Q: np.ndarray) -> np.ndarray:
-        out = vals[k] @ Q
+        return self._from_left(vals[k] @ Q, at_lo, k)
+
+    def _from_left(self, out: np.ndarray, at_lo: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """``out`` times the half-widths plus ``at_lo``, row by row in the cells ``k``, in place."""
         out *= 0.5 * (self.hi[k] - self.lo[k])[:, None]
         out += at_lo[k][:, None]
         return out
@@ -297,6 +300,17 @@ class _Cells(NamedTuple):
     def C(self, k: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """C_loc in the cells ``k`` at the points of ``Q``."""
         return self._running(self.g_vals, self.C0, k, Q)
+
+    def C_range(self, k: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The row min and max of :meth:`C`, and the product it is formed from in place.
+
+        x -> fl(fl(x w) + C0) is nondecreasing for w > 0, so the row extremes
+        of C are those of the product, scaled, to the bit.
+        """
+        g = self.g_vals[k] @ Q
+        top, bottom = self._from_left(
+            np.stack((np.max(g, axis=1), np.min(g, axis=1)), axis=1), self.C0, k).T
+        return bottom, top, g
 
     def E_bound(self) -> np.ndarray:
         """An upper bound on exp(-P_loc) over each cell, whatever the sign of p.
@@ -397,11 +411,12 @@ class FarField(NamedTuple):
             group = np.flatnonzero(counts == n)
             for b in range(0, len(group), _BLOCK):
                 block = group[b:b + _BLOCK]
-                c = cells.C(block, Q)
-                reach = np.maximum(np.max(c, axis=1) - x0, x0 - np.min(c, axis=1))
+                bottom, top, g = cells.C_range(block, Q)
+                reach = np.maximum(top - x0, x0 - bottom)
                 rows = np.flatnonzero(reach * e_bound[block] >= z_max - 2.0 * tau)
                 if len(rows) == 0:
                     continue
+                c = cells._from_left(g, cells.C0, block)
                 e = cells.E(block[rows], Q)
                 d = e * c[rows]
                 z = np.abs(e * x0 - d)

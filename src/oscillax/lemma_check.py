@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .coeff_dsl import CoefficientExpr, as_callable
-from .example_builder import LAMBDA_TOL, TAIL_TOL
+from .example_builder import LAMBDA_TOL, MOMENT_TOL, TAIL_TOL
 from .kernel import KernelPair
 from .quadrature import TailModel, integrate_finite_many, integrate_tail, integrate_tail_many
 
@@ -54,7 +54,6 @@ Coefficient = Union[CoefficientExpr, Callable]
 STRICT = 1e-12       # strict-inequality threshold; closer to zero is inconclusive
 SIGN_SAMPLES = 64    # interior samples per lobe of the sign-pattern check
 QUAD_TOL = 1e-12     # quadrature tolerance of the lobe integrals
-MOMENT_TOL = 1e-10   # quadrature tolerance of check_remark's first moment of p
 
 
 class HypothesesResult(NamedTuple):

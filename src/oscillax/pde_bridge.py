@@ -40,13 +40,12 @@ from .coeff_dsl import CoefficientExpr, as_callable
 from .example_builder import S0_FIXED, PairResult
 from .kernel import Damping, FarField, KernelPair, _central_operator, compute_kernel
 from .quadrature import TailModel, integrate_finite, integrate_finite_many, uniform_step
+from .radial import _beta_betaprime, _check_dim, beta_inverse, beta_map, excluded_arc
 
 __all__ = [
     "RadialProblem",
     "BarrierPair",
     "ResidualReport",
-    "beta_map",
-    "beta_inverse",
     "lift_coefficients",
     "push_a_from_q",
     "make_barriers",
@@ -59,49 +58,6 @@ Coefficient = Union[CoefficientExpr, Callable]
 
 SIGN_TOL = 1e-6       # tolerated discretisation leak of the barrier residual signs
 RIBBON_TOL = 1e-12    # tolerated excursion of f beyond [a1, a2], relative to the ribbon width
-
-
-def beta_map(n: int, R: float, s) -> np.ndarray:
-    """r = beta(s) = (s/(n-2))^(1/(n-2)), the radius for arc parameter s."""
-    _check_dim(n)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0):
-        raise ValueError("the arc parameter must be positive")
-    r = np.power(s_arr / (n - 2), 1.0 / (n - 2))
-    if np.any(r < R * (1.0 - 1e-12)):
-        bad = float(np.min(r))
-        raise ValueError(f"radius {bad!r} falls inside the excluded ball of radius {R!r}")
-    return r if np.ndim(s) else float(r)
-
-
-def beta_inverse(n: int, R: float, r) -> np.ndarray:
-    """s = (n-2) r^(n-2), inverse of :func:`beta_map`."""
-    _check_dim(n)
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < R * (1.0 - 1e-12)):
-        bad = float(np.min(r_arr))
-        raise ValueError(f"radius {bad!r} falls inside the excluded ball of radius {R!r}")
-    s = (n - 2) * np.power(r_arr, n - 2)
-    return s if np.ndim(r) else float(s)
-
-
-def excluded_arc(n: int, R: float) -> float:
-    """(n-2) R^(n-2), the arc parameter of the ball's rim; inf past float range."""
-    try:
-        return (n - 2) * R ** (n - 2)
-    except OverflowError:
-        return math.inf
-
-
-def _check_dim(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
-
-
-def _beta_betaprime(n: int, s: np.ndarray) -> np.ndarray:
-    """beta(s) beta'(s) = beta^(4-n) / (n-2)^2; equals s for n = 3."""
-    beta = np.power(np.asarray(s, dtype=float) / (n - 2), 1.0 / (n - 2))
-    return np.power(beta, 4 - n) / (n - 2) ** 2
 
 
 class RadialProblem(NamedTuple):
@@ -287,7 +243,14 @@ def make_blend(problem: RadialProblem, barrier: BarrierPair, r, *,
     half = 0.5 * (hi - lo)
 
     def blend(u):
-        return base + half * np.tanh(4.0 * (np.asarray(u, dtype=float) - mid) / gap)
+        # the expression's own operations, in place in one array of the broadcast shape
+        t = np.asarray(np.subtract(np.asarray(u, dtype=float), mid))
+        t *= 4.0
+        t /= gap
+        np.tanh(t, out=t)
+        t *= half
+        t += base
+        return t
 
     return blend
 

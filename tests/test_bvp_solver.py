@@ -16,7 +16,7 @@ from oscillax import (
 from oscillax import bvp_solver
 from oscillax.bvp_solver import _CyclicReduction, _sweep_factor
 from oscillax.coeff_dsl import as_callable, parse
-from oscillax.pde_bridge import _beta_betaprime
+from oscillax.radial import _beta_betaprime
 
 PI = math.pi
 

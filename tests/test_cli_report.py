@@ -135,6 +135,12 @@ def test_write_csv_requires_equal_columns(tmp_path):
                   [np.arange(3.0), np.arange(4.0)])
 
 
+def test_write_csv_requires_a_name_per_column(tmp_path):
+    with pytest.raises(ValueError, match="header names 3 columns, but 2 are given"):
+        write_csv(tmp_path / "bad.csv", ["a", "b", "c"], [np.arange(3.0), np.arange(3.0)])
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_write_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["s", "v"], [np.array([1.0, 2.0]), np.array([0.5, 0.25])])
@@ -672,9 +678,32 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
     cfg = _write_config(tmp_path)
     assert main(["full-pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    # the lemma's family kernel serves the kernel stage; the family and the
-    # pair each integrate lambda and their I_m once, and lemma_check reuses them
-    assert counts == {"compute_kernel": 6, "lambda": 2, "I batch": 2, "tail_sum_I_bound": 1}
+    # the lemma's family kernel serves the kernel stage; the family integrates
+    # lambda and its I_m once, and lemma_check and the pair reuse them
+    assert counts == {"compute_kernel": 6, "lambda": 1, "I batch": 1, "tail_sum_I_bound": 1}
+
+
+def test_full_pipeline_integrates_the_damping_once(tmp_path, capsys, monkeypatch):
+    from oscillax import example_builder
+
+    calls = []
+    original = example_builder._damping_integrals
+
+    def counting(params):
+        calls.append(params.m_max)
+        return original(params)
+
+    monkeypatch.setattr(example_builder, "_damping_integrals", counting)
+    cfg = _write_config(tmp_path)
+    assert main(["full-pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    # the family's lambda and I_m serve the pair too
+    assert calls == [25]
+    # a lone build-pair has no family to borrow from, so it integrates them
+    calls.clear()
+    assert main(["build-pair", "--config", str(cfg), "--out", str(tmp_path / "pair")]) == 0
+    capsys.readouterr()
+    assert calls == [25]
 
 
 def test_verify_lemma_report_carries_every_check(tmp_path, capsys):

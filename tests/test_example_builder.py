@@ -301,6 +301,28 @@ def test_pair_equality_links_are_exact_zeros(pair):
         assert np.all(np.asarray(pair.chain_margins[k]) == 0.0)
 
 
+def test_a_pair_built_from_its_family_is_the_same_pair(family, pair):
+    # the family lends lambda and the I_m it integrated; every amplitude keeps its bits
+    lent = build_pair(family=family)
+    assert lent.q1.I is family.I
+    for q in ("q1", "q2"):
+        for name in ("c", "d", "I", "I_error"):
+            assert np.array_equal(getattr(getattr(lent, q), name), getattr(getattr(pair, q), name))
+        assert getattr(lent, q).lam_error == getattr(pair, q).lam_error
+    assert lent.min_margin == pair.min_margin
+    assert lent.smallness_margin == pair.smallness_margin
+
+
+@pytest.mark.parametrize("params", [
+    PairParams(m_max=24),
+    PairParams(p=parse("1/s^4"), p_tail=TailModel("power", 4.0, 1.0)),
+    PairParams(p_tail=TailModel("power", 3.0, 2.0)),
+], ids=["m_max", "p", "p_tail"])
+def test_a_family_for_another_damping_is_refused(family, params):
+    with pytest.raises(ValueError, match="another p, p_tail or m_max"):
+        build_pair(params, family=family)
+
+
 def test_pair_margin_shrinks_as_alpha_grows():
     margins = []
     for alpha_gap in (0.25, 0.5, 0.75):

@@ -293,6 +293,66 @@ def test_far_field_sup_is_exact_within_its_radius():
         assert far.sup(x) == pytest.approx(full, rel=1e-13)
 
 
+def _sup_set_screening_full_blocks(cells, E, D, x0, half):
+    """The sup set of FarField.build, screening each block on its full C."""
+    tau = 1e-9 * max(1.0, abs(x0))
+    z = np.abs(E * x0 - D)
+    z[:-1, -1] = -np.inf
+    z_max = float(np.max(z))
+    near = z >= z_max - 2.0 * tau
+    E_keep, D_keep, reaches = [E[near]], [D[near]], []
+    e_bound = cells.E_bound()
+    counts = kernel._subdivisions(cells.hi - cells.lo, half)
+    sizes = np.flatnonzero(np.bincount(counts))
+    for n in sizes[sizes > 1]:
+        Q = kernel._antiderivative(-1.0 + 2.0 * np.arange(1, n) / n).T
+        group = np.flatnonzero(counts == n)
+        for b in range(0, len(group), kernel._BLOCK):
+            block = group[b:b + kernel._BLOCK]
+            c = cells.C(block, Q)
+            reach = np.maximum(np.max(c, axis=1) - x0, x0 - np.min(c, axis=1))
+            rows = np.flatnonzero(reach * e_bound[block] >= z_max - 2.0 * tau)
+            reaches.append((block, Q, reach, len(rows)))
+            if len(rows) == 0:
+                continue
+            e = cells.E(block[rows], Q)
+            d = e * c[rows]
+            z = np.abs(e * x0 - d)
+            z_max = max(z_max, float(np.max(z)))
+            near = z >= z_max - 2.0 * tau
+            E_keep.append(e[near])
+            D_keep.append(d[near])
+    E_keep, D_keep = np.concatenate(E_keep), np.concatenate(D_keep)
+    z = np.abs(E_keep * x0 - D_keep)
+    keep = np.flatnonzero(z >= float(np.max(z)) - 2.0 * tau)
+    return E_keep[keep], D_keep[keep], reaches
+
+
+@pytest.mark.parametrize("case", ["default family", "sin^2 - 0.4"])
+def test_the_sup_screen_keeps_the_bits_of_the_full_block_screen(family, case):
+    # the screen scales the row extremes of the product instead of forming C:
+    # its reach, and the sup set it leads to, keep their bits (A, B and the
+    # window come before the screen).  On the default family's continuation
+    # every block is screened out; on sin^2 - 0.4 a block passes and forms C.
+    if case == "default family":
+        p, q, passing = default_params().p, family.q_callable, 0
+        grid = np.linspace(2 * PI, 42 * PI, 8001)
+        far = compute_kernel(p, q, grid, extend_to=2e4, extend_step=PI / 80).far
+    else:
+        p, q, passing = parse("1/s^3"), lambda s: np.sin(np.asarray(s)) ** 2 - 0.4, 1
+        far = FarField.build(p, q, 8 * PI, -0.3, extend_to=400.0, extend_step=PI / 80)
+    cells, _, E, D = kernel._Cells.build(p.evaluate_grid, q, far.start, far.end)
+    sup_E, sup_D, reaches = _sup_set_screening_full_blocks(cells, E, D, far.x0, PI / 160)
+    assert sum(n_passed > 0 for *_, n_passed in reaches) == passing
+    for block, Q, reach, _ in reaches:
+        bottom, top, g = cells.C_range(block, Q)
+        c = cells.C(block, Q)
+        assert np.array_equal(bottom, np.min(c, axis=1)) and np.array_equal(top, np.max(c, axis=1))
+        assert np.array_equal(np.maximum(top - far.x0, far.x0 - bottom), reach)
+        assert np.array_equal(cells._from_left(g, cells.C0, block), c)
+    assert np.array_equal(far.sup_E, sup_E) and np.array_equal(far.sup_D, sup_D)
+
+
 def test_a_whole_pi_cell_is_subdivided_like_the_uniform_sweep():
     widths = np.array([PI, math.nextafter(PI, 4.0), math.nextafter(PI, 3.0), 0.5 * PI, 1e-3])
     assert list(kernel._subdivisions(widths, PI / 160)) == [160, 160, 160, 80, 1]

@@ -18,7 +18,7 @@ from oscillax import (
     subsuper_residual,
 )
 from oscillax.example_builder import S0_FIXED, PairResult
-from oscillax.pde_bridge import excluded_arc
+from oscillax.radial import excluded_arc
 from oscillax.quadrature import TailModel
 
 PI = math.pi
@@ -336,6 +336,21 @@ def test_bound_blend_equals_the_reference_formula_bitwise(problem, fine_barrier)
     # inside the ribbon, on its edges, and a full gap outside either edge
     for u in (v1, v2, v1 + 0.3 * gap, v1 - gap, v2 + gap, np.zeros_like(s)):
         assert np.array_equal(blend(u), _reference_blend(problem, fine_barrier, r, u))
+
+
+def test_bound_blend_takes_a_scalar_u_with_the_same_bits(problem, fine_barrier):
+    s = np.linspace(fine_barrier.grid[1], fine_barrier.grid[-2], 3001)
+    r = beta_map(problem.n, problem.R, s)
+    blend = make_blend(problem, fine_barrier, r)
+    for u in (0.0, float(fine_barrier.v1(s)[1000]), -1e-3):
+        got = blend(u)
+        assert got.shape == s.shape
+        assert np.array_equal(got, _reference_blend(problem, fine_barrier, r, u))
+        assert np.array_equal(got, blend(np.full_like(s, u)))
+    # a blend bound to one radius takes one u
+    one = make_blend(problem, fine_barrier, float(r[1000]))
+    u = float(fine_barrier.v1(s)[1000])
+    assert one(u) == _reference_blend(problem, fine_barrier, float(r[1000]), u)
 
 
 def test_degenerate_ribbon_is_raised_when_binding(problem, fine_barrier):

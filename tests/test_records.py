@@ -6,15 +6,18 @@ records that are mutated stay dataclasses.
 """
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import oscillax
 
 
 def test_the_only_dataclasses_are_the_mutable_records():
-    modules = [m for m in vars(oscillax).values() if inspect.ismodule(m)
-               and m.__name__.startswith("oscillax.")]
-    assert len(modules) == 8
+    # oscillax loads its modules lazily, so import each one here
+    modules = [importlib.import_module(f"oscillax.{m.name}")
+               for m in pkgutil.iter_modules(oscillax.__path__) if m.name != "__main__"]
+    assert len(modules) == 9
     found = {f"{m.__name__}.{name}" for m in modules for name, obj in vars(m).items()
              if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
              and obj.__module__ == m.__name__}
