@@ -30,11 +30,13 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .coeff_dsl import CoefficientExpr, Num, Var, Neg, BinOp, Call
+from .coeff_dsl import CoefficientExpr, Var
 from .example_builder import (
     LAMBDA_TOL,
     MOMENT_TOL,
     S0_FIXED,
+    STOCK_P,
+    STOCK_P_TAIL,
     TAIL_TOL,
     TWO_PI,
     BandParams,
@@ -267,36 +269,128 @@ def emit_plot(
 
 # ---------------------------------------------------------------------------
 # Config
+#
+# CONFIG_TABLE gives each key once, as a node (stock, read) or (stock, read,
+# absent).  ``read`` is the key's reader, (value, key) -> value, or for a
+# block the table of its keys, whose stock ``...`` stands for its keys' stock
+# values.  ``absent`` is what a given block takes for a key it leaves out,
+# where that is not the stock value; _NEEDED makes the key required there.
+# default_config() is the stock values; load_config reads a config through
+# the table, then checks the rules that join several keys.
 
 
-def default_config() -> dict:
-    """The stock configuration, suitable for every mode."""
-    return {
-        "oscillation": {
-            "q_minus": 1.0, "q_plus": 2.0,
-            "gamma": 6.0, "sigma": 7.0, "eta": 0.0, "theta": 1.0,
-            "m_max": 25,
-        },
-        "pair": {
-            "set1": {"gamma": 6.0, "sigma": 7.0, "eta": 0.0, "theta": 1.0},
-            "set2": {"gamma": 8.0, "sigma": 9.0, "eta": 2.0, "theta": 3.0},
-            "alpha_gap": 0.5, "beta_gap": 0.5,
-        },
-        "p": {"expr": "1/s^3", "tail": {"kind": "power", "rate": 3.0, "coef": 1.0}},
-        "problem": {"n": 3, "R": 1.0, "varsigma": 1.0},
-        "kernel": {
-            "step": "pi/200", "span": "40*pi",
-            "extend_to": 2e4, "extend_step": "pi/80",
-            "residual_step": 1e-3,
-        },
-        "solver": {
-            "N": 16001, "tol": 1e-10,
-            "max_iter": 200, "boundary": "upper",
-        },
-        "features": {"M": 50},
-        "q_override": None,
-    }
+def _keyed(what: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with the key ``what`` put before a ValueError's message."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:  # ParseError and DomainError included
+        raise ValueError(f"{what}: {exc}") from None
 
+
+def _mentions_var(node) -> bool:
+    """Whether an expression tree reads s; its nodes are NamedTuples, walked field by field."""
+    return isinstance(node, Var) or any(isinstance(f, tuple) and _mentions_var(f) for f in node)
+
+
+def _const_expr(value, what: str) -> float:
+    """A number, or a constant coefficient expression such as "2*pi"."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a number or a constant expression string")
+    expr = _keyed(what, CoefficientExpr.parse, value)
+    if _mentions_var(expr.ast):
+        raise ValueError(f"{what} must be a constant, got expression {value!r}")
+    return _keyed(what, expr.evaluate, 0.0)
+
+
+def _finite(value, what: str) -> float:
+    """A finite number, or a constant expression for one."""
+    x = _const_expr(value, what)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite number, got {x!r}")
+    return x
+
+
+def _positive(value, what: str) -> float:
+    """A positive finite number, or a constant expression for one."""
+    x = _const_expr(value, what)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{what} must be a positive finite number, got {x!r}")
+    return x
+
+
+def _count(least: int):
+    """The reader of a whole number of at least ``least``, as an int or as a float with no
+    fractional part."""
+    def read(value, what: str) -> int:
+        whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        if isinstance(value, bool) or not whole:
+            raise ValueError(f"{what} must be a whole number, got {value!r}")
+        if value < least:
+            raise ValueError(f"{what} must be at least {least}, got {int(value)}")
+        return int(value)
+    return read
+
+
+def _odd_count(value, what: str) -> int:
+    """An odd number of solver grid points that leaves the decay fit its window."""
+    N = _count(1)(value, what)
+    if N % 2 == 0:
+        raise ValueError(f"{what} must be an odd number of grid points "
+                         f"(the solver grid needs an even number of cells), got {N}")
+    _keyed(what, fit_window, N)
+    return N
+
+
+def _expression(value, what: str) -> CoefficientExpr:
+    """A coefficient expression in s, given as its source string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be an expression string")
+    return _keyed(what, CoefficientExpr.parse, value)
+
+
+def _choice(*options: str):
+    """The reader of one of the names ``options``."""
+    def read(value, what: str) -> str:
+        if value not in options:
+            raise ValueError(f"{what} must be {' or '.join(map(repr, options))}, got {value!r}")
+        return value
+    return read
+
+
+_NEEDED = object()  # the absent value of a key that its block, once given, must hold
+_BAND = BandParams._fields
+_OSC, _PAIR = OscillationParams(), PairParams()
+
+
+def _band(band: BandParams) -> tuple:
+    """The node of pair.set1 or pair.set2: once given, it needs all four constants."""
+    return (..., {key: (getattr(band, key), _finite, _NEEDED) for key in _BAND})
+
+
+CONFIG_TABLE = {
+    "oscillation": (..., {**{key: (getattr(_OSC, key), _finite)
+                             for key in ("q_minus", "q_plus", *_BAND)},
+                          "m_max": (_OSC.m_max, _count(1))}),
+    "pair": (..., {"set1": _band(_PAIR.set1), "set2": _band(_PAIR.set2),
+                   "alpha_gap": (_PAIR.alpha_gap, _finite),
+                   "beta_gap": (_PAIR.beta_gap, _finite)}),
+    "p": (..., {"expr": (STOCK_P.source, _expression, _NEEDED),
+                "tail": (..., {"kind": (STOCK_P_TAIL.kind, _choice("power", "exp")),
+                               "rate": (STOCK_P_TAIL.rate, _finite, _NEEDED),
+                               "coef": (STOCK_P_TAIL.coef, _finite)}, _NEEDED)}),
+    "problem": (..., {"n": (3, _count(3)), "R": (1.0, _positive),
+                      "varsigma": (1.0, _positive)}),
+    "kernel": (..., {"step": ("pi/200", _positive), "span": ("40*pi", _positive),
+                     "extend_to": (2e4, _finite), "extend_step": ("pi/80", _positive),
+                     "residual_step": (1e-3, _positive)}),
+    "solver": (..., {"N": (16001, _odd_count), "tol": (1e-10, _positive),
+                     "max_iter": (200, _count(1)),
+                     "boundary": ("upper", _choice("upper", "lower"))}),
+    "features": (..., {"M": (50, _count(2))}),  # a growth rate needs two periods
+    "q_override": (None, {"expr": (None, _expression, _NEEDED), "m_max": (10, _count(1))}),
+}
 
 # keys a config may no longer set, each with the reason it is refused
 RETIRED_KEYS = {
@@ -311,87 +405,44 @@ RETIRED_KEYS = {
 }
 
 
-def _const_expr(value, what: str) -> float:
-    """A number, or a constant coefficient expression such as "2*pi"."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
-        expr = CoefficientExpr.parse(value)
-        if _mentions_var(expr.ast):
-            raise ValueError(f"{what} must be a constant, got expression {value!r}")
-        return expr.evaluate(0.0)
-    raise ValueError(f"{what} must be a number or a constant expression string")
+def _stock(node):
+    """A node's stock value, built afresh for a block."""
+    stock, read = node[:2]
+    return {key: _stock(child) for key, child in read.items()} if stock is ... else stock
 
 
-def _positive(value, what: str) -> float:
-    """A positive finite number, or a constant expression for one."""
-    x = _const_expr(value, what)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"{what} must be a positive finite number, got {x!r}")
-    return x
+def _read(node, value, what: str):
+    """A value read through its node: a leaf by its reader, a block key by key."""
+    stock, read = node[:2]
+    if not isinstance(read, dict):
+        return read(value, what)
+    if value is None and stock is None:  # q_override is off
+        return None
+    name = what or "top level"
+    if not isinstance(value, dict):
+        raise ValueError(f"config section {name!r} must be an object")
+    unknown = set(value) - set(read)
+    if unknown:
+        raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
+    got = {}
+    for key, child in read.items():
+        where = f"{what}.{key}" if what else key
+        given = value[key] if key in value else child[2] if len(child) > 2 else _stock(child)
+        if given is _NEEDED:
+            raise ValueError(f"{where} is required once {name} is given")
+        got[key] = _read(child, given, where)
+    return got
 
 
-def _count(value, what: str, least: int) -> int:
-    """A whole number of at least ``least``, as an int or as a float with no fractional part."""
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole:
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
-    if value < least:
-        raise ValueError(f"{what} must be at least {least}, got {int(value)}")
-    return int(value)
+def default_config() -> dict:
+    """The stock configuration, suitable for every mode."""
+    return _stock((..., CONFIG_TABLE))
 
 
 def _grid_cells(span: float, step: float) -> int:
     """Cells of the uniform grid over ``span``: span/step rounded, then made even."""
     n_cells = int(round(span / step))
     return n_cells + n_cells % 2
-
-
-def _mentions_var(node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, (Num,)):
-        return False
-    if isinstance(node, Neg):
-        return _mentions_var(node.operand)
-    if isinstance(node, Call):
-        return _mentions_var(node.arg)
-    if isinstance(node, BinOp):
-        return _mentions_var(node.left) or _mentions_var(node.right)
-    return False
-
-
-def _take(block: dict, allowed: dict, what: str) -> dict:
-    """Merge a config block over defaults, rejecting unknown keys."""
-    if block is None:
-        return dict(allowed)
-    if not isinstance(block, dict):
-        raise ValueError(f"config section {what!r} must be an object")
-    unknown = set(block) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown keys in config section {what!r}: {sorted(unknown)}")
-    merged = dict(allowed)
-    merged.update(block)
-    return merged
-
-
-def _damping(block) -> tuple[CoefficientExpr, TailModel]:
-    """p and p.tail; :func:`_check_damping` then samples p against the envelope."""
-    got = _take(block, {"expr": None, "tail": None}, "p")
-    if not isinstance(got["expr"], str):
-        raise ValueError("p.expr must be an expression string")
-    expr = CoefficientExpr.parse(got["expr"])
-    if got["tail"] is None:
-        raise ValueError("p.tail is required: the damping needs a certified decay model")
-    tail = _take(got["tail"], {"kind": "power", "rate": None, "coef": 1.0}, "p.tail")
-    if tail["rate"] is None:
-        raise ValueError("p.tail needs a decay rate")
-    rate = _const_expr(tail["rate"], "p.tail.rate")
-    coef = _const_expr(tail["coef"], "p.tail.coef")
-    try:
-        return expr, TailModel(kind=str(tail["kind"]), rate=rate, coef=coef)
-    except ValueError as exc:
-        raise ValueError(f"p.tail: {exc}") from None
 
 
 def _check_damping(p: CoefficientExpr, model: TailModel, m_family: int, m_bare: int,
@@ -416,15 +467,9 @@ def _check_damping(p: CoefficientExpr, model: TailModel, m_family: int, m_bare: 
         if moment is not None:
             checks.append((lambda s, a=a: (np.asarray(s) - a) * np.asarray(pe(s)),
                            moment, [moment.cutoff_for(0.5 * tol, a)]))
-    try:
-        for f, envelope, cutoffs in checks:
-            check_envelope(f, envelope, cutoffs)
-    except ValueError as exc:
-        raise ValueError(f"p.tail: {exc}") from None
-    try:
-        on_grid = pe(grid)
-    except ValueError as exc:
-        raise ValueError(f"p.expr: {exc}") from None
+    for f, envelope, cutoffs in checks:
+        _keyed("p.tail", check_envelope, f, envelope, cutoffs)
+    on_grid = _keyed("p.expr", pe, grid)
     if np.any(on_grid < 0.0):
         i = int(np.argmax(on_grid < 0.0))
         raise ValueError(f"p.expr must be nonnegative on the kernel grid, but "
@@ -456,53 +501,26 @@ class RunConfig:
 
 
 def load_config(raw: dict) -> RunConfig:
-    """Validate a raw config dict into a :class:`RunConfig`."""
+    """Validate a raw config dict into a :class:`RunConfig`: each key through
+    :data:`CONFIG_TABLE`, then the rules that join several keys."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    top = _take(raw, default_config(), "top level")
     for (section, key), why in RETIRED_KEYS.items():
-        if isinstance(top[section], dict) and key in top[section]:
+        if isinstance(raw.get(section), dict) and key in raw[section]:
             raise ValueError(f'the "{section}" section no longer takes "{key}": {why}')
+    # an absent or null section takes its stock values
+    got = _read((..., CONFIG_TABLE), {key: value for key, value in raw.items()
+                                      if value is not None or key not in CONFIG_TABLE}, "")
 
-    p_expr, p_tail = _damping(top["p"])
-
-    osc_block = _take(top["oscillation"], default_config()["oscillation"], "oscillation")
-    osc = OscillationParams(
-        q_minus=_const_expr(osc_block["q_minus"], "oscillation.q_minus"),
-        q_plus=_const_expr(osc_block["q_plus"], "oscillation.q_plus"),
-        gamma=_const_expr(osc_block["gamma"], "oscillation.gamma"),
-        sigma=_const_expr(osc_block["sigma"], "oscillation.sigma"),
-        eta=_const_expr(osc_block["eta"], "oscillation.eta"),
-        theta=_const_expr(osc_block["theta"], "oscillation.theta"),
-        p=p_expr, p_tail=p_tail,
-        m_max=_count(osc_block["m_max"], "oscillation.m_max", 1),
-    )
-    try:
-        osc.validate()
-    except ValueError as exc:
-        raise ValueError(f"oscillation: {exc}") from None
-
-    pair_block = _take(top["pair"], default_config()["pair"], "pair")
-
-    def band(block, what):
-        got = _take(block, {"gamma": None, "sigma": None, "eta": None, "theta": None}, what)
-        if any(v is None for v in got.values()):
-            raise ValueError(f"{what} needs gamma, sigma, eta, theta")
-        return BandParams(
-            gamma=_const_expr(got["gamma"], f"{what}.gamma"),
-            sigma=_const_expr(got["sigma"], f"{what}.sigma"),
-            eta=_const_expr(got["eta"], f"{what}.eta"),
-            theta=_const_expr(got["theta"], f"{what}.theta"),
-        )
-
-    pair = PairParams(
-        q_minus=osc.q_minus, q_plus=osc.q_plus, p=p_expr, p_tail=p_tail,
-        set1=band(pair_block["set1"], "pair.set1"),
-        set2=band(pair_block["set2"], "pair.set2"),
-        alpha_gap=_const_expr(pair_block["alpha_gap"], "pair.alpha_gap"),
-        beta_gap=_const_expr(pair_block["beta_gap"], "pair.beta_gap"),
-        m_max=osc.m_max,
-    )
+    p = got["p"]["expr"]
+    p_tail = _keyed("p.tail", TailModel, **got["p"]["tail"])
+    osc = OscillationParams(**got["oscillation"], p=p, p_tail=p_tail)
+    _keyed("oscillation", osc.validate)
+    pair_block = got["pair"]
+    pair = PairParams(q_minus=osc.q_minus, q_plus=osc.q_plus, p=p, p_tail=p_tail,
+                      set1=BandParams(**pair_block["set1"]), set2=BandParams(**pair_block["set2"]),
+                      alpha_gap=pair_block["alpha_gap"], beta_gap=pair_block["beta_gap"],
+                      m_max=osc.m_max)
     try:
         pair.validate()
     except ValueError as exc:  # its messages start with the field they are about
@@ -513,61 +531,29 @@ def load_config(raw: dict) -> RunConfig:
             raise ValueError(f"oscillation.q_plus = {osc.q_plus!r} times {what}.gamma = "
                              f"{band.gamma!r} overflows the amplitude rule")
 
-    prob = _take(top["problem"], default_config()["problem"], "problem")
-    n = _count(prob["n"], "problem.n", 3)
-    R = _positive(prob["R"], "problem.R")
+    n, R = got["problem"]["n"], got["problem"]["R"]
     s_min = excluded_arc(n, R)
     if not S0_FIXED > s_min:
         raise ValueError(
             f"the families' anchor s0 = 2 pi must lie beyond the excluded ball: it needs "
             f"s0 > (problem.n - 2) problem.R^(problem.n - 2) = {s_min!r}")
-    varsigma = _positive(prob["varsigma"], "problem.varsigma")
 
-    kern = _take(top["kernel"], default_config()["kernel"], "kernel")
-    solv = _take(top["solver"], default_config()["solver"], "solver")
-    feat = _take(top["features"], default_config()["features"], "features")
-
-    boundary = solv["boundary"]
-    if boundary not in ("upper", "lower"):
-        raise ValueError(f"solver.boundary must be 'upper' or 'lower', got {boundary!r}")
-
-    solver_N = _count(solv["N"], "solver.N", 1)
-    if solver_N % 2 == 0:
-        raise ValueError(f"solver.N must be an odd number of grid points "
-                         f"(the solver grid needs an even number of cells), got {solver_N}")
-    try:
-        fit_window(solver_N)
-    except ValueError as exc:
-        raise ValueError(f"solver.N: {exc}") from None
-    solver_max_iter = _count(solv["max_iter"], "solver.max_iter", 1)
-    features_M = _count(feat["M"], "features.M", 2)  # a growth rate needs two periods
-
-    q_override = top["q_override"]
-    if q_override is not None:
-        q_override = _take(q_override, {"expr": None, "m_max": 10}, "q_override")
-        if not isinstance(q_override["expr"], str):
-            raise ValueError("q_override.expr must be an expression string")
-        CoefficientExpr.parse(q_override["expr"])  # fail fast on bad source
-        q_override = {"expr": q_override["expr"],
-                      "m_max": _count(q_override["m_max"], "q_override.m_max", 1)}
-
-    span = _positive(kern["span"], "kernel.span")
-    extend_to = _const_expr(kern["extend_to"], "kernel.extend_to")
-    if not (math.isfinite(extend_to) and extend_to >= 0.0):
+    kern = got["kernel"]
+    span, extend_to = kern["span"], kern["extend_to"]
+    if extend_to < 0.0:
         raise ValueError(f"kernel.extend_to must be a nonnegative finite number, "
                          f"got {extend_to!r}")
     if 0.0 < extend_to <= S0_FIXED + span:
         raise ValueError(
             f"kernel.extend_to = {extend_to!r} must lie past the grid end s0 + kernel.span "
             f"= {S0_FIXED + span!r}, or be 0 to turn the continuation off")
-    steps = {key: _positive(kern[key], f"kernel.{key}")
-             for key in ("step", "extend_step", "residual_step")}
     for key in ("step", "residual_step"):
-        if _grid_cells(span, steps[key]) < 2:
-            raise ValueError(f"kernel.{key} = {steps[key]!r} leaves no grid cell over "
+        if _grid_cells(span, kern[key]) < 2:
+            raise ValueError(f"kernel.{key} = {kern[key]!r} leaves no grid cell over "
                              f"kernel.span = {span!r}; it must be below twice the span")
-    _check_damping(p_expr, p_tail, osc.m_max, q_override["m_max"] if q_override else 0,
-                   _uniform_grid(span, steps["step"]))
+    q_override = got["q_override"]
+    _check_damping(p, p_tail, osc.m_max, q_override["m_max"] if q_override else 0,
+                   _keyed("kernel.step", _uniform_grid, span, kern["step"]))
     # the bridge's integral conditions run up to the radius of the grid end
     T = float(beta_map(n, R, S0_FIXED + span))
     if not T > 4.0 * R:
@@ -576,23 +562,13 @@ def load_config(raw: dict) -> RunConfig:
             f"grid end at radius {T:.6g}, which must exceed 4 problem.R = {4.0 * R!r}: "
             f"lower problem.n or problem.R, or lengthen kernel.span")
 
+    solv = got["solver"]
     return RunConfig(
-        oscillation=osc,
-        pair=pair,
-        problem_n=n,
-        problem_R=R,
-        varsigma=varsigma,
-        kernel_step=steps["step"],
-        kernel_span=span,
-        extend_to=extend_to,
-        extend_step=steps["extend_step"],
-        residual_step=steps["residual_step"],
-        solver_N=solver_N,
-        solver_tol=_positive(solv["tol"], "solver.tol"),
-        solver_max_iter=solver_max_iter,
-        solver_boundary=boundary,
-        features_M=features_M,
-        q_override=q_override,
+        oscillation=osc, pair=pair, problem_n=n, problem_R=R, varsigma=got["problem"]["varsigma"],
+        kernel_step=kern["step"], kernel_span=span, extend_to=extend_to,
+        extend_step=kern["extend_step"], residual_step=kern["residual_step"],
+        solver_N=solv["N"], solver_tol=solv["tol"], solver_max_iter=solv["max_iter"],
+        solver_boundary=solv["boundary"], features_M=got["features"]["M"], q_override=q_override,
     )
 
 
@@ -696,7 +672,7 @@ class _Runner:
         if cfg.q_override is not None:
             m_max = cfg.q_override["m_max"]
             family = None
-            q_call = CoefficientExpr.parse(cfg.q_override["expr"])
+            q_call = cfg.q_override["expr"]
         else:
             family = spec or build_oscillation(cfg.oscillation)
             m_max = cfg.oscillation.m_max

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from oscillax import kernel
 from oscillax.cli_report import (
+    RETIRED_KEYS,
     _const_expr,
     _to_json,
     default_config,
@@ -92,6 +93,30 @@ def test_boundary_choice_is_validated():
 def test_tail_model_requires_a_rate():
     with pytest.raises(ValueError, match="rate"):
         load_config({"p": {"expr": "1/s^3", "tail": {"kind": "power"}}})
+
+
+def test_a_given_p_needs_its_tail():
+    with pytest.raises(ValueError, match="p.tail"):
+        load_config({"p": {"expr": "1/s^3"}})
+
+
+def test_a_given_pair_set_needs_all_four_constants():
+    with pytest.raises(ValueError, match="pair.set1"):
+        load_config({"pair": {"set1": {"gamma": 6.5}}})
+
+
+def test_a_given_q_override_needs_its_expression():
+    with pytest.raises(ValueError, match="q_override.expr"):
+        load_config({"q_override": {"m_max": 3}})
+
+
+def test_a_given_q_override_fills_m_max_with_10():
+    assert load_config({"q_override": {"expr": "sin(s)"}}).q_override["m_max"] == 10
+
+
+def test_a_tail_given_its_rate_only_is_a_unit_power_envelope():
+    tail = load_config({"p": {"expr": "1/s^3", "tail": {"rate": 3}}}).oscillation.p_tail
+    assert (tail.kind, tail.rate, tail.coef) == ("power", 3.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +425,16 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
     pytest.param({"oscillation.q_plus": 1e308}, "oscillation.q_plus", id="q_plus-overflows"),
     # the kernels assume p >= 0; |p| alone fits the envelope
     pytest.param({"p.expr": "-1/s^3"}, "p.expr", id="negative-p"),
+    # an infinite upper constant passes gamma < sigma and eta < theta, but no report takes it
+    pytest.param({"oscillation.sigma": float("inf")}, "oscillation.sigma", id="inf-sigma"),
+    pytest.param({"oscillation.theta": float("inf")}, "oscillation.theta", id="inf-theta"),
+    pytest.param({"pair.set2.sigma": float("inf")}, "pair.set2.sigma", id="inf-set2-sigma"),
+    pytest.param({"pair.set2.theta": float("inf")}, "pair.set2.theta", id="inf-set2-theta"),
+    # a parse error, or numpy refusing the load grid's size (40 pi / 1e-300 cells), names its key
+    ({"kernel.span": "2*"}, "kernel.span: "),
+    ({"p.expr": "x"}, "p.expr: "),
+    ({"q_override": {"expr": "x"}}, "q_override.expr: "),
+    ({"kernel.step": 1e-300}, "kernel.step: "),
 ])
 def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, named):
     cfg = _write_config(tmp_path, patch)
@@ -470,6 +505,13 @@ def test_readme_shows_the_default_config():
     block = text.split("The full default:", 1)[1]
     block = block.split("```json", 1)[1].split("```", 1)[0]
     assert json.loads(block) == default_config()
+
+
+def test_readme_lists_exactly_the_retired_keys():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| key | why it is gone |", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `(\w+)\.(\w+)` \|", table, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(RETIRED_KEYS)
 
 
 def test_smallest_step_keeping_a_cell_is_accepted():
