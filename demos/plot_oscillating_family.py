@@ -46,11 +46,10 @@ report = verify_lemma(params.p, family.q_callable, family.nodes,
                       q_minus=params.q_minus)
 
 print()
-for entry in report.entries():
-    tag = "ok " if entry["pass"] else "BAD"
-    margin = entry["margin"]
-    extra = "" if margin is None else f"  margin {margin:.3e}"
-    print(f"  [{tag}] {entry['name']}{extra}")
+for check in report.checks():
+    tag = "ok " if check.passed else "BAD"
+    extra = "" if check.margin is None else f"  margin {check.margin:.3e}"
+    print(f"  [{tag}] {check.name}{extra}")
 
 # ----------------------------------------------------------------------
 # the harmonic-weight integral of |q| diverges like a multiple of ln M

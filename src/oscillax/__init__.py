@@ -30,7 +30,7 @@ _EXPORTS = {
         "lemma_check": ("ConclusionsResult", "HypothesesResult", "LemmaReport",
                         "RemarkResult", "check_conclusions", "check_hypotheses",
                         "check_remark", "verify_lemma"),
-        "example_builder": ("BandParams", "FeatureReport", "OscillationParams",
+        "example_builder": ("BandParams", "Check", "FeatureReport", "OscillationParams",
                             "OscillationSpec", "PairParams", "build_oscillation",
                             "build_pair", "check_integral_features", "default_params",
                             "verify_pair"),

@@ -40,6 +40,7 @@ from .example_builder import (
     TAIL_TOL,
     TWO_PI,
     BandParams,
+    Check,
     OscillationParams,
     OscillationSpec,
     PairParams,
@@ -360,6 +361,7 @@ def _choice(*options: str):
 
 
 _NEEDED = object()  # the absent value of a key that its block, once given, must hold
+_MAX_POINTS = np.iinfo(np.intp).max // 8  # numpy's limit on the length of a float64 array
 _BAND = BandParams._fields
 _OSC, _PAIR = OscillationParams(), PairParams()
 
@@ -547,13 +549,23 @@ def load_config(raw: dict) -> RunConfig:
         raise ValueError(
             f"kernel.extend_to = {extend_to!r} must lie past the grid end s0 + kernel.span "
             f"= {S0_FIXED + span!r}, or be 0 to turn the continuation off")
+    # the points each step makes in one array: a grid over the span, and, while the
+    # continuation is on, its h-tail window of 2 pi at spacing extend_step/2 (each pi-cell's
+    # subdivision at that spacing holds half as many)
+    points = {key: span / kern[key] for key in ("step", "residual_step")}
+    if extend_to > 0.0:
+        points["extend_step"] = 2.0 * TWO_PI / kern["extend_step"]
+    for key, count in points.items():
+        if not count <= _MAX_POINTS:  # inf included
+            raise ValueError(f"kernel.{key}: {kern[key]!r} makes {count:.4g} points, more "
+                             f"than numpy can hold in one array")
     for key in ("step", "residual_step"):
         if _grid_cells(span, kern[key]) < 2:
             raise ValueError(f"kernel.{key} = {kern[key]!r} leaves no grid cell over "
                              f"kernel.span = {span!r}; it must be below twice the span")
     q_override = got["q_override"]
     _check_damping(p, p_tail, osc.m_max, q_override["m_max"] if q_override else 0,
-                   _keyed("kernel.step", _uniform_grid, span, kern["step"]))
+                   _uniform_grid(span, kern["step"]))
     # the bridge's integral conditions run up to the radius of the grid end
     T = float(beta_map(n, R, S0_FIXED + span))
     if not T > 4.0 * R:
@@ -583,16 +595,17 @@ def _uniform_grid(span: float, step: float) -> np.ndarray:
 class _Runner:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.checks: list[tuple[str, bool, Optional[float]]] = []
+        self.ledger: list[Check] = []
         cfg.out.mkdir(parents=True, exist_ok=True)
 
     # -- small helpers ------------------------------------------------------
 
-    def note(self, name: str, passed: bool, margin: Optional[float] = None) -> None:
-        self.checks.append((name, bool(passed), margin))
-        tag = "PASS" if passed else "FAIL"
-        extra = "" if margin is None else f" (margin={margin:.6g})"
-        print(f"{tag} {name}{extra}")
+    def note(self, name: str, passed, margin: Optional[float] = None,
+             details: Optional[dict] = None) -> None:
+        """Append a verdict to the ledger and print its line as it arrives."""
+        check = Check(name, bool(passed), margin, details)
+        self.ledger.append(check)
+        print(check.line())
 
     def want(self, kind: str) -> bool:
         return kind in self.cfg.formats
@@ -686,12 +699,11 @@ class _Runner:
             p_tail=cfg.oscillation.p_tail, family=family, kernel=kern,
             q_minus=cfg.oscillation.q_minus,
         )
-        entries = report.entries()
-        for e in entries:
-            self.note(e["name"], e["pass"],
-                      e["margin"] if isinstance(e["margin"], float) else None)
+        checks = report.checks()
+        for check in checks:
+            self.note(*check)
         payload = {
-            "checks": entries,
+            "checks": [dict(zip(("name", "pass", "margin", "details"), c)) for c in checks],
             "lambda": report.hypotheses.lam,
             "epsilon": report.hypotheses.eps_total,
             "delta": report.hypotheses.delta_total,
@@ -866,9 +878,9 @@ class _Runner:
         sandwich = check_sandwich(solution, barrier)
         self.note("solution sandwiched between the barriers", sandwich["ok"],
                   min(sandwich["lower_margin"], sandwich["upper_margin"]))
-        self.note("iteration converged",
-                  solution.iteration_sup_deltas[-1] <= cfg.solver_tol,
-                  float(len(solution.iteration_sup_deltas)))
+        last_delta = solution.iteration_sup_deltas[-1]
+        self.note("iteration converged", last_delta <= cfg.solver_tol,
+                  cfg.solver_tol - last_delta)
         self.note("discrete residual small after convergence",
                   solution.residual_sup <= 10.0 * cfg.solver_tol,
                   10.0 * cfg.solver_tol - solution.residual_sup)
@@ -923,9 +935,10 @@ def run(mode: str, cfg: RunConfig) -> int:
         "full-pipeline": runner.full_pipeline,
     }
     stages[mode]()
-    passed = all(ok for _, ok, _ in runner.checks)
-    print(f"mode {mode}: {'PASS' if passed else 'FAIL'} "
-          f"({sum(ok for _, ok, _ in runner.checks)}/{len(runner.checks)} checks)")
+    ledger = runner.ledger
+    n_passed = sum(check.passed for check in ledger)
+    passed = n_passed == len(ledger)
+    print(f"mode {mode}: {'PASS' if passed else 'FAIL'} ({n_passed}/{len(ledger)} checks)")
     return 0 if passed else 1
 
 

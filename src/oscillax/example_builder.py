@@ -43,6 +43,7 @@ from .quadrature import (
 )
 
 __all__ = [
+    "Check",
     "OscillationParams",
     "OscillationSpec",
     "PairParams",
@@ -537,6 +538,24 @@ def verify_pair(pair: PairResult, grid: np.ndarray) -> dict:
         "amplitude_margin_negative_lobes": float(np.min(pair.q1.d - pair.q2.d)),
         "ordered": bool(np.all(slack >= -1e-12)),
     }
+
+
+# ---------------------------------------------------------------------------
+# Verdicts
+
+
+class Check(NamedTuple):
+    """One verdict of the chain: a named check, whether it passed, its margin and details."""
+
+    name: str
+    passed: bool
+    margin: Optional[float] = None
+    details: Optional[dict] = None
+
+    def line(self) -> str:
+        """The verdict as the CLI prints it: ``PASS|FAIL <name>[ (margin=%.6g)]``."""
+        extra = "" if self.margin is None else f" (margin={self.margin:.6g})"
+        return f"{'PASS' if self.passed else 'FAIL'} {self.name}{extra}"
 
 
 # ---------------------------------------------------------------------------

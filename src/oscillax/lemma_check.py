@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .coeff_dsl import CoefficientExpr, as_callable
-from .example_builder import LAMBDA_TOL, MOMENT_TOL, TAIL_TOL
+from .example_builder import LAMBDA_TOL, MOMENT_TOL, TAIL_TOL, Check
 from .kernel import KernelPair
 from .quadrature import TailModel, integrate_finite_many, integrate_tail, integrate_tail_many
 
@@ -130,118 +130,59 @@ class LemmaReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        entries = self.entries()
-        return all(e["pass"] for e in entries)
+        return all(check.passed for check in self.checks())
 
-    def entries(self) -> list[dict]:
-        """Flat check list: name, pass, margin, details."""
-        hyp = self.hypotheses
-        out: list[dict] = []
-        out.append({
-            "name": "damping integral below one",
-            "pass": bool(hyp.lam_ok),
-            "margin": 1.0 - (hyp.lam + hyp.lam_error),
-            "details": {"lambda": hyp.lam, "error": hyp.lam_error},
-        })
-        out.append({
-            "name": "sign pattern of the lobes",
-            "pass": hyp.sign_pattern_ok,
-            "margin": hyp.sign_margin,
-            "details": {
-                "periods_checked": hyp.m_checked,
-                "inconclusive_samples": hyp.sign_inconclusive,
-            },
-        })
-        out.append({
-            "name": "positive lobes dominate damped negative lobes",
-            "pass": hyp.hyp1_ok,
-            "margin": float(np.min(hyp.hyp1_margins)),
-            "details": {"worst_period": int(np.argmin(hyp.hyp1_margins)) + 1},
-        })
-        out.append({
-            "name": "lobe surpluses are summable",
-            "pass": hyp.eps_total is not None,
-            "margin": hyp.eps_total if hyp.eps_total is not None else hyp.eps_range_sum,
-            "details": {
-                "mode": "slack",
-                "range_sum": hyp.eps_range_sum,
-                "certified_tail": hyp.eps_tail,
-                "truncated": hyp.eps_total is None,
-            },
-        })
-        out.append({
-            "name": "single positive lobe stays below delta",
-            "pass": hyp.delta_total is not None,
-            "margin": hyp.delta_total if hyp.delta_total is not None else hyp.delta_range,
-            "details": {
-                "range_max": hyp.delta_range,
-                "future_lobe_bound": hyp.delta_tail,
-                "truncated": hyp.delta_total is None,
-            },
-        })
-        out.append({
-            "name": "damping times negative lobe stays within the surplus",
-            "pass": bool(hyp.deduced_damping_ok),
-            "margin": None,
-            "details": {},
-        })
-        if self.remark is not None:
-            rem = self.remark
-            if rem.counting_ok is not None:
-                out.append({
-                    "name": "period counting against the damping moment",
-                    "pass": bool(rem.counting_ok),
-                    "margin": (None if rem.p_moment is None
-                               else rem.p_moment - rem.spacing * rem.sum_tail_integrals),
-                    "details": {
-                        "spacing": rem.spacing,
-                        "p_moment": rem.p_moment,
-                        "sum_tail_integrals": rem.sum_tail_integrals,
-                    },
-                })
-            if rem.budget_ok is not None:
-                out.append({
-                    "name": "damping tails within the surplus budget",
-                    "pass": bool(rem.budget_ok),
-                    "margin": (None if rem.eps_budget is None
-                               else rem.eps_budget - (rem.sum_tail_bound
-                                                      if rem.sum_tail_bound is not None
-                                                      else rem.sum_tail_integrals)),
-                    "details": {"eps_budget": rem.eps_budget},
-                })
-        if self.conclusions is not None:
-            con = self.conclusions
-            out.append({
-                "name": "kernel z stays negative",
-                "pass": bool(con.z_negative),
-                "margin": con.z_negative_margin,
-                "details": {"inconclusive_nodes": con.z_inconclusive},
-            })
+    def checks(self) -> list[Check]:
+        """The verdicts in order: hypotheses, remark consistency, kernel conclusions."""
+        hyp, rem, con = self.hypotheses, self.remark, self.conclusions
+        out = [
+            Check("damping integral below one", bool(hyp.lam_ok), 1.0 - (hyp.lam + hyp.lam_error),
+                  {"lambda": hyp.lam, "error": hyp.lam_error}),
+            Check("sign pattern of the lobes", hyp.sign_pattern_ok, hyp.sign_margin,
+                  {"periods_checked": hyp.m_checked,
+                   "inconclusive_samples": hyp.sign_inconclusive}),
+            Check("positive lobes dominate damped negative lobes", hyp.hyp1_ok,
+                  float(np.min(hyp.hyp1_margins)),
+                  {"worst_period": int(np.argmin(hyp.hyp1_margins)) + 1}),
+            Check("lobe surpluses are summable", hyp.eps_total is not None,
+                  hyp.eps_range_sum if hyp.eps_total is None else hyp.eps_total,
+                  {"mode": "slack", "range_sum": hyp.eps_range_sum,
+                   "certified_tail": hyp.eps_tail, "truncated": hyp.eps_total is None}),
+            Check("single positive lobe stays below delta", hyp.delta_total is not None,
+                  hyp.delta_range if hyp.delta_total is None else hyp.delta_total,
+                  {"range_max": hyp.delta_range, "future_lobe_bound": hyp.delta_tail,
+                   "truncated": hyp.delta_total is None}),
+            Check("damping times negative lobe stays within the surplus",
+                  bool(hyp.deduced_damping_ok), None, {}),
+        ]
+        if rem is not None and rem.counting_ok is not None:
+            out.append(Check(
+                "period counting against the damping moment", bool(rem.counting_ok),
+                None if rem.p_moment is None
+                else rem.p_moment - rem.spacing * rem.sum_tail_integrals,
+                {"spacing": rem.spacing, "p_moment": rem.p_moment,
+                 "sum_tail_integrals": rem.sum_tail_integrals}))
+        if rem is not None and rem.budget_ok is not None:
+            summed = rem.sum_tail_integrals if rem.sum_tail_bound is None else rem.sum_tail_bound
+            out.append(Check(
+                "damping tails within the surplus budget", bool(rem.budget_ok),
+                None if rem.eps_budget is None else rem.eps_budget - summed,
+                {"eps_budget": rem.eps_budget}))
+        if con is not None:
+            out.append(Check("kernel z stays negative", bool(con.z_negative),
+                             con.z_negative_margin, {"inconclusive_nodes": con.z_inconclusive}))
             if con.z_bounded is not None:
-                out.append({
-                    "name": "kernel z within the proof bound",
-                    "pass": bool(con.z_bounded),
-                    "margin": con.z_bound_margin,
-                    "details": {
-                        "observed_sup": con.z_sup_observed,
-                        "bound": con.z_bound,
-                    },
-                })
-            out.append({
-                "name": "kernel h stays positive",
-                "pass": bool(con.h_positive),
-                "margin": con.h_min,
-                "details": {"h_sup": con.h_sup},
-            })
-            out.append({
-                "name": "h/s decreases, both routes agreeing",
-                "pass": bool(con.ratio_decreasing and con.routes_agree),
-                "margin": None,
-                "details": {
-                    "by_differences": con.ratio_decreasing,
-                    "by_z_sign": con.ratio_decreasing_by_z,
-                },
-            })
+                out.append(Check("kernel z within the proof bound", bool(con.z_bounded),
+                                 con.z_bound_margin,
+                                 {"observed_sup": con.z_sup_observed, "bound": con.z_bound}))
+            out += [
+                Check("kernel h stays positive", bool(con.h_positive), con.h_min,
+                      {"h_sup": con.h_sup}),
+                Check("h/s decreases, both routes agreeing",
+                      bool(con.ratio_decreasing and con.routes_agree), None,
+                      {"by_differences": con.ratio_decreasing,
+                       "by_z_sign": con.ratio_decreasing_by_z}),
+            ]
         return out
 
 

@@ -50,7 +50,9 @@ class IntegralResult(NamedTuple):
 
     ``abs_error_estimate`` bounds the numerical error of the finite part;
     ``tail_bound`` is the certified bound on whatever lies beyond the cutoff
-    (zero for finite intervals).  ``evaluations`` counts integrand calls.
+    (zero for finite intervals).  ``evaluations`` counts integrand points,
+    not calls: 15 per GK15 panel, plus, for a tail integral, the envelope
+    samples :func:`check_envelope` took past its cutoff.
     """
 
     value: float

@@ -4,9 +4,12 @@ Set OSCILLAX_SEED to reproduce a property-test run; without it the suite
 uses a fixed seed so CI runs are deterministic.
 """
 
+import contextlib
+import io
 import math
 import os
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -85,3 +88,43 @@ def fine_barrier(pair):
     n_cells += n_cells % 2
     grid = np.linspace(2 * math.pi, 2 * math.pi + span, n_cells + 1)
     return make_barriers(pair, grid)
+
+
+class ModeRun(NamedTuple):
+    code: int
+    stdout: str
+    ledger: list          # the runner's Check records, in the order they arrived
+    out: Path
+    lemma: Optional[object]  # the LemmaReport the verify-lemma stage made, if it ran
+
+
+@pytest.fixture(scope="session")
+def mode_runs(tmp_path_factory):
+    """Every mode run once in process on the default config, writing JSON only."""
+    from oscillax import cli_report
+
+    runners = []
+
+    class Recording(cli_report._Runner):
+        lemma = None
+
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            runners.append(self)
+
+        def verify_lemma_stage(self, *args):
+            self.lemma, kernel = super().verify_lemma_stage(*args)
+            return self.lemma, kernel
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli_report, "_Runner", Recording)
+        for mode in cli_report.MODES:
+            cfg = cli_report.load_config(cli_report.default_config())
+            cfg.out, cfg.formats = tmp_path_factory.mktemp(mode), ("json",)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli_report.run(mode, cfg)
+            runner = runners[-1]
+            runs[mode] = ModeRun(code, stdout.getvalue(), runner.ledger, cfg.out, runner.lemma)
+    return runs

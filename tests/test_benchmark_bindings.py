@@ -2,13 +2,18 @@
 
 The benchmark reads some of these only in its traced runs, which Tier-1
 does not collect, so a rename here would otherwise show up only there.
+It also reads the verdict lines the CLI prints, by check name.
 """
 
 import dataclasses
+import importlib.util
 import inspect
+import sys
+from pathlib import Path
 
 from oscillax import (
     BvpSolution,
+    Check,
     HypothesesResult,
     IntegralResult,
     RunConfig,
@@ -19,6 +24,8 @@ from oscillax import (
     make_barriers,
     z_ode_oracle,
 )
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 
 def _parameters(fn):
@@ -49,3 +56,27 @@ def test_the_names_the_benchmark_binds_exist():
     assert "evaluations" in _fields(IntegralResult)
     assert "m_checked" in _fields(HypothesesResult)
     assert {"iterations", "grid"} <= _fields(BvpSolution)
+
+
+def _benchmark_module(name: str):
+    """A module of benchmark/, loaded by its path."""
+    spec = importlib.util.spec_from_file_location(f"_benchmark_{name}", BENCHMARK / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_reads_back_the_name_of_every_fail_verdict(mode_runs):
+    fail_verdict = _benchmark_module("run").FAIL_VERDICT
+    names = {check.name for run in mode_runs.values() for check in run.ledger}
+    for name in names:
+        for check in (Check(name, False, -1.37668e-14), Check(name, False)):
+            assert fail_verdict.match(check.line()).group(1) == name
+        assert fail_verdict.match(Check(name, True, 1.0).line()) is None
+
+
+def test_every_known_fail_is_a_check_its_workload_prints(mode_runs):
+    for workload in _benchmark_module("workloads").WORKLOADS.values():
+        printed = {check.name for check in mode_runs[workload.mode].ledger}
+        assert workload.known_fails <= printed, workload.name

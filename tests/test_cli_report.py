@@ -435,6 +435,16 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
     ({"p.expr": "x"}, "p.expr: "),
     ({"q_override": {"expr": "x"}}, "q_override.expr: "),
     ({"kernel.step": 1e-300}, "kernel.step: "),
+    # numpy cannot hold the residual grid, or the continuation's window and cell
+    # subdivisions, in one array; at 5e-324, span/step is infinite and half a step is 0
+    pytest.param({"kernel.residual_step": 1e-300}, "kernel.residual_step: ",
+                 id="tiny-residual-step"),
+    pytest.param({"kernel.extend_step": 1e-300}, "kernel.extend_step: ", id="tiny-extend-step"),
+    pytest.param({"kernel.step": 5e-324}, "kernel.step: ", id="denormal-step"),
+    pytest.param({"kernel.residual_step": 5e-324}, "kernel.residual_step: ",
+                 id="denormal-residual-step"),
+    pytest.param({"kernel.extend_step": 5e-324}, "kernel.extend_step: ",
+                 id="denormal-extend-step"),
 ])
 def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, named):
     cfg = _write_config(tmp_path, patch)

@@ -33,10 +33,10 @@ def report(family, family_kernel):
 # the default family passes everything
 
 
-def test_all_entries_pass(report):
-    entries = report.entries()
-    assert len(entries) == 12
-    failed = [e["name"] for e in entries if not e["pass"]]
+def test_all_checks_pass(report):
+    checks = report.checks()
+    assert len(checks) == 12
+    failed = [check.name for check in checks if not check.passed]
     assert failed == []
     assert report.ok
 
