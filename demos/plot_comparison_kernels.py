@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from oscillax import (
+    OscillationParams,
     build_oscillation,
     compute_kernel,
-    default_params,
     emit_plot,
     ode_residual,
     z_ode_oracle,
@@ -31,7 +31,7 @@ out_dir.mkdir(exist_ok=True)
 
 # ----------------------------------------------------------------------
 # kernels over twenty periods on a pi/200 grid
-params = default_params()
+params = OscillationParams()
 family = build_oscillation(params)
 grid = np.linspace(family.nodes[0], family.nodes[0] + 40 * np.pi, 8001)
 kernel = compute_kernel(params.p, family.q_callable, grid)

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from oscillax import (
+    OscillationParams,
     build_oscillation,
     check_integral_features,
-    default_params,
     emit_plot,
     verify_lemma,
 )
@@ -27,7 +27,7 @@ out_dir.mkdir(exist_ok=True)
 # ----------------------------------------------------------------------
 # build the family with the stock band [q_minus, q_plus] = [1, 2] and the
 # default amplitude rule; 25 tabulated periods
-params = default_params()
+params = OscillationParams()
 family = build_oscillation(params)
 
 print(f"first breakpoint   a_2 = {family.nodes[0]:.6f}")

@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "coeff_dsl": ("CoefficientExpr", "DomainError", "ParseError", "as_callable", "parse"),
+        "coeff_dsl": ("CoefficientExpr", "DomainError", "ParseError", "parse"),
         "quadrature": ("IntegralResult", "TailModel", "cumulative_integral",
                        "cumulative_simpson_doubled", "integrate_finite",
                        "integrate_finite_many", "integrate_tail", "integrate_tail_many"),
@@ -32,8 +32,7 @@ _EXPORTS = {
                         "check_remark", "verify_lemma"),
         "example_builder": ("BandParams", "Check", "FeatureReport", "OscillationParams",
                             "OscillationSpec", "PairParams", "build_oscillation",
-                            "build_pair", "check_integral_features", "default_params",
-                            "verify_pair"),
+                            "build_pair", "check_integral_features", "verify_pair"),
         "radial": ("beta_inverse", "beta_map"),
         "pde_bridge": ("BarrierPair", "RadialProblem", "ResidualReport",
                        "integral_conditions", "lift_coefficients", "make_barriers",

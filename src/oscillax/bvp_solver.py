@@ -44,7 +44,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .coeff_dsl import as_callable
 from .kernel import _central_operator
 from .pde_bridge import BarrierPair, RadialProblem, make_blend
 from .quadrature import uniform_step
@@ -251,7 +250,7 @@ def solve_radial(
         raise ValueError("the shift K must be nonnegative")
 
     si = g[1:-1]
-    p_i = np.asarray(as_callable(problem.p)(si), dtype=float)
+    p_i = np.asarray(problem.p(si), dtype=float)
     r_i = beta_map(n, R, si)
     B = _beta_betaprime(n, si) / (n - 2)
     fn = make_blend(problem, barrier, r_i) if f is None else lambda u: f(r_i, u)

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .coeff_dsl import CoefficientExpr, Var
+from .coeff_dsl import CoefficientExpr, Var, parse
 from .example_builder import (
     LAMBDA_TOL,
     MOMENT_TOL,
@@ -50,7 +50,7 @@ from .example_builder import (
     check_integral_features,
     verify_pair,
 )
-from .quadrature import TailModel, check_envelope
+from .quadrature import CELL_NODES, TailModel, check_envelope
 from .radial import beta_map, excluded_arc, fit_window
 
 # the stage modules are imported by the stages that run them, so that
@@ -299,10 +299,10 @@ def _const_expr(value, what: str) -> float:
         return float(value)
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a number or a constant expression string")
-    expr = _keyed(what, CoefficientExpr.parse, value)
+    expr = _keyed(what, parse, value)
     if _mentions_var(expr.ast):
         raise ValueError(f"{what} must be a constant, got expression {value!r}")
-    return _keyed(what, expr.evaluate, 0.0)
+    return _keyed(what, expr, 0.0)
 
 
 def _finite(value, what: str) -> float:
@@ -348,7 +348,7 @@ def _expression(value, what: str) -> CoefficientExpr:
     """A coefficient expression in s, given as its source string."""
     if not isinstance(value, str):
         raise ValueError(f"{what} must be an expression string")
-    return _keyed(what, CoefficientExpr.parse, value)
+    return _keyed(what, parse, value)
 
 
 def _choice(*options: str):
@@ -460,18 +460,17 @@ def _check_damping(p: CoefficientExpr, model: TailModel, m_family: int, m_bare: 
     derives it, so a p that leaves its envelope there is refused here, not
     in the middle of a run.
     """
-    pe = p.evaluate_grid
     top = max(m_family + 2, m_bare)
-    checks = [(pe, model, [model.cutoff_for(0.5 * LAMBDA_TOL, S0_FIXED)]
+    checks = [(p, model, [model.cutoff_for(0.5 * LAMBDA_TOL, S0_FIXED)]
                + [model.cutoff_for(0.5 * TAIL_TOL, TWO_PI * m) for m in range(1, top + 1)])]
     for a, tol in ((TWO_PI * (m_family + 2), TAIL_TOL), (S0_FIXED, MOMENT_TOL)):
         moment = model.first_moment(a)
         if moment is not None:
-            checks.append((lambda s, a=a: (np.asarray(s) - a) * np.asarray(pe(s)),
+            checks.append((lambda s, a=a: (np.asarray(s) - a) * np.asarray(p(s)),
                            moment, [moment.cutoff_for(0.5 * tol, a)]))
     for f, envelope, cutoffs in checks:
         _keyed("p.tail", check_envelope, f, envelope, cutoffs)
-    on_grid = _keyed("p.expr", pe, grid)
+    on_grid = _keyed("p.expr", p, grid)
     if np.any(on_grid < 0.0):
         i = int(np.argmax(on_grid < 0.0))
         raise ValueError(f"p.expr must be nonnegative on the kernel grid, but "
@@ -549,21 +548,30 @@ def load_config(raw: dict) -> RunConfig:
         raise ValueError(
             f"kernel.extend_to = {extend_to!r} must lie past the grid end s0 + kernel.span "
             f"= {S0_FIXED + span!r}, or be 0 to turn the continuation off")
-    # the points each step makes in one array: a grid over the span, and, while the
-    # continuation is on, its h-tail window of 2 pi at spacing extend_step/2 (each pi-cell's
-    # subdivision at that spacing holds half as many)
-    points = {key: span / kern[key] for key in ("step", "residual_step")}
+    # the most points each key puts in one array, by arithmetic: a kernel grid over the
+    # span; while the continuation is on, its h-tail window of 2 pi at spacing
+    # extend_step/2 (each pi-cell's subdivision at that spacing holds half as many) and
+    # CELL_NODES nodes per pi-cell up to extend_to; a family's 2 m_max + 1 lobe nodes;
+    # the family's extension grid of 16 cells per period that the features read; and
+    # the solver grid
+    q_override, M, N = got["q_override"], got["features"]["M"], got["solver"]["N"]
+    points = {f"kernel.{key}": (kern[key], span / kern[key]) for key in ("step", "residual_step")}
     if extend_to > 0.0:
-        points["extend_step"] = 2.0 * TWO_PI / kern["extend_step"]
-    for key, count in points.items():
+        points["kernel.extend_step"] = (kern["extend_step"], 2.0 * TWO_PI / kern["extend_step"])
+        points["kernel.extend_to"] = (extend_to, CELL_NODES * extend_to / PI)
+    points["oscillation.m_max"] = (osc.m_max, 2 * osc.m_max + 1)
+    if q_override:
+        points["q_override.m_max"] = (q_override["m_max"], 2 * q_override["m_max"] + 1)
+    points["features.M"] = (M, 16 * M + 1)
+    points["solver.N"] = (N, N)
+    for what, (value, count) in points.items():
         if not count <= _MAX_POINTS:  # inf included
-            raise ValueError(f"kernel.{key}: {kern[key]!r} makes {count:.4g} points, more "
-                             f"than numpy can hold in one array")
+            raise ValueError(f"{what}: {value!r} makes {count:.4g} points, more than numpy "
+                             f"can hold in one array")
     for key in ("step", "residual_step"):
         if _grid_cells(span, kern[key]) < 2:
             raise ValueError(f"kernel.{key} = {kern[key]!r} leaves no grid cell over "
                              f"kernel.span = {span!r}; it must be below twice the span")
-    q_override = got["q_override"]
     _check_damping(p, p_tail, osc.m_max, q_override["m_max"] if q_override else 0,
                    _uniform_grid(span, kern["step"]))
     # the bridge's integral conditions run up to the radius of the grid end
@@ -579,8 +587,8 @@ def load_config(raw: dict) -> RunConfig:
         oscillation=osc, pair=pair, problem_n=n, problem_R=R, varsigma=got["problem"]["varsigma"],
         kernel_step=kern["step"], kernel_span=span, extend_to=extend_to,
         extend_step=kern["extend_step"], residual_step=kern["residual_step"],
-        solver_N=solv["N"], solver_tol=solv["tol"], solver_max_iter=solv["max_iter"],
-        solver_boundary=solv["boundary"], features_M=got["features"]["M"], q_override=q_override,
+        solver_N=N, solver_tol=solv["tol"], solver_max_iter=solv["max_iter"],
+        solver_boundary=solv["boundary"], features_M=M, q_override=q_override,
     )
 
 

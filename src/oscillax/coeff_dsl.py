@@ -3,8 +3,9 @@
 Coefficients are functions of a single variable ``s``.  The grammar covers
 arithmetic (+, -, *, /, ^), the functions sin, cos, exp, log, abs, the
 constant ``pi`` and numeric literals.  There are no conditionals: a
-piecewise coefficient is a plain vectorised callable, which every consumer
-accepts through :func:`as_callable`.
+piecewise coefficient is a plain vectorised callable.  An expression is
+called like any other coefficient, so every consumer calls p, q, a1 and a2
+as it was given them, whichever kind they are.
 
 Expressions are immutable.  Evaluation is vectorised over numpy arrays and
 refuses to return non-finite values: division by zero, log of a non-positive
@@ -15,7 +16,7 @@ offending abscissa instead of leaking NaN into downstream quadratures.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -310,11 +311,6 @@ class CoefficientExpr(NamedTuple):
     source: str
     ast: Node
 
-    @staticmethod
-    def parse(text: str) -> "CoefficientExpr":
-        node = _Parser(text).parse()
-        return CoefficientExpr(source=_print_node(node, 0, False), ast=node)
-
     def evaluate_grid(self, grid: np.ndarray) -> np.ndarray:
         """Evaluate on an array of abscissae (need not be sorted)."""
         s = np.asarray(grid, dtype=float)
@@ -323,13 +319,12 @@ class CoefficientExpr(NamedTuple):
         _check_finite(out, s, self.source)
         return out
 
-    def evaluate(self, s: float) -> float:
-        return float(self.evaluate_grid(np.asarray([s], dtype=float))[0])
-
     def __call__(self, s):
+        """The coefficient at s, called like any coefficient: a float at a
+        number, an array at an array.  A non-finite value raises DomainError."""
         arr = np.asarray(s, dtype=float)
         if arr.ndim == 0:
-            return self.evaluate(float(arr))
+            return float(self.evaluate_grid(arr.reshape(1))[0])
         return self.evaluate_grid(arr)
 
     def to_source(self) -> str:
@@ -337,13 +332,6 @@ class CoefficientExpr(NamedTuple):
 
 
 def parse(text: str) -> CoefficientExpr:
-    return CoefficientExpr.parse(text)
-
-
-def as_callable(f: Union[CoefficientExpr, Callable[[np.ndarray], np.ndarray]]):
-    """Normalise an expression or plain callable to a vectorised callable."""
-    if isinstance(f, CoefficientExpr):
-        return f.evaluate_grid
-    if callable(f):
-        return f
-    raise TypeError(f"expected CoefficientExpr or callable, got {type(f).__name__}")
+    """The expression of a source text; its source is the canonical printed form."""
+    node = _Parser(text).parse()
+    return CoefficientExpr(source=_print_node(node, 0, False), ast=node)

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .coeff_dsl import CoefficientExpr, as_callable
+from .coeff_dsl import parse
 from .quadrature import (
     IntegralResult,
     TailModel,
@@ -53,10 +53,7 @@ __all__ = [
     "build_pair",
     "verify_pair",
     "check_integral_features",
-    "default_params",
 ]
-
-Coefficient = Union[CoefficientExpr, Callable]
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -66,7 +63,7 @@ TAIL_TOL = 1e-12    # quadrature tolerance of the I_m and of the integrals of ta
 MOMENT_TOL = 1e-10  # quadrature tolerance of lemma_check.check_remark's first moment of p
 JOIN_TOL = 1e-10    # |q| allowed at a breakpoint; sqrt(JOIN_TOL) bounds |q'| there
 
-STOCK_P = CoefficientExpr.parse("1/s^3")   # the stock damping and its decay model
+STOCK_P = parse("1/s^3")   # the stock damping and its decay model
 STOCK_P_TAIL = TailModel(kind="power", rate=3.0, coef=1.0)
 
 
@@ -101,7 +98,7 @@ class OscillationParams(NamedTuple):
     sigma: float = 7.0
     eta: float = 0.0
     theta: float = 1.0
-    p: Coefficient = STOCK_P
+    p: Callable = STOCK_P
     p_tail: TailModel = STOCK_P_TAIL
     m_max: int = 25
 
@@ -172,14 +169,13 @@ class OscillationSpec:
         cached = self._ext.get("M", 0)
         if M > cached:
             M_new = max(M, 2 * cached, self.params.m_max)
-            pe = as_callable(self.params.p)
             # complement route: I_m = lam - integral_{s0}^{2m pi} p, on a
             # refined node grid (8 subcells per pi keeps the Simpson error
             # far below the size of the smallest I_m in use); node k does not
             # depend on the grid's length, so neither does any I_m, whatever
             # extended the table before
             refine = S0_FIXED + (PI / 8) * np.arange(16 * M_new + 1)
-            P = cumulative_integral(pe, refine)
+            P = cumulative_integral(self.params.p, refine)
             idx = np.arange(1, M_new + 1) * 16 - 16  # position of 2m*pi
             I_bulk = self.lam - P[idx]
             I_bulk[: len(self.I)] = self.I  # certified values take precedence
@@ -232,10 +228,10 @@ class OscillationSpec:
         moment_model = tail.first_moment(T)
         if moment_model is None:
             return None
-        pe = as_callable(self.params.p)
-        I_next = integrate_tail(pe, 2.0 * (M + 1) * PI, tail, tol=TAIL_TOL)
-        I_after = integrate_tail(pe, T, tail, tol=TAIL_TOL)
-        moment = integrate_tail(lambda s: (np.asarray(s) - T) * np.asarray(pe(s)),
+        p = self.params.p
+        I_next = integrate_tail(p, 2.0 * (M + 1) * PI, tail, tol=TAIL_TOL)
+        I_after = integrate_tail(p, T, tail, tol=TAIL_TOL)
+        moment = integrate_tail(lambda s: (np.asarray(s) - T) * np.asarray(p(s)),
                                 T, moment_model, tol=TAIL_TOL)
         envelope = (I_next.value + I_next.abs_error_estimate
                     + I_after.value + I_after.abs_error_estimate
@@ -250,11 +246,6 @@ class OscillationSpec:
         """Bound on (pi/2) c_m for every m > M (amplitudes are nonincreasing)."""
         c, _ = self._bulk_amplitudes(M + 1)
         return 0.5 * PI * float(c[M])
-
-
-def default_params(m_max: int = 25) -> OscillationParams:
-    """The stock family: p = 1/s^3 and the documented band constants."""
-    return OscillationParams(m_max=m_max)
 
 
 def _damping_integrals(params: OscillationParams
@@ -334,7 +325,7 @@ def _check_smooth_joins(spec: OscillationSpec) -> None:
         raise ValueError(f"family fails smoothness at a breakpoint: |q'| = {worst_dq!r}")
 
 
-def build_oscillation(params: Optional[OscillationParams] = None) -> OscillationSpec:
+def build_oscillation(params: OscillationParams = OscillationParams()) -> OscillationSpec:
     """Build the single family with d at the band midpoint and c at its floor.
 
     The midpoint choice for d leaves room on both sides of the
@@ -342,7 +333,6 @@ def build_oscillation(params: Optional[OscillationParams] = None) -> Oscillation
     the band allows, which keeps the positive lobes (and hence the kernel
     bound) as small as the constraints permit.
     """
-    params = params if params is not None else default_params()
     params.validate()
     d0 = (params.q_minus + params.q_plus) / PI
     rule = _AmplitudeRule(
@@ -368,7 +358,7 @@ class PairParams(NamedTuple):
 
     q_minus: float = 1.0
     q_plus: float = 2.0
-    p: Coefficient = STOCK_P
+    p: Callable = STOCK_P
     p_tail: TailModel = STOCK_P_TAIL
     set1: BandParams = BandParams(6.0, 7.0, 0.0, 1.0)
     set2: BandParams = BandParams(8.0, 9.0, 2.0, 3.0)
@@ -582,8 +572,6 @@ def check_integral_features(
     spec: OscillationSpec,
     varsigma: float = 1.0,
     M: int = 50,
-    *,
-    T: Optional[float] = None,
 ) -> FeatureReport:
     """Verify the two integral features that separate the kernels' scales.
 
@@ -614,14 +602,14 @@ def check_integral_features(
     y = sums[1:]
     slope = float(np.polyfit(x, y, 1)[0])
 
-    T_val = float(T) if T is not None else 2.0 * (M + 1) * PI
+    T = 2.0 * (M + 1) * PI
     # the lobe nodes up to 2T; each interval takes those strictly inside it
-    nodes = PI * np.arange(2, int(math.ceil(2.0 * T_val / PI)) + 1)
+    nodes = PI * np.arange(2, int(math.ceil(2.0 * T / PI)) + 1)
     weight = lambda s: np.abs(fn(s)) / s ** (1.0 + varsigma)
     F_T, F_2T = (part.value for part in integrate_finite_many(
-        weight, [(S0_FIXED, T_val), (S0_FIXED, 2.0 * T_val)], tol=1e-10, seeds=nodes))
+        weight, [(S0_FIXED, T), (S0_FIXED, 2.0 * T)], tol=1e-10, seeds=nodes))
     gap = abs(F_2T - F_T)
-    gap_bound = spec.sup_bound * T_val ** (-varsigma) / varsigma
+    gap_bound = spec.sup_bound * T ** (-varsigma) / varsigma
 
     return FeatureReport(
         partial_sums=sums,
@@ -629,7 +617,7 @@ def check_integral_features(
         dominates=dominates,
         log_slope=slope,
         varsigma=varsigma,
-        T=T_val,
+        T=T,
         F_T=F_T,
         F_2T=F_2T,
         cauchy_gap=gap,

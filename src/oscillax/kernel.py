@@ -57,12 +57,11 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .coeff_dsl import CoefficientExpr, as_callable
-from .quadrature import TailModel, cumulative_simpson_doubled, uniform_step
+from .quadrature import CELL_NODES, TailModel, cumulative_simpson_doubled, uniform_step
 
 __all__ = [
     "KernelPair",
@@ -75,8 +74,6 @@ __all__ = [
     "compute_kernel",
     "ode_residual",
 ]
-
-Coefficient = Union[CoefficientExpr, Callable]
 
 TAIL_WINDOW = 2.0 * math.pi   # trailing window of the h-tail mean value estimate
 
@@ -109,10 +106,6 @@ class KernelPair(NamedTuple):
     z_sup_observed: float
     far: Optional["FarField"] = None   # continuation summary, reusable by later grids
 
-    @property
-    def s0(self) -> float:
-        return float(self.grid[0])
-
     def with_sup_bound(self, bound: float) -> "KernelPair":
         """The same kernel with its h tail certified by a proven bound on sup|z|.
 
@@ -137,7 +130,6 @@ def _window_start(u: np.ndarray, window: float) -> int:
     return i0
 
 
-CELL_NODES = 17          # Chebyshev-Lobatto nodes per continuation cell
 CELL_TAIL_TOL = 1e-9     # self-check: the degree-16 interpolant of p (or q) on a cell and
 #                          its degree-14 truncation agree within this fraction of max|p|
 #                          (or max|q|) over the continuation
@@ -338,8 +330,8 @@ class FarField(NamedTuple):
     spacing and the rounding of ``end``, not the accuracy of A and B.
     """
 
-    p: Coefficient
-    q: Coefficient
+    p: Callable
+    q: Callable
     start: float
     extend_to: float
     extend_step: float
@@ -359,7 +351,7 @@ class FarField(NamedTuple):
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @classmethod
-    def build(cls, p: Coefficient, q: Coefficient, start: float, x0: float, *,
+    def build(cls, p: Callable, q: Callable, start: float, x0: float, *,
               extend_to: float, extend_step: float) -> "FarField":
         """Continue z from ``start`` once and keep its summary.
 
@@ -373,7 +365,7 @@ class FarField(NamedTuple):
         n_steps = int(math.ceil((extend_to - start) / half))
         n_steps += n_steps % 2
         end = float(n_steps * half + start)
-        cells, t, E, D = _Cells.build(as_callable(p), as_callable(q), float(start), end)
+        cells, t, E, D = _Cells.build(p, q, float(start), end)
         w = 0.5 * (cells.hi - cells.lo)
         cc = _cell_rule().S[-1]
         t *= t
@@ -435,7 +427,7 @@ class FarField(NamedTuple):
             sup_E=E_keep[keep], sup_D=D_keep[keep],
         )
 
-    def check_inputs(self, p: Coefficient, q: Coefficient, start: float, *,
+    def check_inputs(self, p: Callable, q: Callable, start: float, *,
                      extend_to: float, extend_step: float) -> None:
         """Raise unless the summary was built for exactly these inputs."""
         for name, ours, theirs in (
@@ -483,24 +475,24 @@ class Damping(NamedTuple):
     exp(P) and exp(-P) are left to each kernel (see the module docstring).
     """
 
-    p: Coefficient
+    p: Callable
     u: np.ndarray
     P: np.ndarray
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__  # as FarField
 
     @classmethod
-    def build(cls, p: Coefficient, grid: np.ndarray) -> "Damping":
+    def build(cls, p: Callable, grid: np.ndarray) -> "Damping":
         """Check the grid, double it, sample p on it once and integrate."""
         g = np.asarray(grid, dtype=float)
         _check_grid(g)
         u = np.linspace(g[0], g[-1], 2 * (len(g) - 1) + 1)
-        p_vals = np.asarray(as_callable(p)(u), dtype=float)
+        p_vals = np.asarray(p(u), dtype=float)
         if not np.all(np.isfinite(p_vals)):
             raise ValueError("coefficients are not finite on the grid")
         return cls(p=p, u=u, P=cumulative_simpson_doubled(u, p_vals))
 
-    def check_inputs(self, p: Coefficient, grid: np.ndarray) -> None:
+    def check_inputs(self, p: Callable, grid: np.ndarray) -> None:
         """Raise unless this was built for exactly this p and this grid."""
         grid = np.asarray(grid, dtype=float)
         _check_grid(grid)
@@ -539,16 +531,16 @@ def _z_doubled(damping: Damping, q_vals: np.ndarray) -> np.ndarray:
     return z
 
 
-def compute_z(p: Coefficient, q: Coefficient, grid: np.ndarray) -> np.ndarray:
+def compute_z(p: Callable, q: Callable, grid: np.ndarray) -> np.ndarray:
     """Kernel z on a uniform grid via the weighted cumulative integrals."""
     damping = Damping.build(p, grid)
-    z = _z_doubled(damping, _q_samples(as_callable(q), damping.u))
+    z = _z_doubled(damping, _q_samples(q, damping.u))
     return z[::2].copy()
 
 
 def z_ode_oracle(
-    p: Coefficient,
-    q: Coefficient,
+    p: Callable,
+    q: Callable,
     grid: np.ndarray,
     *,
     rtol: float = 1e-9,
@@ -562,11 +554,10 @@ def z_ode_oracle(
     from scipy.integrate import solve_ivp
 
     g = np.asarray(grid, dtype=float)
-    pe, qe = as_callable(p), as_callable(q)
 
     def rhs(t: float, y: np.ndarray) -> list[float]:
         ts = np.asarray([t])
-        return [-float(pe(ts)[0]) * y[0] - float(qe(ts)[0])]
+        return [-float(p(ts)[0]) * y[0] - float(q(ts)[0])]
 
     sol = solve_ivp(
         rhs,
@@ -643,8 +634,8 @@ def compute_h(
 
 
 def compute_kernel(
-    p: Coefficient,
-    q: Coefficient,
+    p: Callable,
+    q: Callable,
     grid: np.ndarray,
     *,
     extend_to: float = 2e4,
@@ -669,7 +660,6 @@ def compute_kernel(
         damping = Damping.build(p, g)
     else:
         damping.check_inputs(p, g)
-    qe = as_callable(q)
     if far is not None:
         far.check_inputs(p, q, float(g[-1]), extend_to=extend_to, extend_step=extend_step)
 
@@ -677,7 +667,7 @@ def compute_kernel(
     # is made, they let glibc trim the heap, and the arrays made after them
     # fault their pages in again (a 256k-point make_barriers, whose members
     # share one Damping, takes 10.4k minor faults that way against 7.5k)
-    q_vals = _q_samples(qe, damping.u)
+    q_vals = _q_samples(q, damping.u)
     z_doubled = _z_doubled(damping, q_vals)
     z = z_doubled[::2].copy()
 
@@ -731,8 +721,8 @@ def _central_operator(h: np.ndarray, si: np.ndarray, p_i: np.ndarray, step: floa
 
 def ode_residual(
     h_values: np.ndarray,
-    p: Coefficient,
-    q: Coefficient,
+    p: Callable,
+    q: Callable,
     grid: np.ndarray,
     *,
     z_values: Optional[np.ndarray] = None,
@@ -749,12 +739,11 @@ def ode_residual(
         raise ValueError("need h sampled on at least three grid points")
     step = uniform_step(g, "residual check needs a uniform grid")
 
-    pe, qe = as_callable(p), as_callable(q)
     si = g[1:-1]
     work = np.empty((2, len(si)))
-    resid = _central_operator(h, si, np.asarray(pe(si), dtype=float), step,
+    resid = _central_operator(h, si, np.asarray(p(si), dtype=float), step,
                               np.empty(len(si)), work)
-    resid += np.asarray(qe(si), dtype=float) / si
+    resid += np.asarray(q(si), dtype=float) / si
     out = {
         "sup": float(np.max(np.abs(resid))),
         "l2": float(np.sqrt(step * np.sum(resid**2))),

@@ -29,11 +29,10 @@ certified instead of extrapolating.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .coeff_dsl import CoefficientExpr, as_callable
 from .example_builder import LAMBDA_TOL, MOMENT_TOL, TAIL_TOL, Check
 from .kernel import KernelPair
 from .quadrature import TailModel, integrate_finite_many, integrate_tail, integrate_tail_many
@@ -48,8 +47,6 @@ __all__ = [
     "check_remark",
     "verify_lemma",
 ]
-
-Coefficient = Union[CoefficientExpr, Callable]
 
 STRICT = 1e-12       # strict-inequality threshold; closer to zero is inconclusive
 SIGN_SAMPLES = 64    # interior samples per lobe of the sign-pattern check
@@ -200,8 +197,8 @@ def _lobe_bounds(nodes: np.ndarray) -> int:
 
 
 def check_hypotheses(
-    p: Coefficient,
-    q: Coefficient,
+    p: Callable,
+    q: Callable,
     nodes: np.ndarray,
     *,
     p_tail: TailModel,
@@ -223,12 +220,11 @@ def check_hypotheses(
     """
     nodes = np.asarray(nodes, dtype=float)
     M = _lobe_bounds(nodes)
-    pe, qe = as_callable(p), as_callable(q)
 
     if family is None:
-        lam_res = integrate_tail(pe, float(nodes[0]), p_tail, tol=LAMBDA_TOL)
+        lam_res = integrate_tail(p, float(nodes[0]), p_tail, tol=LAMBDA_TOL)
         lam, lam_error = lam_res.value, lam_res.abs_error_estimate
-        tails = integrate_tail_many(pe, nodes[0:-1:2], p_tail, tol=TAIL_TOL)
+        tails = integrate_tail_many(p, nodes[0:-1:2], p_tail, tol=TAIL_TOL)
         I = np.array([r.value for r in tails])
         I_err = np.array([r.abs_error_estimate for r in tails])
     else:
@@ -239,7 +235,7 @@ def check_hypotheses(
     lam_ok = bool(lam + lam_error < 1.0)
 
     # lobes [a_{2m}, a_{2m+1}] and [a_{2m+1}, a_{2m+2}] alternate in one batch
-    lobes = integrate_finite_many(qe, list(zip(nodes[:-1], nodes[1:])), QUAD_TOL)
+    lobes = integrate_finite_many(q, list(zip(nodes[:-1], nodes[1:])), QUAD_TOL)
     pos, neg = lobes[0::2], lobes[1::2]
 
     # sign samples of all 2M lobes in one q call; negative lobes are negated
@@ -247,7 +243,7 @@ def check_hypotheses(
     frac = np.arange(1, SIGN_SAMPLES + 1) / (SIGN_SAMPLES + 1.0)
     lo, hi = nodes[:-1, None], nodes[1:, None]
     t = lo + (hi - lo) * frac
-    qs = np.array(qe(t.reshape(-1)), dtype=float).reshape(t.shape)  # a copy: negated below
+    qs = np.array(q(t.reshape(-1)), dtype=float).reshape(t.shape)  # a copy: negated below
     inconclusive = int(np.count_nonzero(np.abs(qs) <= STRICT))
     np.negative(qs[1::2], out=qs[1::2])
     row_min = np.min(qs, axis=1)
@@ -339,7 +335,7 @@ def check_conclusions(
 
 
 def check_remark(
-    p: Coefficient,
+    p: Callable,
     nodes: np.ndarray,
     q_minus: Optional[float] = None,
     *,
@@ -357,13 +353,12 @@ def check_remark(
     """
     nodes = np.asarray(nodes, dtype=float)
     M = _lobe_bounds(nodes)
-    pe = as_callable(p)
     s0 = float(nodes[0])
     even = nodes[0::2]
     spacing = float(np.min(np.diff(even)))
 
     if I_values is None:
-        tails = integrate_tail_many(pe, [float(a) for a in even[1:M]], p_tail, tol=TAIL_TOL)
+        tails = integrate_tail_many(p, [float(a) for a in even[1:M]], p_tail, tol=TAIL_TOL)
         I_values = np.array([res.value for res in tails])
     else:
         I_values = np.asarray(I_values, dtype=float)[1:M]
@@ -374,7 +369,7 @@ def check_remark(
     counting_ok = None
     model = p_tail.first_moment(s0)
     if model is not None:
-        res = integrate_tail(lambda s: (np.asarray(s) - s0) * np.asarray(pe(s)),
+        res = integrate_tail(lambda s: (np.asarray(s) - s0) * np.asarray(p(s)),
                              s0, model, tol=MOMENT_TOL)
         moment, moment_err = res.value, res.abs_error_estimate
         counting_ok = bool(spacing * sum_I <= moment + moment_err + 1e-12)
@@ -399,8 +394,8 @@ def check_remark(
 
 
 def verify_lemma(
-    p: Coefficient,
-    q: Coefficient,
+    p: Callable,
+    q: Callable,
     nodes: np.ndarray,
     *,
     p_tail: TailModel,

@@ -32,11 +32,10 @@ evaluate it; leaving it out means the stock tanh blend of :func:`make_blend`.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .coeff_dsl import CoefficientExpr, as_callable
 from .example_builder import S0_FIXED, PairResult
 from .kernel import Damping, FarField, KernelPair, _central_operator, compute_kernel
 from .quadrature import TailModel, integrate_finite, integrate_finite_many, uniform_step
@@ -53,8 +52,6 @@ __all__ = [
     "subsuper_residual",
     "integral_conditions",
 ]
-
-Coefficient = Union[CoefficientExpr, Callable]
 
 SIGN_TOL = 1e-6       # tolerated discretisation leak of the barrier residual signs
 RIBBON_TOL = 1e-12    # tolerated excursion of f beyond [a1, a2], relative to the ribbon width
@@ -73,10 +70,10 @@ class RadialProblem(NamedTuple):
 
     n: int = 3
     R: float = 1.0
-    p: Coefficient = None  # type: ignore[assignment]
+    p: Callable = None  # type: ignore[assignment]
     p_tail: Optional[TailModel] = None
-    a1: Coefficient = None  # type: ignore[assignment]
-    a2: Coefficient = None  # type: ignore[assignment]
+    a1: Callable = None  # type: ignore[assignment]
+    a2: Callable = None  # type: ignore[assignment]
     varsigma: float = 1.0
 
     def validate(self) -> None:
@@ -105,12 +102,10 @@ def lift_coefficients(problem: RadialProblem):
     n, R = problem.n, problem.R
 
     def lift_one(a):
-        ae = as_callable(a)
-
         def q(s):
             s_arr = np.asarray(s, dtype=float)
             bb = _beta_betaprime(n, s_arr)
-            return (s_arr / (n - 2)) * bb * np.asarray(ae(beta_map(n, R, s_arr)), dtype=float)
+            return (s_arr / (n - 2)) * bb * np.asarray(a(beta_map(n, R, s_arr)), dtype=float)
 
         return q
 
@@ -119,17 +114,16 @@ def lift_coefficients(problem: RadialProblem):
     return q1, q2
 
 
-def push_a_from_q(q: Coefficient, n: int) -> Callable:
+def push_a_from_q(q: Callable, n: int) -> Callable:
     """a(r) = (n-2)^2 r^(-2) q((n-2) r^(n-2)), inverse of the lift."""
     _check_dim(n)
-    qe = as_callable(q)
 
     def a(r):
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr <= 0):
             raise ValueError("the radius must be positive")
         s = (n - 2) * np.power(r_arr, n - 2)
-        return (n - 2) ** 2 / r_arr**2 * np.asarray(qe(s), dtype=float)
+        return (n - 2) ** 2 / r_arr**2 * np.asarray(q(s), dtype=float)
 
     return a
 
@@ -259,8 +253,8 @@ def _ribbon(problem: RadialProblem, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """(a1(r), a2(r))."""
     if problem.a1 is None or problem.a2 is None:
         raise ValueError("the ribbon needs both edges a1 and a2")
-    return (np.asarray(as_callable(problem.a1)(r), dtype=float),
-            np.asarray(as_callable(problem.a2)(r), dtype=float))
+    return (np.asarray(problem.a1(r), dtype=float),
+            np.asarray(problem.a2(r), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +295,7 @@ def subsuper_residual(
     step = uniform_step(g, "residual checks need a uniform barrier grid")
 
     si = g[1:-1]
-    p_i = np.asarray(as_callable(problem.p)(si), dtype=float)
+    p_i = np.asarray(problem.p(si), dtype=float)
     bb = _beta_betaprime(n, si)
     r_i = beta_map(n, R, si)
     lo, hi = _ribbon(problem, r_i)
@@ -376,20 +370,20 @@ def integral_conditions(
         raise ValueError("truncation radius must exceed the excluded ball comfortably")
     if sup_q is None and (problem.a1 is not None or problem.a2 is not None):
         raise ValueError("the radial sources need certified bounds sup_q on sup|q1|, sup|q2|")
-    pe = as_callable(problem.p)
+    p = problem.p
     S_T = beta_inverse(n, R, T)
 
     def radial_damping(r):
         # r^(n-1) g(r), with g(r) = p(s) / (beta beta')(s) at s = beta^-1(r)
         r_arr = np.asarray(r, dtype=float)
         s = beta_inverse(n, R, r_arr)
-        g = np.asarray(pe(s), dtype=float) / _beta_betaprime(n, s)
+        g = np.asarray(p(s), dtype=float) / _beta_betaprime(n, s)
         return np.power(r_arr, n - 1) * g
 
     r_lo = beta_map(n, R, S0_FIXED)
     damping = integrate_finite(radial_damping, r_lo, T, tol=1e-10)
     cross = integrate_finite(
-        lambda s: np.asarray(s, dtype=float) * np.asarray(pe(s), dtype=float) / (n - 2),
+        lambda s: np.asarray(s, dtype=float) * np.asarray(p(s), dtype=float) / (n - 2),
         S0_FIXED, S_T, tol=1e-10,
     )
     moment = problem.p_tail.first_moment() if problem.p_tail is not None else None
@@ -408,11 +402,10 @@ def integral_conditions(
     for label, a, sup_val in zip(("a1", "a2"), (problem.a1, problem.a2), sup_q or (None, None)):
         if a is None:
             continue
-        ae = as_callable(a)
 
         def r_weighted(r, power):
             r_arr = np.asarray(r, dtype=float)
-            return np.power(r_arr, power) * np.abs(np.asarray(ae(r_arr), dtype=float))
+            return np.power(r_arr, power) * np.abs(np.asarray(a(r_arr), dtype=float))
 
         parts = integrate_finite_many(lambda r: r_weighted(r, 1.0),
                                       [(r_lo, T), (r_lo, 2.0 * T), (r_lo, 4.0 * T)],

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-
-from .coeff_dsl import CoefficientExpr, as_callable
 
 __all__ = [
     "IntegralResult",
@@ -41,9 +39,6 @@ __all__ = [
     "cumulative_simpson_doubled",
     "uniform_step",
 ]
-
-Integrand = Union[CoefficientExpr, Callable]
-
 
 class IntegralResult(NamedTuple):
     """Value of an integral together with its accounting.
@@ -188,6 +183,11 @@ _WG = np.array([
 ])
 _GAUSS_SLICE = slice(1, 15, 2)
 
+# Nodes of the Chebyshev-Lobatto rule on each of kernel's continuation cells.
+# It lives here, beside the other rule, so that a config's point counts can be
+# checked without loading kernel.
+CELL_NODES = 17
+
 
 _TAIL_SPOTS = np.array([1.0, 1.5, 2.0, 4.0, 8.0])  # envelope samples, in cutoffs
 
@@ -260,7 +260,7 @@ class _Adaptive:
 
 
 def integrate_finite_many(
-    f: Integrand,
+    f: Callable,
     intervals: Sequence[tuple[float, float]],
     tol: float = 1e-10,
     *,
@@ -310,10 +310,9 @@ def integrate_finite_many(
         loops.append((i, loop))
         work.append((loop, list(zip(edges, edges[1:]))))
 
-    fn = as_callable(f) if work else None
     refined = False
     while work:
-        sums = _panels(fn, [panel for _, new in work for panel in new])
+        sums = _panels(f, [panel for _, new in work for panel in new])
         at = 0
         for loop, new in work:
             loop.add(new, sums[at:at + len(new)], refined=refined)
@@ -327,7 +326,7 @@ def integrate_finite_many(
 
 
 def integrate_finite(
-    f: Integrand,
+    f: Callable,
     lo: float,
     hi: float,
     tol: float = 1e-10,
@@ -339,7 +338,7 @@ def integrate_finite(
     return integrate_finite_many(f, [(lo, hi)], tol, seeds=seeds, limit=limit)[0]
 
 
-def check_envelope(f: Integrand, model: TailModel, cutoffs: Sequence[float]) -> int:
+def check_envelope(f: Callable, model: TailModel, cutoffs: Sequence[float]) -> int:
     """Sample f beyond every distinct cutoff, in one call, against the model's envelope.
 
     Raises ``ValueError`` when f is not finite there or exceeds the claimed
@@ -350,7 +349,7 @@ def check_envelope(f: Integrand, model: TailModel, cutoffs: Sequence[float]) -> 
         return 0
     distinct = np.array(list(dict.fromkeys(cutoffs)), dtype=float)
     sample = (distinct[:, None] * _TAIL_SPOTS).reshape(-1)
-    observed = np.abs(np.asarray(as_callable(f)(sample), dtype=float))
+    observed = np.abs(np.asarray(f(sample), dtype=float))
     allowed = model.envelope(sample) * (1.0 + 1e-9) + 1e-300
     if not np.all(np.isfinite(observed)):
         raise ValueError("integrand is not finite beyond the cutoff")
@@ -364,7 +363,7 @@ def check_envelope(f: Integrand, model: TailModel, cutoffs: Sequence[float]) -> 
 
 
 def integrate_tail_many(
-    f: Integrand,
+    f: Callable,
     los: Sequence[float],
     model: TailModel,
     tol: float = 1e-8,
@@ -385,9 +384,8 @@ def integrate_tail_many(
     cutoffs = [model.cutoff_for(0.5 * tol, lo) for lo in los]
     bounds = [model.tail_bound(cutoff) for cutoff in cutoffs]
 
-    fn = as_callable(f)
-    spot_evals = check_envelope(fn, model, cutoffs)
-    finite = integrate_finite_many(fn, list(zip(los, cutoffs)), tol, seeds=seeds, limit=limit)
+    spot_evals = check_envelope(f, model, cutoffs)
+    finite = integrate_finite_many(f, list(zip(los, cutoffs)), tol, seeds=seeds, limit=limit)
     return [
         IntegralResult(
             value=part.value,
@@ -400,7 +398,7 @@ def integrate_tail_many(
 
 
 def integrate_tail(
-    f: Integrand,
+    f: Callable,
     lo: float,
     model: TailModel,
     tol: float = 1e-8,
@@ -431,7 +429,7 @@ def uniform_step(grid: np.ndarray, message: str) -> float:
     return step
 
 
-def cumulative_integral(f: Integrand, grid: np.ndarray) -> np.ndarray:
+def cumulative_integral(f: Callable, grid: np.ndarray) -> np.ndarray:
     """Cumulative integral of f from grid[0] to every grid point.
 
     Each cell [s_i, s_{i+1}] contributes a Simpson increment built from the
@@ -444,10 +442,9 @@ def cumulative_integral(f: Integrand, grid: np.ndarray) -> np.ndarray:
     h = np.diff(s)
     if np.any(h <= 0):
         raise ValueError("grid must be strictly increasing")
-    fn = as_callable(f)
     mids = 0.5 * (s[:-1] + s[1:])
-    fs = np.asarray(fn(s), dtype=float)
-    fm = np.asarray(fn(mids), dtype=float)
+    fs = np.asarray(f(s), dtype=float)
+    fm = np.asarray(f(mids), dtype=float)
     if not (np.all(np.isfinite(fs)) and np.all(np.isfinite(fm))):
         raise ValueError("integrand is not finite on the grid")
     increments = (h / 6.0) * (fs[:-1] + 4.0 * fm + fs[1:])

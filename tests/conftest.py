@@ -20,8 +20,8 @@ from oscillax import (
     build_oscillation,
     build_pair,
     compute_kernel,
-    default_params,
     make_barriers,
+    OscillationParams,
     parse,
     push_a_from_q,
     RadialProblem,
@@ -50,12 +50,12 @@ def rng():
 
 @pytest.fixture(scope="session")
 def family():
-    return build_oscillation(default_params())
+    return build_oscillation(OscillationParams())
 
 
 @pytest.fixture(scope="session")
 def family_kernel(family):
-    params = default_params()
+    params = OscillationParams()
     grid = np.linspace(family.nodes[0], family.nodes[0] + 40 * math.pi, 8001)
     return compute_kernel(params.p, family.q_callable, grid)
 

@@ -5,7 +5,9 @@ does not collect, so a rename here would otherwise show up only there.
 It also reads the verdict lines the CLI prints, by check name.
 """
 
+import ast
 import dataclasses
+import importlib
 import importlib.util
 import inspect
 import sys
@@ -14,14 +16,17 @@ from pathlib import Path
 from oscillax import (
     BvpSolution,
     Check,
+    CoefficientExpr,
     HypothesesResult,
     IntegralResult,
+    OscillationSpec,
     RunConfig,
     check_hypotheses,
     compute_kernel,
     default_config,
     load_config,
     make_barriers,
+    make_blend,
     z_ode_oracle,
 )
 
@@ -80,3 +85,34 @@ def test_every_known_fail_is_a_check_its_workload_prints(mode_runs):
     for workload in _benchmark_module("workloads").WORKLOADS.values():
         printed = {check.name for check in mode_runs[workload.mode].ledger}
         assert workload.known_fails <= printed, workload.name
+
+
+def test_every_label_the_tracer_reports_is_a_function_it_wraps():
+    # the tracer wraps each public function defined in an oscillax module; a label
+    # whose function is gone would read 0 with no error
+    tracing = _benchmark_module("tracing")
+    labels = {".".join(name.split(".")[:2]) for name in (*tracing.SELF_TIMES, *tracing.COUNTS)}
+    # the labels the tracer wires itself: two methods and the closure make_blend returns
+    wired = {"coeff_dsl.evaluate_grid": vars(CoefficientExpr)["evaluate_grid"],
+             "example_builder.q_callable": vars(OscillationSpec)["q_callable"],
+             "pde_bridge.blend": make_blend}
+    for label in sorted(labels):
+        module, name = label.split(".")
+        fn = wired.get(label) or vars(importlib.import_module(f"oscillax.{module}")).get(name)
+        assert inspect.isfunction(fn), label
+        if label not in wired:
+            assert fn.__module__ == f"oscillax.{module}" and not name.startswith("_"), label
+
+
+def test_every_name_the_benchmark_imports_from_oscillax_resolves():
+    imported = [(node.module, alias.name)
+                for path in sorted(BENCHMARK.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("oscillax")
+                for alias in node.names]
+    assert len(imported) >= 8
+    for module, name in imported:
+        try:
+            getattr(importlib.import_module(module), name)
+        except AttributeError:  # a submodule, as in `from oscillax import cli_report`
+            importlib.import_module(f"{module}.{name}")

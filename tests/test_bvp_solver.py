@@ -15,7 +15,7 @@ from oscillax import (
 )
 from oscillax import bvp_solver
 from oscillax.bvp_solver import _CyclicReduction, _sweep_factor
-from oscillax.coeff_dsl import as_callable, parse
+from oscillax.coeff_dsl import parse
 from oscillax.radial import _beta_betaprime
 
 PI = math.pi
@@ -78,7 +78,7 @@ def test_returned_residual_matches_a_recomputation(problem, solver_barrier, solu
     load = _beta_betaprime(n, si) / (n - 2) * blend(H[1:-1] / si)
     d2 = (H[:-2] - 2.0 * H[1:-1] + H[2:]) / step**2
     d1 = (H[2:] - H[:-2]) / (2.0 * step)
-    interior = d2 + np.asarray(as_callable(problem.p)(si), dtype=float) * (d1 - H[1:-1] / si) + load
+    interior = d2 + np.asarray(problem.p(si), dtype=float) * (d1 - H[1:-1] / si) + load
     assert solution.residual.shape == g.shape
     assert solution.residual[0] == 0.0 and solution.residual[-1] == 0.0
     assert np.array_equal(solution.residual[1:-1], interior)

@@ -445,6 +445,15 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
                  id="denormal-residual-step"),
     pytest.param({"kernel.extend_step": 5e-324}, "kernel.extend_step: ",
                  id="denormal-extend-step"),
+    # counts past numpy's limit: 2 m_max + 1 lobe nodes (a loop over the m_max cutoffs
+    # would never end), 16 M + 1 extension points, N solver points, and 17 continuation
+    # nodes per pi up to extend_to
+    pytest.param({"oscillation.m_max": 10**19}, "oscillation.m_max: ", id="huge-m-max"),
+    pytest.param({"q_override": {"expr": "sin(s)^2 - 0.1", "m_max": 10**19}},
+                 "q_override.m_max: ", id="huge-override-m-max"),
+    pytest.param({"features.M": 10**19}, "features.M: ", id="huge-features-M"),
+    pytest.param({"solver.N": 10**19 + 1}, "solver.N: ", id="huge-solver-N"),
+    pytest.param({"kernel.extend_to": 1e300}, "kernel.extend_to: ", id="far-extend-to"),
 ])
 def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, named):
     cfg = _write_config(tmp_path, patch)
@@ -702,7 +711,7 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
     counts = {"compute_kernel": 0, "lambda": 0, "I batch": 0, "tail_sum_I_bound": 0}
 
     def of_p(f):
-        return getattr(f, "__self__", f) == p   # p or its bound evaluate_grid
+        return f == p
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):

@@ -13,7 +13,6 @@ from oscillax.coeff_dsl import (
     Num,
     ParseError,
     Var,
-    as_callable,
     parse,
 )
 
@@ -23,13 +22,13 @@ from oscillax.coeff_dsl import (
 
 
 def test_literals_and_pi():
-    assert parse("2").evaluate(0.0) == 2.0
-    assert parse("2.5e-1").evaluate(0.0) == 0.25
-    assert parse("pi").evaluate(123.0) == math.pi
+    assert parse("2")(0.0) == 2.0
+    assert parse("2.5e-1")(0.0) == 0.25
+    assert parse("pi")(123.0) == math.pi
 
 
 def test_variable():
-    assert parse("s").evaluate(7.25) == 7.25
+    assert parse("s")(7.25) == 7.25
 
 
 @pytest.mark.parametrize("src,at,expected", [
@@ -43,7 +42,7 @@ def test_variable():
     ("2*pi/s", math.pi, 2.0),
 ])
 def test_precedence(src, at, expected):
-    assert parse(src).evaluate(at) == pytest.approx(expected, rel=0, abs=1e-15)
+    assert parse(src)(at) == pytest.approx(expected, rel=0, abs=1e-15)
 
 
 @pytest.mark.parametrize("name,fn", [
@@ -53,7 +52,7 @@ def test_precedence(src, at, expected):
 def test_functions(name, fn):
     e = parse(f"{name}(s)")
     for x in (0.5, 1.0, 2.75):
-        assert e.evaluate(x) == pytest.approx(fn(x), rel=1e-15)
+        assert e(x) == pytest.approx(fn(x), rel=1e-15)
 
 
 def test_vectorised_evaluation_matches_scalar():
@@ -92,7 +91,7 @@ def test_division_by_zero_names_the_abscissa():
 
 def test_log_of_nonpositive_is_a_domain_error():
     with pytest.raises(DomainError):
-        parse("log(s)").evaluate(-1.0)
+        parse("log(s)")(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +148,10 @@ def test_expr_is_immutable():
         e.source = "other"
 
 
-def test_as_callable_accepts_both_kinds():
+def test_an_expression_is_called_like_a_plain_callable():
     grid = np.linspace(0.0, 1.0, 5)
-    f1 = as_callable(parse("2*s"))
-    f2 = as_callable(lambda s: 2.0 * np.asarray(s))
+    f1 = parse("2*s")
+    f2 = lambda s: 2.0 * np.asarray(s)
     assert np.allclose(f1(grid), f2(grid), rtol=0, atol=0)
+    # at a number the expression gives a float, as a scalar coefficient does
+    assert type(f1(0.5)) is float and f1(0.5) == f2(0.5)

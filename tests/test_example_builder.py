@@ -13,7 +13,6 @@ from oscillax import (
     build_oscillation,
     build_pair,
     check_integral_features,
-    default_params,
     integrate_finite,
     parse,
     verify_pair,
@@ -59,7 +58,7 @@ def test_negative_amplitude_is_the_band_midpoint(family):
 
 
 def test_positive_amplitude_follows_the_floor_rule(family):
-    params = default_params()
+    params = OscillationParams()
     geo = 2.0 ** (1.0 - np.arange(1, params.m_max + 1)) / PI
     expect = family.d + params.gamma * (params.q_plus / PI) * family.I \
         + params.eta * geo
@@ -67,7 +66,7 @@ def test_positive_amplitude_follows_the_floor_rule(family):
 
 
 def test_nodes_are_the_half_period_multiples(family):
-    params = default_params()
+    params = OscillationParams()
     expect = PI * np.arange(2, 2 * params.m_max + 3)
     assert np.array_equal(family.nodes, expect)
 
@@ -89,7 +88,7 @@ def test_lobe_integral_identity(family):
 
 
 def test_sup_bound_closed_form(family):
-    params = default_params()
+    params = OscillationParams()
     expect = ((2.0 + params.sigma * family.lam) * params.q_plus + params.theta) / PI
     assert family.sup_bound == pytest.approx(expect, abs=1e-12)
     s = np.linspace(family.nodes[0], family.nodes[-1], 40001)
@@ -114,7 +113,7 @@ _FIXED_POINTS = np.concatenate((np.linspace(52 * PI + 0.3, 240 * PI - 0.3, 94),
 
 @functools.cache
 def _fresh_values() -> np.ndarray:
-    return build_oscillation(default_params()).q_callable(_FIXED_POINTS)
+    return build_oscillation(OscillationParams()).q_callable(_FIXED_POINTS)
 
 
 @settings(max_examples=15)
@@ -122,7 +121,7 @@ def _fresh_values() -> np.ndarray:
 @example([2e4])
 @example([60 * PI, 2e4, 500 * PI])
 def test_q_callable_does_not_depend_on_the_call_history(history):
-    spec = build_oscillation(default_params())
+    spec = build_oscillation(OscillationParams())
     for s in history:
         spec.q_callable(np.array([s]))
     assert np.array_equal(spec.q_callable(_FIXED_POINTS), _fresh_values())
@@ -145,7 +144,7 @@ def test_piecewise_expression_agrees_with_the_callable(family, pair):
     # the reference tables run 15 periods past m_max = 25, where q_callable
     # extends the amplitude rule by itself
     wide_pair = build_pair(PairParams(m_max=40))
-    wide = {"family": build_oscillation(default_params(m_max=40)),
+    wide = {"family": build_oscillation(OscillationParams(m_max=40)),
             "q1": wide_pair.q1, "q2": wide_pair.q2}
     s = np.linspace(2 * PI, 82 * PI, 16001)
     for name, spec in (("family", family), ("q1", pair.q1), ("q2", pair.q2)):
@@ -167,7 +166,7 @@ def test_a_family_that_is_not_smooth_at_a_join_is_refused(monkeypatch):
 
     monkeypatch.setattr(OscillationSpec, "q_callable", stepped)
     with pytest.raises(ValueError, match="fails continuity") as err:
-        build_oscillation(default_params())
+        build_oscillation(OscillationParams())
     assert "np.float64" not in str(err.value)
 
 
@@ -227,7 +226,7 @@ def _tail_sum_I_bound_reference(spec, M):
     ("exp(-s/2)/3", TailModel("exp", 0.5, 1.0 / 3.0)),
 ])
 def test_tail_sum_bound_through_the_shared_moment_model_is_unchanged(p, tail):
-    base = default_params(m_max=6)
+    base = OscillationParams(m_max=6)
     spec = build_oscillation(OscillationParams(
         q_minus=base.q_minus, q_plus=base.q_plus, gamma=base.gamma, sigma=base.sigma,
         eta=base.eta, theta=base.theta, p=parse(p), p_tail=tail, m_max=6))
@@ -236,7 +235,7 @@ def test_tail_sum_bound_through_the_shared_moment_model_is_unchanged(p, tail):
 
 
 def test_tail_sum_bound_needs_a_fast_enough_rate():
-    params = default_params(m_max=4)
+    params = OscillationParams(m_max=4)
     slow = OscillationParams(
         q_minus=params.q_minus, q_plus=params.q_plus, gamma=params.gamma,
         sigma=params.sigma, eta=params.eta, theta=params.theta,
@@ -357,7 +356,7 @@ def test_pair_rejects_crossed_corridors():
 )
 def test_random_admissible_families_stay_in_band(gamma, dsig, eta, dth,
                                                  q_minus, q_ratio):
-    params = default_params(m_max=4)
+    params = OscillationParams(m_max=4)
     p = OscillationParams(
         q_minus=q_minus, q_plus=q_minus * q_ratio,
         gamma=gamma, sigma=gamma + dsig, eta=eta, theta=eta + dth,

@@ -8,11 +8,11 @@ import pytest
 from oscillax import (
     Damping,
     FarField,
+    OscillationParams,
     TailModel,
     compute_h,
     compute_kernel,
     compute_z,
-    default_params,
     ode_residual,
     parse,
     z_ode_oracle,
@@ -56,7 +56,7 @@ def test_z_exponential_damping_closed_form():
 
 
 def test_z_scales_linearly_with_the_source():
-    params = default_params()
+    params = OscillationParams()
     grid = np.linspace(2 * PI, 10 * PI, 1601)
     q = lambda s: np.sin(np.asarray(s)) ** 2
     z1 = compute_z(params.p, q, grid)
@@ -74,7 +74,7 @@ def test_z_requires_uniform_grid():
 
 
 def test_rk_oracle_agrees_on_the_default_family(family, family_kernel):
-    params = default_params()
+    params = OscillationParams()
     grid = family_kernel.grid
     oracle = z_ode_oracle(params.p, family.q_callable, grid)
     assert np.max(np.abs(oracle - family_kernel.z_values)) <= 1e-6
@@ -148,7 +148,7 @@ def test_family_kernel_tail_accounting(family_kernel):
 
 
 def test_ode_residual_small_on_fine_grid(family):
-    params = default_params()
+    params = OscillationParams()
     span = 40 * PI
     n_cells = int(round(span / (PI / 400)))
     n_cells += n_cells % 2
@@ -170,7 +170,7 @@ def test_kernel_lambda_matches_closed_form(family):
 
 
 def test_a_proof_bound_recertifies_the_same_kernel(family, family_kernel):
-    params = default_params()
+    params = OscillationParams()
     again = compute_kernel(params.p, family.q_callable, family_kernel.grid,
                            far=family_kernel.far)
     bounded = again.with_sup_bound(1.75)
@@ -198,7 +198,7 @@ def _end_matched_grid(kernel, points):
 
 
 def test_far_field_reuse_equals_a_fresh_build(family, family_kernel):
-    params = default_params()
+    params = OscillationParams()
     grid = _end_matched_grid(family_kernel, 12001)
     fresh = compute_kernel(params.p, family.q_callable, grid)
     reused = compute_kernel(params.p, family.q_callable, grid, far=family_kernel.far)
@@ -213,7 +213,7 @@ def test_far_field_reuse_equals_a_fresh_build(family, family_kernel):
 
 @pytest.mark.parametrize("change", ["start", "extend_to", "extend_step", "p", "q"])
 def test_far_field_mismatch_is_rejected(family, family_kernel, change):
-    params = default_params()
+    params = OscillationParams()
     args = {"p": params.p, "q": family.q_callable,
             "grid": _end_matched_grid(family_kernel, 4001)}
     kwargs = {"extend_to": 2e4, "extend_step": PI / 80}
@@ -230,7 +230,7 @@ def test_far_field_mismatch_is_rejected(family, family_kernel, change):
 
 
 def test_far_field_outside_its_radius_is_rebuilt(family, family_kernel):
-    params = default_params()
+    params = OscillationParams()
     far = family_kernel.far
     stale = far._replace(x0=far.x0 + 10 * far.tau / far.e_max)
     assert not stale.covers(float(family_kernel.z_values[-1]))
@@ -335,13 +335,13 @@ def test_the_sup_screen_keeps_the_bits_of_the_full_block_screen(family, case):
     # window come before the screen).  On the default family's continuation
     # every block is screened out; on sin^2 - 0.4 a block passes and forms C.
     if case == "default family":
-        p, q, passing = default_params().p, family.q_callable, 0
+        p, q, passing = OscillationParams().p, family.q_callable, 0
         grid = np.linspace(2 * PI, 42 * PI, 8001)
         far = compute_kernel(p, q, grid, extend_to=2e4, extend_step=PI / 80).far
     else:
         p, q, passing = parse("1/s^3"), lambda s: np.sin(np.asarray(s)) ** 2 - 0.4, 1
         far = FarField.build(p, q, 8 * PI, -0.3, extend_to=400.0, extend_step=PI / 80)
-    cells, _, E, D = kernel._Cells.build(p.evaluate_grid, q, far.start, far.end)
+    cells, _, E, D = kernel._Cells.build(p, q, far.start, far.end)
     sup_E, sup_D, reaches = _sup_set_screening_full_blocks(cells, E, D, far.x0, PI / 160)
     assert sum(n_passed > 0 for *_, n_passed in reaches) == passing
     for block, Q, reach, _ in reaches:
@@ -402,7 +402,7 @@ def _assert_matches_half_step_simpson(far, p, q, rtol=1e-11):
 
 @pytest.mark.parametrize("member", ["family", "q1", "q2"])
 def test_far_field_matches_a_half_step_simpson_reference(family, pair, member):
-    params = default_params()
+    params = OscillationParams()
     q = {"family": family, "q1": pair.q1, "q2": pair.q2}[member].q_callable
     grid = np.linspace(2 * PI, 42 * PI, 8001)
     x0 = float(compute_z(params.p, q, grid)[-1])
@@ -504,7 +504,7 @@ def test_import_and_a_pipeline_run_load_no_scipy(package_env, tmp_path):
 
 
 def test_a_damping_for_another_p_or_grid_is_refused():
-    params = default_params()
+    params = OscillationParams()
     grid = np.linspace(2 * PI, 6 * PI, 401)
     damping = Damping.build(params.p, grid)
     q = lambda s: np.sin(np.asarray(s)) ** 2 - 0.4

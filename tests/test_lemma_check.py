@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from oscillax import (
+    OscillationParams,
     build_oscillation,
     check_conclusions,
     check_hypotheses,
     check_remark,
     compute_kernel,
-    default_params,
     parse,
     verify_lemma,
 )
@@ -21,7 +21,7 @@ PI = math.pi
 
 @pytest.fixture(scope="module")
 def report(family, family_kernel):
-    params = default_params()
+    params = OscillationParams()
     return verify_lemma(
         params.p, family.q_callable, family.nodes,
         p_tail=params.p_tail, family=family, kernel=family_kernel,
@@ -86,7 +86,7 @@ def test_conclusion_routes_agree(report):
 
 def test_the_proof_bound_uses_the_familys_lambda():
     # the kernel's bound check and the reported proof bound read one lambda
-    params = default_params()
+    params = OscillationParams()
     family = build_oscillation(params)
     grid = np.linspace(2 * PI, 12 * PI, 2001)
     kernel = compute_kernel(params.p, family.q_callable, grid, extend_to=0.0)
@@ -98,7 +98,7 @@ def test_the_proof_bound_uses_the_familys_lambda():
 
 
 def test_a_family_of_another_p_or_other_nodes_is_refused(family):
-    params = default_params()
+    params = OscillationParams()
     call = dict(p_tail=params.p_tail, family=family)
     hyp = check_hypotheses(params.p, family.q_callable, family.nodes, **call)
     assert hyp.I is family.I and hyp.lam == family.lam
@@ -113,7 +113,7 @@ def test_a_family_of_another_p_or_other_nodes_is_refused(family):
 
 
 def test_parallel_hypotheses_equal_serial_on_200_periods():
-    params = default_params(m_max=200)
+    params = OscillationParams(m_max=200)
     wide = build_oscillation(params)
     nodes = PI * np.arange(2, 2 * 200 + 3)
     serial, parallel = (
@@ -155,7 +155,7 @@ def _assert_sign_check_matches(hyp, q, nodes):
 
 
 def test_batched_sign_check_equals_the_period_loop_on_200_periods():
-    params = default_params(m_max=200)
+    params = OscillationParams(m_max=200)
     wide = build_oscillation(params)
     hyp = check_hypotheses(params.p, wide.q_callable, wide.nodes,
                            p_tail=params.p_tail, family=wide)
@@ -166,7 +166,7 @@ def test_batched_sign_check_equals_the_period_loop_on_200_periods():
 def test_batched_sign_check_equals_the_period_loop_on_a_bare_q():
     # the factor (s - c) puts an exact zero on a sign sample of the third
     # period and flips the sign pattern of every lobe before c
-    params = default_params()
+    params = OscillationParams()
     nodes = PI * np.arange(2, 19)
     c = nodes[4] + (nodes[5] - nodes[4]) * (3 / (SIGN_SAMPLES + 1.0))
     q = parse(f"sin(s) * (s - {float(c)!r})")
@@ -189,7 +189,7 @@ def _counting(f):
 @pytest.mark.parametrize("M", [1, 2, 15, 25, 200])
 def test_sign_check_is_one_q_call(family, M):
     # the lobe quadrature's own calls, then one call for all 2M lobes' samples
-    params = default_params()
+    params = OscillationParams()
     nodes = PI * np.arange(2, 2 * M + 3)
     q, calls = _counting(family.q_callable)
     integrate_finite_many(q, list(zip(nodes[:-1], nodes[1:])), QUAD_TOL)
@@ -201,7 +201,7 @@ def test_sign_check_is_one_q_call(family, M):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_breakpoints_are_refused(bad):
-    params = default_params()
+    params = OscillationParams()
     nodes = PI * np.arange(2, 9)
     nodes[3] = bad
     with pytest.raises(ValueError, match="breakpoints must be finite"):
@@ -224,7 +224,7 @@ def test_exponential_within_linear_envelope_on_unit_range():
 
 
 def test_swollen_negative_lobes_break_domination(family):
-    params = default_params()
+    params = OscillationParams()
 
     def q_bad(s):
         v = family.q_callable(s)
@@ -235,14 +235,14 @@ def test_swollen_negative_lobes_break_domination(family):
 
 
 def test_flipped_sign_pattern_is_caught(family):
-    params = default_params()
+    params = OscillationParams()
     q_flip = lambda s: -family.q_callable(s)
     hyp = check_hypotheses(params.p, q_flip, family.nodes, p_tail=params.p_tail)
     assert not hyp.sign_pattern_ok
 
 
 def test_undamped_oscillation_fails_cleanly():
-    params = default_params()
+    params = OscillationParams()
     nodes = PI * np.arange(2, 19)
     hyp = check_hypotheses(params.p, lambda s: np.sin(np.asarray(s)),
                            nodes, p_tail=params.p_tail)
