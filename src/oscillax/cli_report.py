@@ -48,9 +48,10 @@ from .example_builder import (
     build_oscillation,
     build_pair,
     check_integral_features,
+    features_reach,
     verify_pair,
 )
-from .quadrature import CELL_NODES, TailModel, check_envelope
+from .quadrature import CELL_NODES, STOCK_EXTEND_TO, TailModel, check_envelope
 from .radial import beta_map, excluded_arc, fit_window
 
 # the stage modules are imported by the stages that run them, so that
@@ -385,7 +386,7 @@ CONFIG_TABLE = {
     "problem": (..., {"n": (3, _count(3)), "R": (1.0, _positive),
                       "varsigma": (1.0, _positive)}),
     "kernel": (..., {"step": ("pi/200", _positive), "span": ("40*pi", _positive),
-                     "extend_to": (2e4, _finite), "extend_step": ("pi/80", _positive),
+                     "extend_to": (STOCK_EXTEND_TO, _finite), "extend_step": ("pi/80", _positive),
                      "residual_step": (1e-3, _positive)}),
     "solver": (..., {"N": (16001, _odd_count), "tol": (1e-10, _positive),
                      "max_iter": (200, _count(1)),
@@ -551,23 +552,20 @@ def load_config(raw: dict) -> RunConfig:
     # the most points each key puts in one array, by arithmetic: a kernel grid over the
     # span; while the continuation is on, its h-tail window of 2 pi at spacing
     # extend_step/2 (each pi-cell's subdivision at that spacing holds half as many) and
-    # CELL_NODES nodes per pi-cell up to extend_to; a family's 2 m_max + 1 lobe nodes;
-    # the family's extension grid of 16 cells per period that the features read; and
-    # the solver grid
-    q_override, M, N = got["q_override"], got["features"]["M"], got["solver"]["N"]
+    # CELL_NODES nodes per pi-cell up to extend_to; the 16 points per period of a
+    # family's table, which holds m_max + 2 periods or more (see _extent), and a bare
+    # q's 2 m_max + 1 lobe nodes; and the solver grid
+    q_override, N = got["q_override"], got["solver"]["N"]
     points = {f"kernel.{key}": (kern[key], span / kern[key]) for key in ("step", "residual_step")}
     if extend_to > 0.0:
         points["kernel.extend_step"] = (kern["extend_step"], 2.0 * TWO_PI / kern["extend_step"])
         points["kernel.extend_to"] = (extend_to, CELL_NODES * extend_to / PI)
-    points["oscillation.m_max"] = (osc.m_max, 2 * osc.m_max + 1)
+    points["oscillation.m_max"] = (osc.m_max, 16 * (osc.m_max + 2) + 1)
     if q_override:
         points["q_override.m_max"] = (q_override["m_max"], 2 * q_override["m_max"] + 1)
-    points["features.M"] = (M, 16 * M + 1)
     points["solver.N"] = (N, N)
     for what, (value, count) in points.items():
-        if not count <= _MAX_POINTS:  # inf included
-            raise ValueError(f"{what}: {value!r} makes {count:.4g} points, more than numpy "
-                             f"can hold in one array")
+        _fits(what, value, count)
     for key in ("step", "residual_step"):
         if _grid_cells(span, kern[key]) < 2:
             raise ValueError(f"kernel.{key} = {kern[key]!r} leaves no grid cell over "
@@ -588,8 +586,48 @@ def load_config(raw: dict) -> RunConfig:
         kernel_step=kern["step"], kernel_span=span, extend_to=extend_to,
         extend_step=kern["extend_step"], residual_step=kern["residual_step"],
         solver_N=N, solver_tol=solv["tol"], solver_max_iter=solv["max_iter"],
-        solver_boundary=solv["boundary"], features_M=M, q_override=q_override,
+        solver_boundary=solv["boundary"], features_M=got["features"]["M"], q_override=q_override,
     )
+
+
+def _fits(what: str, value, count: float) -> None:
+    """Refuse ``value`` of key ``what`` when numpy cannot hold its ``count`` points."""
+    if not count <= _MAX_POINTS:  # inf included
+        raise ValueError(f"{what}: {value!r} makes {count:.4g} points, more than numpy "
+                         f"can hold in one array")
+
+
+_PAIR_PLOT_END = S0_FIXED + 8.0 * PI
+
+
+def _extent(mode: str, cfg: RunConfig) -> float:
+    """The largest s at which ``mode`` reads a family; the run builds each family to it.
+
+    The kernels read q up to the grid end and, while the continuation is on, up to
+    kernel.extend_to; the features and the bridge's sources read up to the reaches
+    their modules name.  A table also holds the lobes its family's own checks read.
+    Raises ValueError, naming the key that sets the extent, when numpy cannot hold
+    the table up to it.
+    """
+    kernels = [("kernel.span", cfg.kernel_span, S0_FIXED + cfg.kernel_span),
+               ("kernel.extend_to", cfg.extend_to, cfg.extend_to)]
+    reaches = {
+        "construct-example": [("features.M", cfg.features_M, features_reach(cfg.features_M))],
+        "verify-lemma": kernels, "compute-kernel": kernels,
+        "build-pair": [("the pair's plot", "s0 + 8 pi", _PAIR_PLOT_END)],
+        "bridge": kernels, "solve-bvp": kernels,
+    }
+    reaches["full-pipeline"] = [r for stage in reaches.values() for r in stage]
+    reach = reaches[mode]
+    if mode in ("bridge", "full-pipeline"):
+        from .pde_bridge import source_reach
+
+        n, R = cfg.problem_n, cfg.problem_R
+        T = float(beta_map(n, R, S0_FIXED + cfg.kernel_span))
+        reach = reach + [("problem.n", n, source_reach(n, R, T))]
+    what, value, extent = max(reach, key=lambda r: r[2])
+    _fits(what, value, 16.0 * (extent / TWO_PI + 2.0) + 1.0)
+    return extent
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +639,8 @@ def _uniform_grid(span: float, step: float) -> np.ndarray:
 
 
 class _Runner:
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
+    def __init__(self, cfg: RunConfig, extent: float):
+        self.cfg, self.extent = cfg, extent  # every family of the run is built to the extent
         self.ledger: list[Check] = []
         cfg.out.mkdir(parents=True, exist_ok=True)
 
@@ -637,7 +675,7 @@ class _Runner:
 
     def construct_example(self) -> OscillationSpec:
         cfg = self.cfg
-        spec = build_oscillation(cfg.oscillation)
+        spec = build_oscillation(cfg.oscillation, self.extent)
         features = check_integral_features(
             spec, varsigma=cfg.varsigma, M=cfg.features_M,
         )
@@ -695,7 +733,7 @@ class _Runner:
             family = None
             q_call = cfg.q_override["expr"]
         else:
-            family = spec or build_oscillation(cfg.oscillation)
+            family = spec or build_oscillation(cfg.oscillation, self.extent)
             m_max = cfg.oscillation.m_max
             q_call = family.q_callable
         nodes = PI * np.arange(2, 2 * m_max + 3)
@@ -730,7 +768,7 @@ class _Runner:
         from .kernel import compute_kernel, ode_residual
 
         cfg = self.cfg
-        spec = spec or build_oscillation(cfg.oscillation)
+        spec = spec or build_oscillation(cfg.oscillation, self.extent)
         bound = lemma.hypotheses.proof_bound() if lemma is not None else None
 
         kern = kernel or compute_kernel(
@@ -782,7 +820,7 @@ class _Runner:
     def build_pair_stage(self, family: Optional[OscillationSpec] = None) -> PairResult:
         """The pair; ``family``, built for the same p, lends its lambda and I_m."""
         cfg = self.cfg
-        pair = build_pair(cfg.pair, family=family)
+        pair = build_pair(cfg.pair, family=family, extent=self.extent)
         grid = _uniform_grid(2 * PI * min(cfg.pair.m_max, 25), PI / 100.0)
         check = verify_pair(pair, grid)
         self.note("pair ordered pointwise on the grid", check["ordered"],
@@ -800,7 +838,7 @@ class _Runner:
         if self.want("json"):
             write_json(self.path("pair_report.json"), payload)
         if self.want("svg"):
-            s = np.linspace(S0_FIXED, S0_FIXED + 8 * PI, 1601)
+            s = np.linspace(S0_FIXED, _PAIR_PLOT_END, 1601)
             emit_plot(self.path("pair.svg"),
                       [("q1", s, pair.q1.q_callable(s)),
                        ("q2", s, pair.q2.q_callable(s))],
@@ -813,7 +851,7 @@ class _Runner:
                                  subsuper_residual)
 
         cfg = self.cfg
-        pair = pair or build_pair(cfg.pair)
+        pair = pair or build_pair(cfg.pair, extent=self.extent)
         problem = self.problem(pair)
         n = cfg.problem_n
 
@@ -871,7 +909,7 @@ class _Runner:
         from .pde_bridge import make_barriers
 
         cfg = self.cfg
-        pair = pair or build_pair(cfg.pair)
+        pair = pair or build_pair(cfg.pair, extent=self.extent)
         problem = problem or self.problem(pair)
 
         grid = np.linspace(S0_FIXED, S0_FIXED + cfg.kernel_span, cfg.solver_N)
@@ -932,7 +970,7 @@ class _Runner:
 
 def run(mode: str, cfg: RunConfig) -> int:
     """Execute a mode; returns the process exit code."""
-    runner = _Runner(cfg)
+    runner = _Runner(cfg, _extent(mode, cfg))
     stages = {
         "construct-example": runner.construct_example,
         "verify-lemma": runner.verify_lemma_stage,
@@ -984,6 +1022,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if unknown:
                 raise ValueError(f"unknown output formats: {sorted(unknown)}")
             cfg = load_config(raw)
+            _extent(args.mode, cfg)  # numpy can hold the mode's tables
         except ValueError as exc:  # ParseError and DomainError included
             print(f"invalid configuration: {exc}", file=sys.stderr)
             return 2

@@ -27,13 +27,13 @@ q1 <= q2 with explicit per-period margins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .coeff_dsl import parse
 from .quadrature import (
+    STOCK_EXTEND_TO,
     IntegralResult,
     TailModel,
     cumulative_integral,
@@ -139,15 +139,15 @@ class _AmplitudeRule(NamedTuple):
         return self.cg - self.dg
 
 
-@dataclass
-class OscillationSpec:
+class OscillationSpec(NamedTuple):
     """A built family: amplitudes, breakpoints, and certified p integrals.
 
     ``q_callable`` is the family's one representation: it evaluates q at
-    any s >= s0, from the m_max tabulated periods and, past them, from the
-    amplitude rule extended lazily (tail integrals of p beyond the table
-    come from a cumulative complement against lambda).  Treat instances as
-    immutable.
+    any s in [s0, extent) from ``lobes``, the amplitude table built once to
+    the extent the family was built for.  The table's first m_max periods
+    take the certified I_m; past them, I_m comes from a cumulative
+    complement against lambda.  ``c``, ``d`` and ``I`` hold the certified
+    periods only.
     """
 
     params: OscillationParams
@@ -160,45 +160,23 @@ class OscillationSpec:
     lam_error: float
     sup_bound: float
     rule: _AmplitudeRule
-    _ext: dict = field(default_factory=dict, repr=False, compare=False)
-
-    # -- evaluation beyond the table ----------------------------------------
-
-    def _bulk_amplitudes(self, M: int) -> tuple[np.ndarray, np.ndarray]:
-        """Amplitude arrays for m = 1 .. M, extending lazily as needed."""
-        cached = self._ext.get("M", 0)
-        if M > cached:
-            M_new = max(M, 2 * cached, self.params.m_max)
-            # complement route: I_m = lam - integral_{s0}^{2m pi} p, on a
-            # refined node grid (8 subcells per pi keeps the Simpson error
-            # far below the size of the smallest I_m in use); node k does not
-            # depend on the grid's length, so neither does any I_m, whatever
-            # extended the table before
-            refine = S0_FIXED + (PI / 8) * np.arange(16 * M_new + 1)
-            P = cumulative_integral(self.params.p, refine)
-            idx = np.arange(1, M_new + 1) * 16 - 16  # position of 2m*pi
-            I_bulk = self.lam - P[idx]
-            I_bulk[: len(self.I)] = self.I  # certified values take precedence
-            m_arr = np.arange(1, M_new + 1, dtype=float)
-            c, d = self.rule.amplitudes(I_bulk, m_arr)
-            lobes = np.empty(2 * M_new)
-            lobes[0::2], lobes[1::2] = c, -d
-            self._ext.update({"M": M_new, "c": c, "d": d, "lobes": lobes})
-        return self._ext["c"], self._ext["d"]
+    lobes: np.ndarray          # c_1, -d_1, c_2, -d_2, ... for every period of the table
+    extent: float              # start of the table's last period, 2 pi len(lobes) / 2
 
     def q_callable(self, s) -> np.ndarray:
-        """Evaluate the family at any s >= s0, beyond the table if needed."""
+        """Evaluate the family at any s in [s0, extent)."""
         arr = np.asarray(s, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if np.any(arr < S0_FIXED - 1e-12):
-            bad = float(arr[np.argmax(arr < S0_FIXED - 1e-12)])
-            raise ValueError(f"family is defined on [s0, infinity), got s = {bad!r}")
+        inside = arr >= S0_FIXED - 1e-12
+        inside &= arr < self.extent  # NaN fails both
+        if not inside.all():
+            bad = float(arr[np.argmin(inside)])
+            raise ValueError(f"family is defined on [s0, {self.extent!r}), got s = {bad!r}")
         # period m = max(floor(s / 2 pi), 1); its lobe amplitude sits at
         # 2m - 2 (c_m, positive lobe) or 2m - 1 (-d_m) of the interleaved table
         m = np.floor(arr / TWO_PI)
         np.maximum(m, 1.0, out=m)
-        self._bulk_amplitudes(int(m.max()))
         positive = (arr - TWO_PI * m) < PI
         at = m.astype(np.intp)
         at *= 2
@@ -206,7 +184,7 @@ class OscillationSpec:
         at -= positive
         out = np.sin(arr)
         out *= out
-        out *= self._ext["lobes"][at]
+        out *= self.lobes[at]
         return float(out[0]) if scalar else out
 
     # -- certified tail coefficients -----------------------------------------
@@ -244,8 +222,7 @@ class OscillationSpec:
 
     def future_pos_lobe_bound(self, M: int) -> float:
         """Bound on (pi/2) c_m for every m > M (amplitudes are nonincreasing)."""
-        c, _ = self._bulk_amplitudes(M + 1)
-        return 0.5 * PI * float(c[M])
+        return 0.5 * PI * float(self.lobes[2 * M])
 
 
 def _damping_integrals(params: OscillationParams
@@ -259,7 +236,8 @@ def _damping_integrals(params: OscillationParams
 
 
 def _assemble(params: OscillationParams, rule: _AmplitudeRule,
-              integrals: tuple[IntegralResult, np.ndarray, np.ndarray]) -> OscillationSpec:
+              integrals: tuple[IntegralResult, np.ndarray, np.ndarray],
+              extent: float) -> OscillationSpec:
     params.validate()
 
     lam_res, I, I_err = integrals
@@ -269,9 +247,22 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule,
             f"the damping budget requires integral of p below one, got {lam!r}"
         )
 
-    m_arr = np.arange(1, params.m_max + 1, dtype=float)
-    c, d = rule.amplitudes(I, m_arr)
-    geo = np.power(2.0, 1.0 - m_arr) / PI
+    # the family is read below 2 pi (floor(extent / 2 pi) + 2), over a period past the
+    # extent asked for; the table's last period starts there, so that an s below it
+    # that rounds up still finds its lobe, and it holds at least the lobe after the
+    # certified ones.  Past those, I_m = lam - integral_{s0}^{2m pi} p on a node grid
+    # of 8 cells per pi, which keeps the Simpson error far below the smallest I_m in
+    # use; node k does not depend on the grid's length, so no I_m depends on the extent
+    periods = max(params.m_max + 2, int(extent // TWO_PI) + 2)
+    P = cumulative_integral(params.p, S0_FIXED + (PI / 8) * np.arange(16 * periods + 1))
+    I_table = lam - P[:-1:16]  # at 2 m pi, m = 1 .. periods
+    I_table[:params.m_max] = I
+    m_table = np.arange(1, periods + 1, dtype=float)
+    c_table, d_table = rule.amplitudes(I_table, m_table)
+    lobes = np.empty(2 * periods)
+    lobes[0::2], lobes[1::2] = c_table, -d_table
+    c, d = c_table[:params.m_max], d_table[:params.m_max]
+    geo = np.power(2.0, 1.0 - m_table[:params.m_max]) / PI
 
     # band membership (builds choose points inside the band, so failures
     # here mean inconsistent parameters, not numerical noise)
@@ -297,14 +288,14 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule,
     spec = OscillationSpec(
         params=params, nodes=nodes, c=c, d=d, I=I, I_error=I_err,
         lam=lam, lam_error=lam_res.abs_error_estimate,
-        sup_bound=sup_bound, rule=rule,
+        sup_bound=sup_bound, rule=rule, lobes=lobes, extent=TWO_PI * periods,
     )
 
     _check_smooth_joins(spec)
     samples = spec.q_callable(np.linspace(nodes[0], nodes[-1], 4096))
     if np.max(np.abs(samples)) > sup_bound + 1e-12:
         raise ValueError("family exceeds its own sup bound; amplitude rule is inconsistent")
-    for arr in (spec.nodes, spec.c, spec.d, spec.I, spec.I_error):
+    for arr in (spec.nodes, spec.c, spec.d, spec.I, spec.I_error, spec.lobes):
         arr.setflags(write=False)
     return spec
 
@@ -325,13 +316,15 @@ def _check_smooth_joins(spec: OscillationSpec) -> None:
         raise ValueError(f"family fails smoothness at a breakpoint: |q'| = {worst_dq!r}")
 
 
-def build_oscillation(params: OscillationParams = OscillationParams()) -> OscillationSpec:
+def build_oscillation(params: OscillationParams = OscillationParams(),
+                      extent: float = STOCK_EXTEND_TO) -> OscillationSpec:
     """Build the single family with d at the band midpoint and c at its floor.
 
     The midpoint choice for d leaves room on both sides of the
     negative-lobe band; the floor choice for c takes the smallest surplus
     the band allows, which keeps the positive lobes (and hence the kernel
-    bound) as small as the constraints permit.
+    bound) as small as the constraints permit.  The family can be read at
+    every s up to ``extent``; the stock extent is the stock continuation end.
     """
     params.validate()
     d0 = (params.q_minus + params.q_plus) / PI
@@ -339,7 +332,7 @@ def build_oscillation(params: OscillationParams = OscillationParams()) -> Oscill
         d0=d0, dI=0.0, dg=0.0,
         c0=d0, cI=params.gamma * params.q_plus / PI, cg=params.eta,
     )
-    return _assemble(params, rule, _damping_integrals(params))
+    return _assemble(params, rule, _damping_integrals(params), extent)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +387,7 @@ class PairParams(NamedTuple):
             )
 
 
-@dataclass
-class PairResult:
+class PairResult(NamedTuple):
     """Ordered families q1 <= q2 with the margins of the ordering chain."""
 
     q1: OscillationSpec
@@ -414,7 +406,8 @@ def _member_params(pp: PairParams, band: BandParams) -> OscillationParams:
 
 
 def build_pair(params: Optional[PairParams] = None, *,
-               family: Optional[OscillationSpec] = None) -> PairResult:
+               family: Optional[OscillationSpec] = None,
+               extent: float = STOCK_EXTEND_TO) -> PairResult:
     """Build the ordered pair and verify each link of the ordering chain.
 
     The first family raises its negative-lobe amplitude by the gap terms
@@ -429,6 +422,7 @@ def build_pair(params: Optional[PairParams] = None, *,
 
     ``family`` is a family built for the pair's p, p_tail and m_max: it
     supplies lambda and the I_m, integrated once when it was built.
+    ``extent`` is as in :func:`build_oscillation`.
     """
     pp = params if params is not None else PairParams()
     pp.validate()
@@ -464,8 +458,8 @@ def build_pair(params: Optional[PairParams] = None, *,
         d0=d_floor, dI=0.0, dg=0.0,
         c0=d_floor, cI=b2.gamma * pp.q_plus / PI, cg=b2.eta,
     )
-    spec1 = _assemble(params1, rule1, integrals)
-    spec2 = _assemble(params2, rule2, integrals)
+    spec1 = _assemble(params1, rule1, integrals, extent)
+    spec2 = _assemble(params2, rule2, integrals, extent)
 
     # Chain margins in closed form.  Three links are equalities by the
     # construction choice (c at the band floor, d1 absorbing exactly the
@@ -568,6 +562,12 @@ class FeatureReport(NamedTuple):
     converged: bool
 
 
+def features_reach(M: int) -> float:
+    """The largest s at which :func:`check_integral_features` reads a family:
+    2 T = 4 pi (M + 1), the far end of its Cauchy test."""
+    return 4.0 * (M + 1) * PI
+
+
 def check_integral_features(
     spec: OscillationSpec,
     varsigma: float = 1.0,
@@ -585,8 +585,6 @@ def check_integral_features(
         raise ValueError("varsigma must be positive")
     if M < 2:
         raise ValueError("need at least two periods to fit a growth rate")
-    d = spec._bulk_amplitudes(M)[1]
-
     fn = spec.q_callable
     periods = [(2 * m * PI, 2 * (m + 1) * PI) for m in range(1, M + 1)]
     mids = [(2 * m + 1) * PI for m in range(1, M + 1)]
@@ -594,7 +592,7 @@ def check_integral_features(
                                   tol=1e-10, seeds=mids)
     sums = np.cumsum([part.value for part in parts])
     m_arr = np.arange(1, M + 1, dtype=float)
-    lower = np.cumsum(d[:M] / (8.0 * (m_arr + 1.0)))
+    lower = np.cumsum(-spec.lobes[1:2 * M:2] / (8.0 * (m_arr + 1.0)))  # d_m / (8 (m+1))
     dominates = bool(np.all(sums >= lower - 1e-12))
 
     # least squares growth rate of the partial sums against ln m
@@ -602,7 +600,7 @@ def check_integral_features(
     y = sums[1:]
     slope = float(np.polyfit(x, y, 1)[0])
 
-    T = 2.0 * (M + 1) * PI
+    T = 0.5 * features_reach(M)
     # the lobe nodes up to 2T; each interval takes those strictly inside it
     nodes = PI * np.arange(2, int(math.ceil(2.0 * T / PI)) + 1)
     weight = lambda s: np.abs(fn(s)) / s ** (1.0 + varsigma)

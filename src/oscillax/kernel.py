@@ -61,7 +61,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .quadrature import CELL_NODES, TailModel, cumulative_simpson_doubled, uniform_step
+from .quadrature import (CELL_NODES, STOCK_EXTEND_TO, TailModel, cumulative_simpson_doubled,
+                         uniform_step)
 
 __all__ = [
     "KernelPair",
@@ -365,7 +366,10 @@ class FarField(NamedTuple):
         n_steps = int(math.ceil((extend_to - start) / half))
         n_steps += n_steps % 2
         end = float(n_steps * half + start)
-        cells, t, E, D = _Cells.build(p, q, float(start), end)
+        try:  # the first samples of q reach the end
+            cells, t, E, D = _Cells.build(p, q, float(start), end)
+        except ValueError as exc:  # a family built short of extend_to, say
+            raise ValueError(f"continuing z to extend_to = {extend_to!r}: {exc}") from exc
         w = 0.5 * (cells.hi - cells.lo)
         cc = _cell_rule().S[-1]
         t *= t
@@ -638,7 +642,7 @@ def compute_kernel(
     q: Callable,
     grid: np.ndarray,
     *,
-    extend_to: float = 2e4,
+    extend_to: float = STOCK_EXTEND_TO,
     extend_step: float = math.pi / 80.0,
     far: Optional[FarField] = None,
     damping: Optional[Damping] = None,
@@ -653,7 +657,8 @@ def compute_kernel(
     z at the grid end stays inside its validity radius and rebuilt
     otherwise.  The summary in use is returned as ``KernelPair.far``.
     ``damping`` is the :class:`Damping` of p on this grid, shared with the
-    other member of a pair; it is built here when omitted.
+    other member of a pair; it is built here when omitted.  q must be
+    defined up to extend_to, so a family must be built to that extent.
     """
     g = np.asarray(grid, dtype=float)
     if damping is None:

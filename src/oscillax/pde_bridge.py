@@ -38,7 +38,8 @@ import numpy as np
 
 from .example_builder import S0_FIXED, PairResult
 from .kernel import Damping, FarField, KernelPair, _central_operator, compute_kernel
-from .quadrature import TailModel, integrate_finite, integrate_finite_many, uniform_step
+from .quadrature import (STOCK_EXTEND_TO, TailModel, integrate_finite, integrate_finite_many,
+                         uniform_step)
 from .radial import _beta_betaprime, _check_dim, beta_inverse, beta_map, excluded_arc
 
 __all__ = [
@@ -163,7 +164,7 @@ def make_barriers(
     grid: np.ndarray,
     *,
     z_sup_bounds: Optional[tuple[float, float]] = None,
-    extend_to: float = 2e4,
+    extend_to: float = STOCK_EXTEND_TO,
     extend_step: float = math.pi / 80.0,
     far: Optional[tuple[Optional[FarField], Optional[FarField]]] = None,
     parallel: bool = False,
@@ -177,7 +178,8 @@ def make_barriers(
     The members share p, so p is sampled and integrated on the grid once,
     into one :class:`Damping` both kernels read.  ``z_sup_bounds``, proven
     bounds on sup|z1| and sup|z2|, re-certify the h tails through
-    :meth:`KernelPair.with_sup_bound`.  ``parallel`` does nothing; it stays
+    :meth:`KernelPair.with_sup_bound`.  The members must be built to an
+    extent at or past extend_to.  ``parallel`` does nothing; it stays
     because the benchmark times make_barriers with and without it.
     """
     p = pair.q1.params.p
@@ -398,7 +400,7 @@ def integral_conditions(
         "T": float(T),
     }
 
-    seeds = _lobe_radii(problem, 4.0 * T)
+    seeds = _lobe_radii(problem, source_reach(n, R, T))
     for label, a, sup_val in zip(("a1", "a2"), (problem.a1, problem.a2), sup_q or (None, None)):
         if a is None:
             continue
@@ -432,10 +434,16 @@ def integral_conditions(
     return out
 
 
-def _lobe_radii(problem: RadialProblem, r_hi: float) -> np.ndarray:
-    """Radial images of the half-period nodes from s0 = 2 pi on, for quadrature seeding."""
+def source_reach(n: int, R: float, T: float) -> float:
+    """The largest s at which :func:`integral_conditions` up to radius T reads the
+    sources: that of radius 4 T, where the growth integrals end."""
+    with np.errstate(over="ignore"):  # a reach past float range is inf
+        return float(beta_inverse(n, R, 4.0 * T))
+
+
+def _lobe_radii(problem: RadialProblem, s_hi: float) -> np.ndarray:
+    """Radial images of the half-period nodes from s0 = 2 pi up to s_hi, for quadrature seeding."""
     n, R = problem.n, problem.R
-    s_hi = beta_inverse(n, R, r_hi)
     m_hi = int(math.ceil(s_hi / math.pi)) + 1
     nodes = math.pi * np.arange(2, m_hi)
     return beta_map(n, R, nodes)

@@ -183,10 +183,11 @@ _WG = np.array([
 ])
 _GAUSS_SLICE = slice(1, 15, 2)
 
-# Nodes of the Chebyshev-Lobatto rule on each of kernel's continuation cells.
-# It lives here, beside the other rule, so that a config's point counts can be
-# checked without loading kernel.
+# Nodes of the Chebyshev-Lobatto rule on each of kernel's continuation cells, and
+# the continuation's stock end.  They live here, beside the other rule, so that a
+# config can be checked, and a family built, without loading kernel.
 CELL_NODES = 17
+STOCK_EXTEND_TO = 2e4
 
 
 _TAIL_SPOTS = np.array([1.0, 1.5, 2.0, 4.0, 8.0])  # envelope samples, in cutoffs
@@ -222,6 +223,7 @@ class _Adaptive:
         self.limit = limit
         self.flipped = flipped
         self.evaluations = 0
+        self.splits = 0  # bisections so far; the seeded panels do not count
         self.total_err = 0.0
         self.heap: list[tuple[float, float, float, float]] = []  # (-err, lo, hi, value)
 
@@ -238,13 +240,14 @@ class _Adaptive:
         """Pop the panel with the largest error and return its halves; None once converged."""
         if not self.total_err > self.tol:
             return None
-        if len(self.heap) >= self.limit:
+        if self.splits + 1 >= self.limit:  # an unseeded interval then holds limit panels
             raise RuntimeError(
                 f"subdivision limit {self.limit} reached with error estimate "
                 f"{self.total_err:.3e} > tol {self.tol:.3e}"
             )
         neg_err, a, b, _ = heapq.heappop(self.heap)
         self.total_err += neg_err
+        self.splits += 1
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             raise RuntimeError(
@@ -278,7 +281,8 @@ def integrate_finite_many(
     ``seeds`` lists abscissae where panels must break from the start, e.g.
     breakpoints of a piecewise integrand or sign-change nodes of an
     oscillatory one; each interval takes the seeds strictly inside it, and
-    adaptivity then refines within each seeded panel.  A reversed interval
+    adaptivity then refines within each seeded panel, ``limit - 1`` times at
+    most, so seeds do not use the limit up.  A reversed interval
     gives the negated integral over [hi, lo]; a zero-width one gives zero
     without evaluating f.
     """

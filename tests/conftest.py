@@ -108,8 +108,8 @@ def mode_runs(tmp_path_factory):
     class Recording(cli_report._Runner):
         lemma = None
 
-        def __init__(self, cfg):
-            super().__init__(cfg)
+        def __init__(self, *args):
+            super().__init__(*args)
             runners.append(self)
 
         def verify_lemma_stage(self, *args):

@@ -445,15 +445,18 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
                  id="denormal-residual-step"),
     pytest.param({"kernel.extend_step": 5e-324}, "kernel.extend_step: ",
                  id="denormal-extend-step"),
-    # counts past numpy's limit: 2 m_max + 1 lobe nodes (a loop over the m_max cutoffs
-    # would never end), 16 M + 1 extension points, N solver points, and 17 continuation
-    # nodes per pi up to extend_to
+    # counts past numpy's limit: the family's extension grid up to the run's extent,
+    # which m_max or M sets here (a loop over the m_max cutoffs would never end), a bare
+    # q's 2 m_max + 1 lobe nodes, N solver points, and 17 continuation nodes per pi up
+    # to extend_to
     pytest.param({"oscillation.m_max": 10**19}, "oscillation.m_max: ", id="huge-m-max"),
     pytest.param({"q_override": {"expr": "sin(s)^2 - 0.1", "m_max": 10**19}},
                  "q_override.m_max: ", id="huge-override-m-max"),
     pytest.param({"features.M": 10**19}, "features.M: ", id="huge-features-M"),
     pytest.param({"solver.N": 10**19 + 1}, "solver.N: ", id="huge-solver-N"),
     pytest.param({"kernel.extend_to": 1e300}, "kernel.extend_to: ", id="far-extend-to"),
+    # the sources are read at radius 4 T, s = (n - 2) (4 T)^(n - 2), past float range here
+    pytest.param({"problem.n": 600, "problem.R": 0.2}, "problem.n: ", id="far-source-reach"),
 ])
 def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, named):
     cfg = _write_config(tmp_path, patch)
@@ -465,6 +468,45 @@ def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, 
     assert "invalid configuration" in captured.err
     assert named in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, patch", [
+    # F_2T of the features is seeded with the 4003 lobe nodes inside it, past its limit 4000
+    pytest.param("construct-example", {"features.M": 1000}, id="features-M-1000"),
+    # the sources' integrals up to 4 T are seeded with the lobe radii, past their limit 20000
+    pytest.param("bridge", {"problem.n": 6, "problem.R": 0.2, "kernel.extend_to": 0},
+                 id="n6-bridge"),
+])
+def test_seeds_past_the_subdivision_limit_still_run_to_their_verdicts(tmp_path, capsys,
+                                                                       mode, patch):
+    cfg = _write_config(tmp_path, patch)
+    rc = main([mode, "--config", str(cfg), "--out", str(tmp_path / "out"), "--formats", "json"])
+    seen = capsys.readouterr().out
+    assert rc == 0, seen
+
+
+@pytest.mark.parametrize("mode, reach", [
+    ("construct-example", 4 * math.pi * (50 + 1)),  # the features' 2 T at M = 50
+    ("build-pair", 0.0),                            # the table's m_max + 2 periods
+    ("solve-bvp", 2e4),                             # the continuation's end
+])
+def test_a_mode_builds_its_families_only_as_far_as_it_reads_them(tmp_path, capsys,
+                                                                 monkeypatch, mode, reach):
+    from oscillax import example_builder
+
+    # the bridge would read the sources past float range at this n; no other mode does
+    cfg = _write_config(tmp_path, {"problem.n": 600, "problem.R": 0.2})
+    periods, assemble = [], example_builder._assemble
+
+    def spy(*args):
+        spec = assemble(*args)
+        periods.append(len(spec.lobes) // 2)
+        return spec
+
+    monkeypatch.setattr(example_builder, "_assemble", spy)
+    rc = main([mode, "--config", str(cfg), "--out", str(tmp_path / "out"), "--formats", "json"])
+    assert rc == 0, capsys.readouterr().out
+    assert periods and max(periods) <= max(25 + 2, reach / (2 * math.pi) + 2)
 
 
 def test_the_smallest_solver_grid_the_decay_fit_takes_runs_to_its_verdicts(tmp_path, capsys):
@@ -708,7 +750,8 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
     from oscillax import cli_report, example_builder, kernel, lemma_check, parse, pde_bridge
 
     p, s0 = parse("1/s^3"), 2 * math.pi
-    counts = {"compute_kernel": 0, "lambda": 0, "I batch": 0, "tail_sum_I_bound": 0}
+    counts = {"compute_kernel": 0, "lambda": 0, "I batch": 0, "tail_sum_I_bound": 0,
+              "table": 0}
 
     def of_p(f):
         return f == p
@@ -721,11 +764,14 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
                 counts["lambda"] += 1
             elif name == "integrate_tail_many" and of_p(args[0]) and len(args[1]) > 1:
                 counts["I batch"] += 1
+            elif name == "cumulative_integral":
+                counts["table"] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     for module in (cli_report, example_builder, kernel, lemma_check, pde_bridge):
-        for name in ("compute_kernel", "integrate_tail", "integrate_tail_many"):
+        for name in ("compute_kernel", "integrate_tail", "integrate_tail_many",
+                     "cumulative_integral"):
             if name in vars(module):
                 monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
     spec = example_builder.OscillationSpec
@@ -740,8 +786,10 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
     assert main(["full-pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     # the lemma's family kernel serves the kernel stage; the family integrates
-    # lambda and its I_m once, and lemma_check and the pair reuse them
-    assert counts == {"compute_kernel": 6, "lambda": 1, "I batch": 1, "tail_sum_I_bound": 1}
+    # lambda and its I_m once, and lemma_check and the pair reuse them; the family
+    # and the two pair members each build their amplitude table once
+    assert counts == {"compute_kernel": 6, "lambda": 1, "I batch": 1, "tail_sum_I_bound": 1,
+                      "table": 3}
 
 
 def test_full_pipeline_integrates_the_damping_once(tmp_path, capsys, monkeypatch):

@@ -468,6 +468,16 @@ def test_a_continuation_must_end_past_its_start():
                        extend_step=PI / 80)
 
 
+def test_a_family_built_short_of_the_continuation_end_is_named_at_its_start():
+    from oscillax import build_oscillation
+
+    spec = build_oscillation(OscillationParams(m_max=5), extent=300.0)
+    with pytest.raises(ValueError, match=r"continuing z to extend_to = 1000\.0: family is "
+                                         r"defined on \[s0, "):
+        FarField.build(parse("1/s^3"), spec.q_callable, 8 * PI, -0.3, extend_to=1000.0,
+                       extend_step=PI / 80)
+
+
 def test_a_scalar_coefficient_is_broadcast_to_the_nodes():
     kwargs = {"extend_to": 400.0, "extend_step": PI / 80}
     a = FarField.build(parse("1/s^3"), lambda s: 0.3, 8 * PI, -0.3, **kwargs)

@@ -169,13 +169,14 @@ def _sequential(f, lo, hi, tol, seeds=None, limit=4000):
     for a in [float(a) for a in sorted(seeds or []) if lo < a < hi] + [hi]:
         if a > edges[-1]:
             edges.append(a)
-    heap, total, evals = [], 0.0, 0
+    heap, total, evals, splits = [], 0.0, 0, 0
     for a, b in zip(edges, edges[1:]):
         val, err = panel(a, b)
         evals, total = evals + 15, total + err
         heapq.heappush(heap, (-err, a, b, val))
     while total > tol:
-        assert len(heap) < limit
+        assert splits + 1 < limit
+        splits += 1
         neg, a, b, _ = heapq.heappop(heap)
         total += neg
         m = 0.5 * (a + b)
@@ -287,6 +288,17 @@ def test_lemma_wide_tails_take_few_integrand_calls():
     assert len(calls) <= 40
     # one call per panel, as each tail alone would make, is over a hundred times more
     assert sum(r.evaluations - 5 for r in results) // 15 > 100 * len(calls)
+
+
+def test_seeded_panels_do_not_use_up_the_subdivision_limit():
+    # 21 seeded panels, more than the limit of 4; the Runge bump at 0.5 needs one bisection
+    bump = lambda s: 1.0 / (1.0 + 400.0 * (np.asarray(s) - 0.5) ** 2)
+    seeds = np.linspace(0.0, 1.0, 22)[1:-1]
+    tight = integrate_finite(bump, 0.0, 1.0, 1e-13, seeds=seeds, limit=4)
+    loose = integrate_finite(bump, 0.0, 1.0, 1e-13, seeds=seeds)
+    assert _bits(tight) == _bits(loose)
+    assert tight.evaluations == 15 * (21 + 2)
+    assert tight.value == pytest.approx(math.atan(10.0) / 10.0, abs=1e-15)
 
 
 def test_batch_keeps_the_one_interval_error_messages():
