@@ -10,9 +10,12 @@ Modes wire the library stages together on a JSON config:
   solve-bvp           monotone iteration between the barriers, decay fit
   full-pipeline       all of the above, writing the complete report set
 
-Exit codes: 0 all checks passed, 1 a verification check failed, 2 the
-config is invalid (found before anything is written), 3 a failure during
-the run.  Outputs are byte-deterministic:
+MODES gives each mode its stages.  A run first builds what they read, the
+family, the pair and the radial problem, each once, and only then makes the
+output directory.  Exit codes: 0 all checks passed, 1 a verification check
+failed, 2 the config is invalid, or a builder refuses it (found before
+anything is written), 3 a failure during the run.  Outputs are
+byte-deterministic:
 JSON with sorted keys and 17-significant-digit floats, CSV with a header
 row and '.' decimal points, standalone SVG with no timestamps.  The
 OSCILLAX_SEED environment variable pins the sampling of the property-based
@@ -26,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +45,6 @@ from .example_builder import (
     BandParams,
     Check,
     OscillationParams,
-    OscillationSpec,
     PairParams,
     PairResult,
     build_oscillation,
@@ -56,23 +58,24 @@ from .radial import beta_map, excluded_arc, fit_window
 
 # the stage modules are imported by the stages that run them, so that
 # validating a config, or running one mode, compiles only what it uses
-if TYPE_CHECKING:
-    from .kernel import KernelPair
-    from .lemma_check import LemmaReport
-    from .pde_bridge import BarrierPair, RadialProblem
-
 __all__ = ["RunConfig", "load_config", "default_config", "run", "main", "emit_plot"]
 
 PI = math.pi
-MODES = (
-    "construct-example",
-    "verify-lemma",
-    "compute-kernel",
-    "build-pair",
-    "bridge",
-    "solve-bvp",
-    "full-pipeline",
-)
+# the stages in the order a full pipeline runs them, each with what it reads of the
+# run: the family, the pair, or the pair and the radial problem made of it
+_STAGES = {"construct_example": "family", "verify_lemma_stage": "family",
+           "compute_kernel_stage": "family", "build_pair_stage": "pair",
+           "bridge_stage": "problem", "solve_bvp_stage": "problem"}
+# the stages of each mode, in the order they run
+MODES = {
+    "construct-example": ("construct_example",),
+    "verify-lemma": ("verify_lemma_stage",),
+    "compute-kernel": ("compute_kernel_stage",),
+    "build-pair": ("build_pair_stage",),
+    "bridge": ("bridge_stage",),
+    "solve-bvp": ("solve_bvp_stage",),
+    "full-pipeline": tuple(_STAGES),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -600,31 +603,27 @@ def _fits(what: str, value, count: float) -> None:
 _PAIR_PLOT_END = S0_FIXED + 8.0 * PI
 
 
-def _extent(mode: str, cfg: RunConfig) -> float:
-    """The largest s at which ``mode`` reads a family; the run builds each family to it.
+def _extent(stages: Sequence[str], cfg: RunConfig) -> float:
+    """The largest s at which ``stages`` read a family; the run builds each family to it.
 
     The kernels read q up to the grid end and, while the continuation is on, up to
-    kernel.extend_to; the features and the bridge's sources read up to the reaches
-    their modules name.  A table also holds the lobes its family's own checks read.
-    Raises ValueError, naming the key that sets the extent, when numpy cannot hold
-    the table up to it.
+    kernel.extend_to; the features, the pair's plot and the bridge's sources read up to
+    the reaches their modules name.  A table also holds the lobes its family's own
+    checks read.  Raises ValueError, naming the key that sets the extent, when numpy
+    cannot hold the table up to it.
     """
     kernels = [("kernel.span", cfg.kernel_span, S0_FIXED + cfg.kernel_span),
                ("kernel.extend_to", cfg.extend_to, cfg.extend_to)]
-    reaches = {
-        "construct-example": [("features.M", cfg.features_M, features_reach(cfg.features_M))],
-        "verify-lemma": kernels, "compute-kernel": kernels,
-        "build-pair": [("the pair's plot", "s0 + 8 pi", _PAIR_PLOT_END)],
-        "bridge": kernels, "solve-bvp": kernels,
-    }
-    reaches["full-pipeline"] = [r for stage in reaches.values() for r in stage]
-    reach = reaches[mode]
-    if mode in ("bridge", "full-pipeline"):
+    others = {"construct_example": [("features.M", cfg.features_M,
+                                     features_reach(cfg.features_M))],
+              "build_pair_stage": [("the pair's plot", "s0 + 8 pi", _PAIR_PLOT_END)]}
+    reach = [r for stage in stages for r in others.get(stage, kernels)]
+    if "bridge_stage" in stages:
         from .pde_bridge import source_reach
 
         n, R = cfg.problem_n, cfg.problem_R
         T = float(beta_map(n, R, S0_FIXED + cfg.kernel_span))
-        reach = reach + [("problem.n", n, source_reach(n, R, T))]
+        reach.append(("problem.n", n, source_reach(n, R, T)))
     what, value, extent = max(reach, key=lambda r: r[2])
     _fits(what, value, 16.0 * (extent / TWO_PI + 2.0) + 1.0)
     return extent
@@ -638,11 +637,48 @@ def _uniform_grid(span: float, step: float) -> np.ndarray:
     return np.linspace(S0_FIXED, S0_FIXED + span, _grid_cells(span, step) + 1)
 
 
+def _radial_problem(cfg: RunConfig, pair: PairResult):
+    from .pde_bridge import RadialProblem, push_a_from_q
+
+    return RadialProblem(
+        n=cfg.problem_n, R=cfg.problem_R, p=cfg.oscillation.p, p_tail=cfg.oscillation.p_tail,
+        a1=push_a_from_q(pair.q1.q_callable, cfg.problem_n),
+        a2=push_a_from_q(pair.q2.q_callable, cfg.problem_n), varsigma=cfg.varsigma,
+    )
+
+
 class _Runner:
-    def __init__(self, cfg: RunConfig, extent: float):
-        self.cfg, self.extent = cfg, extent  # every family of the run is built to the extent
+    """One run of a mode.  The family, the pair and the radial problem that the mode's
+    stages read are built first, each once and to the mode's extent, and only then is
+    ``--out`` made: a config that a builder refuses raises ValueError before anything
+    is written.  Each stage reads them, and the hand-offs of the stages before it."""
+
+    def __init__(self, mode: str, cfg: RunConfig):
+        self.mode, self.cfg, self.stages = mode, cfg, MODES[mode]
+        extent = _extent(self.stages, cfg)
+        # the lemma checks the bare q of q_override, when one is given, and no family
+        reads = {_STAGES[stage] for stage in self.stages
+                 if stage != "verify_lemma_stage" or cfg.q_override is None}
+        self.family = build_oscillation(cfg.oscillation, extent) if "family" in reads else None
+        # a family built for the same p lends the pair its lambda and I_m
+        self.pair = (build_pair(cfg.pair, family=self.family, extent=extent)
+                     if reads & {"pair", "problem"} else None)
+        self.problem = _radial_problem(cfg, self.pair) if "problem" in reads else None
+        # the hand-offs: the lemma's LemmaReport and the family KernelPair it checked go
+        # to the kernel stage, the bridge's BarrierPair (its continuations) to the solver
+        self.lemma = self.kernel = self.barrier = None
         self.ledger: list[Check] = []
         cfg.out.mkdir(parents=True, exist_ok=True)
+
+    def run(self) -> int:
+        """Run the mode's stages in order; returns the process exit code."""
+        for stage in self.stages:
+            getattr(self, stage)()
+        n_passed = sum(check.passed for check in self.ledger)
+        passed = n_passed == len(self.ledger)
+        print(f"mode {self.mode}: {'PASS' if passed else 'FAIL'} "
+              f"({n_passed}/{len(self.ledger)} checks)")
+        return 0 if passed else 1
 
     # -- small helpers ------------------------------------------------------
 
@@ -659,23 +695,10 @@ class _Runner:
     def path(self, name: str) -> Path:
         return self.cfg.out / name
 
-    def problem(self, pair_result) -> RadialProblem:
-        from .pde_bridge import RadialProblem, push_a_from_q
-
-        cfg = self.cfg
-        a1 = push_a_from_q(pair_result.q1.q_callable, cfg.problem_n)
-        a2 = push_a_from_q(pair_result.q2.q_callable, cfg.problem_n)
-        return RadialProblem(
-            n=cfg.problem_n, R=cfg.problem_R,
-            p=cfg.oscillation.p, p_tail=cfg.oscillation.p_tail, a1=a1, a2=a2,
-            varsigma=cfg.varsigma,
-        )
-
     # -- stages -------------------------------------------------------------
 
-    def construct_example(self) -> OscillationSpec:
-        cfg = self.cfg
-        spec = build_oscillation(cfg.oscillation, self.extent)
+    def construct_example(self) -> None:
+        cfg, spec = self.cfg, self.family
         features = check_integral_features(
             spec, varsigma=cfg.varsigma, M=cfg.features_M,
         )
@@ -719,23 +742,16 @@ class _Runner:
                       [("q", s, spec.q_callable(s))],
                       title="oscillating coefficient family",
                       xlabel="s", ylabel="q(s)")
-        return spec
 
-    def verify_lemma_stage(self, spec: Optional[OscillationSpec] = None
-                           ) -> tuple[LemmaReport, Optional[KernelPair]]:
-        """The lemma report, and the family kernel when it checked one."""
+    def verify_lemma_stage(self) -> None:
+        """The lemma report, and the family kernel when it checked one, for the kernel stage."""
         from .kernel import compute_kernel
         from .lemma_check import verify_lemma
 
-        cfg = self.cfg
-        if cfg.q_override is not None:
-            m_max = cfg.q_override["m_max"]
-            family = None
-            q_call = cfg.q_override["expr"]
-        else:
-            family = spec or build_oscillation(cfg.oscillation, self.extent)
-            m_max = cfg.oscillation.m_max
-            q_call = family.q_callable
+        cfg, override = self.cfg, self.cfg.q_override
+        family = self.family if override is None else None
+        q_call, m_max = ((family.q_callable, cfg.oscillation.m_max) if override is None
+                         else (override["expr"], override["m_max"]))
         nodes = PI * np.arange(2, 2 * m_max + 3)
         grid = _uniform_grid(cfg.kernel_span, cfg.kernel_step)
         kern = compute_kernel(cfg.oscillation.p, q_call, grid,
@@ -759,19 +775,17 @@ class _Runner:
         }
         if self.want("json"):
             write_json(self.path("lemma_report.json"), payload)
-        return report, (kern if family is not None else None)
+        self.lemma, self.kernel = report, (kern if family is not None else None)
 
-    def compute_kernel_stage(self, spec: Optional[OscillationSpec] = None,
-                             lemma: Optional[LemmaReport] = None,
-                             kernel: Optional[KernelPair] = None) -> None:
-        """Kernels of the family; ``kernel`` is the one the lemma stage checked."""
+    def compute_kernel_stage(self) -> None:
+        """Kernels of the family; the lemma stage, when it ran, lends its proof bound and
+        the family kernel it checked."""
         from .kernel import compute_kernel, ode_residual
 
-        cfg = self.cfg
-        spec = spec or build_oscillation(cfg.oscillation, self.extent)
-        bound = lemma.hypotheses.proof_bound() if lemma is not None else None
+        cfg, spec = self.cfg, self.family
+        bound = self.lemma.hypotheses.proof_bound() if self.lemma is not None else None
 
-        kern = kernel or compute_kernel(
+        kern = self.kernel or compute_kernel(
             cfg.oscillation.p, spec.q_callable,
             _uniform_grid(cfg.kernel_span, cfg.kernel_step),
             extend_to=cfg.extend_to, extend_step=cfg.extend_step)
@@ -817,10 +831,8 @@ class _Runner:
                        ("h/s", kern.grid, kern.h_over_s())],
                       title="comparison kernels", xlabel="s", ylabel="value")
 
-    def build_pair_stage(self, family: Optional[OscillationSpec] = None) -> PairResult:
-        """The pair; ``family``, built for the same p, lends its lambda and I_m."""
-        cfg = self.cfg
-        pair = build_pair(cfg.pair, family=family, extent=self.extent)
+    def build_pair_stage(self) -> None:
+        cfg, pair = self.cfg, self.pair
         grid = _uniform_grid(2 * PI * min(cfg.pair.m_max, 25), PI / 100.0)
         check = verify_pair(pair, grid)
         self.note("pair ordered pointwise on the grid", check["ordered"],
@@ -843,16 +855,12 @@ class _Runner:
                       [("q1", s, pair.q1.q_callable(s)),
                        ("q2", s, pair.q2.q_callable(s))],
                       title="ordered coefficient pair", xlabel="s", ylabel="q(s)")
-        return pair
 
-    def bridge_stage(self, pair: Optional[PairResult] = None
-                     ) -> tuple[RadialProblem, BarrierPair]:
+    def bridge_stage(self) -> None:
         from .pde_bridge import (integral_conditions, lift_coefficients, make_barriers,
                                  subsuper_residual)
 
-        cfg = self.cfg
-        pair = pair or build_pair(cfg.pair, extent=self.extent)
-        problem = self.problem(pair)
+        cfg, pair, problem = self.cfg, self.pair, self.problem
         n = cfg.problem_n
 
         # lift/push round trip on a fine grid
@@ -899,22 +907,19 @@ class _Runner:
         }
         if self.want("json"):
             write_json(self.path("bridge_report.json"), payload)
-        return problem, barrier
+        self.barrier = barrier
 
-    def solve_bvp_stage(self, pair: Optional[PairResult] = None,
-                        problem: Optional[RadialProblem] = None,
-                        bridge_barrier: Optional[BarrierPair] = None) -> None:
-        """Solve between the barriers; ``bridge_barrier`` lends its continuation summaries."""
+    def solve_bvp_stage(self) -> None:
+        """Solve between the barriers; the bridge's, when it ran, lend their continuation
+        summaries."""
         from .bvp_solver import check_sandwich, solve_radial
         from .pde_bridge import make_barriers
 
-        cfg = self.cfg
-        pair = pair or build_pair(cfg.pair, extent=self.extent)
-        problem = problem or self.problem(pair)
+        cfg, pair, problem = self.cfg, self.pair, self.problem
 
         grid = np.linspace(S0_FIXED, S0_FIXED + cfg.kernel_span, cfg.solver_N)
-        far = None if bridge_barrier is None else (
-            bridge_barrier.kernel1.far, bridge_barrier.kernel2.far)
+        far = None if self.barrier is None else (self.barrier.kernel1.far,
+                                                 self.barrier.kernel2.far)
         barrier = make_barriers(pair, grid, extend_to=cfg.extend_to,
                                 extend_step=cfg.extend_step, far=far)
         solution = solve_radial(
@@ -959,33 +964,10 @@ class _Runner:
                       title="solution between barriers",
                       xlabel="r", ylabel="u", logx=True, logy=True)
 
-    def full_pipeline(self) -> None:
-        spec = self.construct_example()
-        lemma, kernel = self.verify_lemma_stage(spec)
-        self.compute_kernel_stage(spec, lemma, kernel)
-        pair = self.build_pair_stage(spec)
-        problem, barrier = self.bridge_stage(pair)
-        self.solve_bvp_stage(pair, problem, barrier)
-
 
 def run(mode: str, cfg: RunConfig) -> int:
     """Execute a mode; returns the process exit code."""
-    runner = _Runner(cfg, _extent(mode, cfg))
-    stages = {
-        "construct-example": runner.construct_example,
-        "verify-lemma": runner.verify_lemma_stage,
-        "compute-kernel": runner.compute_kernel_stage,
-        "build-pair": runner.build_pair_stage,
-        "bridge": runner.bridge_stage,
-        "solve-bvp": runner.solve_bvp_stage,
-        "full-pipeline": runner.full_pipeline,
-    }
-    stages[mode]()
-    ledger = runner.ledger
-    n_passed = sum(check.passed for check in ledger)
-    passed = n_passed == len(ledger)
-    print(f"mode {mode}: {'PASS' if passed else 'FAIL'} ({n_passed}/{len(ledger)} checks)")
-    return 0 if passed else 1
+    return _Runner(mode, cfg).run()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1022,13 +1004,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if unknown:
                 raise ValueError(f"unknown output formats: {sorted(unknown)}")
             cfg = load_config(raw)
-            _extent(args.mode, cfg)  # numpy can hold the mode's tables
+            cfg.out, cfg.formats = Path(args.out), formats
+            runner = _Runner(args.mode, cfg)  # builds what the mode reads, then makes --out
         except ValueError as exc:  # ParseError and DomainError included
             print(f"invalid configuration: {exc}", file=sys.stderr)
             return 2
-        cfg.out = Path(args.out)
-        cfg.formats = formats
-        return run(args.mode, cfg)
+        return runner.run()
     except Exception:
         traceback.print_exc()
         return 3

@@ -61,7 +61,7 @@ S0_FIXED = TWO_PI  # families are anchored at s0 = a_2 = 2*pi
 LAMBDA_TOL = 1e-10  # quadrature tolerance of lambda = integral of p over [s0, infinity)
 TAIL_TOL = 1e-12    # quadrature tolerance of the I_m and of the integrals of tail_sum_I_bound
 MOMENT_TOL = 1e-10  # quadrature tolerance of lemma_check.check_remark's first moment of p
-JOIN_TOL = 1e-10    # |q| allowed at a breakpoint; sqrt(JOIN_TOL) bounds |q'| there
+ULPS = 4            # rounding a check of a built family allows, in units in the last place
 
 STOCK_P = parse("1/s^3")   # the stock damping and its decay model
 STOCK_P_TAIL = TailModel(kind="power", rate=3.0, coef=1.0)
@@ -265,18 +265,21 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule,
     geo = np.power(2.0, 1.0 - m_table[:params.m_max]) / PI
 
     # band membership (builds choose points inside the band, so failures
-    # here mean inconsistent parameters, not numerical noise)
+    # here mean inconsistent parameters, not numerical noise); each end allows
+    # the rounding of its own value
     d_lo, d_hi = 2.0 * params.q_minus / PI, 2.0 * params.q_plus / PI
-    if np.any(d < d_lo - 1e-12) or np.any(d > d_hi + 1e-12):
-        m_bad = int(np.argmax((d < d_lo - 1e-12) | (d > d_hi + 1e-12))) + 1
+    outside = (d < d_lo - _ulps(d_lo)) | (d > d_hi + _ulps(d_hi))
+    if np.any(outside):
+        m_bad = int(np.argmax(outside)) + 1
         raise ValueError(
             f"negative-lobe amplitude d_{m_bad} = {float(d[m_bad - 1])!r} leaves the band "
             f"[{d_lo!r}, {d_hi!r}]; the gap parameters are too large for the bands"
         )
     c_lo = d + params.gamma * (params.q_plus / PI) * I + params.eta * geo
     c_hi = d + params.sigma * (params.q_plus / PI) * I + params.theta * geo
-    if np.any(c < c_lo - 1e-12) or np.any(c > c_hi + 1e-12):
-        m_bad = int(np.argmax((c < c_lo - 1e-12) | (c > c_hi + 1e-12))) + 1
+    outside = (c < c_lo - _ulps(c_lo)) | (c > c_hi + _ulps(c_hi))
+    if np.any(outside):
+        m_bad = int(np.argmax(outside)) + 1
         raise ValueError(
             f"positive-lobe amplitude c_{m_bad} = {float(c[m_bad - 1])!r} leaves its band "
             f"[{float(c_lo[m_bad - 1])!r}, {float(c_hi[m_bad - 1])!r}]"
@@ -291,29 +294,43 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule,
         sup_bound=sup_bound, rule=rule, lobes=lobes, extent=TWO_PI * periods,
     )
 
-    _check_smooth_joins(spec)
-    samples = spec.q_callable(np.linspace(nodes[0], nodes[-1], 4096))
-    if np.max(np.abs(samples)) > sup_bound + 1e-12:
-        raise ValueError("family exceeds its own sup bound; amplitude rule is inconsistent")
+    _check_lobes(spec)
     for arr in (spec.nodes, spec.c, spec.d, spec.I, spec.I_error, spec.lobes):
         arr.setflags(write=False)
     return spec
 
 
-def _check_smooth_joins(spec: OscillationSpec) -> None:
-    """q and q' vanish at every breakpoint, checked numerically."""
-    nodes = spec.nodes
-    vals = np.abs(spec.q_callable(nodes))
-    step = 1e-6
-    inner = nodes[1:-1]
-    deriv = np.abs(
-        spec.q_callable(inner + step) - spec.q_callable(inner - step)
-    ) / (2.0 * step)
-    worst_q, worst_dq = float(np.max(vals)), float(np.max(deriv))
-    if worst_q > JOIN_TOL:
-        raise ValueError(f"family fails continuity at a breakpoint: |q| = {worst_q!r}")
-    if worst_dq > math.sqrt(JOIN_TOL):
-        raise ValueError(f"family fails smoothness at a breakpoint: |q'| = {worst_dq!r}")
+def _ulps(x):
+    """ULPS units in the last place of x."""
+    return ULPS * np.spacing(np.abs(x))
+
+
+def _check_lobes(spec: OscillationSpec) -> None:
+    """q reads the right lobe of the table on each side of every node, and no lobe
+    exceeds the sup bound.
+
+    Lobe j of the table spans [(j + 2) pi, (j + 3) pi].  At its midpoint q is the
+    lobe's amplitude times sin^2; at the node between lobes j - 1 and j it is one
+    of their amplitudes times sin^2 at the float node, so |q| is at most the larger
+    of them times that, which is where q and q' vanish.  Both hold to ULPS at every
+    midpoint and node before the extent.
+    """
+    lobes = spec.lobes[:-2]  # the table's last period lies past the extent
+    i = np.arange(1, 2 * len(lobes))  # odd: the midpoint of lobe i // 2; even: a node
+    s = PI * (2.0 + 0.5 * i)
+    sin2 = np.sin(s) ** 2
+    left, right = lobes[(i - 1) // 2] * sin2, lobes[i // 2] * sin2
+    q = spec.q_callable(s)
+    off = np.minimum(np.abs(q - left), np.abs(q - right)) > _ulps(q)
+    if np.any(off):
+        j = int(np.argmax(off))
+        raise ValueError(f"family leaves its lobe table at s = {float(s[j])!r}: q = "
+                         f"{float(q[j])!r}, where its lobes give {float(left[j])!r} "
+                         f"and {float(right[j])!r}")
+    top = float(np.max(np.abs(spec.lobes)))
+    if top > spec.sup_bound + _ulps(spec.sup_bound):
+        raise ValueError(f"family exceeds its own sup bound {spec.sup_bound!r} with an "
+                         f"amplitude of {top!r}; amplitude rule is inconsistent")
 
 
 def build_oscillation(params: OscillationParams = OscillationParams(),

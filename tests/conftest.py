@@ -106,15 +106,9 @@ def mode_runs(tmp_path_factory):
     runners = []
 
     class Recording(cli_report._Runner):
-        lemma = None
-
         def __init__(self, *args):
             super().__init__(*args)
             runners.append(self)
-
-        def verify_lemma_stage(self, *args):
-            self.lemma, kernel = super().verify_lemma_stage(*args)
-            return self.lemma, kernel
 
     runs = {}
     with pytest.MonkeyPatch.context() as mp:

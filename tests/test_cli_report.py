@@ -457,6 +457,13 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
     pytest.param({"kernel.extend_to": 1e300}, "kernel.extend_to: ", id="far-extend-to"),
     # the sources are read at radius 4 T, s = (n - 2) (4 T)^(n - 2), past float range here
     pytest.param({"problem.n": 600, "problem.R": 0.2}, "problem.n: ", id="far-source-reach"),
+    # refused by the builders, which run before --out is made: lambda = 50/(2 pi)^2 =
+    # 1.267 leaves the family no damping budget, and these gaps leave the pair's
+    # negative-lobe band a margin of -0.361
+    pytest.param({"p.expr": "100/s^3", "p.tail.coef": 100}, "integral of p below one",
+                 id="lambda-above-one"),
+    pytest.param({"oscillation.q_minus": 1.9, "pair.alpha_gap": 0.9, "pair.beta_gap": 0.9},
+                 "gap parameters are too large", id="negative-gap-margin"),
 ])
 def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, named):
     cfg = _write_config(tmp_path, patch)
@@ -507,6 +514,57 @@ def test_a_mode_builds_its_families_only_as_far_as_it_reads_them(tmp_path, capsy
     rc = main([mode, "--config", str(cfg), "--out", str(tmp_path / "out"), "--formats", "json"])
     assert rc == 0, capsys.readouterr().out
     assert periods and max(periods) <= max(25 + 2, reach / (2 * math.pi) + 2)
+
+
+@pytest.mark.parametrize("q_plus", [30, 100])
+@pytest.mark.parametrize("mode, checks", [("construct-example", 3), ("full-pipeline", 30)])
+def test_large_amplitudes_pass_the_family_checks(tmp_path, capsys, mode, checks, q_plus):
+    # c_1 is 10.6 at q_plus 30 and 34.6 at 100; each family check allows the
+    # rounding of the amplitudes it compares, so none refuses them for their size
+    cfg = _write_config(tmp_path, {"oscillation.q_plus": q_plus})
+    rc = main([mode, "--config", str(cfg), "--out", str(tmp_path / "out"), "--formats", "json"])
+    seen = capsys.readouterr().out
+    assert rc == 0, seen
+    assert f"mode {mode}: PASS ({checks}/{checks} checks)" in seen
+
+
+SMALL = {"solver.N": 4001, "kernel.step": "pi/100", "kernel.extend_to": 0,
+         "oscillation.m_max": 10}
+
+
+@pytest.mark.parametrize("mode, override, family, pair", [
+    ("construct-example", False, 1, 0),
+    ("verify-lemma", False, 1, 0),
+    ("compute-kernel", False, 1, 0),
+    ("verify-lemma", True, 0, 0),  # the lemma checks the bare q
+    ("build-pair", False, 0, 1),
+    ("bridge", False, 0, 1),
+    ("solve-bvp", False, 0, 1),
+    ("full-pipeline", False, 1, 1),
+])
+def test_a_mode_builds_what_it_reads_once_before_out_exists(tmp_path, capsys, monkeypatch,
+                                                           mode, override, family, pair):
+    from oscillax import cli_report
+
+    out = tmp_path / "out"
+    made = {"family": [], "pair": []}
+
+    def spying(what, build):
+        def spy(*args, **kwargs):
+            made[what].append(out.exists())
+            return build(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(cli_report, "build_oscillation",
+                        spying("family", cli_report.build_oscillation))
+    monkeypatch.setattr(cli_report, "build_pair", spying("pair", cli_report.build_pair))
+    patch = {"q_override": {"expr": "sin(s)^2 - 0.1", "m_max": 10}} if override else {}
+    cfg = _write_config(tmp_path, {**SMALL, **patch})
+    rc = main([mode, "--config", str(cfg), "--out", str(out), "--formats", "json"])
+    seen = capsys.readouterr().out
+    assert rc == (1 if override else 0), seen
+    assert made == {"family": [False] * family, "pair": [False] * pair}
+    assert out.exists()
 
 
 def test_the_smallest_solver_grid_the_decay_fit_takes_runs_to_its_verdicts(tmp_path, capsys):
@@ -669,6 +727,21 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
                "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "wires crossed" in capsys.readouterr().err
+
+
+def test_a_build_that_fails_at_run_time_exits_3(tmp_path, capsys, monkeypatch):
+    from oscillax import cli_report
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("subdivision limit reached")
+
+    monkeypatch.setattr(cli_report, "build_oscillation", fail)
+    cfg = _write_config(tmp_path)
+    rc = main(["construct-example", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "subdivision limit reached" in err
+    assert "invalid configuration" not in err
 
 
 # ---------------------------------------------------------------------------

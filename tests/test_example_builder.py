@@ -195,7 +195,7 @@ def test_a_family_that_is_not_smooth_at_a_join_is_refused(monkeypatch):
         return smooth(self, s) + np.where(np.asarray(s) > 5 * PI, 1e-3, 0.0)
 
     monkeypatch.setattr(OscillationSpec, "q_callable", stepped)
-    with pytest.raises(ValueError, match="fails continuity") as err:
+    with pytest.raises(ValueError, match="leaves its lobe table") as err:
         build_oscillation(OscillationParams())
     assert "np.float64" not in str(err.value)
 
