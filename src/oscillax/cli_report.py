@@ -389,8 +389,7 @@ CONFIG_TABLE = {
     "problem": (..., {"n": (3, _count(3)), "R": (1.0, _positive),
                       "varsigma": (1.0, _positive)}),
     "kernel": (..., {"step": ("pi/200", _positive), "span": ("40*pi", _positive),
-                     "extend_to": (STOCK_EXTEND_TO, _finite), "extend_step": ("pi/80", _positive),
-                     "residual_step": (1e-3, _positive)}),
+                     "extend_to": (STOCK_EXTEND_TO, _finite), "extend_step": ("pi/80", _positive)}),
     "solver": (..., {"N": (16001, _odd_count), "tol": (1e-10, _positive),
                      "max_iter": (200, _count(1)),
                      "boundary": ("upper", _choice("upper", "lower"))}),
@@ -408,6 +407,8 @@ RETIRED_KEYS = {
                               "heavy-weight integrals, so leave features.varsigma out",
     ("solver", "K"): "the sweep shift is derived from the nonlinearity (0 for the "
                      "nondecreasing tanh blend), so leave solver.K out",
+    ("kernel", "residual_step"): "the kernel equation is checked on the solver.N grid, so "
+                                 "leave kernel.residual_step out",
 }
 
 
@@ -494,7 +495,6 @@ class RunConfig:
     kernel_span: float
     extend_to: float
     extend_step: float
-    residual_step: float
     solver_N: int
     solver_tol: float
     solver_max_iter: int
@@ -559,7 +559,7 @@ def load_config(raw: dict) -> RunConfig:
     # family's table, which holds m_max + 2 periods or more (see _extent), and a bare
     # q's 2 m_max + 1 lobe nodes; and the solver grid
     q_override, N = got["q_override"], got["solver"]["N"]
-    points = {f"kernel.{key}": (kern[key], span / kern[key]) for key in ("step", "residual_step")}
+    points = {"kernel.step": (kern["step"], span / kern["step"])}
     if extend_to > 0.0:
         points["kernel.extend_step"] = (kern["extend_step"], 2.0 * TWO_PI / kern["extend_step"])
         points["kernel.extend_to"] = (extend_to, CELL_NODES * extend_to / PI)
@@ -569,10 +569,9 @@ def load_config(raw: dict) -> RunConfig:
     points["solver.N"] = (N, N)
     for what, (value, count) in points.items():
         _fits(what, value, count)
-    for key in ("step", "residual_step"):
-        if _grid_cells(span, kern[key]) < 2:
-            raise ValueError(f"kernel.{key} = {kern[key]!r} leaves no grid cell over "
-                             f"kernel.span = {span!r}; it must be below twice the span")
+    if _grid_cells(span, kern["step"]) < 2:
+        raise ValueError(f"kernel.step = {kern['step']!r} leaves no grid cell over "
+                         f"kernel.span = {span!r}; it must be below twice the span")
     _check_damping(p, p_tail, osc.m_max, q_override["m_max"] if q_override else 0,
                    _uniform_grid(span, kern["step"]))
     # the bridge's integral conditions run up to the radius of the grid end
@@ -587,9 +586,9 @@ def load_config(raw: dict) -> RunConfig:
     return RunConfig(
         oscillation=osc, pair=pair, problem_n=n, problem_R=R, varsigma=got["problem"]["varsigma"],
         kernel_step=kern["step"], kernel_span=span, extend_to=extend_to,
-        extend_step=kern["extend_step"], residual_step=kern["residual_step"],
-        solver_N=N, solver_tol=solv["tol"], solver_max_iter=solv["max_iter"],
-        solver_boundary=solv["boundary"], features_M=got["features"]["M"], q_override=q_override,
+        extend_step=kern["extend_step"], solver_N=N, solver_tol=solv["tol"],
+        solver_max_iter=solv["max_iter"], solver_boundary=solv["boundary"],
+        features_M=got["features"]["M"], q_override=q_override,
     )
 
 
@@ -637,6 +636,11 @@ def _uniform_grid(span: float, step: float) -> np.ndarray:
     return np.linspace(S0_FIXED, S0_FIXED + span, _grid_cells(span, step) + 1)
 
 
+def _solver_grid(cfg: RunConfig) -> np.ndarray:
+    """The grid of the barriers, the solve and the checks of the kernel equation."""
+    return np.linspace(S0_FIXED, S0_FIXED + cfg.kernel_span, cfg.solver_N)
+
+
 def _radial_problem(cfg: RunConfig, pair: PairResult):
     from .pde_bridge import RadialProblem, push_a_from_q
 
@@ -665,7 +669,7 @@ class _Runner:
                      if reads & {"pair", "problem"} else None)
         self.problem = _radial_problem(cfg, self.pair) if "problem" in reads else None
         # the hand-offs: the lemma's LemmaReport and the family KernelPair it checked go
-        # to the kernel stage, the bridge's BarrierPair (its continuations) to the solver
+        # to the kernel stage, the bridge's BarrierPair, on the solver grid, to the solve
         self.lemma = self.kernel = self.barrier = None
         self.ledger: list[Check] = []
         cfg.out.mkdir(parents=True, exist_ok=True)
@@ -791,13 +795,11 @@ class _Runner:
             extend_to=cfg.extend_to, extend_step=cfg.extend_step)
         if bound is not None:
             kern = kern.with_sup_bound(bound)
-        res_grid = _uniform_grid(cfg.kernel_span, cfg.residual_step)
-        res_kern = compute_kernel(
-            cfg.oscillation.p, spec.q_callable, res_grid,
-            extend_to=cfg.extend_to, extend_step=cfg.extend_step, far=kern.far,
-        )
-        resid = ode_residual(res_kern.h_values, cfg.oscillation.p, spec.q_callable,
-                             res_grid, z_values=res_kern.z_values)
+        grid = _solver_grid(cfg)
+        check = compute_kernel(cfg.oscillation.p, spec.q_callable, grid, extend_to=cfg.extend_to,
+                               extend_step=cfg.extend_step, far=kern.far)
+        resid = ode_residual(check.h_values, cfg.oscillation.p, spec.q_callable, grid,
+                             z_values=check.z_values)
         self.note("kernel equation residual within 1e-4", resid["sup"] <= 1e-4,
                   1e-4 - resid["sup"])
         self.note("kernel z negative beyond the first lobe",
@@ -813,10 +815,11 @@ class _Runner:
                 "cutoff": kern.h_tail.cutoff,
             },
             "residual_sup": resid["sup"],
+            "residual_estimate": resid["estimate"],
             "residual_l2": resid["l2"],
             "identity_sup": resid["identity_sup"],
             "grid_step": float(kern.grid[1] - kern.grid[0]),
-            "residual_grid_step": float(res_grid[1] - res_grid[0]),
+            "residual_spacings": [float(grid[2] - grid[0]), float(grid[4] - grid[0])],
         }
         if self.want("json"):
             write_json(self.path("kernel_report.json"), payload)
@@ -872,14 +875,13 @@ class _Runner:
         self.note("lift of pushed coefficient returns q1 (relative)",
                   rt_err <= 1e-11, 1e-11 - rt_err)
 
-        res_grid = _uniform_grid(cfg.kernel_span, cfg.residual_step)
-        barrier = make_barriers(pair, res_grid, extend_to=cfg.extend_to,
-                                extend_step=cfg.extend_step)
+        grid = _solver_grid(cfg)
+        barrier = make_barriers(pair, grid, extend_to=cfg.extend_to, extend_step=cfg.extend_step)
         report = subsuper_residual(problem, barrier)
         self.note("lower barrier residual sign", report.lower_ok, report.min_rho1)
         self.note("upper barrier residual sign", report.upper_ok, -report.max_rho2)
 
-        T = float(beta_map(n, cfg.problem_R, res_grid[-1]))
+        T = float(beta_map(n, cfg.problem_R, grid[-1]))
         conditions = integral_conditions(
             problem, T, sup_q=(pair.q1.sup_bound, pair.q2.sup_bound))
         self.note("radial damping integral converges",
@@ -897,7 +899,9 @@ class _Runner:
             "barrier_gap": [barrier.gap_min, barrier.gap_max],
             "residuals": {
                 "min_rho1": report.min_rho1,
+                "rho1_estimate": report.rho1_estimate,
                 "max_rho2": report.max_rho2,
+                "rho2_estimate": report.rho2_estimate,
                 "lower_ok": report.lower_ok,
                 "upper_ok": report.upper_ok,
                 "ribbon_excursion": report.ribbon_excursion,
@@ -910,18 +914,15 @@ class _Runner:
         self.barrier = barrier
 
     def solve_bvp_stage(self) -> None:
-        """Solve between the barriers; the bridge's, when it ran, lend their continuation
-        summaries."""
+        """Solve between the barriers: the bridge's, when it ran, which are on this grid."""
         from .bvp_solver import check_sandwich, solve_radial
         from .pde_bridge import make_barriers
 
         cfg, pair, problem = self.cfg, self.pair, self.problem
 
-        grid = np.linspace(S0_FIXED, S0_FIXED + cfg.kernel_span, cfg.solver_N)
-        far = None if self.barrier is None else (self.barrier.kernel1.far,
-                                                 self.barrier.kernel2.far)
-        barrier = make_barriers(pair, grid, extend_to=cfg.extend_to,
-                                extend_step=cfg.extend_step, far=far)
+        grid = _solver_grid(cfg)
+        barrier = self.barrier or make_barriers(pair, grid, extend_to=cfg.extend_to,
+                                                extend_step=cfg.extend_step)
         solution = solve_radial(
             problem, barrier, tol=cfg.solver_tol,
             boundary=cfg.solver_boundary, max_iter=cfg.solver_max_iter,
@@ -936,11 +937,6 @@ class _Runner:
                   solution.residual_sup <= 10.0 * cfg.solver_tol,
                   10.0 * cfg.solver_tol - solution.residual_sup)
 
-        r = beta_map(problem.n, problem.R, grid)
-        u = solution.u_values / grid
-        v1 = barrier.h1 / grid
-        v2 = barrier.h2 / grid
-
         payload = {
             "iterations": solution.iterations,
             "iteration_sup_deltas": list(solution.iteration_sup_deltas),
@@ -954,6 +950,10 @@ class _Runner:
         }
         if self.want("json"):
             write_json(self.path("bvp_summary.json"), payload)
+        if not (self.want("csv") or self.want("svg")):
+            return
+        r = beta_map(problem.n, problem.R, grid)
+        u, v1, v2 = solution.u_values / grid, barrier.h1 / grid, barrier.h2 / grid
         if self.want("csv"):
             write_csv(self.path("bvp.csv"),
                       ["s", "r", "u", "v1", "v2", "residual"],

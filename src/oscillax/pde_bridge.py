@@ -37,9 +37,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .example_builder import S0_FIXED, PairResult
-from .kernel import Damping, FarField, KernelPair, _central_operator, compute_kernel
-from .quadrature import (STOCK_EXTEND_TO, TailModel, integrate_finite, integrate_finite_many,
-                         uniform_step)
+from .kernel import Damping, FarField, KernelPair, _extrapolated_operator, compute_kernel
+from .quadrature import STOCK_EXTEND_TO, TailModel, integrate_finite, integrate_finite_many
 from .radial import _beta_betaprime, _check_dim, beta_inverse, beta_map, excluded_arc
 
 __all__ = [
@@ -105,8 +104,8 @@ def lift_coefficients(problem: RadialProblem):
     def lift_one(a):
         def q(s):
             s_arr = np.asarray(s, dtype=float)
-            bb = _beta_betaprime(n, s_arr)
-            return (s_arr / (n - 2)) * bb * np.asarray(a(beta_map(n, R, s_arr)), dtype=float)
+            r = beta_map(n, R, s_arr)
+            return (s_arr / (n - 2)) * _beta_betaprime(n, r) * np.asarray(a(r), dtype=float)
 
         return q
 
@@ -264,7 +263,7 @@ def _ribbon(problem: RadialProblem, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 class ResidualReport(NamedTuple):
-    grid: np.ndarray
+    grid: np.ndarray      # every fourth node of the barrier grid, the nodes of rho1 and rho2
     rho1: np.ndarray
     rho2: np.ndarray
     min_rho1: float
@@ -272,6 +271,8 @@ class ResidualReport(NamedTuple):
     lower_ok: bool
     upper_ok: bool
     ribbon_excursion: float
+    rho1_estimate: float  # error estimates of the extrapolated rho1 and rho2
+    rho2_estimate: float
 
 
 def subsuper_residual(
@@ -280,34 +281,35 @@ def subsuper_residual(
     *,
     f: Optional[Callable] = None,
 ) -> ResidualReport:
-    """Discrete residuals of the barriers under the nonlinearity f(r, u).
+    """Residuals of the barriers under the nonlinearity f(r, u).
 
     On the arc side the operator is  L[h] + (1/(n-2)) beta beta' f(beta, h/s)
     with L[h] = h'' + p (h' - h/s).  A subsolution must keep it >= 0 (for
-    h1), a supersolution <= 0 (for h2); central differences on the barrier
-    grid measure both, and SIGN_TOL sets the tolerated discretisation leak.
-    f, the stock blend when omitted, is required to respect the ribbon
-    a1 <= f <= a2 wherever it is evaluated; an excursion beyond RIBBON_TOL
-    (relative to the ribbon width) is a hard error because the sandwich
-    argument breaks there.
+    h1), a supersolution <= 0 (for h2).  L is Richardson-extrapolated from
+    central differences on the barrier grid's even nodes, and the pointwise
+    f term is added, at every fourth node (see
+    :func:`~oscillax.kernel._extrapolated_operator`; the grid needs 17 points
+    or more); SIGN_TOL sets the tolerated discretisation leak.  f, the stock
+    blend when omitted, is required to respect the ribbon a1 <= f <= a2 at
+    every interior node; an excursion beyond RIBBON_TOL (relative to the
+    ribbon width) is a hard error because the sandwich argument breaks there.
     """
     problem.validate()
     n, R = problem.n, problem.R
     g = barrier.grid
-    step = uniform_step(g, "residual checks need a uniform barrier grid")
-
     si = g[1:-1]
-    p_i = np.asarray(problem.p(si), dtype=float)
-    bb = _beta_betaprime(n, si)
     r_i = beta_map(n, R, si)
     lo, hi = _ribbon(problem, r_i)
     fn = (make_blend(problem, barrier, r_i, ribbon=(lo, hi)) if f is None
           else lambda u: f(r_i, u))
     width = np.max(hi - lo)
+    p2 = np.asarray(problem.p(g[::2][1:-1]), dtype=float)
+    nodes = g[::4][1:-1]
+    at = slice(3, 4 * len(nodes), 4)  # those nodes among the interior ones
+    B = _beta_betaprime(n, r_i[at]) / (n - 2)
 
     excursion = 0.0
-    rhos = []
-    work = np.empty((2, len(si)))
+    rhos, estimates = [], []
     for h in (barrier.h1, barrier.h2):
         fv = np.asarray(fn(h[1:-1] / si), dtype=float)
         over = float(np.max(np.maximum(fv - hi, lo - fv)))
@@ -318,13 +320,14 @@ def subsuper_residual(
                 f"while evaluating barrier residuals; the comparison argument "
                 f"does not apply to such an f"
             )
-        rho = _central_operator(h, si, p_i, step, np.empty(len(si)), work)
-        rho += bb / (n - 2) * fv
+        rho, _, estimate = _extrapolated_operator(h, g, p2)
+        rho += B * fv[at]
         rhos.append(rho)
+        estimates.append(estimate)
     rho1, rho2 = rhos
 
     return ResidualReport(
-        grid=g,
+        grid=nodes,
         rho1=rho1,
         rho2=rho2,
         min_rho1=float(np.min(rho1)),
@@ -332,6 +335,8 @@ def subsuper_residual(
         lower_ok=bool(np.min(rho1) >= -SIGN_TOL),
         upper_ok=bool(np.max(rho2) <= SIGN_TOL),
         ribbon_excursion=excursion,
+        rho1_estimate=estimates[0],
+        rho2_estimate=estimates[1],
     )
 
 
@@ -379,7 +384,7 @@ def integral_conditions(
         # r^(n-1) g(r), with g(r) = p(s) / (beta beta')(s) at s = beta^-1(r)
         r_arr = np.asarray(r, dtype=float)
         s = beta_inverse(n, R, r_arr)
-        g = np.asarray(p(s), dtype=float) / _beta_betaprime(n, s)
+        g = np.asarray(p(s), dtype=float) / _beta_betaprime(n, beta_map(n, R, s))
         return np.power(r_arr, n - 1) * g
 
     r_lo = beta_map(n, R, S0_FIXED)

@@ -465,8 +465,11 @@ def cumulative_simpson_doubled(u: np.ndarray, fu: np.ndarray) -> np.ndarray:
     the midpoints of the coarse cells [u_0, u_2], [u_2, u_4], ...  Even
     output entries accumulate composite Simpson over full coarse cells; odd
     entries add the half-cell value of the same interpolating parabola,
-    (dt/24) * (5 f_0 + 8 f_1 - f_2), so every node carries a consistent
-    fourth-order cumulative value.
+    (dt/24) * (5 f_0 + 8 f_1 - f_2), which is not a Simpson sum: the odd
+    entries are less accurate than the even ones (h of the default family
+    on a pi/400 grid is off by 4.7e-11 at its odd nodes and 9.8e-12 at its
+    even ones, against a pi/800 build), so a finite difference of them reads
+    that gap divided by the step squared.
     """
     u = np.asarray(u, dtype=float)
     f = np.asarray(fu, dtype=float)

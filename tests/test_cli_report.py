@@ -334,6 +334,7 @@ def test_nonpositive_or_infinite_kernel_step_exits_2_before_writing(tmp_path, ca
     ("solver.tol", 0), ("solver.tol", -1e-10), ("solver.tol", 1e309),
     ("solver.tol", float("nan")),
     ("solver.max_iter", 0), ("solver.max_iter", -3),
+    # retired: the kernel equation is checked on the solver grid, so any value is refused
     ("kernel.residual_step", 0), ("kernel.residual_step", -1e-3),
     ("kernel.residual_step", "-pi/200"), ("kernel.residual_step", 1e309),
     ("kernel.residual_step", float("nan")),
@@ -352,7 +353,8 @@ def test_bad_solver_or_residual_settings_exit_2_before_writing(tmp_path, capsys,
 
 @pytest.mark.parametrize("key, value", [
     ("kernel.span", 0), ("kernel.span", -1.0), ("kernel.span", "-pi"), ("kernel.span", 1e309),
-    # a step of twice the span or more rounds to a grid with no cell
+    # a step of twice the span or more rounds to a grid with no cell; the retired
+    # kernel.residual_step is refused whatever its value
     ("kernel.residual_step", 1000), ("kernel.residual_step", "80*pi"), ("kernel.step", 1e4),
 ])
 def test_span_or_step_leaving_no_grid_cell_exits_2_before_writing(tmp_path, capsys,
@@ -435,13 +437,14 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
     ({"p.expr": "x"}, "p.expr: "),
     ({"q_override": {"expr": "x"}}, "q_override.expr: "),
     ({"kernel.step": 1e-300}, "kernel.step: "),
-    # numpy cannot hold the residual grid, or the continuation's window and cell
-    # subdivisions, in one array; at 5e-324, span/step is infinite and half a step is 0
-    pytest.param({"kernel.residual_step": 1e-300}, "kernel.residual_step: ",
+    # numpy cannot hold the continuation's window and cell subdivisions in one array;
+    # at 5e-324, span/step is infinite and half a step is 0; the retired
+    # kernel.residual_step is refused before any value of it is read
+    pytest.param({"kernel.residual_step": 1e-300}, "leave kernel.residual_step out",
                  id="tiny-residual-step"),
     pytest.param({"kernel.extend_step": 1e-300}, "kernel.extend_step: ", id="tiny-extend-step"),
     pytest.param({"kernel.step": 5e-324}, "kernel.step: ", id="denormal-step"),
-    pytest.param({"kernel.residual_step": 5e-324}, "kernel.residual_step: ",
+    pytest.param({"kernel.residual_step": 5e-324}, "leave kernel.residual_step out",
                  id="denormal-residual-step"),
     pytest.param({"kernel.extend_step": 5e-324}, "kernel.extend_step: ",
                  id="denormal-extend-step"),
@@ -634,8 +637,8 @@ def test_readme_lists_exactly_the_retired_keys():
 
 
 def test_smallest_step_keeping_a_cell_is_accepted():
-    cfg = load_config({"kernel": {"span": 1.0, "step": 1.9, "residual_step": 1.0}})
-    assert (cfg.kernel_span, cfg.kernel_step, cfg.residual_step) == (1.0, 1.9, 1.0)
+    cfg = load_config({"kernel": {"span": 1.0, "step": 1.9}})
+    assert (cfg.kernel_span, cfg.kernel_step) == (1.0, 1.9)
 
 
 @pytest.mark.parametrize("key, value, named", [
@@ -858,11 +861,66 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
     cfg = _write_config(tmp_path)
     assert main(["full-pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    # the lemma's family kernel serves the kernel stage; the family integrates
-    # lambda and its I_m once, and lemma_check and the pair reuse them; the family
-    # and the two pair members each build their amplitude table once
-    assert counts == {"compute_kernel": 6, "lambda": 1, "I batch": 1, "tail_sum_I_bound": 1,
+    # the lemma's family kernel serves the kernel stage, which checks the kernel equation
+    # on one more family kernel, on the solver grid; the bridge's barrier pair (two
+    # kernels) serves the solve; the family integrates lambda and its I_m once, and
+    # lemma_check and the pair reuse them; the family and the two pair members each
+    # build their amplitude table once
+    assert counts == {"compute_kernel": 4, "lambda": 1, "I batch": 1, "tail_sum_I_bound": 1,
                       "table": 3}
+
+
+@pytest.mark.parametrize("mode", ["solve-bvp", "full-pipeline"])
+def test_a_run_builds_one_barrier_pair_and_solves_between_it(tmp_path, capsys, monkeypatch,
+                                                              mode):
+    from oscillax import bvp_solver, pde_bridge
+
+    make, solve = pde_bridge.make_barriers, bvp_solver.solve_radial
+    built, solved = [], []
+
+    def counting(*args, **kwargs):
+        built.append(make(*args, **kwargs))
+        return built[-1]
+
+    def spying(problem, barrier, *args, **kwargs):
+        solved.append(barrier)
+        return solve(problem, barrier, *args, **kwargs)
+
+    monkeypatch.setattr(pde_bridge, "make_barriers", counting)
+    monkeypatch.setattr(bvp_solver, "solve_radial", spying)
+    cfg = _write_config(tmp_path, SMALL)
+    rc = main([mode, "--config", str(cfg), "--out", str(tmp_path / "out"), "--formats", "json"])
+    assert rc == 0, capsys.readouterr().out
+    assert len(built) == 1 and len(solved) == 1 and solved[0] is built[0]
+    assert len(built[0].grid) == 4001
+
+
+@pytest.mark.parametrize("patch", [
+    pytest.param({}, id="default"),
+    pytest.param({"problem.n": 4}, id="n4"),
+    pytest.param({"p": {"expr": "exp(-s)", "tail": {"kind": "exp", "rate": 1.0, "coef": 1.0}}},
+                 id="exp-p"),
+    # the benchmark's seed-11 jitter of the band parameters
+    pytest.param({"oscillation.q_plus": 2.0848, "oscillation.gamma": 6.1357,
+                  "oscillation.sigma": 7.0239, "pair.set1.gamma": 6.1357,
+                  "pair.set1.sigma": 7.0239, "pair.set2.gamma": 7.9863,
+                  "pair.set2.sigma": 9.0031}, id="seed-11"),
+])
+def test_the_extrapolated_checks_with_their_estimates_stay_inside_the_residual_grid(
+        tmp_path, capsys, patch):
+    # central differences on the retired 1e-3 residual grid read 5.33e-8 (kernel),
+    # -4.36e-8 and +2.19e-8 (barriers) on the default config
+    cfg = _write_config(tmp_path, patch)
+    out = tmp_path / "out"
+    assert main(["full-pipeline", "--config", str(cfg), "--out", str(out),
+                 "--formats", "json"]) in (0, 1)  # exp-p keeps its lemma FAIL
+    capsys.readouterr()
+    kernel = json.loads((out / "kernel_report.json").read_text())
+    bridge = json.loads((out / "bridge_report.json").read_text())["residuals"]
+    assert kernel["residual_sup"] + kernel["residual_estimate"] <= 5.33e-8
+    assert bridge["min_rho1"] - bridge["rho1_estimate"] >= -4.36e-8
+    assert bridge["max_rho2"] + bridge["rho2_estimate"] <= 2.19e-8
+    assert bridge["lower_ok"] and bridge["upper_ok"]
 
 
 def test_full_pipeline_integrates_the_damping_once(tmp_path, capsys, monkeypatch):

@@ -162,6 +162,28 @@ def test_ode_residual_small_on_fine_grid(family):
     assert resid["l2"] <= resid["sup"] * math.sqrt(span)
 
 
+def test_the_extrapolated_residual_falls_at_fourth_order_on_a_smooth_q():
+    # a smooth q with no lobe joins: R = (4 rho_2 - rho_4)/3 loses its step^2 term,
+    # so it falls about 16 times when the grid halves (15.9 and 15.7 here)
+    p, q = OscillationParams().p, parse("0.3 + 0.2*cos(s)")
+    sups = []
+    for n_points in (1001, 2001, 4001):
+        grid = np.linspace(2 * PI, 42 * PI, n_points)
+        kern = compute_kernel(p, q, grid, extend_to=0.0)
+        resid = ode_residual(kern.h_values, p, q, grid, z_values=kern.z_values)
+        assert resid["n_interior"] == (n_points - 1) // 4 - 1
+        sups.append(resid["sup"])
+    assert sups[0] >= 10.0 * sups[1] >= 100.0 * sups[2]
+
+
+@pytest.mark.parametrize("n_points", [3, 9, 16])
+def test_the_extrapolated_residual_names_a_grid_too_short_for_it(n_points):
+    grid = np.linspace(2 * PI, 4 * PI, n_points)
+    with pytest.raises(ValueError, match=f"at least 17 points, got {n_points}"):
+        ode_residual(np.ones(n_points), _one, _zero, grid)
+    assert ode_residual(np.ones(17), _zero, _zero, np.linspace(2 * PI, 4 * PI, 17))["sup"] == 0.0
+
+
 def test_kernel_lambda_matches_closed_form(family):
     # the family is the one source of lambda; the kernel no longer integrates p
     exact = 1.0 / (8.0 * PI**2)

@@ -269,6 +269,22 @@ def test_barrier_residual_signs_on_fine_grid(problem, fine_barrier):
     assert rep.ribbon_excursion == 0.0
 
 
+def test_barrier_residuals_live_at_every_fourth_node(problem, solver_barrier):
+    rep = subsuper_residual(problem, solver_barrier)
+    assert np.array_equal(rep.grid, solver_barrier.grid[4:-4:4])
+    assert rep.rho1.shape == rep.rho2.shape == rep.grid.shape == (3999,)
+    assert rep.min_rho1 == float(np.min(rep.rho1)) and rep.max_rho2 == float(np.max(rep.rho2))
+    assert 0.0 < rep.rho1_estimate < 1e-8 and 0.0 < rep.rho2_estimate < 1e-8
+
+
+@pytest.mark.parametrize("n_points", [9, 13])
+def test_barrier_residuals_name_a_grid_too_short_for_the_extrapolation(problem, pair,
+                                                                       n_points):
+    barrier = make_barriers(pair, np.linspace(2 * PI, 42 * PI, n_points))
+    with pytest.raises(ValueError, match=f"at least 17 points, got {n_points}"):
+        subsuper_residual(problem, barrier)
+
+
 def test_subsuper_residual_pushes_each_ribbon_edge_once(problem, solver_barrier):
     calls = {"a1": 0, "a2": 0}
 
