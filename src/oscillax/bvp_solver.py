@@ -202,7 +202,7 @@ def _estimate_shift(problem: RadialProblem, barrier: BarrierPair, f: Callable) -
     n, R = problem.n, problem.R
     si = g[1:-1:max(1, len(g) // 512)]
     r_i = beta_map(n, R, si)
-    B = _beta_betaprime(n, r_i) / (n - 2)
+    B = _beta_betaprime(n, si) / (n - 2)
     v1 = barrier.v1(si)
     width = barrier.v2(si) - v1
     worst = 0.0
@@ -252,7 +252,7 @@ def solve_radial(
     si = g[1:-1]
     p_i = np.asarray(problem.p(si), dtype=float)
     r_i = beta_map(n, R, si)
-    B = _beta_betaprime(n, r_i) / (n - 2)
+    B = _beta_betaprime(n, si) / (n - 2)
     fn = make_blend(problem, barrier, r_i) if f is None else lambda u: f(r_i, u)
 
     factor = _sweep_factor(p_i, si, step, K_used)

@@ -407,8 +407,8 @@ RETIRED_KEYS = {
                               "heavy-weight integrals, so leave features.varsigma out",
     ("solver", "K"): "the sweep shift is derived from the nonlinearity (0 for the "
                      "nondecreasing tanh blend), so leave solver.K out",
-    ("kernel", "residual_step"): "the kernel equation is checked on the solver.N grid, so "
-                                 "leave kernel.residual_step out",
+    ("kernel", "residual_step"): "the kernel equation is checked on a pi/400 grid with the "
+                                 "lobe joins on its nodes, so leave kernel.residual_step out",
 }
 
 
@@ -557,9 +557,10 @@ def load_config(raw: dict) -> RunConfig:
     # extend_step/2 (each pi-cell's subdivision at that spacing holds half as many) and
     # CELL_NODES nodes per pi-cell up to extend_to; the 16 points per period of a
     # family's table, which holds m_max + 2 periods or more (see _extent), and a bare
-    # q's 2 m_max + 1 lobe nodes; and the solver grid
+    # q's 2 m_max + 1 lobe nodes; the solver grid, and kernel.equation_grid's 400/pi a unit
     q_override, N = got["q_override"], got["solver"]["N"]
-    points = {"kernel.step": (kern["step"], span / kern["step"])}
+    points = {"kernel.step": (kern["step"], span / kern["step"]),
+              "kernel.span": (span, 400.0 * span / PI)}
     if extend_to > 0.0:
         points["kernel.extend_step"] = (kern["extend_step"], 2.0 * TWO_PI / kern["extend_step"])
         points["kernel.extend_to"] = (extend_to, CELL_NODES * extend_to / PI)
@@ -636,11 +637,6 @@ def _uniform_grid(span: float, step: float) -> np.ndarray:
     return np.linspace(S0_FIXED, S0_FIXED + span, _grid_cells(span, step) + 1)
 
 
-def _solver_grid(cfg: RunConfig) -> np.ndarray:
-    """The grid of the barriers, the solve and the checks of the kernel equation."""
-    return np.linspace(S0_FIXED, S0_FIXED + cfg.kernel_span, cfg.solver_N)
-
-
 def _radial_problem(cfg: RunConfig, pair: PairResult):
     from .pde_bridge import RadialProblem, push_a_from_q
 
@@ -669,7 +665,7 @@ class _Runner:
                      if reads & {"pair", "problem"} else None)
         self.problem = _radial_problem(cfg, self.pair) if "problem" in reads else None
         # the hand-offs: the lemma's LemmaReport and the family KernelPair it checked go
-        # to the kernel stage, the bridge's BarrierPair, on the solver grid, to the solve
+        # to the kernel stage, the bridge's BarrierPair to the solve (see solve_bvp_stage)
         self.lemma = self.kernel = self.barrier = None
         self.ledger: list[Check] = []
         cfg.out.mkdir(parents=True, exist_ok=True)
@@ -784,7 +780,7 @@ class _Runner:
     def compute_kernel_stage(self) -> None:
         """Kernels of the family; the lemma stage, when it ran, lends its proof bound and
         the family kernel it checked."""
-        from .kernel import compute_kernel, ode_residual
+        from .kernel import compute_kernel, equation_grid, ode_residual
 
         cfg, spec = self.cfg, self.family
         bound = self.lemma.hypotheses.proof_bound() if self.lemma is not None else None
@@ -795,13 +791,14 @@ class _Runner:
             extend_to=cfg.extend_to, extend_step=cfg.extend_step)
         if bound is not None:
             kern = kern.with_sup_bound(bound)
-        grid = _solver_grid(cfg)
+        grid = equation_grid(S0_FIXED, cfg.kernel_span)
         check = compute_kernel(cfg.oscillation.p, spec.q_callable, grid, extend_to=cfg.extend_to,
-                               extend_step=cfg.extend_step, far=kern.far)
+                               extend_step=cfg.extend_step,
+                               far=kern.far if grid[-1] == kern.grid[-1] else None)
         resid = ode_residual(check.h_values, cfg.oscillation.p, spec.q_callable, grid,
                              z_values=check.z_values)
-        self.note("kernel equation residual within 1e-4", resid["sup"] <= 1e-4,
-                  1e-4 - resid["sup"])
+        worst = resid["sup"] + resid["estimate"]
+        self.note("kernel equation residual within 1e-4", worst <= 1e-4, 1e-4 - worst)
         self.note("kernel z negative beyond the first lobe",
                   bool(np.all(kern.z_values[kern.grid > S0_FIXED + PI] < -1e-12)))
         payload = {
@@ -860,6 +857,7 @@ class _Runner:
                       title="ordered coefficient pair", xlabel="s", ylabel="q(s)")
 
     def bridge_stage(self) -> None:
+        from .kernel import equation_grid
         from .pde_bridge import (integral_conditions, lift_coefficients, make_barriers,
                                  subsuper_residual)
 
@@ -875,13 +873,13 @@ class _Runner:
         self.note("lift of pushed coefficient returns q1 (relative)",
                   rt_err <= 1e-11, 1e-11 - rt_err)
 
-        grid = _solver_grid(cfg)
-        barrier = make_barriers(pair, grid, extend_to=cfg.extend_to, extend_step=cfg.extend_step)
+        barrier = make_barriers(pair, equation_grid(S0_FIXED, cfg.kernel_span),
+                                extend_to=cfg.extend_to, extend_step=cfg.extend_step)
         report = subsuper_residual(problem, barrier)
         self.note("lower barrier residual sign", report.lower_ok, report.min_rho1)
         self.note("upper barrier residual sign", report.upper_ok, -report.max_rho2)
 
-        T = float(beta_map(n, cfg.problem_R, grid[-1]))
+        T = float(beta_map(n, cfg.problem_R, S0_FIXED + cfg.kernel_span))
         conditions = integral_conditions(
             problem, T, sup_q=(pair.q1.sup_bound, pair.q2.sup_bound))
         self.note("radial damping integral converges",
@@ -914,15 +912,18 @@ class _Runner:
         self.barrier = barrier
 
     def solve_bvp_stage(self) -> None:
-        """Solve between the barriers: the bridge's, when it ran, which are on this grid."""
+        """Solve between the barriers: the bridge's when they are on the solver grid, else
+        new ones, which reuse the bridge's continuation summaries when the grids end together."""
         from .bvp_solver import check_sandwich, solve_radial
         from .pde_bridge import make_barriers
 
-        cfg, pair, problem = self.cfg, self.pair, self.problem
+        cfg, pair, problem, barrier = self.cfg, self.pair, self.problem, self.barrier
 
-        grid = _solver_grid(cfg)
-        barrier = self.barrier or make_barriers(pair, grid, extend_to=cfg.extend_to,
-                                                extend_step=cfg.extend_step)
+        grid = np.linspace(S0_FIXED, S0_FIXED + cfg.kernel_span, cfg.solver_N)
+        if barrier is None or not np.array_equal(barrier.grid, grid):
+            ends = barrier is not None and barrier.grid[-1] == grid[-1]
+            barrier = make_barriers(pair, grid, extend_to=cfg.extend_to,
+                                    extend_step=cfg.extend_step, far=barrier.far if ends else None)
         solution = solve_radial(
             problem, barrier, tol=cfg.solver_tol,
             boundary=cfg.solver_boundary, max_iter=cfg.solver_max_iter,
@@ -937,6 +938,9 @@ class _Runner:
                   solution.residual_sup <= 10.0 * cfg.solver_tol,
                   10.0 * cfg.solver_tol - solution.residual_sup)
 
+        r = beta_map(problem.n, problem.R, grid)
+        u, v1, v2 = solution.u_values / grid, barrier.h1 / grid, barrier.h2 / grid
+
         payload = {
             "iterations": solution.iterations,
             "iteration_sup_deltas": list(solution.iteration_sup_deltas),
@@ -950,10 +954,6 @@ class _Runner:
         }
         if self.want("json"):
             write_json(self.path("bvp_summary.json"), payload)
-        if not (self.want("csv") or self.want("svg")):
-            return
-        r = beta_map(problem.n, problem.R, grid)
-        u, v1, v2 = solution.u_values / grid, barrier.h1 / grid, barrier.h2 / grid
         if self.want("csv"):
             write_csv(self.path("bvp.csv"),
                       ["s", "r", "u", "v1", "v2", "residual"],

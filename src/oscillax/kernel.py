@@ -73,6 +73,7 @@ __all__ = [
     "z_ode_oracle",
     "compute_h",
     "compute_kernel",
+    "equation_grid",
     "ode_residual",
 ]
 
@@ -728,8 +729,27 @@ def _central_operator(h: np.ndarray, si: np.ndarray, p_i: np.ndarray, step: floa
     return out
 
 
-def _extrapolated_operator(h: np.ndarray, grid: np.ndarray,
-                           p2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def equation_grid(start: float, span: float) -> np.ndarray:
+    """The grid the kernel equation is checked on over [start, start + span].
+
+    Its step is pi/400, so from a lobe join ``start`` every join k pi is
+    one of the every-fourth nodes where :func:`_extrapolated_operator`
+    centres its stencils, and the checks read the same nodes whatever grid
+    the rest of a run uses.  It ends at the last of those nodes in the
+    span: the span's end when the span is a whole number of pi/100 (the
+    stock span 40 pi gives 16 001 points).  A span under pi/25 holds no
+    join and gets 17 points.
+    """
+    cells = math.floor(span / (math.pi / 100.0) * (1.0 + 1e-12))
+    if cells < 4:
+        return np.linspace(start, start + span, 17)
+    end = cells * math.pi / 100.0
+    return np.linspace(start, start + (span if end >= span * (1.0 - 1e-12) else end),
+                       4 * cells + 1)
+
+
+def _extrapolated_operator(h: np.ndarray, grid: np.ndarray, p2: np.ndarray,
+                           step: float) -> tuple[np.ndarray, np.ndarray, float]:
     """h'' + p (h' - h/s) at every fourth node of h's grid, extrapolated from its even nodes.
 
     The odd nodes of a kernel grid carry compute_h's half-cell parabola, not
@@ -737,14 +757,16 @@ def _extrapolated_operator(h: np.ndarray, grid: np.ndarray,
     L_k the central operator on h[::k], at spacing k steps, the operator
     (4 L_2 - L_4)/3 cancels the O(step^2) term at the nodes both stencils
     share: every fourth node, the interior of grid[::4].  ``grid`` is
-    uniform with 17 points or more, and ``p2`` is p on the interior of
-    grid[::2].  Returns that operator, h' - h/s extrapolated the same way,
-    and the error estimate max |R(2, 4) - R(4, 8)|/15 over every eighth node.
+    uniform of step ``step`` with 17 points or more, and ``p2`` is p on the
+    interior of grid[::2].  A stencil that straddles a jump of q'' off its
+    centre reads an O(step^2) term that this does not cancel, so a lobe join
+    s = k pi belongs at one of those nodes (see :func:`equation_grid`).
+    Returns that operator, h' - h/s extrapolated the same way, and the error
+    estimate max |R(2, 4) - R(4, 8)|/15 over every eighth node.
     """
     if len(grid) < 17:
         raise ValueError(f"the extrapolated residual reads every eighth node, so it needs "
                          f"a grid of at least 17 points, got {len(grid)}")
-    step = uniform_step(grid, "residual checks need a uniform grid")
     s2 = grid[::2][1:-1]
     ops = []
     for k in (2, 4, 8):
@@ -785,11 +807,12 @@ def ode_residual(
     h = np.asarray(h_values, dtype=float)
     if g.shape != h.shape:
         raise ValueError("need h sampled on the grid")
+    step = uniform_step(g, "residual check needs a uniform grid")
     s2 = g[::2][1:-1]
-    resid, slope, estimate = _extrapolated_operator(h, g, np.asarray(p(s2), dtype=float))
+    resid, slope, estimate = _extrapolated_operator(h, g, np.asarray(p(s2), dtype=float), step)
     si = g[::4][1:-1]
     resid += np.asarray(q(si), dtype=float) / si
-    step4 = 4.0 * (g[-1] - g[0]) / (len(g) - 1)
+    step4 = 4.0 * step
     out = {
         "sup": float(np.max(np.abs(resid))),
         "estimate": estimate,

@@ -38,7 +38,8 @@ import numpy as np
 
 from .example_builder import S0_FIXED, PairResult
 from .kernel import Damping, FarField, KernelPair, _extrapolated_operator, compute_kernel
-from .quadrature import STOCK_EXTEND_TO, TailModel, integrate_finite, integrate_finite_many
+from .quadrature import (STOCK_EXTEND_TO, TailModel, integrate_finite, integrate_finite_many,
+                         uniform_step)
 from .radial import _beta_betaprime, _check_dim, beta_inverse, beta_map, excluded_arc
 
 __all__ = [
@@ -104,8 +105,8 @@ def lift_coefficients(problem: RadialProblem):
     def lift_one(a):
         def q(s):
             s_arr = np.asarray(s, dtype=float)
-            r = beta_map(n, R, s_arr)
-            return (s_arr / (n - 2)) * _beta_betaprime(n, r) * np.asarray(a(r), dtype=float)
+            bb = _beta_betaprime(n, s_arr)
+            return (s_arr / (n - 2)) * bb * np.asarray(a(beta_map(n, R, s_arr)), dtype=float)
 
         return q
 
@@ -151,6 +152,11 @@ class BarrierPair(NamedTuple):
     def gap_max(self) -> float:
         return float(np.max(self.h2 - self.h1))
 
+    @property
+    def far(self) -> tuple[Optional[FarField], Optional[FarField]]:
+        """The members' continuation summaries, for a pair on another grid with the same end."""
+        return self.kernel1.far, self.kernel2.far
+
     def v1(self, s) -> np.ndarray:
         return np.interp(s, self.grid, self.h1) / np.asarray(s, dtype=float)
 
@@ -173,7 +179,7 @@ def make_barriers(
     The ordering q1 <= q2 forces z1 >= z2 and hence h1 <= h2; both are
     verified on the grid and a violation raises, since barriers that cross
     cannot sandwich anything.  ``far`` passes one continuation summary per
-    member, e.g. those of a barrier pair on another grid with the same end.
+    member, e.g. :attr:`BarrierPair.far` of a pair on another grid with the same end.
     The members share p, so p is sampled and integrated on the grid once,
     into one :class:`Damping` both kernels read.  ``z_sup_bounds``, proven
     bounds on sup|z1| and sup|z2|, re-certify the h tails through
@@ -289,14 +295,18 @@ def subsuper_residual(
     central differences on the barrier grid's even nodes, and the pointwise
     f term is added, at every fourth node (see
     :func:`~oscillax.kernel._extrapolated_operator`; the grid needs 17 points
-    or more); SIGN_TOL sets the tolerated discretisation leak.  f, the stock
-    blend when omitted, is required to respect the ribbon a1 <= f <= a2 at
-    every interior node; an excursion beyond RIBBON_TOL (relative to the
-    ribbon width) is a hard error because the sandwich argument breaks there.
+    or more); SIGN_TOL sets the tolerated discretisation leak, and a sign
+    holds only when it holds with the extrapolation's error estimate taken
+    against it.  f, the stock blend when omitted, is required to respect the
+    ribbon a1 <= f <= a2 at every interior node; an excursion beyond
+    RIBBON_TOL (relative to the ribbon width) is a hard error because the
+    sandwich argument breaks there.
     """
     problem.validate()
     n, R = problem.n, problem.R
     g = barrier.grid
+    step = uniform_step(g, "residual checks need a uniform barrier grid")
+
     si = g[1:-1]
     r_i = beta_map(n, R, si)
     lo, hi = _ribbon(problem, r_i)
@@ -306,7 +316,7 @@ def subsuper_residual(
     p2 = np.asarray(problem.p(g[::2][1:-1]), dtype=float)
     nodes = g[::4][1:-1]
     at = slice(3, 4 * len(nodes), 4)  # those nodes among the interior ones
-    B = _beta_betaprime(n, r_i[at]) / (n - 2)
+    B = _beta_betaprime(n, nodes) / (n - 2)
 
     excursion = 0.0
     rhos, estimates = [], []
@@ -320,20 +330,21 @@ def subsuper_residual(
                 f"while evaluating barrier residuals; the comparison argument "
                 f"does not apply to such an f"
             )
-        rho, _, estimate = _extrapolated_operator(h, g, p2)
+        rho, _, estimate = _extrapolated_operator(h, g, p2, step)
         rho += B * fv[at]
         rhos.append(rho)
         estimates.append(estimate)
     rho1, rho2 = rhos
+    min_rho1, max_rho2 = float(np.min(rho1)), float(np.max(rho2))
 
     return ResidualReport(
         grid=nodes,
         rho1=rho1,
         rho2=rho2,
-        min_rho1=float(np.min(rho1)),
-        max_rho2=float(np.max(rho2)),
-        lower_ok=bool(np.min(rho1) >= -SIGN_TOL),
-        upper_ok=bool(np.max(rho2) <= SIGN_TOL),
+        min_rho1=min_rho1,
+        max_rho2=max_rho2,
+        lower_ok=min_rho1 - estimates[0] >= -SIGN_TOL,
+        upper_ok=max_rho2 + estimates[1] <= SIGN_TOL,
         ribbon_excursion=excursion,
         rho1_estimate=estimates[0],
         rho2_estimate=estimates[1],
@@ -384,7 +395,7 @@ def integral_conditions(
         # r^(n-1) g(r), with g(r) = p(s) / (beta beta')(s) at s = beta^-1(r)
         r_arr = np.asarray(r, dtype=float)
         s = beta_inverse(n, R, r_arr)
-        g = np.asarray(p(s), dtype=float) / _beta_betaprime(n, beta_map(n, R, s))
+        g = np.asarray(p(s), dtype=float) / _beta_betaprime(n, s)
         return np.power(r_arr, n - 1) * g
 
     r_lo = beta_map(n, R, S0_FIXED)

@@ -54,8 +54,9 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
 
 
-def _beta_betaprime(n: int, beta: np.ndarray) -> np.ndarray:
-    """beta(s) beta'(s) = beta^(4-n) / (n-2)^2 at the radius beta = beta_map(n, R, s)."""
+def _beta_betaprime(n: int, s: np.ndarray) -> np.ndarray:
+    """beta(s) beta'(s) = beta^(4-n) / (n-2)^2; equals s for n = 3."""
+    beta = np.power(np.asarray(s, dtype=float) / (n - 2), 1.0 / (n - 2))
     return np.power(beta, 4 - n) / (n - 2) ** 2
 
 

@@ -74,9 +74,8 @@ def test_returned_residual_matches_a_recomputation(problem, solver_barrier, solu
     n, R = problem.n, problem.R
     step = g[1] - g[0]
     si = g[1:-1]
-    r = beta_map(n, R, si)
-    blend = make_blend(problem, solver_barrier, r)
-    load = _beta_betaprime(n, r) / (n - 2) * blend(H[1:-1] / si)
+    blend = make_blend(problem, solver_barrier, beta_map(n, R, si))
+    load = _beta_betaprime(n, si) / (n - 2) * blend(H[1:-1] / si)
     d2 = (H[:-2] - 2.0 * H[1:-1] + H[2:]) / step**2
     d1 = (H[2:] - H[:-2]) / (2.0 * step)
     interior = d2 + np.asarray(problem.p(si), dtype=float) * (d1 - H[1:-1] / si) + load

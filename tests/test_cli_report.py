@@ -334,10 +334,8 @@ def test_nonpositive_or_infinite_kernel_step_exits_2_before_writing(tmp_path, ca
     ("solver.tol", 0), ("solver.tol", -1e-10), ("solver.tol", 1e309),
     ("solver.tol", float("nan")),
     ("solver.max_iter", 0), ("solver.max_iter", -3),
-    # retired: the kernel equation is checked on the solver grid, so any value is refused
-    ("kernel.residual_step", 0), ("kernel.residual_step", -1e-3),
-    ("kernel.residual_step", "-pi/200"), ("kernel.residual_step", 1e309),
-    ("kernel.residual_step", float("nan")),
+    # retired into RETIRED_KEYS, so it is refused whatever its value
+    ("kernel.residual_step", 0),
 ])
 def test_bad_solver_or_residual_settings_exit_2_before_writing(tmp_path, capsys,
                                                                key, value):
@@ -355,7 +353,7 @@ def test_bad_solver_or_residual_settings_exit_2_before_writing(tmp_path, capsys,
     ("kernel.span", 0), ("kernel.span", -1.0), ("kernel.span", "-pi"), ("kernel.span", 1e309),
     # a step of twice the span or more rounds to a grid with no cell; the retired
     # kernel.residual_step is refused whatever its value
-    ("kernel.residual_step", 1000), ("kernel.residual_step", "80*pi"), ("kernel.step", 1e4),
+    ("kernel.residual_step", 1000), ("kernel.step", 1e4),
 ])
 def test_span_or_step_leaving_no_grid_cell_exits_2_before_writing(tmp_path, capsys,
                                                                    key, value):
@@ -442,6 +440,9 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
     # kernel.residual_step is refused before any value of it is read
     pytest.param({"kernel.residual_step": 1e-300}, "leave kernel.residual_step out",
                  id="tiny-residual-step"),
+    # the grid the kernel equation is checked on holds 400/pi points per unit of span
+    pytest.param({"kernel.span": 1e306, "kernel.step": 1e305, "kernel.extend_to": 0},
+                 "kernel.span: ", id="huge-equation-grid"),
     pytest.param({"kernel.extend_step": 1e-300}, "kernel.extend_step: ", id="tiny-extend-step"),
     pytest.param({"kernel.step": 5e-324}, "kernel.step: ", id="denormal-step"),
     pytest.param({"kernel.residual_step": 5e-324}, "leave kernel.residual_step out",
@@ -862,17 +863,24 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
     assert main(["full-pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     # the lemma's family kernel serves the kernel stage, which checks the kernel equation
-    # on one more family kernel, on the solver grid; the bridge's barrier pair (two
-    # kernels) serves the solve; the family integrates lambda and its I_m once, and
-    # lemma_check and the pair reuse them; the family and the two pair members each
-    # build their amplitude table once
+    # on one more family kernel, on the pi/400 equation grid; the bridge's barrier pair
+    # (two kernels), on that grid too, which is the stock solver grid, serves the solve;
+    # the family integrates lambda and its I_m once, and lemma_check and the pair reuse
+    # them; the family and the two pair members each build their amplitude table once
     assert counts == {"compute_kernel": 4, "lambda": 1, "I batch": 1, "tail_sum_I_bound": 1,
                       "table": 3}
 
 
-@pytest.mark.parametrize("mode", ["solve-bvp", "full-pipeline"])
-def test_a_run_builds_one_barrier_pair_and_solves_between_it(tmp_path, capsys, monkeypatch,
-                                                              mode):
+@pytest.mark.parametrize("mode, patch, grids", [
+    pytest.param("solve-bvp", SMALL, [4001], id="solve-bvp-small"),
+    pytest.param("full-pipeline", {}, [16001], id="full-pipeline-stock"),
+    # off the stock solver grid, the bridge checks its pair on the pi/400 equation grid
+    # and the solve builds its own, with the bridge's continuation summaries
+    pytest.param("full-pipeline", {"solver.N": 2001}, [16001, 2001], id="full-pipeline-2001"),
+    pytest.param("full-pipeline", SMALL, [16001, 4001], id="full-pipeline-small"),
+])
+def test_a_run_solves_between_the_bridge_pair_when_it_is_on_the_solver_grid(
+        tmp_path, capsys, monkeypatch, mode, patch, grids):
     from oscillax import bvp_solver, pde_bridge
 
     make, solve = pde_bridge.make_barriers, bvp_solver.solve_radial
@@ -888,11 +896,13 @@ def test_a_run_builds_one_barrier_pair_and_solves_between_it(tmp_path, capsys, m
 
     monkeypatch.setattr(pde_bridge, "make_barriers", counting)
     monkeypatch.setattr(bvp_solver, "solve_radial", spying)
-    cfg = _write_config(tmp_path, SMALL)
+    cfg = _write_config(tmp_path, patch)
     rc = main([mode, "--config", str(cfg), "--out", str(tmp_path / "out"), "--formats", "json"])
     assert rc == 0, capsys.readouterr().out
-    assert len(built) == 1 and len(solved) == 1 and solved[0] is built[0]
-    assert len(built[0].grid) == 4001
+    assert [len(b.grid) for b in built] == grids
+    assert len(solved) == 1 and solved[0] is built[-1]
+    if len(built) == 2 and "kernel.extend_to" not in patch:
+        assert all(a is b is not None for a, b in zip(built[1].far, built[0].far))
 
 
 @pytest.mark.parametrize("patch", [
@@ -905,6 +915,8 @@ def test_a_run_builds_one_barrier_pair_and_solves_between_it(tmp_path, capsys, m
                   "oscillation.sigma": 7.0239, "pair.set1.gamma": 6.1357,
                   "pair.set1.sigma": 7.0239, "pair.set2.gamma": 7.9863,
                   "pair.set2.sigma": 9.0031}, id="seed-11"),
+    # the tests' coarse grid: the checks do not read the solver grid
+    pytest.param(SMALL, id="small-grid"),
 ])
 def test_the_extrapolated_checks_with_their_estimates_stay_inside_the_residual_grid(
         tmp_path, capsys, patch):
@@ -921,6 +933,40 @@ def test_the_extrapolated_checks_with_their_estimates_stay_inside_the_residual_g
     assert bridge["min_rho1"] - bridge["rho1_estimate"] >= -4.36e-8
     assert bridge["max_rho2"] + bridge["rho2_estimate"] <= 2.19e-8
     assert bridge["lower_ok"] and bridge["upper_ok"]
+
+
+def test_the_kernel_equation_checks_read_the_same_numbers_whatever_solver_N(tmp_path, capsys):
+    # at solver.N = 2001 the lobe joins k pi fall between every fourth node of the solver
+    # grid; the checks read the pi/400 equation grid all the same, and pass as the
+    # retired residual grid did at every N
+    reports, lines = [], []
+    for N in (16001, 2001):
+        cfg = _write_config(tmp_path, {"solver.N": N}, name=f"config{N}.json")
+        out = tmp_path / f"out{N}"
+        assert main(["full-pipeline", "--config", str(cfg), "--out", str(out),
+                     "--formats", "json"]) == 0
+        lines.append([line for line in capsys.readouterr().out.splitlines()
+                      if "residual within 1e-4" in line or "residual sign" in line])
+        reports.append([(out / name).read_bytes()
+                        for name in ("kernel_report.json", "bridge_report.json")])
+    assert reports[0] == reports[1] and lines[0] == lines[1]
+    assert len(lines[0]) == 3 and all(line.startswith("PASS ") for line in lines[0])
+
+
+def test_an_estimate_that_leaves_the_bound_fails_the_kernel_check(tmp_path, capsys,
+                                                                  monkeypatch):
+    residual = kernel.ode_residual
+
+    def loose(*args, **kwargs):
+        return {**residual(*args, **kwargs), "estimate": 1e-4}
+
+    monkeypatch.setattr(kernel, "ode_residual", loose)
+    cfg = _write_config(tmp_path, SMALL)
+    assert main(["compute-kernel", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--formats", "json"]) == 1
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if "kernel equation residual" in line)
+    assert line.startswith("FAIL ") and "margin=-" in line
 
 
 def test_full_pipeline_integrates_the_damping_once(tmp_path, capsys, monkeypatch):

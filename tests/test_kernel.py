@@ -176,6 +176,27 @@ def test_the_extrapolated_residual_falls_at_fourth_order_on_a_smooth_q():
     assert sups[0] >= 10.0 * sups[1] >= 100.0 * sups[2]
 
 
+@pytest.mark.parametrize("span, n_points, end", [
+    (40 * PI, 16001, 42 * PI),            # the stock span: the stock solver grid
+    (20 * PI, 8001, 22 * PI),
+    (40 * PI + 0.02, 16001, 42 * PI),     # past a whole number of pi/100: cut back to one
+    (10.0, 1273, 2 * PI + 3.18 * PI),
+    (0.1, 17, 2 * PI + 0.1),              # no join inside: 17 points
+])
+def test_the_equation_grid_puts_every_lobe_join_on_every_fourth_node(span, n_points, end):
+    grid = kernel.equation_grid(2 * PI, span)
+    assert len(grid) == n_points and grid[0] == 2 * PI
+    assert grid[-1] == pytest.approx(end, rel=1e-14)
+    assert np.ptp(np.diff(grid)) <= 1e-9
+    if n_points > 17:
+        assert grid[1] - grid[0] == pytest.approx(PI / 400, rel=1e-9)
+        joins = PI * np.arange(2, int(grid[-1] / PI + 1e-9) + 1)
+        at = np.rint((joins - 2 * PI) / (PI / 100)).astype(int)
+        assert np.max(np.abs(grid[::4][at] - joins)) <= 1e-12 * grid[-1]
+    if span == 40 * PI:
+        assert np.array_equal(grid, np.linspace(2 * PI, 2 * PI + span, 16001))
+
+
 @pytest.mark.parametrize("n_points", [3, 9, 16])
 def test_the_extrapolated_residual_names_a_grid_too_short_for_it(n_points):
     grid = np.linspace(2 * PI, 4 * PI, n_points)

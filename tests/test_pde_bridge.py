@@ -277,6 +277,27 @@ def test_barrier_residuals_live_at_every_fourth_node(problem, solver_barrier):
     assert 0.0 < rep.rho1_estimate < 1e-8 and 0.0 < rep.rho2_estimate < 1e-8
 
 
+def test_a_sign_holds_only_with_its_estimate_taken_against_it(problem, solver_barrier,
+                                                              monkeypatch):
+    from oscillax import pde_bridge
+
+    rep = subsuper_residual(problem, solver_barrier)
+    assert rep.lower_ok and rep.upper_ok
+    operator = pde_bridge._extrapolated_operator
+
+    def loose(*args):
+        op, slope, _ = operator(*args)
+        return op, slope, pde_bridge.SIGN_TOL
+
+    monkeypatch.setattr(pde_bridge, "_extrapolated_operator", loose)
+    worse = subsuper_residual(problem, solver_barrier)
+    assert (worse.min_rho1, worse.max_rho2) == (rep.min_rho1, rep.max_rho2)
+    assert worse.rho1_estimate == worse.rho2_estimate == pde_bridge.SIGN_TOL
+    # min_rho1 < 0 < max_rho2, so SIGN_TOL of estimate takes each past its tolerance
+    assert rep.min_rho1 < 0.0 < rep.max_rho2
+    assert not worse.lower_ok and not worse.upper_ok
+
+
 @pytest.mark.parametrize("n_points", [9, 13])
 def test_barrier_residuals_name_a_grid_too_short_for_the_extrapolation(problem, pair,
                                                                        n_points):
