@@ -30,16 +30,20 @@ For f nondecreasing in u the shift K = 0 already makes the sweep order
 preserving, so the iterates decrease monotonically from the supersolution
 and converge geometrically; a decreasing f needs K at least the worst
 negative slope of B f / s, which the solver estimates by sampling the ribbon
-when K is not given.
+when K is not given.  The homogeneous solution A s of L is resolved exactly
+by the scheme, so boundary data enters without discretisation bias; what
+remains is the O(step^2) truncation of the particular part, which the
+grid-halving checks in the test suite pin to the expected fourth-fold decay.
 
-The homogeneous solution A s of L is resolved exactly by the scheme, so
-boundary data enters without discretisation bias; what remains is the
-O(step^2) truncation of the particular part, which the grid-halving checks
-in the test suite pin to the expected fourth-fold decay.
+Through the sweeps live, in arrays of N floats: the barrier pair's grid, h1
+and h2, H, p, B, the blend's four arrays, the factor (7), the residual's
+scratch (2) and one blend evaluation.  All but the pair and H die before the
+decay fit, and the radii die once the stock blend is bound to them.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -96,9 +100,11 @@ class _CyclicReduction:
     one row is left.  No pivoting is done, so the pivots must stay nonzero
     under the reduction, as they do for a diagonally dominant matrix.
 
-    The factor's coefficients live in one block and the right-hand sides of
-    every level in another, both allocated here; :meth:`solve` allocates
-    nothing, and repeated solves give bit-identical results.
+    The factor's coefficients live in one block (5 floats a row) and the
+    right-hand sides of every level in another (2 a row), both allocated
+    here; :meth:`solve` allocates nothing, and repeated solves give
+    bit-identical results.  Each level's diagonals die as the next level's
+    are made, except the first, which the caller holds.
     """
 
     def __init__(self, lo, dia, up):
@@ -126,14 +132,14 @@ class _CyclicReduction:
             np.multiply(up[1::2], inv[1:], out=gamma)           # c_k / b_(k+1)
             np.multiply(lo[1::2], inv[1:], out=left_e)          # a_e / b_e
             np.multiply(up[0::2], inv[:kept], out=right_e)      # c_e / b_e
-            b_next = b[1::2] - alpha * up[0::2]
-            b_next[:inner] -= gamma * lo[1::2]
-            lo_next = -alpha[1:] * lo[1::2][:kept - 1]
-            up_next = -gamma[:kept - 1] * up[2::2]
             self._levels.append((work[:n], work[n:n + kept], inv, alpha, gamma,
                                  left_e, right_e))
             work = work[n:]
-            lo, b, up = lo_next, b_next, up_next
+            # the next level's diagonals, each replacing its last reader
+            b = b[1::2] - alpha * up[0::2]
+            b[:inner] -= gamma * lo[1::2]
+            lo = -alpha[1:] * lo[1::2][:kept - 1]
+            up = -gamma[:kept - 1] * up[2::2]
         coef[-1] = 1.0 / b[0]
         self._last = (work, coef[-1:])
         self.rhs = self._levels[0][0] if self._levels else work
@@ -188,8 +194,10 @@ def _sweep_factor(p_i: np.ndarray, si: np.ndarray, step: float, K: float) -> _Cy
             f"{need}, but p = {float(p_i[i])!r}, step = {float(step)!r}, "
             f"K = {float(K)!r}; {fix}"
         )
+    del steep, bad  # before the factor allocates
     slack += 2.0 / step**2
-    return _CyclicReduction(half[1:] - 1.0 / step**2, slack, -1.0 / step**2 - half[:-1])
+    lo = half[1:] - 1.0 / step**2  # before the superdiagonal overwrites half
+    return _CyclicReduction(lo, slack, np.subtract(-1.0 / step**2, half[:-1], out=half[:-1]))
 
 
 def _estimate_shift(problem: RadialProblem, barrier: BarrierPair, f: Callable) -> float:
@@ -241,7 +249,6 @@ def solve_radial(
     fit_window(len(g))
 
     problem.validate()
-    n, R = problem.n, problem.R
     if K is not None:
         K_used = float(K)
     else:
@@ -249,13 +256,32 @@ def solve_radial(
     if K_used < 0:
         raise ValueError("the shift K must be nonnegative")
 
-    si = g[1:-1]
-    p_i = np.asarray(problem.p(si), dtype=float)
-    r_i = beta_map(n, R, si)
-    B = _beta_betaprime(n, si) / (n - 2)
-    fn = make_blend(problem, barrier, r_i) if f is None else lambda u: f(r_i, u)
+    H, deltas, full_residual = _sweeps(problem, barrier, f, K_used, step, boundary, tol, max_iter)
+    return BvpSolution(
+        grid=g,
+        u_values=H,
+        iterations=len(deltas),
+        iteration_sup_deltas=tuple(deltas),
+        sandwich_margins=(float(np.min((H - barrier.h1) / g)),
+                          float(np.min((barrier.h2 - H) / g))),
+        decay_exponent=_fit_decay(g, H, problem).exponent,
+        K_used=K_used,
+        residual_sup=float(np.max(np.abs(full_residual[1:-1]))),
+        boundary=boundary,
+        residual=full_residual,
+    )
 
-    factor = _sweep_factor(p_i, si, step, K_used)
+
+def _sweeps(problem: RadialProblem, barrier: BarrierPair, f: Optional[Callable], K: float,
+            step: float, boundary: str, tol: float, max_iter: int) -> tuple:
+    """:func:`solve_radial`'s sweeps, whose state dies on return: (H, deltas, residual)."""
+    n, si = problem.n, barrier.grid[1:-1]
+    p_i = np.asarray(problem.p(si), dtype=float)
+    r_i = beta_map(n, problem.R, si)
+    fn = make_blend(problem, barrier, r_i) if f is None else functools.partial(f, r_i)
+    del r_i  # read by the blend only, which keeps what it needs
+    factor = _sweep_factor(p_i, si, step, K)
+    B = _beta_betaprime(n, si) / (n - 2)
     work = np.empty((2, len(si)))
 
     def residual(out: np.ndarray) -> np.ndarray:
@@ -274,17 +300,14 @@ def solve_radial(
         dH = factor.solve()
         lo, hi = float(dH.min()), float(dH.max())
 
-        # "upper" must descend (dH <= 0), "lower" must ascend.  The first
-        # sweep leaves the starting barrier, which satisfies the discrete
-        # equations only up to O(step^2) truncation, so monotonicity is
-        # enforced from the second sweep on, where it is an exact
-        # consequence of the discrete maximum principle.
+        # "upper" must descend (dH <= 0) and "lower" ascend from the second sweep on, by
+        # the maximum principle; the first leaves a barrier, exact only up to O(step^2)
         overshoot = hi if boundary == "upper" else -lo
         if sweep > 0 and overshoot > 1e-12:
             raise RuntimeError(
-                f"iteration left the monotone corridor by {overshoot!r}; "
-                f"the shift K = {K_used!r} is too small for this nonlinearity, "
-                f"rerun with a larger K"
+                f"iteration left the monotone corridor by {overshoot!r}: the shift "
+                f"K = {K!r} is too small for this nonlinearity on this grid; refine the "
+                f"grid (solver.N) or pass solve_radial a larger K"
             )
         delta = max(hi, -lo)
         deltas.append(delta)
@@ -297,24 +320,7 @@ def solve_radial(
             f"(tolerance {tol:.3e})"
         )
 
-    full_residual = np.zeros(len(g))
-    interior = residual(full_residual[1:-1])
-
-    return BvpSolution(
-        grid=g,
-        u_values=H,
-        iterations=len(deltas),
-        iteration_sup_deltas=tuple(deltas),
-        sandwich_margins=(
-            float(np.min((H - barrier.h1) / g)),
-            float(np.min((barrier.h2 - H) / g)),
-        ),
-        decay_exponent=_fit_decay(g, H, problem).exponent,
-        K_used=K_used,
-        residual_sup=float(np.max(np.abs(interior))),
-        boundary=boundary,
-        residual=full_residual,
-    )
+    return H, deltas, np.pad(residual(factor.rhs), 1)  # zero at the Dirichlet nodes
 
 
 def check_sandwich(solution: BvpSolution, barrier: BarrierPair) -> dict:

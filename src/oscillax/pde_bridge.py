@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .example_builder import S0_FIXED, PairResult
-from .kernel import Damping, FarField, KernelPair, _extrapolated_operator, compute_kernel
+from .kernel import Damping, FarField, HTail, KernelPair, _extrapolated_operator, compute_kernel
 from .quadrature import (STOCK_EXTEND_TO, TailModel, integrate_finite, integrate_finite_many,
                          uniform_step)
 from .radial import _beta_betaprime, _check_dim, beta_inverse, beta_map, excluded_arc
@@ -134,15 +134,19 @@ def push_a_from_q(q: Callable, n: int) -> Callable:
 
 
 class BarrierPair(NamedTuple):
-    """Kernels of an ordered coefficient pair, h1 <= h2 on a shared grid."""
+    """Barrier traces h1 <= h2 of an ordered coefficient pair on a shared grid.
+
+    Per member: the continuation summary (``far``, for a pair on another grid
+    with the same end), the h-tail record and the sup|z| bound its certificate
+    used.  No z: only the ordering check of :func:`make_barriers` reads it.
+    """
 
     grid: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
-    kernel1: KernelPair
-    kernel2: KernelPair
+    far: tuple[Optional[FarField], Optional[FarField]]
+    h_tail: tuple[HTail, HTail]
+    z_sup_bound: tuple[float, float]
 
     @property
     def gap_min(self) -> float:
@@ -151,11 +155,6 @@ class BarrierPair(NamedTuple):
     @property
     def gap_max(self) -> float:
         return float(np.max(self.h2 - self.h1))
-
-    @property
-    def far(self) -> tuple[Optional[FarField], Optional[FarField]]:
-        """The members' continuation summaries, for a pair on another grid with the same end."""
-        return self.kernel1.far, self.kernel2.far
 
     def v1(self, s) -> np.ndarray:
         return np.interp(s, self.grid, self.h1) / np.asarray(s, dtype=float)
@@ -174,7 +173,7 @@ def make_barriers(
     far: Optional[tuple[Optional[FarField], Optional[FarField]]] = None,
     parallel: bool = False,
 ) -> BarrierPair:
-    """Compute both kernels of an ordered pair on a shared grid.
+    """The barriers of an ordered pair on a shared grid, from both members' kernels.
 
     The ordering q1 <= q2 forces z1 >= z2 and hence h1 <= h2; both are
     verified on the grid and a violation raises, since barriers that cross
@@ -192,12 +191,8 @@ def make_barriers(
     damping = Damping.build(p, grid)
 
     def one(which: int) -> KernelPair:
-        spec = pair.q1 if which == 0 else pair.q2
-        kernel = compute_kernel(
-            p, spec.q_callable, grid,
-            extend_to=extend_to, extend_step=extend_step, far=fars[which],
-            damping=damping,
-        )
+        kernel = compute_kernel(p, (pair.q1, pair.q2)[which].q_callable, grid, extend_to=extend_to,
+                                extend_step=extend_step, far=fars[which], damping=damping)
         return kernel if z_sup_bounds is None else kernel.with_sup_bound(z_sup_bounds[which])
 
     k1, k2 = one(0), one(1)
@@ -206,10 +201,9 @@ def make_barriers(
         raise ValueError("kernel ordering violated: z1 < z2 somewhere on the grid")
     if np.any(k1.h_values > k2.h_values + 1e-12):
         raise ValueError("barrier ordering violated: h1 > h2 somewhere on the grid")
-    return BarrierPair(
-        grid=k1.grid, h1=k1.h_values, h2=k2.h_values,
-        z1=k1.z_values, z2=k2.z_values, kernel1=k1, kernel2=k2,
-    )
+    return BarrierPair(grid=k1.grid, h1=k1.h_values, h2=k2.h_values, far=(k1.far, k2.far),
+                       h_tail=(k1.h_tail, k2.h_tail),
+                       z_sup_bound=(k1.z_sup_bound, k2.z_sup_bound))
 
 
 def make_blend(problem: RadialProblem, barrier: BarrierPair, r, *,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,26 @@ def test_a_shift_restores_diagonal_dominance():
     with pytest.raises(ValueError, match="not an M-matrix"):
         _sweep_factor(p_i, si, 0.02, 0.0)
     _sweep_factor(p_i, si, 0.02, float(np.max(-p_i / si)))
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def test_barriers_and_solve_peak_within_twenty_grid_arrays(pair, problem):
+    # the traced peak of make_barriers then solve_radial, in arrays of N floats:
+    # the sweeps hold h1, h2, p, B, H, the blend's four arrays, the factor (7),
+    # the residual's scratch (2) and one blend evaluation, 19 in all, and the
+    # barriers keep no z
+    N = 64001
+    grid = np.linspace(2 * PI, 42 * PI, N)
+    tracemalloc.start()
+    try:
+        solve_radial(problem, make_barriers(pair, grid, extend_to=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * N) <= 20.0
 
 
 # ---------------------------------------------------------------------------

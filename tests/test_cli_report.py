@@ -748,6 +748,19 @@ def test_a_build_that_fails_at_run_time_exits_3(tmp_path, capsys, monkeypatch):
     assert "invalid configuration" not in err
 
 
+def test_a_solver_grid_too_coarse_for_monotone_sweeps_exits_3_naming_solver_N(tmp_path, capsys):
+    # at solver.N = 101 the second sweep already climbs out of the corridor; the
+    # shift K is no config key, so the message names the grid as well
+    cfg = _write_config(tmp_path, {"solver.N": 101})
+    rc = main(["solve-bvp", "--config", str(cfg), "--out", str(tmp_path / "out"),
+               "--formats", "json"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "left the monotone corridor" in err
+    assert "refine the grid (solver.N) or pass solve_radial a larger K" in err
+    assert "rerun" not in err
+
+
 # ---------------------------------------------------------------------------
 # artifacts and determinism
 

@@ -574,6 +574,20 @@ def test_a_damping_for_another_p_or_grid_is_refused():
         compute_kernel(params.p, q, grid[::-1], **kwargs)
 
 
+@pytest.mark.parametrize("extend_to", [0.0, 2e4], ids=["no-continuation", "continuation"])
+def test_a_kernel_on_a_shared_damping_is_the_standalone_kernel_bitwise(pair, extend_to):
+    grid = np.linspace(2 * PI, 12 * PI, 2001)
+    p = pair.q1.params.p
+    damping = Damping.build(p, grid)
+    for spec in (pair.q1, pair.q2):
+        shared = compute_kernel(p, spec.q_callable, grid, extend_to=extend_to, damping=damping)
+        alone = compute_kernel(p, spec.q_callable, grid, extend_to=extend_to)
+        assert shared.z_values.tobytes() == alone.z_values.tobytes()
+        assert shared.h_values.tobytes() == alone.h_values.tobytes()
+        assert shared.z_sup_observed == alone.z_sup_observed
+        assert shared.h_tail == alone.h_tail
+
+
 def test_a_damping_refuses_a_p_that_is_not_finite_on_the_grid():
     grid = np.linspace(2 * PI, 6 * PI, 401)
     p = lambda s: np.where(np.asarray(s) > 4 * PI, np.inf, 0.0)

@@ -204,12 +204,14 @@ def test_transformation_identity_rational():
 # barriers
 
 
-def test_barriers_are_ordered_with_a_uniform_gap(fine_barrier):
+def test_barriers_are_ordered_with_a_uniform_gap(pair, fine_barrier):
     assert fine_barrier.gap_min > 1.0
     assert fine_barrier.gap_max < 2.5
     assert np.all(fine_barrier.h2 > fine_barrier.h1)
-    assert np.all(fine_barrier.z1 <= 0.0)
-    assert np.all(fine_barrier.z2 <= 0.0)
+    # the pair keeps no z; each member's kernel on the same grid has z <= 0
+    for spec in (pair.q1, pair.q2):
+        kernel = compute_kernel(spec.params.p, spec.q_callable, fine_barrier.grid)
+        assert np.all(kernel.z_values <= 0.0)
 
 
 def test_swapped_pair_is_rejected(pair):
@@ -230,15 +232,15 @@ def test_parallel_barriers_match_serial(pair):
 
 def test_parallel_barriers_with_summaries_match_serial(pair, solver_barrier):
     grid = np.linspace(solver_barrier.grid[0], solver_barrier.grid[-1], 8001)
-    far = (solver_barrier.kernel1.far, solver_barrier.kernel2.far)
+    far = solver_barrier.far
     serial = make_barriers(pair, grid, far=far)
     threaded = make_barriers(pair, grid, far=far, parallel=True)
-    assert serial.kernel1.far is far[0] and serial.kernel2.far is far[1]
-    assert threaded.kernel1.far is far[0] and threaded.kernel2.far is far[1]
-    for name in ("h1", "h2", "z1", "z2"):
+    assert serial.far[0] is far[0] and serial.far[1] is far[1]
+    assert threaded.far[0] is far[0] and threaded.far[1] is far[1]
+    for name in ("h1", "h2"):
         assert np.array_equal(getattr(serial, name), getattr(threaded, name))
-    assert serial.kernel1.h_tail == threaded.kernel1.h_tail
-    assert serial.kernel2.z_sup_observed == threaded.kernel2.z_sup_observed
+    assert serial.h_tail == threaded.h_tail
+    assert serial.z_sup_bound == threaded.z_sup_bound
 
 
 @pytest.mark.parametrize("parallel", [False, True])
@@ -247,13 +249,13 @@ def test_barrier_kernels_are_the_standalone_kernels_bitwise(pair, parallel, exte
     grid = np.linspace(2 * PI, 12 * PI, 2001)
     barrier = make_barriers(pair, grid, extend_to=extend_to, parallel=parallel)
     params = pair.q1.params
-    for spec, kernel in ((pair.q1, barrier.kernel1), (pair.q2, barrier.kernel2)):
+    # z is compared in test_kernel, on a kernel that shares its Damping
+    for i, (spec, h) in enumerate(((pair.q1, barrier.h1), (pair.q2, barrier.h2))):
         alone = compute_kernel(params.p, spec.q_callable, grid, extend_to=extend_to)
-        assert (kernel.far is None) == (extend_to == 0.0)
-        assert kernel.z_values.tobytes() == alone.z_values.tobytes()
-        assert kernel.h_values.tobytes() == alone.h_values.tobytes()
-        assert kernel.z_sup_observed == alone.z_sup_observed
-        assert kernel.h_tail == alone.h_tail
+        assert (barrier.far[i] is None) == (extend_to == 0.0)
+        assert h.tobytes() == alone.h_values.tobytes()
+        assert barrier.z_sup_bound[i] == alone.z_sup_observed
+        assert barrier.h_tail[i] == alone.h_tail
 
 
 # ---------------------------------------------------------------------------
