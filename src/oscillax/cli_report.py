@@ -53,7 +53,7 @@ from .example_builder import (
     features_reach,
     verify_pair,
 )
-from .quadrature import CELL_NODES, STOCK_EXTEND_TO, TailModel, check_envelope
+from .quadrature import CELL_NODES, STOCK_EXTEND_TO, TailModel, check_envelope, equation_grid
 from .radial import beta_map, excluded_arc, fit_window
 
 # the stage modules are imported by the stages that run them, so that
@@ -388,8 +388,8 @@ CONFIG_TABLE = {
                                "coef": (STOCK_P_TAIL.coef, _finite)}, _NEEDED)}),
     "problem": (..., {"n": (3, _count(3)), "R": (1.0, _positive),
                       "varsigma": (1.0, _positive)}),
-    "kernel": (..., {"step": ("pi/200", _positive), "span": ("40*pi", _positive),
-                     "extend_to": (STOCK_EXTEND_TO, _finite), "extend_step": ("pi/80", _positive)}),
+    "kernel": (..., {"span": ("40*pi", _positive), "extend_to": (STOCK_EXTEND_TO, _finite),
+                     "extend_step": ("pi/80", _positive)}),
     "solver": (..., {"N": (16001, _odd_count), "tol": (1e-10, _positive),
                      "max_iter": (200, _count(1)),
                      "boundary": ("upper", _choice("upper", "lower"))}),
@@ -409,6 +409,8 @@ RETIRED_KEYS = {
                      "nondecreasing tanh blend), so leave solver.K out",
     ("kernel", "residual_step"): "the kernel equation is checked on a pi/400 grid with the "
                                  "lobe joins on its nodes, so leave kernel.residual_step out",
+    ("kernel", "step"): "the kernels are built once, on the pi/400 grid the kernel equation is "
+                        "checked on, so leave kernel.step out",
 }
 
 
@@ -444,12 +446,6 @@ def _read(node, value, what: str):
 def default_config() -> dict:
     """The stock configuration, suitable for every mode."""
     return _stock((..., CONFIG_TABLE))
-
-
-def _grid_cells(span: float, step: float) -> int:
-    """Cells of the uniform grid over ``span``: span/step rounded, then made even."""
-    n_cells = int(round(span / step))
-    return n_cells + n_cells % 2
 
 
 def _check_damping(p: CoefficientExpr, model: TailModel, m_family: int, m_bare: int,
@@ -491,7 +487,6 @@ class RunConfig:
     problem_n: int
     problem_R: float
     varsigma: float
-    kernel_step: float
     kernel_span: float
     extend_to: float
     extend_step: float
@@ -552,15 +547,14 @@ def load_config(raw: dict) -> RunConfig:
         raise ValueError(
             f"kernel.extend_to = {extend_to!r} must lie past the grid end s0 + kernel.span "
             f"= {S0_FIXED + span!r}, or be 0 to turn the continuation off")
-    # the most points each key puts in one array, by arithmetic: a kernel grid over the
-    # span; while the continuation is on, its h-tail window of 2 pi at spacing
-    # extend_step/2 (each pi-cell's subdivision at that spacing holds half as many) and
-    # CELL_NODES nodes per pi-cell up to extend_to; the 16 points per period of a
-    # family's table, which holds m_max + 2 periods or more (see _extent), and a bare
-    # q's 2 m_max + 1 lobe nodes; the solver grid, and kernel.equation_grid's 400/pi a unit
+    # the most points each key puts in one array, by arithmetic: the kernel grid's 400/pi
+    # a unit of span (see equation_grid); while the continuation is on, its h-tail window
+    # of 2 pi at spacing extend_step/2 (each pi-cell's subdivision at that spacing holds
+    # half as many) and CELL_NODES nodes per pi-cell up to extend_to; the 16 points per
+    # period of a family's table, which holds m_max + 2 periods or more (see _extent),
+    # and a bare q's 2 m_max + 1 lobe nodes; and the solver grid
     q_override, N = got["q_override"], got["solver"]["N"]
-    points = {"kernel.step": (kern["step"], span / kern["step"]),
-              "kernel.span": (span, 400.0 * span / PI)}
+    points = {"kernel.span": (span, 400.0 * span / PI)}
     if extend_to > 0.0:
         points["kernel.extend_step"] = (kern["extend_step"], 2.0 * TWO_PI / kern["extend_step"])
         points["kernel.extend_to"] = (extend_to, CELL_NODES * extend_to / PI)
@@ -570,11 +564,8 @@ def load_config(raw: dict) -> RunConfig:
     points["solver.N"] = (N, N)
     for what, (value, count) in points.items():
         _fits(what, value, count)
-    if _grid_cells(span, kern["step"]) < 2:
-        raise ValueError(f"kernel.step = {kern['step']!r} leaves no grid cell over "
-                         f"kernel.span = {span!r}; it must be below twice the span")
     _check_damping(p, p_tail, osc.m_max, q_override["m_max"] if q_override else 0,
-                   _uniform_grid(span, kern["step"]))
+                   equation_grid(S0_FIXED, span))
     # the bridge's integral conditions run up to the radius of the grid end
     T = float(beta_map(n, R, S0_FIXED + span))
     if not T > 4.0 * R:
@@ -586,7 +577,7 @@ def load_config(raw: dict) -> RunConfig:
     solv = got["solver"]
     return RunConfig(
         oscillation=osc, pair=pair, problem_n=n, problem_R=R, varsigma=got["problem"]["varsigma"],
-        kernel_step=kern["step"], kernel_span=span, extend_to=extend_to,
+        kernel_span=span, extend_to=extend_to,
         extend_step=kern["extend_step"], solver_N=N, solver_tol=solv["tol"],
         solver_max_iter=solv["max_iter"], solver_boundary=solv["boundary"],
         features_M=got["features"]["M"], q_override=q_override,
@@ -631,10 +622,6 @@ def _extent(stages: Sequence[str], cfg: RunConfig) -> float:
 
 # ---------------------------------------------------------------------------
 # Stages
-
-
-def _uniform_grid(span: float, step: float) -> np.ndarray:
-    return np.linspace(S0_FIXED, S0_FIXED + span, _grid_cells(span, step) + 1)
 
 
 def _radial_problem(cfg: RunConfig, pair: PairResult):
@@ -753,8 +740,7 @@ class _Runner:
         q_call, m_max = ((family.q_callable, cfg.oscillation.m_max) if override is None
                          else (override["expr"], override["m_max"]))
         nodes = PI * np.arange(2, 2 * m_max + 3)
-        grid = _uniform_grid(cfg.kernel_span, cfg.kernel_step)
-        kern = compute_kernel(cfg.oscillation.p, q_call, grid,
+        kern = compute_kernel(cfg.oscillation.p, q_call, equation_grid(S0_FIXED, cfg.kernel_span),
                               extend_to=cfg.extend_to, extend_step=cfg.extend_step)
         report = verify_lemma(
             cfg.oscillation.p, q_call, nodes,
@@ -778,29 +764,29 @@ class _Runner:
         self.lemma, self.kernel = report, (kern if family is not None else None)
 
     def compute_kernel_stage(self) -> None:
-        """Kernels of the family; the lemma stage, when it ran, lends its proof bound and
-        the family kernel it checked."""
-        from .kernel import compute_kernel, equation_grid, ode_residual
+        """The family kernel, with the kernel equation checked on it; the lemma stage, when
+        it ran, lends its proof bound and the family kernel it checked."""
+        from .kernel import compute_kernel, ode_residual
 
         cfg, spec = self.cfg, self.family
         bound = self.lemma.hypotheses.proof_bound() if self.lemma is not None else None
 
         kern = self.kernel or compute_kernel(
-            cfg.oscillation.p, spec.q_callable,
-            _uniform_grid(cfg.kernel_span, cfg.kernel_step),
+            cfg.oscillation.p, spec.q_callable, equation_grid(S0_FIXED, cfg.kernel_span),
             extend_to=cfg.extend_to, extend_step=cfg.extend_step)
         if bound is not None:
             kern = kern.with_sup_bound(bound)
-        grid = equation_grid(S0_FIXED, cfg.kernel_span)
-        check = compute_kernel(cfg.oscillation.p, spec.q_callable, grid, extend_to=cfg.extend_to,
-                               extend_step=cfg.extend_step,
-                               far=kern.far if grid[-1] == kern.grid[-1] else None)
-        resid = ode_residual(check.h_values, cfg.oscillation.p, spec.q_callable, grid,
-                             z_values=check.z_values)
+        grid = kern.grid
+        resid = ode_residual(kern.h_values, cfg.oscillation.p, spec.q_callable, grid,
+                             z_values=kern.z_values)
         worst = resid["sup"] + resid["estimate"]
         self.note("kernel equation residual within 1e-4", worst <= 1e-4, 1e-4 - worst)
-        self.note("kernel z negative beyond the first lobe",
-                  bool(np.all(kern.z_values[kern.grid > S0_FIXED + PI] < -1e-12)))
+        beyond = kern.z_values[grid > S0_FIXED + PI]
+        self.note("kernel z negative beyond the first lobe", bool(np.all(beyond < -1e-12)),
+                  -1e-12 - float(np.max(beyond)) if beyond.size else None)
+        # the reports keep the even nodes, at step pi/200, where h is the Simpson sum
+        # (see compute_h)
+        s, z, h, h_over_s = grid[::2], kern.z_values[::2], kern.h_values[::2], kern.h_over_s()[::2]
         payload = {
             "lambda": spec.lam,
             "z_sup_observed": kern.z_sup_observed,
@@ -815,7 +801,7 @@ class _Runner:
             "residual_estimate": resid["estimate"],
             "residual_l2": resid["l2"],
             "identity_sup": resid["identity_sup"],
-            "grid_step": float(kern.grid[1] - kern.grid[0]),
+            "grid_step": float(s[1] - s[0]),
             "residual_spacings": [float(grid[2] - grid[0]), float(grid[4] - grid[0])],
         }
         if self.want("json"):
@@ -823,17 +809,16 @@ class _Runner:
         if self.want("csv"):
             write_csv(self.path("kernels.csv"),
                       ["s", "z", "h", "h_over_s"],
-                      [kern.grid, kern.z_values, kern.h_values, kern.h_over_s()])
+                      [s, z, h, h_over_s])
         if self.want("svg"):
             emit_plot(self.path("kernels.svg"),
-                      [("z", kern.grid, kern.z_values),
-                       ("h", kern.grid, kern.h_values),
-                       ("h/s", kern.grid, kern.h_over_s())],
+                      [("z", s, z), ("h", s, h), ("h/s", s, h_over_s)],
                       title="comparison kernels", xlabel="s", ylabel="value")
 
     def build_pair_stage(self) -> None:
         cfg, pair = self.cfg, self.pair
-        grid = _uniform_grid(2 * PI * min(cfg.pair.m_max, 25), PI / 100.0)
+        m = min(cfg.pair.m_max, 25)
+        grid = np.linspace(S0_FIXED, S0_FIXED + 2 * PI * m, 200 * m + 1)
         check = verify_pair(pair, grid)
         self.note("pair ordered pointwise on the grid", check["ordered"],
                   check["grid_min_slack"])
@@ -857,7 +842,6 @@ class _Runner:
                       title="ordered coefficient pair", xlabel="s", ylabel="q(s)")
 
     def bridge_stage(self) -> None:
-        from .kernel import equation_grid
         from .pde_bridge import (integral_conditions, lift_coefficients, make_barriers,
                                  subsuper_residual)
 
@@ -913,7 +897,7 @@ class _Runner:
 
     def solve_bvp_stage(self) -> None:
         """Solve between the barriers: the bridge's when they are on the solver grid, else
-        new ones, which reuse the bridge's continuation summaries when the grids end together."""
+        new ones."""
         from .bvp_solver import check_sandwich, solve_radial
         from .pde_bridge import make_barriers
 
@@ -921,9 +905,8 @@ class _Runner:
 
         grid = np.linspace(S0_FIXED, S0_FIXED + cfg.kernel_span, cfg.solver_N)
         if barrier is None or not np.array_equal(barrier.grid, grid):
-            ends = barrier is not None and barrier.grid[-1] == grid[-1]
             barrier = make_barriers(pair, grid, extend_to=cfg.extend_to,
-                                    extend_step=cfg.extend_step, far=barrier.far if ends else None)
+                                    extend_step=cfg.extend_step)
         solution = solve_radial(
             problem, barrier, tol=cfg.solver_tol,
             boundary=cfg.solver_boundary, max_iter=cfg.solver_max_iter,

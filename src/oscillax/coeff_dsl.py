@@ -118,6 +118,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 value = float(lexeme)
             except ValueError:
                 raise ParseError(f"bad numeric literal {lexeme!r} at position {i}") from None
+            if not math.isfinite(value):  # it would print as inf, which does not parse back
+                raise ParseError(f"numeric literal {lexeme!r} at position {i} overflows a "
+                                 f"float64")
             tokens.append(("num", value, i))
             i = j
             continue

@@ -42,15 +42,10 @@ interpolants of p and q must agree with their degree-14 truncations to
 CELL_TAIL_TOL of max|p|, max|q|, and a cell that fails is bisected, so a
 coefficient with a kink inside a cell is still resolved.
 
-A :class:`FarField` keeps what h needs of the continuation for every x: the
+A :class:`FarField` keeps what h needs of the continuation: the
 Clenshaw-Curtis cell totals of E/t^2 and D/t^2, E and D on the trailing
-window (the last TAIL_WINDOW of the continuation), and E and D at the
-points within 2 tau of max|z| at the x0 it was built at, with
-tau = 1e-9 max(1, |x0|).  That kept set still holds the maximiser of |z|
-for any x with max(E) |x - x0| <= tau (the validity radius), so sup|z|
-over the sampled points stays exact there.  It is built
-once per coefficient pair and passed to every later kernel whose grid ends
-at the same point.
+window (the last TAIL_WINDOW of the continuation), and sup|z| over the
+continuation for the x0 it was built at.
 """
 
 from __future__ import annotations
@@ -73,7 +68,6 @@ __all__ = [
     "z_ode_oracle",
     "compute_h",
     "compute_kernel",
-    "equation_grid",
     "ode_residual",
 ]
 
@@ -106,7 +100,6 @@ class KernelPair(NamedTuple):
     tail: TailModel           # envelope for z/t^2 beyond the extension end
     h_tail: HTail
     z_sup_observed: float
-    far: Optional["FarField"] = None   # continuation summary, reusable by later grids
 
     def with_sup_bound(self, bound: float) -> "KernelPair":
         """The same kernel with its h tail certified by a proven bound on sup|z|.
@@ -136,7 +129,7 @@ CELL_TAIL_TOL = 1e-9     # self-check: the degree-16 interpolant of p (or q) on 
 #                          its degree-14 truncation agree within this fraction of max|p|
 #                          (or max|q|) over the continuation
 CELL_MAX_SPLITS = 30     # bisections of one cell before the continuation gives up
-_BLOCK = 512             # cells per block when the sup set is refined
+_BLOCK = 512             # cells per block when sup|z| is refined
 
 
 class _Rule(NamedTuple):
@@ -317,25 +310,21 @@ class _Cells(NamedTuple):
 
 
 class FarField(NamedTuple):
-    """What h needs of the continuation of z beyond a grid end, for any z there.
+    """What h needs of the continuation of z beyond a grid end.
 
     Continuing from ``start`` with z(start) = x up to ``end`` (start plus an
     even number of extend_step/2 steps, at or past extend_to) gives
     z = E x - D.  The continuation is resolved on cells (see
-    :class:`_Cells`): the integral of z/t^2 over it is x A - B, the trailing
-    window holds E and D on ``window_u`` (the points start + j extend_step/2
-    in the last TAIL_WINDOW), and sup|z| is the largest |E_i x - D_i|
-    over the kept points while x stays within the validity radius of ``x0``
-    (see :meth:`covers`).  The points sup|z| is taken over are the cell
-    nodes and, on every cell, its uniform subdivision with spacing at most
-    extend_step/2; so extend_step sets only the window's spacing, this
-    spacing and the rounding of ``end``, not the accuracy of A and B.
+    :class:`_Cells`): the integral of z/t^2 over it is x A - B, and the
+    trailing window holds E and D on ``window_u`` (the points
+    start + j extend_step/2 in the last TAIL_WINDOW).  ``sup`` is sup|z|
+    for x = ``x0``: the largest |E x0 - D| over the cell nodes and, on every
+    cell, its uniform subdivision with spacing at most extend_step/2.  So
+    extend_step sets only the window's spacing, this spacing and the
+    rounding of ``end``, not the accuracy of A and B.
     """
 
-    p: Callable
-    q: Callable
     start: float
-    extend_to: float
     extend_step: float
     end: float
     A: float                 # Clenshaw-Curtis total of E/t^2
@@ -344,10 +333,7 @@ class FarField(NamedTuple):
     window_E: np.ndarray
     window_D: np.ndarray
     x0: float
-    tau: float               # 1e-9 max(1, |x0|)
-    e_max: float             # max(E)
-    sup_E: np.ndarray        # E and D where |E x0 - D| is within 2 tau of its max
-    sup_D: np.ndarray
+    sup: float               # sup|z| over the sampled points, for x0
 
     # compared by identity, so that tuple equality never meets an array
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
@@ -390,7 +376,7 @@ class FarField(NamedTuple):
             window_E[at] = cells.E(np.array([cell]), Q)[0]
             window_D[at] = window_E[at] * cells.C(np.array([cell]), Q)[0]
 
-        # sup set: the nodes, each once (a shared edge counts for the cell on
+        # sup|z| over the nodes, each once (a shared edge counts for the cell on
         # its right), and each cell's uniform subdivision.  There, blocks of
         # cells are screened with the bound E_bound max|x0 - C| >= max|z|, and
         # only cells that may come within 2 tau of the max get E.
@@ -398,8 +384,6 @@ class FarField(NamedTuple):
         z = np.abs(E * x0 - D)
         z[:-1, -1] = -np.inf
         z_max = float(np.max(z))
-        near = z >= z_max - 2.0 * tau
-        E_keep, D_keep = [E[near]], [D[near]]
         e_bound = cells.E_bound()
         counts = _subdivisions(cells.hi - cells.lo, half)
         sizes = np.flatnonzero(np.bincount(counts))
@@ -415,39 +399,13 @@ class FarField(NamedTuple):
                     continue
                 c = cells._from_left(g, cells.C0, block)
                 e = cells.E(block[rows], Q)
-                d = e * c[rows]
-                z = np.abs(e * x0 - d)
+                z = np.abs(e * x0 - e * c[rows])
                 z_max = max(z_max, float(np.max(z)))
-                near = z >= z_max - 2.0 * tau
-                E_keep.append(e[near])
-                D_keep.append(d[near])
-        E_keep, D_keep = np.concatenate(E_keep), np.concatenate(D_keep)
-        z = np.abs(E_keep * x0 - D_keep)
-        keep = np.flatnonzero(z >= float(np.max(z)) - 2.0 * tau)
         return cls(
-            p=p, q=q, start=float(start), extend_to=float(extend_to),
-            extend_step=float(extend_step), end=end,
+            start=float(start), extend_step=float(extend_step), end=end,
             A=A, B=B, window_u=window_u, window_E=window_E, window_D=window_D,
-            x0=float(x0), tau=tau, e_max=float(np.max(E)),
-            sup_E=E_keep[keep], sup_D=D_keep[keep],
+            x0=float(x0), sup=z_max,
         )
-
-    def check_inputs(self, p: Callable, q: Callable, start: float, *,
-                     extend_to: float, extend_step: float) -> None:
-        """Raise unless the summary was built for exactly these inputs."""
-        for name, ours, theirs in (
-            ("start", self.start, start), ("extend_to", self.extend_to, extend_to),
-            ("extend_step", self.extend_step, extend_step),
-        ):
-            if ours != float(theirs):
-                raise ValueError(f"far-field summary was built for {name} = {ours!r}, "
-                                 f"not {float(theirs)!r}")
-        if not (self.p == p and self.q == q):
-            raise ValueError("far-field summary was built for other coefficients p, q")
-
-    def covers(self, x: float) -> bool:
-        """Whether the kept points still contain the maximiser of |E x - D|."""
-        return self.e_max * abs(x - self.x0) <= self.tau
 
     def beyond(self, x: float) -> float:
         """Integral of z/t^2 over the continuation."""
@@ -456,13 +414,6 @@ class FarField(NamedTuple):
     def window(self, x: float) -> tuple[np.ndarray, np.ndarray]:
         """(t, z) on the trailing window."""
         return self.window_u, self.window_E * x - self.window_D
-
-    def sup(self, x: float) -> float:
-        """sup|z| over the continuation, certified inside the validity radius."""
-        if not self.covers(x):
-            raise ValueError(f"z = {x!r} at the grid end lies outside the validity radius "
-                             f"of the far-field summary built at {self.x0!r}")
-        return float(np.max(np.abs(self.sup_E * x - self.sup_D)))
 
 
 def _check_grid(grid: np.ndarray) -> None:
@@ -649,29 +600,24 @@ def compute_kernel(
     *,
     extend_to: float = STOCK_EXTEND_TO,
     extend_step: float = math.pi / 80.0,
-    far: Optional[FarField] = None,
     damping: Optional[Damping] = None,
 ) -> KernelPair:
     """Compute both kernels with certified accounting.
 
-    The h tail is certified with the observed sup|z|, flagged by
-    z_sup_bound == z_sup_observed; :meth:`KernelPair.with_sup_bound`
-    re-certifies it with a proven bound (for instance from the oscillation
-    lemma).  ``far`` is the continuation summary of an earlier kernel of
-    the same p and q whose grid ended at the same point; it is reused while
-    z at the grid end stays inside its validity radius and rebuilt
-    otherwise.  The summary in use is returned as ``KernelPair.far``.
-    ``damping`` is the :class:`Damping` of p on this grid, shared with the
-    other member of a pair; it is built here when omitted.  q must be
-    defined up to extend_to, so a family must be built to that extent.
+    The h tail is certified with the observed sup|z|, over the grid and,
+    while extend_to lies past the grid end, over the continuation of z to
+    it (see :class:`FarField`), flagged by z_sup_bound == z_sup_observed;
+    :meth:`KernelPair.with_sup_bound` re-certifies it with a proven bound
+    (for instance from the oscillation lemma).  ``damping`` is the
+    :class:`Damping` of p on this grid, shared with the other member of a
+    pair; it is built here when omitted.  q must be defined up to
+    extend_to, so a family must be built to that extent.
     """
     g = np.asarray(grid, dtype=float)
     if damping is None:
         damping = Damping.build(p, g)
     else:
         damping.check_inputs(p, g)
-    if far is not None:
-        far.check_inputs(p, q, float(g[-1]), extend_to=extend_to, extend_step=extend_step)
 
     # the q samples stay bound until the kernel returns: freed as soon as z
     # is made, they let glibc trim the heap, and the arrays made after them
@@ -682,12 +628,11 @@ def compute_kernel(
     z = z_doubled[::2].copy()
 
     observed = float(np.max(np.abs(z_doubled)))
+    far = None
     if extend_to > g[-1]:
-        x = float(z[-1])
-        if far is None or not far.covers(x):
-            far = FarField.build(p, q, float(g[-1]), x, extend_to=extend_to,
-                                 extend_step=extend_step)
-        observed = max(observed, far.sup(x))
+        far = FarField.build(p, q, float(g[-1]), float(z[-1]), extend_to=extend_to,
+                             extend_step=extend_step)
+        observed = max(observed, far.sup)
 
     tail = TailModel(kind="power", rate=2.0, coef=observed)
     h, h_tail = compute_h(z, g, tail, far=far)
@@ -702,7 +647,6 @@ def compute_kernel(
         tail=tail,
         h_tail=h_tail,
         z_sup_observed=observed,
-        far=far,
     )
 
 
@@ -729,25 +673,6 @@ def _central_operator(h: np.ndarray, si: np.ndarray, p_i: np.ndarray, step: floa
     return out
 
 
-def equation_grid(start: float, span: float) -> np.ndarray:
-    """The grid the kernel equation is checked on over [start, start + span].
-
-    Its step is pi/400, so from a lobe join ``start`` every join k pi is
-    one of the every-fourth nodes where :func:`_extrapolated_operator`
-    centres its stencils, and the checks read the same nodes whatever grid
-    the rest of a run uses.  It ends at the last of those nodes in the
-    span: the span's end when the span is a whole number of pi/100 (the
-    stock span 40 pi gives 16 001 points).  A span under pi/25 holds no
-    join and gets 17 points.
-    """
-    cells = math.floor(span / (math.pi / 100.0) * (1.0 + 1e-12))
-    if cells < 4:
-        return np.linspace(start, start + span, 17)
-    end = cells * math.pi / 100.0
-    return np.linspace(start, start + (span if end >= span * (1.0 - 1e-12) else end),
-                       4 * cells + 1)
-
-
 def _extrapolated_operator(h: np.ndarray, grid: np.ndarray, p2: np.ndarray,
                            step: float) -> tuple[np.ndarray, np.ndarray, float]:
     """h'' + p (h' - h/s) at every fourth node of h's grid, extrapolated from its even nodes.
@@ -760,7 +685,7 @@ def _extrapolated_operator(h: np.ndarray, grid: np.ndarray, p2: np.ndarray,
     uniform of step ``step`` with 17 points or more, and ``p2`` is p on the
     interior of grid[::2].  A stencil that straddles a jump of q'' off its
     centre reads an O(step^2) term that this does not cancel, so a lobe join
-    s = k pi belongs at one of those nodes (see :func:`equation_grid`).
+    s = k pi belongs at one of those nodes (see :func:`~oscillax.quadrature.equation_grid`).
     Returns that operator, h' - h/s extrapolated the same way, and the error
     estimate max |R(2, 4) - R(4, 8)|/15 over every eighth node.
     """

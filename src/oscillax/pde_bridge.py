@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .example_builder import S0_FIXED, PairResult
-from .kernel import Damping, FarField, HTail, KernelPair, _extrapolated_operator, compute_kernel
+from .kernel import Damping, HTail, KernelPair, _extrapolated_operator, compute_kernel
 from .quadrature import (STOCK_EXTEND_TO, TailModel, integrate_finite, integrate_finite_many,
                          uniform_step)
 from .radial import _beta_betaprime, _check_dim, beta_inverse, beta_map, excluded_arc
@@ -136,15 +136,13 @@ def push_a_from_q(q: Callable, n: int) -> Callable:
 class BarrierPair(NamedTuple):
     """Barrier traces h1 <= h2 of an ordered coefficient pair on a shared grid.
 
-    Per member: the continuation summary (``far``, for a pair on another grid
-    with the same end), the h-tail record and the sup|z| bound its certificate
-    used.  No z: only the ordering check of :func:`make_barriers` reads it.
+    Per member: the h-tail record and the sup|z| bound its certificate used.
+    No z: only the ordering check of :func:`make_barriers` reads it.
     """
 
     grid: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
-    far: tuple[Optional[FarField], Optional[FarField]]
     h_tail: tuple[HTail, HTail]
     z_sup_bound: tuple[float, float]
 
@@ -170,29 +168,26 @@ def make_barriers(
     z_sup_bounds: Optional[tuple[float, float]] = None,
     extend_to: float = STOCK_EXTEND_TO,
     extend_step: float = math.pi / 80.0,
-    far: Optional[tuple[Optional[FarField], Optional[FarField]]] = None,
     parallel: bool = False,
 ) -> BarrierPair:
     """The barriers of an ordered pair on a shared grid, from both members' kernels.
 
     The ordering q1 <= q2 forces z1 >= z2 and hence h1 <= h2; both are
     verified on the grid and a violation raises, since barriers that cross
-    cannot sandwich anything.  ``far`` passes one continuation summary per
-    member, e.g. :attr:`BarrierPair.far` of a pair on another grid with the same end.
-    The members share p, so p is sampled and integrated on the grid once,
-    into one :class:`Damping` both kernels read.  ``z_sup_bounds``, proven
-    bounds on sup|z1| and sup|z2|, re-certify the h tails through
-    :meth:`KernelPair.with_sup_bound`.  The members must be built to an
-    extent at or past extend_to.  ``parallel`` does nothing; it stays
-    because the benchmark times make_barriers with and without it.
+    cannot sandwich anything.  The members share p, so p is sampled and
+    integrated on the grid once, into one :class:`Damping` both kernels
+    read.  ``z_sup_bounds``, proven bounds on sup|z1| and sup|z2|,
+    re-certify the h tails through :meth:`KernelPair.with_sup_bound`.  The
+    members must be built to an extent at or past extend_to.  ``parallel``
+    does nothing; it stays because the benchmark times make_barriers with
+    and without it.
     """
     p = pair.q1.params.p
-    fars = far if far is not None else (None, None)
     damping = Damping.build(p, grid)
 
     def one(which: int) -> KernelPair:
         kernel = compute_kernel(p, (pair.q1, pair.q2)[which].q_callable, grid, extend_to=extend_to,
-                                extend_step=extend_step, far=fars[which], damping=damping)
+                                extend_step=extend_step, damping=damping)
         return kernel if z_sup_bounds is None else kernel.with_sup_bound(z_sup_bounds[which])
 
     k1, k2 = one(0), one(1)
@@ -201,7 +196,7 @@ def make_barriers(
         raise ValueError("kernel ordering violated: z1 < z2 somewhere on the grid")
     if np.any(k1.h_values > k2.h_values + 1e-12):
         raise ValueError("barrier ordering violated: h1 > h2 somewhere on the grid")
-    return BarrierPair(grid=k1.grid, h1=k1.h_values, h2=k2.h_values, far=(k1.far, k2.far),
+    return BarrierPair(grid=k1.grid, h1=k1.h_values, h2=k2.h_values,
                        h_tail=(k1.h_tail, k2.h_tail),
                        z_sup_bound=(k1.z_sup_bound, k2.z_sup_bound))
 

@@ -37,6 +37,7 @@ __all__ = [
     "integrate_tail_many",
     "cumulative_integral",
     "cumulative_simpson_doubled",
+    "equation_grid",
     "uniform_step",
 ]
 
@@ -183,11 +184,31 @@ _WG = np.array([
 ])
 _GAUSS_SLICE = slice(1, 15, 2)
 
-# Nodes of the Chebyshev-Lobatto rule on each of kernel's continuation cells, and
-# the continuation's stock end.  They live here, beside the other rule, so that a
-# config can be checked, and a family built, without loading kernel.
+# Nodes of the Chebyshev-Lobatto rule on each of kernel's continuation cells, the
+# continuation's stock end and the kernel grid (equation_grid).  They live here,
+# beside the other rule, so that a config can be checked, and a family built,
+# without loading kernel.
 CELL_NODES = 17
 STOCK_EXTEND_TO = 2e4
+
+
+def equation_grid(start: float, span: float) -> np.ndarray:
+    """The kernel grid over [start, start + span], on which the kernel equation is checked.
+
+    Its step is pi/400, so from a lobe join ``start`` every join k pi is
+    one of the every-fourth nodes where kernel._extrapolated_operator
+    centres its stencils, and the checks read the same nodes whatever grid
+    the rest of a run uses.  It ends at the last of those nodes in the
+    span: the span's end when the span is a whole number of pi/100 (the
+    stock span 40 pi gives 16 001 points).  A span under pi/25 holds no
+    join and gets 17 points.
+    """
+    cells = math.floor(span / (math.pi / 100.0) * (1.0 + 1e-12))
+    if cells < 4:
+        return np.linspace(start, start + span, 17)
+    end = cells * math.pi / 100.0
+    return np.linspace(start, start + (span if end >= span * (1.0 - 1e-12) else end),
+                       4 * cells + 1)
 
 
 _TAIL_SPOTS = np.array([1.0, 1.5, 2.0, 4.0, 8.0])  # envelope samples, in cutoffs

@@ -51,7 +51,6 @@ def test_default_config_loads_cleanly():
     assert cfg.problem_n == 3
     assert cfg.solver_N == 16001
     assert cfg.solver_boundary == "upper"
-    assert cfg.kernel_step == pytest.approx(np.pi / 200)
     assert cfg.q_override is None
 
 
@@ -324,7 +323,9 @@ def test_nonpositive_or_infinite_kernel_step_exits_2_before_writing(tmp_path, ca
     rc = main(["full-pipeline", "--config", str(cfg), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"kernel.{key} must be a positive finite number" in err
+    # kernel.step is retired, so it is refused whatever its value
+    assert (f"kernel.{key} must be a positive finite number" if key == "extend_step"
+            else "leave kernel.step out") in err
     assert "Number of samples" not in err
     assert not out.exists()
 
@@ -351,8 +352,7 @@ def test_bad_solver_or_residual_settings_exit_2_before_writing(tmp_path, capsys,
 
 @pytest.mark.parametrize("key, value", [
     ("kernel.span", 0), ("kernel.span", -1.0), ("kernel.span", "-pi"), ("kernel.span", 1e309),
-    # a step of twice the span or more rounds to a grid with no cell; the retired
-    # kernel.residual_step is refused whatever its value
+    # the retired kernel.residual_step and kernel.step are refused whatever their value
     ("kernel.residual_step", 1000), ("kernel.step", 1e4),
 ])
 def test_span_or_step_leaving_no_grid_cell_exits_2_before_writing(tmp_path, capsys,
@@ -430,21 +430,22 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
     pytest.param({"oscillation.theta": float("inf")}, "oscillation.theta", id="inf-theta"),
     pytest.param({"pair.set2.sigma": float("inf")}, "pair.set2.sigma", id="inf-set2-sigma"),
     pytest.param({"pair.set2.theta": float("inf")}, "pair.set2.theta", id="inf-set2-theta"),
-    # a parse error, or numpy refusing the load grid's size (40 pi / 1e-300 cells), names its key
+    # a parse error names its key
     ({"kernel.span": "2*"}, "kernel.span: "),
     ({"p.expr": "x"}, "p.expr: "),
     ({"q_override": {"expr": "x"}}, "q_override.expr: "),
-    ({"kernel.step": 1e-300}, "kernel.step: "),
+    # the retired kernel.step is refused before any value of it is read
+    pytest.param({"kernel.step": 1e-300}, "leave kernel.step out", id="tiny-step"),
     # numpy cannot hold the continuation's window and cell subdivisions in one array;
-    # at 5e-324, span/step is infinite and half a step is 0; the retired
-    # kernel.residual_step is refused before any value of it is read
+    # at 5e-324, half a step is 0; the retired kernel.residual_step is refused before
+    # any value of it is read
     pytest.param({"kernel.residual_step": 1e-300}, "leave kernel.residual_step out",
                  id="tiny-residual-step"),
     # the grid the kernel equation is checked on holds 400/pi points per unit of span
-    pytest.param({"kernel.span": 1e306, "kernel.step": 1e305, "kernel.extend_to": 0},
-                 "kernel.span: ", id="huge-equation-grid"),
+    pytest.param({"kernel.span": 1e306, "kernel.extend_to": 0}, "kernel.span: ",
+                 id="huge-equation-grid"),
     pytest.param({"kernel.extend_step": 1e-300}, "kernel.extend_step: ", id="tiny-extend-step"),
-    pytest.param({"kernel.step": 5e-324}, "kernel.step: ", id="denormal-step"),
+    pytest.param({"kernel.step": 5e-324}, "leave kernel.step out", id="denormal-step"),
     pytest.param({"kernel.residual_step": 5e-324}, "leave kernel.residual_step out",
                  id="denormal-residual-step"),
     pytest.param({"kernel.extend_step": 5e-324}, "kernel.extend_step: ",
@@ -468,6 +469,9 @@ def test_a_grid_end_inside_four_radii_exits_2_before_any_verdict(tmp_path, capsy
                  id="lambda-above-one"),
     pytest.param({"oscillation.q_minus": 1.9, "pair.alpha_gap": 0.9, "pair.beta_gap": 0.9},
                  "gap parameters are too large", id="negative-gap-margin"),
+    # 1e999 reads as inf, so exp(-1e999*s) would print as exp(-inf*s), which no parse takes
+    pytest.param({"p.expr": "1/s^3 + exp(-1e999*s)"}, "p.expr: numeric literal '1e999'",
+                 id="overflowing-literal"),
 ])
 def test_bad_problem_scalars_exit_2_before_any_verdict(tmp_path, capsys, patch, named):
     cfg = _write_config(tmp_path, patch)
@@ -532,8 +536,7 @@ def test_large_amplitudes_pass_the_family_checks(tmp_path, capsys, mode, checks,
     assert f"mode {mode}: PASS ({checks}/{checks} checks)" in seen
 
 
-SMALL = {"solver.N": 4001, "kernel.step": "pi/100", "kernel.extend_to": 0,
-         "oscillation.m_max": 10}
+SMALL = {"solver.N": 4001, "kernel.extend_to": 0, "oscillation.m_max": 10}
 
 
 @pytest.mark.parametrize("mode, override, family, pair", [
@@ -637,9 +640,13 @@ def test_readme_lists_exactly_the_retired_keys():
     assert sorted(listed) == sorted(RETIRED_KEYS)
 
 
-def test_smallest_step_keeping_a_cell_is_accepted():
-    cfg = load_config({"kernel": {"span": 1.0, "step": 1.9}})
-    assert (cfg.kernel_span, cfg.kernel_step) == (1.0, 1.9)
+def test_smallest_step_keeping_a_cell_is_accepted(tmp_path, capsys):
+    # kernel.step is retired: the step that used to load is refused as any other
+    cfg = _write_config(tmp_path, {"kernel.span": 1.0, "kernel.step": 1.9})
+    out = tmp_path / "out"
+    assert main(["compute-kernel", "--config", str(cfg), "--out", str(out)]) == 2
+    assert '"kernel" section no longer takes "step"' in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value, named", [
@@ -840,8 +847,8 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
     from oscillax import cli_report, example_builder, kernel, lemma_check, parse, pde_bridge
 
     p, s0 = parse("1/s^3"), 2 * math.pi
-    counts = {"compute_kernel": 0, "lambda": 0, "I batch": 0, "tail_sum_I_bound": 0,
-              "table": 0}
+    counts = {"compute_kernel": 0, "FarField.build": 0, "lambda": 0, "I batch": 0,
+              "tail_sum_I_bound": 0, "table": 0}
 
     def of_p(f):
         return f == p
@@ -872,23 +879,31 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
         return original(self, M)
 
     monkeypatch.setattr(spec, "tail_sum_I_bound", tail_sum)
+    build = kernel.FarField.build
+
+    def far_field(*args, **kwargs):
+        counts["FarField.build"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(kernel.FarField, "build", far_field)
     cfg = _write_config(tmp_path)
     assert main(["full-pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    # the lemma's family kernel serves the kernel stage, which checks the kernel equation
-    # on one more family kernel, on the pi/400 equation grid; the bridge's barrier pair
-    # (two kernels), on that grid too, which is the stock solver grid, serves the solve;
-    # the family integrates lambda and its I_m once, and lemma_check and the pair reuse
-    # them; the family and the two pair members each build their amplitude table once
-    assert counts == {"compute_kernel": 4, "lambda": 1, "I batch": 1, "tail_sum_I_bound": 1,
-                      "table": 3}
+    # the lemma's family kernel, on the pi/400 equation grid, serves the kernel stage,
+    # which checks the kernel equation on it; the bridge's barrier pair (two kernels), on
+    # that grid too, which is the stock solver grid, serves the solve; each kernel
+    # continues its own z; the family integrates lambda and its I_m once, and lemma_check
+    # and the pair reuse them; the family and the two pair members each build their
+    # amplitude table once
+    assert counts == {"compute_kernel": 3, "FarField.build": 3, "lambda": 1, "I batch": 1,
+                      "tail_sum_I_bound": 1, "table": 3}
 
 
 @pytest.mark.parametrize("mode, patch, grids", [
     pytest.param("solve-bvp", SMALL, [4001], id="solve-bvp-small"),
     pytest.param("full-pipeline", {}, [16001], id="full-pipeline-stock"),
     # off the stock solver grid, the bridge checks its pair on the pi/400 equation grid
-    # and the solve builds its own, with the bridge's continuation summaries
+    # and the solve builds its own
     pytest.param("full-pipeline", {"solver.N": 2001}, [16001, 2001], id="full-pipeline-2001"),
     pytest.param("full-pipeline", SMALL, [16001, 4001], id="full-pipeline-small"),
 ])
@@ -914,8 +929,6 @@ def test_a_run_solves_between_the_bridge_pair_when_it_is_on_the_solver_grid(
     assert rc == 0, capsys.readouterr().out
     assert [len(b.grid) for b in built] == grids
     assert len(solved) == 1 and solved[0] is built[-1]
-    if len(built) == 2 and "kernel.extend_to" not in patch:
-        assert all(a is b is not None for a, b in zip(built[1].far, built[0].far))
 
 
 @pytest.mark.parametrize("patch", [
@@ -980,6 +993,58 @@ def test_an_estimate_that_leaves_the_bound_fails_the_kernel_check(tmp_path, caps
     line = next(line for line in capsys.readouterr().out.splitlines()
                 if "kernel equation residual" in line)
     assert line.startswith("FAIL ") and "margin=-" in line
+
+
+def test_kernels_csv_writes_the_even_nodes_of_the_kernel_the_report_checks(tmp_path, capsys,
+                                                                          family):
+    from oscillax import OscillationParams, compute_kernel, ode_residual
+    from oscillax.quadrature import equation_grid
+
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["compute-kernel", "--config", str(cfg), "--out", str(out),
+                 "--formats", "csv,json"]) == 0
+    capsys.readouterr()
+    rows = np.loadtxt(out / "kernels.csv", delimiter=",", skiprows=1)
+    report = json.loads((out / "kernel_report.json").read_text())
+    p, grid = OscillationParams().p, equation_grid(2 * math.pi, 40 * math.pi)
+    kern = compute_kernel(p, family.q_callable, grid)
+    resid = ode_residual(kern.h_values, p, family.q_callable, grid, z_values=kern.z_values)
+    assert np.array_equal(rows[:, 0], np.linspace(2 * math.pi, 42 * math.pi, 8001))
+    for column, values in zip(rows.T, (grid, kern.z_values, kern.h_values, kern.h_over_s())):
+        assert column.tobytes() == values[::2].tobytes()
+    assert report["residual_sup"] == resid["sup"]
+    assert report["identity_sup"] == resid["identity_sup"]
+    assert report["grid_step"] == float(rows[1, 0] - rows[0, 0])
+
+
+def test_z_negative_beyond_the_first_lobe_prints_its_margin(tmp_path, capsys):
+    from oscillax import cli_report
+
+    cfg = load_config(default_config())
+    cfg.out, cfg.formats = tmp_path, ("json",)
+    runner = cli_report._Runner("full-pipeline", cfg)
+    assert runner.run() == 0
+    name = "kernel z negative beyond the first lobe"
+    check = next(check for check in runner.ledger if check.name == name)
+    kern = runner.kernel  # the lemma's family kernel, which the kernel stage checks
+    margin = -1e-12 - float(np.max(kern.z_values[kern.grid > 3 * math.pi]))
+    assert check.passed and check.margin == margin > 0.0
+    assert f"PASS {name} (margin={margin:.6g})" in capsys.readouterr().out.splitlines()
+
+
+def test_a_span_off_the_pi_over_100_grid_ends_the_lemma_kernel_with_the_equation_grid(
+        tmp_path, capsys):
+    from oscillax import cli_report
+    from oscillax.quadrature import equation_grid
+
+    cfg = load_config({"kernel": {"span": "40*pi + 0.02"}})
+    cfg.out, cfg.formats = tmp_path, ("json",)
+    runner = cli_report._Runner("verify-lemma", cfg)
+    assert runner.run() == 0
+    capsys.readouterr()
+    assert np.array_equal(runner.kernel.grid, equation_grid(2 * math.pi, 40 * math.pi + 0.02))
+    assert runner.kernel.grid[-1] == pytest.approx(42 * math.pi, rel=1e-15)
 
 
 def test_full_pipeline_integrates_the_damping_once(tmp_path, capsys, monkeypatch):

@@ -83,6 +83,14 @@ def test_parse_error_carries_position():
         parse("1 + @")
 
 
+def test_a_literal_past_float_range_is_a_parse_error_and_one_below_it_round_trips():
+    # 1e999 would read as inf and print as "inf", which does not parse back
+    with pytest.raises(ParseError, match=r"literal '1e999' at position 13 overflows"):
+        parse("1/s^3 + exp(-1e999*s)")
+    tiny = parse("1/s^3 + exp(-1e-999*s)")
+    assert parse(tiny.to_source()).ast == tiny.ast
+
+
 def test_division_by_zero_names_the_abscissa():
     e = parse("1/(s - 2)")
     with pytest.raises(DomainError, match=r"s = 2"):

@@ -18,7 +18,7 @@ from oscillax import (
     z_ode_oracle,
 )
 from oscillax import kernel
-from oscillax.quadrature import cumulative_simpson_doubled
+from oscillax.quadrature import cumulative_simpson_doubled, equation_grid
 
 PI = math.pi
 
@@ -184,7 +184,7 @@ def test_the_extrapolated_residual_falls_at_fourth_order_on_a_smooth_q():
     (0.1, 17, 2 * PI + 0.1),              # no join inside: 17 points
 ])
 def test_the_equation_grid_puts_every_lobe_join_on_every_fourth_node(span, n_points, end):
-    grid = kernel.equation_grid(2 * PI, span)
+    grid = equation_grid(2 * PI, span)
     assert len(grid) == n_points and grid[0] == 2 * PI
     assert grid[-1] == pytest.approx(end, rel=1e-14)
     assert np.ptp(np.diff(grid)) <= 1e-9
@@ -214,11 +214,9 @@ def test_kernel_lambda_matches_closed_form(family):
 
 def test_a_proof_bound_recertifies_the_same_kernel(family, family_kernel):
     params = OscillationParams()
-    again = compute_kernel(params.p, family.q_callable, family_kernel.grid,
-                           far=family_kernel.far)
+    again = compute_kernel(params.p, family.q_callable, family_kernel.grid)
     bounded = again.with_sup_bound(1.75)
     assert bounded.z_values is again.z_values and bounded.h_values is again.h_values
-    assert bounded.far is family_kernel.far
     assert again.z_values.tobytes() == family_kernel.z_values.tobytes()
     assert again.h_values.tobytes() == family_kernel.h_values.tobytes()
     tail = TailModel("power", 2.0, 1.75)
@@ -227,7 +225,9 @@ def test_a_proof_bound_recertifies_the_same_kernel(family, family_kernel):
         assert getattr(bounded.h_tail, name) == getattr(family_kernel.h_tail, name)
     assert bounded.h_tail.certificate == tail.tail_bound(family_kernel.h_tail.cutoff)
     # the certificate compute_h gives that tail model on the same samples
-    _, info = compute_h(again.z_values, again.grid, tail, far=again.far)
+    far = FarField.build(params.p, family.q_callable, float(again.grid[-1]),
+                         float(again.z_values[-1]), extend_to=2e4, extend_step=PI / 80)
+    _, info = compute_h(again.z_values, again.grid, tail, far=far)
     assert bounded.h_tail == info
     assert family_kernel.z_sup_bound == family_kernel.z_sup_observed
 
@@ -236,66 +236,14 @@ def test_a_proof_bound_recertifies_the_same_kernel(family, family_kernel):
 # far-field summary of the continuation
 
 
-def _end_matched_grid(kernel, points):
-    return np.linspace(kernel.grid[0], kernel.grid[-1], points)
-
-
-def test_far_field_reuse_equals_a_fresh_build(family, family_kernel):
-    params = OscillationParams()
-    grid = _end_matched_grid(family_kernel, 12001)
-    fresh = compute_kernel(params.p, family.q_callable, grid)
-    reused = compute_kernel(params.p, family.q_callable, grid, far=family_kernel.far)
-    assert reused.far is family_kernel.far
-    for a, b in ((fresh.z_values, reused.z_values), (fresh.h_values, reused.h_values)):
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
-    assert reused.z_sup_observed == pytest.approx(fresh.z_sup_observed, rel=1e-12)
-    for name in ("value", "uncertainty", "certificate", "cutoff"):
-        assert getattr(reused.h_tail, name) == pytest.approx(
-            getattr(fresh.h_tail, name), rel=1e-12)
-
-
-@pytest.mark.parametrize("change", ["start", "extend_to", "extend_step", "p", "q"])
-def test_far_field_mismatch_is_rejected(family, family_kernel, change):
-    params = OscillationParams()
-    args = {"p": params.p, "q": family.q_callable,
-            "grid": _end_matched_grid(family_kernel, 4001)}
-    kwargs = {"extend_to": 2e4, "extend_step": PI / 80}
-    if change == "start":
-        args["grid"] = np.linspace(family_kernel.grid[0], family_kernel.grid[-1] - PI, 4001)
-    elif change == "p":
-        args["p"] = parse("2/s^3")
-    elif change == "q":
-        args["q"] = lambda s: family.q_callable(s)
-    else:
-        kwargs[change] *= 1.5
-    with pytest.raises(ValueError, match="far-field summary"):
-        compute_kernel(args["p"], args["q"], args["grid"], far=family_kernel.far, **kwargs)
-
-
-def test_far_field_outside_its_radius_is_rebuilt(family, family_kernel):
-    params = OscillationParams()
-    far = family_kernel.far
-    stale = far._replace(x0=far.x0 + 10 * far.tau / far.e_max)
-    assert not stale.covers(float(family_kernel.z_values[-1]))
-    with pytest.raises(ValueError, match="validity radius"):
-        stale.sup(float(family_kernel.z_values[-1]))
-    rebuilt = compute_kernel(params.p, family.q_callable, family_kernel.grid, far=stale)
-    assert rebuilt.far is not stale
-    assert rebuilt.far.x0 == far.x0
-    assert np.array_equal(rebuilt.h_values, family_kernel.h_values)
-    assert rebuilt.z_sup_observed == family_kernel.z_sup_observed
-    assert rebuilt.h_tail == family_kernel.h_tail
-
-
-def test_far_field_holds_no_continuation_length_array(family_kernel):
-    far = family_kernel.far
+def test_far_field_holds_no_continuation_length_array(family, family_kernel):
+    far = FarField.build(OscillationParams().p, family.q_callable, float(family_kernel.grid[-1]),
+                         float(family_kernel.z_values[-1]), extend_to=2e4, extend_step=PI / 80)
     continuation = (far.end - far.start) / (0.5 * far.extend_step)
     assert continuation > 1e6
     arrays = [v for v in far._asdict().values() if isinstance(v, np.ndarray)]
-    window, kept = len(far.window_u), len(far.sup_E)
-    assert window == 321
-    assert 1 <= kept <= 64
-    assert sum(a.size for a in arrays) == 3 * window + 2 * kept
+    assert len(far.window_u) == 321
+    assert sum(a.size for a in arrays) == 3 * 321
 
 
 @pytest.mark.parametrize("shared, copying", [
@@ -307,15 +255,15 @@ def test_far_field_leaves_what_q_returns_untouched(shared, copying):
     kwargs = {"extend_to": 400.0, "extend_step": PI / 80}
     a = FarField.build(parse("1/s^3"), shared, 8 * PI, -0.3, **kwargs)
     b = FarField.build(parse("1/s^3"), copying, 8 * PI, -0.3, **kwargs)
-    for name in ("end", "A", "B", "x0", "e_max"):
+    for name in ("end", "A", "B", "x0", "sup"):
         assert getattr(a, name) == getattr(b, name)
-    for name in ("window_u", "window_E", "window_D", "sup_E", "sup_D"):
+    for name in ("window_u", "window_E", "window_D"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_far_field_sup_is_exact_within_its_radius():
-    # the kept points must hold the maximiser over every point the build
-    # samples: the cell nodes and each cell's uniform subdivision
+    # the screen must keep the maximiser over every point the build samples:
+    # the cell nodes and each cell's uniform subdivision
     p = parse("1/s^3")
     q = lambda s: np.sin(np.asarray(s)) ** 2 - 0.4
     start, x0 = 8 * PI, -0.3
@@ -330,14 +278,14 @@ def test_far_field_sup_is_exact_within_its_radius():
         Es.append(e.ravel())
         Ds.append((e * cells.C(np.array([cell]), Q)).ravel())
     Es, Ds = np.concatenate(Es), np.concatenate(Ds)
-    radius = far.tau / far.e_max
-    for x in (x0, x0 + 0.99 * radius, x0 - 0.99 * radius):
-        full = np.max(np.abs(Es * x - Ds))
-        assert far.sup(x) == pytest.approx(full, rel=1e-13)
+    assert far.sup == pytest.approx(np.max(np.abs(Es * x0 - Ds)), rel=1e-13)
 
 
 def _sup_set_screening_full_blocks(cells, E, D, x0, half):
-    """The sup set of FarField.build, screening each block on its full C."""
+    """E and D where |E x0 - D| is within 2 tau of its max, screening each block on its full C.
+
+    The max of |E x0 - D| over them is the reference for FarField.sup.
+    """
     tau = 1e-9 * max(1.0, abs(x0))
     z = np.abs(E * x0 - D)
     z[:-1, -1] = -np.inf
@@ -373,14 +321,15 @@ def _sup_set_screening_full_blocks(cells, E, D, x0, half):
 
 @pytest.mark.parametrize("case", ["default family", "sin^2 - 0.4"])
 def test_the_sup_screen_keeps_the_bits_of_the_full_block_screen(family, case):
-    # the screen scales the row extremes of the product instead of forming C:
-    # its reach, and the sup set it leads to, keep their bits (A, B and the
-    # window come before the screen).  On the default family's continuation
-    # every block is screened out; on sin^2 - 0.4 a block passes and forms C.
+    # the screen scales the row extremes of the product instead of forming C,
+    # and keeps only the running max: its reach, and sup|z|, keep their bits
+    # (A, B and the window come before the screen).  On the default family's
+    # continuation every block is screened out; on sin^2 - 0.4 a block passes
+    # and forms C.
     if case == "default family":
         p, q, passing = OscillationParams().p, family.q_callable, 0
-        grid = np.linspace(2 * PI, 42 * PI, 8001)
-        far = compute_kernel(p, q, grid, extend_to=2e4, extend_step=PI / 80).far
+        x0 = float(compute_z(p, q, np.linspace(2 * PI, 42 * PI, 8001))[-1])
+        far = FarField.build(p, q, 42 * PI, x0, extend_to=2e4, extend_step=PI / 80)
     else:
         p, q, passing = parse("1/s^3"), lambda s: np.sin(np.asarray(s)) ** 2 - 0.4, 1
         far = FarField.build(p, q, 8 * PI, -0.3, extend_to=400.0, extend_step=PI / 80)
@@ -393,7 +342,7 @@ def test_the_sup_screen_keeps_the_bits_of_the_full_block_screen(family, case):
         assert np.array_equal(bottom, np.min(c, axis=1)) and np.array_equal(top, np.max(c, axis=1))
         assert np.array_equal(np.maximum(top - far.x0, far.x0 - bottom), reach)
         assert np.array_equal(cells._from_left(g, cells.C0, block), c)
-    assert np.array_equal(far.sup_E, sup_E) and np.array_equal(far.sup_D, sup_D)
+    assert far.sup == float(np.max(np.abs(sup_E * far.x0 - sup_D)))
 
 
 def test_a_whole_pi_cell_is_subdivided_like_the_uniform_sweep():
@@ -428,7 +377,7 @@ def _assert_matches_half_step_simpson(far, p, q, rtol=1e-11):
     for name, f in (("A", E / u2), ("B", D / u2)):
         assert getattr(far, name) == pytest.approx(_simpson_total(f, u), rel=rtol, abs=0.0)
     full = np.max(np.abs(E * far.x0 - D))
-    assert far.sup(far.x0) == pytest.approx(full, rel=rtol, abs=0.0)
+    assert far.sup == pytest.approx(full, rel=rtol, abs=0.0)
 
     a = int(np.argmin(np.abs(u - PI * math.floor(far.window_u[0] / PI))))
     fine = step / 64
@@ -526,7 +475,7 @@ def test_a_scalar_coefficient_is_broadcast_to_the_nodes():
     a = FarField.build(parse("1/s^3"), lambda s: 0.3, 8 * PI, -0.3, **kwargs)
     b = FarField.build(parse("1/s^3"), lambda s: np.full(np.shape(s), 0.3), 8 * PI, -0.3,
                        **kwargs)
-    assert (a.A, a.B, a.sup(-0.3)) == (b.A, b.B, b.sup(-0.3))
+    assert (a.A, a.B, a.sup) == (b.A, b.B, b.sup)
     assert np.array_equal(a.window_D, b.window_D)
 
 
@@ -534,8 +483,8 @@ def test_import_and_a_pipeline_run_load_no_scipy(package_env, tmp_path):
     # scipy is left to the z_ode_oracle cross-check; no CLI mode may load it,
     # nor numpy.ma, which costs a cold run 14-20 ms of imports
     config = tmp_path / "small.json"
-    config.write_text('{"solver": {"N": 4001}, "kernel": {"step": "pi/100"}, '
-                      '"oscillation": {"m_max": 10}}', encoding="utf-8")
+    config.write_text('{"solver": {"N": 4001}, "oscillation": {"m_max": 10}}',
+                      encoding="utf-8")
     probe = (
         "import sys\n"
         "def loaded(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"

@@ -41,7 +41,7 @@ def test_loading_a_config_loads_only_the_family_and_radial_modules(package_env):
 ])
 def test_a_mode_loads_only_the_stages_it_runs(package_env, tmp_path, mode, absent):
     config = tmp_path / "small.json"
-    config.write_text('{"solver": {"N": 4001}, "kernel": {"step": "pi/100", "extend_to": 0}, '
+    config.write_text('{"solver": {"N": 4001}, "kernel": {"extend_to": 0}, '
                       '"oscillation": {"m_max": 10}}', encoding="utf-8")
     code = ("from oscillax.cli_report import main\n"
             "assert main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3],"

@@ -228,15 +228,17 @@ def test_parallel_barriers_match_serial(pair):
     threaded = make_barriers(pair, grid, parallel=True)
     assert np.array_equal(serial.h1, threaded.h1)
     assert np.array_equal(serial.h2, threaded.h2)
+    assert serial.h_tail == threaded.h_tail
+    assert serial.z_sup_bound == threaded.z_sup_bound
 
 
 def test_parallel_barriers_with_summaries_match_serial(pair, solver_barrier):
+    # the solver grid's sup bounds stand in for the retired continuation summaries
     grid = np.linspace(solver_barrier.grid[0], solver_barrier.grid[-1], 8001)
-    far = solver_barrier.far
-    serial = make_barriers(pair, grid, far=far)
-    threaded = make_barriers(pair, grid, far=far, parallel=True)
-    assert serial.far[0] is far[0] and serial.far[1] is far[1]
-    assert threaded.far[0] is far[0] and threaded.far[1] is far[1]
+    bounds = solver_barrier.z_sup_bound
+    serial = make_barriers(pair, grid, z_sup_bounds=bounds)
+    threaded = make_barriers(pair, grid, z_sup_bounds=bounds, parallel=True)
+    assert serial.z_sup_bound == bounds and threaded.z_sup_bound == bounds
     for name in ("h1", "h2"):
         assert np.array_equal(getattr(serial, name), getattr(threaded, name))
     assert serial.h_tail == threaded.h_tail
@@ -252,7 +254,6 @@ def test_barrier_kernels_are_the_standalone_kernels_bitwise(pair, parallel, exte
     # z is compared in test_kernel, on a kernel that shares its Damping
     for i, (spec, h) in enumerate(((pair.q1, barrier.h1), (pair.q2, barrier.h2))):
         alone = compute_kernel(params.p, spec.q_callable, grid, extend_to=extend_to)
-        assert (barrier.far[i] is None) == (extend_to == 0.0)
         assert h.tobytes() == alone.h_values.tobytes()
         assert barrier.z_sup_bound[i] == alone.z_sup_observed
         assert barrier.h_tail[i] == alone.h_tail
