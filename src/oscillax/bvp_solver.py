@@ -38,7 +38,7 @@ grid-halving checks in the test suite pin to the expected fourth-fold decay.
 Through the sweeps live, in arrays of N floats: the barrier pair's grid, h1
 and h2, H, p, B, the blend's four arrays, the factor (7), the residual's
 scratch (2) and one blend evaluation.  All but the pair and H die before the
-decay fit, and the radii die once the stock blend is bound to them.
+decay fit, and the radii the stock blend reads die once it is bound.
 """
 
 from __future__ import annotations
@@ -208,11 +208,12 @@ def _estimate_shift(problem: RadialProblem, barrier: BarrierPair, f: Callable) -
     """
     g = barrier.grid
     n, R = problem.n, problem.R
-    si = g[1:-1:max(1, len(g) // 512)]
+    at = slice(1, -1, max(1, len(g) // 512))
+    si = g[at]
     r_i = beta_map(n, R, si)
     B = _beta_betaprime(n, si) / (n - 2)
-    v1 = barrier.v1(si)
-    width = barrier.v2(si) - v1
+    v1 = barrier.h1[at] / si
+    width = barrier.h2[at] / si - v1
     worst = 0.0
     for t in np.linspace(0.05, 0.95, SHIFT_LEVELS):
         u = v1 + t * width
@@ -257,19 +258,21 @@ def solve_radial(
         raise ValueError("the shift K must be nonnegative")
 
     H, deltas, full_residual = _sweeps(problem, barrier, f, K_used, step, boundary, tol, max_iter)
-    return BvpSolution(
+    solution = BvpSolution(
         grid=g,
         u_values=H,
         iterations=len(deltas),
         iteration_sup_deltas=tuple(deltas),
         sandwich_margins=(float(np.min((H - barrier.h1) / g)),
                           float(np.min((barrier.h2 - H) / g))),
-        decay_exponent=_fit_decay(g, H, problem).exponent,
+        decay_exponent=None,
         K_used=K_used,
         residual_sup=float(np.max(np.abs(full_residual[1:-1]))),
         boundary=boundary,
         residual=full_residual,
     )
+    # fitted through the public decay_fit, which reads the solution, so a traced run records it
+    return solution._replace(decay_exponent=decay_fit(solution, problem).exponent)
 
 
 def _sweeps(problem: RadialProblem, barrier: BarrierPair, f: Optional[Callable], K: float,
@@ -277,9 +280,8 @@ def _sweeps(problem: RadialProblem, barrier: BarrierPair, f: Optional[Callable],
     """:func:`solve_radial`'s sweeps, whose state dies on return: (H, deltas, residual)."""
     n, si = problem.n, barrier.grid[1:-1]
     p_i = np.asarray(problem.p(si), dtype=float)
-    r_i = beta_map(n, problem.R, si)
-    fn = make_blend(problem, barrier, r_i) if f is None else functools.partial(f, r_i)
-    del r_i  # read by the blend only, which keeps what it needs
+    fn = (make_blend(problem, barrier) if f is None
+          else functools.partial(f, beta_map(n, problem.R, si)))
     factor = _sweep_factor(p_i, si, step, K)
     B = _beta_betaprime(n, si) / (n - 2)
     work = np.empty((2, len(si)))
@@ -345,14 +347,11 @@ def decay_fit(solution: BvpSolution, problem: RadialProblem) -> DecayFit:
     The window covers 30% of the grid, ending 5% short of the truncation
     boundary (:func:`oscillax.radial.fit_window`) so the Dirichlet
     condition does not contaminate the fit.  For the exterior problem the
-    expected exponent is 2 - n.
+    expected exponent is 2 - n.  :func:`solve_radial` calls it for the
+    solution's ``decay_exponent``, once the sweeps' state is gone.
     """
-    return _fit_decay(solution.grid, solution.u_values, problem)
-
-
-def _fit_decay(g: np.ndarray, H: np.ndarray, problem: RadialProblem) -> DecayFit:
-    """:func:`decay_fit` on the grid ``g`` and the arc-side profile ``H``."""
-    u = H / g
+    g = solution.grid
+    u = solution.u_values / g
     j0, j1 = fit_window(len(g))
     if np.any(u[j0:j1] <= 0):
         raise ValueError("solution is not positive on the fit window")

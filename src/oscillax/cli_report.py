@@ -652,7 +652,8 @@ class _Runner:
                      if reads & {"pair", "problem"} else None)
         self.problem = _radial_problem(cfg, self.pair) if "problem" in reads else None
         # the hand-offs: the lemma's LemmaReport and the family KernelPair it checked go
-        # to the kernel stage, the bridge's BarrierPair to the solve (see solve_bvp_stage)
+        # to the kernel stage, the bridge's BarrierPair to the solve (see solve_bvp_stage);
+        # each is dropped once its last reader has read it
         self.lemma = self.kernel = self.barrier = None
         self.ledger: list[Check] = []
         cfg.out.mkdir(parents=True, exist_ok=True)
@@ -765,7 +766,8 @@ class _Runner:
 
     def compute_kernel_stage(self) -> None:
         """The family kernel, with the kernel equation checked on it; the lemma stage, when
-        it ran, lends its proof bound and the family kernel it checked."""
+        it ran, lends its proof bound and the family kernel it checked, which no later
+        stage reads."""
         from .kernel import compute_kernel, ode_residual
 
         cfg, spec = self.cfg, self.family
@@ -814,6 +816,7 @@ class _Runner:
             emit_plot(self.path("kernels.svg"),
                       [("z", s, z), ("h", s, h), ("h/s", s, h_over_s)],
                       title="comparison kernels", xlabel="s", ylabel="value")
+        self.lemma = self.kernel = None
 
     def build_pair_stage(self) -> None:
         cfg, pair = self.cfg, self.pair
@@ -897,11 +900,12 @@ class _Runner:
 
     def solve_bvp_stage(self) -> None:
         """Solve between the barriers: the bridge's when they are on the solver grid, else
-        new ones."""
+        new ones.  The runner lets go of the bridge's pair here."""
         from .bvp_solver import check_sandwich, solve_radial
         from .pde_bridge import make_barriers
 
         cfg, pair, problem, barrier = self.cfg, self.pair, self.problem, self.barrier
+        self.barrier = None
 
         grid = np.linspace(S0_FIXED, S0_FIXED + cfg.kernel_span, cfg.solver_N)
         if barrier is None or not np.array_equal(barrier.grid, grid):

@@ -330,9 +330,6 @@ class CoefficientExpr(NamedTuple):
             return float(self.evaluate_grid(arr.reshape(1))[0])
         return self.evaluate_grid(arr)
 
-    def to_source(self) -> str:
-        return _print_node(self.ast, 0, False)
-
 
 def parse(text: str) -> CoefficientExpr:
     """The expression of a source text; its source is the canonical printed form."""

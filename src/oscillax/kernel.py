@@ -42,10 +42,10 @@ interpolants of p and q must agree with their degree-14 truncations to
 CELL_TAIL_TOL of max|p|, max|q|, and a cell that fails is bisected, so a
 coefficient with a kink inside a cell is still resolved.
 
-A :class:`FarField` keeps what h needs of the continuation: the
-Clenshaw-Curtis cell totals of E/t^2 and D/t^2, E and D on the trailing
-window (the last TAIL_WINDOW of the continuation), and sup|z| over the
-continuation for the x0 it was built at.
+A :class:`FarField` keeps what h needs of the continuation for the one x0
+= z(grid end) it was built at: the integral of z/t^2 over it, z on the
+trailing window (the last TAIL_WINDOW of the continuation), and sup|z|
+over it.
 """
 
 from __future__ import annotations
@@ -91,13 +91,16 @@ class HTail(NamedTuple):
 
 
 class KernelPair(NamedTuple):
-    """Sampled kernels with their certified accounting."""
+    """Sampled kernels with their certified accounting.
+
+    The h tail certificate is that of the envelope sup|z|/t^2 beyond the
+    continuation end, with ``z_sup_bound`` as sup|z|.
+    """
 
     grid: np.ndarray
     z_values: np.ndarray
     h_values: np.ndarray
     z_sup_bound: float        # bound used in the h tail certificate
-    tail: TailModel           # envelope for z/t^2 beyond the extension end
     h_tail: HTail
     z_sup_observed: float
 
@@ -105,12 +108,11 @@ class KernelPair(NamedTuple):
         """The same kernel with its h tail certified by a proven bound on sup|z|.
 
         z and h do not depend on the bound, so the copy shares their
-        read-only arrays; only the tail model and the certificate change.
+        read-only arrays; only the bound and the certificate change.
         """
         tail = TailModel(kind="power", rate=2.0, coef=float(bound))
-        return self._replace(z_sup_bound=tail.coef, tail=tail,
-                             h_tail=self.h_tail._replace(
-                                 certificate=tail.tail_bound(self.h_tail.cutoff)))
+        return self._replace(z_sup_bound=tail.coef, h_tail=self.h_tail._replace(
+            certificate=tail.tail_bound(self.h_tail.cutoff)))
 
     def h_over_s(self) -> np.ndarray:
         return self.h_values / self.grid
@@ -310,30 +312,27 @@ class _Cells(NamedTuple):
 
 
 class FarField(NamedTuple):
-    """What h needs of the continuation of z beyond a grid end.
+    """What h needs of the continuation of z beyond a grid end, for one z there.
 
-    Continuing from ``start`` with z(start) = x up to ``end`` (start plus an
-    even number of extend_step/2 steps, at or past extend_to) gives
-    z = E x - D.  The continuation is resolved on cells (see
-    :class:`_Cells`): the integral of z/t^2 over it is x A - B, and the
-    trailing window holds E and D on ``window_u`` (the points
-    start + j extend_step/2 in the last TAIL_WINDOW).  ``sup`` is sup|z|
-    for x = ``x0``: the largest |E x0 - D| over the cell nodes and, on every
-    cell, its uniform subdivision with spacing at most extend_step/2.  So
-    extend_step sets only the window's spacing, this spacing and the
-    rounding of ``end``, not the accuracy of A and B.
+    Continuing from ``start`` with z(start) = ``x0`` up to ``end`` (start
+    plus an even number of extend_step/2 steps, at or past extend_to) gives
+    z = E x0 - D.  The continuation is resolved on cells (see
+    :class:`_Cells`): ``beyond``, the integral of z/t^2 over it, is x0 A - B
+    with A and B the Clenshaw-Curtis totals of E/t^2 and D/t^2, and
+    ``window_z`` holds z on ``window_u`` (the points start + j extend_step/2
+    in the last TAIL_WINDOW).  ``sup`` is sup|z|: the largest |E x0 - D| over
+    the cell nodes and, on every cell, its uniform subdivision with spacing
+    at most extend_step/2.  So extend_step sets only the window's spacing,
+    this spacing and the rounding of ``end``, not the accuracy of ``beyond``.
     """
 
     start: float
-    extend_step: float
     end: float
-    A: float                 # Clenshaw-Curtis total of E/t^2
-    B: float                 # Clenshaw-Curtis total of D/t^2
+    beyond: float            # integral of z/t^2 over [start, end]
     window_u: np.ndarray
-    window_E: np.ndarray
-    window_D: np.ndarray
+    window_z: np.ndarray
     x0: float
-    sup: float               # sup|z| over the sampled points, for x0
+    sup: float               # sup|z| over the sampled points
 
     # compared by identity, so that tuple equality never meets an array
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
@@ -341,7 +340,7 @@ class FarField(NamedTuple):
     @classmethod
     def build(cls, p: Callable, q: Callable, start: float, x0: float, *,
               extend_to: float, extend_step: float) -> "FarField":
-        """Continue z from ``start`` once and keep its summary.
+        """Continue z from ``start``, where it is ``x0``, and keep its summary.
 
         Never writes into what p or q return; only the summary outlives the
         call.
@@ -360,21 +359,20 @@ class FarField(NamedTuple):
         w = 0.5 * (cells.hi - cells.lo)
         cc = _cell_rule().S[-1]
         t *= t
-        A = float(w @ ((E / t) @ cc))
-        B = float(w @ ((D / t) @ cc))
+        beyond = x0 * float(w @ ((E / t) @ cc)) - float(w @ ((D / t) @ cc))
 
         j0 = max(0, n_steps - int(TAIL_WINDOW / half) - 2)
         window_u = np.arange(j0, n_steps + 1, dtype=float) * half + start
         window_u = window_u[_window_start(window_u, TAIL_WINDOW):]
         k = np.minimum(np.searchsorted(cells.hi, window_u), len(cells.hi) - 1)
-        window_E, window_D = np.empty_like(window_u), np.empty_like(window_u)
+        window_z = np.empty_like(window_u)
         for cell in k[np.flatnonzero(np.diff(k, prepend=-1))]:  # k is sorted
             at = k == cell
             x = (2.0 * window_u[at] - cells.lo[cell] - cells.hi[cell]) \
                 / (cells.hi[cell] - cells.lo[cell])
             Q = _antiderivative(np.clip(x, -1.0, 1.0)).T
-            window_E[at] = cells.E(np.array([cell]), Q)[0]
-            window_D[at] = window_E[at] * cells.C(np.array([cell]), Q)[0]
+            e = cells.E(np.array([cell]), Q)[0]
+            window_z[at] = e * x0 - e * cells.C(np.array([cell]), Q)[0]
 
         # sup|z| over the nodes, each once (a shared edge counts for the cell on
         # its right), and each cell's uniform subdivision.  There, blocks of
@@ -401,19 +399,8 @@ class FarField(NamedTuple):
                 e = cells.E(block[rows], Q)
                 z = np.abs(e * x0 - e * c[rows])
                 z_max = max(z_max, float(np.max(z)))
-        return cls(
-            start=float(start), extend_step=float(extend_step), end=end,
-            A=A, B=B, window_u=window_u, window_E=window_E, window_D=window_D,
-            x0=float(x0), sup=z_max,
-        )
-
-    def beyond(self, x: float) -> float:
-        """Integral of z/t^2 over the continuation."""
-        return x * self.A - self.B
-
-    def window(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        """(t, z) on the trailing window."""
-        return self.window_u, self.window_E * x - self.window_D
+        return cls(start=float(start), end=end, beyond=beyond, window_u=window_u,
+                   window_z=window_z, x0=float(x0), sup=z_max)
 
 
 def _check_grid(grid: np.ndarray) -> None:
@@ -557,9 +544,10 @@ def compute_h(
     """Kernel h on the grid from sampled z plus tail accounting.
 
     ``far`` optionally summarises the continuation of z beyond grid[-1]
-    (see :class:`FarField`); the improper remainder past the last available
-    sample is estimated by the trailing-window mean of z and certified by
-    ``tail`` (an envelope model for z/t^2).  h at the odd nodes carries the
+    (see :class:`FarField`); it must be the one built from there for x0 =
+    z[-1].  The improper remainder past the last available sample is
+    estimated by the trailing-window mean of z and certified by ``tail``
+    (an envelope model for z/t^2).  h at the odd nodes carries the
     half-cell parabola of :func:`cumulative_simpson_doubled`, not the
     Simpson sum of the even nodes: on the default family's pi/400 grid it is
     off by 4.7e-11 there against 9.8e-12 at the even nodes (measured against
@@ -576,9 +564,10 @@ def compute_h(
     if far is not None:
         if far.start != g[-1]:
             raise ValueError("far-field summary must start exactly at the end of the grid")
-        x = float(z[-1])
-        beyond = far.beyond(x)
-        tail_u, tail_z = far.window(x)
+        if far.x0 != z[-1]:
+            raise ValueError(f"far-field summary was built for z = {far.x0!r} at the grid end, "
+                             f"not {float(z[-1])!r}")
+        beyond, tail_u, tail_z = far.beyond, far.window_u, far.window_z
 
     cutoff = float(tail_u[-1])
     zbar, uncertainty = _window_mean_tail(tail_u, tail_z, TAIL_WINDOW)
@@ -644,7 +633,6 @@ def compute_kernel(
         z_values=z,
         h_values=h,
         z_sup_bound=observed,
-        tail=tail,
         h_tail=h_tail,
         z_sup_observed=observed,
     )

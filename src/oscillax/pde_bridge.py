@@ -137,7 +137,9 @@ class BarrierPair(NamedTuple):
     """Barrier traces h1 <= h2 of an ordered coefficient pair on a shared grid.
 
     Per member: the h-tail record and the sup|z| bound its certificate used.
-    No z: only the ordering check of :func:`make_barriers` reads it.
+    No z: only the ordering check of :func:`make_barriers` reads it.  The
+    radial barriers v_i = h_i/s are read at the grid's own nodes, so no
+    trace is ever interpolated.
     """
 
     grid: np.ndarray
@@ -153,12 +155,6 @@ class BarrierPair(NamedTuple):
     @property
     def gap_max(self) -> float:
         return float(np.max(self.h2 - self.h1))
-
-    def v1(self, s) -> np.ndarray:
-        return np.interp(s, self.grid, self.h1) / np.asarray(s, dtype=float)
-
-    def v2(self, s) -> np.ndarray:
-        return np.interp(s, self.grid, self.h2) / np.asarray(s, dtype=float)
 
 
 def make_barriers(
@@ -201,33 +197,32 @@ def make_barriers(
                        z_sup_bound=(k1.z_sup_bound, k2.z_sup_bound))
 
 
-def make_blend(problem: RadialProblem, barrier: BarrierPair, r, *,
+def make_blend(problem: RadialProblem, barrier: BarrierPair, *,
                ribbon: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Callable:
-    """The stock nonlinearity bound to the radii ``r``: a tanh ramp across the ribbon.
+    """The stock nonlinearity bound to the interior nodes of the barrier grid.
 
         f(r, u) = (a1 + a2)/2 + ((a2 - a1)/2) tanh((u - u_mid) / w),
 
-    with u_mid the midpoint of (v1, v2) at radius r and w a quarter of the
-    gap.  f is nondecreasing in u and stays strictly inside [a1, a2], so the
-    barriers bound it by construction and the monotone iteration needs no
-    shift.
+    at r = beta(s) for s = barrier.grid[1:-1], with u_mid the midpoint of
+    (v1, v2) = (h1, h2)/s there and w a quarter of the gap.  f is
+    nondecreasing in u and stays strictly inside [a1, a2], so the barriers
+    bound it by construction and the monotone iteration needs no shift.
 
-    Everything that depends on r alone (the barrier traces, the gap and its
+    Everything that depends on s alone (the barrier traces, the gap and its
     check, a1, a2 and the midpoint) is computed here, once; the returned
     ``blend(u)`` evaluates f(r, u) with only the tanh left to do, so a
-    monotone sweep over a fixed grid pays for nothing else.  A caller that
-    already holds a1(r) and a2(r) passes them as ``ribbon``.
+    monotone sweep over the grid pays for nothing else.  A caller that
+    already holds a1 and a2 at those radii passes them as ``ribbon``.
     """
     problem.validate()
     if problem.a1 is None or problem.a2 is None:
         raise ValueError("the blend nonlinearity needs both ribbon edges a1 and a2")
-    r_arr = np.asarray(r, dtype=float)
-    s = beta_inverse(problem.n, problem.R, r_arr)
-    v1, v2 = barrier.v1(s), barrier.v2(s)
+    s = barrier.grid[1:-1]
+    v1, v2 = barrier.h1[1:-1] / s, barrier.h2[1:-1] / s
     gap = v2 - v1
     if np.any(gap <= 0):
         raise ValueError("degenerate ribbon: the barriers touch at some radius")
-    lo, hi = ribbon if ribbon is not None else _ribbon(problem, r_arr)
+    lo, hi = ribbon if ribbon is not None else _ribbon(problem, beta_map(problem.n, problem.R, s))
     mid = 0.5 * (v1 + v2)
     base = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -299,7 +294,7 @@ def subsuper_residual(
     si = g[1:-1]
     r_i = beta_map(n, R, si)
     lo, hi = _ribbon(problem, r_i)
-    fn = (make_blend(problem, barrier, r_i, ribbon=(lo, hi)) if f is None
+    fn = (make_blend(problem, barrier, ribbon=(lo, hi)) if f is None
           else lambda u: f(r_i, u))
     width = np.max(hi - lo)
     p2 = np.asarray(problem.p(g[::2][1:-1]), dtype=float)

@@ -10,6 +10,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -116,3 +117,23 @@ def test_every_name_the_benchmark_imports_from_oscillax_resolves():
             getattr(importlib.import_module(module), name)
         except AttributeError:  # a submodule, as in `from oscillax import cli_report`
             importlib.import_module(f"{module}.{name}")
+
+
+def test_every_traced_label_records_a_call_in_a_small_full_pipeline(tmp_path, capsys):
+    # a function the run reaches only through a private helper, or not at all,
+    # would report a self time of 0 in every traced run
+    import oscillax
+    from oscillax import cli_report
+
+    for module in pkgutil.iter_modules(oscillax.__path__):
+        importlib.import_module(f"oscillax.{module.name}")
+    tracing = _benchmark_module("tracing")
+    instrumentation = tracing.Instrumentation(oscillax)
+    cfg = load_config({"solver": {"N": 4001}, "kernel": {"extend_to": 0},
+                       "oscillation": {"m_max": 10}})
+    cfg.out, cfg.formats = tmp_path, ("csv", "json", "svg")
+    with instrumentation.tracing() as tracer:
+        assert cli_report.run("full-pipeline", cfg) == 0
+    capsys.readouterr()
+    missing = [label for label in tracing.SELF_TIMES if not tracer.counters[label + ".calls"] > 0]
+    assert missing == []

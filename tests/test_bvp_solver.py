@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from oscillax import (
     BvpSolution,
-    beta_map,
     check_sandwich,
     decay_fit,
     make_barriers,
@@ -72,10 +71,10 @@ def test_boundary_choice_brackets_the_same_profile(problem, solver_barrier):
 
 def test_returned_residual_matches_a_recomputation(problem, solver_barrier, solution):
     g, H = solution.grid, solution.u_values
-    n, R = problem.n, problem.R
+    n = problem.n
     step = g[1] - g[0]
     si = g[1:-1]
-    blend = make_blend(problem, solver_barrier, beta_map(n, R, si))
+    blend = make_blend(problem, solver_barrier)
     load = _beta_betaprime(n, si) / (n - 2) * blend(H[1:-1] / si)
     d2 = (H[:-2] - 2.0 * H[1:-1] + H[2:]) / step**2
     d1 = (H[2:] - H[:-2]) / (2.0 * step)
@@ -175,7 +174,7 @@ def test_a_grid_too_short_for_the_decay_fit_is_refused_before_any_sweep(problem,
 
     def f(r, u):
         calls.append(len(u))
-        return make_blend(problem, barrier, r)(u)
+        return make_blend(problem, barrier)(u)
 
     with pytest.raises(ValueError, match="fit window too small"):
         solve_radial(problem, barrier, f=f)

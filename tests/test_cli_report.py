@@ -1021,16 +1021,34 @@ def test_kernels_csv_writes_the_even_nodes_of_the_kernel_the_report_checks(tmp_p
 def test_z_negative_beyond_the_first_lobe_prints_its_margin(tmp_path, capsys):
     from oscillax import cli_report
 
+    class Recording(cli_report._Runner):
+        def compute_kernel_stage(self):
+            self.checked = self.kernel  # the lemma's family kernel, which the stage checks
+            super().compute_kernel_stage()
+
     cfg = load_config(default_config())
     cfg.out, cfg.formats = tmp_path, ("json",)
-    runner = cli_report._Runner("full-pipeline", cfg)
+    runner = Recording("full-pipeline", cfg)
     assert runner.run() == 0
     name = "kernel z negative beyond the first lobe"
     check = next(check for check in runner.ledger if check.name == name)
-    kern = runner.kernel  # the lemma's family kernel, which the kernel stage checks
+    kern = runner.checked
     margin = -1e-12 - float(np.max(kern.z_values[kern.grid > 3 * math.pi]))
     assert check.passed and check.margin == margin > 0.0
     assert f"PASS {name} (margin={margin:.6g})" in capsys.readouterr().out.splitlines()
+
+
+def test_a_finished_full_pipeline_holds_no_hand_off(tmp_path, capsys):
+    # the lemma report and its family kernel die after the kernel stage, the
+    # bridge's barrier pair once the solve has read it
+    from oscillax import cli_report
+
+    cfg = load_config(json.loads(_write_config(tmp_path, SMALL).read_text(encoding="utf-8")))
+    cfg.out, cfg.formats = tmp_path / "out", ("json",)
+    runner = cli_report._Runner("full-pipeline", cfg)
+    assert runner.run() == 0
+    capsys.readouterr()
+    assert (runner.lemma, runner.kernel, runner.barrier) == (None, None, None)
 
 
 def test_a_span_off_the_pi_over_100_grid_ends_the_lemma_kernel_with_the_equation_grid(

@@ -118,6 +118,19 @@ def test_h_extension_must_start_at_grid_end():
         compute_h(z, grid, TailModel("power", 2.0, 1.0), far=far)
 
 
+def test_h_extension_must_be_built_for_z_at_the_grid_end():
+    grid = np.linspace(2 * PI, 4 * PI, 201)
+    z = -np.ones_like(grid)
+    tail = TailModel("power", 2.0, 1.0)
+    kwargs = {"extend_to": 8 * PI, "extend_step": PI / 40}
+    far = FarField.build(_zero, _one, 4 * PI, -0.5, **kwargs)
+    with pytest.raises(ValueError, match=r"built for z = -0\.5 at the grid end, not -1\.0"):
+        compute_h(z, grid, tail, far=far)
+    far = FarField.build(_zero, _one, 4 * PI, -1.0, **kwargs)
+    _, info = compute_h(z, grid, tail, far=far)
+    assert info.cutoff == far.window_u[-1] == far.end
+
+
 # ---------------------------------------------------------------------------
 # assembled kernel on the default family
 
@@ -220,7 +233,7 @@ def test_a_proof_bound_recertifies_the_same_kernel(family, family_kernel):
     assert again.z_values.tobytes() == family_kernel.z_values.tobytes()
     assert again.h_values.tobytes() == family_kernel.h_values.tobytes()
     tail = TailModel("power", 2.0, 1.75)
-    assert bounded.tail == tail and bounded.z_sup_bound == 1.75
+    assert "tail" not in bounded._fields and bounded.z_sup_bound == tail.coef == 1.75
     for name in ("value", "uncertainty", "cutoff"):
         assert getattr(bounded.h_tail, name) == getattr(family_kernel.h_tail, name)
     assert bounded.h_tail.certificate == tail.tail_bound(family_kernel.h_tail.cutoff)
@@ -239,11 +252,11 @@ def test_a_proof_bound_recertifies_the_same_kernel(family, family_kernel):
 def test_far_field_holds_no_continuation_length_array(family, family_kernel):
     far = FarField.build(OscillationParams().p, family.q_callable, float(family_kernel.grid[-1]),
                          float(family_kernel.z_values[-1]), extend_to=2e4, extend_step=PI / 80)
-    continuation = (far.end - far.start) / (0.5 * far.extend_step)
+    continuation = (far.end - far.start) / (0.5 * PI / 80)
     assert continuation > 1e6
     arrays = [v for v in far._asdict().values() if isinstance(v, np.ndarray)]
     assert len(far.window_u) == 321
-    assert sum(a.size for a in arrays) == 3 * 321
+    assert sum(a.size for a in arrays) == 2 * 321
 
 
 @pytest.mark.parametrize("shared, copying", [
@@ -255,9 +268,9 @@ def test_far_field_leaves_what_q_returns_untouched(shared, copying):
     kwargs = {"extend_to": 400.0, "extend_step": PI / 80}
     a = FarField.build(parse("1/s^3"), shared, 8 * PI, -0.3, **kwargs)
     b = FarField.build(parse("1/s^3"), copying, 8 * PI, -0.3, **kwargs)
-    for name in ("end", "A", "B", "x0", "sup"):
+    for name in ("end", "beyond", "x0", "sup"):
         assert getattr(a, name) == getattr(b, name)
-    for name in ("window_u", "window_E", "window_D"):
+    for name in ("window_u", "window_z"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -356,7 +369,12 @@ def _simpson_total(f, u):
 
 
 def _assert_matches_half_step_simpson(far, p, q, rtol=1e-11):
-    """A, B, the trailing window and sup|z| against Simpson at step extend_step/4.
+    """The integral beyond, the trailing window and sup|z| against Simpson at step
+    extend_step/4, for a far field built with extend_step = pi/80.
+
+    The reference totals A of E/t^2 and B of D/t^2, and E and E C on the
+    window, are each held to ``rtol``, so x0 A - B and E x0 - E C are held to
+    ``rtol`` of the sums of their terms' sizes.
 
     Inside a lobe a cumulative Simpson value is itself off by about
     h^4 max|q'''| / 180, 2e-10 at this step, so the window is referenced by a
@@ -365,7 +383,7 @@ def _assert_matches_half_step_simpson(far, p, q, rtol=1e-11):
     offsets from its first point: far out, the difference of two abscissae
     would carry the rounding of both into the step.
     """
-    step = far.extend_step / 4
+    step = PI / 320
     offsets = step * np.arange(round((far.end - far.start) / step) + 1)
     u = far.start + offsets
     assert u[-1] == far.end
@@ -374,8 +392,8 @@ def _assert_matches_half_step_simpson(far, p, q, rtol=1e-11):
     E = np.exp(-P)
     D = E * C
     u2 = u * u
-    for name, f in (("A", E / u2), ("B", D / u2)):
-        assert getattr(far, name) == pytest.approx(_simpson_total(f, u), rel=rtol, abs=0.0)
+    A, B = _simpson_total(E / u2, u), _simpson_total(D / u2, u)
+    assert abs(far.beyond - (far.x0 * A - B)) <= rtol * (abs(far.x0 * A) + abs(B))
     full = np.max(np.abs(E * far.x0 - D))
     assert far.sup == pytest.approx(full, rel=rtol, abs=0.0)
 
@@ -388,8 +406,9 @@ def _assert_matches_half_step_simpson(far, p, q, rtol=1e-11):
     at = np.rint((far.window_u - v[0]) / fine).astype(int)
     assert np.max(np.abs(v[at] - far.window_u)) <= 1e-9
     Ev = np.exp(-Pv[at])
-    for ours, theirs in ((far.window_E, Ev), (far.window_D, Ev * Cv[at])):
-        assert np.max(np.abs(ours - theirs)) <= rtol * np.max(np.abs(theirs))
+    Dv = Ev * Cv[at]
+    scale = abs(far.x0) * np.max(np.abs(Ev)) + np.max(np.abs(Dv))
+    assert np.max(np.abs(far.window_z - (Ev * far.x0 - Dv))) <= rtol * scale
 
 
 @pytest.mark.parametrize("member", ["family", "q1", "q2"])
@@ -410,8 +429,11 @@ def test_node_rounding_does_not_pile_up_over_the_continuation():
     start = 42 * PI
     far = FarField.build(_zero, q, start, -0.1, extend_to=2e4, extend_step=PI / 80)
     exact = (math.sin(2.0 * start) - np.sin(2.0 * far.window_u)) / 4.0
-    assert np.array_equal(far.window_E, np.ones_like(exact))
-    assert np.max(np.abs(far.window_D - exact)) <= 1e-10
+    # p = 0 keeps E = exp(-P_loc) exactly one, so z = x0 - C_loc
+    cells = kernel._Cells.build(_zero, q, start, far.end)[0]
+    e = cells.E(np.arange(len(cells.lo)), kernel._cell_rule().S.T)  # at every cell node
+    assert np.array_equal(e, np.ones_like(e))
+    assert np.max(np.abs(far.window_z - (-0.1 - exact))) <= 1e-10
 
 
 def test_a_kink_inside_a_cell_is_bisected_and_still_resolved():
@@ -475,8 +497,8 @@ def test_a_scalar_coefficient_is_broadcast_to_the_nodes():
     a = FarField.build(parse("1/s^3"), lambda s: 0.3, 8 * PI, -0.3, **kwargs)
     b = FarField.build(parse("1/s^3"), lambda s: np.full(np.shape(s), 0.3), 8 * PI, -0.3,
                        **kwargs)
-    assert (a.A, a.B, a.sup) == (b.A, b.B, b.sup)
-    assert np.array_equal(a.window_D, b.window_D)
+    assert (a.beyond, a.sup) == (b.beyond, b.sup)
+    assert np.array_equal(a.window_z, b.window_z)
 
 
 def test_import_and_a_pipeline_run_load_no_scipy(package_env, tmp_path):

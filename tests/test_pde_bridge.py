@@ -325,42 +325,44 @@ def test_subsuper_residual_pushes_each_ribbon_edge_once(problem, solver_barrier)
     assert calls == {"a1": 1, "a2": 1}
     # a blend that pushes a1 and a2 itself gives the same residuals, bit for bit
     again = subsuper_residual(problem, solver_barrier,
-                              f=lambda r, u: make_blend(problem, solver_barrier, r)(u))
+                              f=lambda r, u: make_blend(problem, solver_barrier)(u))
     assert np.array_equal(rep.rho1, again.rho1)
     assert np.array_equal(rep.rho2, again.rho2)
     assert rep.ribbon_excursion == again.ribbon_excursion
 
 
 def test_a_passed_ribbon_is_the_pushed_one(problem, solver_barrier):
-    r = beta_map(problem.n, problem.R, solver_barrier.grid[1:-1])
-    u = solver_barrier.v1(solver_barrier.grid[1:-1])
+    s = solver_barrier.grid[1:-1]
+    r = beta_map(problem.n, problem.R, s)
+    u = solver_barrier.h1[1:-1] / s
     ribbon = (problem.a1(r), problem.a2(r))
-    assert np.array_equal(make_blend(problem, solver_barrier, r, ribbon=ribbon)(u),
-                          make_blend(problem, solver_barrier, r)(u))
+    assert np.array_equal(make_blend(problem, solver_barrier, ribbon=ribbon)(u),
+                          make_blend(problem, solver_barrier)(u))
+
+
+def _traces(barrier):
+    """The interior nodes s of the barrier grid, and v1 = h1/s, v2 = h2/s there."""
+    s = barrier.grid[1:-1]
+    return s, barrier.h1[1:-1] / s, barrier.h2[1:-1] / s
 
 
 def test_blend_stays_inside_the_ribbon(problem, fine_barrier):
-    s = np.linspace(fine_barrier.grid[0], fine_barrier.grid[-1], 2001)
-    r = s
-    f = make_blend(problem, fine_barrier, r)
-    for u in (fine_barrier.v1(s), fine_barrier.v2(s),
-              0.5 * (fine_barrier.v1(s) + fine_barrier.v2(s))):
+    s, v1, v2 = _traces(fine_barrier)
+    r = beta_map(problem.n, problem.R, s)
+    f = make_blend(problem, fine_barrier)
+    lo, hi = problem.a1(r), problem.a2(r)
+    for u in (v1, v2, 0.5 * (v1 + v2)):
         vals = f(u)
-        lo = problem.a1(r) if callable(problem.a1) else problem.a1(r)
-        hi = problem.a2(r)
         assert np.all(vals >= lo - 1e-12)
         assert np.all(vals <= hi + 1e-12)
     # nondecreasing in u across the ribbon
-    low = f(fine_barrier.v1(s))
-    high = f(fine_barrier.v2(s))
-    assert np.all(high >= low)
+    assert np.all(f(v2) >= f(v1))
 
 
-def _reference_blend(problem, barrier, r, u):
-    """f(r, u) of the tanh blend, written out in one piece."""
-    s = beta_inverse(problem.n, problem.R, r)
-    v1 = np.interp(s, barrier.grid, barrier.h1) / s
-    v2 = np.interp(s, barrier.grid, barrier.h2) / s
+def _reference_blend(problem, barrier, u):
+    """f(r, u) of the tanh blend at the interior nodes of the barrier grid, in one piece."""
+    s, v1, v2 = _traces(barrier)
+    r = beta_map(problem.n, problem.R, s)
     lo = np.asarray(problem.a1(r), dtype=float)
     hi = np.asarray(problem.a2(r), dtype=float)
     mid = 0.5 * (v1 + v2)
@@ -368,35 +370,28 @@ def _reference_blend(problem, barrier, r, u):
 
 
 def test_bound_blend_equals_the_reference_formula_bitwise(problem, fine_barrier):
-    s = np.linspace(fine_barrier.grid[1], fine_barrier.grid[-2], 3001)
-    r = beta_map(problem.n, problem.R, s)
-    blend = make_blend(problem, fine_barrier, r)
-    v1, v2 = fine_barrier.v1(s), fine_barrier.v2(s)
+    s, v1, v2 = _traces(fine_barrier)
+    blend = make_blend(problem, fine_barrier)
     gap = v2 - v1
     # inside the ribbon, on its edges, and a full gap outside either edge
     for u in (v1, v2, v1 + 0.3 * gap, v1 - gap, v2 + gap, np.zeros_like(s)):
-        assert np.array_equal(blend(u), _reference_blend(problem, fine_barrier, r, u))
+        assert np.array_equal(blend(u), _reference_blend(problem, fine_barrier, u))
 
 
 def test_bound_blend_takes_a_scalar_u_with_the_same_bits(problem, fine_barrier):
-    s = np.linspace(fine_barrier.grid[1], fine_barrier.grid[-2], 3001)
-    r = beta_map(problem.n, problem.R, s)
-    blend = make_blend(problem, fine_barrier, r)
-    for u in (0.0, float(fine_barrier.v1(s)[1000]), -1e-3):
+    s, v1, _ = _traces(fine_barrier)
+    blend = make_blend(problem, fine_barrier)
+    for u in (0.0, float(v1[1000]), -1e-3):
         got = blend(u)
         assert got.shape == s.shape
-        assert np.array_equal(got, _reference_blend(problem, fine_barrier, r, u))
+        assert np.array_equal(got, _reference_blend(problem, fine_barrier, u))
         assert np.array_equal(got, blend(np.full_like(s, u)))
-    # a blend bound to one radius takes one u
-    one = make_blend(problem, fine_barrier, float(r[1000]))
-    u = float(fine_barrier.v1(s)[1000])
-    assert one(u) == _reference_blend(problem, fine_barrier, float(r[1000]), u)
 
 
 def test_degenerate_ribbon_is_raised_when_binding(problem, fine_barrier):
     touching = fine_barrier._replace(h2=fine_barrier.h1)
     with pytest.raises(ValueError, match="degenerate ribbon"):
-        make_blend(problem, touching, fine_barrier.grid[1:-1])
+        make_blend(problem, touching)
 
 
 def test_a_user_nonlinearity_enters_through_f(problem, fine_barrier, solver_barrier):
@@ -407,7 +402,7 @@ def test_a_user_nonlinearity_enters_through_f(problem, fine_barrier, solver_barr
 
     def blend(r_arg, u_arg):
         seen.append(r_arg)
-        return make_blend(problem, fine_barrier, r_arg)(u_arg)
+        return make_blend(problem, fine_barrier)(u_arg)
 
     given = subsuper_residual(problem, fine_barrier, f=blend)
     stock = subsuper_residual(problem, fine_barrier)
@@ -418,8 +413,23 @@ def test_a_user_nonlinearity_enters_through_f(problem, fine_barrier, solver_barr
         problem, fine_barrier, f=lambda r, u: np.asarray(problem.a1(r), dtype=float) + 0.0 * u)
     assert not np.array_equal(lower.rho2, stock.rho2)
 
-    own = solve_radial(problem, solver_barrier,
-                       f=lambda r, u: make_blend(problem, solver_barrier, r)(u))
+    # a user f rising in u samples a shift of exactly 0: the stock blend, read at
+    # the nodes whose radii it is given, whether all of them or the shift's stride
+    stock_blend = make_blend(problem, solver_barrier)
+    r_nodes = beta_map(problem.n, problem.R, solver_barrier.grid[1:-1])
+    lengths = []
+
+    def rising(r, u):
+        at = np.searchsorted(r_nodes, r)
+        assert np.array_equal(r_nodes[at], r)
+        lengths.append(len(at))
+        full = np.zeros_like(r_nodes)
+        full[at] = u
+        return stock_blend(full)[at]
+
+    own = solve_radial(problem, solver_barrier, f=rising)
+    assert min(lengths) < len(r_nodes)  # the shift was sampled
+    assert own.K_used == 0.0
     assert np.array_equal(own.u_values, solve_radial(problem, solver_barrier).u_values)
 
 
