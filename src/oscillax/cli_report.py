@@ -35,7 +35,6 @@ import numpy as np
 
 from .coeff_dsl import CoefficientExpr, Var, parse
 from .example_builder import (
-    LAMBDA_TOL,
     MOMENT_TOL,
     S0_FIXED,
     STOCK_P,
@@ -453,17 +452,16 @@ def _check_damping(p: CoefficientExpr, model: TailModel, m_family: int, m_bare: 
     """Sample p on the kernel grid, where the kernels assume p >= 0, and
     against p.tail past every cutoff at which a run integrates it.
 
-    Those are the cutoffs of lambda (from s0), of the I_m (from 2 m pi, for
-    m up to m_family + 2 for a family and its tail_sum_I_bound, and up to
-    m_bare for a bare q), and of the first moments (s - a) p of
+    Those are the cutoffs of the I_m (from 2 m pi, for m up to m_family + 2
+    for a family and its tail_sum_I_bound, and up to m_bare for a bare q;
+    lambda is I_1), and of the first moments (s - a) p of
     tail_sum_I_bound (a = 2 (m_family + 2) pi) and check_remark (a = s0).
     Each is derived from its integral's tolerance as integrate_tail_many
     derives it, so a p that leaves its envelope there is refused here, not
     in the middle of a run.
     """
     top = max(m_family + 2, m_bare)
-    checks = [(p, model, [model.cutoff_for(0.5 * LAMBDA_TOL, S0_FIXED)]
-               + [model.cutoff_for(0.5 * TAIL_TOL, TWO_PI * m) for m in range(1, top + 1)])]
+    checks = [(p, model, [model.cutoff_for(0.5 * TAIL_TOL, TWO_PI * m) for m in range(1, top + 1)])]
     for a, tol in ((TWO_PI * (m_family + 2), TAIL_TOL), (S0_FIXED, MOMENT_TOL)):
         moment = model.first_moment(a)
         if moment is not None:

@@ -34,7 +34,6 @@ import numpy as np
 from .coeff_dsl import parse
 from .quadrature import (
     STOCK_EXTEND_TO,
-    IntegralResult,
     TailModel,
     cumulative_integral,
     integrate_finite_many,
@@ -58,8 +57,7 @@ __all__ = [
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 S0_FIXED = TWO_PI  # families are anchored at s0 = a_2 = 2*pi
-LAMBDA_TOL = 1e-10  # quadrature tolerance of lambda = integral of p over [s0, infinity)
-TAIL_TOL = 1e-12    # quadrature tolerance of the I_m and of the integrals of tail_sum_I_bound
+TAIL_TOL = 1e-12    # quadrature tolerance of lambda, the I_m and the integrals of tail_sum_I_bound
 MOMENT_TOL = 1e-10  # quadrature tolerance of lemma_check.check_remark's first moment of p
 ULPS = 4            # rounding a check of a built family allows, in units in the last place
 
@@ -145,9 +143,9 @@ class OscillationSpec(NamedTuple):
     ``q_callable`` is the family's one representation: it evaluates q at
     any s in [s0, extent) from ``lobes``, the amplitude table built once to
     the extent the family was built for.  The table's first m_max periods
-    take the certified I_m; past them, I_m comes from a cumulative
-    complement against lambda.  ``c``, ``d`` and ``I`` hold the certified
-    periods only.
+    take the certified I_m; past them, I_m is the last certified one less
+    a cumulative integral of p from 2 m_max pi.  ``c``, ``d`` and ``I``
+    hold the certified periods only, and lambda is I_1, since s0 = 2 pi.
     """
 
     params: OscillationParams
@@ -225,23 +223,19 @@ class OscillationSpec(NamedTuple):
         return 0.5 * PI * float(self.lobes[2 * M])
 
 
-def _damping_integrals(params: OscillationParams
-                       ) -> tuple[IntegralResult, np.ndarray, np.ndarray]:
-    """lambda and the certified I_m with their errors, m = 1 .. m_max."""
-    lam_res = integrate_tail(params.p, S0_FIXED, params.p_tail, tol=LAMBDA_TOL)
-    los = [2.0 * m * PI for m in range(1, params.m_max + 1)]
-    results = integrate_tail_many(params.p, los, params.p_tail, tol=TAIL_TOL)
-    return (lam_res, np.array([res.value for res in results]),
+def _damping_integrals(p: Callable, p_tail: TailModel, los) -> tuple[np.ndarray, np.ndarray]:
+    """The certified integrals of p over [lo, infinity) for every lo, and their errors."""
+    results = integrate_tail_many(p, los, p_tail, tol=TAIL_TOL)
+    return (np.array([res.value for res in results]),
             np.array([res.abs_error_estimate for res in results]))
 
 
 def _assemble(params: OscillationParams, rule: _AmplitudeRule,
-              integrals: tuple[IntegralResult, np.ndarray, np.ndarray],
-              extent: float) -> OscillationSpec:
+              integrals: tuple[np.ndarray, np.ndarray], extent: float) -> OscillationSpec:
     params.validate()
 
-    lam_res, I, I_err = integrals
-    lam = lam_res.value
+    I, I_err = integrals  # I_m, m = 1 .. m_max; s0 = 2 pi, so lambda is I_1
+    lam = float(I[0])
     if not lam < 1.0:
         raise ValueError(
             f"the damping budget requires integral of p below one, got {lam!r}"
@@ -250,13 +244,15 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule,
     # the family is read below 2 pi (floor(extent / 2 pi) + 2), over a period past the
     # extent asked for; the table's last period starts there, so that an s below it
     # that rounds up still finds its lobe, and it holds at least the lobe after the
-    # certified ones.  Past those, I_m = lam - integral_{s0}^{2m pi} p on a node grid
-    # of 8 cells per pi, which keeps the Simpson error far below the smallest I_m in
-    # use; node k does not depend on the grid's length, so no I_m depends on the extent
+    # certified ones.  Past those, I_m = I_{m_max} - integral_{2 m_max pi}^{2m pi} p, a
+    # Simpson integral on 8 cells per pi anchored at the last certified I_m, so each
+    # carries only that I_m's error and the Simpson error past it (5.0e-13 in all for
+    # p = 1/s^3 up to m = 3 300); node k does not depend on the grid's length, so no
+    # I_m depends on the extent
     periods = max(params.m_max + 2, int(extent // TWO_PI) + 2)
-    P = cumulative_integral(params.p, S0_FIXED + (PI / 8) * np.arange(16 * periods + 1))
-    I_table = lam - P[:-1:16]  # at 2 m pi, m = 1 .. periods
-    I_table[:params.m_max] = I
+    P = cumulative_integral(params.p, TWO_PI * params.m_max
+                            + (PI / 8) * np.arange(16 * (periods - params.m_max) + 1))
+    I_table = np.concatenate((I, I[-1] - P[16::16]))  # at 2 m pi, m = 1 .. periods
     m_table = np.arange(1, periods + 1, dtype=float)
     c_table, d_table = rule.amplitudes(I_table, m_table)
     lobes = np.empty(2 * periods)
@@ -290,7 +286,7 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule,
 
     spec = OscillationSpec(
         params=params, nodes=nodes, c=c, d=d, I=I, I_error=I_err,
-        lam=lam, lam_error=lam_res.abs_error_estimate,
+        lam=lam, lam_error=float(I_err[0]),
         sup_bound=sup_bound, rule=rule, lobes=lobes, extent=TWO_PI * periods,
     )
 
@@ -349,7 +345,8 @@ def build_oscillation(params: OscillationParams = OscillationParams(),
         d0=d0, dI=0.0, dg=0.0,
         c0=d0, cI=params.gamma * params.q_plus / PI, cg=params.eta,
     )
-    return _assemble(params, rule, _damping_integrals(params), extent)
+    los = TWO_PI * np.arange(1, params.m_max + 1)
+    return _assemble(params, rule, _damping_integrals(params.p, params.p_tail, los), extent)
 
 
 # ---------------------------------------------------------------------------
@@ -438,22 +435,22 @@ def build_pair(params: Optional[PairParams] = None, *,
     the first violated link raises with its period index.
 
     ``family`` is a family built for the pair's p, p_tail and m_max: it
-    supplies lambda and the I_m, integrated once when it was built.
+    supplies the I_m, integrated once when it was built, and lambda is I_1.
     ``extent`` is as in :func:`build_oscillation`.
     """
     pp = params if params is not None else PairParams()
     pp.validate()
 
-    # the members share p, so lambda and the I_m are integrated once for both
+    # the members share p, so the I_m are integrated once for both
     params1, params2 = _member_params(pp, pp.set1), _member_params(pp, pp.set2)
     if family is None:
-        integrals = _damping_integrals(params1)
+        integrals = _damping_integrals(pp.p, pp.p_tail, TWO_PI * np.arange(1, pp.m_max + 1))
     else:
         fp = family.params
         if not (fp.p == pp.p and fp.p_tail == pp.p_tail and fp.m_max == pp.m_max):
             raise ValueError("the family was built for another p, p_tail or m_max")
-        integrals = (IntegralResult(family.lam, family.lam_error), family.I, family.I_error)
-    lam = integrals[0].value
+        integrals = (family.I, family.I_error)
+    lam = float(integrals[0][0])  # I_1
     smallness = pp.q_plus - (
         pp.q_minus + 0.5 * pp.alpha_gap * pp.q_plus * lam + 0.5 * pp.beta_gap
     )

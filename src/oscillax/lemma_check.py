@@ -33,9 +33,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .example_builder import LAMBDA_TOL, MOMENT_TOL, TAIL_TOL, Check
+from .example_builder import MOMENT_TOL, Check, _damping_integrals
 from .kernel import KernelPair
-from .quadrature import TailModel, integrate_finite_many, integrate_tail, integrate_tail_many
+from .quadrature import TailModel, integrate_finite_many, integrate_tail
 
 __all__ = [
     "HypothesesResult",
@@ -209,10 +209,11 @@ def check_hypotheses(
 
     The surpluses are the slack ones, eps_m = max(Ipos_m - Ineg_m, 0).
     ``family`` is the built family of p whose lobes ``nodes`` lists: it
-    supplies lambda and the I_m, integrated once when it was built, and
-    certified beyond-range coefficients (surplus_tail_bound /
-    future_pos_lobe_bound).  A bare q integrates lambda and the I_m here and
-    reports the beyond-range sums as not certified rather than guessed.
+    supplies the I_m, integrated once when it was built, and certified
+    beyond-range coefficients (surplus_tail_bound / future_pos_lobe_bound).
+    A bare q integrates the I_m here in one batch and reports the
+    beyond-range sums as not certified rather than guessed.  Either way
+    lambda, the integral of p from nodes[0], is I_1 with its error.
     The sign pattern of every lobe comes from one call of q on all the
     samples at once.  ``parallel`` does nothing, since no per-period work is
     left to share out; it stays only because the benchmark still times it,
@@ -222,16 +223,13 @@ def check_hypotheses(
     M = _lobe_bounds(nodes)
 
     if family is None:
-        lam_res = integrate_tail(p, float(nodes[0]), p_tail, tol=LAMBDA_TOL)
-        lam, lam_error = lam_res.value, lam_res.abs_error_estimate
-        tails = integrate_tail_many(p, nodes[0:-1:2], p_tail, tol=TAIL_TOL)
-        I = np.array([r.value for r in tails])
-        I_err = np.array([r.abs_error_estimate for r in tails])
+        I, I_err = _damping_integrals(p, p_tail, nodes[0:-1:2])
     else:
         if not (family.params.p == p and family.params.p_tail == p_tail
                 and np.array_equal(family.nodes, nodes)):
             raise ValueError("the family was built for another p, p_tail or breakpoint range")
-        lam, lam_error, I, I_err = family.lam, family.lam_error, family.I, family.I_error
+        I, I_err = family.I, family.I_error
+    lam, lam_error = float(I[0]), float(I_err[0])
     lam_ok = bool(lam + lam_error < 1.0)
 
     # lobes [a_{2m}, a_{2m+1}] and [a_{2m+1}, a_{2m+2}] alternate in one batch
@@ -349,7 +347,9 @@ def check_remark(
     Counting periods against arc length bounds the sum of the damping tails:
     A * sum_{m >= 2} I_m <= integral (s - s0) p, with A the minimal period
     length.  With a surplus budget eps and negative lobes of size at least
-    q_minus, the same sum must stay below eps / q_minus.
+    q_minus, the same sum must stay below eps / q_minus.  ``I_values`` are
+    the I_m of :func:`check_hypotheses`; without them the I_m, m >= 2, are
+    integrated here in one batch.
     """
     nodes = np.asarray(nodes, dtype=float)
     M = _lobe_bounds(nodes)
@@ -358,8 +358,7 @@ def check_remark(
     spacing = float(np.min(np.diff(even)))
 
     if I_values is None:
-        tails = integrate_tail_many(p, [float(a) for a in even[1:M]], p_tail, tol=TAIL_TOL)
-        I_values = np.array([res.value for res in tails])
+        I_values = _damping_integrals(p, p_tail, even[1:M])[0]
     else:
         I_values = np.asarray(I_values, dtype=float)[1:M]
     sum_I = float(np.sum(I_values))

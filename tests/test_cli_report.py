@@ -892,10 +892,10 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
     # the lemma's family kernel, on the pi/400 equation grid, serves the kernel stage,
     # which checks the kernel equation on it; the bridge's barrier pair (two kernels), on
     # that grid too, which is the stock solver grid, serves the solve; each kernel
-    # continues its own z; the family integrates lambda and its I_m once, and lemma_check
-    # and the pair reuse them; the family and the two pair members each build their
-    # amplitude table once
-    assert counts == {"compute_kernel": 3, "FarField.build": 3, "lambda": 1, "I batch": 1,
+    # continues its own z; the family integrates its I_m once, lambda is I_1 of them,
+    # and lemma_check and the pair reuse them; the family and the two pair members each
+    # build their amplitude table once
+    assert counts == {"compute_kernel": 3, "FarField.build": 3, "lambda": 0, "I batch": 1,
                       "tail_sum_I_bound": 1, "table": 3}
 
 
@@ -1066,26 +1066,55 @@ def test_a_span_off_the_pi_over_100_grid_ends_the_lemma_kernel_with_the_equation
 
 
 def test_full_pipeline_integrates_the_damping_once(tmp_path, capsys, monkeypatch):
-    from oscillax import example_builder
+    from oscillax import example_builder, lemma_check
 
     calls = []
     original = example_builder._damping_integrals
 
-    def counting(params):
-        calls.append(params.m_max)
-        return original(params)
+    def counting(p, p_tail, los):
+        calls.append(len(los))
+        return original(p, p_tail, los)
 
-    monkeypatch.setattr(example_builder, "_damping_integrals", counting)
+    for module in (example_builder, lemma_check):
+        monkeypatch.setattr(module, "_damping_integrals", counting)
     cfg = _write_config(tmp_path)
     assert main(["full-pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    # the family's lambda and I_m serve the pair too
+    # the family's I_m, lambda among them, serve the lemma and the pair too
     assert calls == [25]
     # a lone build-pair has no family to borrow from, so it integrates them
     calls.clear()
     assert main(["build-pair", "--config", str(cfg), "--out", str(tmp_path / "pair")]) == 0
     capsys.readouterr()
     assert calls == [25]
+
+
+@pytest.mark.parametrize("mode, patch, code", [
+    ("full-pipeline", SMALL, 0),
+    ("verify-lemma", {**SMALL, "q_override": {"expr": "sin(s)^2 - 0.1", "m_max": 10}}, 1),
+])
+def test_the_config_samples_p_past_every_cutoff_the_run_integrates_it_past(
+        tmp_path, capsys, monkeypatch, mode, patch, code):
+    # load_config derives the cutoffs by hand, as integrate_tail_many will; a cutoff
+    # the run reaches that the config did not sample would let a p that leaves its
+    # envelope there fail in the middle of a run
+    from oscillax import cli_report, quadrature
+
+    seen = {"config": set(), "run": set()}
+
+    def recording(where, check):
+        def record(f, model, cutoffs):
+            seen[where].update((model, float(cutoff)) for cutoff in cutoffs)
+            return check(f, model, cutoffs)
+        return record
+
+    monkeypatch.setattr(cli_report, "check_envelope",
+                        recording("config", cli_report.check_envelope))
+    monkeypatch.setattr(quadrature, "check_envelope", recording("run", quadrature.check_envelope))
+    cfg = _write_config(tmp_path, patch)
+    rc = main([mode, "--config", str(cfg), "--out", str(tmp_path / "out"), "--formats", "json"])
+    assert rc == code, capsys.readouterr().out
+    assert seen["run"] and seen["run"] <= seen["config"]
 
 
 def test_verify_lemma_report_carries_every_check(tmp_path, capsys):

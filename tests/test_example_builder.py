@@ -13,12 +13,14 @@ from oscillax import (
     PairParams,
     build_oscillation,
     build_pair,
+    check_hypotheses,
     check_integral_features,
+    compute_kernel,
     integrate_finite,
     parse,
     verify_pair,
 )
-from oscillax.quadrature import TailModel
+from oscillax.quadrature import TailModel, equation_grid
 
 PI = math.pi
 
@@ -182,10 +184,28 @@ def test_piecewise_expression_agrees_with_the_callable(family, pair):
         reference = _per_lobe_reference(wide[name].c, wide[name].d, s)
         error = np.abs(spec.q_callable(s) - reference)
         assert np.max(error[inside]) <= 1e-12, name
-        # past the table I_m is lam minus a cumulative Simpson integral of p
-        # from s0, whose error (8e-9 for p = 1/s^3) moves every extended
-        # amplitude by up to 4e-8 against the certified I_m of the wide table
-        assert np.max(error[~inside]) <= 1e-7, name
+        assert np.max(error[~inside]) <= 1e-12, name
+
+
+def test_the_far_field_does_not_depend_on_m_max():
+    # the continuation reads the amplitudes past the certified table, which start
+    # from the last certified I_m, so a wider certified table leaves the sup of z alone
+    grid = equation_grid(2 * PI, 40 * PI)
+    sups = []
+    for m_max in (25, 40):
+        spec = build_oscillation(OscillationParams(m_max=m_max))
+        sups.append(compute_kernel(spec.params.p, spec.q_callable, grid).z_sup_observed)
+    assert abs(sups[0] - sups[1]) <= 1e-10
+
+
+def test_lambda_is_the_first_entry_of_the_one_batch(family, pair):
+    for spec in (family, pair.q1, pair.q2):
+        assert spec.lam == spec.I[0] and spec.lam_error == spec.I_error[0]
+    params = OscillationParams()
+    hyp = check_hypotheses(params.p, family.q_callable, family.nodes, p_tail=params.p_tail)
+    assert hyp.I is not family.I
+    assert hyp.lam == hyp.I[0] and hyp.lam_error == hyp.I_error[0]
+    assert hyp.lam == family.lam == 0.01266514795479222
 
 
 def test_a_family_that_is_not_smooth_at_a_join_is_refused(monkeypatch):
