@@ -25,8 +25,8 @@ _EXPORTS = {
         "quadrature": ("IntegralResult", "TailModel", "cumulative_integral",
                        "cumulative_simpson_doubled", "integrate_finite",
                        "integrate_finite_many", "integrate_tail", "integrate_tail_many"),
-        "kernel": ("Damping", "FarField", "HTail", "KernelPair", "compute_h",
-                   "compute_kernel", "compute_z", "ode_residual", "z_ode_oracle"),
+        "kernel": ("HTail", "KernelPair", "compute_kernel", "compute_z", "ode_residual",
+                   "z_ode_oracle"),
         "lemma_check": ("ConclusionsResult", "HypothesesResult", "LemmaReport",
                         "RemarkResult", "check_conclusions", "check_hypotheses",
                         "check_remark", "verify_lemma"),

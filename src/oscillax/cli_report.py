@@ -546,15 +546,16 @@ def load_config(raw: dict) -> RunConfig:
             f"kernel.extend_to = {extend_to!r} must lie past the grid end s0 + kernel.span "
             f"= {S0_FIXED + span!r}, or be 0 to turn the continuation off")
     # the most points each key puts in one array, by arithmetic: the kernel grid's 400/pi
-    # a unit of span (see equation_grid); while the continuation is on, its h-tail window
-    # of 2 pi at spacing extend_step/2 (each pi-cell's subdivision at that spacing holds
-    # half as many) and CELL_NODES nodes per pi-cell up to extend_to; the 16 points per
-    # period of a family's table, which holds m_max + 2 periods or more (see _extent),
-    # and a bare q's 2 m_max + 1 lobe nodes; and the solver grid
+    # a unit of span (see equation_grid); the h-tail window of 2 pi at spacing
+    # extend_step/2 while the continuation is on (each pi-cell's subdivision at that
+    # spacing, on or off, holds half as many) and CELL_NODES nodes per pi-cell up to
+    # extend_to; the 16 points per period of a family's table, which holds m_max + 2
+    # periods or more (see _extent), and a bare q's 2 m_max + 1 lobe nodes; and the
+    # solver grid
     q_override, N = got["q_override"], got["solver"]["N"]
-    points = {"kernel.span": (span, 400.0 * span / PI)}
+    points = {"kernel.span": (span, 400.0 * span / PI),
+              "kernel.extend_step": (kern["extend_step"], 2.0 * TWO_PI / kern["extend_step"])}
     if extend_to > 0.0:
-        points["kernel.extend_step"] = (kern["extend_step"], 2.0 * TWO_PI / kern["extend_step"])
         points["kernel.extend_to"] = (extend_to, CELL_NODES * extend_to / PI)
     points["oscillation.m_max"] = (osc.m_max, 16 * (osc.m_max + 2) + 1)
     if q_override:
@@ -784,8 +785,7 @@ class _Runner:
         beyond = kern.z_values[grid > S0_FIXED + PI]
         self.note("kernel z negative beyond the first lobe", bool(np.all(beyond < -1e-12)),
                   -1e-12 - float(np.max(beyond)) if beyond.size else None)
-        # the reports keep the even nodes, at step pi/200, where h is the Simpson sum
-        # (see compute_h)
+        # the reports keep the even nodes, at step pi/200, which the residual check reads
         s, z, h, h_over_s = grid[::2], kern.z_values[::2], kern.h_values[::2], kern.h_over_s()[::2]
         payload = {
             "lambda": spec.lam,
@@ -923,9 +923,6 @@ class _Runner:
                   solution.residual_sup <= 10.0 * cfg.solver_tol,
                   10.0 * cfg.solver_tol - solution.residual_sup)
 
-        r = beta_map(problem.n, problem.R, grid)
-        u, v1, v2 = solution.u_values / grid, barrier.h1 / grid, barrier.h2 / grid
-
         payload = {
             "iterations": solution.iterations,
             "iteration_sup_deltas": list(solution.iteration_sup_deltas),
@@ -939,6 +936,9 @@ class _Runner:
         }
         if self.want("json"):
             write_json(self.path("bvp_summary.json"), payload)
+        if self.want("csv") or self.want("svg"):
+            r = beta_map(problem.n, problem.R, grid)
+            u, v1, v2 = solution.u_values / grid, barrier.h1 / grid, barrier.h2 / grid
         if self.want("csv"):
             write_csv(self.path("bvp.csv"),
                       ["s", "r", "u", "v1", "v2", "residual"],

@@ -12,40 +12,35 @@ equivalently the solution of z' = -p z - q with z(s0) = 0.  The second is
 
 so that h'' + p (h' - h/s) + q/s = 0 and s (h/s)' = h' - h/s = z/s.
 
-Kernels on a grid are computed on uniform grids with a midpoint-doubled
-Simpson scheme.  The part that depends on p alone, the doubled grid and P
-on it, is a :class:`Damping`, built once and shared by kernels with the
-same p and grid, such as the two members of a barrier pair.  It holds
-neither exp(P) nor exp(-P): each kernel forms those itself, since two more
-arrays of the doubled grid's length held across a pair cost more in pages
-faulted in than the two exponentials do.
+A kernel is built once, on cells that cover [s0, end]: end is the grid end,
+or the end of a continuation of z far beyond it.  The cell edges are s0,
+every multiple of pi past it and end, so that each cell holds one smooth
+sin^2 lobe of a family.  On each cell a 17-node Chebyshev-Lobatto rule with
+its spectral integration matrix gives P and C = integral q exp(P) at the
+nodes, and one cumulative sum carries the cell totals across cells
+(Greengard, SIAM J. Numer. Anal. 28, 1991; Trefethen, Approximation Theory
+and Approximation Practice, 2013).  The rule checks itself: on every cell
+the degree-16 interpolants of p and q must agree with their degree-14
+truncations to CELL_TAIL_TOL of max|p|, max|q|, and a cell that fails is
+bisected, so a coefficient with a kink inside a cell is still resolved,
+while one with a jump is refused.
 
-The improper h integral splits into a gridded part, an optional
-continuation of z far beyond the working window, a last-window mean value
-estimate of the remainder, and a certified bound from a tail model built
-on a bound for sup|z|: the observed one, or a proven one attached by
+z and h at any point come from the interpolants on its cell through the
+antiderivative (:meth:`_Cells.at`), so every grid node carries the same
+accuracy: when every multiple of pi is a grid node, one matrix of its rows
+(:func:`_antiderivative`) serves every whole cell, and any other point sums
+its cell's Chebyshev coefficients against the Chebyshev polynomials there.
+h integrates z/t^2 on the same cells, from each point to end.  Every
+product of the rule runs through :func:`_product`, in blocks small enough
+for one BLAS thread.
+
+The improper h integral past end is a last-window mean value estimate of
+the remainder, with a certified bound from a tail model built on a bound for
+sup|z|: the observed one, over the cell nodes, the grid nodes and each
+cell's uniform subdivision, or a proven one attached by
 :meth:`KernelPair.with_sup_bound`.  The certificate and the estimate are
 reported separately; nothing is silently mixed.  Kernels do not integrate
 p over [s0, infinity); the coefficient family reports lambda.
-
-The far continuation depends on the grid only through x = z(grid end):
-continuing from there, z = E x - D with E = exp(-P_loc), D = E C_loc, and
-P_loc, C_loc the integrals of p and q exp(P_loc) from the grid end.  It is
-resolved on cells whose edges are the grid end, every multiple of pi past
-it and the continuation end, so that each cell holds one smooth sin^2 lobe
-of a family.  On each cell a 17-node Chebyshev-Lobatto rule with its
-spectral integration matrix gives P_loc and C_loc at the nodes, and one
-cumulative sum carries the cell totals across cells (Greengard, SIAM J.
-Numer. Anal. 28, 1991; Trefethen, Approximation Theory and Approximation
-Practice, 2013).  The rule checks itself: on every cell the degree-16
-interpolants of p and q must agree with their degree-14 truncations to
-CELL_TAIL_TOL of max|p|, max|q|, and a cell that fails is bisected, so a
-coefficient with a kink inside a cell is still resolved.
-
-A :class:`FarField` keeps what h needs of the continuation for the one x0
-= z(grid end) it was built at: the integral of z/t^2 over it, z on the
-trailing window (the last TAIL_WINDOW of the continuation), and sup|z|
-over it.
 """
 
 from __future__ import annotations
@@ -56,17 +51,13 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .quadrature import (CELL_NODES, STOCK_EXTEND_TO, TailModel, cumulative_simpson_doubled,
-                         uniform_step)
+from .quadrature import CELL_NODES, STOCK_EXTEND_TO, TailModel, uniform_step
 
 __all__ = [
     "KernelPair",
     "HTail",
-    "FarField",
-    "Damping",
     "compute_z",
     "z_ode_oracle",
-    "compute_h",
     "compute_kernel",
     "ode_residual",
 ]
@@ -129,9 +120,37 @@ def _window_start(u: np.ndarray, window: float) -> int:
 
 CELL_TAIL_TOL = 1e-9     # self-check: the degree-16 interpolant of p (or q) on a cell and
 #                          its degree-14 truncation agree within this fraction of max|p|
-#                          (or max|q|) over the continuation
-CELL_MAX_SPLITS = 30     # bisections of one cell before the continuation gives up
+#                          (or max|q|) over the cells
+CELL_MAX_SPLITS = 30     # bisections of one cell before the build gives up
+CELL_MAX_DAMPING = 1.0   # a cell times max|p| on it: the most P may change across a cell, so
+#                          that exp(P) is resolved as well as p and q
 _BLOCK = 512             # cells per block when sup|z| is refined
+_POINTS = 2048           # points per block of the Chebyshev sums of _Cells.at
+# multiply-adds m k n of one matrix product: OpenBLAS runs a product up to this size on
+# one thread, and a larger one may wake its thread pool, which has taken 16 ms for a
+# (40 x 17)(17 x 6401) product that one thread does in 0.2 ms
+_BLAS_MAX = 1 << 18
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """a @ b, into ``out`` when given, as products of at most _BLAS_MAX multiply-adds each.
+
+    ``a`` is (m, k) and ``b`` is (k, n) or (k,).  A wide ``b`` is split
+    into column blocks that keep every row of ``a``, any other into row
+    blocks of ``a``.
+    """
+    if b.ndim == 1:
+        return _product(a, b[:, None])[:, 0]
+    (m, k), n = a.shape, b.shape[1]
+    cols = max(1, _BLAS_MAX // (k * m)) if n > m else n
+    cols = min(cols, max(1, _BLAS_MAX // k))
+    rows = max(1, _BLAS_MAX // (k * cols))
+    if out is None:
+        out = np.empty((m, n))
+    for i in range(0, m, rows):
+        for j in range(0, n, cols):
+            np.matmul(a[i:i + rows], b[:, j:j + cols], out=out[i:i + rows, j:j + cols])
+    return out
 
 
 class _Rule(NamedTuple):
@@ -144,27 +163,68 @@ class _Rule(NamedTuple):
     diff: np.ndarray         # the interpolant's derivative at the nodes
 
 
+def _chebvander(x: np.ndarray, deg: int) -> np.ndarray:
+    """T_0(x), ..., T_deg(x), one column per point of ``x``, by the three-term recurrence."""
+    v = np.empty((deg + 1, len(x)))
+    v[0] = 1.0
+    v[1] = x
+    x2 = 2.0 * x
+    for i in range(2, deg + 1):
+        np.multiply(x2, v[i - 1], out=v[i])
+        v[i] -= v[i - 2]
+    return v
+
+
+def _chebint(c: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients (one column each) of the antiderivative from -1 of ``c``'s."""
+    n = len(c)
+    out = np.zeros((n + 1, c.shape[1]))
+    out[1] = c[0]
+    out[2] = c[1] / 4.0
+    for j in range(2, n):
+        out[j + 1] = c[j] / (2 * j + 2)
+        out[j - 1] -= c[j] / (2 * j - 2)
+    out[0] = -np.sum(out[1:] * (-1.0) ** np.arange(1, n + 1)[:, None], axis=0)
+    return out
+
+
+def _chebder(c: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients (one column each) of the derivative of ``c``'s."""
+    c, n = c.copy(), len(c) - 1
+    der = np.empty((n, c.shape[1]))
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der
+
+
 @functools.cache
 def _cell_rule() -> _Rule:
     """The cell rule, built once."""
-    from numpy.polynomial import chebyshev
-
     deg = CELL_NODES - 1
     x = -np.cos(np.pi * np.arange(CELL_NODES) / deg)
     x[deg // 2] = 0.0
-    to_coef = np.linalg.inv(chebyshev.chebvander(x, deg))
-    anti = chebyshev.chebint(to_coef, lbnd=-1.0)
-    S = chebyshev.chebvander(x, deg + 1) @ anti
+    to_coef = np.linalg.inv(_chebvander(x, deg).T)
+    anti = _chebint(to_coef)
+    S = _product(_chebvander(x, deg + 1).T, anti)
     S[0] = 0.0
-    diff = chebyshev.chebvander(x, deg - 1) @ chebyshev.chebder(to_coef)
+    diff = _product(_chebvander(x, deg - 1).T, _chebder(to_coef))
     return _Rule(x, to_coef, anti, S, diff)
 
 
 def _antiderivative(x: np.ndarray) -> np.ndarray:
-    """Rows mapping a cell's node values to their integral from -1 to each x."""
-    from numpy.polynomial import chebyshev
-
-    return chebyshev.chebvander(x, CELL_NODES) @ _cell_rule().anti
+    """Q, one column per point of ``x``: a cell's node values times Q are their integrals
+    from -1 to each x, and exactly 0 at x = -1.  Built a column block at a time, so no
+    Vandermonde matrix of every point is ever held."""
+    anti = _cell_rule().anti.T
+    Q = np.empty((CELL_NODES, len(x)))
+    width = _BLAS_MAX // anti.size
+    for j in range(0, len(x), width):
+        _product(anti, _chebvander(x[j:j + width], CELL_NODES), Q[:, j:j + width])
+    Q[:, x == -1.0] = 0.0
+    return Q
 
 
 def _subdivisions(widths: np.ndarray, half: float) -> np.ndarray:
@@ -189,33 +249,38 @@ def _sample(fe: Callable, name: str, t: np.ndarray) -> np.ndarray:
     flat = t.ravel()
     vals = np.broadcast_to(np.asarray(fe(flat), dtype=float), flat.shape).reshape(t.shape)
     if not np.all(np.isfinite(vals)):
-        raise ValueError(f"coefficient {name} is not finite on the continuation")
+        raise ValueError(f"coefficient {name} is not finite on "
+                         f"[{float(np.min(t))!r}, {float(np.max(t))!r}]")
     return vals
 
 
-def _unresolved(vals: np.ndarray) -> np.ndarray:
-    """Cells whose interpolant fails the self-check (see CELL_TAIL_TOL)."""
-    tail = np.sum(np.abs(vals @ _cell_rule().to_coef[-2:].T), axis=1)
-    return tail > CELL_TAIL_TOL * float(np.max(np.abs(vals)))
+def _unresolved(vals: np.ndarray, scale: float) -> np.ndarray:
+    """Cells whose interpolant fails the self-check (see CELL_TAIL_TOL) against ``scale``."""
+    tail = np.sum(np.abs(_product(vals, _cell_rule().to_coef[-2:].T)), axis=1)
+    return tail > CELL_TAIL_TOL * scale
 
 
 class _Cells(NamedTuple):
-    """The continuation from ``lo[0]`` on cells: integrand samples and integrals."""
+    """z from ``lo[0]``, where it vanishes, on cells: z at each left edge and z' at the nodes.
+
+    z at any point of a cell is its value at the left edge plus the integral
+    of the interpolant of z' = -p z - q from there.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
-    p_vals: np.ndarray       # p at the nodes, one row per cell
-    g_vals: np.ndarray       # q exp(P_loc) at the nodes
-    P0: np.ndarray           # P_loc at each cell's left edge
-    C0: np.ndarray           # C_loc there
+    z0: np.ndarray           # z at each cell's left edge
+    dz: np.ndarray           # z' at the nodes, one row per cell
 
     @classmethod
     def build(cls, pe: Callable, qe: Callable, start: float, end: float
-              ) -> tuple["_Cells", np.ndarray, np.ndarray, np.ndarray]:
-        """The cells, with the nodes and E, D there.
+              ) -> tuple["_Cells", np.ndarray, np.ndarray]:
+        """The cells, with the nodes and z there.
 
         Edges are start, every multiple of pi between, and end; a cell on
-        which p or q fails the self-check is bisected.
+        which p or q fails the self-check, or over which P may change by
+        more than CELL_MAX_DAMPING, is bisected.  z = -exp(-P) C at the
+        nodes, with P and C, the integral of q exp(P), from the rule.
         """
         k = np.arange(math.floor(start / math.pi) + 1, math.ceil(end / math.pi))
         inner = math.pi * k
@@ -223,32 +288,35 @@ class _Cells(NamedTuple):
         inner = inner[(inner > start + gap) & (inner < end - gap)]
         edges = np.concatenate(([start], inner, [end]))
         lo, hi = edges[:-1], edges[1:]
-        splits = np.zeros(len(lo), dtype=int)
         t = _nodes(lo, hi)
         p_vals, q_vals = _sample(pe, "p", t), _sample(qe, "q", t)
-        while True:
-            bad = _unresolved(p_vals) | _unresolved(q_vals)
+        done, top_p, top_q = [], 0.0, 0.0   # the cells that passed, and their largest |p|, |q|
+        for splits in range(CELL_MAX_SPLITS + 1):
+            # the scales are those of every cell, and only grow, so a cell that passed
+            # still passes
+            abs_p = np.max(np.abs(p_vals), axis=1)
+            bad = _unresolved(p_vals, max(top_p, float(np.max(abs_p))))
+            bad |= _unresolved(q_vals, max(top_q, float(np.max(np.abs(q_vals)))))
+            bad |= (hi - lo) * abs_p > CELL_MAX_DAMPING
             if not np.any(bad):
                 break
-            if int(np.max(splits[bad])) >= CELL_MAX_SPLITS:
-                i = int(np.flatnonzero(bad & (splits >= CELL_MAX_SPLITS))[0])
+            if splits == CELL_MAX_SPLITS:
+                i = int(np.argmin(np.where(bad, lo, np.inf)))
                 raise ValueError(
-                    f"far-field continuation: p or q is not smooth enough on "
-                    f"[{float(lo[i])!r}, {float(hi[i])!r}] after {CELL_MAX_SPLITS} bisections")
+                    f"p or q is not smooth enough on [{float(lo[i])!r}, {float(hi[i])!r}] "
+                    f"after {CELL_MAX_SPLITS} bisections")
+            ok = ~bad
+            done.append((lo[ok], hi[ok], t[ok], p_vals[ok], q_vals[ok]))
+            top_p = max(top_p, float(np.max(abs_p[ok], initial=0.0)))
+            top_q = max(top_q, float(np.max(np.abs(q_vals[ok]), initial=0.0)))
             mid = 0.5 * (lo[bad] + hi[bad])
-            new_lo = np.concatenate((lo[bad], mid))
-            new_hi = np.concatenate((mid, hi[bad]))
-            new_t = _nodes(new_lo, new_hi)
-            new_p, new_q = _sample(pe, "p", new_t), _sample(qe, "q", new_t)
-            keep = ~bad
-            lo = np.concatenate((lo[keep], new_lo))
-            order = np.argsort(lo, kind="stable")
-            lo = lo[order]
-            hi = np.concatenate((hi[keep], new_hi))[order]
-            splits = np.concatenate((splits[keep], splits[bad] + 1, splits[bad] + 1))[order]
-            t = np.concatenate((t[keep], new_t))[order]
-            p_vals = np.concatenate((p_vals[keep], new_p))[order]
-            q_vals = np.concatenate((q_vals[keep], new_q))[order]
+            lo, hi = np.concatenate((lo[bad], mid)), np.concatenate((mid, hi[bad]))
+            t = _nodes(lo, hi)
+            p_vals, q_vals = _sample(pe, "p", t), _sample(qe, "q", t)
+        if done:
+            parts = list(zip(*done, (lo, hi, t, p_vals, q_vals)))
+            order = np.argsort(np.concatenate(parts[0]), kind="stable")
+            lo, hi, t, p_vals, q_vals = (np.concatenate(part)[order] for part in parts)
 
         # a node sits at the rounding of lo + (hi - lo)(x_j + 1)/2, and that
         # rounding repeats from cell to cell; move each sample to the node
@@ -256,151 +324,125 @@ class _Cells(NamedTuple):
         rule = _cell_rule()
         w = 0.5 * (hi - lo)[:, None]
         shift = ((t - lo[:, None]) - w * (rule.x + 1.0)) / w
-        p_vals = p_vals - (p_vals @ rule.diff.T) * shift
-        q_vals = q_vals - (q_vals @ rule.diff.T) * shift
+        p_vals = p_vals - _product(p_vals, rule.diff.T) * shift
+        q_vals = q_vals - _product(q_vals, rule.diff.T) * shift
         S = rule.S
-        P = (p_vals @ S.T) * w                    # P_loc from each left edge
+        P = _product(p_vals, S.T) * w             # P from each left edge
         P0 = np.concatenate(([0.0], np.cumsum(P[:-1, -1])))
         P += P0[:, None]
         E = np.exp(-P)
-        g_vals = q_vals / E                       # q exp(P_loc), a fresh array
-        D = (g_vals @ S.T) * w                    # C_loc from each left edge
-        C0 = np.concatenate(([0.0], np.cumsum(D[:-1, -1])))
-        D += C0[:, None]
-        D *= E
-        return cls(lo, hi, p_vals, g_vals, P0, C0), t, E, D
+        C = _product(q_vals / E, S.T) * w         # C from each left edge
+        C0 = np.concatenate(([0.0], np.cumsum(C[:-1, -1])))
+        C += C0[:, None]
+        z = np.negative(E, out=E)
+        z *= C
+        dz = p_vals * z
+        dz += q_vals
+        np.negative(dz, out=dz)
+        return cls(lo, hi, z[:, 0].copy(), dz), t, z
 
-    def _running(self, vals: np.ndarray, at_lo: np.ndarray, k: np.ndarray,
-                 Q: np.ndarray) -> np.ndarray:
-        return self._from_left(vals[k] @ Q, at_lo, k)
-
-    def _from_left(self, out: np.ndarray, at_lo: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """``out`` times the half-widths plus ``at_lo``, row by row in the cells ``k``, in place."""
+    def _from_left(self, out: np.ndarray, at_lo: np.ndarray, k) -> np.ndarray:
+        """``out`` times the half-widths plus ``at_lo``, row by row in the cells ``k``, in
+        place."""
         out *= 0.5 * (self.hi[k] - self.lo[k])[:, None]
         out += at_lo[k][:, None]
         return out
 
-    def E(self, k: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """exp(-P_loc) in the cells ``k`` at the points of ``Q = _antiderivative(x).T``."""
-        out = self._running(self.p_vals, self.P0, k, Q)
-        np.negative(out, out=out)
-        return np.exp(out, out=out)
+    def _runs(self, s: np.ndarray):
+        """Runs (k, at, Q) of neighbouring cells whose edges are points of the uniform
+        increasing ``s`` and that hold the same number n of steps.
 
-    def C(self, k: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """C_loc in the cells ``k`` at the points of ``Q``."""
-        return self._running(self.g_vals, self.C0, k, Q)
-
-    def C_range(self, k: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The row min and max of :meth:`C`, and the product it is formed from in place.
-
-        x -> fl(fl(x w) + C0) is nondecreasing for w > 0, so the row extremes
-        of C are those of the product, scaled, to the bit.
+        The cells k hold the points s[at], n each with their left edge and
+        not their right, at the points of Q = _antiderivative(x): their
+        values there are the rows of s[at].reshape(len(k), n).  One Q serves
+        each n, so when every multiple of pi is a point of s, one Q serves
+        every whole pi-cell.
         """
-        g = self.g_vals[k] @ Q
-        top, bottom = self._from_left(
-            np.stack((np.max(g, axis=1), np.min(g, axis=1)), axis=1), self.C0, k).T
-        return bottom, top, g
+        step = (s[-1] - s[0]) / (len(s) - 1)
+        tol = 16.0 * np.finfo(float).eps * max(abs(s[0]), abs(s[-1]))
+        a = (self.lo - s[0]) / step          # the edges in steps of s
+        b = (self.hi - s[0]) / step
+        ia, ib = np.rint(a), np.rint(b)
+        on = (np.abs(a - ia) * step <= tol) & (np.abs(b - ib) * step <= tol)
+        on &= (0 <= ia) & (ia < ib) & (ib < len(s))
+        n = np.where(on, ib - ia, 0).astype(int)
+        cuts = np.flatnonzero(np.diff(n)) + 1
+        shared = {}
+        for j, e in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [len(n)]))):
+            m = int(n[j])
+            if m == 0:
+                continue
+            if m not in shared:
+                shared[m] = _antiderivative(np.linspace(-1.0, 1.0, m + 1)[:-1])
+            i0 = int(ia[j])
+            yield slice(j, e), slice(i0, i0 + (e - j) * m), shared[m]
 
-    def E_bound(self) -> np.ndarray:
-        """An upper bound on exp(-P_loc) over each cell, whatever the sign of p.
+    def at(self, s: np.ndarray, *pairs: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+        """For each (vals, at_lo): at_lo plus the integral of the interpolant of vals from
+        each cell's left edge, at the uniform increasing points ``s`` in [lo[0], hi[-1]].
 
-        Over a cell of half-width w, |P_loc - P0| <= 2 w sum|c_j|, with c_j the
-        Chebyshev coefficients of p there.
+        A point on an edge belongs to the cell on its right.  The runs of
+        :meth:`_runs` are products with their Q; every other point (the
+        last, and every point of a cell whose edges are not points of s)
+        multiplies its cell's Chebyshev coefficients into the Chebyshev
+        polynomials there, a block of points at a time, so no matrix per
+        cell is held.
         """
-        spread = np.sum(np.abs(self.p_vals @ _cell_rule().to_coef.T), axis=1)
-        return np.exp((self.hi - self.lo) * spread - self.P0)
+        outs = [np.empty(len(s)) for _ in pairs]
+        rest = np.ones(len(s), dtype=bool)
+        for k, at, Q in self._runs(s):
+            rest[at] = False
+            for (vals, at_lo), out in zip(pairs, outs):
+                self._from_left(_product(vals[k], Q, out[at].reshape(k.stop - k.start, -1)),
+                                at_lo, k)
+        i = np.flatnonzero(rest)
+        c = np.clip(np.searchsorted(self.lo, s[i], side="right") - 1, 0, len(self.lo) - 1)
+        x = np.clip((2.0 * s[i] - self.lo[c] - self.hi[c]) / (self.hi[c] - self.lo[c]),
+                    -1.0, 1.0)
+        k = c[np.flatnonzero(np.diff(c, prepend=-1))]   # c is sorted: its cells, and
+        c = np.searchsorted(k, c)                        # the rank of each among them
+        w = 0.5 * (self.hi[k] - self.lo[k])
+        # the Chebyshev coefficients of each antiderivative, one row a cell of k
+        coefs = [_product(vals[k], _cell_rule().anti.T) for vals, _ in pairs]
+        for j in range(0, len(i), _POINTS):
+            at, cj = slice(j, j + _POINTS), c[j:j + _POINTS]
+            cheb = _chebvander(x[at], CELL_NODES)
+            cheb[:, x[at] == -1.0] = 0.0            # exactly 0 at a left edge
+            cuts = np.flatnonzero(np.diff(cj)) + 1    # the block's cells
+            for coef, (_, at_lo), out in zip(coefs, pairs, outs):
+                v = np.empty(len(cj))
+                for a, b in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [len(cj)]))):
+                    _product(coef[cj[a]:cj[a] + 1], cheb[:, a:b], v[None, a:b])
+                v *= w[cj]
+                v += at_lo[k[cj]]
+                out[i[at]] = v
+        return outs
 
 
-class FarField(NamedTuple):
-    """What h needs of the continuation of z beyond a grid end, for one z there.
+def _sup(cells: _Cells, z: np.ndarray, half: float, z_max: float) -> float:
+    """sup|z| over the cell nodes, where it is ``z``, each cell's uniform subdivision with
+    spacing at most ``half``, and the points where it already reached ``z_max``.
 
-    Continuing from ``start`` with z(start) = ``x0`` up to ``end`` (start
-    plus an even number of extend_step/2 steps, at or past extend_to) gives
-    z = E x0 - D.  The continuation is resolved on cells (see
-    :class:`_Cells`): ``beyond``, the integral of z/t^2 over it, is x0 A - B
-    with A and B the Clenshaw-Curtis totals of E/t^2 and D/t^2, and
-    ``window_z`` holds z on ``window_u`` (the points start + j extend_step/2
-    in the last TAIL_WINDOW).  ``sup`` is sup|z|: the largest |E x0 - D| over
-    the cell nodes and, on every cell, its uniform subdivision with spacing
-    at most extend_step/2.  So extend_step sets only the window's spacing,
-    this spacing and the rounding of ``end``, not the accuracy of ``beyond``.
+    Each node counts once (a shared edge for the cell on its right).  On a
+    subdivision only the row extremes of the product are scaled: x ->
+    fl(fl(x w) + z0) is nondecreasing for w > 0, so they are those of z
+    there, to the bit.
     """
-
-    start: float
-    end: float
-    beyond: float            # integral of z/t^2 over [start, end]
-    window_u: np.ndarray
-    window_z: np.ndarray
-    x0: float
-    sup: float               # sup|z| over the sampled points
-
-    # compared by identity, so that tuple equality never meets an array
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-    @classmethod
-    def build(cls, p: Callable, q: Callable, start: float, x0: float, *,
-              extend_to: float, extend_step: float) -> "FarField":
-        """Continue z from ``start``, where it is ``x0``, and keep its summary.
-
-        Never writes into what p or q return; only the summary outlives the
-        call.
-        """
-        if not extend_to > start:
-            raise ValueError(f"the continuation must end past its start {start!r}, "
-                             f"got extend_to = {extend_to!r}")
-        half = 0.5 * extend_step
-        n_steps = int(math.ceil((extend_to - start) / half))
-        n_steps += n_steps % 2
-        end = float(n_steps * half + start)
-        try:  # the first samples of q reach the end
-            cells, t, E, D = _Cells.build(p, q, float(start), end)
-        except ValueError as exc:  # a family built short of extend_to, say
-            raise ValueError(f"continuing z to extend_to = {extend_to!r}: {exc}") from exc
-        w = 0.5 * (cells.hi - cells.lo)
-        cc = _cell_rule().S[-1]
-        t *= t
-        beyond = x0 * float(w @ ((E / t) @ cc)) - float(w @ ((D / t) @ cc))
-
-        j0 = max(0, n_steps - int(TAIL_WINDOW / half) - 2)
-        window_u = np.arange(j0, n_steps + 1, dtype=float) * half + start
-        window_u = window_u[_window_start(window_u, TAIL_WINDOW):]
-        k = np.minimum(np.searchsorted(cells.hi, window_u), len(cells.hi) - 1)
-        window_z = np.empty_like(window_u)
-        for cell in k[np.flatnonzero(np.diff(k, prepend=-1))]:  # k is sorted
-            at = k == cell
-            x = (2.0 * window_u[at] - cells.lo[cell] - cells.hi[cell]) \
-                / (cells.hi[cell] - cells.lo[cell])
-            Q = _antiderivative(np.clip(x, -1.0, 1.0)).T
-            e = cells.E(np.array([cell]), Q)[0]
-            window_z[at] = e * x0 - e * cells.C(np.array([cell]), Q)[0]
-
-        # sup|z| over the nodes, each once (a shared edge counts for the cell on
-        # its right), and each cell's uniform subdivision.  There, blocks of
-        # cells are screened with the bound E_bound max|x0 - C| >= max|z|, and
-        # only cells that may come within 2 tau of the max get E.
-        tau = 1e-9 * max(1.0, abs(x0))
-        z = np.abs(E * x0 - D)
-        z[:-1, -1] = -np.inf
-        z_max = float(np.max(z))
-        e_bound = cells.E_bound()
-        counts = _subdivisions(cells.hi - cells.lo, half)
-        sizes = np.flatnonzero(np.bincount(counts))
-        for n in sizes[sizes > 1]:
-            Q = _antiderivative(-1.0 + 2.0 * np.arange(1, n) / n).T
-            group = np.flatnonzero(counts == n)
-            for b in range(0, len(group), _BLOCK):
-                block = group[b:b + _BLOCK]
-                bottom, top, g = cells.C_range(block, Q)
-                reach = np.maximum(top - x0, x0 - bottom)
-                rows = np.flatnonzero(reach * e_bound[block] >= z_max - 2.0 * tau)
-                if len(rows) == 0:
-                    continue
-                c = cells._from_left(g, cells.C0, block)
-                e = cells.E(block[rows], Q)
-                z = np.abs(e * x0 - e * c[rows])
-                z_max = max(z_max, float(np.max(z)))
-        return cls(start=float(start), end=end, beyond=beyond, window_u=window_u,
-                   window_z=window_z, x0=float(x0), sup=z_max)
+    z = np.abs(z)
+    z[:-1, -1] = -np.inf
+    z_max = max(z_max, float(np.max(z)))
+    counts = _subdivisions(cells.hi - cells.lo, half)
+    sizes = np.flatnonzero(np.bincount(counts))
+    for n in sizes[sizes > 1]:
+        Q = _antiderivative(-1.0 + 2.0 * np.arange(1, n) / n)
+        group = np.flatnonzero(counts == n)
+        for b in range(0, len(group), _BLOCK):
+            block = group[b:b + _BLOCK]
+            g = _product(cells.dz[block], Q)
+            top, bottom = cells._from_left(
+                np.stack((np.max(g, axis=1), np.min(g, axis=1)), axis=1), cells.z0, block).T
+            z_max = max(z_max, float(np.max(top)), -float(np.min(bottom)))
+    return z_max
 
 
 def _check_grid(grid: np.ndarray) -> None:
@@ -410,75 +452,12 @@ def _check_grid(grid: np.ndarray) -> None:
     uniform_step(grid, "kernel grids must be uniform and increasing")
 
 
-class Damping(NamedTuple):
-    """The part of a kernel that depends on p and the grid only.
-
-    ``u`` is the grid with midpoints inserted and ``P`` the cumulative
-    integral of p along it from u[0], by :func:`cumulative_simpson_doubled`.
-    exp(P) and exp(-P) are left to each kernel (see the module docstring).
-    """
-
-    p: Callable
-    u: np.ndarray
-    P: np.ndarray
-
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__  # as FarField
-
-    @classmethod
-    def build(cls, p: Callable, grid: np.ndarray) -> "Damping":
-        """Check the grid, double it, sample p on it once and integrate."""
-        g = np.asarray(grid, dtype=float)
-        _check_grid(g)
-        u = np.linspace(g[0], g[-1], 2 * (len(g) - 1) + 1)
-        p_vals = np.asarray(p(u), dtype=float)
-        if not np.all(np.isfinite(p_vals)):
-            raise ValueError("coefficients are not finite on the grid")
-        return cls(p=p, u=u, P=cumulative_simpson_doubled(u, p_vals))
-
-    def check_inputs(self, p: Callable, grid: np.ndarray) -> None:
-        """Raise unless this was built for exactly this p and this grid."""
-        grid = np.asarray(grid, dtype=float)
-        _check_grid(grid)
-        u = self.u
-        if (len(u), u[0], u[-1]) != (2 * len(grid) - 1, grid[0], grid[-1]):
-            raise ValueError(
-                f"damping was built for a grid of {(len(u) + 1) // 2} points on "
-                f"[{float(u[0])!r}, {float(u[-1])!r}], not {len(grid)} on "
-                f"[{float(grid[0])!r}, {float(grid[-1])!r}]")
-        if not self.p == p:
-            raise ValueError("damping was built for another coefficient p")
-
-
-def _q_samples(qe: Callable, u: np.ndarray) -> np.ndarray:
-    """q on the doubled grid u, checked to be finite."""
-    q_vals = np.asarray(qe(u), dtype=float)
-    if not np.all(np.isfinite(q_vals)):
-        raise ValueError("coefficients are not finite on the grid")
-    return q_vals
-
-
-def _z_doubled(damping: Damping, q_vals: np.ndarray) -> np.ndarray:
-    """z = -exp(-P) C on the doubled grid, C the cumulative integral of q exp(P).
-
-    One array holds q exp(P) and then z, each formed in place by the same
-    operations as the expressions above.
-    """
-    P = damping.P
-    z = np.exp(P)
-    z *= q_vals
-    C = cumulative_simpson_doubled(damping.u, z)
-    np.negative(P, out=z)
-    np.exp(z, out=z)
-    np.negative(z, out=z)
-    z *= C
-    return z
-
-
 def compute_z(p: Callable, q: Callable, grid: np.ndarray) -> np.ndarray:
-    """Kernel z on a uniform grid via the weighted cumulative integrals."""
-    damping = Damping.build(p, grid)
-    z = _z_doubled(damping, _q_samples(q, damping.u))
-    return z[::2].copy()
+    """Kernel z on a uniform grid: that of :func:`compute_kernel` with no continuation."""
+    g = np.asarray(grid, dtype=float)
+    _check_grid(g)
+    cells = _Cells.build(p, q, float(g[0]), float(g[-1]))[0]
+    return cells.at(g, (cells.dz, cells.z0))[0]
 
 
 def z_ode_oracle(
@@ -534,54 +513,6 @@ def _window_mean_tail(u: np.ndarray, z: np.ndarray, window: float) -> tuple[floa
     return zbar, 2.0 * drift / (u[-1] ** 2)
 
 
-def compute_h(
-    z_values: np.ndarray,
-    grid: np.ndarray,
-    tail: TailModel,
-    *,
-    far: Optional[FarField] = None,
-) -> tuple[np.ndarray, HTail]:
-    """Kernel h on the grid from sampled z plus tail accounting.
-
-    ``far`` optionally summarises the continuation of z beyond grid[-1]
-    (see :class:`FarField`); it must be the one built from there for x0 =
-    z[-1].  The improper remainder past the last available sample is
-    estimated by the trailing-window mean of z and certified by ``tail``
-    (an envelope model for z/t^2).  h at the odd nodes carries the
-    half-cell parabola of :func:`cumulative_simpson_doubled`, not the
-    Simpson sum of the even nodes: on the default family's pi/400 grid it is
-    off by 4.7e-11 there against 9.8e-12 at the even nodes (measured against
-    a pi/800 build), so the residual checks read the even nodes only.
-    """
-    g = np.asarray(grid, dtype=float)
-    z = np.asarray(z_values, dtype=float)
-    if g.shape != z.shape:
-        raise ValueError("grid and z samples must have equal shape")
-
-    cum = cumulative_simpson_doubled(g, z / g**2)
-    beyond = 0.0
-    tail_u, tail_z = g, z
-    if far is not None:
-        if far.start != g[-1]:
-            raise ValueError("far-field summary must start exactly at the end of the grid")
-        if far.x0 != z[-1]:
-            raise ValueError(f"far-field summary was built for z = {far.x0!r} at the grid end, "
-                             f"not {float(z[-1])!r}")
-        beyond, tail_u, tail_z = far.beyond, far.window_u, far.window_z
-
-    cutoff = float(tail_u[-1])
-    zbar, uncertainty = _window_mean_tail(tail_u, tail_z, TAIL_WINDOW)
-    tail_value = zbar / cutoff
-    certificate = tail.tail_bound(cutoff)
-
-    # J(s) = integral_s^infinity z/t^2; h = -s J(s)
-    J = (cum[-1] - cum) + beyond + tail_value
-    h = -g * J
-    info = HTail(value=tail_value, uncertainty=uncertainty,
-                 certificate=certificate, cutoff=cutoff)
-    return h, info
-
-
 def compute_kernel(
     p: Callable,
     q: Callable,
@@ -589,43 +520,61 @@ def compute_kernel(
     *,
     extend_to: float = STOCK_EXTEND_TO,
     extend_step: float = math.pi / 80.0,
-    damping: Optional[Damping] = None,
 ) -> KernelPair:
     """Compute both kernels with certified accounting.
 
-    The h tail is certified with the observed sup|z|, over the grid and,
-    while extend_to lies past the grid end, over the continuation of z to
-    it (see :class:`FarField`), flagged by z_sup_bound == z_sup_observed;
-    :meth:`KernelPair.with_sup_bound` re-certifies it with a proven bound
-    (for instance from the oscillation lemma).  ``damping`` is the
-    :class:`Damping` of p on this grid, shared with the other member of a
-    pair; it is built here when omitted.  q must be defined up to
-    extend_to, so a family must be built to that extent.
+    One build of cells (see :class:`_Cells`) covers [grid[0], end], where
+    end is the grid end or, while extend_to lies past it, the grid end
+    plus an even number of extend_step/2 steps at or past extend_to; q must
+    be defined up to it, so a family must be built to that extent.  z and h
+    at the grid nodes come from it, and so does the h tail: the mean of z
+    over the last TAIL_WINDOW (at the points grid[-1] + j extend_step/2 of
+    the continuation, or at the grid nodes without one) estimates the
+    remainder past end, certified with the observed sup|z| (flagged by
+    z_sup_bound == z_sup_observed; :meth:`KernelPair.with_sup_bound`
+    re-certifies it with a proven bound, for instance from the oscillation
+    lemma).  sup|z| is the largest |z| over the cell nodes, the grid nodes
+    and each cell's uniform subdivision with spacing at most extend_step/2.
+    Never writes into what p or q return.
     """
     g = np.asarray(grid, dtype=float)
-    if damping is None:
-        damping = Damping.build(p, g)
+    _check_grid(g)
+    s_end, half = float(g[-1]), 0.5 * extend_step
+    end = s_end
+    if extend_to > s_end:
+        n_steps = int(math.ceil((extend_to - s_end) / half))
+        n_steps += n_steps % 2
+        end = float(n_steps * half + s_end)
+    try:
+        cells, t, z_nodes = _Cells.build(p, q, float(g[0]), end)
+    except ValueError as exc:  # a family built short of extend_to, say
+        if end == s_end:
+            raise
+        raise ValueError(f"z reaches extend_to = {extend_to!r}: {exc}") from exc
+
+    if end > s_end:
+        j0 = max(0, n_steps - int(TAIL_WINDOW / half) - 2)
+        tail_u = np.arange(j0, n_steps + 1, dtype=float) * half + s_end
     else:
-        damping.check_inputs(p, g)
+        tail_u = g
+    tail_u = tail_u[_window_start(tail_u, TAIL_WINDOW):]
+    tail_z, = cells.at(tail_u, (cells.dz, cells.z0))
+    cutoff = float(tail_u[-1])
+    zbar, uncertainty = _window_mean_tail(tail_u, tail_z, TAIL_WINDOW)
+    tail_value = zbar / cutoff
 
-    # the q samples stay bound until the kernel returns: freed as soon as z
-    # is made, they let glibc trim the heap, and the arrays made after them
-    # fault their pages in again (a 256k-point make_barriers, whose members
-    # share one Damping, takes 10.4k minor faults that way against 7.5k)
-    q_vals = _q_samples(q, damping.u)
-    z_doubled = _z_doubled(damping, q_vals)
-    z = z_doubled[::2].copy()
-
-    observed = float(np.max(np.abs(z_doubled)))
-    far = None
-    if extend_to > g[-1]:
-        far = FarField.build(p, q, float(g[-1]), float(z[-1]), extend_to=extend_to,
-                             extend_step=extend_step)
-        observed = max(observed, far.sup)
-
+    # h = s K, K(s) = -(integral_s^end z/t^2 + the tail value), from K' = y = z/t^2 at
+    # the nodes: K is its value at each cell's left edge plus the integral of y from there
+    w = 0.5 * (cells.hi - cells.lo)
+    t *= t
+    y = np.divide(z_nodes, t, out=t)
+    K0 = np.cumsum((w * _product(y, _cell_rule().S[-1]))[::-1])[::-1]
+    K0 += tail_value
+    np.negative(K0, out=K0)
+    z, h = cells.at(g, (cells.dz, cells.z0), (y, K0))
+    h *= g
+    observed = _sup(cells, z_nodes, half, max(float(np.max(z)), -float(np.min(z))))
     tail = TailModel(kind="power", rate=2.0, coef=observed)
-    h, h_tail = compute_h(z, g, tail, far=far)
-
     for arr in (g, z, h):
         arr.setflags(write=False)
     return KernelPair(
@@ -633,7 +582,8 @@ def compute_kernel(
         z_values=z,
         h_values=h,
         z_sup_bound=observed,
-        h_tail=h_tail,
+        h_tail=HTail(value=tail_value, uncertainty=uncertainty,
+                     certificate=tail.tail_bound(cutoff), cutoff=cutoff),
         z_sup_observed=observed,
     )
 
@@ -665,15 +615,14 @@ def _extrapolated_operator(h: np.ndarray, grid: np.ndarray, p2: np.ndarray,
                            step: float) -> tuple[np.ndarray, np.ndarray, float]:
     """h'' + p (h' - h/s) at every fourth node of h's grid, extrapolated from its even nodes.
 
-    The odd nodes of a kernel grid carry compute_h's half-cell parabola, not
-    the Simpson sum (see :func:`compute_h`), so only h[::2] is read.  With
-    L_k the central operator on h[::k], at spacing k steps, the operator
+    With L_k the central operator on h[::k], at spacing k steps, the operator
     (4 L_2 - L_4)/3 cancels the O(step^2) term at the nodes both stencils
-    share: every fourth node, the interior of grid[::4].  ``grid`` is
-    uniform of step ``step`` with 17 points or more, and ``p2`` is p on the
-    interior of grid[::2].  A stencil that straddles a jump of q'' off its
-    centre reads an O(step^2) term that this does not cancel, so a lobe join
-    s = k pi belongs at one of those nodes (see :func:`~oscillax.quadrature.equation_grid`).
+    share: every fourth node, the interior of grid[::4].  A stencil that
+    straddles a jump of q'' off its centre reads an O(step^2) term that this
+    does not cancel, and the lobe joins s = k pi sit on every fourth node
+    (see :func:`~oscillax.quadrature.equation_grid`), so the operator is
+    formed there, from the even nodes.  ``grid`` is uniform of step ``step``
+    with 17 points or more, and ``p2`` is p on the interior of grid[::2].
     Returns that operator, h' - h/s extrapolated the same way, and the error
     estimate max |R(2, 4) - R(4, 8)|/15 over every eighth node.
     """

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .example_builder import S0_FIXED, PairResult
-from .kernel import Damping, HTail, KernelPair, _extrapolated_operator, compute_kernel
+from .kernel import HTail, KernelPair, _extrapolated_operator, compute_kernel
 from .quadrature import (STOCK_EXTEND_TO, TailModel, integrate_finite, integrate_finite_many,
                          uniform_step)
 from .radial import _beta_betaprime, _check_dim, beta_inverse, beta_map, excluded_arc
@@ -170,20 +170,20 @@ def make_barriers(
 
     The ordering q1 <= q2 forces z1 >= z2 and hence h1 <= h2; both are
     verified on the grid and a violation raises, since barriers that cross
-    cannot sandwich anything.  The members share p, so p is sampled and
-    integrated on the grid once, into one :class:`Damping` both kernels
-    read.  ``z_sup_bounds``, proven bounds on sup|z1| and sup|z2|,
+    cannot sandwich anything.  Each member's kernel is one build of its own
+    cells (see :func:`~oscillax.kernel.compute_kernel`); the members share
+    p, but sampling it on the cells costs less than a shared pass would
+    save.  ``z_sup_bounds``, proven bounds on sup|z1| and sup|z2|,
     re-certify the h tails through :meth:`KernelPair.with_sup_bound`.  The
     members must be built to an extent at or past extend_to.  ``parallel``
     does nothing; it stays because the benchmark times make_barriers with
     and without it.
     """
     p = pair.q1.params.p
-    damping = Damping.build(p, grid)
 
     def one(which: int) -> KernelPair:
         kernel = compute_kernel(p, (pair.q1, pair.q2)[which].q_callable, grid, extend_to=extend_to,
-                                extend_step=extend_step, damping=damping)
+                                extend_step=extend_step)
         return kernel if z_sup_bounds is None else kernel.with_sup_bound(z_sup_bounds[which])
 
     k1, k2 = one(0), one(1)

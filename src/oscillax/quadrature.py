@@ -184,8 +184,8 @@ _WG = np.array([
 ])
 _GAUSS_SLICE = slice(1, 15, 2)
 
-# Nodes of the Chebyshev-Lobatto rule on each of kernel's continuation cells, the
-# continuation's stock end and the kernel grid (equation_grid).  They live here,
+# Nodes of the Chebyshev-Lobatto rule on each of kernel's cells, the continuation's
+# stock end and the kernel grid (equation_grid).  They live here,
 # beside the other rule, so that a config can be checked, and a family built,
 # without loading kernel.
 CELL_NODES = 17
@@ -487,10 +487,8 @@ def cumulative_simpson_doubled(u: np.ndarray, fu: np.ndarray) -> np.ndarray:
     output entries accumulate composite Simpson over full coarse cells; odd
     entries add the half-cell value of the same interpolating parabola,
     (dt/24) * (5 f_0 + 8 f_1 - f_2), which is not a Simpson sum: the odd
-    entries are less accurate than the even ones (h of the default family
-    on a pi/400 grid is off by 4.7e-11 at its odd nodes and 9.8e-12 at its
-    even ones, against a pi/800 build), so a finite difference of them reads
-    that gap divided by the step squared.
+    entries are less accurate than the even ones, so a finite difference of
+    them reads that gap divided by the step squared.
     """
     u = np.asarray(u, dtype=float)
     f = np.asarray(fu, dtype=float)

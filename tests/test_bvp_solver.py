@@ -276,6 +276,21 @@ def test_barriers_and_solve_peak_within_twenty_grid_arrays(pair, problem):
     assert peak / (8 * N) <= 20.0
 
 
+def test_the_peak_holds_on_a_grid_that_misses_every_multiple_of_pi(pair, problem):
+    # the budget above, where no pi-cell edge past s0 is a grid node, so the kernels
+    # sum Chebyshev coefficients at every node, a block at a time, rather than read
+    # one shared matrix
+    N = 64000
+    grid = np.linspace(2 * PI, 42 * PI, N)
+    tracemalloc.start()
+    try:
+        solve_radial(problem, make_barriers(pair, grid, extend_to=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * N) <= 20.0
+
+
 # ---------------------------------------------------------------------------
 # discretisation order
 

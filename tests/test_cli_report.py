@@ -847,7 +847,7 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
     from oscillax import cli_report, example_builder, kernel, lemma_check, parse, pde_bridge
 
     p, s0 = parse("1/s^3"), 2 * math.pi
-    counts = {"compute_kernel": 0, "FarField.build": 0, "lambda": 0, "I batch": 0,
+    counts = {"compute_kernel": 0, "_Cells.build": 0, "lambda": 0, "I batch": 0,
               "tail_sum_I_bound": 0, "table": 0}
 
     def of_p(f):
@@ -879,23 +879,23 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
         return original(self, M)
 
     monkeypatch.setattr(spec, "tail_sum_I_bound", tail_sum)
-    build = kernel.FarField.build
+    build = kernel._Cells.build
 
-    def far_field(*args, **kwargs):
-        counts["FarField.build"] += 1
+    def cells(*args, **kwargs):
+        counts["_Cells.build"] += 1
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(kernel.FarField, "build", far_field)
+    monkeypatch.setattr(kernel._Cells, "build", cells)
     cfg = _write_config(tmp_path)
     assert main(["full-pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     # the lemma's family kernel, on the pi/400 equation grid, serves the kernel stage,
     # which checks the kernel equation on it; the bridge's barrier pair (two kernels), on
     # that grid too, which is the stock solver grid, serves the solve; each kernel
-    # continues its own z; the family integrates its I_m once, lambda is I_1 of them,
+    # builds its own cells once; the family integrates its I_m once, lambda is I_1 of them,
     # and lemma_check and the pair reuse them; the family and the two pair members each
     # build their amplitude table once
-    assert counts == {"compute_kernel": 3, "FarField.build": 3, "lambda": 0, "I batch": 1,
+    assert counts == {"compute_kernel": 3, "_Cells.build": 3, "lambda": 0, "I batch": 1,
                       "tail_sum_I_bound": 1, "table": 3}
 
 

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import subprocess
 import sys
@@ -6,11 +8,8 @@ import numpy as np
 import pytest
 
 from oscillax import (
-    Damping,
-    FarField,
     OscillationParams,
     TailModel,
-    compute_h,
     compute_kernel,
     compute_z,
     ode_residual,
@@ -67,6 +66,9 @@ def test_z_scales_linearly_with_the_source():
 def test_z_requires_uniform_grid():
     with pytest.raises(ValueError):
         compute_z(_zero, _one, np.array([0.0, 0.1, 0.3, 0.35]))
+    grid = np.linspace(2 * PI, 6 * PI, 401)
+    with pytest.raises(ValueError, match="kernel grids must be uniform and increasing"):
+        compute_kernel(_zero, _one, grid[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -87,48 +89,86 @@ def test_rk_oracle_on_closed_form():
     assert np.max(np.abs(oracle - exact)) <= 1e-8
 
 
+@pytest.mark.parametrize("grid", [np.linspace(2 * PI, 42 * PI, 8193),
+                                  np.linspace(2 * PI, 42 * PI + 0.02, 16001)],
+                         ids=["N8193", "span-40pi+0.02"])
+def test_z_matches_a_tight_oracle_where_no_multiple_of_pi_is_a_node(family, grid):
+    # every cell is reached at its own points, and on the second grid the last cell
+    # runs past the grid end
+    p = OscillationParams().p
+    oracle = z_ode_oracle(p, family.q_callable, grid, rtol=1e-12, atol=1e-14)
+    assert np.max(np.abs(compute_z(p, family.q_callable, grid) - oracle)) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # h from z
 
 
 def test_constant_z_gives_constant_h():
-    # z = -1 implies J(s) = -1/s and h = 1
+    # p = q = 10: z = -(1 - exp(-10 (s - s0))) is -1 past s0 + 4 to the last bit,
+    # so J(s) = -1/s and h = 1 there; P changes by 10 pi over a pi-cell, so the
+    # cells are bisected until exp(P) is resolved
+    ten = lambda s: np.full(np.shape(s), 10.0)
     grid = np.linspace(2 * PI, 20 * PI, 2001)
-    z = -np.ones_like(grid)
-    h, info = compute_h(z, grid, TailModel("power", 2.0, 1.0))
-    assert np.max(np.abs(h - 1.0)) <= 1e-9
+    kern = compute_kernel(ten, ten, grid, extend_to=0.0)
+    info = kern.h_tail
+    assert np.max(np.abs(kern.h_values[grid >= grid[0] + 4.0] - 1.0)) <= 1e-12
     assert info.value == pytest.approx(-1.0 / grid[-1], rel=1e-12)
     assert info.certificate >= abs(info.value) * (1.0 - 1e-12)
 
 
-def test_h_scales_linearly_with_z():
+def test_h_matches_its_closed_form_for_unit_p_and_q():
+    # z = -(1 - exp(-(s - s0))), so h(s) = 1 - exp(-(s - s0)) + s exp(s0) E1(s)
+    from scipy.special import exp1
+
     grid = np.linspace(2 * PI, 20 * PI, 2001)
-    z = -(1.0 - np.exp(-(grid - grid[0]))) * 0.7
-    h1, _ = compute_h(z, grid, TailModel("power", 2.0, 1.0))
-    h3, _ = compute_h(3.0 * z, grid, TailModel("power", 2.0, 3.0))
+    kern = compute_kernel(_one, _one, grid, extend_to=0.0)
+    exact = 1.0 - np.exp(-(grid - grid[0])) + grid * np.exp(grid[0]) * exp1(grid)
+    assert np.max(np.abs(kern.h_values - exact)) <= 1e-13
+
+
+def test_h_scales_linearly_with_z():
+    p = OscillationParams().p
+    q = lambda s: np.sin(np.asarray(s)) ** 2 - 0.4
+    grid = np.linspace(2 * PI, 20 * PI, 2001)
+    h1 = compute_kernel(p, q, grid, extend_to=400.0).h_values
+    h3 = compute_kernel(p, lambda s: 3.0 * q(s), grid, extend_to=400.0).h_values
     assert np.max(np.abs(h3 - 3.0 * h1)) <= 1e-11 * np.max(np.abs(h3))
 
 
 def test_h_extension_must_start_at_grid_end():
-    grid = np.linspace(2 * PI, 4 * PI, 201)
-    z = -np.ones_like(grid)
-    far = FarField.build(_zero, _one, 4 * PI + 0.1, -1.0, extend_to=8 * PI,
-                         extend_step=PI / 40)
-    with pytest.raises(ValueError, match="start exactly"):
-        compute_h(z, grid, TailModel("power", 2.0, 1.0), far=far)
+    # the continuation runs an even number of extend_step/2 steps from the grid end
+    grid = np.linspace(2 * PI, 4 * PI + 0.1, 201)
+    kern = compute_kernel(_zero, _one, grid, extend_to=8 * PI, extend_step=PI / 40)
+    steps = (kern.h_tail.cutoff - grid[-1]) / (PI / 80)
+    assert steps == pytest.approx(round(steps), abs=1e-9) and round(steps) % 2 == 0
+    assert 8 * PI <= kern.h_tail.cutoff < 8 * PI + PI / 40
 
 
 def test_h_extension_must_be_built_for_z_at_the_grid_end():
+    # the continuation carries on the grid's own z: a kernel on a grid that runs
+    # through it, with the window on its nodes, has the same h at the grid end
+    p, q = OscillationParams().p, lambda s: np.sin(np.asarray(s)) ** 2 - 0.4
     grid = np.linspace(2 * PI, 4 * PI, 201)
-    z = -np.ones_like(grid)
-    tail = TailModel("power", 2.0, 1.0)
-    kwargs = {"extend_to": 8 * PI, "extend_step": PI / 40}
-    far = FarField.build(_zero, _one, 4 * PI, -0.5, **kwargs)
-    with pytest.raises(ValueError, match=r"built for z = -0\.5 at the grid end, not -1\.0"):
-        compute_h(z, grid, tail, far=far)
-    far = FarField.build(_zero, _one, 4 * PI, -1.0, **kwargs)
-    _, info = compute_h(z, grid, tail, far=far)
-    assert info.cutoff == far.window_u[-1] == far.end
+    kern = compute_kernel(p, q, grid, extend_to=8 * PI, extend_step=PI / 40)
+    cutoff = kern.h_tail.cutoff
+    through = np.linspace(2 * PI, cutoff, 1 + round((cutoff - 2 * PI) / (PI / 80)))
+    whole = compute_kernel(p, q, through, extend_to=0.0)
+    assert whole.h_tail.cutoff == cutoff
+    assert whole.h_tail.value == pytest.approx(kern.h_tail.value, rel=1e-12)
+    assert whole.h_values[160] == pytest.approx(kern.h_values[-1], rel=1e-12)
+    assert whole.z_values[160] == pytest.approx(kern.z_values[-1], rel=1e-12)
+
+
+def test_kernels_match_a_four_times_finer_build_at_every_node(family):
+    # the nodes are read off the same cells whatever the grid, odd or even
+    p = OscillationParams().p
+    grid = equation_grid(2 * PI, 40 * PI)
+    finer = np.linspace(grid[0], grid[-1], 4 * (len(grid) - 1) + 1)
+    kern = compute_kernel(p, family.q_callable, grid, extend_to=0.0)
+    fine = compute_kernel(p, family.q_callable, finer, extend_to=0.0)
+    assert np.max(np.abs(kern.z_values - fine.z_values[::4])) <= 1e-11
+    assert np.max(np.abs(kern.h_values - fine.h_values[::4])) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +277,20 @@ def test_a_proof_bound_recertifies_the_same_kernel(family, family_kernel):
     for name in ("value", "uncertainty", "cutoff"):
         assert getattr(bounded.h_tail, name) == getattr(family_kernel.h_tail, name)
     assert bounded.h_tail.certificate == tail.tail_bound(family_kernel.h_tail.cutoff)
-    # the certificate compute_h gives that tail model on the same samples
-    far = FarField.build(params.p, family.q_callable, float(again.grid[-1]),
-                         float(again.z_values[-1]), extend_to=2e4, extend_step=PI / 80)
-    _, info = compute_h(again.z_values, again.grid, tail, far=far)
-    assert bounded.h_tail == info
     assert family_kernel.z_sup_bound == family_kernel.z_sup_observed
 
 
 # ---------------------------------------------------------------------------
-# far-field summary of the continuation
+# the continuation of z past the grid end
 
 
-def test_far_field_holds_no_continuation_length_array(family, family_kernel):
-    far = FarField.build(OscillationParams().p, family.q_callable, float(family_kernel.grid[-1]),
-                         float(family_kernel.z_values[-1]), extend_to=2e4, extend_step=PI / 80)
-    continuation = (far.end - far.start) / (0.5 * PI / 80)
+def test_far_field_holds_no_continuation_length_array(family_kernel):
+    # the kernel keeps arrays of the grid's length only, whatever its continuation's
+    k = family_kernel
+    continuation = (k.h_tail.cutoff - k.grid[-1]) / (0.5 * PI / 80)
     assert continuation > 1e6
-    arrays = [v for v in far._asdict().values() if isinstance(v, np.ndarray)]
-    assert len(far.window_u) == 321
-    assert sum(a.size for a in arrays) == 2 * 321
+    arrays = [v for v in k._asdict().values() if isinstance(v, np.ndarray)]
+    assert sum(a.size for a in arrays) == 3 * len(k.grid) == 3 * 8001
 
 
 @pytest.mark.parametrize("shared, copying", [
@@ -265,97 +299,59 @@ def test_far_field_holds_no_continuation_length_array(family, family_kernel):
 ])
 def test_far_field_leaves_what_q_returns_untouched(shared, copying):
     # q may hand back its input or a read-only array; the build must not write into it
-    kwargs = {"extend_to": 400.0, "extend_step": PI / 80}
-    a = FarField.build(parse("1/s^3"), shared, 8 * PI, -0.3, **kwargs)
-    b = FarField.build(parse("1/s^3"), copying, 8 * PI, -0.3, **kwargs)
-    for name in ("end", "beyond", "x0", "sup"):
-        assert getattr(a, name) == getattr(b, name)
-    for name in ("window_u", "window_z"):
+    grid = np.linspace(8 * PI, 10 * PI, 201)
+    a = compute_kernel(parse("1/s^3"), shared, grid, extend_to=400.0)
+    b = compute_kernel(parse("1/s^3"), copying, grid, extend_to=400.0)
+    assert a.h_tail == b.h_tail and a.z_sup_observed == b.z_sup_observed
+    for name in ("z_values", "h_values"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
+def _sin2_kernel():
+    """A kernel from 8 pi whose |z| grows to the end of its continuation."""
+    p, q = parse("1/s^3"), lambda s: np.sin(np.asarray(s)) ** 2 - 0.4
+    grid = np.linspace(8 * PI, 10 * PI, 401)
+    return p, q, grid, compute_kernel(p, q, grid, extend_to=400.0)
+
+
 def test_far_field_sup_is_exact_within_its_radius():
-    # the screen must keep the maximiser over every point the build samples:
-    # the cell nodes and each cell's uniform subdivision
-    p = parse("1/s^3")
-    q = lambda s: np.sin(np.asarray(s)) ** 2 - 0.4
-    start, x0 = 8 * PI, -0.3
-    far = FarField.build(p, q, start, x0, extend_to=400.0, extend_step=PI / 80)
-    cells, _, E, D = kernel._Cells.build(p, q, start, far.end)
-    Es, Ds = [E.ravel()], [D.ravel()]
+    # sup|z| is the max over every point the build samples: the cell nodes, the grid
+    # nodes and each cell's uniform subdivision, here formed cell by cell
+    p, q, grid, kern = _sin2_kernel()
+    cells, _, z_nodes = kernel._Cells.build(p, q, grid[0], kern.h_tail.cutoff)
     counts = kernel._subdivisions(cells.hi - cells.lo, PI / 160)
     assert np.all((cells.hi - cells.lo) / counts <= (1 + 1e-12) * PI / 160)
+    values = [np.abs(z_nodes).ravel(), np.abs(kern.z_values)]
     for cell, n in enumerate(counts):
-        Q = kernel._antiderivative(-1.0 + 2.0 * np.arange(1, n) / n).T
-        e = cells.E(np.array([cell]), Q)
-        Es.append(e.ravel())
-        Ds.append((e * cells.C(np.array([cell]), Q)).ravel())
-    Es, Ds = np.concatenate(Es), np.concatenate(Ds)
-    assert far.sup == pytest.approx(np.max(np.abs(Es * x0 - Ds)), rel=1e-13)
-
-
-def _sup_set_screening_full_blocks(cells, E, D, x0, half):
-    """E and D where |E x0 - D| is within 2 tau of its max, screening each block on its full C.
-
-    The max of |E x0 - D| over them is the reference for FarField.sup.
-    """
-    tau = 1e-9 * max(1.0, abs(x0))
-    z = np.abs(E * x0 - D)
-    z[:-1, -1] = -np.inf
-    z_max = float(np.max(z))
-    near = z >= z_max - 2.0 * tau
-    E_keep, D_keep, reaches = [E[near]], [D[near]], []
-    e_bound = cells.E_bound()
-    counts = kernel._subdivisions(cells.hi - cells.lo, half)
-    sizes = np.flatnonzero(np.bincount(counts))
-    for n in sizes[sizes > 1]:
-        Q = kernel._antiderivative(-1.0 + 2.0 * np.arange(1, n) / n).T
-        group = np.flatnonzero(counts == n)
-        for b in range(0, len(group), kernel._BLOCK):
-            block = group[b:b + kernel._BLOCK]
-            c = cells.C(block, Q)
-            reach = np.maximum(np.max(c, axis=1) - x0, x0 - np.min(c, axis=1))
-            rows = np.flatnonzero(reach * e_bound[block] >= z_max - 2.0 * tau)
-            reaches.append((block, Q, reach, len(rows)))
-            if len(rows) == 0:
-                continue
-            e = cells.E(block[rows], Q)
-            d = e * c[rows]
-            z = np.abs(e * x0 - d)
-            z_max = max(z_max, float(np.max(z)))
-            near = z >= z_max - 2.0 * tau
-            E_keep.append(e[near])
-            D_keep.append(d[near])
-    E_keep, D_keep = np.concatenate(E_keep), np.concatenate(D_keep)
-    z = np.abs(E_keep * x0 - D_keep)
-    keep = np.flatnonzero(z >= float(np.max(z)) - 2.0 * tau)
-    return E_keep[keep], D_keep[keep], reaches
+        Q = kernel._antiderivative(-1.0 + 2.0 * np.arange(1, n) / n)
+        k = slice(cell, cell + 1)
+        values.append(np.abs(cells._from_left(kernel._product(cells.dz[k], Q), cells.z0, k)).ravel())
+    assert kern.z_sup_observed == pytest.approx(np.max(np.concatenate(values)), rel=1e-13)
 
 
 @pytest.mark.parametrize("case", ["default family", "sin^2 - 0.4"])
 def test_the_sup_screen_keeps_the_bits_of_the_full_block_screen(family, case):
-    # the screen scales the row extremes of the product instead of forming C,
-    # and keeps only the running max: its reach, and sup|z|, keep their bits
-    # (A, B and the window come before the screen).  On the default family's
-    # continuation every block is screened out; on sin^2 - 0.4 a block passes
-    # and forms C.
+    # on the subdivisions sup|z| scales the row extremes of each block's product
+    # instead of forming z there; it keeps the bits of the max of z formed in full
     if case == "default family":
-        p, q, passing = OscillationParams().p, family.q_callable, 0
-        x0 = float(compute_z(p, q, np.linspace(2 * PI, 42 * PI, 8001))[-1])
-        far = FarField.build(p, q, 42 * PI, x0, extend_to=2e4, extend_step=PI / 80)
+        p, q = OscillationParams().p, family.q_callable
+        grid = np.linspace(2 * PI, 42 * PI, 8001)
+        kern = compute_kernel(p, q, grid)
     else:
-        p, q, passing = parse("1/s^3"), lambda s: np.sin(np.asarray(s)) ** 2 - 0.4, 1
-        far = FarField.build(p, q, 8 * PI, -0.3, extend_to=400.0, extend_step=PI / 80)
-    cells, _, E, D = kernel._Cells.build(p, q, far.start, far.end)
-    sup_E, sup_D, reaches = _sup_set_screening_full_blocks(cells, E, D, far.x0, PI / 160)
-    assert sum(n_passed > 0 for *_, n_passed in reaches) == passing
-    for block, Q, reach, _ in reaches:
-        bottom, top, g = cells.C_range(block, Q)
-        c = cells.C(block, Q)
-        assert np.array_equal(bottom, np.min(c, axis=1)) and np.array_equal(top, np.max(c, axis=1))
-        assert np.array_equal(np.maximum(top - far.x0, far.x0 - bottom), reach)
-        assert np.array_equal(cells._from_left(g, cells.C0, block), c)
-    assert far.sup == float(np.max(np.abs(sup_E * far.x0 - sup_D)))
+        p, q, grid, kern = _sin2_kernel()
+    cells, _, z_nodes = kernel._Cells.build(p, q, grid[0], kern.h_tail.cutoff)
+    z = np.abs(z_nodes)
+    z[:-1, -1] = -np.inf
+    z_max = max(float(np.max(z)), float(np.max(np.abs(kern.z_values))))
+    counts = kernel._subdivisions(cells.hi - cells.lo, PI / 160)
+    for n in np.unique(counts[counts > 1]):
+        Q = kernel._antiderivative(-1.0 + 2.0 * np.arange(1, n) / n)
+        group = np.flatnonzero(counts == n)
+        for b in range(0, len(group), kernel._BLOCK):
+            block = group[b:b + kernel._BLOCK]
+            full = cells._from_left(kernel._product(cells.dz[block], Q), cells.z0, block)
+            z_max = max(z_max, float(np.max(np.abs(full))))
+    assert kern.z_sup_observed == z_max
 
 
 def test_a_whole_pi_cell_is_subdivided_like_the_uniform_sweep():
@@ -368,13 +364,15 @@ def _simpson_total(f, u):
     return dt / 6.0 * (f[0] + f[-1] + 4.0 * np.sum(f[1::2]) + 2.0 * np.sum(f[2:-1:2]))
 
 
-def _assert_matches_half_step_simpson(far, p, q, rtol=1e-11):
-    """The integral beyond, the trailing window and sup|z| against Simpson at step
-    extend_step/4, for a far field built with extend_step = pi/80.
+def _assert_matches_half_step_simpson(kern, p, q, rtol=1e-11):
+    """The continuation's share of h at the grid end, the tail value and sup|z| against
+    Simpson at step extend_step/4, for a kernel built with extend_step = pi/80.
 
-    The reference totals A of E/t^2 and B of D/t^2, and E and E C on the
-    window, are each held to ``rtol``, so x0 A - B and E x0 - E C are held to
-    ``rtol`` of the sums of their terms' sizes.
+    The reference continues z from the grid end, where it is x0 = the kernel's
+    z: the totals A of E/t^2 and B of D/t^2, and E and E C on the trailing
+    window, are each held to ``rtol``, so the integral x0 A - B of z/t^2 over
+    the continuation and the window mean are held to ``rtol`` of the sums of
+    their terms' sizes.  sup|z| is held against the reference's and the grid's.
 
     Inside a lobe a cumulative Simpson value is itself off by about
     h^4 max|q'''| / 180, 2e-10 at this step, so the window is referenced by a
@@ -383,32 +381,40 @@ def _assert_matches_half_step_simpson(far, p, q, rtol=1e-11):
     offsets from its first point: far out, the difference of two abscissae
     would carry the rounding of both into the step.
     """
+    start, end, x0 = float(kern.grid[-1]), kern.h_tail.cutoff, float(kern.z_values[-1])
     step = PI / 320
-    offsets = step * np.arange(round((far.end - far.start) / step) + 1)
-    u = far.start + offsets
-    assert u[-1] == far.end
+    offsets = step * np.arange(round((end - start) / step) + 1)
+    u = start + offsets
+    assert u[-1] == end
     P = cumulative_simpson_doubled(offsets, p(u))
     C = cumulative_simpson_doubled(offsets, q(u) * np.exp(P))
     E = np.exp(-P)
     D = E * C
     u2 = u * u
     A, B = _simpson_total(E / u2, u), _simpson_total(D / u2, u)
-    assert abs(far.beyond - (far.x0 * A - B)) <= rtol * (abs(far.x0 * A) + abs(B))
-    full = np.max(np.abs(E * far.x0 - D))
-    assert far.sup == pytest.approx(full, rel=rtol, abs=0.0)
+    beyond = -kern.h_values[-1] / start - kern.h_tail.value   # h = -s (beyond + tail) there
+    assert abs(beyond - (x0 * A - B)) <= rtol * (abs(x0 * A) + abs(B))
+    full = max(np.max(np.abs(E * x0 - D)), np.max(np.abs(kern.z_values)))
+    assert kern.z_sup_observed == pytest.approx(full, rel=rtol, abs=0.0)
 
-    a = int(np.argmin(np.abs(u - PI * math.floor(far.window_u[0] / PI))))
+    # the window: the points start + j pi/160 in the last TAIL_WINDOW of the continuation
+    half = PI / 160
+    n_steps = round((end - start) / half)
+    window_u = np.arange(n_steps - int(kernel.TAIL_WINDOW / half) - 2, n_steps + 1) * half + start
+    window_u = window_u[kernel._window_start(window_u, kernel.TAIL_WINDOW):]
+    a = int(np.argmin(np.abs(u - PI * math.floor(window_u[0] / PI))))
     fine = step / 64
     offsets = fine * np.arange(64 * (len(u) - 1 - a) + 1)
     v = u[a] + offsets
     Pv = P[a] + cumulative_simpson_doubled(offsets, p(v))
     Cv = C[a] + cumulative_simpson_doubled(offsets, q(v) * np.exp(Pv))
-    at = np.rint((far.window_u - v[0]) / fine).astype(int)
-    assert np.max(np.abs(v[at] - far.window_u)) <= 1e-9
+    at = np.rint((window_u - v[0]) / fine).astype(int)
+    assert np.max(np.abs(v[at] - window_u)) <= 1e-9
     Ev = np.exp(-Pv[at])
     Dv = Ev * Cv[at]
-    scale = abs(far.x0) * np.max(np.abs(Ev)) + np.max(np.abs(Dv))
-    assert np.max(np.abs(far.window_z - (Ev * far.x0 - Dv))) <= rtol * scale
+    zbar, _ = kernel._window_mean_tail(window_u, Ev * x0 - Dv, kernel.TAIL_WINDOW)
+    scale = abs(x0) * np.max(np.abs(Ev)) + np.max(np.abs(Dv))
+    assert abs(kern.h_tail.value - zbar / end) <= rtol * scale / end
 
 
 @pytest.mark.parametrize("member", ["family", "q1", "q2"])
@@ -416,24 +422,18 @@ def test_far_field_matches_a_half_step_simpson_reference(family, pair, member):
     params = OscillationParams()
     q = {"family": family, "q1": pair.q1, "q2": pair.q2}[member].q_callable
     grid = np.linspace(2 * PI, 42 * PI, 8001)
-    x0 = float(compute_z(params.p, q, grid)[-1])
-    far = FarField.build(params.p, q, 42 * PI, x0, extend_to=2e4, extend_step=PI / 80)
-    _assert_matches_half_step_simpson(far, params.p, q)
+    kern = compute_kernel(params.p, q, grid, extend_to=2e4, extend_step=PI / 80)
+    _assert_matches_half_step_simpson(kern, params.p, q)
 
 
 def test_node_rounding_does_not_pile_up_over_the_continuation():
-    # with p = 0 and q = -cos(2s)/2, C_loc = (sin 2 start - sin 2t)/4 exactly;
-    # every cell sees the same lobe, so a rounding pattern of the nodes that
-    # repeats from cell to cell would add up over the 6 300 cells (to 2.4e-9)
+    # with p = 0 and q = -cos(2s)/2, z = -C = (sin 2s - sin 2 s0)/4 exactly; every
+    # cell sees the same lobe, so a rounding pattern of the nodes that repeats from
+    # cell to cell would add up over the 6 300 cells (to 2.4e-9)
     q = lambda s: -0.5 * np.cos(2.0 * np.asarray(s))
-    start = 42 * PI
-    far = FarField.build(_zero, q, start, -0.1, extend_to=2e4, extend_step=PI / 80)
-    exact = (math.sin(2.0 * start) - np.sin(2.0 * far.window_u)) / 4.0
-    # p = 0 keeps E = exp(-P_loc) exactly one, so z = x0 - C_loc
-    cells = kernel._Cells.build(_zero, q, start, far.end)[0]
-    e = cells.E(np.arange(len(cells.lo)), kernel._cell_rule().S.T)  # at every cell node
-    assert np.array_equal(e, np.ones_like(e))
-    assert np.max(np.abs(far.window_z - (-0.1 - exact))) <= 1e-10
+    grid = np.linspace(42 * PI, 2e4, 200001)
+    exact = (np.sin(2.0 * grid) - math.sin(2.0 * grid[0])) / 4.0
+    assert np.max(np.abs(compute_z(_zero, q, grid) - exact)) <= 1e-10
 
 
 def test_a_kink_inside_a_cell_is_bisected_and_still_resolved():
@@ -453,10 +453,11 @@ def test_a_kink_inside_a_cell_is_bisected_and_still_resolved():
         return expr(s)
 
     p = parse("1/s^3")
-    far = FarField.build(p, q, start, -0.3, extend_to=400.0, extend_step=PI / 80)
+    kern = compute_kernel(p, q, np.linspace(start, start + PI, 201), extend_to=400.0,
+                          extend_step=PI / 80)
     assert len(calls) > 10                     # the first sample, then bisection rounds
     assert sum(calls[1:]) < calls[0]           # only the kink's cells were resampled
-    _assert_matches_half_step_simpson(far, p, expr)
+    _assert_matches_half_step_simpson(kern, p, expr)
 
 
 def test_a_jump_inside_a_cell_fails_the_self_check_clearly():
@@ -464,41 +465,58 @@ def test_a_jump_inside_a_cell_fails_the_self_check_clearly():
     q = lambda s: np.where(np.asarray(s) < start + 1.3 * PI, 0.1, 0.3)
     message = r"not smooth enough on \[.*\] after 30 bisections"
     with pytest.raises(ValueError, match=message) as err:
-        FarField.build(parse("1/s^3"), q, start, -0.3, extend_to=400.0,
-                       extend_step=PI / 80)
+        compute_kernel(parse("1/s^3"), q, np.linspace(start, start + PI, 201), extend_to=400.0)
     assert "np.float64" not in str(err.value)
+
+
+def test_a_jump_inside_the_grid_is_refused_by_the_self_check():
+    # the cells cover the grid too, so a q with a jump there is refused, not smoothed
+    q = lambda s: np.where(np.asarray(s) < 2 * PI + 1.3 * PI, 0.1, 0.3)
+    grid = np.linspace(2 * PI, 6 * PI, 401)
+    with pytest.raises(ValueError, match=r"p or q is not smooth enough on \[10\.36\d*, 10\.36\d*\] "
+                                         r"after 30 bisections"):
+        compute_kernel(parse("1/s^3"), q, grid, extend_to=0.0)
 
 
 def test_non_finite_coefficients_on_the_continuation_are_rejected():
     q = lambda s: np.where(np.asarray(s) > 100.0, np.nan, 0.5)
-    with pytest.raises(ValueError, match="coefficient q is not finite on the continuation"):
-        FarField.build(parse("1/s^3"), q, 8 * PI, -0.3, extend_to=400.0,
-                       extend_step=PI / 80)
+    with pytest.raises(ValueError, match=r"coefficient q is not finite on \[25\.13\d*, 400\.\d*\]"):
+        compute_kernel(parse("1/s^3"), q, np.linspace(8 * PI, 10 * PI, 201), extend_to=400.0)
+
+
+def test_a_damping_refuses_a_p_that_is_not_finite_on_the_grid():
+    grid = np.linspace(2 * PI, 6 * PI, 401)
+    p = lambda s: np.where(np.asarray(s) > 4 * PI, np.inf, 0.0)
+    with pytest.raises(ValueError, match=r"coefficient p is not finite on \[6\.28\d*, 18\.84\d*\]"):
+        compute_kernel(p, _one, grid, extend_to=0.0)
 
 
 def test_a_continuation_must_end_past_its_start():
-    with pytest.raises(ValueError, match="must end past its start"):
-        FarField.build(parse("1/s^3"), _one, 8 * PI, -0.3, extend_to=8 * PI,
-                       extend_step=PI / 80)
+    # extend_to at or before the grid end asks for none: the window is the grid's own
+    grid = np.linspace(8 * PI, 10 * PI, 201)
+    for extend_to in (0.0, 10 * PI):
+        kern = compute_kernel(parse("1/s^3"), _one, grid, extend_to=extend_to)
+        assert kern.h_tail.cutoff == grid[-1] == 10 * PI
+    kern = compute_kernel(parse("1/s^3"), _one, grid, extend_to=math.nextafter(10 * PI, 40.0))
+    assert kern.h_tail.cutoff == 10 * PI + PI / 80
 
 
 def test_a_family_built_short_of_the_continuation_end_is_named_at_its_start():
     from oscillax import build_oscillation
 
     spec = build_oscillation(OscillationParams(m_max=5), extent=300.0)
-    with pytest.raises(ValueError, match=r"continuing z to extend_to = 1000\.0: family is "
+    with pytest.raises(ValueError, match=r"z reaches extend_to = 1000\.0: family is "
                                          r"defined on \[s0, "):
-        FarField.build(parse("1/s^3"), spec.q_callable, 8 * PI, -0.3, extend_to=1000.0,
-                       extend_step=PI / 80)
+        compute_kernel(parse("1/s^3"), spec.q_callable, np.linspace(8 * PI, 10 * PI, 201),
+                       extend_to=1000.0)
 
 
 def test_a_scalar_coefficient_is_broadcast_to_the_nodes():
-    kwargs = {"extend_to": 400.0, "extend_step": PI / 80}
-    a = FarField.build(parse("1/s^3"), lambda s: 0.3, 8 * PI, -0.3, **kwargs)
-    b = FarField.build(parse("1/s^3"), lambda s: np.full(np.shape(s), 0.3), 8 * PI, -0.3,
-                       **kwargs)
-    assert (a.beyond, a.sup) == (b.beyond, b.sup)
-    assert np.array_equal(a.window_z, b.window_z)
+    grid = np.linspace(8 * PI, 10 * PI, 201)
+    a = compute_kernel(parse("1/s^3"), lambda s: 0.3, grid, extend_to=400.0)
+    b = compute_kernel(parse("1/s^3"), lambda s: np.full(np.shape(s), 0.3), grid, extend_to=400.0)
+    assert (a.h_tail, a.z_sup_observed) == (b.h_tail, b.z_sup_observed)
+    assert np.array_equal(a.z_values, b.z_values) and np.array_equal(a.h_values, b.h_values)
 
 
 def test_import_and_a_pipeline_run_load_no_scipy(package_env, tmp_path):
@@ -524,46 +542,47 @@ def test_import_and_a_pipeline_run_load_no_scipy(package_env, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the shared damping pass
+# products of the cell rule
 
 
-def test_a_damping_for_another_p_or_grid_is_refused():
-    params = OscillationParams()
-    grid = np.linspace(2 * PI, 6 * PI, 401)
-    damping = Damping.build(params.p, grid)
-    q = lambda s: np.sin(np.asarray(s)) ** 2 - 0.4
-    kwargs = dict(extend_to=0.0, damping=damping)
-    compute_kernel(params.p, q, grid, **kwargs)
-    with pytest.raises(ValueError, match="damping was built for another coefficient p"):
-        compute_kernel(parse("2/s^3"), q, grid, **kwargs)
-    for other in (np.linspace(2 * PI, 6 * PI, 201), np.linspace(2.5 * PI, 6 * PI, 401),
-                  np.linspace(2 * PI, 7 * PI, 401)):
-        with pytest.raises(ValueError, match=r"damping was built for a grid of 401 points") as err:
-            compute_kernel(params.p, q, other, **kwargs)
-        assert "np.float64" not in str(err.value)
-    with pytest.raises(ValueError, match="kernel grids must be uniform and increasing"):
-        compute_kernel(params.p, q, grid[::-1], **kwargs)
+def test_every_product_of_the_cell_rule_goes_through_one_helper():
+    # kernel.py multiplies matrices in _product alone, so its guard bounds them all
+    tree = ast.parse(inspect.getsource(kernel))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_product")
+    inside = {id(node) for node in ast.walk(helper)}
+    products = [node for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Attribute)
+                and node.attr in ("dot", "matmul", "einsum", "inner", "tensordot", "vdot")]
+    assert products and all(id(node) in inside for node in products)
 
 
-@pytest.mark.parametrize("extend_to", [0.0, 2e4], ids=["no-continuation", "continuation"])
-def test_a_kernel_on_a_shared_damping_is_the_standalone_kernel_bitwise(pair, extend_to):
-    grid = np.linspace(2 * PI, 12 * PI, 2001)
-    p = pair.q1.params.p
-    damping = Damping.build(p, grid)
-    for spec in (pair.q1, pair.q2):
-        shared = compute_kernel(p, spec.q_callable, grid, extend_to=extend_to, damping=damping)
-        alone = compute_kernel(p, spec.q_callable, grid, extend_to=extend_to)
-        assert shared.z_values.tobytes() == alone.z_values.tobytes()
-        assert shared.h_values.tobytes() == alone.h_values.tobytes()
-        assert shared.z_sup_observed == alone.z_sup_observed
-        assert shared.h_tail == alone.h_tail
+@pytest.mark.parametrize("shape", ["solve-fine", "stock continuation"])
+def test_no_product_of_the_cell_rule_exceeds_one_blas_thread(pair, monkeypatch, shape):
+    # OpenBLAS runs a product of at most 2^18 multiply-adds on one thread; a larger
+    # one may wake its thread pool, which has taken 16 ms for a 0.2 ms product
+    if shape == "solve-fine":       # 40 pi-cells of 6 400 steps
+        grid, extend_to = np.linspace(2 * PI, 42 * PI, 256001), 0.0
+    else:                           # about 6 364 cells
+        grid, extend_to = equation_grid(2 * PI, 40 * PI), 2e4
+    sizes, matmul = [], np.matmul
+
+    def recording(a, b, out=None):
+        sizes.append(a.shape[0] * a.shape[1] * (b.shape[1] if b.ndim == 2 else 1))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    compute_kernel(pair.q1.params.p, pair.q1.q_callable, grid, extend_to=extend_to)
+    assert len(sizes) > 10 and max(sizes) <= kernel._BLAS_MAX == 2**18
 
 
-def test_a_damping_refuses_a_p_that_is_not_finite_on_the_grid():
-    grid = np.linspace(2 * PI, 6 * PI, 401)
-    p = lambda s: np.where(np.asarray(s) > 4 * PI, np.inf, 0.0)
-    with pytest.raises(ValueError, match="coefficients are not finite on the grid"):
-        Damping.build(p, grid)
+def test_a_blocked_product_is_the_unblocked_one(family):
+    cells = kernel._Cells.build(OscillationParams().p, family.q_callable, 2 * PI, 42 * PI)[0]
+    Q = kernel._antiderivative(np.linspace(-1.0, 1.0, 6401)[:-1])
+    for a, b in ((cells.dz, Q), (Q.T, cells.dz.T), (cells.dz, cells.dz[0])):
+        full = a @ b
+        assert np.max(np.abs(kernel._product(a, b) - full)) <= 1e-15 * np.max(np.abs(full))
 
 
 # ---------------------------------------------------------------------------
