@@ -24,7 +24,7 @@ _EXPORTS = {
         "coeff_dsl": ("CoefficientExpr", "DomainError", "ParseError", "parse"),
         "quadrature": ("IntegralResult", "TailModel", "cumulative_integral",
                        "cumulative_simpson_doubled", "integrate_finite",
-                       "integrate_finite_many", "integrate_tail", "integrate_tail_many"),
+                       "integrate_finite_many", "integrate_tail"),
         "kernel": ("HTail", "KernelPair", "compute_kernel", "compute_z", "ode_residual",
                    "z_ode_oracle"),
         "lemma_check": ("ConclusionsResult", "HypothesesResult", "LemmaReport",

@@ -452,16 +452,14 @@ def _check_damping(p: CoefficientExpr, model: TailModel, m_family: int, m_bare: 
     """Sample p on the kernel grid, where the kernels assume p >= 0, and
     against p.tail past every cutoff at which a run integrates it.
 
-    Those are the cutoffs of the I_m (from 2 m pi, for m up to m_family + 2
-    for a family and its tail_sum_I_bound, and up to m_bare for a bare q;
-    lambda is I_1), and of the first moments (s - a) p of
-    tail_sum_I_bound (a = 2 (m_family + 2) pi) and check_remark (a = s0).
-    Each is derived from its integral's tolerance as integrate_tail_many
-    derives it, so a p that leaves its envelope there is refused here, not
-    in the middle of a run.
+    Each I_m table integrates p to infinity once, from its last lower end: 2 pi
+    (m_family + 2) for a family and 2 pi m_bare for a bare q.  The first moments
+    (s - a) p are those of tail_sum_I_bound (a = 2 pi (m_family + 2)) and
+    check_remark (a = s0).  Each cutoff is derived as integrate_tail derives it,
+    so a p that leaves its envelope there is refused here, not mid-run.
     """
-    top = max(m_family + 2, m_bare)
-    checks = [(p, model, [model.cutoff_for(0.5 * TAIL_TOL, TWO_PI * m) for m in range(1, top + 1)])]
+    checks = [(p, model, [model.cutoff_for(0.5 * TAIL_TOL, TWO_PI * m)
+                          for m in (m_family + 2, m_bare) if m])]
     for a, tol in ((TWO_PI * (m_family + 2), TAIL_TOL), (S0_FIXED, MOMENT_TOL)):
         moment = model.first_moment(a)
         if moment is not None:
@@ -704,7 +702,7 @@ class _Runner:
             "m_max": cfg.oscillation.m_max,
             "c": spec.c,
             "d": spec.d,
-            "tail_integrals": spec.I,
+            "tail_integrals": spec.I[:cfg.oscillation.m_max],
             "features": {
                 "partial_sums": features.partial_sums,
                 "lower_bounds": features.lower_bounds,
@@ -722,7 +720,7 @@ class _Runner:
             m = np.arange(1, cfg.oscillation.m_max + 1, dtype=float)
             write_csv(self.path("family.csv"),
                       ["m", "c", "d", "tail_integral"],
-                      [m, spec.c, spec.d, spec.I])
+                      [m, spec.c, spec.d, spec.I[:len(m)]])
         if self.want("svg"):
             s = np.linspace(spec.nodes[0], min(spec.nodes[-1], spec.nodes[0] + 10 * PI), 2001)
             emit_plot(self.path("family.svg"),

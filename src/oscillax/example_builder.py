@@ -38,7 +38,6 @@ from .quadrature import (
     cumulative_integral,
     integrate_finite_many,
     integrate_tail,
-    integrate_tail_many,
 )
 
 __all__ = [
@@ -57,7 +56,7 @@ __all__ = [
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 S0_FIXED = TWO_PI  # families are anchored at s0 = a_2 = 2*pi
-TAIL_TOL = 1e-12    # quadrature tolerance of lambda, the I_m and the integrals of tail_sum_I_bound
+TAIL_TOL = 1e-12    # tolerance of each I_m table's one tail and of tail_sum_I_bound's moment
 MOMENT_TOL = 1e-10  # quadrature tolerance of lemma_check.check_remark's first moment of p
 ULPS = 4            # rounding a check of a built family allows, in units in the last place
 
@@ -142,17 +141,17 @@ class OscillationSpec(NamedTuple):
 
     ``q_callable`` is the family's one representation: it evaluates q at
     any s in [s0, extent) from ``lobes``, the amplitude table built once to
-    the extent the family was built for.  The table's first m_max periods
-    take the certified I_m; past them, I_m is the last certified one less
-    a cumulative integral of p from 2 m_max pi.  ``c``, ``d`` and ``I``
-    hold the certified periods only, and lambda is I_1, since s0 = 2 pi.
+    the extent the family was built for.  Its first m_max + 2 periods take
+    the certified I_m, ``I``; past them, I_m is the last certified one less
+    a cumulative integral of p.  ``c`` and ``d`` hold the m_max checked
+    periods, and lambda is I_1, since s0 = 2 pi.
     """
 
     params: OscillationParams
     nodes: np.ndarray          # a_2 .. a_{2 m_max + 2}
     c: np.ndarray              # positive-lobe amplitudes, index m = 1 .. m_max
     d: np.ndarray              # negative-lobe amplitudes
-    I: np.ndarray              # certified I_m = integral_{2m pi}^inf p
+    I: np.ndarray              # certified I_m = integral_{2m pi}^inf p, m = 1 .. m_max + 2
     I_error: np.ndarray
     lam: float
     lam_error: float
@@ -195,22 +194,23 @@ class OscillationSpec(NamedTuple):
             sum_{m >= M+2} I_m <= integral_T^inf p + (1/A) integral_T^inf (s - T) p,
 
         with T = a_{2(M+2)} and A = 2 pi the period length, so the bound
-        is I_{M+1} plus that right-hand side.  Needs the first moment of p
-        to be certifiable (power tail with rate > 2, or an exponential
-        tail); returns None otherwise.
+        is I_{M+1} plus that right-hand side.  I_{M+1} and I_{M+2}, with
+        their errors, come from the certified table, so M may not exceed
+        m_max; the moment is the one integral of its own.  Needs the first
+        moment of p to be certifiable (power tail with rate > 2, or an
+        exponential tail); returns None otherwise.
         """
-        tail = self.params.p_tail
+        if not 0 <= M <= self.params.m_max:
+            raise ValueError(f"M must lie in [0, m_max] = [0, {self.params.m_max}], got {M!r}")
         T = 2.0 * (M + 2) * PI
-        moment_model = tail.first_moment(T)
+        moment_model = self.params.p_tail.first_moment(T)
         if moment_model is None:
             return None
         p = self.params.p
-        I_next = integrate_tail(p, 2.0 * (M + 1) * PI, tail, tol=TAIL_TOL)
-        I_after = integrate_tail(p, T, tail, tol=TAIL_TOL)
         moment = integrate_tail(lambda s: (np.asarray(s) - T) * np.asarray(p(s)),
                                 T, moment_model, tol=TAIL_TOL)
-        envelope = (I_next.value + I_next.abs_error_estimate
-                    + I_after.value + I_after.abs_error_estimate
+        (I_next, I_after), (err_next, err_after) = self.I[M:M + 2], self.I_error[M:M + 2]
+        envelope = (I_next + err_next + I_after + err_after
                     + (moment.value + moment.abs_error_estimate) / TWO_PI)
         return float(envelope)
 
@@ -224,17 +224,29 @@ class OscillationSpec(NamedTuple):
 
 
 def _damping_integrals(p: Callable, p_tail: TailModel, los) -> tuple[np.ndarray, np.ndarray]:
-    """The certified integrals of p over [lo, infinity) for every lo, and their errors."""
-    results = integrate_tail_many(p, los, p_tail, tol=TAIL_TOL)
-    return (np.array([res.value for res in results]),
-            np.array([res.abs_error_estimate for res in results]))
+    """The integrals of p over [lo, infinity) for each lo of the increasing ``los``,
+    and their certified errors.
+
+    One tail from the last lo at TAIL_TOL, plus the suffix sums of one batch of the
+    pieces [los[k], los[k+1]].  The pieces share half of what the tail's finite part
+    leaves of TAIL_TOL; the sums' rounding, at most u times the sum of the partial sums
+    (Higham, Accuracy and Stability, 4.2), is counted twice over in the other half.  So
+    no error exceeds a finite part within TAIL_TOL plus the tail's bound.
+    """
+    tail = integrate_tail(p, float(los[-1]), p_tail, tol=TAIL_TOL)
+    share = (TAIL_TOL - (tail.abs_error_estimate - tail.tail_bound)) / (2 * len(los))
+    parts = [tail, *integrate_finite_many(p, list(zip(los[:-1], los[1:])), tol=share)[::-1]]
+    values = np.cumsum([part.value for part in parts])  # from the last lo back to the first
+    errors = np.cumsum([part.abs_error_estimate for part in parts])
+    errors[1:] += np.finfo(float).eps * np.cumsum(np.abs(values[1:]))
+    return values[::-1], errors[::-1]
 
 
 def _assemble(params: OscillationParams, rule: _AmplitudeRule,
               integrals: tuple[np.ndarray, np.ndarray], extent: float) -> OscillationSpec:
     params.validate()
 
-    I, I_err = integrals  # I_m, m = 1 .. m_max; s0 = 2 pi, so lambda is I_1
+    I, I_err = integrals  # I_m, m = 1 .. m_max + 2; s0 = 2 pi, so lambda is I_1
     lam = float(I[0])
     if not lam < 1.0:
         raise ValueError(
@@ -243,16 +255,17 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule,
 
     # the family is read below 2 pi (floor(extent / 2 pi) + 2), over a period past the
     # extent asked for; the table's last period starts there, so that an s below it
-    # that rounds up still finds its lobe, and it holds at least the lobe after the
-    # certified ones.  Past those, I_m = I_{m_max} - integral_{2 m_max pi}^{2m pi} p, a
-    # Simpson integral on 8 cells per pi anchored at the last certified I_m, so each
-    # carries only that I_m's error and the Simpson error past it (5.0e-13 in all for
-    # p = 1/s^3 up to m = 3 300); node k does not depend on the grid's length, so no
-    # I_m depends on the extent
-    periods = max(params.m_max + 2, int(extent // TWO_PI) + 2)
-    P = cumulative_integral(params.p, TWO_PI * params.m_max
-                            + (PI / 8) * np.arange(16 * (periods - params.m_max) + 1))
-    I_table = np.concatenate((I, I[-1] - P[16::16]))  # at 2 m pi, m = 1 .. periods
+    # that rounds up still finds its lobe, and it holds at least the certified periods.
+    # Past those, I_m = I_{m_max+2} - integral_{2 (m_max+2) pi}^{2m pi} p, a Simpson
+    # integral on 8 cells per pi anchored at the last certified I_m, so each carries
+    # only that I_m's error and the Simpson error past it (5.0e-13 in all for p = 1/s^3
+    # up to m = 3 300); node k does not depend on the grid's length, so no I_m depends
+    # on the extent
+    periods = max(len(I), int(extent // TWO_PI) + 2)
+    past = 16 * (periods - len(I))
+    P = (cumulative_integral(params.p, TWO_PI * len(I) + (PI / 8) * np.arange(past + 1))[16::16]
+         if past else np.empty(0))
+    I_table = np.concatenate((I, I[-1] - P))  # at 2 m pi, m = 1 .. periods
     m_table = np.arange(1, periods + 1, dtype=float)
     c_table, d_table = rule.amplitudes(I_table, m_table)
     lobes = np.empty(2 * periods)
@@ -271,8 +284,8 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule,
             f"negative-lobe amplitude d_{m_bad} = {float(d[m_bad - 1])!r} leaves the band "
             f"[{d_lo!r}, {d_hi!r}]; the gap parameters are too large for the bands"
         )
-    c_lo = d + params.gamma * (params.q_plus / PI) * I + params.eta * geo
-    c_hi = d + params.sigma * (params.q_plus / PI) * I + params.theta * geo
+    c_lo = d + params.gamma * (params.q_plus / PI) * I[:params.m_max] + params.eta * geo
+    c_hi = d + params.sigma * (params.q_plus / PI) * I[:params.m_max] + params.theta * geo
     outside = (c < c_lo - _ulps(c_lo)) | (c > c_hi + _ulps(c_hi))
     if np.any(outside):
         m_bad = int(np.argmax(outside)) + 1
@@ -345,7 +358,7 @@ def build_oscillation(params: OscillationParams = OscillationParams(),
         d0=d0, dI=0.0, dg=0.0,
         c0=d0, cI=params.gamma * params.q_plus / PI, cg=params.eta,
     )
-    los = TWO_PI * np.arange(1, params.m_max + 1)
+    los = TWO_PI * np.arange(1, params.m_max + 3)
     return _assemble(params, rule, _damping_integrals(params.p, params.p_tail, los), extent)
 
 
@@ -444,7 +457,7 @@ def build_pair(params: Optional[PairParams] = None, *,
     # the members share p, so the I_m are integrated once for both
     params1, params2 = _member_params(pp, pp.set1), _member_params(pp, pp.set2)
     if family is None:
-        integrals = _damping_integrals(pp.p, pp.p_tail, TWO_PI * np.arange(1, pp.m_max + 1))
+        integrals = _damping_integrals(pp.p, pp.p_tail, TWO_PI * np.arange(1, pp.m_max + 3))
     else:
         fp = family.params
         if not (fp.p == pp.p and fp.p_tail == pp.p_tail and fp.m_max == pp.m_max):
@@ -482,7 +495,7 @@ def build_pair(params: Optional[PairParams] = None, *,
     # margins free of cancellation noise.  Band membership of the built
     # amplitudes is checked independently inside the assembly, and
     # verify_pair re-checks the ordering pointwise on a grid.
-    I = spec1.I
+    I = spec1.I[:pp.m_max]
     m_arr = np.arange(1, pp.m_max + 1, dtype=float)
     geo = np.power(2.0, 1.0 - m_arr) / PI
     qp = pp.q_plus / PI

@@ -211,7 +211,8 @@ def check_hypotheses(
     ``family`` is the built family of p whose lobes ``nodes`` lists: it
     supplies the I_m, integrated once when it was built, and certified
     beyond-range coefficients (surplus_tail_bound / future_pos_lobe_bound).
-    A bare q integrates the I_m here in one batch and reports the
+    A bare q integrates the I_m here, one tail plus the pieces between its
+    lower ends (see ``_damping_integrals``), and reports the
     beyond-range sums as not certified rather than guessed.  Either way
     lambda, the integral of p from nodes[0], is I_1 with its error.
     The sign pattern of every lobe comes from one call of q on all the
@@ -228,7 +229,7 @@ def check_hypotheses(
         if not (family.params.p == p and family.params.p_tail == p_tail
                 and np.array_equal(family.nodes, nodes)):
             raise ValueError("the family was built for another p, p_tail or breakpoint range")
-        I, I_err = family.I, family.I_error
+        I, I_err = family.I[:M], family.I_error[:M]
     lam, lam_error = float(I[0]), float(I_err[0])
     lam_ok = bool(lam + lam_error < 1.0)
 
@@ -348,8 +349,8 @@ def check_remark(
     A * sum_{m >= 2} I_m <= integral (s - s0) p, with A the minimal period
     length.  With a surplus budget eps and negative lobes of size at least
     q_minus, the same sum must stay below eps / q_minus.  ``I_values`` are
-    the I_m of :func:`check_hypotheses`; without them the I_m, m >= 2, are
-    integrated here in one batch.
+    the I_m of :func:`check_hypotheses`; without them they are integrated
+    here as a bare q's are there.
     """
     nodes = np.asarray(nodes, dtype=float)
     M = _lobe_bounds(nodes)
@@ -358,9 +359,8 @@ def check_remark(
     spacing = float(np.min(np.diff(even)))
 
     if I_values is None:
-        I_values = _damping_integrals(p, p_tail, even[1:M])[0]
-    else:
-        I_values = np.asarray(I_values, dtype=float)[1:M]
+        I_values = _damping_integrals(p, p_tail, even[:M])[0]
+    I_values = np.asarray(I_values, dtype=float)[1:M]
     sum_I = float(np.sum(I_values))
     sum_bound = None if sum_I_tail is None else sum_I + float(sum_I_tail)
 

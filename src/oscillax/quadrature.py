@@ -7,13 +7,12 @@ supplied by a :class:`TailModel`; the model is spot-checked against samples
 of the integrand beyond the cutoff, so a wrong decay claim fails loudly
 rather than silently biasing the result.
 
-Integrals of one integrand over many intervals (or from many lower ends)
-run in lockstep: every interval keeps its own adaptive loop, but each
-refinement round makes a single integrand call on the nodes of all panels
-that round creates, so a batch of a few hundred small integrals costs tens
-of calls instead of thousands.  The one-interval functions are the batch
-functions on a batch of one, and a batched result is bit for bit the one
-the interval gets alone.
+Integrals of one integrand over many intervals run in lockstep: every
+interval keeps its own adaptive loop, but each refinement round makes a
+single integrand call on the nodes of all panels that round creates, so a
+batch of a few hundred small integrals costs tens of calls instead of
+thousands.  The one-interval function is the batch function on a batch of
+one, and a batched result is bit for bit the one the interval gets alone.
 
 Every result carries the value, an a-posteriori error estimate, the tail
 bound that was added to that estimate, and the evaluation count.
@@ -34,7 +33,6 @@ __all__ = [
     "integrate_finite",
     "integrate_finite_many",
     "integrate_tail",
-    "integrate_tail_many",
     "cumulative_integral",
     "cumulative_simpson_doubled",
     "equation_grid",
@@ -387,41 +385,6 @@ def check_envelope(f: Callable, model: TailModel, cutoffs: Sequence[float]) -> i
     return len(_TAIL_SPOTS)
 
 
-def integrate_tail_many(
-    f: Callable,
-    los: Sequence[float],
-    model: TailModel,
-    tol: float = 1e-8,
-    *,
-    seeds: Optional[Sequence[float]] = None,
-    limit: int = 4000,
-) -> list[IntegralResult]:
-    """Integrals of f over [lo, infinity) for every lo, each a finite part + certified tail.
-
-    Each cutoff is derived per lo so that the tail bound is at most tol/2
-    (see :meth:`TailModel.cutoff_for`).  For power and exp models the
-    integrand must stay within the claimed envelope beyond every cutoff (see
-    :func:`check_envelope`).  The finite parts run in lockstep through
-    :func:`integrate_finite_many`.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    cutoffs = [model.cutoff_for(0.5 * tol, lo) for lo in los]
-    bounds = [model.tail_bound(cutoff) for cutoff in cutoffs]
-
-    spot_evals = check_envelope(f, model, cutoffs)
-    finite = integrate_finite_many(f, list(zip(los, cutoffs)), tol, seeds=seeds, limit=limit)
-    return [
-        IntegralResult(
-            value=part.value,
-            abs_error_estimate=part.abs_error_estimate + bound,
-            tail_bound=bound,
-            evaluations=part.evaluations + spot_evals,
-        )
-        for part, bound in zip(finite, bounds)
-    ]
-
-
 def integrate_tail(
     f: Callable,
     lo: float,
@@ -431,8 +394,25 @@ def integrate_tail(
     seeds: Optional[Sequence[float]] = None,
     limit: int = 4000,
 ) -> IntegralResult:
-    """Integral of f over [lo, infinity): :func:`integrate_tail_many` on one lower end."""
-    return integrate_tail_many(f, [lo], model, tol, seeds=seeds, limit=limit)[0]
+    """Integral of f over [lo, infinity): an adaptive finite part plus a certified tail.
+
+    The cutoff is derived so that the tail bound is at most tol/2 (see
+    :meth:`TailModel.cutoff_for`).  For power and exp models the integrand
+    must stay within the claimed envelope beyond it (see
+    :func:`check_envelope`).
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    cutoff = model.cutoff_for(0.5 * tol, lo)
+    bound = model.tail_bound(cutoff)
+    spot_evals = check_envelope(f, model, [cutoff])
+    part = integrate_finite(f, lo, cutoff, tol, seeds=seeds, limit=limit)
+    return IntegralResult(
+        value=part.value,
+        abs_error_estimate=part.abs_error_estimate + bound,
+        tail_bound=bound,
+        evaluations=part.evaluations + spot_evals,
+    )
 
 
 def uniform_step(grid: np.ndarray, message: str) -> float:

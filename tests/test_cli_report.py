@@ -846,8 +846,8 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
                                                                      monkeypatch):
     from oscillax import cli_report, example_builder, kernel, lemma_check, parse, pde_bridge
 
-    p, s0 = parse("1/s^3"), 2 * math.pi
-    counts = {"compute_kernel": 0, "_Cells.build": 0, "lambda": 0, "I batch": 0,
+    p = parse("1/s^3")
+    counts = {"compute_kernel": 0, "_Cells.build": 0, "tails of p": 0,
               "tail_sum_I_bound": 0, "table": 0}
 
     def of_p(f):
@@ -857,18 +857,15 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
         def wrapper(*args, **kwargs):
             if name == "compute_kernel":
                 counts[name] += 1
-            elif name == "integrate_tail" and of_p(args[0]) and args[1] == s0:
-                counts["lambda"] += 1
-            elif name == "integrate_tail_many" and of_p(args[0]) and len(args[1]) > 1:
-                counts["I batch"] += 1
+            elif name == "integrate_tail" and of_p(args[0]):
+                counts["tails of p"] += 1
             elif name == "cumulative_integral":
                 counts["table"] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     for module in (cli_report, example_builder, kernel, lemma_check, pde_bridge):
-        for name in ("compute_kernel", "integrate_tail", "integrate_tail_many",
-                     "cumulative_integral"):
+        for name in ("compute_kernel", "integrate_tail", "cumulative_integral"):
             if name in vars(module):
                 monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
     spec = example_builder.OscillationSpec
@@ -892,10 +889,10 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
     # the lemma's family kernel, on the pi/400 equation grid, serves the kernel stage,
     # which checks the kernel equation on it; the bridge's barrier pair (two kernels), on
     # that grid too, which is the stock solver grid, serves the solve; each kernel
-    # builds its own cells once; the family integrates its I_m once, lambda is I_1 of them,
-    # and lemma_check and the pair reuse them; the family and the two pair members each
-    # build their amplitude table once
-    assert counts == {"compute_kernel": 3, "_Cells.build": 3, "lambda": 0, "I batch": 1,
+    # builds its own cells once; the family's I_m table integrates p to infinity once,
+    # lambda is I_1 of it, and lemma_check, tail_sum_I_bound and the pair read it; the
+    # family and the two pair members each build their amplitude table once
+    assert counts == {"compute_kernel": 3, "_Cells.build": 3, "tails of p": 1,
                       "tail_sum_I_bound": 1, "table": 3}
 
 
@@ -1080,13 +1077,14 @@ def test_full_pipeline_integrates_the_damping_once(tmp_path, capsys, monkeypatch
     cfg = _write_config(tmp_path)
     assert main(["full-pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    # the family's I_m, lambda among them, serve the lemma and the pair too
-    assert calls == [25]
+    # the family's I_m to m_max + 2, lambda among them, serve the lemma, its
+    # tail_sum_I_bound and the pair too
+    assert calls == [27]
     # a lone build-pair has no family to borrow from, so it integrates them
     calls.clear()
     assert main(["build-pair", "--config", str(cfg), "--out", str(tmp_path / "pair")]) == 0
     capsys.readouterr()
-    assert calls == [25]
+    assert calls == [27]
 
 
 @pytest.mark.parametrize("mode, patch, code", [
@@ -1095,7 +1093,7 @@ def test_full_pipeline_integrates_the_damping_once(tmp_path, capsys, monkeypatch
 ])
 def test_the_config_samples_p_past_every_cutoff_the_run_integrates_it_past(
         tmp_path, capsys, monkeypatch, mode, patch, code):
-    # load_config derives the cutoffs by hand, as integrate_tail_many will; a cutoff
+    # load_config derives the cutoffs by hand, as integrate_tail will; a cutoff
     # the run reaches that the config did not sample would let a p that leaves its
     # envelope there fail in the middle of a run
     from oscillax import cli_report, quadrature
@@ -1115,6 +1113,27 @@ def test_the_config_samples_p_past_every_cutoff_the_run_integrates_it_past(
     rc = main([mode, "--config", str(cfg), "--out", str(tmp_path / "out"), "--formats", "json"])
     assert rc == code, capsys.readouterr().out
     assert seen["run"] and seen["run"] <= seen["config"]
+
+
+def test_the_config_samples_p_past_as_many_cutoffs_whatever_m_max(monkeypatch):
+    # each I_m table integrates p to infinity once, from its last lower end, so the load
+    # samples p past one cutoff per tail however many periods the family certifies
+    from oscillax import cli_report
+
+    check, handed = cli_report.check_envelope, []
+
+    def recording(f, model, cutoffs):
+        handed.append([float(cutoff) for cutoff in cutoffs])
+        return check(f, model, cutoffs)
+
+    monkeypatch.setattr(cli_report, "check_envelope", recording)
+    counts = []
+    for m_max in (25, 10**5):
+        handed.clear()
+        load_config({"oscillation": {"m_max": m_max}})
+        counts.append([len(cutoffs) for cutoffs in handed])
+    # p's tail, and the first moments of tail_sum_I_bound and check_remark
+    assert counts[0] == counts[1] == [1, 1, 1]
 
 
 def test_verify_lemma_report_carries_every_check(tmp_path, capsys):

@@ -63,7 +63,7 @@ def test_negative_amplitude_is_the_band_midpoint(family):
 def test_positive_amplitude_follows_the_floor_rule(family):
     params = OscillationParams()
     geo = 2.0 ** (1.0 - np.arange(1, params.m_max + 1)) / PI
-    expect = family.d + params.gamma * (params.q_plus / PI) * family.I \
+    expect = family.d + params.gamma * (params.q_plus / PI) * family.I[:params.m_max] \
         + params.eta * geo
     assert np.max(np.abs(family.c - expect)) <= 1e-14
 
@@ -78,6 +78,27 @@ def test_tail_integrals_match_the_closed_form(family):
     m = np.arange(1, len(family.I) + 1)
     exact = 1.0 / (8.0 * PI**2 * m**2)
     assert np.max(np.abs(family.I - exact)) <= np.max(family.I_error) + 1e-12
+
+
+def test_every_certified_I_m_holds_its_closed_form_within_its_error():
+    # the table is one tail from 2 (m_max + 2) pi plus the pieces between the lower
+    # ends; each I_m, the two past m_max included, carries its own certified error
+    wide = build_oscillation(OscillationParams(m_max=200))
+    m = np.arange(1, 203)
+    assert len(wide.I) == len(wide.I_error) == 202
+    assert np.all(np.abs(wide.I - 1.0 / (8.0 * PI**2 * m**2)) <= wide.I_error)
+    # a tail integral's own allowance: a finite part within TAIL_TOL plus its bound 5e-13
+    assert np.all(wide.I_error <= 1e-12 + 5e-13)
+
+    base = OscillationParams()
+    damped = build_oscillation(base._replace(p=parse("exp(-s)"),
+                                             p_tail=TailModel("exp", 1.0, 1.0)))
+    exact = np.exp(-2.0 * PI * np.arange(1, base.m_max + 3))
+    assert np.all(np.abs(damped.I - exact) <= damped.I_error)
+    # every I_m with a piece behind it is positive; I_{m_max+2} is the tail alone, whose
+    # lower end lies past the exp cutoff (28.3), so it is 0 with its bound as its error
+    assert np.all(damped.I[:-1] > 0.0)
+    assert damped.I[-1] == 0.0 and damped.I_error[-1] == pytest.approx(exact[-1], rel=1e-14)
 
 
 def test_lobe_integral_identity(family):
@@ -205,7 +226,7 @@ def test_lambda_is_the_first_entry_of_the_one_batch(family, pair):
     hyp = check_hypotheses(params.p, family.q_callable, family.nodes, p_tail=params.p_tail)
     assert hyp.I is not family.I
     assert hyp.lam == hyp.I[0] and hyp.lam_error == hyp.I_error[0]
-    assert hyp.lam == family.lam == 0.01266514795479222
+    assert hyp.lam == family.lam == 0.012665147954792223
 
 
 def test_a_family_that_is_not_smooth_at_a_join_is_refused(monkeypatch):
@@ -254,8 +275,6 @@ def _tail_sum_I_bound_reference(spec, M):
 
     tail, pe = spec.params.p_tail, spec.params.p
     T = 2.0 * (M + 2) * PI
-    I_next = integrate_tail(pe, 2.0 * (M + 1) * PI, tail, tol=1e-12)
-    I_after = integrate_tail(pe, T, tail, tol=1e-12)
     if tail.kind == "power":
         moment_model = TailModel(kind="power", rate=tail.rate - 1.0, coef=tail.coef)
     else:
@@ -264,8 +283,7 @@ def _tail_sum_I_bound_reference(spec, M):
                                  * (S - T + 1.0 / tail.rate) / tail.rate)
     moment = integrate_tail(lambda s: (np.asarray(s) - T) * np.asarray(pe(s)),
                             T, moment_model, tol=1e-12)
-    return float(I_next.value + I_next.abs_error_estimate
-                 + I_after.value + I_after.abs_error_estimate
+    return float(spec.I[M] + spec.I_error[M] + spec.I[M + 1] + spec.I_error[M + 1]
                  + (moment.value + moment.abs_error_estimate) / (2.0 * PI))
 
 
@@ -280,8 +298,12 @@ def test_tail_sum_bound_through_the_shared_moment_model_is_unchanged(p, tail):
     spec = build_oscillation(OscillationParams(
         q_minus=base.q_minus, q_plus=base.q_plus, gamma=base.gamma, sigma=base.sigma,
         eta=base.eta, theta=base.theta, p=parse(p), p_tail=tail, m_max=6))
-    for M in (4, 6, 30):
+    for M in (0, 4, 6):
         assert spec.tail_sum_I_bound(M) == _tail_sum_I_bound_reference(spec, M)
+    # I_{M+1} and I_{M+2} come from the certified table, which ends at m_max + 2
+    for M in (-1, 7, 30):
+        with pytest.raises(ValueError, match=r"M must lie in \[0, m_max\] = \[0, 6\]"):
+            spec.tail_sum_I_bound(M)
 
 
 def test_tail_sum_bound_needs_a_fast_enough_rate():
@@ -326,7 +348,7 @@ def test_pair_chain_margins_closed_form(pair):
     # with the stock bands the amplitude gaps are
     #   c2 - c1 = 1.5 (2/pi) I_m + 1.5 * 2^(1-m)/pi
     #   d1 - d2 = 0.5 (2/pi) I_m + 0.5 * 2^(1-m)/pi
-    I = pair.q1.I
+    I = pair.q1.I[:len(pair.q1.c)]
     geo = 2.0 ** (1.0 - np.arange(1, len(I) + 1)) / PI
     expect_c = 1.5 * (2.0 / PI) * I + 1.5 * geo
     expect_d = 0.5 * (2.0 / PI) * I + 0.5 * geo
@@ -415,8 +437,9 @@ def test_random_admissible_families_stay_in_band(gamma, dsig, eta, dth,
     spec = build_oscillation(p)
     # lobes alternate and respect the band by construction
     geo = 2.0 ** (1.0 - np.arange(1, 5)) / PI
-    lo = spec.d + gamma * (p.q_plus / PI) * spec.I + eta * geo
-    hi = spec.d + (gamma + dsig) * (p.q_plus / PI) * spec.I + (eta + dth) * geo
+    I = spec.I[:4]
+    lo = spec.d + gamma * (p.q_plus / PI) * I + eta * geo
+    hi = spec.d + (gamma + dsig) * (p.q_plus / PI) * I + (eta + dth) * geo
     assert np.all(spec.c >= lo - 1e-12)
     assert np.all(spec.c <= hi + 1e-12)
     assert np.all((2.0 / PI) * q_minus - 1e-12 <= spec.d)

@@ -101,7 +101,9 @@ def test_a_family_of_another_p_or_other_nodes_is_refused(family):
     params = OscillationParams()
     call = dict(p_tail=params.p_tail, family=family)
     hyp = check_hypotheses(params.p, family.q_callable, family.nodes, **call)
-    assert hyp.I is family.I and hyp.lam == family.lam
+    # the checked periods' I_m are read from the family's table, not integrated again
+    assert np.shares_memory(hyp.I, family.I) and np.array_equal(hyp.I, family.I[:25])
+    assert hyp.lam == family.lam
     with pytest.raises(ValueError, match="another p, p_tail or breakpoint range"):
         check_hypotheses(parse("2/s^3"), family.q_callable, family.nodes, **call)
     with pytest.raises(ValueError, match="another p, p_tail or breakpoint range"):

@@ -12,9 +12,10 @@ from oscillax import (
     integrate_finite,
     integrate_finite_many,
     integrate_tail,
-    integrate_tail_many,
     parse,
 )
+from oscillax.example_builder import _damping_integrals
+from oscillax.quadrature import check_envelope
 
 PI = math.pi
 
@@ -263,31 +264,45 @@ _TAIL_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_TAIL_CASES))
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
-def test_tail_batch_equals_one_tail_calls_bit_for_bit(case, tol):
+def test_tail_is_its_finite_part_plus_the_tail_bound_bit_for_bit(case, tol):
     f, model = _TAIL_CASES[case]
-    los = [2 * PI, 3.0, 2 * PI * 7, 40.0, 3.0]
-    batch = integrate_tail_many(f, los, model, tol, seeds=[5.0, 41.0])
-    alone = [integrate_tail(f, lo, model, tol, seeds=[5.0, 41.0]) for lo in los]
-    assert [_bits(r) for r in batch] == [_bits(r) for r in alone]
+    samples = 0 if model.kind == "user" else 5
+    for lo in [2 * PI, 3.0, 2 * PI * 7, 40.0]:
+        cutoff = model.cutoff_for(0.5 * tol, lo)
+        part = integrate_finite(f, lo, cutoff, tol, seeds=[5.0, 41.0])
+        bound = model.tail_bound(cutoff)
+        assert bound <= 0.5 * tol
+        assert _bits(integrate_tail(f, lo, model, tol, seeds=[5.0, 41.0])) == (
+            part.value, part.abs_error_estimate + bound, bound, part.evaluations + samples)
 
 
 def test_tail_batch_spot_checks_each_distinct_cutoff_once():
     f, calls = _counting(parse("1/s^3"))
     model = TailModel("power", 3.0, 1.0)
-    results = integrate_tail_many(f, [2 * PI, 4 * PI, 6 * PI], model, 1e-10)
-    assert calls[0] == 5  # one shared cutoff (1e5), five envelope samples
-    # every result still accounts for its own five samples
-    assert all(r.evaluations == integrate_tail(f, lo, model, 1e-10).evaluations
-               for r, lo in zip(results, [2 * PI, 4 * PI, 6 * PI]))
+    los = [2 * PI, 4 * PI, 6 * PI]
+    assert check_envelope(f, model, [model.cutoff_for(0.5e-10, lo) for lo in los]) == 5
+    assert calls == [5]  # one shared cutoff (1e5), five envelope samples
+    # every tail still accounts for its own five samples
+    for lo in los:
+        calls.clear()
+        res = integrate_tail(f, lo, model, 1e-10)
+        assert calls[0] == 5 and res.evaluations == sum(calls)
 
 
 def test_lemma_wide_tails_take_few_integrand_calls():
+    # the I_m of 200 periods: p is integrated to infinity once, from the last lower end,
+    # and the 199 pieces between the lower ends run in lockstep
     f, calls = _counting(parse("1/s^3"))
+    model = TailModel("power", 3.0, 1.0)
     los = [2.0 * m * PI for m in range(1, 201)]
-    results = integrate_tail_many(f, los, TailModel("power", 3.0, 1.0), tol=1e-12)
-    assert len(calls) <= 40
-    # one call per panel, as each tail alone would make, is over a hundred times more
-    assert sum(r.evaluations - 5 for r in results) // 15 > 100 * len(calls)
+    tail = integrate_tail(f, los[-1], model, tol=1e-12)
+    tail_calls = len(calls)
+    calls.clear()
+    _damping_integrals(f, model, los)
+    assert len(calls) <= tail_calls + 4 <= 40
+    # the pieces take two panels each at most, where a tail from every lower end took
+    # tens of panels each
+    assert sum(calls) <= tail.evaluations + 15 * 2 * 199
 
 
 def test_seeded_panels_do_not_use_up_the_subdivision_limit():
@@ -303,9 +318,9 @@ def test_seeded_panels_do_not_use_up_the_subdivision_limit():
 
 def test_batch_keeps_the_one_interval_error_messages():
     with pytest.raises(ValueError, match="tail model violated"):
-        integrate_tail_many(parse("1/s"), [2 * PI], TailModel("power", 3.0, 1.0), 1e-8)
+        integrate_tail(parse("1/s"), 2 * PI, TailModel("power", 3.0, 1.0), 1e-8)
     with pytest.raises(ValueError, match="tail model violated"):
-        integrate_tail_many(parse("1/s"), [3 * PI, 2 * PI], TailModel("power", 3.0, 1.0), 1e-8)
+        _damping_integrals(parse("1/s"), TailModel("power", 3.0, 1.0), [2 * PI, 3 * PI])
 
     kink = lambda s: np.abs(np.asarray(s) - 1.0 / 3.0)
     message = r"subdivision limit 4 reached with error estimate .* > tol 1\.000e-15"
@@ -322,8 +337,8 @@ def test_batch_keeps_the_one_interval_error_messages():
     with pytest.raises(ValueError, match=message):
         integrate_finite_many(pole, [(2.0, 3.0), (0.0, 1.0)])
     with pytest.raises(ValueError, match="integrand is not finite beyond the cutoff"):
-        integrate_tail_many(lambda s: np.where(np.asarray(s) > 1e5, np.nan, 1.0 / np.asarray(s) ** 3),
-                            [2 * PI, 4 * PI], TailModel("power", 3.0, 1.0), 1e-12)
+        _damping_integrals(lambda s: np.where(np.asarray(s) > 1e5, np.nan, 1.0 / np.asarray(s) ** 3),
+                           TailModel("power", 3.0, 1.0), [2 * PI, 4 * PI])
     with pytest.raises(ValueError, match="finite endpoints"):
         integrate_finite_many(parse("s"), [(0.0, 1.0), (0.0, math.inf)])
 
