@@ -53,8 +53,8 @@ print(f"discrete residual of the fixed point: {solution.residual_sup:.3e}")
 
 sandwich = check_sandwich(solution, barrier)
 print(f"sandwich holds: {sandwich['ok']} "
-      f"(margins {solution.sandwich_margins[0]:.2e}, "
-      f"{solution.sandwich_margins[1]:.2e})")
+      f"(margins {sandwich['lower_margin']:.2e}, "
+      f"{sandwich['upper_margin']:.2e})")
 
 # ----------------------------------------------------------------------
 # decay: fit log u against log r on an interior window, away from the

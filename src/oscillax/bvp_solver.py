@@ -61,7 +61,8 @@ SHIFT_SAFETY = 1.5    # factor on the worst sampled negative slope
 
 
 class BvpSolution(NamedTuple):
-    """Converged iterate with its convergence and sandwich accounting.
+    """Converged iterate with its convergence accounting (:func:`check_sandwich` gives
+    its sandwich margins).
 
     ``u_values`` holds the arc-side profile H (the radial solution is
     u(r) = H(s)/s at r = beta(s)); ``iteration_sup_deltas`` the sup norm of
@@ -75,7 +76,6 @@ class BvpSolution(NamedTuple):
     u_values: np.ndarray
     iterations: int
     iteration_sup_deltas: tuple
-    sandwich_margins: tuple          # (min (H - h1)/s, min (h2 - H)/s)
     decay_exponent: Optional[float]
     K_used: float
     residual_sup: float
@@ -263,8 +263,6 @@ def solve_radial(
         u_values=H,
         iterations=len(deltas),
         iteration_sup_deltas=tuple(deltas),
-        sandwich_margins=(float(np.min((H - barrier.h1) / g)),
-                          float(np.min((barrier.h2 - H) / g))),
         decay_exponent=None,
         K_used=K_used,
         residual_sup=float(np.max(np.abs(full_residual[1:-1]))),

@@ -120,39 +120,31 @@ class _AmplitudeRule(NamedTuple):
     cI: float
     cg: float
 
-    def amplitudes(self, I: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        geo = np.power(2.0, 1.0 - m) / PI
+    def amplitudes(self, I: np.ndarray, geo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """c_m and d_m, given I_m and geo = 2^(1-m)/pi."""
         d = self.d0 + self.dI * I + self.dg * geo
         c = self.c0 + self.cI * I + self.cg * geo
         return c, d
 
-    @property
-    def slack_I_coef(self) -> float:
-        """(pi/2)(c_m - d_m) = slack_I_coef * I_m + slack_geo_coef * 2^-m."""
-        return 0.5 * PI * (self.cI - self.dI)
-
-    @property
-    def slack_geo_coef(self) -> float:
-        return self.cg - self.dg
-
 
 class OscillationSpec(NamedTuple):
-    """A built family: amplitudes, breakpoints, and certified p integrals.
+    """A built family: amplitudes, breakpoints, and its damping table.
 
     ``q_callable`` is the family's one representation: it evaluates q at
     any s in [s0, extent) from ``lobes``, the amplitude table built once to
-    the extent the family was built for.  Its first m_max + 2 periods take
-    the certified I_m, ``I``; past them, I_m is the last certified one less
-    a cumulative integral of p.  ``c`` and ``d`` hold the m_max checked
-    periods, and lambda is I_1, since s0 = 2 pi.
+    the extent the family was built for.  ``I`` holds I_m for every period
+    of that table (see :func:`_damping_table`); its first m_max + 2 entries
+    are the certified ones, with ``I_error``.  ``c`` and ``d`` hold the
+    first m_max periods, and lambda is I_1, since s0 = 2 pi.  Every period
+    of the table is checked when the family is built.
     """
 
     params: OscillationParams
     nodes: np.ndarray          # a_2 .. a_{2 m_max + 2}
     c: np.ndarray              # positive-lobe amplitudes, index m = 1 .. m_max
     d: np.ndarray              # negative-lobe amplitudes
-    I: np.ndarray              # certified I_m = integral_{2m pi}^inf p, m = 1 .. m_max + 2
-    I_error: np.ndarray
+    I: np.ndarray              # I_m = integral_{2m pi}^inf p for every period of the table
+    I_error: np.ndarray        # errors of the certified I_m, m = 1 .. m_max + 2
     lam: float
     lam_error: float
     sup_bound: float
@@ -215,11 +207,13 @@ class OscillationSpec(NamedTuple):
         return float(envelope)
 
     def surplus_tail_bound(self, M: int, sum_I: float) -> float:
-        """Certified bound on sum_{m > M} (pi/2)(c_m - d_m), given ``tail_sum_I_bound(M)``."""
-        return self.rule.slack_I_coef * sum_I + self.rule.slack_geo_coef * 2.0 ** (-M)
+        """Certified bound on sum_{m > M} (pi/2)(c_m - d_m), given ``tail_sum_I_bound(M)``:
+        (pi/2)(c_m - d_m) = (pi/2)(cI - dI) I_m + (cg - dg) 2^-m."""
+        r = self.rule
+        return 0.5 * PI * (r.cI - r.dI) * sum_I + (r.cg - r.dg) * 2.0 ** (-M)
 
     def future_pos_lobe_bound(self, M: int) -> float:
-        """Bound on (pi/2) c_m for every m > M (amplitudes are nonincreasing)."""
+        """Bound on (pi/2) c_m for every m > M (the build refuses a rising c_m)."""
         return 0.5 * PI * float(self.lobes[2 * M])
 
 
@@ -242,63 +236,76 @@ def _damping_integrals(p: Callable, p_tail: TailModel, los) -> tuple[np.ndarray,
     return values[::-1], errors[::-1]
 
 
+def _damping_table(params, extent: float) -> tuple[np.ndarray, np.ndarray]:
+    """I_m = integral_{2m pi}^infinity p, m = 1 .. floor(extent / 2 pi) + 2, and at least
+    the m_max + 2 of :func:`_damping_integrals`, with their errors, for the p, p_tail and
+    m_max of ``params``.  The last period starts past the extent, so that an s below it
+    that rounds up still finds its lobe.  Past the certified periods,
+    I_m = I_{m_max+2} - integral_{2 (m_max+2) pi}^{2m pi} p, by Simpson on 8 cells per pi
+    whose nodes do not depend on the extent (5.0e-13 off 1/(8 pi^2 m^2) for p = 1/s^3 up
+    to m = 3 300).  The anchor leaves out its tail bound, so that difference can fall
+    below 0 (from m = 1 391 for p = 1/s^4; for every m with p = exp(-s), whose anchor
+    is 0); as p >= 0, it is clipped at 0.
+    """
+    I, I_err = _damping_integrals(params.p, params.p_tail,
+                                  TWO_PI * np.arange(1, params.m_max + 3))
+    past = 16 * (max(len(I), int(extent // TWO_PI) + 2) - len(I))
+    if past:
+        P = cumulative_integral(params.p, TWO_PI * len(I) + (PI / 8) * np.arange(past + 1))
+        I = np.concatenate((I, np.maximum(I[-1] - P[16::16], 0.0)))
+    return I, I_err
+
+
 def _assemble(params: OscillationParams, rule: _AmplitudeRule,
-              integrals: tuple[np.ndarray, np.ndarray], extent: float) -> OscillationSpec:
+              table: tuple[np.ndarray, np.ndarray]) -> OscillationSpec:
+    """The family ``rule`` makes of a damping table, checked on every period of it: each
+    amplitude in its band, and no c_m above c_{m-1} (``future_pos_lobe_bound``)."""
     params.validate()
 
-    I, I_err = integrals  # I_m, m = 1 .. m_max + 2; s0 = 2 pi, so lambda is I_1
+    I, I_err = table  # s0 = 2 pi, so lambda is I_1
     lam = float(I[0])
     if not lam < 1.0:
         raise ValueError(
             f"the damping budget requires integral of p below one, got {lam!r}"
         )
 
-    # the family is read below 2 pi (floor(extent / 2 pi) + 2), over a period past the
-    # extent asked for; the table's last period starts there, so that an s below it
-    # that rounds up still finds its lobe, and it holds at least the certified periods.
-    # Past those, I_m = I_{m_max+2} - integral_{2 (m_max+2) pi}^{2m pi} p, a Simpson
-    # integral on 8 cells per pi anchored at the last certified I_m, so each carries
-    # only that I_m's error and the Simpson error past it (5.0e-13 in all for p = 1/s^3
-    # up to m = 3 300); node k does not depend on the grid's length, so no I_m depends
-    # on the extent
-    periods = max(len(I), int(extent // TWO_PI) + 2)
-    past = 16 * (periods - len(I))
-    P = (cumulative_integral(params.p, TWO_PI * len(I) + (PI / 8) * np.arange(past + 1))[16::16]
-         if past else np.empty(0))
-    I_table = np.concatenate((I, I[-1] - P))  # at 2 m pi, m = 1 .. periods
-    m_table = np.arange(1, periods + 1, dtype=float)
-    c_table, d_table = rule.amplitudes(I_table, m_table)
+    periods = len(I)
+    geo = np.power(2.0, 1.0 - np.arange(1, periods + 1, dtype=float)) / PI
+    c_table, d_table = rule.amplitudes(I, geo)
     lobes = np.empty(2 * periods)
     lobes[0::2], lobes[1::2] = c_table, -d_table
-    c, d = c_table[:params.m_max], d_table[:params.m_max]
-    geo = np.power(2.0, 1.0 - m_table[:params.m_max]) / PI
 
     # band membership (builds choose points inside the band, so failures
     # here mean inconsistent parameters, not numerical noise); each end allows
     # the rounding of its own value
     d_lo, d_hi = 2.0 * params.q_minus / PI, 2.0 * params.q_plus / PI
-    outside = (d < d_lo - _ulps(d_lo)) | (d > d_hi + _ulps(d_hi))
+    outside = (d_table < d_lo - _ulps(d_lo)) | (d_table > d_hi + _ulps(d_hi))
     if np.any(outside):
         m_bad = int(np.argmax(outside)) + 1
         raise ValueError(
-            f"negative-lobe amplitude d_{m_bad} = {float(d[m_bad - 1])!r} leaves the band "
-            f"[{d_lo!r}, {d_hi!r}]; the gap parameters are too large for the bands"
+            f"negative-lobe amplitude d_{m_bad} = {float(d_table[m_bad - 1])!r} leaves the "
+            f"band [{d_lo!r}, {d_hi!r}]; the gap parameters are too large for the bands"
         )
-    c_lo = d + params.gamma * (params.q_plus / PI) * I[:params.m_max] + params.eta * geo
-    c_hi = d + params.sigma * (params.q_plus / PI) * I[:params.m_max] + params.theta * geo
-    outside = (c < c_lo - _ulps(c_lo)) | (c > c_hi + _ulps(c_hi))
+    c_lo = d_table + params.gamma * (params.q_plus / PI) * I + params.eta * geo
+    c_hi = d_table + params.sigma * (params.q_plus / PI) * I + params.theta * geo
+    outside = (c_table < c_lo - _ulps(c_lo)) | (c_table > c_hi + _ulps(c_hi))
     if np.any(outside):
         m_bad = int(np.argmax(outside)) + 1
         raise ValueError(
-            f"positive-lobe amplitude c_{m_bad} = {float(c[m_bad - 1])!r} leaves its band "
-            f"[{float(c_lo[m_bad - 1])!r}, {float(c_hi[m_bad - 1])!r}]"
+            f"positive-lobe amplitude c_{m_bad} = {float(c_table[m_bad - 1])!r} leaves its "
+            f"band [{float(c_lo[m_bad - 1])!r}, {float(c_hi[m_bad - 1])!r}]"
         )
+    rising = np.flatnonzero(np.diff(c_table) > 0.0)
+    if rising.size:
+        raise ValueError(f"positive-lobe amplitude c_{rising[0] + 2} exceeds the one "
+                         "before it; the damping table increases")
 
     nodes = PI * np.arange(2, 2 * params.m_max + 3)
     sup_bound = ((2.0 + params.sigma * lam) * params.q_plus + params.theta) / PI
 
     spec = OscillationSpec(
-        params=params, nodes=nodes, c=c, d=d, I=I, I_error=I_err,
+        params=params, nodes=nodes, c=c_table[:params.m_max], d=d_table[:params.m_max],
+        I=I, I_error=I_err,
         lam=lam, lam_error=float(I_err[0]),
         sup_bound=sup_bound, rule=rule, lobes=lobes, extent=TWO_PI * periods,
     )
@@ -358,8 +365,7 @@ def build_oscillation(params: OscillationParams = OscillationParams(),
         d0=d0, dI=0.0, dg=0.0,
         c0=d0, cI=params.gamma * params.q_plus / PI, cg=params.eta,
     )
-    los = TWO_PI * np.arange(1, params.m_max + 3)
-    return _assemble(params, rule, _damping_integrals(params.p, params.p_tail, los), extent)
+    return _assemble(params, rule, _damping_table(params, extent))
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +430,6 @@ class PairResult(NamedTuple):
     smallness_margin: float
 
 
-def _member_params(pp: PairParams, band: BandParams) -> OscillationParams:
-    return OscillationParams(
-        q_minus=pp.q_minus, q_plus=pp.q_plus,
-        gamma=band.gamma, sigma=band.sigma, eta=band.eta, theta=band.theta,
-        p=pp.p, p_tail=pp.p_tail, m_max=pp.m_max,
-    )
-
-
 def build_pair(params: Optional[PairParams] = None, *,
                family: Optional[OscillationSpec] = None,
                extent: float = STOCK_EXTEND_TO) -> PairResult:
@@ -444,26 +442,31 @@ def build_pair(params: Optional[PairParams] = None, *,
 
         band1 floor <= c1 <= band1 ceiling <= corridor <= band2 floor <= c2
 
-    is evaluated per period and the smallest margin of each link reported;
-    the first violated link raises with its period index.
+    is evaluated on every period of the damping table and the smallest margin
+    of each link reported; the first violated link raises with its period index.
+    ``min_margin`` leaves out the three links that are equalities by construction.
 
-    ``family`` is a family built for the pair's p, p_tail and m_max: it
-    supplies the I_m, integrated once when it was built, and lambda is I_1.
-    ``extent`` is as in :func:`build_oscillation`.
+    Both members read one damping table, built here, or lent by ``family``, a family
+    built for the pair's p, p_tail and m_max, at least to ``extent``, which is as in
+    :func:`build_oscillation`.  Lambda is I_1.
     """
     pp = params if params is not None else PairParams()
     pp.validate()
 
-    # the members share p, so the I_m are integrated once for both
-    params1, params2 = _member_params(pp, pp.set1), _member_params(pp, pp.set2)
+    # the members share p, so one damping table serves both
+    params1, params2 = (OscillationParams(q_minus=pp.q_minus, q_plus=pp.q_plus, p=pp.p,
+                                          p_tail=pp.p_tail, m_max=pp.m_max, **band._asdict())
+                        for band in (pp.set1, pp.set2))
     if family is None:
-        integrals = _damping_integrals(pp.p, pp.p_tail, TWO_PI * np.arange(1, pp.m_max + 3))
+        table = _damping_table(pp, extent)
     else:
         fp = family.params
-        if not (fp.p == pp.p and fp.p_tail == pp.p_tail and fp.m_max == pp.m_max):
-            raise ValueError("the family was built for another p, p_tail or m_max")
-        integrals = (family.I, family.I_error)
-    lam = float(integrals[0][0])  # I_1
+        if not (fp.p == pp.p and fp.p_tail == pp.p_tail and fp.m_max == pp.m_max
+                and family.extent > extent):
+            raise ValueError("the family was built for another p, p_tail or m_max, "
+                             f"or short of the extent {extent!r}")
+        table = (family.I, family.I_error)
+    lam = float(table[0][0])  # I_1
     smallness = pp.q_plus - (
         pp.q_minus + 0.5 * pp.alpha_gap * pp.q_plus * lam + 0.5 * pp.beta_gap
     )
@@ -485,8 +488,8 @@ def build_pair(params: Optional[PairParams] = None, *,
         d0=d_floor, dI=0.0, dg=0.0,
         c0=d_floor, cI=b2.gamma * pp.q_plus / PI, cg=b2.eta,
     )
-    spec1 = _assemble(params1, rule1, integrals, extent)
-    spec2 = _assemble(params2, rule2, integrals, extent)
+    spec1 = _assemble(params1, rule1, table)
+    spec2 = _assemble(params2, rule2, table)
 
     # Chain margins in closed form.  Three links are equalities by the
     # construction choice (c at the band floor, d1 absorbing exactly the
@@ -494,12 +497,12 @@ def build_pair(params: Optional[PairParams] = None, *,
     # combinations of I_m and the geometric term, which keeps the reported
     # margins free of cancellation noise.  Band membership of the built
     # amplitudes is checked independently inside the assembly, and
-    # verify_pair re-checks the ordering pointwise on a grid.
-    I = spec1.I[:pp.m_max]
-    m_arr = np.arange(1, pp.m_max + 1, dtype=float)
-    geo = np.power(2.0, 1.0 - m_arr) / PI
+    # verify_pair re-checks the ordering from the lobe tables.
+    I = spec1.I
+    geo = np.power(2.0, 1.0 - np.arange(1, len(I) + 1, dtype=float)) / PI
     qp = pp.q_plus / PI
-    zero = np.zeros(pp.m_max)
+    zero = np.zeros(len(I))
+    d1 = -spec1.lobes[1::2]
     chain = {
         "c1 at its band floor (equality by construction)": zero,
         "c1 below its band ceiling": (b1.sigma - b1.gamma) * qp * I + (b1.theta - b1.eta) * geo,
@@ -511,43 +514,39 @@ def build_pair(params: Optional[PairParams] = None, *,
         "negative lobes ordered (d1 - d2)": pp.alpha_gap * qp * I + pp.beta_gap * geo,
         "positive lobes ordered (c2 - c1)": (b2.gamma - b1.gamma - pp.alpha_gap) * qp * I
                                             + (b2.eta - b1.eta - pp.beta_gap) * geo,
-        "d1 below its band ceiling": 2.0 * pp.q_plus / PI - spec1.d,
+        "d1 below its band ceiling": 2.0 * pp.q_plus / PI - d1,
     }
     for name, margins in chain.items():
         if np.min(margins) < 0.0:
-            m_bad = int(np.argmin(margins)) + 1
-            raise ValueError(
-                f"ordering chain fails at link {name!r} for period m = {m_bad}: "
-                f"margin {float(np.min(margins))!r}"
-            )
-    return PairResult(
-        q1=spec1,
-        q2=spec2,
-        chain_margins=chain,
-        min_margin=float(min(np.min(m) for m in chain.values())),
-        smallness_margin=float(smallness),
-    )
+            raise ValueError(f"ordering chain fails at link {name!r} for period m = "
+                             f"{int(np.argmin(margins)) + 1}: margin {float(np.min(margins))!r}")
+    least = min(np.min(m) for m in chain.values() if m is not zero)
+    return PairResult(q1=spec1, q2=spec2, chain_margins=chain, min_margin=float(least),
+                      smallness_margin=float(smallness))
 
 
-def verify_pair(pair: PairResult, grid: np.ndarray) -> dict:
-    """Pointwise check q1 <= q2 on a grid, with the slack split per lobe type.
+def verify_pair(pair: PairResult) -> dict:
+    """Check q1 <= q2 on every lobe of the pair's table, exactly.
 
-    On positive lobes the slack is (c2_m - c1_m) sin^2, on negative lobes
-    (d1_m - d2_m) sin^2, so the pointwise minimum is zero exactly at the
-    breakpoints; the report separates the amplitude margins from the grid
-    minimum to make that harmless zero visible.
+    On each lobe both members multiply their amplitude by the same rounded
+    sin^2 s >= 0, and fl(a x) does not decrease as a grows, so q1 <= q2 holds
+    on a lobe exactly when its entry of ``q2.lobes - q1.lobes`` is >= 0: c2 - c1
+    on a positive lobe, d1 - d2 on a negative one.  Reports the least gap of
+    each lobe type over the whole table, the period of the least gap, the
+    period count, and whether every gap is >= 0.
     """
-    g = np.asarray(grid, dtype=float)
-    q1 = pair.q1.q_callable(g)
-    q2 = pair.q2.q_callable(g)
-    slack = q2 - q1
-    i_min = int(np.argmin(slack))
+    lobes1, lobes2 = pair.q1.lobes, pair.q2.lobes
+    if len(lobes1) != len(lobes2):
+        raise ValueError(f"the members' tables differ in length: {len(lobes1) // 2} "
+                         f"and {len(lobes2) // 2} periods")
+    gap = lobes2 - lobes1
+    worst = int(np.argmin(gap))
     return {
-        "grid_min_slack": float(slack[i_min]),
-        "grid_argmin": float(g[i_min]),
-        "amplitude_margin_positive_lobes": float(np.min(pair.q2.c - pair.q1.c)),
-        "amplitude_margin_negative_lobes": float(np.min(pair.q1.d - pair.q2.d)),
-        "ordered": bool(np.all(slack >= -1e-12)),
+        "amplitude_margin_positive_lobes": float(np.min(gap[0::2])),
+        "amplitude_margin_negative_lobes": float(np.min(gap[1::2])),
+        "worst_period": worst // 2 + 1,
+        "periods": len(gap) // 2,
+        "ordered": bool(gap[worst] >= 0.0),
     }
 
 

@@ -316,7 +316,7 @@ def test_decay_fit_recovers_a_synthetic_power_law(problem, solver_barrier):
         grid=grid,
         u_values=5.0 * np.ones_like(grid),   # H = const, so u = 5/s exactly
         iterations=1, iteration_sup_deltas=(0.0,),
-        sandwich_margins=(0.0, 0.0), decay_exponent=None,
+        decay_exponent=None,
         K_used=0.0, residual_sup=0.0, boundary="upper",
     )
     fit = decay_fit(mock, problem)
@@ -330,7 +330,7 @@ def test_decay_fit_rejects_nonpositive_windows(problem, solver_barrier):
     mock = BvpSolution(
         grid=grid, u_values=np.zeros_like(grid),
         iterations=1, iteration_sup_deltas=(0.0,),
-        sandwich_margins=(0.0, 0.0), decay_exponent=None,
+        decay_exponent=None,
         K_used=0.0, residual_sup=0.0, boundary="upper",
     )
     with pytest.raises(ValueError, match="not positive"):

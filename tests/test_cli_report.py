@@ -891,9 +891,29 @@ def test_full_pipeline_integrates_p_and_builds_the_family_kernel_once(tmp_path, 
     # that grid too, which is the stock solver grid, serves the solve; each kernel
     # builds its own cells once; the family's I_m table integrates p to infinity once,
     # lambda is I_1 of it, and lemma_check, tail_sum_I_bound and the pair read it; the
-    # family and the two pair members each build their amplitude table once
+    # family builds its damping table once, and both pair members read it
     assert counts == {"compute_kernel": 3, "_Cells.build": 3, "tails of p": 1,
-                      "tail_sum_I_bound": 1, "table": 3}
+                      "tail_sum_I_bound": 1, "table": 1}
+
+
+@pytest.mark.parametrize("mode", ["solve-bvp", "bridge"])
+def test_a_pair_without_a_family_builds_one_damping_table(tmp_path, capsys, monkeypatch,
+                                                          mode):
+    from oscillax import example_builder
+
+    tables = []
+    integral = example_builder.cumulative_integral
+
+    def counting(f, grid):
+        tables.append(len(grid))
+        return integral(f, grid)
+
+    monkeypatch.setattr(example_builder, "cumulative_integral", counting)
+    cfg = _write_config(tmp_path)
+    rc = main([mode, "--config", str(cfg), "--out", str(tmp_path / "out"), "--formats", "json"])
+    assert rc == 0, capsys.readouterr().out
+    # these modes build no family; both pair members read the pair's one table
+    assert len(tables) == 1
 
 
 @pytest.mark.parametrize("mode, patch, grids", [

@@ -85,20 +85,24 @@ def test_every_certified_I_m_holds_its_closed_form_within_its_error():
     # ends; each I_m, the two past m_max included, carries its own certified error
     wide = build_oscillation(OscillationParams(m_max=200))
     m = np.arange(1, 203)
-    assert len(wide.I) == len(wide.I_error) == 202
-    assert np.all(np.abs(wide.I - 1.0 / (8.0 * PI**2 * m**2)) <= wide.I_error)
+    certified = wide.I[:len(wide.I_error)]
+    assert len(certified) == len(wide.I_error) == 202
+    assert np.all(np.abs(certified - 1.0 / (8.0 * PI**2 * m**2)) <= wide.I_error)
     # a tail integral's own allowance: a finite part within TAIL_TOL plus its bound 5e-13
     assert np.all(wide.I_error <= 1e-12 + 5e-13)
+    assert np.all(wide.I[len(wide.I_error):] >= 0.0)
 
     base = OscillationParams()
     damped = build_oscillation(base._replace(p=parse("exp(-s)"),
                                              p_tail=TailModel("exp", 1.0, 1.0)))
     exact = np.exp(-2.0 * PI * np.arange(1, base.m_max + 3))
-    assert np.all(np.abs(damped.I - exact) <= damped.I_error)
+    certified = damped.I[:len(damped.I_error)]
+    assert np.all(np.abs(certified - exact) <= damped.I_error)
     # every I_m with a piece behind it is positive; I_{m_max+2} is the tail alone, whose
     # lower end lies past the exp cutoff (28.3), so it is 0 with its bound as its error
-    assert np.all(damped.I[:-1] > 0.0)
-    assert damped.I[-1] == 0.0 and damped.I_error[-1] == pytest.approx(exact[-1], rel=1e-14)
+    assert np.all(certified[:-1] > 0.0)
+    assert certified[-1] == 0.0 and damped.I_error[-1] == pytest.approx(exact[-1], rel=1e-14)
+    assert np.all(damped.I[len(damped.I_error):] >= 0.0)
 
 
 def test_lobe_integral_identity(family):
@@ -337,11 +341,82 @@ def test_harmonic_weight_diverges_and_heavy_weight_converges(family):
 
 
 def test_pair_defaults_build_and_verify(pair):
-    grid = np.linspace(2 * PI, 2 * PI + 50 * PI, 40001)
-    check = verify_pair(pair, grid)
+    check = verify_pair(pair)
     assert check["ordered"]
-    assert check["grid_min_slack"] >= 0.0
-    assert pair.min_margin >= 0.0
+    assert check["periods"] == len(pair.q1.I)
+    assert min(check["amplitude_margin_positive_lobes"],
+               check["amplitude_margin_negative_lobes"]) >= 0.0
+    # the chain's margin is that of its six computed links, not the equalities' 0
+    computed = [v for k, v in pair.chain_margins.items() if "equality" not in k]
+    assert len(computed) == 6
+    assert pair.min_margin == min(np.min(v) for v in computed) > 0.0
+    # a sampled witness: q1 <= q2 at every sample of the first 25 periods
+    s = np.linspace(2 * PI, 2 * PI + 50 * PI, 40001)
+    assert np.all(pair.q1.q_callable(s) <= pair.q2.q_callable(s))
+
+
+@pytest.mark.parametrize("p, tail", [
+    (parse("1/s^4"), TailModel("power", 4.0, 1.0)),
+    (parse("exp(-s)"), TailModel("exp", 1.0, 1.0)),
+], ids=["power-4", "exp"])
+def test_light_tails_keep_the_table_nonnegative_and_the_pair_ordered(p, tail):
+    # past the certified periods the anchored extension falls to the size of the
+    # anchor's left-out tail bound (from m = 1 391 for 1/s^4; everywhere for exp(-s),
+    # whose anchor is 0), and below 0 unless clipped; an I_m below 0 misorders the pair
+    family = build_oscillation(OscillationParams(p=p, p_tail=tail))
+    pair = build_pair(PairParams(p=p, p_tail=tail), family=family)
+    assert np.all(family.I >= 0.0)
+    check = verify_pair(pair)
+    assert check["ordered"]
+    assert np.all(pair.q2.lobes - pair.q1.lobes >= 0.0)
+
+
+def test_a_misordered_lobe_past_the_checked_periods_is_reported(pair):
+    # q2's positive lobe at period 2 000, far past m_max and any sampled grid, is
+    # lowered below q1's
+    lobes = pair.q2.lobes.copy()
+    lobes[2 * 2000 - 2] = pair.q1.lobes[2 * 2000 - 2] - 1e-12
+    check = verify_pair(pair._replace(q2=pair.q2._replace(lobes=lobes)))
+    assert not check["ordered"]
+    assert check["amplitude_margin_positive_lobes"] < 0.0
+    assert check["worst_period"] == 2000
+
+
+def test_a_pair_whose_extension_runs_low_is_refused(monkeypatch):
+    # the lambda-anchored extension of I_m ran 8.06e-9 low past the certified periods;
+    # I_m then falls below 0 from m = 1 254 on, which moves d1 below its band floor
+    from oscillax import example_builder
+
+    table = example_builder._damping_table
+
+    def low(params, extent):
+        I, I_err = table(params, extent)
+        return np.concatenate((I[:len(I_err)], I[len(I_err):] - 8.06e-9)), I_err
+
+    monkeypatch.setattr(example_builder, "_damping_table", low)
+    with pytest.raises(ValueError, match=r"d_(\d+) = ") as raised:
+        build_pair()
+    assert int(re.search(r"d_(\d+) = ", str(raised.value)).group(1)) > PairParams().m_max
+
+
+def test_a_rising_table_is_refused(monkeypatch):
+    # future_pos_lobe_bound reads c_{M+1} as a bound on every later c_m
+    from oscillax import example_builder
+
+    table = example_builder._damping_table
+
+    def bumped(params, extent):
+        I, I_err = table(params, extent)
+        return np.concatenate((I[:1999], I[1999:2000] + 1e-9, I[2000:])), I_err
+
+    monkeypatch.setattr(example_builder, "_damping_table", bumped)
+    with pytest.raises(ValueError, match="c_2000 exceeds the one before it"):
+        build_oscillation()
+
+
+def test_verify_pair_refuses_members_of_different_lengths(pair):
+    with pytest.raises(ValueError, match="differ in length"):
+        verify_pair(pair._replace(q2=pair.q2._replace(lobes=pair.q2.lobes[:-2])))
 
 
 def test_pair_chain_margins_closed_form(pair):
@@ -394,13 +469,20 @@ def test_a_family_for_another_damping_is_refused(family, params):
         build_pair(params, family=family)
 
 
+def test_a_family_built_short_of_the_extent_is_refused():
+    # the pair reads the family's table, so it must reach as far as the pair is read
+    short = build_oscillation(extent=100.0)
+    with pytest.raises(ValueError, match="short of the extent"):
+        build_pair(family=short)
+    assert build_pair(family=short, extent=100.0).q1.I is short.I
+
+
 def test_pair_margin_shrinks_as_alpha_grows():
     margins = []
     for alpha_gap in (0.25, 0.5, 0.75):
         p = PairParams(alpha_gap=alpha_gap, beta_gap=0.5, m_max=6)
         pair = build_pair(p)
-        grid = np.linspace(2 * PI, 14 * PI, 8001)
-        margins.append(verify_pair(pair, grid)["amplitude_margin_positive_lobes"])
+        margins.append(verify_pair(pair)["amplitude_margin_positive_lobes"])
     assert margins[0] > margins[1] > margins[2] > 0.0
 
 

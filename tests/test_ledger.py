@@ -39,7 +39,7 @@ STAGE_CHECKS = {
         "kernel z negative beyond the first lobe",
     ],
     "build-pair": [
-        "pair ordered pointwise on the grid",
+        "pair ordered on every lobe of its table",
         "pair chain margins nonnegative",
     ],
     "bridge": [
