@@ -35,22 +35,28 @@ by the scheme, so boundary data enters without discretisation bias; what
 remains is the O(step^2) truncation of the particular part, which the
 grid-halving checks in the test suite pin to the expected fourth-fold decay.
 
+The residual, the stock blend inside it and the update of H run a block of
+:data:`~oscillax.quadrature.BLOCK` nodes at a time, with H/s computed once
+per node for both the operator and f, so a sweep with the stock blend
+allocates no array of the grid's length.  A user f is still evaluated on
+every node at once, as it need not act node by node.
+
 Through the sweeps live, in arrays of N floats: the barrier pair's grid, h1
-and h2, H, p, B, the blend's four arrays, the factor (7), the residual's
-scratch (2) and one blend evaluation.  All but the pair and H die before the
-decay fit, and the radii the stock blend reads die once it is bound.
+and h2, H, p, B, the blend's four arrays and the factor (7).  The op's peak
+is still the factorization in :func:`_sweep_factor`, which also holds the
+matrix's three diagonals.  All but the pair and H die before the decay fit,
+and the radii the stock blend reads die once it is bound.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .kernel import _central_operator
 from .pde_bridge import BarrierPair, RadialProblem, make_blend
-from .quadrature import uniform_step
+from .quadrature import BLOCK, _blocks, uniform_step
 from .radial import _beta_betaprime, beta_map, fit_window
 
 __all__ = ["BvpSolution", "DecayFit", "solve_radial", "check_sandwich", "decay_fit"]
@@ -104,7 +110,10 @@ class _CyclicReduction:
     right-hand sides of every level in another (2 a row), both allocated
     here; :meth:`solve` allocates nothing, and repeated solves give
     bit-identical results.  Each level's diagonals die as the next level's
-    are made, except the first, which the caller holds.
+    are made, except the first, which the caller holds.  Each main diagonal
+    past the first is made in the block of right-hand sides, where that
+    level's right-hand side goes at the first solve, so a level allocates
+    only its two off-diagonals.
     """
 
     def __init__(self, lo, dia, up):
@@ -134,12 +143,18 @@ class _CyclicReduction:
             np.multiply(up[0::2], inv[:kept], out=right_e)      # c_e / b_e
             self._levels.append((work[:n], work[n:n + kept], inv, alpha, gamma,
                                  left_e, right_e))
+            # the next level's diagonals, each replacing its last reader; the main one
+            # lives in the next level's right-hand side until a solve writes there
+            b_next = np.multiply(alpha, up[0::2], out=work[n:n + kept])
+            np.subtract(b[1::2], b_next, out=b_next)
+            lo_next = np.multiply(gamma, lo[1::2])
+            b_next[:inner] -= lo_next
+            lo = np.multiply(alpha[1:], lo[1::2][:kept - 1], out=lo_next[:kept - 1])
+            up = np.multiply(gamma[:kept - 1], up[2::2])
+            np.negative(lo, out=lo)
+            np.negative(up, out=up)
+            b = b_next
             work = work[n:]
-            # the next level's diagonals, each replacing its last reader
-            b = b[1::2] - alpha * up[0::2]
-            b[:inner] -= gamma * lo[1::2]
-            lo = -alpha[1:] * lo[1::2][:kept - 1]
-            up = -gamma[:kept - 1] * up[2::2]
         coef[-1] = 1.0 / b[0]
         self._last = (work, coef[-1:])
         self.rhs = self._levels[0][0] if self._levels else work
@@ -278,27 +293,32 @@ def _sweeps(problem: RadialProblem, barrier: BarrierPair, f: Optional[Callable],
     """:func:`solve_radial`'s sweeps, whose state dies on return: (H, deltas, residual)."""
     n, si = problem.n, barrier.grid[1:-1]
     p_i = np.asarray(problem.p(si), dtype=float)
-    fn = (make_blend(problem, barrier) if f is None
-          else functools.partial(f, beta_map(n, problem.R, si)))
+    if f is None:
+        blend, r_i = make_blend(problem, barrier), None
+    else:
+        blend, r_i = None, beta_map(n, problem.R, si)
     factor = _sweep_factor(p_i, si, step, K)
     B = _beta_betaprime(n, si) / (n - 2)
-    work = np.empty((2, len(si)))
 
     def residual(out: np.ndarray) -> np.ndarray:
-        """out = L H + B f(beta, H/s) on the interior nodes; ``work`` is its scratch."""
-        _central_operator(H, si, p_i, step, out, work)
-        u, term = work
-        np.divide(H[1:-1], si, out=u)
-        np.multiply(B, fn(u), out=term)
-        out += term
-        return out
+        """out = L H + B f(beta, H/s); a user f sees every node at once, as it need not
+        act node by node."""
+        if f is None:
+            return _residual(out, H, si, p_i, B, step, blend)
+        load = np.broadcast_to(np.asarray(f(r_i, H[1:-1] / si), dtype=float), si.shape)
+        return _residual(out, H, si, p_i, B, step, lambda v, at: load[at])
 
     H = (barrier.h2 if boundary == "upper" else barrier.h1).copy()
     deltas: list[float] = []
     for sweep in range(max_iter):
         residual(factor.rhs)
         dH = factor.solve()
-        lo, hi = float(dH.min()), float(dH.max())
+        # the extremes and the update a block at a time, while each block is in cache
+        ends = np.empty((2, -(-len(dH) // BLOCK)))
+        for k, at in enumerate(_blocks(len(dH))):
+            ends[:, k] = dH[at].min(), dH[at].max()
+            H[at.start + 1:at.stop + 1] += dH[at]
+        lo, hi = float(ends[0].min()), float(ends[1].max())
 
         # "upper" must descend (dH <= 0) and "lower" ascend from the second sweep on, by
         # the maximum principle; the first leaves a barrier, exact only up to O(step^2)
@@ -311,7 +331,6 @@ def _sweeps(problem: RadialProblem, barrier: BarrierPair, f: Optional[Callable],
             )
         delta = max(hi, -lo)
         deltas.append(delta)
-        H[1:-1] += dH
         if delta <= tol:
             break
     else:
@@ -320,7 +339,25 @@ def _sweeps(problem: RadialProblem, barrier: BarrierPair, f: Optional[Callable],
             f"(tolerance {tol:.3e})"
         )
 
-    return H, deltas, np.pad(residual(factor.rhs), 1)  # zero at the Dirichlet nodes
+    full = np.zeros(len(H))  # zero at the Dirichlet nodes
+    residual(full[1:-1])
+    return H, deltas, full
+
+
+def _residual(out: np.ndarray, H: np.ndarray, si: np.ndarray, p_i: np.ndarray,
+              B: np.ndarray, step: float, f_at: Callable) -> np.ndarray:
+    """out = L H + B f on the interior nodes ``si`` of H's uniform grid, a block of BLOCK
+    nodes at a time: L H by :func:`~oscillax.kernel._central_operator`, and the f term
+    ``f_at(v, at)`` at the interior nodes ``at`` (a slice) from the v = H/s it leaves
+    there, so H/s is computed once per node.  Returns ``out``.
+    """
+    scratch = np.empty((3, min(BLOCK, len(si))))
+    for at in _blocks(len(si)):
+        work = scratch[:, :at.stop - at.start]
+        _central_operator(H[at.start:at.stop + 2], si[at], p_i[at], step, out[at], work)
+        np.multiply(B[at], f_at(work[1], at), out=work[2])
+        out[at] += work[2]
+    return out
 
 
 def check_sandwich(solution: BvpSolution, barrier: BarrierPair) -> dict:
@@ -349,14 +386,20 @@ def decay_fit(solution: BvpSolution, problem: RadialProblem) -> DecayFit:
     solution's ``decay_exponent``, once the sweeps' state is gone.
     """
     g = solution.grid
-    u = solution.u_values / g
     j0, j1 = fit_window(len(g))
-    if np.any(u[j0:j1] <= 0):
+    u = solution.u_values[j0:j1] / g[j0:j1]
+    if np.any(u <= 0):
         raise ValueError("solution is not positive on the fit window")
     r = beta_map(problem.n, problem.R, g[j0:j1])
     x = np.log(np.asarray(r, dtype=float))
-    y = np.log(u[j0:j1])
-    slope, intercept = np.polyfit(x, y, 1)
+    y = np.log(u)
+    # least squares in closed form about the means, which keeps the normal equations
+    # well conditioned without a factorization; the sums are numpy's, as np.dot on
+    # this many points wakes BLAS threads that go on spinning after it returns
+    x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
+    dx = x - x_mean
+    slope = float(np.sum(dx * (y - y_mean)) / np.sum(dx * dx))
+    intercept = y_mean - slope * x_mean
     resid = float(np.max(np.abs(y - (slope * x + intercept))))
     return DecayFit(
         exponent=float(slope),

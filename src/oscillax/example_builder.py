@@ -35,6 +35,7 @@ from .coeff_dsl import parse
 from .quadrature import (
     STOCK_EXTEND_TO,
     TailModel,
+    _blocks,
     cumulative_integral,
     integrate_finite_many,
     integrate_tail,
@@ -153,28 +154,13 @@ class OscillationSpec(NamedTuple):
     extent: float              # start of the table's last period, 2 pi len(lobes) / 2
 
     def q_callable(self, s) -> np.ndarray:
-        """Evaluate the family at any s in [s0, extent)."""
+        """Evaluate the family at any s in [s0, extent), a block of points at a time:
+        the one-table case of :func:`_read_lobes`."""
         arr = np.asarray(s, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        inside = arr >= S0_FIXED - 1e-12
-        inside &= arr < self.extent  # NaN fails both
-        if not inside.all():
-            bad = float(arr[np.argmin(inside)])
-            raise ValueError(f"family is defined on [s0, {self.extent!r}), got s = {bad!r}")
-        # period m = max(floor(s / 2 pi), 1); its lobe amplitude sits at
-        # 2m - 2 (c_m, positive lobe) or 2m - 1 (-d_m) of the interleaved table
-        m = np.floor(arr / TWO_PI)
-        np.maximum(m, 1.0, out=m)
-        positive = (arr - TWO_PI * m) < PI
-        at = m.astype(np.intp)
-        at *= 2
-        at -= 1
-        at -= positive
-        out = np.sin(arr)
-        out *= out
-        out *= self.lobes[at]
-        return float(out[0]) if scalar else out
+        flat, out = arr.ravel(), np.empty(arr.size)
+        for at in _blocks(arr.size):
+            _read_lobes(flat[at], self.extent, (self.lobes,), (out[at],))
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     # -- certified tail coefficients -----------------------------------------
 
@@ -215,6 +201,34 @@ class OscillationSpec(NamedTuple):
     def future_pos_lobe_bound(self, M: int) -> float:
         """Bound on (pi/2) c_m for every m > M (the build refuses a rising c_m)."""
         return 0.5 * PI * float(self.lobes[2 * M])
+
+
+def _read_lobes(s: np.ndarray, extent: float, tables, outs) -> None:
+    """q of each interleaved lobe table of ``tables`` (families built to one ``extent``)
+    at the 1-D points ``s`` in [s0, extent), into the matching array of ``outs``.
+
+    The domain check, each point's lobe and sin^2 are computed once, whatever
+    the number of tables; each table is then gathered and multiplied in.  The
+    callers pass a block of :data:`~oscillax.quadrature.BLOCK` points at a time.
+    """
+    inside = s >= S0_FIXED - 1e-12
+    inside &= s < extent  # NaN fails both
+    if not inside.all():
+        bad = float(s[np.argmin(inside)])
+        raise ValueError(f"family is defined on [s0, {extent!r}), got s = {bad!r}")
+    # period m = max(floor(s / 2 pi), 1); its lobe amplitude sits at
+    # 2m - 2 (c_m, positive lobe) or 2m - 1 (-d_m) of the interleaved table
+    m = np.floor(s / TWO_PI)
+    np.maximum(m, 1.0, out=m)
+    positive = (s - TWO_PI * m) < PI
+    lobe = m.astype(np.intp)
+    lobe *= 2
+    lobe -= 1
+    lobe -= positive
+    sin2 = np.sin(s)
+    sin2 *= sin2
+    for table, out in zip(tables, outs):
+        np.multiply(table[lobe], sin2, out=out)
 
 
 def _damping_integrals(p: Callable, p_tail: TailModel, los) -> tuple[np.ndarray, np.ndarray]:
@@ -282,9 +296,13 @@ def _assemble(params: OscillationParams, rule: _AmplitudeRule,
     outside = (d_table < d_lo - _ulps(d_lo)) | (d_table > d_hi + _ulps(d_hi))
     if np.any(outside):
         m_bad = int(np.argmax(outside)) + 1
+        I_bad = float(I[m_bad - 1])
+        blame = (f"the damping table has I_{m_bad} = {I_bad!r} < 0 there, and p >= 0 makes "
+                 "every I_m >= 0" if I_bad < 0.0 else
+                 "the gap parameters are too large for the bands")
         raise ValueError(
             f"negative-lobe amplitude d_{m_bad} = {float(d_table[m_bad - 1])!r} leaves the "
-            f"band [{d_lo!r}, {d_hi!r}]; the gap parameters are too large for the bands"
+            f"band [{d_lo!r}, {d_hi!r}]; {blame}"
         )
     c_lo = d_table + params.gamma * (params.q_plus / PI) * I + params.eta * geo
     c_hi = d_table + params.sigma * (params.q_plus / PI) * I + params.theta * geo

@@ -28,8 +28,10 @@ while one with a jump is refused.
 z and h at any point come from the interpolants on its cell through the
 antiderivative (:meth:`_Cells.at`), so every grid node carries the same
 accuracy: when every multiple of pi is a grid node, one matrix of its rows
-(:func:`_antiderivative`) serves every whole cell, and any other point sums
-its cell's Chebyshev coefficients against the Chebyshev polynomials there.
+(:func:`_antiderivative`) serves every whole cell, built once per number of
+steps a cell holds and kept for the kernels that follow, and any other point
+sums its cell's Chebyshev coefficients against the Chebyshev polynomials
+there.
 h integrates z/t^2 on the same cells, from each point to end.  Every
 product of the rule runs through :func:`_product`, in blocks small enough
 for one BLAS thread.
@@ -227,6 +229,15 @@ def _antiderivative(x: np.ndarray) -> np.ndarray:
     return Q
 
 
+@functools.lru_cache(maxsize=8)
+def _steps_antiderivative(m: int) -> np.ndarray:
+    """_antiderivative at the left edges of m equal steps across [-1, 1], built once per
+    m and read-only."""
+    Q = _antiderivative(np.linspace(-1.0, 1.0, m + 1)[:-1])
+    Q.setflags(write=False)
+    return Q
+
+
 def _subdivisions(widths: np.ndarray, half: float) -> np.ndarray:
     """Steps of each cell's uniform subdivision with spacing at most ``half``.
 
@@ -355,8 +366,9 @@ class _Cells(NamedTuple):
         The cells k hold the points s[at], n each with their left edge and
         not their right, at the points of Q = _antiderivative(x): their
         values there are the rows of s[at].reshape(len(k), n).  One Q serves
-        each n, so when every multiple of pi is a point of s, one Q serves
-        every whole pi-cell.
+        each n, built once (:func:`_steps_antiderivative`), so when every
+        multiple of pi is a point of s, one Q serves every whole pi-cell of
+        every kernel on grids of that step.
         """
         step = (s[-1] - s[0]) / (len(s) - 1)
         tol = 16.0 * np.finfo(float).eps * max(abs(s[0]), abs(s[-1]))
@@ -367,15 +379,12 @@ class _Cells(NamedTuple):
         on &= (0 <= ia) & (ia < ib) & (ib < len(s))
         n = np.where(on, ib - ia, 0).astype(int)
         cuts = np.flatnonzero(np.diff(n)) + 1
-        shared = {}
         for j, e in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [len(n)]))):
             m = int(n[j])
             if m == 0:
                 continue
-            if m not in shared:
-                shared[m] = _antiderivative(np.linspace(-1.0, 1.0, m + 1)[:-1])
             i0 = int(ia[j])
-            yield slice(j, e), slice(i0, i0 + (e - j) * m), shared[m]
+            yield slice(j, e), slice(i0, i0 + (e - j) * m), _steps_antiderivative(m)
 
     def at(self, s: np.ndarray, *pairs: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
         """For each (vals, at_lo): at_lo plus the integral of the interpolant of vals from
@@ -594,18 +603,18 @@ def _central_operator(h: np.ndarray, si: np.ndarray, p_i: np.ndarray, step: floa
 
     ``h`` lives on a uniform grid of step ``step`` whose interior nodes are
     ``si``, and ``p_i`` is p there.  Everything is written in place: the
-    operator into ``out``, and the two rows of ``work`` end holding h' - h/s
-    and p (h' - h/s).  Returns ``out``.
+    operator into ``out``, and the three rows of ``work`` end holding
+    h' - h/s, h/s and p (h' - h/s).  Returns ``out``.
     """
-    slope, term = work
+    slope, ratio, term = work
     np.multiply(h[1:-1], 2.0, out=out)
     np.subtract(h[:-2], out, out=out)
     out += h[2:]
     out /= step**2
     np.subtract(h[2:], h[:-2], out=slope)
     slope /= 2.0 * step
-    np.divide(h[1:-1], si, out=term)
-    slope -= term
+    np.divide(h[1:-1], si, out=ratio)
+    slope -= ratio
     np.multiply(slope, p_i, out=term)
     out += term
     return out
@@ -633,7 +642,7 @@ def _extrapolated_operator(h: np.ndarray, grid: np.ndarray, p2: np.ndarray,
     ops = []
     for k in (2, 4, 8):
         m = len(h[::k]) - 2
-        work = np.empty((2, m))
+        work = np.empty((3, m))
         at = slice(k // 2 - 1, None, k // 2)
         op = _central_operator(h[::k], s2[at][:m], p2[at][:m], k * step, np.empty(m), work)
         ops.append((op, work[0]))

@@ -36,10 +36,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .example_builder import S0_FIXED, PairResult
+from .example_builder import S0_FIXED, OscillationSpec, PairResult, _read_lobes
 from .kernel import HTail, KernelPair, _extrapolated_operator, compute_kernel
-from .quadrature import (STOCK_EXTEND_TO, TailModel, integrate_finite, integrate_finite_many,
-                         uniform_step)
+from .quadrature import (BLOCK, STOCK_EXTEND_TO, TailModel, _blocks, integrate_finite,
+                         integrate_finite_many, uniform_step)
 from .radial import _beta_betaprime, _check_dim, beta_inverse, beta_map, excluded_arc
 
 __all__ = [
@@ -116,17 +116,32 @@ def lift_coefficients(problem: RadialProblem):
 
 
 def push_a_from_q(q: Callable, n: int) -> Callable:
-    """a(r) = (n-2)^2 r^(-2) q((n-2) r^(n-2)), inverse of the lift."""
+    """a(r) = (n-2)^2 r^(-2) q((n-2) r^(n-2)), inverse of the lift.
+
+    The callable keeps its ``q`` and ``n``, so that :func:`_ribbon` can read
+    the pushes of a pair's two members in one pass over their lobes.
+    """
     _check_dim(n)
+    return _Pushed(q, n)
 
-    def a(r):
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr <= 0):
-            raise ValueError("the radius must be positive")
-        s = (n - 2) * np.power(r_arr, n - 2)
-        return (n - 2) ** 2 / r_arr**2 * np.asarray(q(s), dtype=float)
 
-    return a
+class _Pushed(NamedTuple):
+    """The push a(r) of a source q(s) in dimension n (see :func:`push_a_from_q`)."""
+
+    q: Callable
+    n: int
+
+    def __call__(self, r):
+        s, scale = _push_map(self.n, r)
+        return scale * np.asarray(self.q(s), dtype=float)
+
+
+def _push_map(n: int, r) -> tuple[np.ndarray, np.ndarray]:
+    """(s, (n-2)^2 / r^2) at the radii r > 0, with s = (n-2) r^(n-2) their arc parameters."""
+    r_arr = np.asarray(r, dtype=float)
+    if np.any(r_arr <= 0):
+        raise ValueError("the radius must be positive")
+    return (n - 2) * np.power(r_arr, n - 2), (n - 2) ** 2 / r_arr**2
 
 
 # ---------------------------------------------------------------------------
@@ -208,44 +223,76 @@ def make_blend(problem: RadialProblem, barrier: BarrierPair, *,
     nondecreasing in u and stays strictly inside [a1, a2], so the barriers
     bound it by construction and the monotone iteration needs no shift.
 
-    Everything that depends on s alone (the barrier traces, the gap and its
-    check, a1, a2 and the midpoint) is computed here, once; the returned
-    ``blend(u)`` evaluates f(r, u) with only the tanh left to do, so a
-    monotone sweep over the grid pays for nothing else.  A caller that
-    already holds a1 and a2 at those radii passes them as ``ribbon``.
+    Everything that depends on s alone (the gap and its check, the midpoint,
+    and the centre and half-width of the ribbon [a1, a2]) is computed here,
+    once, a block of :data:`~oscillax.quadrature.BLOCK` nodes at a time, and
+    held in four arrays; v1, v2, a1 and a2 are not kept.  The returned
+    ``blend(u, at)`` evaluates f(r, u) at the interior nodes ``at``, a slice
+    (all of them when left out), with only the tanh left to do, so a sweep
+    calls it once per block and pays for nothing else.  A caller that already
+    holds a1 and a2 at those radii passes them as ``ribbon``.
     """
     problem.validate()
     if problem.a1 is None or problem.a2 is None:
         raise ValueError("the blend nonlinearity needs both ribbon edges a1 and a2")
     s = barrier.grid[1:-1]
-    v1, v2 = barrier.h1[1:-1] / s, barrier.h2[1:-1] / s
-    gap = v2 - v1
-    if np.any(gap <= 0):
-        raise ValueError("degenerate ribbon: the barriers touch at some radius")
-    lo, hi = ribbon if ribbon is not None else _ribbon(problem, beta_map(problem.n, problem.R, s))
-    mid = 0.5 * (v1 + v2)
-    base = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+    h1, h2 = barrier.h1[1:-1], barrier.h2[1:-1]
+    mid, gap, base, half = np.empty((4, len(s)))
+    for at in _blocks(len(s)):
+        v1, v2 = h1[at] / s[at], h2[at] / s[at]
+        if np.any(np.subtract(v2, v1, out=gap[at]) <= 0):
+            raise ValueError("degenerate ribbon: the barriers touch at some radius")
+        np.multiply(0.5, v1 + v2, out=mid[at])
+    lo, hi = (np.broadcast_to(edge, s.shape) for edge in (
+        ribbon if ribbon is not None else _ribbon(problem, beta_map(problem.n, problem.R, s))))
+    for at in _blocks(len(s)):
+        np.multiply(0.5, lo[at] + hi[at], out=base[at])
+        np.multiply(0.5, hi[at] - lo[at], out=half[at])
 
-    def blend(u):
+    def blend(u, at=slice(None)):
         # the expression's own operations, in place in one array of the broadcast shape
-        t = np.asarray(np.subtract(np.asarray(u, dtype=float), mid))
+        t = np.asarray(np.subtract(np.asarray(u, dtype=float), mid[at]))
         t *= 4.0
-        t /= gap
+        t /= gap[at]
         np.tanh(t, out=t)
-        t *= half
-        t += base
+        t *= half[at]
+        t += base[at]
         return t
 
     return blend
 
 
 def _ribbon(problem: RadialProblem, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a1(r), a2(r))."""
-    if problem.a1 is None or problem.a2 is None:
+    """(a1(r), a2(r)).
+
+    When both edges are pushes, in one dimension, of the ``q_callable`` of
+    families built to one extent, as a pair's are, s and (n-2)^2/r^2 are
+    computed once and both tables read in one pass over the lobes, a block of
+    points at a time; any other edges are called one by one.
+    """
+    a1, a2 = problem.a1, problem.a2
+    if a1 is None or a2 is None:
         raise ValueError("the ribbon needs both edges a1 and a2")
-    return (np.asarray(problem.a1(r), dtype=float),
-            np.asarray(problem.a2(r), dtype=float))
+    families = [_pushed_family(a) for a in (a1, a2)]
+    if None in families or a1.n != a2.n or families[0].extent != families[1].extent:
+        return (np.asarray(a1(r), dtype=float), np.asarray(a2(r), dtype=float))
+    r_arr = np.asarray(r, dtype=float)
+    flat, edges = r_arr.ravel(), np.empty((2, r_arr.size))
+    q = np.empty((2, min(BLOCK, r_arr.size)))
+    for at in _blocks(r_arr.size):
+        s, scale = _push_map(a1.n, flat[at])
+        lobes = q[:, :len(s)]
+        _read_lobes(s, families[0].extent, [family.lobes for family in families], lobes)
+        np.multiply(scale, lobes, out=edges[:, at])
+    return edges[0].reshape(r_arr.shape), edges[1].reshape(r_arr.shape)
+
+
+def _pushed_family(a: Callable) -> Optional[OscillationSpec]:
+    """The family whose ``q_callable`` ``a`` pushes, or None."""
+    if not isinstance(a, _Pushed):
+        return None
+    family = getattr(a.q, "__self__", None)
+    return family if isinstance(family, OscillationSpec) and a.q == family.q_callable else None
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,15 @@ _GAUSS_SLICE = slice(1, 15, 2)
 # without loading kernel.
 CELL_NODES = 17
 STOCK_EXTEND_TO = 2e4
+# Points per block of the passes over a whole grid that run a block at a time (the lobe
+# pass of a family, the stock blend and the sweeps of bvp_solver), so that the
+# temporaries of each block stay in cache and none of a grid's length is made
+BLOCK = 8192
+
+
+def _blocks(n: int):
+    """Slices that cover range(n) in order, BLOCK entries each but the last."""
+    return (slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK))
 
 
 def equation_grid(start: float, span: float) -> np.ndarray:

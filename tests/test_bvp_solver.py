@@ -14,8 +14,11 @@ from oscillax import (
     solve_radial,
 )
 from oscillax import bvp_solver
-from oscillax.bvp_solver import _CyclicReduction, _sweep_factor
+from oscillax.bvp_solver import _CyclicReduction, _residual, _sweep_factor
 from oscillax.coeff_dsl import parse
+from oscillax.kernel import _central_operator
+from oscillax.pde_bridge import BarrierPair
+from oscillax.quadrature import BLOCK
 from oscillax.radial import _beta_betaprime
 
 PI = math.pi
@@ -256,15 +259,86 @@ def test_a_shift_restores_diagonal_dominance():
     _sweep_factor(p_i, si, 0.02, float(np.max(-p_i / si)))
 
 
+def _reference_levels(lo, b, up):
+    """Each level's (inv, alpha, gamma, left_e, right_e) and the last pivot's inverse, by
+    the level loop written out with a fresh array for every product."""
+    levels = []
+    while len(b) > 1:
+        kept, inner = len(b) // 2, (len(b) - 1) // 2
+        inv = 1.0 / b[0::2]
+        alpha, gamma = lo[0::2] * inv[:kept], up[1::2] * inv[1:]
+        levels.append((inv, alpha, gamma, lo[1::2] * inv[1:], up[0::2] * inv[:kept]))
+        b = b[1::2] - alpha * up[0::2]
+        b[:inner] -= gamma * lo[1::2]
+        lo = -alpha[1:] * lo[1::2][:kept - 1]
+        up = -gamma[:kept - 1] * up[2::2]
+    return levels, 1.0 / b[0]
+
+
+@settings(max_examples=30)
+@given(m=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1))
+def test_the_factor_holds_the_level_loops_coefficients_bit_for_bit(m, seed):
+    # the factor makes each level's main diagonal in its block of right-hand sides
+    rng = np.random.default_rng(seed)
+    lo, up = rng.uniform(-1.0, 1.0, m - 1), rng.uniform(-1.0, 1.0, m - 1)
+    dia = (3.0 + rng.uniform(0.0, 1.0, m)) * rng.choice([-1.0, 1.0], m)
+    factor = _CyclicReduction(lo, dia, up)
+    levels, last = _reference_levels(lo, dia, up)
+    assert len(factor._levels) == len(levels)
+    for got, want in zip(factor._levels, levels):
+        assert all(np.array_equal(x, y) for x, y in zip(got[2:], want))
+    assert factor._last[1][0] == last
+
+
+# interior node counts about one and two blocks, and a grid smaller than one block
+@pytest.mark.parametrize("interior", [7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+@pytest.mark.parametrize("stock", [True, False], ids=["blend", "user-f"])
+def test_the_blocked_residual_is_the_central_operator_plus_the_load(problem, interior, stock):
+    rng = np.random.default_rng(interior)
+    g = np.linspace(2 * PI, 42 * PI, interior + 2)
+    step = g[1] - g[0]
+    h1 = g * (0.5 + 0.1 * np.sin(g))
+    h2 = h1 + g * (0.5 + 0.2 * np.cos(g) ** 2)
+    barrier = BarrierPair(grid=g, h1=h1, h2=h2, h_tail=(None, None), z_sup_bound=(0.0, 0.0))
+    si = g[1:-1]
+    p_i = np.asarray(problem.p(si), dtype=float)
+    B = _beta_betaprime(problem.n, si) / (problem.n - 2)
+    H = h1 + rng.uniform(-0.2, 1.2, len(g)) * (h2 - h1)
+    blocks = []
+    if stock:
+        blend = make_blend(problem, barrier)
+        load = blend(H[1:-1] / si)
+
+        def f_at(v, at):
+            blocks.append(at)
+            return blend(v, at)
+    else:
+        # not node by node: each node's value reads the whole profile
+        u = H[1:-1] / si
+        load = np.cos(u) + np.mean(u)
+
+        def f_at(v, at):
+            blocks.append(at)
+            return load[at]
+    got = _residual(np.empty(interior), H, si, p_i, B, step, f_at)
+    want = _central_operator(H, si, p_i, step, np.empty(interior), np.empty((3, interior)))
+    want += B * load
+    assert np.array_equal(got, want)
+    assert [(at.start, at.stop) for at in blocks] == [
+        (i, min(i + BLOCK, interior)) for i in range(0, interior, BLOCK)]
+
+
 # ---------------------------------------------------------------------------
 # memory
 
 
 def test_barriers_and_solve_peak_within_twenty_grid_arrays(pair, problem):
-    # the traced peak of make_barriers then solve_radial, in arrays of N floats:
-    # the sweeps hold h1, h2, p, B, H, the blend's four arrays, the factor (7),
-    # the residual's scratch (2) and one blend evaluation, 19 in all, and the
-    # barriers keep no z
+    # the traced peak of make_barriers then solve_radial, in arrays of N floats, is
+    # the factorization: h1, h2, p, the blend's four arrays, the matrix's three
+    # diagonals, the factor (7) and the next level's two off-diagonals (1), 18 in
+    # all, with the kernels' antiderivative rows, kept for the next kernel on a grid
+    # of this step (0.43 here); the sweeps hold h1, h2, p, B, H, the blend's four
+    # arrays and the factor, 16, and the barriers keep no z
     N = 64001
     grid = np.linspace(2 * PI, 42 * PI, N)
     tracemalloc.start()

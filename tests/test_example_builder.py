@@ -396,7 +396,25 @@ def test_a_pair_whose_extension_runs_low_is_refused(monkeypatch):
     monkeypatch.setattr(example_builder, "_damping_table", low)
     with pytest.raises(ValueError, match=r"d_(\d+) = ") as raised:
         build_pair()
-    assert int(re.search(r"d_(\d+) = ", str(raised.value)).group(1)) > PairParams().m_max
+    message = str(raised.value)
+    m = int(re.search(r"d_(\d+) = ", message).group(1))
+    assert m > PairParams().m_max
+    # the table is at fault, not the gap parameters
+    assert f"the damping table has I_{m} = -" in message
+    assert "p >= 0 makes every I_m >= 0" in message and "gap parameters" not in message
+
+
+def test_a_band_refusal_with_a_nonnegative_table_blames_the_gap_parameters():
+    from oscillax import example_builder
+
+    params = OscillationParams()
+    table = example_builder._damping_table(params, 100.0)
+    d_hi = 2.0 * params.q_plus / math.pi
+    rule = example_builder._AmplitudeRule(d0=1.01 * d_hi, dI=0.0, dg=0.0,
+                                          c0=1.01 * d_hi, cI=0.0, cg=0.0)
+    with pytest.raises(ValueError, match=r"d_1 = .*the gap parameters are too large") as raised:
+        example_builder._assemble(params, rule, table)
+    assert "damping table" not in str(raised.value)
 
 
 def test_a_rising_table_is_refused(monkeypatch):

@@ -601,8 +601,9 @@ def test_central_operator_is_the_written_out_expression_bitwise(n):
     p_i = 1.0 / si**3
     d2 = (h[:-2] - 2.0 * h[1:-1] + h[2:]) / step**2
     d1 = (h[2:] - h[:-2]) / (2.0 * step)
-    work = np.empty((2, n - 2))
+    work = np.empty((3, n - 2))
     out = kernel._central_operator(h, si, p_i, step, np.empty(n - 2), work)
     assert np.array_equal(out, d2 + p_i * (d1 - h[1:-1] / si))
     assert np.array_equal(work[0], d1 - h[1:-1] / si)
-    assert np.array_equal(work[1], p_i * (d1 - h[1:-1] / si))
+    assert np.array_equal(work[1], h[1:-1] / si)
+    assert np.array_equal(work[2], p_i * (d1 - h[1:-1] / si))

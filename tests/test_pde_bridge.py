@@ -17,9 +17,10 @@ from oscillax import (
     solve_radial,
     subsuper_residual,
 )
-from oscillax.example_builder import S0_FIXED, PairResult
+from oscillax import pde_bridge
+from oscillax.example_builder import S0_FIXED, PairResult, _read_lobes, build_oscillation
 from oscillax.radial import excluded_arc
-from oscillax.quadrature import TailModel
+from oscillax.quadrature import BLOCK, TailModel
 
 PI = math.pi
 
@@ -338,6 +339,80 @@ def test_a_passed_ribbon_is_the_pushed_one(problem, solver_barrier):
     ribbon = (problem.a1(r), problem.a2(r))
     assert np.array_equal(make_blend(problem, solver_barrier, ribbon=ribbon)(u),
                           make_blend(problem, solver_barrier)(u))
+
+
+# ---------------------------------------------------------------------------
+# one lobe pass for both ribbon edges
+
+
+def test_the_lobe_pass_reads_each_member_as_its_q_callable(pair, rng):
+    q1, q2 = pair.q1, pair.q2
+    assert q1.extent == q2.extent
+    nodes = PI * np.arange(2, int(q1.extent / PI))   # every lobe node of the table
+    s = np.concatenate((rng.uniform(S0_FIXED, q1.extent, 3 * BLOCK + 5), nodes))
+    both = np.empty((2, len(s)))
+    _read_lobes(s, q1.extent, [q1.lobes, q2.lobes], both)
+    assert np.array_equal(both[0], q1.q_callable(s))
+    assert np.array_equal(both[1], q2.q_callable(s))
+    one = np.empty(len(s))
+    _read_lobes(s, q1.extent, [q2.lobes], [one])
+    assert np.array_equal(one, both[1])
+
+
+def _pushed_problem(pair, n, a1=None, a2=None):
+    return RadialProblem(n=n, R=1.0, p=parse("1/s^3"), p_tail=TailModel("power", 3.0, 1.0),
+                         a1=a1 or push_a_from_q(pair.q1.q_callable, n),
+                         a2=a2 or push_a_from_q(pair.q2.q_callable, n))
+
+
+def _counting_lobe_pass(monkeypatch):
+    calls = []
+
+    def counted(s, *args):
+        calls.append(len(s))
+        return _read_lobes(s, *args)
+
+    monkeypatch.setattr(pde_bridge, "_read_lobes", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_ribbon_reads_both_pushes_in_one_lobe_pass(pair, n, monkeypatch):
+    problem = _pushed_problem(pair, n)
+    r = beta_map(n, 1.0, np.linspace(2 * PI, 42 * PI, 2 * BLOCK + 9)[1:-1])
+    calls = _counting_lobe_pass(monkeypatch)
+    lo, hi = pde_bridge._ribbon(problem, r)
+    assert calls == [BLOCK, BLOCK, 7]   # one pass per block, for both edges
+    assert np.array_equal(lo, problem.a1(r))
+    assert np.array_equal(hi, problem.a2(r))
+    assert len(calls) == 3               # the edges called alone take no pair pass
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_ribbon_refuses_an_s_outside_the_families_with_q_callables_message(pair, n):
+    problem = _pushed_problem(pair, n)
+    r = beta_map(n, 1.0, np.array([S0_FIXED + 1.0, pair.q1.extent + 1.0]))
+    with pytest.raises(ValueError, match="family is defined on") as alone:
+        problem.a1(r)
+    with pytest.raises(ValueError) as paired:
+        pde_bridge._ribbon(problem, r)
+    assert str(paired.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("edges", ["plain", "other-family", "other-n"])
+def test_edges_that_are_not_pushes_of_one_pair_are_called_one_by_one(pair, edges, monkeypatch):
+    n = 3
+    other = build_oscillation(extent=500.0)   # a table of another extent
+    a2 = {"plain": lambda r: np.asarray(pair.q2.q_callable(r), dtype=float) / r**2,
+          "other-family": push_a_from_q(other.q_callable, n),
+          "other-n": push_a_from_q(pair.q2.q_callable, 4)}[edges]
+    problem = _pushed_problem(pair, n, a2=a2)
+    r = np.linspace(2 * PI, 20 * PI, 1001)[1:-1]
+    calls = _counting_lobe_pass(monkeypatch)
+    lo, hi = pde_bridge._ribbon(problem, r)
+    assert calls == []
+    assert np.array_equal(lo, problem.a1(r))
+    assert np.array_equal(hi, problem.a2(r))
 
 
 def _traces(barrier):
